@@ -1,7 +1,8 @@
 """Batch command-line surface for the toolkit.
 
 Exit codes: 0 on success (including negative query answers), 2 on validation
-or check failure, 3 on unreadable or malformed input.
+or check failure, 3 on unreadable or malformed input or a wrong number of
+input files.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .spectral import SpectralError
 
 class CliValidationFailure(Exception):
     """Raised for failed checks and validations (exit code 2)."""
+
+
+class CliUsageError(Exception):
+    """Raised for a command line the parser accepts but cannot run (exit
+    code 3)."""
 
 
 def data_dir():
@@ -102,12 +108,12 @@ def cmd_polytope(args):
 # partition
 # ---------------------------------------------------------------------------
 
-def _load_partition(path):
+def _partition_from_file(path):
     return partitions.partition_from_doc(_load_json(path), resolve_polytope)
 
 
 def cmd_partition(args):
-    part = _load_partition(args.file)
+    part = _partition_from_file(args.file)
     fmt = args.format
     if args.action == "validate":
         report = partitions.validate_semistable(part)
@@ -282,6 +288,12 @@ _BUILDERS = {
 
 def cmd_ss(args):
     fmt = args.format
+    names = "DEG HYB" if args.action == "pw" else "FILE"
+    want = len(names.split())
+    if len(args.files) != want:
+        raise CliUsageError(
+            f"ss {args.action} needs {want} file{'s' if want > 1 else ''} "
+            f"({names}), got {len(args.files)}")
     if args.action in _BUILDERS:
         data = spectral.complex_from_doc(_load_json(args.files[0]))
         page = _BUILDERS[args.action](data)
@@ -419,6 +431,9 @@ def main(argv=None):
     except CliValidationFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
+    except CliUsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (LatticeError, FanError, PartitionError, NefError, LGError,
             StrataError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ check on construction that pairwise cone intersections are common faces.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -414,8 +413,3 @@ def fan_from_doc(doc):
     cones = [Cone.from_rays([tuple(r) for r in rays], rank)
              for rays in doc["maximal_cones"]]
     return Fan.from_cones(cones, rank)
-
-
-def load_fan(path):
-    with open(path) as fh:
-        return fan_from_doc(json.load(fh))

@@ -14,7 +14,6 @@ silent M/N identifications the source constructions are prone to.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -28,6 +27,7 @@ from .linalg import (
     primitive,
     rank as mat_rank,
     solve,
+    vec_gcd,
     vec_sub,
 )
 
@@ -233,18 +233,11 @@ def _lift_inequality(nrm, m, lift, n):
         den = den * x.denominator // gcd(den, x.denominator)
     a_int = tuple(int(x * den) for x in a)
     rhs = m * den + dot(a_int, p0)
-    g = gcd(vec_gcd_with(a_int), abs(rhs))
+    g = gcd(vec_gcd(a_int), abs(rhs))
     if g > 1:
         a_int = tuple(x // g for x in a_int)
         rhs //= g
     return (a_int, -rhs)
-
-
-def vec_gcd_with(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g if g else 1
 
 
 def faces(p, l):
@@ -705,8 +698,3 @@ def polytope_from_doc(doc):
     if any(len(v) != doc["rank"] for v in verts):
         raise LatticeError("vertex length does not match declared rank")
     return convex_hull(verts, name=doc.get("name", ""))
-
-
-def load_polytope(path):
-    with open(path) as fh:
-        return polytope_from_doc(json.load(fh))

@@ -8,7 +8,6 @@ Coefficients stay symbolic throughout ("a_(p,q)" tagged by the lattice point,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .lattice import (

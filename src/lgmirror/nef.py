@@ -3,7 +3,6 @@ piecewise-linear functions, and the dual Minkowski pieces."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .fans import Cone, Fan, FanError, PLFunction, face_fan
@@ -90,9 +89,11 @@ def validate_nef(host, parts):
                 f"against ray {witness[1]}",
                 witness={"part": idx, "cone": witness[0], "ray": witness[1]})
         certs.append(phi)
-    # The certificates sum to the support function of the anticanonical class.
+    # The certificates sum to the support function of the anticanonical class;
+    # a failure here is a bug in this module, not bad input.
     for r in fan.rays:
-        assert sum(phi.values[r] for phi in certs) == 1
+        if sum(phi.values[r] for phi in certs) != 1:
+            raise RuntimeError(f"certificates do not sum to 1 on ray {r}")
     return NefPartition(host, tuple(tuple(p) for p in parts), tuple(certs))
 
 
@@ -166,8 +167,3 @@ def nef_from_doc(doc, resolve_polytope=None):
     else:
         host = polytope_from_doc(poly)
     return validate_nef(host, [tuple(part) for part in doc["parts"]])
-
-
-def load_nef(path, resolve_polytope=None):
-    with open(path) as fh:
-        return nef_from_doc(json.load(fh), resolve_polytope)

@@ -6,7 +6,6 @@ frame with the distinguished primitive vectors, and the fibration fans.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from .fans import Cone, Fan, FanError, face_fan, refine_with_boundary_rays
@@ -22,11 +21,12 @@ from .lattice import (
     normalized_volume,
     polytope_from_doc,
     recession_rays,
+    saturated_direction_basis,
     vertex_is_smooth,
 )
 from .linalg import (
     dot,
-    integer_kernel,
+    integral_multiple,
     primitive,
     rank as mat_rank,
     snf_with_transforms,
@@ -474,7 +474,9 @@ def central_frame(part):
     if common.dim == 0:
         L_rows = []
     else:
-        L_rows = _saturated_span_basis([list(v) for v in common.vertices], n)
+        # the common face of a central partition contains the origin, so its
+        # direction span is its linear span
+        L_rows = saturated_direction_basis(common.vertices)
     k = len(L_rows)
 
     if l == 0:
@@ -528,25 +530,10 @@ def central_frame(part):
         x = solve(A, b)
         if x is None:
             raise PartitionError("no orthogonal representative for a ray")
-        den = 1
-        for c in x:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        v_amb.append(primitive(tuple(int(c * den) for c in x)))
+        v_amb.append(primitive(integral_multiple([x])[0]))
 
     return CentralFrame(part, l, tuple(tuple(r) for r in L_rows),
                         tuple(q_rows), tuple(v_quot), tuple(v_amb), sigma_v)
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
-
-
-def _saturated_span_basis(rows, n):
-    ann = integer_kernel(rows)
-    if not ann:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return integer_kernel(ann)
 
 
 @dataclass
@@ -640,8 +627,3 @@ def partition_from_doc(doc, resolve_polytope=None):
     pieces = [convex_hull([tuple(v) for v in piece], lattice=host.lattice)
               for piece in doc["pieces"]]
     return SemistablePartition(host, tuple(pieces))
-
-
-def load_partition(path, resolve_polytope=None):
-    with open(path) as fh:
-        return partition_from_doc(json.load(fh), resolve_polytope)

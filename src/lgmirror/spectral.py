@@ -8,14 +8,22 @@ rule, verifies the differentials square to zero, and reads off kernels modulo
 images.  Degeneration at the second page is assumed, as established for every
 filtration handled here; an optional report lists where vanishing of the next
 differential is forced for degree reasons.
+
+The four first pages differ only in where each stratum group sits and in
+which structure maps, with which sign twist, make up d1.  Each is a `PageSpec`
+(WEIGHT, MONODROMY, GFLAG, DELTA): a placement rule (I, degree, components)
+-> (p, q, block key) and a tuple of `MapRule`s (map kind, toward larger or
+smaller index sets, target block key, twist by p).  One driver, `assemble`,
+places the blocks, adds a map exactly when its target block exists, sums the
+signed maps into Fraction matrices and checks d1 o d1 = 0; the `build_*_E1`
+functions are single calls into it.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .linalg import (format_fraction, integral_multiple, mat_mul,
                      parse_fraction, rank, sign, transpose)
@@ -23,6 +31,10 @@ from .linalg import (format_fraction, integral_multiple, mat_mul,
 
 class SpectralError(ValueError):
     pass
+
+
+# degree change of each structure-map kind
+DEGREE_SHIFT = {"restrict": 0, "gysin": 2, "rho": 1, "rho_dual": -1}
 
 
 def _sign_in(larger, x):
@@ -70,9 +82,7 @@ class StrataComplexData:
         sides vanish, an error when a needed map is missing."""
         frm, to = frozenset(frm), frozenset(to)
         src = self.dim(frm, degree)
-        tgt_degree = degree + {"restrict": 0, "gysin": 2,
-                               "rho": 1, "rho_dual": -1}[kind]
-        tgt = self.dim(to, tgt_degree)
+        tgt = self.dim(to, degree + DEGREE_SHIFT[kind])
         if src == 0 or tgt == 0:
             return None
         key = (kind, frm, to, degree)
@@ -130,14 +140,15 @@ class BigradedPage:
 
     terms[(p, q)] is an ordered list of (block key, dim); diff[(p, q)] maps
     E1^{p,q} -> E1^{p+1,q}.  The second page is computed as kernel modulo
-    image; degeneration there is assumed, so e2 carries the final graded
-    dimensions.
+    image, on the first call to e2, and kept; degeneration there is assumed,
+    so e2 carries the final graded dimensions.
     """
 
     name: str
     terms: dict
     diff: dict
     grading_note: str = ""
+    _e2: dict = field(default=None, init=False, repr=False, compare=False)
 
     def term_dim(self, p, q):
         return sum(d for _, d in self.terms.get((p, q), []))
@@ -162,16 +173,18 @@ class BigradedPage:
                     f"{self.name}: d1 o d1 != 0 at (p, q) = ({p}, {q})")
 
     def e2(self):
+        if self._e2 is None:
+            self._e2 = self._compute_e2()
+        return dict(self._e2)
+
+    def _compute_e2(self):
+        ranks = {pq: rank(m) for pq, m in self.diff.items()}
         out = {}
         for (p, q) in self.positions():
             dim = self.term_dim(p, q)
             if dim == 0:
                 continue
-            d_out = self.diff.get((p, q))
-            d_in = self.diff.get((p - 1, q))
-            r_out = rank(d_out) if d_out else 0
-            r_in = rank(d_in) if d_in else 0
-            val = dim - r_out - r_in
+            val = dim - ranks.get((p, q), 0) - ranks.get((p - 1, q), 0)
             if val < 0:
                 raise SpectralError(f"{self.name}: negative E2 dimension at "
                                     f"({p}, {q})")
@@ -227,155 +240,55 @@ class BigradedPage:
         return "\n".join(lines)
 
 
-class _PageBuilder:
-    def __init__(self, name, grading_note=""):
-        self.name = name
-        self.grading_note = grading_note
-        self.terms = {}
-        self.block_offsets = {}
-        self.entries = {}  # (p,q) -> list of (row_block, col_block, sign, matrix)
-
-    def add_block(self, p, q, key, dim):
-        if dim <= 0:
-            return
-        blocks = self.terms.setdefault((p, q), [])
-        if any(k == key for k, _ in blocks):
-            return
-        offset = sum(d for _, d in blocks)
-        blocks.append((key, dim))
-        self.block_offsets[(p, q, key)] = offset
-
-    def has_block(self, p, q, key):
-        return (p, q, key) in self.block_offsets
-
-    def add_map(self, p, q, src_key, tgt_key, sign, matrix):
-        if not isinstance(sign, int):
-            raise TypeError(f"{self.name}: sign {sign!r} at ({p}, {q}) is "
-                            "not an int")
-        if matrix is None:
-            return
-        self.entries.setdefault((p, q), []).append((src_key, tgt_key, sign, matrix))
-
-    def build(self):
-        diff = {}
-        for (p, q), pieces in self.entries.items():
-            src_dim = sum(d for _, d in self.terms.get((p, q), []))
-            tgt_dim = sum(d for _, d in self.terms.get((p + 1, q), []))
-            if src_dim == 0 or tgt_dim == 0:
-                continue
-            M = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-            for src_key, tgt_key, sign, mat in pieces:
-                so = self.block_offsets[(p, q, src_key)]
-                to = self.block_offsets[(p + 1, q, tgt_key)]
-                for i, row in enumerate(mat):
-                    for j, x in enumerate(row):
-                        M[to + i][so + j] += sign * Fraction(x)
-            diff[(p, q)] = M
-        page = BigradedPage(self.name, self.terms, diff, self.grading_note)
-        page.check_d1_squared()
-        return page
-
-
 # ---------------------------------------------------------------------------
-# Page builders
+# Page specs and the driver
 # ---------------------------------------------------------------------------
 
-def build_weight_E1(data):
-    """Weight page of a simple normal crossing variety: row q holds the
-    degree-q cohomology of the strata, columns by depth, differential the
-    signed sum of restrictions.  E2[p, q] is the weight-q piece of
-    H^{p+q} of the union."""
-    if data.side != "degeneration":
-        raise SpectralError("weight page expects degeneration-side data")
-    b = _PageBuilder("weight", "E2[p,q] = Gr^W_q H^(p+q)")
-    degrees = sorted({k for dims in data.strata.values() for k in dims})
-    for q in degrees:
-        for I in data.index_sets():
-            b.add_block(len(I) - 1, q, I, data.dim(I, q))
-    for (p, q), blocks in list(b.terms.items()):
-        for I, _ in blocks:
-            for x in range(data.components):
-                if x in I:
-                    continue
-                J = frozenset(I | {x})
-                if data.dim(J, q) == 0:
-                    continue
-                m = data.matrix("restrict", I, J, q)
-                b.add_map(p, q, I, J, _sign_in(J, x), m)
-    return b.build()
+class MapRule(NamedTuple):
+    """One structure-map kind in d1.  `larger`: the map inserts an index x
+    (I -> I + {x}), else it omits one (I -> I - {x}).  `target(key, J)` is the
+    target block key, which also fixes the target degree; `twist(p)` is the
+    int sign multiplying the Mayer-Vietoris sign of x."""
+
+    kind: str
+    larger: bool
+    target: Callable
+    twist: Callable
 
 
-def build_monodromy_E1(data):
-    """Monodromy-weight page of a one-parameter degeneration with normal
-    crossing special fiber.  The (p, q) term collects the strata groups
-    H^{q+2p-2k} over depth 2k-p+1 for k >= max(0, p); the differential is
-    the signed Gysin sum plus (-1)^p times the signed restriction sum.
-    E2[p, q] is the limit-weight-q piece of H^{p+q} of a nearby fiber."""
-    if data.side != "degeneration":
-        raise SpectralError("monodromy page expects degeneration-side data")
-    b = _PageBuilder("monodromy", "E2[p,q] = Gr^Wlim_q H^(p+q)")
-    placements = []
-    for I in data.index_sets():
-        m = len(I)
-        for deg, d in data.strata[I].items():
-            if d == 0:
-                continue
-            # m = 2k - p + 1 over valid (p, k)
-            for p in range(-m - 1, m + 2):
-                two_k = m + p - 1
-                if two_k % 2 or two_k < 0:
-                    continue
-                k = two_k // 2
-                if k < max(0, p):
-                    continue
-                q = deg - 2 * p + 2 * k
-                b.add_block(p, q, (k, I), d)
-                placements.append((p, q, k, I, deg))
-    for p, q, k, I, deg in placements:
-        # Gysin component: same k, drop one index, degree +2
-        if k >= p + 1:
-            for x in sorted(I):
-                J = frozenset(I - {x})
-                if J and data.dim(J, deg + 2) and b.has_block(p + 1, q, (k, J)):
-                    m = data.matrix("gysin", I, J, deg)
-                    b.add_map(p, q, (k, I), (k, J), _sign_in(I, x), m)
-        # restriction component: k + 1, add one index, twisted by (-1)^p
-        for x in range(data.components):
-            if x in I:
-                continue
-            J = frozenset(I | {x})
-            if data.dim(J, deg) and b.has_block(p + 1, q, (k + 1, J)):
-                m = data.matrix("restrict", I, J, deg)
-                b.add_map(p, q, (k, I), (k + 1, J),
-                          sign(p) * _sign_in(J, x), m)
-    return b.build()
+@dataclass(frozen=True)
+class PageSpec:
+    """A first page: which side's data it reads, where the degree-deg group
+    of stratum I sits (`place(I, deg, components)` yields (p, q, block key)),
+    and the map rules whose signed sum is d1."""
+
+    name: str
+    side: str
+    grading_note: str
+    place: Callable
+    maps: tuple
 
 
-def build_G_flag_E1(data):
-    """Flag page of the glued fibration over affine space: row a holds the
-    relative groups H^{a-l} over depth l, the differential the signed sum of
-    the connecting maps toward smaller depth."""
-    if data.side != "hybrid":
-        raise SpectralError("flag page expects hybrid-side data")
-    b = _PageBuilder("gflag", "E2[-l,a] = depth-l graded piece of H^(a-l)")
-    for I in data.index_sets():
-        l = len(I)
-        for deg, d in data.strata[I].items():
-            if d:
-                b.add_block(-l, deg + l, ("G", I), d)
-    for (p, q), blocks in list(b.terms.items()):
-        l = -p
-        for (_, I), _dim in blocks:
-            if l == 1:
-                continue
-            deg = q - l
-            for x in sorted(I):
-                J = frozenset(I - {x})
-                if data.dim(J, deg + 1) == 0:
-                    continue
-                m = data.matrix("rho", I, J, deg)
-                b.add_map(p, q, ("G", I), ("G", J), _sign_in(I, x), m)
-    return b.build()
+def _untwisted(p):
+    return 1
+
+
+def _weight_place(I, deg, components):
+    return [(len(I) - 1, deg, I)]
+
+
+def _monodromy_place(I, deg, components):
+    m = len(I)
+    for p in range(-m - 1, m + 2):
+        two_k = m + p - 1   # m = 2k - p + 1
+        if two_k % 2 or two_k < 0 or two_k // 2 < max(0, p):
+            continue
+        k = two_k // 2
+        yield p, deg - 2 * p + 2 * k, (k, I)
+
+
+def _gflag_place(I, deg, components):
+    return [(-len(I), deg + len(I), ("G", I))]
 
 
 def _delta_block_valid(l, m, components):
@@ -387,6 +300,108 @@ def _delta_block_valid(l, m, components):
     return 0 <= j2 <= 2 * N and -2 * N <= i2 <= 0
 
 
+def _delta_place(I, deg, components):
+    m = len(I)
+    return [(l, deg + m - 1, (m, I)) for l in range(-components, components + 1)
+            if _delta_block_valid(l, m, components)]
+
+
+WEIGHT = PageSpec(
+    "weight", "degeneration", "E2[p,q] = Gr^W_q H^(p+q)", _weight_place,
+    (MapRule("restrict", True, lambda key, J: J, _untwisted),))
+
+MONODROMY = PageSpec(
+    "monodromy", "degeneration", "E2[p,q] = Gr^Wlim_q H^(p+q)",
+    _monodromy_place,
+    (MapRule("gysin", False, lambda key, J: (key[0], J), _untwisted),
+     MapRule("restrict", True, lambda key, J: (key[0] + 1, J), sign)))
+
+GFLAG = PageSpec(
+    "gflag", "hybrid", "E2[-l,a] = depth-l graded piece of H^(a-l)",
+    _gflag_place,
+    (MapRule("rho", False, lambda key, J: ("G", J), _untwisted),))
+
+DELTA = PageSpec(
+    "delta", "hybrid", "E2[l,w] = Gr^P_w H^(w+l)", _delta_place,
+    (MapRule("rho", False, lambda key, J: (key[0] - 1, J), _untwisted),
+     MapRule("rho_dual", True, lambda key, J: (key[0] + 1, J), sign)))
+
+
+def assemble(spec, data):
+    """Build the first page described by `spec` and check d1 o d1 = 0.
+
+    Every nonzero graded piece of every stratum is placed by the spec's rule;
+    a map joins d1 exactly when its target block exists on the page."""
+    if data.side != spec.side:
+        raise SpectralError(f"{spec.name} page expects {spec.side}-side data")
+    comps = data.components
+    terms, offsets, placed = {}, {}, []
+    for I in data.index_sets():
+        for deg, d in data.strata[I].items():
+            if d <= 0:
+                continue
+            for p, q, key in spec.place(I, deg, comps):
+                blocks = terms.setdefault((p, q), [])
+                offsets[(p, q, key)] = sum(dim for _, dim in blocks)
+                blocks.append((key, d))
+                placed.append((p, q, key, I, deg))
+    pieces = {}
+    for p, q, key, I, deg in placed:
+        for kind, larger, target, twist in spec.maps:
+            if larger:
+                moves = [(x, I | {x}) for x in range(comps) if x not in I]
+            else:
+                moves = [(x, I - {x}) for x in sorted(I)]
+            for x, J in moves:
+                tgt = target(key, J)
+                if (p + 1, q, tgt) not in offsets:
+                    continue
+                s = twist(p) * _sign_in(J if larger else I, x)
+                if not isinstance(s, int):
+                    raise TypeError(f"{spec.name}: sign {s!r} at ({p}, {q}) "
+                                    "is not an int")
+                pieces.setdefault((p, q), []).append(
+                    (key, tgt, s, data.matrix(kind, I, J, deg)))
+    diff = {}
+    for (p, q), entries in pieces.items():
+        M = [[Fraction(0)] * sum(d for _, d in terms[(p, q)])
+             for _ in range(sum(d for _, d in terms[(p + 1, q)]))]
+        for src_key, tgt_key, s, mat in entries:
+            so = offsets[(p, q, src_key)]
+            to = offsets[(p + 1, q, tgt_key)]
+            for i, row in enumerate(mat):
+                for j, x in enumerate(row):
+                    M[to + i][so + j] += s * Fraction(x)
+        diff[(p, q)] = M
+    page = BigradedPage(spec.name, terms, diff, spec.grading_note)
+    page.check_d1_squared()
+    return page
+
+
+def build_weight_E1(data):
+    """Weight page of a simple normal crossing variety: row q holds the
+    degree-q cohomology of the strata, columns by depth, differential the
+    signed sum of restrictions.  E2[p, q] is the weight-q piece of
+    H^{p+q} of the union."""
+    return assemble(WEIGHT, data)
+
+
+def build_monodromy_E1(data):
+    """Monodromy-weight page of a one-parameter degeneration with normal
+    crossing special fiber.  The (p, q) term collects the strata groups
+    H^{q+2p-2k} over depth 2k-p+1 for k >= max(0, p); the differential is
+    the signed Gysin sum plus (-1)^p times the signed restriction sum.
+    E2[p, q] is the limit-weight-q piece of H^{p+q} of a nearby fiber."""
+    return assemble(MONODROMY, data)
+
+
+def build_G_flag_E1(data):
+    """Flag page of the glued fibration over affine space: row a holds the
+    relative groups H^{a-l} over depth l, the differential the signed sum of
+    the connecting maps toward smaller depth."""
+    return assemble(GFLAG, data)
+
+
 def build_delta_E1(data):
     """Double-flag page of the glued fibration over projective space.
 
@@ -394,98 +409,7 @@ def build_delta_E1(data):
     the differential is the connecting sum toward smaller depth plus (-1)^l
     times the dual connecting sum toward larger depth.  E2[l, n+a] is the
     (n+a)-th perverse graded piece of H^{n+a+l}."""
-    if data.side != "hybrid":
-        raise SpectralError("delta page expects hybrid-side data")
-    b = _PageBuilder("delta", "E2[l,w] = Gr^P_w H^(w+l)")
-    comps = data.components
-    placements = []
-    for I in data.index_sets():
-        m = len(I)
-        for deg, d in data.strata[I].items():
-            if d == 0:
-                continue
-            for l in range(-comps, comps + 1):
-                if not _delta_block_valid(l, m, comps):
-                    continue
-                q = deg + m - 1
-                b.add_block(l, q, (m, I), d)
-                placements.append((l, q, m, I, deg))
-    for l, q, m, I, deg in placements:
-        if _delta_block_valid(l + 1, m - 1, comps):
-            for x in sorted(I):
-                J = frozenset(I - {x})
-                if J and data.dim(J, deg + 1) and b.has_block(l + 1, q, (m - 1, J)):
-                    mat = data.matrix("rho", I, J, deg)
-                    b.add_map(l, q, (m, I), (m - 1, J), _sign_in(I, x), mat)
-        if _delta_block_valid(l + 1, m + 1, comps):
-            for x in range(comps):
-                if x in I:
-                    continue
-                J = frozenset(I | {x})
-                if data.dim(J, deg - 1) and b.has_block(l + 1, q, (m + 1, J)):
-                    mat = data.matrix("rho_dual", I, J, deg)
-                    b.add_map(l, q, (m, I), (m + 1, J),
-                              sign(l) * _sign_in(J, x), mat)
-    return b.build()
-
-
-def build_delta_E1_flipped_twist(data):
-    """The delta page with the alternating twist removed (both directions
-    summed with constant sign): a deliberately wrong differential used by the
-    negative tests; on generic consistent data it no longer squares to zero."""
-    try:
-        page = _build_delta_untwisted(data)
-        page.check_d1_squared()
-        return page, True
-    except SpectralError:
-        return None, False
-
-
-def _build_delta_untwisted(data):
-    b = _PageBuilder("delta-untwisted")
-    comps = data.components
-    placements = []
-    for I in data.index_sets():
-        m = len(I)
-        for deg, d in data.strata[I].items():
-            if d == 0:
-                continue
-            for l in range(-comps, comps + 1):
-                if not _delta_block_valid(l, m, comps):
-                    continue
-                b.add_block(l, deg + m - 1, (m, I), d)
-                placements.append((l, deg + m - 1, m, I, deg))
-    for l, q, m, I, deg in placements:
-        if _delta_block_valid(l + 1, m - 1, comps):
-            for x in sorted(I):
-                J = frozenset(I - {x})
-                if J and data.dim(J, deg + 1) and b.has_block(l + 1, q, (m - 1, J)):
-                    b.add_map(l, q, (m, I), (m - 1, J), _sign_in(I, x),
-                              data.matrix("rho", I, J, deg))
-        if _delta_block_valid(l + 1, m + 1, comps):
-            for x in range(comps):
-                if x in I:
-                    continue
-                J = frozenset(I | {x})
-                if data.dim(J, deg - 1) and b.has_block(l + 1, q, (m + 1, J)):
-                    b.add_map(l, q, (m, I), (m + 1, J), _sign_in(J, x),
-                              data.matrix("rho_dual", I, J, deg))
-    # assemble without the d^2 check: that is the point of this builder
-    diff = {}
-    for (p, q), pieces in b.entries.items():
-        src_dim = sum(d for _, d in b.terms.get((p, q), []))
-        tgt_dim = sum(d for _, d in b.terms.get((p + 1, q), []))
-        if src_dim == 0 or tgt_dim == 0:
-            continue
-        M = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-        for src_key, tgt_key, sign, mat in pieces:
-            so = b.block_offsets[(p, q, src_key)]
-            to = b.block_offsets[(p + 1, q, tgt_key)]
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    M[to + i][so + j] += sign * Fraction(x)
-        diff[(p, q)] = M
-    return BigradedPage("delta-untwisted", b.terms, diff)
+    return assemble(DELTA, data)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +451,8 @@ def slice_by_label(data):
                 strata[I] = sub
         maps = {}
         for (kind, frm, to, degree), mat in data.maps.items():
-            tgt_degree = degree + {"restrict": 0, "gysin": 2,
-                                   "rho": 1, "rho_dual": -1}[kind]
             rsrc = ranges(frm, degree)
-            rtgt = ranges(to, tgt_degree)
+            rtgt = ranges(to, degree + DEGREE_SHIFT[kind])
             # off-diagonal blocks must vanish for the slicing to make sense
             for aa in labels:
                 for bb in labels:
@@ -789,11 +711,6 @@ def complex_from_doc(doc):
                              pairings)
 
 
-def load_complex(path):
-    with open(path) as fh:
-        return complex_from_doc(json.load(fh))
-
-
 def cubical_from_doc(doc):
     entries = {frozenset(e["I"]): int(e["dim"]) for e in doc["entries"]}
     maps = {}
@@ -801,11 +718,6 @@ def cubical_from_doc(doc):
         maps[(frozenset(m["from"]), frozenset(m["to"]))] = \
             [[parse_fraction(x) for x in row] for row in m["matrix"]]
     return CubicalData(int(doc.get("label", 0)), entries, maps)
-
-
-def load_cubical(path):
-    with open(path) as fh:
-        return cubical_from_doc(json.load(fh))
 
 
 def page_report_doc(page, abutment=None):

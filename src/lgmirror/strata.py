@@ -9,7 +9,6 @@ genus-by-interior-points helper for anticanonical curves in surfaces.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from .lattice import interior_lattice_points, is_reflexive
@@ -230,11 +229,6 @@ def strata_to_doc(d):
     }
 
 
-def load_strata(path):
-    with open(path) as fh:
-        return strata_from_doc(json.load(fh))
-
-
 def monodromy_from_doc(doc):
     dim = doc["dim"]
     pair_reps = {}
@@ -246,8 +240,3 @@ def monodromy_from_doc(doc):
         else:
             diag_reps[rep["j"]] = mat
     return dim, pair_reps, diag_reps
-
-
-def load_monodromy(path):
-    with open(path) as fh:
-        return monodromy_from_doc(json.load(fh))

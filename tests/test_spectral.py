@@ -1,15 +1,18 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from lgmirror.spectral import (
+    DELTA,
+    WEIGHT,
     CubicalData,
     SpectralError,
     StrataComplexData,
+    assemble,
     build_G_flag_E1,
     build_delta_E1,
-    build_delta_E1_flipped_twist,
     build_monodromy_E1,
     build_weight_E1,
     check_cubical_mirror,
@@ -20,6 +23,18 @@ from lgmirror.spectral import (
 )
 
 fs = frozenset
+
+
+def with_twist(spec, kind, twist):
+    """The spec with the twist of every `kind` map replaced."""
+    return replace(spec, maps=tuple(
+        rule._replace(twist=twist) if rule.kind == kind else rule
+        for rule in spec.maps))
+
+
+# the delta page with the alternating twist removed: a deliberately wrong
+# differential that no longer squares to zero on generic consistent data
+UNTWISTED_DELTA = with_twist(DELTA, "rho_dual", lambda p: 1)
 
 
 def annulus_pair_dims():
@@ -130,16 +145,16 @@ def test_delta_flipped_twist_breaks_on_designated_instance():
     data = koszul_instance()
     page = build_delta_E1(data)          # correct twist: assembles fine
     assert page is not None
-    _, still_zero = build_delta_E1_flipped_twist(data)
-    assert not still_zero
+    with pytest.raises(SpectralError, match="d1 o d1 != 0"):
+        assemble(UNTWISTED_DELTA, data)
 
 
 def test_delta_flipped_twist_from_bundled_doc():
     from conftest import corpus_doc
     data = complex_from_doc(corpus_doc("delta-sign-instance"))
     build_delta_E1(data)
-    _, still_zero = build_delta_E1_flipped_twist(data)
-    assert not still_zero
+    with pytest.raises(SpectralError, match="d1 o d1 != 0"):
+        assemble(UNTWISTED_DELTA, data)
 
 
 def test_d1_squared_violation_is_reported():
@@ -279,13 +294,27 @@ def test_d2_vanishing_report(elliptic_deg_complex):
     assert all(entry["confirmed_zero"] for entry in rep)
 
 
-def test_float_sign_is_rejected_by_page_builder():
-    from lgmirror.spectral import _PageBuilder
-    b = _PageBuilder("t")
-    b.add_block(-1, 0, "a", 1)
-    b.add_block(0, 0, "b", 1)
-    with pytest.raises(TypeError):
-        b.add_map(-1, 0, "a", "b", -1.0, [[F(1)]])
+def test_float_sign_is_rejected_by_page_builder(elliptic_deg_complex):
+    spec = with_twist(WEIGHT, "restrict", lambda p: -1.0)
+    with pytest.raises(TypeError, match="not an int"):
+        assemble(spec, elliptic_deg_complex)
+
+
+def test_page_report_ranks_each_differential_once(monkeypatch):
+    import lgmirror.spectral as spectral
+    from conftest import corpus_doc
+    page = build_delta_E1(complex_from_doc(corpus_doc("delta-sign-instance")))
+    real_rank = spectral.rank
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real_rank(m)
+
+    monkeypatch.setattr(spectral, "rank", counted)
+    spectral.page_report_doc(page)
+    assert page.diff
+    assert len(calls) <= len(page.diff)
 
 
 def test_delta_page_entries_stay_fractions():
@@ -313,3 +342,16 @@ def test_page_json_has_no_floats(capsys, action, name):
     doc = json.loads(capsys.readouterr().out)
     assert doc["row_euler"]
     assert float_leaves(doc) == []
+
+
+def test_ss_pw_with_one_file_exits_3(capsys):
+    from conftest import corpus_path
+    from lgmirror.cli import main
+    assert main(["ss", "pw", corpus_path("elliptic-deg-complex")]) == 3
+    assert "ss pw needs 2 files (DEG HYB), got 1" in capsys.readouterr().err
+
+
+def test_ss_one_file_action_with_two_files_exits_3(capsys):
+    from lgmirror.cli import main
+    assert main(["ss", "delta", "a.json", "b.json"]) == 3
+    assert "ss delta needs 1 file (FILE), got 2" in capsys.readouterr().err
