@@ -52,8 +52,6 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos)
 
@@ -438,8 +436,10 @@ def main(argv=None):
             StrataError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except OSError as exc:  # str() names the file, repr() does not
+        print(f"cannot read input: {exc}", file=sys.stderr)
+        return 3
+    except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"cannot read input: {exc!r}", file=sys.stderr)
         return 3
     return 0

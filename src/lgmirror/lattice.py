@@ -6,6 +6,11 @@ integer offsets, inequality ``<normal, x> >= -offset``), plus affine-hull
 equations when the polytope is not full-dimensional.  All arithmetic is
 integer or rational; coordinates are desk-scale (|x| <= ~10, rank <= 4).
 
+Every V/H conversion goes through one integer double-description routine,
+cone_generators: convex_hull asks it for the cone of valid inequalities of
+the points, polytope_from_inequalities and recession_rays for the
+homogenised inequality system (polyhedron_generators).
+
 Each polytope carries an ambient-lattice tag ("M" or "N").  Polar duality
 flips the tag; nothing else consumes it, but keeping it explicit avoids the
 silent M/N identifications the source constructions are prone to.
@@ -20,14 +25,13 @@ from functools import cmp_to_key
 from math import gcd
 
 from .linalg import (
+    det,
     dot,
-    hnf,
+    identity,
     integer_kernel,
-    nullspace,
     primitive,
     rank as mat_rank,
     solve,
-    vec_gcd,
     vec_sub,
 )
 
@@ -146,98 +150,29 @@ def convex_hull(points, lattice="M", name=""):
 
     p0 = pts[0]
     diffs = [list(vec_sub(p, p0)) for p in pts[1:]]
-    d = mat_rank(diffs) if diffs else 0
-
     # Affine-hull equations: integer kernel rows r with r.(x - p0) = 0.
-    if d == n:
-        equations = ()
-    elif d == 0:
-        equations = tuple((tuple(1 if j == i else 0 for j in range(n)), p0[i])
-                          for i in range(n))
-    else:
-        equations = tuple((tuple(r), dot(r, p0)) for r in integer_kernel(diffs))
-
+    ann = integer_kernel(diffs) if diffs else identity(n)
+    equations = tuple((tuple(r), dot(r, p0)) for r in ann)
+    d = n - len(ann)
     if d == 0:
         return LatticePolytope(n, (tuple(p0),), (), equations, lattice, name)
 
-    if d == n:
-        coords = {p: p for p in pts}
-        lift = None
-    else:
-        basis = [row for row in hnf(diffs) if any(row)]
-        coords = {}
-        for p in pts:
-            y = solve([[basis[j][i] for j in range(d)] for i in range(n)],
-                      vec_sub(p, p0))
-            # Input differences lie in the lattice the basis spans.
-            coords[p] = tuple(int(c) for c in y)
-        lift = (p0, basis)
+    # The facets <a, x> >= m are the extreme rays (m, a), a != 0, of the cone
+    # of valid inequalities {(m, a) : <a, p> - m >= 0 for every point p}; the
+    # one other ray, (-1, 0), is the trivial inequality 0 >= -1.  Asking a to
+    # be orthogonal to the equations picks the normal in the direction space.
+    rays, _ = cone_generators([(-1,) + p for p in sorted(pts)], n + 1,
+                              [(0,) + tuple(r) for r in ann])
+    facets = sorted((r[1:], -r[0]) for r in rays if any(r[1:]))
 
-    facets_sub = _hull_facets([coords[p] for p in pts], d)
-
-    # Vertices: points whose tight facet normals span the subspace.
+    # Vertices: points whose tight facet normals span the direction space.
     verts = []
     for p in pts:
-        tight = [list(nrm) for nrm, m in facets_sub if dot(nrm, coords[p]) == m]
+        tight = [list(a) for a, o in facets if dot(a, p) == -o]
         if tight and mat_rank(tight) == d:
             verts.append(tuple(p))
     verts.sort()
-
-    facets = []
-    for nrm, m in facets_sub:
-        facets.append(_lift_inequality(nrm, m, lift, n))
-    facets.sort()
     return LatticePolytope(n, tuple(verts), tuple(facets), equations, lattice, name)
-
-
-def _hull_facets(pts, d):
-    """Facet inequalities <n,y> >= m of a full-dimensional hull in Q^d."""
-    if d == 1:
-        xs = [p[0] for p in pts]
-        return [((1,), min(xs)), ((-1,), -max(xs))]
-    found = {}
-    for combo in itertools.combinations(range(len(pts)), d):
-        base = pts[combo[0]]
-        rows = [list(vec_sub(pts[i], base)) for i in combo[1:]]
-        kern = nullspace(rows, cols=d)
-        if len(kern) != 1:
-            continue
-        nrm = kern[0]
-        den = 1
-        for x in nrm:
-            den = den * x.denominator // gcd(den, x.denominator)
-        nrm = primitive(tuple(int(x * den) for x in nrm))
-        m = dot(nrm, base)
-        vals = [dot(nrm, p) for p in pts]
-        if all(v >= m for v in vals):
-            found[(nrm, m)] = True
-        elif all(v <= m for v in vals):
-            nrm = tuple(-x for x in nrm)
-            found[(nrm, -m)] = True
-    return list(found)
-
-
-def _lift_inequality(nrm, m, lift, n):
-    """Pull a subspace inequality back to primitive ambient (normal, offset)."""
-    if lift is None:
-        return (tuple(nrm), -m)
-    p0, basis = lift
-    d = len(basis)
-    # Ambient functional a with a.(x - p0) = <nrm, y(x)>; solve a.B_j = nrm_j
-    # by least structure: a = nrm . C where C (x-p0) = y.  Use rational solve.
-    bbt = [[dot(basis[i], basis[j]) for j in range(d)] for i in range(d)]
-    w = solve(bbt, nrm)
-    a = tuple(sum(Fraction(w[i]) * basis[i][k] for i in range(d)) for k in range(n))
-    den = 1
-    for x in a:
-        den = den * x.denominator // gcd(den, x.denominator)
-    a_int = tuple(int(x * den) for x in a)
-    rhs = m * den + dot(a_int, p0)
-    g = gcd(vec_gcd(a_int), abs(rhs))
-    if g > 1:
-        a_int = tuple(x // g for x in a_int)
-        rhs //= g
-    return (a_int, -rhs)
 
 
 def faces(p, l):
@@ -364,32 +299,14 @@ def is_smooth(p):
         dirs = _vertex_edge_dirs(p, v)
         if len(dirs) != p.dim:
             return False
-        if abs(_det(dirs)) != 1:
+        if abs(det(dirs)) != 1:
             return False
     return True
 
 
 def vertex_is_smooth(p, v):
     dirs = _vertex_edge_dirs(p, v)
-    return len(dirs) == p.dim and abs(_det(dirs)) == 1
-
-
-def _det(rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        for i in range(c + 1, n):
-            f = Fraction(m[i][c], m[c][c])
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        det *= m[c][c]
-    return det
+    return len(dirs) == p.dim and abs(det(dirs)) == 1
 
 
 def minkowski_sum(a, b):
@@ -420,7 +337,7 @@ def normalized_volume(p):
     total = 0
     for simplex in _triangulate(p):
         rows = [list(vec_sub(v, simplex[0])) for v in simplex[1:]]
-        total += abs(_det(rows))
+        total += abs(det(rows))
     return int(total)
 
 
@@ -441,6 +358,85 @@ def _triangulate(p):
     return out
 
 
+def cone_generators(rows, n, equations=()):
+    """Extreme rays and lineality basis of a polyhedral cone in Q^n.
+
+    The cone is {x : <a, x> >= 0 for a in rows, <e, x> = 0 for e in
+    equations}; every entry must be an int.  Double description (Motzkin et
+    al. 1953; Fukuda & Prodon 1996): start from the whole space (lineality
+    basis e_1..e_n, no rays) and add one constraint at a time.  A constraint
+    that is not zero on the lineality space cuts it down by projecting
+    along one lineality vector.  Otherwise rays on the wrong side are
+    dropped, and a pair of rays on opposite sides is combined exactly when
+    no third ray is tight on every constraint the two share (the
+    combinatorial adjacency test).  Rays stay primitive integer vectors and
+    no division happens.  Returns (rays, lineality), both lists of int
+    tuples; an empty cone gives ([], []).
+    """
+    cons = ([(tuple(e), False) for e in equations]
+            + [(tuple(a), True) for a in rows])
+    for a, _ in cons:
+        if len(a) != n or not all(type(x) is int for x in a):
+            raise TypeError(f"cone_generators: row {a!r} is not {n} ints")
+    lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    rays = []  # (primitive ray, bitmask of the constraints it is tight on)
+    for k, (a, inequality) in enumerate(cons):
+        bit = 1 << k
+        vals = [dot(a, l) for l in lin]
+        j = next((i for i, v in enumerate(vals) if v), None)
+        if j is not None:
+            # Project along l0, oriented so that <a, l0> = s > 0.
+            s = abs(vals[j])
+            l0 = lin[j] if vals[j] > 0 else tuple(-x for x in lin[j])
+            lin = [primitive([s * x - v * y for x, y in zip(l, l0)])
+                   for i, (l, v) in enumerate(zip(lin, vals)) if i != j]
+            rays = [(primitive([s * x - dot(a, r) * y for x, y in zip(r, l0)]),
+                     z | bit) for r, z in rays]
+            if inequality:
+                rays.append((l0, bit - 1))
+            continue
+        vals = [dot(a, r) for r, _ in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        kept = [(r, z | bit) for (r, z), v in zip(rays, vals) if v == 0]
+        if inequality:
+            kept += [rays[i] for i in pos]
+        need = n - len(lin) - 2
+        for i in pos:
+            p, zp = rays[i]
+            for j in neg:
+                q, zq = rays[j]
+                common = zp & zq
+                if common.bit_count() < need or any(
+                        z & common == common for t, (_, z) in enumerate(rays)
+                        if t != i and t != j):
+                    continue
+                vp, vq = vals[i], -vals[j]
+                kept.append((primitive([vp * y + vq * x for x, y in zip(p, q)]),
+                             common | bit))
+        rays = kept
+    return [r for r, _ in rays], lin
+
+
+def polyhedron_generators(ineqs, equations=(), ambient_rank=None):
+    """(vertices, recession generators) of a system of (normal, offset)
+    inequalities <normal, x> >= -offset and (normal, value) equations.
+
+    One cone_generators call on the homogenised system in (x, t), t >= 0:
+    rays with t > 0 are the vertices (Fraction tuples), rays with t = 0 the
+    extreme recession rays, and the lineality comes back as +/- pairs.  No
+    vertex means the system is infeasible.
+    """
+    if ambient_rank is None:
+        ambient_rank = len(ineqs[0][0]) if ineqs else len(equations[0][0])
+    rows = [tuple(a) + (o,) for a, o in ineqs] + [(0,) * ambient_rank + (1,)]
+    eqs = [tuple(a) + (-c,) for a, c in equations]
+    rays, lin = cone_generators(rows, ambient_rank + 1, eqs)
+    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1]]
+    rec = [r[:-1] for r in rays if not r[-1]]
+    return verts, rec + [tuple(s * x for x in l[:-1]) for l in lin for s in (1, -1)]
+
+
 def polytope_from_inequalities(ineqs, equations=(), ambient_rank=None, lattice="M"):
     """Bounded polytope from inequalities (normal, offset) and equations.
 
@@ -448,60 +444,21 @@ def polytope_from_inequalities(ineqs, equations=(), ambient_rank=None, lattice="
     required to be lattice points; a rational vertex is reported, since every
     consumer in this package expects lattice output.
     """
-    if ambient_rank is None:
-        ambient_rank = len(ineqs[0][0]) if ineqs else len(equations[0][0])
-    if recession_rays(ineqs, equations, ambient_rank):
+    verts, rec = polyhedron_generators(ineqs, equations, ambient_rank)
+    if rec:
         raise LatticeError("inequality system is unbounded")
-    cands = {}
-    eq_rows = [(list(n), c) for n, c in equations]
-    need = ambient_rank - len(eq_rows)
-    for combo in itertools.combinations(range(len(ineqs)), max(need, 0)):
-        A = [list(ineqs[i][0]) for i in combo] + [r for r, _ in eq_rows]
-        b = [-ineqs[i][1] for i in combo] + [c for _, c in eq_rows]
-        if mat_rank(A) != ambient_rank:
-            continue
-        x = solve(A, b)
-        if x is None:
-            continue
-        if all(dot(n, x) >= -o for n, o in ineqs) and \
-           all(dot(n, x) == c for n, c in equations):
-            cands[x] = True
-    if not cands:
+    if not verts:
         raise LatticeError("inequality system is infeasible")
-    pts = []
-    for x in cands:
+    for x in verts:
         if any(v.denominator != 1 for v in x):
             raise LatticeError(f"non-lattice vertex {tuple(map(str, x))}")
-        pts.append(tuple(int(v) for v in x))
-    return convex_hull(pts, lattice=lattice)
+    return convex_hull([tuple(int(v) for v in x) for x in verts], lattice=lattice)
 
 
 def recession_rays(ineqs, equations=(), ambient_rank=None):
-    """Primitive extreme rays of the recession cone of an inequality system."""
-    if ambient_rank is None:
-        ambient_rank = len(ineqs[0][0]) if ineqs else len(equations[0][0])
-    rows = [list(n) for n, _ in ineqs]
-    eqs = [list(n) for n, _ in equations]
-    rays = {}
-    constraints = rows + eqs
-    for combo in itertools.combinations(range(len(constraints)), ambient_rank - 1):
-        A = [constraints[i] for i in combo] + eqs
-        kern = nullspace(A, cols=ambient_rank)
-        if len(kern) != 1:
-            continue
-        for sign in (1, -1):
-            v = tuple(sign * x for x in kern[0])
-            den = 1
-            for x in v:
-                den = den * x.denominator // gcd(den, x.denominator)
-            r = primitive(tuple(int(x * den) for x in v))
-            if any(r) and all(dot(n, r) >= 0 for n in rows) \
-                    and all(dot(n, r) == 0 for n in eqs):
-                rays[r] = True
-    if not rows and not eqs and ambient_rank:
-        return [tuple(1 if i == j else 0 for j in range(ambient_rank))
-                for i in range(ambient_rank)]
-    return list(rays)
+    """Primitive extreme rays of the recession cone of an inequality system,
+    with its lineality as +/- pairs."""
+    return polyhedron_generators(ineqs, equations, ambient_rank)[1]
 
 
 def intersect(a, b):

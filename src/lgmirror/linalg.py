@@ -1,9 +1,14 @@
 """Exact integer and rational linear algebra.
 
-Everything in this package runs over Z or Q; there is no floating point.
-Matrices are plain lists of lists (rows) of ints or Fractions, vectors are
-tuples.  Sizes are desk-scale (rank <= 5, a few dozen rows), so the simple
-algorithms below are plenty.
+Everything in this package runs over Z or Q; there is no floating point,
+and rank, det, solve and nullspace raise TypeError on an entry that is
+neither int nor Fraction.  Matrices are plain lists of lists (rows) of ints
+or Fractions, vectors are tuples.  Rank and determinant share one
+fraction-free integer elimination (Bareiss 1968), and integer_kernel reads
+a saturated kernel basis off a unimodular Hermite reduction.  solve reduces
+over Fraction for the few small systems left outside the polyhedral kernel
+(lattice.cone_generators), which does every V/H conversion in integers;
+nullspace has no caller in the package any more (bench/tracer.py wraps it).
 """
 
 from __future__ import annotations
@@ -86,33 +91,30 @@ def integral_multiple(A):
     return [[int(x * den) for x in row] for row in A]
 
 
-def rank(A):
-    """Rank of a matrix with int or Fraction entries (fraction-free Bareiss).
-
-    Any other entry type raises TypeError: the floor division below would
-    give a wrong rank on floats instead of failing.
-    """
-    if not A or not A[0]:
-        return 0
-    # Clear denominators row by row so the elimination stays in Z.
-    M = []
+def _exact(A, who):
+    """Raise TypeError on an entry that is neither int nor Fraction: a float
+    would become a binary Fraction, or be floored, instead of failing."""
     for row in A:
-        den = 1
         for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-            elif not isinstance(x, int):
-                raise TypeError(f"rank: entry {x!r} is neither int nor "
-                                "Fraction")
-        M.append([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"{who}: entry {x!r} is neither int nor Fraction")
+
+
+def _bareiss(M):
+    """Fraction-free Gaussian elimination (Bareiss 1968) of an int matrix, in
+    place.  Returns (rank, d): for a square matrix of full rank d is its
+    determinant, since every pivot divides the next exactly."""
     rows, cols = len(M), len(M[0])
     r = 0
     prev = 1
+    sgn = 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sgn = -sgn
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
@@ -121,7 +123,28 @@ def rank(A):
         r += 1
         if r == rows:
             break
-    return r
+    return r, sgn * prev
+
+
+def rank(A):
+    """Rank of a matrix with int or Fraction entries; any other entry type
+    raises TypeError."""
+    if not A or not A[0]:
+        return 0
+    _exact(A, "rank")
+    # Clear denominators row by row so the elimination stays in Z.
+    return _bareiss([integral_multiple([row])[0] for row in A])[0]
+
+
+def det(A):
+    """Determinant of a square int matrix; any other entry type raises
+    TypeError (floor division would give a wrong value on a Fraction)."""
+    if not A:
+        return 1
+    if not all(isinstance(x, int) for row in A for x in row):
+        raise TypeError(f"det: {A!r} is not an int matrix")
+    r, d = _bareiss([list(row) for row in A])
+    return d if r == len(A) else 0
 
 
 def _echelonize(M):
@@ -155,6 +178,8 @@ def solve(A, b):
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
+    _exact(A, "solve")
+    _exact([b], "solve")
     M = [[Fraction(A[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
     pivots = _echelonize(M)
     x = [Fraction(0)] * cols
@@ -177,6 +202,7 @@ def nullspace(A, cols=None):
     if rows == 0 or cols == 0:
         return [tuple(Fraction(1) if i == j else Fraction(0) for j in range(cols))
                 for i in range(cols)]
+    _exact(A, "nullspace")
     M = [[Fraction(x) for x in row] for row in A]
     pivots = _echelonize(M)
     free = [c for c in range(cols) if c not in pivots]
@@ -191,12 +217,19 @@ def nullspace(A, cols=None):
 
 
 def integer_kernel(A):
-    """Basis of the saturated lattice {x in Z^n : A x = 0}."""
+    """Basis of the saturated lattice {x in Z^n : A x = 0}, in Hermite form.
+
+    Row-reduce [A^T | I] by unimodular row operations: the identity parts of
+    the rows whose A^T part vanishes are a basis of the kernel lattice
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.3).
+    """
     if not A:
         return []
-    out = [primitive(v) for v in integral_multiple(nullspace(A))]
-    # Saturate: HNF of the stacked candidate rows.
-    return [row for row in hnf(out) if any(row)]
+    A = integral_multiple(A)
+    m, n = len(A), len(A[0])
+    M = hnf([[A[i][j] for i in range(m)] + [int(i == j) for i in range(n)]
+             for j in range(n)])
+    return [row[m:] for row in M if not any(row[:m])]
 
 
 def hnf(A):

@@ -19,8 +19,8 @@ from .lattice import (
     is_reflexive,
     lattice_points,
     normalized_volume,
+    polyhedron_generators,
     polytope_from_doc,
-    recession_rays,
     saturated_direction_basis,
     vertex_is_smooth,
 )
@@ -376,30 +376,15 @@ def lifting_polyhedron(part, F):
         ineqs.append(((1,) + tuple(-c for c in m), 0))
     for nrm, off in part.host.facets:
         ineqs.append(((0,) + tuple(nrm), off))
-    rays = recession_rays(ineqs, ambient_rank=n + 1)
+    verts, rays = polyhedron_generators(ineqs, ambient_rank=n + 1)
     expected_ray = tuple([1] + [0] * n)
     if rays != [expected_ray]:
         raise PartitionError(f"unexpected recession cone {rays}")
-    verts = _system_vertices(ineqs, n + 1)
+    for x in verts:
+        if any(v.denominator != 1 for v in x):
+            raise PartitionError(f"non-lattice vertex {tuple(map(str, x))}")
+    verts = [tuple(int(v) for v in x) for x in verts]
     return LiftedPolyhedron(n + 1, tuple(ineqs), (expected_ray,), tuple(sorted(verts)))
-
-
-def _system_vertices(ineqs, rank):
-    out = {}
-    for combo in itertools.combinations(range(len(ineqs)), rank):
-        A = [list(ineqs[i][0]) for i in combo]
-        b = [-ineqs[i][1] for i in combo]
-        if mat_rank(A) != rank:
-            continue
-        x = solve(A, b)
-        if x is None or any(v.denominator != 1 for v in x):
-            if x is not None and all(dot(n, x) >= -o for n, o in ineqs):
-                raise PartitionError(f"non-lattice vertex {tuple(map(str, x))}")
-            continue
-        xi = tuple(int(v) for v in x)
-        if all(dot(n, xi) >= -o for n, o in ineqs):
-            out[xi] = True
-    return list(out)
 
 
 def lifting_projection_check(part, lifted):

@@ -1,9 +1,16 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from lgmirror.cli import data_dir, resolve_polytope
 from lgmirror.lattice import convex_hull
+
+# Property tests draw the same examples on every run and never fail on time,
+# so a slow moment of a shared machine cannot flake them.
+settings.register_profile("lgmirror", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("lgmirror")
 
 
 @pytest.fixture

@@ -1,7 +1,13 @@
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from lgmirror.cli import main
+from lgmirror.fans import Cone, FanError
 from lgmirror.lattice import (
     LatticeError,
     apply_unimodular,
@@ -21,7 +27,9 @@ from lgmirror.lattice import (
     polar_dual,
     polygon_normal_form,
     polytope_from_doc,
+    polytope_from_inequalities,
     polytope_to_doc,
+    recession_rays,
     reflexive_polygons,
     relative_interior_lattice_points,
 )
@@ -224,3 +232,162 @@ def test_document_round_trip(square):
     assert doc["facets"] == [{"normal": list(n), "offset": o}
                              for n, o in square.facets]
     assert polytope_from_doc(doc) == square
+
+
+# ---------------------------------------------------------------------------
+# The double-description kernel against a subset-enumeration reference
+# ---------------------------------------------------------------------------
+
+def _kernel(rows, cols):
+    """Basis of {x in Q^cols : r.x = 0 for r in rows}, by Fraction
+    Gauss-Jordan elimination (reference code, independent of lgmirror)."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        row = M[piv]
+        M[piv], M[r] = M[r], [x / row[c] for x in row]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for r, c in enumerate(pivots):
+            v[c] = -M[r][f]
+        basis.append(v)
+    return basis
+
+
+def _primitive_int(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    w = [int(x * den) for x in v]
+    g = 0
+    for x in w:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in w)
+
+
+def reference_hull(points):
+    """(vertices, facets, dimension) of conv(points) by trying
+    every d-subset of points as a facet; facet normals are taken in the
+    linear span of the point differences, as convex_hull reports them."""
+    pts = sorted(set(points))
+    n = len(pts[0])
+    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    # A basis of the direction space: complement of the kernel's kernel.
+    span = _kernel(_kernel(diffs, n), n) if diffs else []
+    d = len(span)
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    facets = set()
+    for sub in itertools.combinations(pts, d) if d else ():
+        rows = [[dot([a - b for a, b in zip(s, sub[0])], w) for w in span]
+                for s in sub[1:]]
+        ker = _kernel(rows, d)
+        if len(ker) != 1:
+            continue
+        nrm = [sum(c * w[k] for c, w in zip(ker[0], span)) for k in range(n)]
+        for sgn in (1, -1):
+            a = [sgn * x for x in nrm]
+            m = dot(a, sub[0])
+            if all(dot(a, p) >= m for p in pts):
+                row = _primitive_int(a + [-m])
+                facets.add((row[:-1], row[-1]))
+    def is_vertex(p):
+        # tight on facets whose normals span the direction space
+        tight = [list(a) for a, o in facets if dot(a, p) == -o]
+        return d == 0 or (tight and n - len(_kernel(tight, n)) == d)
+
+    return tuple(filter(is_vertex, pts)), tuple(sorted(facets)), d
+
+
+def _minors_gcd(rows):
+    """gcd of the maximal minors: 1 exactly when the rows are a basis of a
+    saturated lattice."""
+    g = 0
+    for cols in itertools.combinations(range(len(rows[0])), len(rows)):
+        g = gcd(g, int(sympy.Matrix([[r[c] for c in cols] for r in rows]).det()))
+    return g
+
+
+@st.composite
+def point_sets(draw):
+    """1-8 integer points in rank 2-4, on an affine lattice of a random
+    dimension 0..rank, so lower-dimensional hulls come up often."""
+    n = draw(st.integers(2, 4))
+    coords = st.integers(-2, 2)
+    k = draw(st.integers(0, n))
+    dirs = draw(st.lists(st.lists(coords, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    base = draw(st.lists(coords, min_size=n, max_size=n))
+    combos = draw(st.lists(st.lists(coords, min_size=k, max_size=k),
+                           min_size=1, max_size=8))
+    return [tuple(b + sum(c * w[i] for c, w in zip(cs, dirs))
+                  for i, b in enumerate(base)) for cs in combos]
+
+
+@given(point_sets())
+@settings(max_examples=200)
+def test_convex_hull_matches_subset_enumeration(points):
+    p = convex_hull(points)
+    verts, facets, d = reference_hull(points)
+    assert p.vertices == verts
+    assert p.facets == facets
+    assert p.dim == d
+    # The equations are a basis of the saturated lattice of integer normals
+    # to the affine hull, with the right-hand sides of the points.
+    rows = [list(e) for e, _ in p.equations]
+    assert len(rows) == len(points[0]) - d
+    assert all(sum(a * b for a, b in zip(e, q)) == c
+               for e, c in p.equations for q in points)
+    assert not rows or _minors_gcd(rows) == 1
+
+
+@given(point_sets())
+@settings(max_examples=100)
+def test_v_to_h_to_v_round_trip(points):
+    p = convex_hull(points)
+    q = polytope_from_inequalities(p.facets, p.equations, p.ambient_rank)
+    assert (q.vertices, q.facets, q.equations) == (p.vertices, p.facets, p.equations)
+
+
+@given(point_sets())
+@settings(max_examples=100)
+def test_recession_rays_of_a_pointed_cone_are_its_rays(points):
+    rays = [r for r in points if any(r)]
+    try:
+        cone = Cone.from_rays(rays)
+    except FanError:
+        return  # no nonzero ray, or the rays span a line
+    ineqs, eqs = cone.hrep()
+    found = recession_rays([(a, 0) for a in ineqs], [(e, 0) for e in eqs],
+                           cone.ambient_rank)
+    assert sorted(found) == list(cone.rays)
+
+
+def test_slab_is_unbounded_not_infeasible():
+    slab = [((1, 0, 0), 0), ((-1, 0, 0), 1)]
+    with pytest.raises(LatticeError, match="unbounded"):
+        polytope_from_inequalities(slab, ambient_rank=3)
+    rays = recession_rays([((1, 0, 0), 0)], ambient_rank=3)
+    for r in ((0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
+        assert r in rays
+
+
+def test_empty_system_is_infeasible():
+    with pytest.raises(LatticeError, match="infeasible"):
+        polytope_from_inequalities([((1, 0), 0), ((-1, 0), -1),
+                                    ((0, 1), 0), ((0, -1), 1)])
+
+
+@pytest.mark.parametrize("argv", [["polytope", "points"], ["ss", "delta"]])
+def test_missing_input_file_is_named(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.json")
+    assert main(argv + [missing]) == 3
+    assert missing in capsys.readouterr().err
