@@ -15,7 +15,7 @@ from importlib import resources
 from . import lattice, partitions, nef as nef_mod, lg as lg_mod
 from . import strata as strata_mod, spectral
 from .lattice import LatticeError
-from .fans import FanError, fan_to_doc
+from .fans import FanError
 from .nef import NefError
 from .lg import LGError
 from .partitions import PartitionError

@@ -13,17 +13,16 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .lattice import (
-    LatticeError,
-    LatticePolytope,
-    boundary_lattice_points,
     convex_hull,
-    face_lattice,
     faces,
     is_reflexive,
+    lattice_points,
     recession_rays,
     reflexivity_diagnostic,
+    saturated_coordinates,
+    saturated_direction_basis,
 )
-from .linalg import dot, integer_kernel, primitive, rank as mat_rank, solve, vec_sub
+from .linalg import dot, primitive, rank as mat_rank, solve, vec_sub
 
 
 class FanError(ValueError):
@@ -139,7 +138,7 @@ class Fan:
     maximal_cones: tuple
 
     @staticmethod
-    def from_cones(cones, ambient_rank=None, check=True):
+    def from_cones(cones, ambient_rank=None):
         cones = list(cones)
         if ambient_rank is None:
             if not cones:
@@ -153,8 +152,7 @@ class Fan:
                 if c not in maximal:
                     maximal.append(c)
         fan = Fan(ambient_rank, tuple(sorted(maximal, key=lambda c: c.rays)))
-        if check:
-            fan.validate()
+        fan.validate()
         return fan
 
     @property
@@ -183,25 +181,12 @@ class Fan:
         ridge_count = {}
         for c in self.maximal_cones:
             for s in c.face_ray_sets():
+                # only facets of the cone, not deeper faces
                 if s != frozenset(c.rays) and \
-                        mat_rank([list(r) for r in s]) == self.ambient_rank - 1:
-                    # only facets of the cone, not deeper faces
-                    if _ray_set_dim(s) == self.ambient_rank - 1 and \
-                            _is_cone_facet(c, s):
-                        ridge_count[s] = ridge_count.get(s, 0) + 1
+                        mat_rank([list(r) for r in s]) == self.ambient_rank - 1 and \
+                        _is_cone_facet(c, s):
+                    ridge_count[s] = ridge_count.get(s, 0) + 1
         return all(v == 2 for v in ridge_count.values()) and bool(ridge_count)
-
-    def cone_containing(self, x):
-        for c in self.maximal_cones:
-            if c.contains(x):
-                return c
-        return None
-
-
-def _ray_set_dim(ray_set):
-    if not ray_set:
-        return 0
-    return mat_rank([list(r) for r in ray_set])
 
 
 def _is_cone_facet(c, s):
@@ -262,9 +247,6 @@ def _triangulate_with_all_points(face_poly):
     Starts from the vertex fan and stars the remaining lattice points in
     lexicographic order, so the result is deterministic.
     """
-    from .lattice import lattice_points
-    from .linalg import hnf
-
     pts = lattice_points(face_poly)
     verts = list(face_poly.vertices)
     if face_poly.dim == 0:
@@ -275,18 +257,10 @@ def _triangulate_with_all_points(face_poly):
         return [(order[i], order[i + 1]) for i in range(len(order) - 1)]
 
     # Map to integer coordinates on the saturated 2-dimensional sublattice.
-    n = face_poly.ambient_rank
-    if n == 2:
+    if face_poly.ambient_rank == 2:
         to2 = {p: p for p in pts}
     else:
-        from .lattice import saturated_direction_basis
-        p0 = verts[0]
-        basis = saturated_direction_basis(verts)
-        to2 = {}
-        for p in pts:
-            y = solve([[basis[j][i] for j in range(2)] for i in range(n)],
-                      vec_sub(p, p0))
-            to2[p] = tuple(int(c) for c in y)
+        to2 = dict(zip(pts, saturated_coordinates(pts, verts)))
     back = {v: k for k, v in to2.items()}
 
     tris = _triangulate_polygon_points(sorted(to2[v] for v in verts),
@@ -356,17 +330,20 @@ class PLFunction:
             out[c] = m
         return out
 
+    def non_integral_cone(self):
+        """Rays of the first cone whose piece takes a non-integer value on a
+        lattice point of the cone's span, or None when every piece is
+        integral."""
+        origin = (0,) * self.fan.ambient_rank
+        for c, m in self.linear_extensions().items():
+            for b in saturated_direction_basis((origin,) + c.rays):
+                if Fraction(dot(b, m)).denominator != 1:
+                    return [list(r) for r in c.rays]
+        return None
+
     def is_integral(self):
         """Each piece takes integer values on the lattice points of its cone."""
-        for c, m in self.linear_extensions().items():
-            ann = integer_kernel([list(r) for r in c.rays])
-            sat = integer_kernel(ann) if ann else \
-                [[1 if i == j else 0 for j in range(c.ambient_rank)]
-                 for i in range(c.ambient_rank)]
-            for b in sat:
-                if Fraction(dot(b, m)).denominator != 1:
-                    return False
-        return True
+        return self.non_integral_cone() is None
 
 
 def pl_function_checks(phi):

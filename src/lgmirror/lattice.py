@@ -19,7 +19,7 @@ silent M/N identifications the source constructions are prone to.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -51,13 +51,6 @@ def _dedupe(points):
     return seen
 
 
-def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
-    diffs = [list(vec_sub(p, points[0])) for p in points[1:]]
-    return mat_rank(diffs)
-
-
 def saturated_direction_basis(points):
     """Basis of the saturated lattice of directions spanned by the points.
 
@@ -70,6 +63,26 @@ def saturated_direction_basis(points):
     if not ann:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return integer_kernel(ann)
+
+
+def saturated_coordinates(points, frame):
+    """Integer coordinates of each point minus frame[0] in the saturated
+    direction basis of frame.
+
+    The points are lattice points of the affine hull of frame, so every
+    coordinate is an integer; anything else is a bug in the caller and
+    raises RuntimeError rather than being truncated.
+    """
+    basis = saturated_direction_basis(frame)
+    cols = [[b[i] for b in basis] for i in range(len(frame[0]))]
+    out = []
+    for p in points:
+        y = solve(cols, vec_sub(p, frame[0]))
+        if y is None or any(c.denominator != 1 for c in y):
+            raise RuntimeError(f"{p} has no integer coordinates in the "
+                               f"saturated basis {basis}")
+        out.append(tuple(c.numerator for c in y))
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,13 +119,6 @@ class LatticePolytope:
         if any(dot(n, point) != c for n, c in self.equations):
             return False
         return all(dot(n, point) > -o for n, o in self.facets)
-
-    def vertex_set(self):
-        return set(self.vertices)
-
-    def with_name(self, name):
-        return LatticePolytope(self.ambient_rank, self.vertices, self.facets,
-                               self.equations, self.lattice, name)
 
     def __eq__(self, other):
         return (isinstance(other, LatticePolytope)
@@ -202,10 +208,14 @@ def face_lattice(p):
                     new.add(t)
         all_sets |= new
         frontier = new
+    # A face's dimension is one more than the largest dimension of its
+    # proper faces, the sets s & f, which are smaller and so come first.
     out = []
+    dims = {}
     for s in sorted(all_sets, key=lambda s: (len(s), sorted(s))):
-        vs = [p.vertices[i] for i in s]
-        out.append(Face(p, tuple(sorted(s)), _affine_rank(vs)))
+        dims[s] = 1 + max((dims[s & f] for f in facet_sets
+                           if s & f and s & f != s), default=-1)
+        out.append(Face(p, tuple(sorted(s)), dims[s]))
     return out
 
 
@@ -326,14 +336,7 @@ def normalized_volume(p):
     if not p.is_full_dimensional():
         # Work in coordinates of the saturated direction lattice so the
         # normalization agrees with the induced lattice on the affine hull.
-        basis = saturated_direction_basis(verts)
-        coords = []
-        for v in verts:
-            y = solve([[basis[j][i] for j in range(len(basis))]
-                       for i in range(p.ambient_rank)], vec_sub(v, verts[0]))
-            coords.append(tuple(int(x) for x in y))
-        q = convex_hull(coords)
-        return normalized_volume(q)
+        return normalized_volume(convex_hull(saturated_coordinates(verts, verts)))
     total = 0
     for simplex in _triangulate(p):
         rows = [list(vec_sub(v, simplex[0])) for v in simplex[1:]]

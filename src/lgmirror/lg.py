@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import (
-    LatticeError,
     boundary_lattice_points,
     convex_hull,
     lattice_points,
 )
 from .linalg import dot, primitive, solve
-from .nef import NefError, NefPartition, nabla_hull, nabla_pieces
+from .nef import NefPartition, nabla_hull, nabla_pieces
 
 
 class LGError(ValueError):

@@ -1,14 +1,28 @@
 """Exact integer and rational linear algebra.
 
 Everything in this package runs over Z or Q; there is no floating point,
-and rank, det, solve and nullspace raise TypeError on an entry that is
-neither int nor Fraction.  Matrices are plain lists of lists (rows) of ints
-or Fractions, vectors are tuples.  Rank and determinant share one
-fraction-free integer elimination (Bareiss 1968), and integer_kernel reads
-a saturated kernel basis off a unimodular Hermite reduction.  solve reduces
-over Fraction for the few small systems left outside the polyhedral kernel
-(lattice.cone_generators), which does every V/H conversion in integers;
-nullspace has no caller in the package any more (bench/tracer.py wraps it).
+and rank, det, solve, nullspace and integer_kernel raise TypeError on an
+entry that is neither int nor Fraction.  Matrices are plain lists of lists
+(rows) of ints or Fractions, vectors are tuples.
+
+Two eliminations remain, each with one job:
+
+- _bareiss, fraction-free Gaussian elimination (Bareiss 1968), answers
+  every question over Q: rank, det and solve (which scales each row to
+  integers, reads the pivot columns off the echelon form and
+  back-substitutes in Fractions).
+- _hermite, a Hermite reduction by unimodular row operations, answers every
+  question over Z: integer_kernel gives the saturated kernel, and with it
+  the saturated span (lattice.saturated_direction_basis, a kernel of a
+  kernel) and the quotient completion (partitions.central_frame, the kernel
+  of a saturated basis).  nullspace returns the integer_kernel basis.
+
+Neither replaces the other.  Bareiss keeps no unimodular transform, so it
+cannot say which integer vectors lie in a span.  Every intermediate entry of
+Bareiss is a minor of the input, bounded by Hadamard's inequality; the
+Hermite reduction has no such bound, and on dense random int matrices of
+size 30 to 40 it takes about five times as long.  (On the sparse
+differentials of the spectral pages, up to 128 x 128, both are fast.)
 """
 
 from __future__ import annotations
@@ -43,16 +57,8 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
 
 
 def mat_mul(A, B):
@@ -63,10 +69,6 @@ def mat_mul(A, B):
     return [[sum(row[k] * B[k][j] for k in range(n)) for j in range(cols)] for row in A]
 
 
-def mat_vec(A, v):
-    return tuple(dot(row, v) for row in A)
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -75,10 +77,6 @@ def transpose(A):
     if not A:
         return []
     return [list(col) for col in zip(*A)]
-
-
-def is_zero_matrix(A):
-    return all(x == 0 for row in A for x in row)
 
 
 def integral_multiple(A):
@@ -101,14 +99,16 @@ def _exact(A, who):
 
 
 def _bareiss(M):
-    """Fraction-free Gaussian elimination (Bareiss 1968) of an int matrix, in
-    place.  Returns (rank, d): for a square matrix of full rank d is its
-    determinant, since every pivot divides the next exactly."""
+    """Fraction-free Gaussian elimination (Bareiss 1968) of an int matrix to
+    row echelon form, in place.  Returns (pivot columns, d): for a square
+    matrix of full rank d is its determinant, since every pivot divides the
+    next exactly."""
     rows, cols = len(M), len(M[0])
-    r = 0
+    pivots = []
     prev = 1
     sgn = 1
     for c in range(cols):
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
         if piv is None:
             continue
@@ -120,10 +120,10 @@ def _bareiss(M):
                 M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
             M[i][c] = 0
         prev = M[r][c]
-        r += 1
-        if r == rows:
+        pivots.append(c)
+        if r + 1 == rows:
             break
-    return r, sgn * prev
+    return pivots, sgn * prev
 
 
 def rank(A):
@@ -133,7 +133,7 @@ def rank(A):
         return 0
     _exact(A, "rank")
     # Clear denominators row by row so the elimination stays in Z.
-    return _bareiss([integral_multiple([row])[0] for row in A])[0]
+    return len(_bareiss([integral_multiple([row])[0] for row in A])[0])
 
 
 def det(A):
@@ -143,77 +143,44 @@ def det(A):
         return 1
     if not all(isinstance(x, int) for row in A for x in row):
         raise TypeError(f"det: {A!r} is not an int matrix")
-    r, d = _bareiss([list(row) for row in A])
-    return d if r == len(A) else 0
-
-
-def _echelonize(M):
-    """Reduced row echelon form in place over Fraction; returns pivot columns."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c]
-        M[r] = [x / inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+    pivots, d = _bareiss([list(row) for row in A])
+    return d if len(pivots) == len(A) else 0
 
 
 def solve(A, b):
     """One solution x of A x = b over Q, or None if inconsistent.
 
-    Under-determined systems return the solution with free variables set to 0.
+    Each row of [A | b] is scaled to integers and brought to echelon form by
+    _bareiss; the pivot columns are read off it and back-substituted in
+    Fractions.  Free variables are set to 0.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
     _exact(A, "solve")
     _exact([b], "solve")
-    M = [[Fraction(A[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    pivots = _echelonize(M)
+    M = [integral_multiple([list(A[i]) + [b[i]]])[0] for i in range(rows)]
     x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        if c == cols:
-            return None  # pivot in the augmented column
-        x[c] = M[r][cols]
-    # Rows below the pivots must be consistent.
-    for i in range(len(pivots), rows):
-        if M[i][cols] != 0:
-            return None
+    if not rows:
+        return tuple(x)
+    pivots, _ = _bareiss(M)
+    if pivots and pivots[-1] == cols:
+        return None  # pivot in the augmented column
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        rest = sum(M[r][j] * x[j] for j in pivots[r + 1:])
+        x[c] = Fraction(M[r][cols] - rest, M[r][c])
     return tuple(x)
 
 
 def nullspace(A, cols=None):
-    """Basis of {x in Q^cols : A x = 0} as a list of Fraction tuples."""
-    rows = len(A)
-    if cols is None:
-        cols = len(A[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for j in range(cols))
+    """Basis of {x in Q^cols : A x = 0} as a list of Fraction tuples: the
+    integer_kernel basis."""
+    if not A or not A[0]:
+        if cols is None:
+            cols = len(A[0]) if A else 0
+        return [tuple(Fraction(int(i == j)) for j in range(cols))
                 for i in range(cols)]
-    _exact(A, "nullspace")
-    M = [[Fraction(x) for x in row] for row in A]
-    pivots = _echelonize(M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -M[r][f]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(Fraction(x) for x in v) for v in integer_kernel(A)]
 
 
 def integer_kernel(A):
@@ -225,18 +192,17 @@ def integer_kernel(A):
     """
     if not A:
         return []
+    _exact(A, "integer_kernel")
     A = integral_multiple(A)
     m, n = len(A), len(A[0])
-    M = hnf([[A[i][j] for i in range(m)] + [int(i == j) for i in range(n)]
-             for j in range(n)])
+    M = _hermite([[A[i][j] for i in range(m)] + [int(i == j) for i in range(n)]
+                  for j in range(n)])
     return [row[m:] for row in M if not any(row[:m])]
 
 
-def hnf(A):
-    """Row Hermite normal form (integer row ops only, pivots positive)."""
-    M = [list(row) for row in A]
-    if not M:
-        return M
+def _hermite(M):
+    """Row Hermite normal form of an int matrix, in place (unimodular row
+    operations only, pivots positive, entries above a pivot reduced)."""
     rows, cols = len(M), len(M[0])
     r = 0
     for c in range(cols):
@@ -269,76 +235,8 @@ def hnf(A):
     return M
 
 
-def snf_with_transforms(A):
-    """Smith normal form: returns (U, D, V) with U A V = D, U and V unimodular."""
-    D = [list(row) for row in A]
-    m = len(D)
-    n = len(D[0]) if m else 0
-    U = identity(m)
-    V = identity(n)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row_i += q * row_j
-        D[i] = [a + q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, q):  # col_i += q * col_j
-        for row in D:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
-    t = 0
-    while t < min(m, n):
-        # find pivot
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0:
-                    if piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        clean = True
-        for i in range(t + 1, m):
-            if D[i][t] != 0:
-                add_row(i, t, -(D[i][t] // D[t][t]))
-                if D[i][t] != 0:
-                    clean = False
-        for j in range(t + 1, n):
-            if D[t][j] != 0:
-                add_col(j, t, -(D[t][j] // D[t][t]))
-                if D[t][j] != 0:
-                    clean = False
-        if not clean:
-            continue
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return U, D, V
-
-
 def parse_fraction(s):
     """Parse 'p/q' or 'p' (or int) into a Fraction."""
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     return Fraction(str(s))
-
-
-def format_fraction(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"

@@ -5,19 +5,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fans import Cone, Fan, FanError, PLFunction, face_fan
+from .fans import FanError, PLFunction, face_fan
 from .lattice import (
     LatticeError,
     LatticePolytope,
-    boundary_lattice_points,
     convex_hull,
     is_reflexive,
-    lattice_points,
     minkowski_sum,
     polytope_from_doc,
     polytope_from_inequalities,
 )
-from .linalg import dot, solve
+from .linalg import dot
 
 
 class NefError(ValueError):
@@ -77,8 +75,8 @@ def validate_nef(host, parts):
             ext = phi.linear_extensions()
         except FanError as exc:
             raise NefError(f"part {idx}: {exc}")
-        if not phi.is_integral():
-            bad = _non_integral_cone(phi, ext)
+        bad = phi.non_integral_cone()
+        if bad is not None:
             raise NefError(
                 f"part {idx}: certificate is not integral on cone {bad}",
                 witness={"part": idx, "cone": bad})
@@ -95,20 +93,6 @@ def validate_nef(host, parts):
         if sum(phi.values[r] for phi in certs) != 1:
             raise RuntimeError(f"certificates do not sum to 1 on ray {r}")
     return NefPartition(host, tuple(tuple(p) for p in parts), tuple(certs))
-
-
-def _non_integral_cone(phi, ext):
-    from .linalg import integer_kernel
-    from fractions import Fraction
-    for c, m in ext.items():
-        ann = integer_kernel([list(r) for r in c.rays])
-        sat = integer_kernel(ann) if ann else \
-            [[1 if i == j else 0 for j in range(c.ambient_rank)]
-             for i in range(c.ambient_rank)]
-        for b in sat:
-            if Fraction(dot(b, m)).denominator != 1:
-                return [list(r) for r in c.rays]
-    return None
 
 
 def _convexity_witness(phi, ext):

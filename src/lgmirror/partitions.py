@@ -6,18 +6,15 @@ frame with the distinguished primitive vectors, and the fibration fans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fans import Cone, Fan, FanError, face_fan, refine_with_boundary_rays
 from .lattice import (
-    LatticeError,
     LatticePolytope,
     convex_hull,
     face_lattice,
-    boundary_lattice_points,
     intersect,
     is_reflexive,
-    lattice_points,
     normalized_volume,
     polyhedron_generators,
     polytope_from_doc,
@@ -26,10 +23,10 @@ from .lattice import (
 )
 from .linalg import (
     dot,
+    integer_kernel,
     integral_multiple,
     primitive,
     rank as mat_rank,
-    snf_with_transforms,
     solve,
 )
 
@@ -42,13 +39,6 @@ class PartitionError(ValueError):
 class SemistablePartition:
     host: LatticePolytope
     pieces: tuple
-
-    @staticmethod
-    def from_polytopes(host, pieces):
-        return SemistablePartition(host, tuple(pieces))
-
-    def piece_count(self):
-        return len(self.pieces)
 
 
 @dataclass
@@ -462,16 +452,17 @@ def central_frame(part):
         # the common face of a central partition contains the origin, so its
         # direction span is its linear span
         L_rows = saturated_direction_basis(common.vertices)
-    k = len(L_rows)
 
     if l == 0:
         sigma_v = Fan(0, ())
         return CentralFrame(part, 0, tuple(tuple(r) for r in L_rows), (), (), (),
                             sigma_v)
 
+    # A basis of the saturated lattice ker(L) maps M onto Z^(n - dim L) with
+    # kernel M n L, so it reads off M / (M n L); any basis will do, since
+    # two differ by a unimodular change of coordinates.
     if L_rows:
-        _, _, V = snf_with_transforms(L_rows)
-        q_rows = [tuple(V[i][j] for i in range(n)) for j in range(k, n)]
+        q_rows = [tuple(q) for q in integer_kernel(L_rows)]
     else:
         q_rows = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
 

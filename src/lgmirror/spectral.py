@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .linalg import (format_fraction, integral_multiple, mat_mul,
-                     parse_fraction, rank, sign, transpose)
+from .linalg import (integral_multiple, mat_mul, parse_fraction, rank, sign,
+                     transpose)
 
 
 class SpectralError(ValueError):

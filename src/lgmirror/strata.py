@@ -9,7 +9,7 @@ genus-by-interior-points helper for anticanonical curves in surfaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import interior_lattice_points, is_reflexive
 from .linalg import mat_mul, identity, sign

@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from lgmirror.lattice import cone_generators
-from lgmirror.linalg import det, integral_multiple, nullspace, rank, sign, solve
+from lgmirror.linalg import (det, integer_kernel, integral_multiple, nullspace,
+                             rank, sign, solve)
 
 
 def test_sign_is_an_int_for_negative_exponents():
@@ -82,3 +85,79 @@ def test_rank_agrees_with_sympy(A):
 def test_rank_of_a_fraction_matrix_agrees_with_sympy(A):
     assert rank(A) == sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                                      for x in row] for row in A]).rank()
+
+
+def _sym(A):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in A])
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b): A a 1-4 x 1-4 matrix of ints or small Fractions, b either
+    A x0 for a random x0 (consistent) or drawn at random."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-3, 3),
+                        st.fractions(min_value=-2, max_value=2,
+                                     max_denominator=3))
+    A = draw(_matrix(rows, cols, entries))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))
+    return A, b
+
+
+@given(rational_systems())
+@settings(max_examples=100)
+def test_solve_agrees_with_sympy(system):
+    A, b = system
+    x = solve(A, b)
+    solutions = sympy.linsolve((_sym(A), _sym([b]).T))
+    assert (x is None) == (solutions == sympy.EmptySet)
+    if x is None:
+        return
+    assert all(type(c) is F for c in x)
+    assert [sum(a * c for a, c in zip(row, x)) for row in A] == b
+    # Free variables stay 0: x lives on the pivot columns of A.
+    pivots = _sym(A).rref()[1]
+    assert all(c == 0 for j, c in enumerate(x) if j not in pivots)
+
+
+@given(int_matrices())
+@settings(max_examples=100)
+def test_nullspace_spans_the_sympy_nullspace(A):
+    ours = nullspace(A)
+    theirs = sympy.Matrix(A).nullspace()
+    assert len(ours) == len(theirs) == len(A[0]) - sympy.Matrix(A).rank()
+    assert all(type(c) is F for v in ours for c in v)
+    assert all(sum(a * c for a, c in zip(row, v)) == 0 for row in A for v in ours)
+    if ours:
+        both = sympy.Matrix.hstack(*theirs, *(_sym([v]).T for v in ours))
+        assert both.rank() == len(ours)
+
+
+def _maximal_minor_gcd(K):
+    g = 0
+    for cols in itertools.combinations(range(len(K[0])), len(K)):
+        g = gcd(g, int(sympy.Matrix([[row[j] for j in cols] for row in K]).det()))
+    return g
+
+
+@given(int_matrices())
+@settings(max_examples=100)
+def test_integer_kernel_is_the_saturated_kernel(A):
+    K = integer_kernel(A)
+    assert all(type(c) is int for v in K for c in v)
+    assert all(sum(a * c for a, c in zip(row, v)) == 0 for row in A for v in K)
+    assert len(K) == len(A[0]) - sympy.Matrix(A).rank()
+    if K:
+        # The gcd of the maximal minors is 1 exactly when the rows span a
+        # saturated lattice: no integer kernel vector is left out.
+        assert _maximal_minor_gcd(K) == 1
+
+
+def test_integer_kernel_rejects_a_float_entry():
+    with pytest.raises(TypeError):
+        integer_kernel([[1, 0.5]])

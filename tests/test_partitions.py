@@ -1,4 +1,8 @@
+import itertools
+from math import gcd
+
 import pytest
+import sympy
 
 from lgmirror.lattice import convex_hull, normalized_volume
 from lgmirror.partitions import (
@@ -179,6 +183,46 @@ def test_central_frame_tsigma(tsigma_part):
     for i, piece in enumerate(tsigma_part.pieces):
         proj = {fr.project(v) for v in piece.vertices}
         assert fr.v_quotient[i] not in proj
+
+
+def _sheared_cube_halves(U):
+    """The cube cut in half along x = 0, moved by the unimodular matrix U."""
+    def f(v):
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in U)
+    cube = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    mid = [(0, y, z) for y in (-1, 1) for z in (-1, 1)]
+    halves = [[v for v in cube if v[0] == s] + mid for s in (1, -1)]
+    return SemistablePartition(
+        convex_hull([f(v) for v in cube]),
+        tuple(convex_hull([f(v) for v in h]) for h in halves))
+
+
+SHEARS = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+          [[1, 1, 1], [0, 1, 0], [0, 0, 1]])
+
+
+def test_central_frame_quotient_is_exact(vsplit, tsigma_part):
+    """The quotient rows Q read off M / (M n L): Q L^T = 0, and Q maps Z^n
+    onto Z^(n-k) (the gcd of its maximal minors is 1).  Then |det [L; Q]|
+    is the covolume det(L L^T) of the common-face lattice: 1 when it spans
+    a coordinate subspace, 2 and 3 on the sheared cubes."""
+    parts = [vsplit, tsigma_part] + [_sheared_cube_halves(U) for U in SHEARS]
+    covolumes = []
+    for part in parts:
+        fr = central_frame(part)
+        L = sympy.Matrix([list(r) for r in fr.L_basis])
+        Q = sympy.Matrix([list(q) for q in fr.quotient])
+        n = part.host.ambient_rank
+        assert Q.rows == n - L.rows
+        if L.rows:
+            assert Q * L.T == sympy.zeros(Q.rows, L.rows)
+            covolumes.append((L * L.T).det())
+            assert abs(L.col_join(Q).det()) == covolumes[-1]
+        minors = [Q.extract(list(range(Q.rows)), list(c)).det()
+                  for c in itertools.combinations(range(n), Q.rows)]
+        assert gcd(*(int(m) for m in minors)) == 1
+    assert covolumes == [1, 1, 2, 3]
 
 
 def test_hexagon_three_piece_cut_is_not_semistable():

@@ -17,6 +17,7 @@ from lgmirror.strata import (
     euler_snc,
     euler_tilde_resummed,
     euler_tilde_total,
+    monodromy_from_doc,
     monodromy_relation_check,
     strata_from_doc,
     strata_to_doc,
@@ -153,6 +154,14 @@ def test_monodromy_relation():
     assert not monodromy_relation_check(2, {(0, 1): A}, {1: A})["ok"]
     with pytest.raises(StrataError):
         monodromy_relation_check(3, {(0, 1): A}, {1: Ainv})
+
+
+def test_monodromy_corpus_documents():
+    from conftest import corpus_doc
+    ok = monodromy_relation_check(*monodromy_from_doc(corpus_doc("monodromy-ok")))
+    bad = monodromy_relation_check(*monodromy_from_doc(corpus_doc("monodromy-bad")))
+    assert ok["ok"]
+    assert not bad["ok"]
 
 
 def test_curve_helper(square, diamond):
