@@ -14,7 +14,7 @@ from importlib import resources
 
 from . import lattice, partitions, nef as nef_mod, lg as lg_mod
 from . import strata as strata_mod, spectral
-from .lattice import LatticeError
+from .lattice import InputError, LatticeError
 from .fans import FanError
 from .nef import NefError
 from .lg import LGError
@@ -90,7 +90,7 @@ def cmd_polytope(args):
                        f"{len(d['interior'])} interior")
     elif args.action == "faces":
         by_dim = {}
-        for f in lattice.face_lattice(p):
+        for f in p.all_faces():
             by_dim.setdefault(f.dimension, []).append(
                 [list(v) for v in f.vertices()])
         emit({"faces": {str(k): v for k, v in sorted(by_dim.items())}}, fmt,
@@ -111,6 +111,8 @@ def _partition_from_file(path):
 
 
 def cmd_partition(args):
+    if args.action == "lift" and args.bound < 0:
+        raise CliUsageError(f"--bound must be at least 0, got {args.bound}")
     part = _partition_from_file(args.file)
     fmt = args.format
     if args.action == "validate":
@@ -431,6 +433,9 @@ def main(argv=None):
         return 2
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except InputError as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
         return 3
     except (LatticeError, FanError, PartitionError, NefError, LGError,
             StrataError, SpectralError) as exc:

@@ -1,28 +1,36 @@
 """Cones and fans: face fans, normal fans, boundary-ray refinement (rank <= 3),
 and piecewise-linear support functions with convexity predicates.
 
-Cones are strongly convex and stored by their primitive extreme rays; fans
-check on construction that pairwise cone intersections are common faces.
+Cones are strongly convex and stored by their primitive extreme rays; each
+reads its faces off the face lattice of conv(0, rays).  Fan.validate checks
+that pairwise cone intersections are common faces.  It runs where cones come
+from outside: fan_from_doc, and the projected fan in
+partitions.central_frame.  The fans built here are fans by construction and
+are checked by the property tests, not on every build.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .lattice import (
+    LatticePolytope,
     convex_hull,
     faces,
     is_reflexive,
     lattice_points,
+    read_field,
+    read_points,
     recession_rays,
     reflexivity_diagnostic,
     saturated_coordinates,
     saturated_direction_basis,
 )
-from .linalg import dot, primitive, rank as mat_rank, solve, vec_sub
+from .linalg import dot, primitive, solve, vec_sub
 
 
 class FanError(ValueError):
@@ -31,10 +39,17 @@ class FanError(ValueError):
 
 @dataclass(frozen=True)
 class Cone:
-    """Strongly convex rational cone with primitive, canonically ordered rays."""
+    """Strongly convex rational cone with primitive, canonically ordered rays.
+
+    The cone carries its hull conv(0, rays), whose vertices are the origin
+    and the rays.  The faces of a pointed cone are exactly the faces of that
+    hull through the origin, so the hull's one face lattice gives the
+    cone's faces, facets and H-representation.
+    """
 
     rays: tuple
     ambient_rank: int
+    hull: LatticePolytope = field(repr=False, compare=False)
 
     @staticmethod
     def from_rays(rays, ambient_rank=None):
@@ -42,60 +57,46 @@ class Cone:
             if not rays:
                 raise FanError("zero cone needs an explicit ambient rank")
             ambient_rank = len(rays[0])
-        prims = []
-        for r in rays:
-            p = primitive(r)
-            if not any(p):
-                raise FanError("zero vector is not a ray")
-            if p not in prims:
-                prims.append(p)
-        if prims:
-            hull = convex_hull([tuple(0 for _ in range(ambient_rank))] + prims)
-            origin = tuple(0 for _ in range(ambient_rank))
-            if origin not in hull.vertices:
-                raise FanError(f"cone on rays {prims} contains a line")
-        # Keep only extreme rays.
-        extreme = []
-        for r in prims:
-            others = [s for s in prims if s != r]
-            if not others or not _in_cone_hull(r, others, ambient_rank):
-                extreme.append(r)
-        return Cone(tuple(sorted(extreme)), ambient_rank)
+        prims = list(dict.fromkeys(primitive(r) for r in rays))
+        if any(not any(p) for p in prims):
+            raise FanError("zero vector is not a ray")
+        origin = (0,) * ambient_rank
+        hull = convex_hull([origin] + prims)
+        if origin not in hull.vertices:
+            raise FanError(f"cone on rays {prims} contains a line")
+        # The extreme rays are the far ends of the hull's edges at the origin.
+        extreme = sorted(w for f in hull.all_faces() if f.dimension == 1
+                         and origin in f.vertices()
+                         for w in f.vertices() if w != origin)
+        if len(extreme) < len(prims):
+            hull = convex_hull([origin] + extreme)
+        return Cone(tuple(extreme), ambient_rank, hull)
 
     @property
     def dim(self):
-        if not self.rays:
-            return 0
-        return mat_rank([list(r) for r in self.rays])
+        return self.hull.dim
 
     def hrep(self):
         """(inequalities, equations): normals n with <n,x> >= 0 and span equations."""
-        return _cone_hrep(self.rays, self.ambient_rank)
+        return (tuple(n for n, o in self.hull.facets if o == 0),
+                tuple(n for n, _ in self.hull.equations))
 
     def contains(self, x):
         ineqs, eqs = self.hrep()
         return all(dot(n, x) >= 0 for n in ineqs) and all(dot(n, x) == 0 for n in eqs)
 
+    def _faces_through_origin(self):
+        origin = (0,) * self.ambient_rank
+        return [(frozenset(v for v in f.vertices() if v != origin), f.dimension)
+                for f in self.hull.all_faces() if origin in f.vertices()]
+
     def face_ray_sets(self):
         """Ray subsets spanning each face of the cone (including {} and all)."""
-        ineqs, _ = self.hrep()
-        facet_sets = []
-        for n in ineqs:
-            facet_sets.append(frozenset(r for r in self.rays if dot(n, r) == 0))
-        out = {frozenset(self.rays)}
-        frontier = set(facet_sets)
-        out |= frontier
-        while frontier:
-            new = set()
-            for s in frontier:
-                for f in facet_sets:
-                    t = s & f
-                    if t not in out:
-                        new.add(t)
-            out |= new
-            frontier = new
-        out.add(frozenset())
-        return out
+        return {s for s, _ in self._faces_through_origin()}
+
+    def facets(self):
+        """Ray sets of the facets of the cone."""
+        return [s for s, d in self._faces_through_origin() if d == self.dim - 1]
 
     def intersection_rays(self, other):
         ineqs1, eqs1 = self.hrep()
@@ -105,34 +106,14 @@ class Cone:
         return tuple(sorted(recession_rays(ineqs, eqs, self.ambient_rank)))
 
 
-def _in_cone_hull(x, rays, ambient_rank):
-    ineqs, eqs = _cone_hrep(tuple(rays), ambient_rank)
-    return all(dot(n, x) >= 0 for n in ineqs) and all(dot(n, x) == 0 for n in eqs)
-
-
-_hrep_cache = {}
-
-
-def _cone_hrep(rays, ambient_rank):
-    key = (rays, ambient_rank)
-    if key in _hrep_cache:
-        return _hrep_cache[key]
-    origin = tuple(0 for _ in range(ambient_rank))
-    if not rays:
-        eqs = [tuple(1 if i == j else 0 for j in range(ambient_rank))
-               for i in range(ambient_rank)]
-        _hrep_cache[key] = ((), tuple(eqs))
-        return _hrep_cache[key]
-    hull = convex_hull([origin] + list(rays))
-    ineqs = tuple(n for n, o in hull.facets if o == 0)
-    eqs = tuple(n for n, c in hull.equations)
-    _hrep_cache[key] = (ineqs, eqs)
-    return _hrep_cache[key]
-
-
 @dataclass(frozen=True)
 class Fan:
-    """Fan given by its maximal cones; pairwise face condition checked."""
+    """Fan given by its maximal cones.
+
+    from_cones does not check the face condition: face, normal, refined and
+    stellar fans are fans by construction.  Call validate() on cones that
+    come from outside; fan_from_doc and central_frame do.
+    """
 
     ambient_rank: int
     maximal_cones: tuple
@@ -151,20 +132,14 @@ class Fan:
                        frozenset(c.rays) in d.face_ray_sets() for d in cones):
                 if c not in maximal:
                     maximal.append(c)
-        fan = Fan(ambient_rank, tuple(sorted(maximal, key=lambda c: c.rays)))
-        fan.validate()
-        return fan
+        return Fan(ambient_rank, tuple(sorted(maximal, key=lambda c: c.rays)))
 
     @property
     def rays(self):
-        out = []
-        for c in self.maximal_cones:
-            for r in c.rays:
-                if r not in out:
-                    out.append(r)
-        return tuple(sorted(out))
+        return tuple(sorted({r for c in self.maximal_cones for r in c.rays}))
 
     def validate(self):
+        """Raise FanError unless every two maximal cones meet in a common face."""
         for c1, c2 in itertools.combinations(self.maximal_cones, 2):
             common = c1.intersection_rays(c2)
             key = frozenset(common)
@@ -178,24 +153,8 @@ class Fan:
             return self.ambient_rank == 0
         if any(c.dim != self.ambient_rank for c in self.maximal_cones):
             return False
-        ridge_count = {}
-        for c in self.maximal_cones:
-            for s in c.face_ray_sets():
-                # only facets of the cone, not deeper faces
-                if s != frozenset(c.rays) and \
-                        mat_rank([list(r) for r in s]) == self.ambient_rank - 1 and \
-                        _is_cone_facet(c, s):
-                    ridge_count[s] = ridge_count.get(s, 0) + 1
-        return all(v == 2 for v in ridge_count.values()) and bool(ridge_count)
-
-
-def _is_cone_facet(c, s):
-    ineqs, _ = c.hrep()
-    for n in ineqs:
-        if all(dot(n, r) == 0 for r in s) and \
-                set(r for r in c.rays if dot(n, r) == 0) == set(s):
-            return True
-    return False
+        ridges = Counter(s for c in self.maximal_cones for s in c.facets())
+        return all(v == 2 for v in ridges.values()) and bool(ridges)
 
 
 def face_fan(p):
@@ -386,7 +345,10 @@ def fan_to_doc(fan):
 
 
 def fan_from_doc(doc):
-    rank = doc["rank"]
-    cones = [Cone.from_rays([tuple(r) for r in rays], rank)
-             for rays in doc["maximal_cones"]]
-    return Fan.from_cones(cones, rank)
+    """Fan of a document; its cones come from outside, so it is validated."""
+    rank = read_field(doc, "rank", int)
+    cones = [Cone.from_rays(read_points(rays, f"maximal_cones[{i}]", rank), rank)
+             for i, rays in enumerate(read_field(doc, "maximal_cones", list))]
+    fan = Fan.from_cones(cones, rank)
+    fan.validate()
+    return fan

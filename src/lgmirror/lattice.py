@@ -9,7 +9,9 @@ integer or rational; coordinates are desk-scale (|x| <= ~10, rank <= 4).
 Every V/H conversion goes through one integer double-description routine,
 cone_generators: convex_hull asks it for the cone of valid inequalities of
 the points, polytope_from_inequalities and recession_rays for the
-homogenised inequality system (polyhedron_generators).
+homogenised inequality system (polyhedron_generators).  Every face query
+reads one face lattice per polytope, built by face_lattice on first use and
+kept on the polytope (LatticePolytope.all_faces).
 
 Each polytope carries an ambient-lattice tag ("M" or "N").  Polar duality
 flips the tag; nothing else consumes it, but keeping it explicit avoids the
@@ -19,7 +21,7 @@ silent M/N identifications the source constructions are prone to.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -40,15 +42,48 @@ class LatticeError(ValueError):
     """Raised when an operation's lattice-geometric precondition fails."""
 
 
-def _dedupe(points):
-    seen = []
-    known = set()
-    for p in points:
-        t = tuple(p)
-        if t not in known:
-            known.add(t)
-            seen.append(t)
-    return seen
+class InputError(ValueError):
+    """A malformed input document; path is the JSON path of the bad field."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path or 'document'}: {message}")
+        self.path = path
+
+
+def read_field(doc, key, *kinds, path=""):
+    """doc[key] of a JSON object, of exactly one of the types kinds (so
+    True is not an int), or InputError naming the path."""
+    if type(doc) is not dict:
+        raise InputError(path, f"expected an object, got {type(doc).__name__}")
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        raise InputError(where, "missing")
+    if type(doc[key]) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InputError(where, f"expected {names}, got {doc[key]!r}")
+    return doc[key]
+
+
+def read_points(items, path, rank):
+    """A JSON list of lattice points, each a list of `rank` ints.
+
+    Only true ints are coordinates: a float or a bool is an InputError,
+    never truncated or coerced.
+    """
+    if type(items) is not list:
+        raise InputError(path, f"expected a list of points, got {items!r}")
+    out = []
+    for i, x in enumerate(items):
+        where = f"{path}[{i}]"
+        if type(x) is not list:
+            raise InputError(where, f"expected a list of ints, got {x!r}")
+        for j, c in enumerate(x):
+            if type(c) is not int:
+                raise InputError(f"{where}[{j}]", f"expected an int, got {c!r}")
+        if len(x) != rank:
+            raise InputError(where, f"has {len(x)} coordinates, rank is {rank}")
+        out.append(tuple(x))
+    return out
 
 
 def saturated_direction_basis(points):
@@ -95,6 +130,13 @@ class LatticePolytope:
     equations: tuple = ()    # tuple of (normal tuple, value int): <n,x> == value
     lattice: str = "M"
     name: str = ""
+    _faces: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def all_faces(self):
+        """Every nonempty face, built by face_lattice on first use and kept."""
+        if self._faces is None:
+            object.__setattr__(self, "_faces", tuple(face_lattice(self)))
+        return self._faces
 
     @property
     def dim(self):
@@ -147,7 +189,7 @@ def convex_hull(points, lattice="M", name=""):
     Non-full-dimensional hulls are first-class: the affine hull is emitted
     as equations and the facets cut the polytope out inside it.
     """
-    pts = _dedupe(points)
+    pts = list(dict.fromkeys(tuple(p) for p in points))
     if not pts:
         raise LatticeError("convex hull of an empty point set")
     n = len(pts[0])
@@ -185,11 +227,15 @@ def faces(p, l):
     """All l-faces of p, via closure of facet vertex sets under intersection."""
     if l < 0 or l > p.dim:
         raise LatticeError(f"face dimension {l} out of range for dim {p.dim}")
-    return [f for f in face_lattice(p) if f.dimension == l]
+    return [f for f in p.all_faces() if f.dimension == l]
 
 
 def face_lattice(p):
-    """Every nonempty face of p (including p itself), deterministically ordered."""
+    """Every nonempty face of p (including p itself), deterministically ordered.
+
+    This builds the lattice; everything else reads it through p.all_faces(),
+    which calls this once per polytope.
+    """
     nverts = len(p.vertices)
     full = frozenset(range(nverts))
     facet_sets = []
@@ -256,10 +302,7 @@ def boundary_lattice_points(p):
 
 def is_reflexive(p):
     """True iff p is full-dimensional with 0 interior and all facet offsets 1."""
-    origin = tuple(0 for _ in range(p.ambient_rank))
-    if not p.is_full_dimensional() or not p.contains_strictly(origin):
-        return False
-    return all(o == 1 for _, o in p.facets)
+    return reflexivity_diagnostic(p) == "reflexive"
 
 
 def reflexivity_diagnostic(p):
@@ -305,13 +348,7 @@ def is_smooth(p):
     """Simplicial with the primitive edge directions a lattice basis at each vertex."""
     if not p.is_full_dimensional():
         raise LatticeError("smoothness check needs a full-dimensional polytope")
-    for v in p.vertices:
-        dirs = _vertex_edge_dirs(p, v)
-        if len(dirs) != p.dim:
-            return False
-        if abs(det(dirs)) != 1:
-            return False
-    return True
+    return all(vertex_is_smooth(p, v) for v in p.vertices)
 
 
 def vertex_is_smooth(p, v):
@@ -479,10 +516,7 @@ def intersect(a, b):
 def is_face_of(f, p):
     """Is polytope f a face of polytope p (vertex sets compared exactly)?"""
     fv = set(f.vertices)
-    for face in face_lattice(p):
-        if set(face.vertices()) == fv:
-            return True
-    return False
+    return any(set(face.vertices()) == fv for face in p.all_faces())
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +685,10 @@ def polytope_to_doc(p):
     }
 
 
-def polytope_from_doc(doc):
-    if "vertices" not in doc or "rank" not in doc:
-        raise LatticeError("polytope document needs 'rank' and 'vertices'")
-    verts = [tuple(int(x) for x in v) for v in doc["vertices"]]
-    if any(len(v) != doc["rank"] for v in verts):
-        raise LatticeError("vertex length does not match declared rank")
+def polytope_from_doc(doc, path=""):
+    rank = read_field(doc, "rank", int, path=path)
+    where = f"{path}.vertices" if path else "vertices"
+    verts = read_points(read_field(doc, "vertices", list, path=path), where, rank)
+    if not verts:
+        raise InputError(where, "no vertices")
     return convex_hull(verts, name=doc.get("name", ""))

@@ -8,16 +8,28 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fans import Cone, Fan, FanError, face_fan, refine_with_boundary_rays
+from .fans import (
+    Cone,
+    Fan,
+    FanError,
+    face_fan,
+    fan_to_doc,
+    refine_with_boundary_rays,
+)
 from .lattice import (
+    InputError,
     LatticePolytope,
     convex_hull,
-    face_lattice,
     intersect,
+    is_face_of,
     is_reflexive,
+    is_simplicial,
     normalized_volume,
     polyhedron_generators,
     polytope_from_doc,
+    polytope_from_inequalities,
+    read_field,
+    read_points,
     saturated_direction_basis,
     vertex_is_smooth,
 )
@@ -78,37 +90,32 @@ def check_tiling(part):
         w = intersect(pieces[i], pieces[j])
         if w is None:
             continue
-        if not _is_common_face(w, pieces[i]) or not _is_common_face(w, pieces[j]):
+        if not is_face_of(w, pieces[i]) or not is_face_of(w, pieces[j]):
             return False, f"pieces {i} and {j} do not meet in a common face"
     if sum(normalized_volume(p) for p in pieces) != normalized_volume(host):
         return False, "piece volumes do not add up to the host volume"
     return True, "ok"
 
 
-def _is_common_face(w, piece):
-    wset = set(w.vertices)
-    return any(set(f.vertices()) == wset for f in face_lattice(piece))
-
-
 def _gamma_faces(part):
     """All faces of the partition, deduplicated by vertex point set."""
     seen = {}
     for piece in part.pieces:
-        for f in face_lattice(piece):
+        for f in piece.all_faces():
             key = frozenset(f.vertices())
             if key not in seen:
                 seen[key] = (tuple(sorted(f.vertices())), f.dimension)
     return sorted(seen.values())
 
 
-def _carrier_face(host, points, host_face_polys):
-    """Minimal face of the host whose hull contains all the points."""
-    best = None
-    for f, poly in host_face_polys:
-        if all(poly.contains(q) for q in points):
-            if best is None or f.dimension < best[0].dimension:
-                best = (f, poly)
-    return best[0]
+def _carrier_face(host, points, host_faces):
+    """Minimal face of the host containing the points (which lie in the
+    host): its vertices are those tight on every host facet that is tight
+    on all the points.  host_faces maps vertex index sets to faces."""
+    tight = [(n, o) for n, o in host.facets
+             if all(dot(n, q) == -o for q in points)]
+    return host_faces[tuple(i for i, v in enumerate(host.vertices)
+                            if all(dot(n, v) == -o for n, o in tight))]
 
 
 def validate_semistable(part):
@@ -130,14 +137,13 @@ def validate_semistable(part):
         if len(owners) != 1:
             v_violations.append({"vertex": list(v), "pieces": owners})
 
-    host_face_polys = [(f, convex_hull(f.vertices(), lattice=host.lattice))
-                       for f in face_lattice(host)]
-    piece_face_sets = [set(frozenset(f.vertices()) for f in face_lattice(p))
+    host_faces = {f.vertex_indices: f for f in host.all_faces()}
+    piece_face_sets = [set(frozenset(f.vertices()) for f in p.all_faces())
                        for p in pieces]
 
     f_violations = []
     for points, l in _gamma_faces(part):
-        tau = _carrier_face(host, points, host_face_polys)
+        tau = _carrier_face(host, points, host_faces)
         count = sum(1 for s in piece_face_sets if frozenset(points) in s)
         expected = tau.dimension - l + 1
         if count != expected:
@@ -148,17 +154,12 @@ def validate_semistable(part):
                 "expected": expected,
             })
 
-    simplicial_ok = all(_piece_is_simple(p) for p in pieces)
+    simplicial_ok = all(is_simplicial(p) for p in pieces)
     valid = tiling_ok and simplicial_ok and not v_violations and not f_violations
     return ValidationReport(tiling_ok, msg, simplicial_ok,
                             {"vertex-uniqueness": v_violations,
                              "face-count": f_violations},
                             valid)
-
-
-def _piece_is_simple(p):
-    from .lattice import is_simplicial
-    return is_simplicial(p)
 
 
 @dataclass
@@ -218,13 +219,8 @@ def is_central(part):
 
 def gamma_vertices(part):
     """Vertices of the partition: piece vertices that are not host vertices."""
-    host_verts = set(part.host.vertices)
-    out = []
-    for p in part.pieces:
-        for v in p.vertices:
-            if v not in host_verts and v not in out:
-                out.append(v)
-    return sorted(out)
+    return sorted({v for p in part.pieces for v in p.vertices}
+                  - set(part.host.vertices))
 
 
 def is_nonsingular(part):
@@ -353,7 +349,6 @@ class LiftedPolyhedron:
         if y_max is None:
             y_max = max(v[0] for v in self.vertices) + 1
         cap = (tuple([-1] + [0] * (self.ambient_rank - 1)), y_max)
-        from .lattice import polytope_from_inequalities
         return polytope_from_inequalities(
             list(self.inequalities) + [cap], ambient_rank=self.ambient_rank)
 
@@ -383,14 +378,11 @@ def lifting_projection_check(part, lifted):
     trunc = lifted.truncate()
     y_max = max(v[0] for v in trunc.vertices)
     targets = set()
-    for f in face_lattice(part.host):
-        targets.add(frozenset(f.vertices()))
-    for piece in part.pieces:
-        for f in face_lattice(piece):
-            targets.add(frozenset(f.vertices()))
+    for poly in (part.host,) + tuple(part.pieces):
+        targets.update(frozenset(f.vertices()) for f in poly.all_faces())
     failures = []
     checked = 0
-    for f in face_lattice(trunc):
+    for f in trunc.all_faces():
         vs = f.vertices()
         if any(v[0] == y_max for v in vs):
             continue  # touches the artificial cap: unbounded in the original
@@ -474,17 +466,16 @@ def central_frame(part):
             cones.append(Cone.from_rays(rays, l))
         except FanError as exc:
             raise PartitionError(f"projected piece is not a pointed cone: {exc}")
-    all_rays = []
-    for c in cones:
-        for r in c.rays:
-            if r not in all_rays:
-                all_rays.append(r)
+    all_rays = sorted({r for c in cones for r in c.rays})
     if len(all_rays) != l + 1 or any(len(c.rays) != l for c in cones):
         raise PartitionError(
             f"projected pieces do not form a complete fan with {l + 1} rays "
-            f"(got rays {sorted(all_rays)})")
+            f"(got rays {all_rays})")
+    # The projected cones come from the input pieces, not from a
+    # construction that makes them a fan, so the face condition is checked.
+    sigma_v = Fan.from_cones(cones, l)
     try:
-        sigma_v = Fan.from_cones(cones, l)
+        sigma_v.validate()
     except FanError as exc:
         raise PartitionError(f"projected pieces do not form a fan: {exc}")
     if not sigma_v.is_complete():
@@ -521,7 +512,6 @@ class FibrationFans:
     added_rays: tuple
 
     def to_doc(self):
-        from .fans import fan_to_doc
         return {
             "sigma_delta": fan_to_doc(self.sigma_delta),
             "sigma_prime": fan_to_doc(self.sigma_prime),
@@ -550,13 +540,9 @@ def build_fibration_fans(part, frame=None):
             sigma_prime = _stellar_subdivide(sigma_prime, v)
             added.append(v)
 
-    in_L = set()
-    for r in sigma_prime.rays:
-        rows = [list(b) for b in frame.L_basis]
-        if not rows:
-            continue
-        if mat_rank(rows + [list(r)]) == len(rows):
-            in_L.add(r)
+    rows = [list(b) for b in frame.L_basis]
+    in_L = {r for r in sigma_prime.rays
+            if rows and mat_rank(rows + [list(r)]) == len(rows)}
     allowed = in_L | set(frame.v_vectors)
 
     gamma_cones = []
@@ -593,13 +579,17 @@ def _stellar_subdivide(fan, v):
 # ---------------------------------------------------------------------------
 
 def partition_from_doc(doc, resolve_polytope=None):
-    poly = doc["polytope"]
+    poly = read_field(doc, "polytope", str, dict)
     if isinstance(poly, str):
         if resolve_polytope is None:
             raise PartitionError(f"cannot resolve polytope reference '{poly}'")
         host = resolve_polytope(poly)
     else:
-        host = polytope_from_doc(poly)
-    pieces = [convex_hull([tuple(v) for v in piece], lattice=host.lattice)
-              for piece in doc["pieces"]]
+        host = polytope_from_doc(poly, "polytope")
+    pieces = []
+    for i, piece in enumerate(read_field(doc, "pieces", list)):
+        points = read_points(piece, f"pieces[{i}]", host.ambient_rank)
+        if not points:
+            raise InputError(f"pieces[{i}]", "no points")
+        pieces.append(convex_hull(points, lattice=host.lattice))
     return SemistablePartition(host, tuple(pieces))

@@ -1,5 +1,9 @@
 import pytest
+import sympy
+from conftest import corpus_doc
+from hypothesis import given, settings, strategies as st
 
+from lgmirror.cli import resolve_polytope
 from lgmirror.fans import (
     Cone,
     Fan,
@@ -13,6 +17,15 @@ from lgmirror.fans import (
     refine_with_boundary_rays,
 )
 from lgmirror.lattice import boundary_lattice_points, convex_hull, polar_dual
+from lgmirror.linalg import dot, primitive
+from lgmirror.partitions import (
+    SemistablePartition,
+    build_fibration_fans,
+    is_central,
+    is_nonsingular,
+    partition_from_doc,
+    validate_semistable,
+)
 
 
 def cone_sets(fan):
@@ -106,10 +119,15 @@ def test_cone_drops_redundant_rays():
 
 
 def test_fan_rejects_improper_intersections():
+    # from_cones trusts its caller; the check runs in validate() and in
+    # fan_from_doc, where cones come from outside.
     c1 = Cone.from_rays([(1, 0), (0, 1)])
     c2 = Cone.from_rays([(1, 1), (1, -1)])
+    fan = Fan.from_cones([c1, c2])
     with pytest.raises(FanError):
-        Fan.from_cones([c1, c2])
+        fan.validate()
+    with pytest.raises(FanError):
+        fan_from_doc(fan_to_doc(fan))
 
 
 def test_pl_zero_is_convex_and_concave(diamond):
@@ -159,3 +177,125 @@ def test_fan_documents(square):
     doc = fan_to_doc(fan)
     assert doc["rank"] == 2
     assert fan_from_doc(doc) == fan
+
+
+# References for the cone oracle, computed without any face lattice: the
+# H-representation of conv(0, rays), a facet-closure loop over it, and
+# per-ray pruning (a ray is extreme when the cone of the others misses it).
+
+def _ref_hrep(rays, n):
+    hull = convex_hull([(0,) * n] + list(rays))
+    return ([a for a, o in hull.facets if o == 0],
+            [e for e, _ in hull.equations])
+
+
+def _ref_contains(x, rays, n):
+    ineqs, eqs = _ref_hrep(rays, n)
+    return (all(dot(a, x) >= 0 for a in ineqs)
+            and all(dot(e, x) == 0 for e in eqs))
+
+
+def _ref_extreme_rays(prims, n):
+    return sorted(r for r in prims
+                  if not _ref_contains(r, [s for s in prims if s != r], n))
+
+
+def _ref_facets(rays, n):
+    return {frozenset(r for r in rays if dot(a, r) == 0)
+            for a in _ref_hrep(rays, n)[0]}
+
+
+def _ref_face_ray_sets(rays, n):
+    facet_sets = _ref_facets(rays, n)
+    out = {frozenset(rays)} | facet_sets
+    frontier = set(facet_sets)
+    while frontier:
+        frontier = {s & f for s in frontier for f in facet_sets} - out
+        out |= frontier
+    return out | {frozenset()}
+
+
+@st.composite
+def ray_sets(draw):
+    """Nonzero rays in rank 2-4, sometimes with a sum of two of them (a
+    redundant ray) or the negative of one (a line), plus probe points."""
+    n = draw(st.integers(2, 4))
+    coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    rays = draw(st.lists(coords.filter(any), min_size=1, max_size=5))
+    extra = draw(st.sampled_from(["none", "sum", "line"]))
+    if extra == "sum" and len(rays) > 1:
+        s = tuple(a + b for a, b in zip(rays[0], rays[1]))
+        if any(s):
+            rays.append(s)
+    elif extra == "line":
+        rays.append(tuple(-x for x in rays[-1]))
+    return n, rays, draw(st.lists(coords, max_size=4))
+
+
+@given(ray_sets())
+@settings(max_examples=120)
+def test_cone_agrees_with_reference(case):
+    n, rays, probes = case
+    prims = list(dict.fromkeys(primitive(r) for r in rays))
+    if convex_hull(prims).contains((0,) * n):
+        # 0 is a convex combination of the rays: the cone holds a line
+        with pytest.raises(FanError, match="line"):
+            Cone.from_rays(rays, n)
+        return
+    cone = Cone.from_rays(rays, n)
+    assert list(cone.rays) == _ref_extreme_rays(prims, n)
+    assert cone.face_ray_sets() == _ref_face_ray_sets(cone.rays, n)
+    facets = cone.facets()
+    assert len(facets) == len(set(facets))
+    assert set(facets) == _ref_facets(cone.rays, n)
+    assert cone.dim == sympy.Matrix(prims).rank()
+    sums = [tuple(a + b for a, b in zip(r, s)) for r in prims for s in prims]
+    for x in prims + sums + [tuple(-c for c in r) for r in prims] + probes:
+        assert cone.contains(x) == _ref_contains(x, prims, n)
+
+
+# Fan.from_cones trusts its caller, so this test runs Fan.validate on the
+# output of every fan constructor.  The smooth reflexive polygons are the
+# bases of the smooth prisms whose halves the fibrations benchmark cuts.
+SMOOTH_POLYGONS = {
+    "b6v6": ((1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)),
+    "b7v5": ((1, -1), (1, 0), (0, 1), (-1, 1), (-1, -1)),
+    "b8v4a": ((2, -1), (0, 1), (-1, 1), (-1, -1)),
+    "b8v4b": ((1, -1), (1, 1), (-1, 1), (-1, -1)),
+    "b9v3": ((2, -1), (-1, 2), (-1, -1)),
+}
+
+
+def _constructor_inputs():
+    cases = {name: partition_from_doc(corpus_doc(name), resolve_polytope)
+             for name in ("square-vsplit", "square-diag", "tsigma-3piece")}
+    cube = convex_hull([(x, y, z) for x in (-1, 1) for y in (-1, 1)
+                        for z in (-1, 1)])
+    p3 = convex_hull([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
+    for name, host in (("cube", cube), ("p3", p3)):
+        cases[name] = SemistablePartition(host, (host,))
+    for name, verts in SMOOTH_POLYGONS.items():
+        host = convex_hull([v + (z,) for v in verts for z in (-1, 1)])
+        halves = [convex_hull([v + (z,) for v in verts for z in zs])
+                  for zs in ((-1, 0), (0, 1))]
+        cases[f"{name}-halves"] = SemistablePartition(host, tuple(halves))
+    return cases
+
+
+CONSTRUCTOR_INPUTS = _constructor_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_INPUTS))
+def test_constructed_fans_pass_validate(name):
+    part = CONSTRUCTOR_INPUTS[name]
+    host = part.host
+    sigma = face_fan(host)
+    fans = [sigma, normal_fan(host), refine_with_boundary_rays(sigma, host)]
+    if (validate_semistable(part).valid and is_central(part)
+            and is_nonsingular(part)):
+        fib = build_fibration_fans(part)
+        fans += [fib.sigma_prime, fib.sigma_gamma, fib.sigma_v]
+    elif name != "square-diag":
+        pytest.fail(f"{name} should reach the fibration fans")
+    for fan in fans:
+        fan.validate()

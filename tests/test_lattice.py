@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -391,3 +392,48 @@ def test_missing_input_file_is_named(capsys, tmp_path, argv):
     missing = str(tmp_path / "missing.json")
     assert main(argv + [missing]) == 3
     assert missing in capsys.readouterr().err
+
+
+def test_face_lattice_is_built_once_per_polytope(monkeypatch, cube):
+    import lgmirror.lattice as lattice
+    builds = []
+    build = lattice.face_lattice
+    monkeypatch.setattr(lattice, "face_lattice",
+                        lambda p: builds.append(p) or build(p))
+    assert is_smooth(cube)
+    assert len(faces(cube, 1)) == 12
+    assert builds == [cube]
+
+
+SQUARE = {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    ("polytope", {"rank": 2, "vertices": [[0, 0], [1, 0, 0], [0, 1]]},
+     "vertices[1]"),
+    ("polytope", {"rank": 2, "vertices": []}, "vertices"),
+    ("polytope", TRIANGLE, "document"),
+    ("polytope", {"vertices": TRIANGLE}, "rank"),
+    ("polytope", {"rank": 2, "vertices": [[0.5, 0], [1, 0], [0, 1]]},
+     "vertices[0][0]"),
+    ("polytope", {"rank": 2, "vertices": [[True, 0], [1, 0], [0, 1]]},
+     "vertices[0][0]"),
+    ("partition", {"polytope": SQUARE, "pieces": [TRIANGLE, [[0, 0, 0]]]},
+     "pieces[1][0]"),
+    ("partition", [SQUARE, [TRIANGLE]], "document"),
+    ("partition", {"polytope": SQUARE, "pieces": [[1, 0]]}, "pieces[0][0]"),
+    ("partition", {"polytope": SQUARE, "pieces": [[[0.0, 0], [1, 0], [0, 1]]]},
+     "pieces[0][0][0]"),
+    ("partition", {"polytope": {"rank": 2, "vertices": [[1.5, 0]]},
+                   "pieces": [TRIANGLE]}, "polytope.vertices[0][0]"),
+])
+def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
+                                                 doc, path):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    action = "points" if command == "polytope" else "validate"
+    assert main([command, action, str(f)]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot read input: {path}: " in err
+    assert "Traceback" not in err

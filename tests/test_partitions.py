@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 import sympy
+from conftest import corpus_path
 
+from lgmirror.cli import main
 from lgmirror.lattice import convex_hull, normalized_volume
 from lgmirror.partitions import (
     GammaPLFunction,
@@ -279,3 +281,13 @@ def test_fibration_fans_trivial_diamond(diamond):
     assert fans.sigma_prime.is_complete()
     assert set(fans.sigma_prime.rays) == set(fans.sigma_delta.rays)
     assert fans.sigma_v.maximal_cones == ()
+
+
+def test_negative_lift_bound_is_a_usage_error(capsys):
+    assert main(["partition", "lift", corpus_path("square-vsplit"),
+                 "--bound", "-1"]) == 3
+    assert "--bound must be at least 0, got -1" in capsys.readouterr().err
+    # 0 is a bound: the one-point box holds no certificate for two pieces
+    assert main(["partition", "lift", corpus_path("square-vsplit"),
+                 "--bound", "0"]) == 2
+    assert "[-0, 0]^2" in capsys.readouterr().err
