@@ -201,7 +201,11 @@ def _parse_split(s, n_parts):
     if s is None:
         return n_parts - 1, 1
     k, _, r = s.partition(":")
-    return int(k), int(r)
+    try:
+        return int(k), int(r)
+    except ValueError:
+        raise CliUsageError(f"--split must be K:R with integers K and R, "
+                            f"got {s!r}") from None
 
 
 def cmd_lg(args):
@@ -297,7 +301,7 @@ def cmd_ss(args):
     if args.action in _BUILDERS:
         data = spectral.complex_from_doc(_load_json(args.files[0]))
         page = _BUILDERS[args.action](data)
-        emit(spectral.page_report_doc(page), fmt, lambda d: _render_page(page))
+        emit(spectral.page_report_doc(page), fmt, lambda d: page.table())
         return
     if args.action == "pw":
         deg = spectral.complex_from_doc(_load_json(args.files[0]))
@@ -314,10 +318,6 @@ def cmd_ss(args):
         if not report["ok"]:
             raise CliValidationFailure("Poincare duality check failed")
         return
-
-
-def _render_page(page):
-    return page.table()
 
 
 def _render_pw(r):
@@ -444,7 +444,7 @@ def main(argv=None):
     except OSError as exc:  # str() names the file, repr() does not
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 3
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"cannot read input: {exc!r}", file=sys.stderr)
         return 3
     return 0

@@ -1,5 +1,6 @@
 """Cones and fans: face fans, normal fans, boundary-ray refinement (rank <= 3),
-and piecewise-linear support functions with convexity predicates.
+stellar subdivision (star), and piecewise-linear support functions with
+convexity predicates.
 
 Cones are strongly convex and stored by their primitive extreme rays; each
 reads its faces off the face lattice of conv(0, rays).  Fan.validate checks
@@ -15,22 +16,21 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .lattice import (
     LatticePolytope,
+    boundary_lattice_points,
     convex_hull,
     faces,
     is_reflexive,
-    lattice_points,
     read_field,
     read_points,
     recession_rays,
     reflexivity_diagnostic,
-    saturated_coordinates,
     saturated_direction_basis,
+    triangulation,
 )
-from .linalg import dot, primitive, solve, vec_sub
+from .linalg import dot, primitive, solve
 
 
 class FanError(ValueError):
@@ -179,90 +179,45 @@ def normal_fan(p):
     return Fan.from_cones(cones, p.ambient_rank)
 
 
-def refine_with_boundary_rays(fan, p):
+def refine_with_boundary_rays(p):
     """Refine face_fan(p) so its rays are all boundary lattice points of p.
 
-    Rank 2 splits each facet cone at the boundary points; rank 3 uses a
-    deterministic pulling-style triangulation of each facet that uses every
-    lattice point of the facet.  Rank >= 4 is unsupported.
+    Each facet is triangulated by pulling (lattice.triangulation), and its
+    cells are starred at the facet's other lattice points in lexicographic
+    order; the cones over the cells are unimodular up to rank 3.  Rank >= 4
+    is unsupported.
     """
     if p.ambient_rank > 3:
         raise FanError("boundary-ray refinement is implemented for rank <= 3 only")
-    if p.ambient_rank == 1:
-        return fan
+    boundary = boundary_lattice_points(p)
     cones = []
     for f in faces(p, p.dim - 1):
-        facet_poly = convex_hull(f.vertices(), lattice=p.lattice)
-        cells = _triangulate_with_all_points(facet_poly)
-        for cell in cells:
-            cones.append(Cone.from_rays(cell, p.ambient_rank))
+        verts = f.vertices()
+        n, o = next((n, o) for n, o in p.facets
+                    if all(dot(n, v) == -o for v in verts))
+        cells = triangulation(f)
+        for q in boundary:
+            if dot(n, q) == -o and q not in verts:
+                cells = star(cells, q)
+        cones += [Cone.from_rays(cell, p.ambient_rank) for cell in cells]
     return Fan.from_cones(cones, p.ambient_rank)
 
 
-def _triangulate_with_all_points(face_poly):
-    """Cells of a triangulation of a 1- or 2-dimensional lattice polytope
-    using every one of its lattice points.
+def star(cells, v):
+    """Stellar subdivision at v of simplicial cones given as ray tuples.
 
-    Starts from the vertex fan and stars the remaining lattice points in
-    lexicographic order, so the result is deterministic.
+    A cone that holds v = sum mu_i r_i with every mu_i >= 0 becomes the
+    cones with v in place of each r_i where mu_i > 0; the other cones are
+    returned as they are.
     """
-    pts = lattice_points(face_poly)
-    verts = list(face_poly.vertices)
-    if face_poly.dim == 0:
-        return [tuple(verts)]
-    if face_poly.dim == 1:
-        d = primitive(vec_sub(verts[-1], verts[0]))
-        order = sorted(pts, key=lambda q: dot(vec_sub(q, verts[0]), d))
-        return [(order[i], order[i + 1]) for i in range(len(order) - 1)]
-
-    # Map to integer coordinates on the saturated 2-dimensional sublattice.
-    if face_poly.ambient_rank == 2:
-        to2 = {p: p for p in pts}
-    else:
-        to2 = dict(zip(pts, saturated_coordinates(pts, verts)))
-    back = {v: k for k, v in to2.items()}
-
-    tris = _triangulate_polygon_points(sorted(to2[v] for v in verts),
-                                       sorted(to2[p] for p in pts))
-    return [tuple(back[q] for q in t) for t in tris]
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _triangulate_polygon_points(verts, pts):
-    """Triangles on exactly `pts` filling conv(verts), in the plane.
-
-    Fan triangulation of the vertex polygon, then lexicographic starring of
-    the remaining points (interior points split a triangle in three, edge
-    points split every incident triangle in two).
-    """
-    lo = min(verts)
-    cyc = sorted((v for v in verts if v != lo),
-                 key=cmp_to_key(lambda a, b:
-                                -1 if _cross(lo, a, b) > 0
-                                else (1 if _cross(lo, a, b) < 0 else 0)))
-    tris = [(lo, cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1)
-            if _cross(lo, cyc[i], cyc[i + 1]) != 0]
-    for q in sorted(p for p in pts if p not in verts):
-        new = []
-        for t in tris:
-            a, b, c = t
-            s1, s2, s3 = _cross(a, b, q), _cross(b, c, q), _cross(c, a, q)
-            if s1 < 0 or s2 < 0 or s3 < 0 or q in t:
-                new.append(t)
-            elif s1 > 0 and s2 > 0 and s3 > 0:
-                new.extend([(a, b, q), (b, c, q), (c, a, q)])
-            else:
-                # on an edge of t: keep the two non-degenerate splits
-                for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                    if _cross(u, v, q) != 0:
-                        continue
-                    new.extend([(u, q, w), (q, v, w)])
-                    break
-        tris = new
-    return tris
+    out = []
+    for cell in cells:
+        mu = solve([list(col) for col in zip(*cell)], v)
+        if mu is None or any(m < 0 for m in mu):
+            out.append(cell)
+        else:
+            out += [cell[:i] + (v,) + cell[i + 1:] for i, m in enumerate(mu) if m > 0]
+    return out
 
 
 @dataclass

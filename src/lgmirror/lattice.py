@@ -33,7 +33,6 @@ from .linalg import (
     integer_kernel,
     primitive,
     rank as mat_rank,
-    solve,
     vec_sub,
 )
 
@@ -55,35 +54,52 @@ def read_field(doc, key, *kinds, path=""):
     True is not an int), or InputError naming the path."""
     if type(doc) is not dict:
         raise InputError(path, f"expected an object, got {type(doc).__name__}")
+    if type(doc.get(key)) in kinds:
+        return doc[key]
     where = f"{path}.{key}" if path else key
     if key not in doc:
         raise InputError(where, "missing")
-    if type(doc[key]) not in kinds:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise InputError(where, f"expected {names}, got {doc[key]!r}")
-    return doc[key]
+    names = " or ".join(k.__name__ for k in kinds)
+    raise InputError(where, f"expected {names}, got {doc[key]!r}")
+
+
+def read_int(x, path):
+    """x if it is a true int; a float or a bool is an InputError, never
+    truncated or coerced."""
+    if type(x) is not int:
+        raise InputError(path, f"expected an int, got {x!r}")
+    return x
+
+
+def read_list(items, path, read_item=read_int):
+    """A JSON list as a tuple, each item read by read_item(item, its path);
+    by default a list of ints."""
+    if type(items) is not list:
+        raise InputError(path, f"expected a list, got {items!r}")
+    if read_item is read_int and all(type(x) is int for x in items):
+        return tuple(items)  # the common case, without a path per item
+    return tuple(read_item(x, f"{path}[{i}]") for i, x in enumerate(items))
 
 
 def read_points(items, path, rank):
-    """A JSON list of lattice points, each a list of `rank` ints.
-
-    Only true ints are coordinates: a float or a bool is an InputError,
-    never truncated or coerced.
-    """
-    if type(items) is not list:
-        raise InputError(path, f"expected a list of points, got {items!r}")
-    out = []
-    for i, x in enumerate(items):
-        where = f"{path}[{i}]"
-        if type(x) is not list:
-            raise InputError(where, f"expected a list of ints, got {x!r}")
-        for j, c in enumerate(x):
-            if type(c) is not int:
-                raise InputError(f"{where}[{j}]", f"expected an int, got {c!r}")
+    """A JSON list of lattice points, each a list of `rank` ints."""
+    def point(x, where):
+        x = read_list(x, where)
         if len(x) != rank:
             raise InputError(where, f"has {len(x)} coordinates, rank is {rank}")
-        out.append(tuple(x))
-    return out
+        return x
+    return read_list(items, path, point)
+
+
+def host_from_doc(doc, resolve_polytope=None):
+    """doc["polytope"]: a polytope document, or the name of one that
+    resolve_polytope loads."""
+    poly = read_field(doc, "polytope", str, dict)
+    if type(poly) is dict:
+        return polytope_from_doc(poly, "polytope")
+    if resolve_polytope is None:
+        raise InputError("polytope", f"no resolver for the reference {poly!r}")
+    return resolve_polytope(poly)
 
 
 def saturated_direction_basis(points):
@@ -98,26 +114,6 @@ def saturated_direction_basis(points):
     if not ann:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return integer_kernel(ann)
-
-
-def saturated_coordinates(points, frame):
-    """Integer coordinates of each point minus frame[0] in the saturated
-    direction basis of frame.
-
-    The points are lattice points of the affine hull of frame, so every
-    coordinate is an integer; anything else is a bug in the caller and
-    raises RuntimeError rather than being truncated.
-    """
-    basis = saturated_direction_basis(frame)
-    cols = [[b[i] for b in basis] for i in range(len(frame[0]))]
-    out = []
-    for p in points:
-        y = solve(cols, vec_sub(p, frame[0]))
-        if y is None or any(c.denominator != 1 for c in y):
-            raise RuntimeError(f"{p} has no integer coordinates in the "
-                               f"saturated basis {basis}")
-        out.append(tuple(c.numerator for c in y))
-    return out
 
 
 @dataclass(frozen=True)
@@ -265,20 +261,11 @@ def face_lattice(p):
     return out
 
 
-def bounding_box(p):
-    los = [min(v[i] for v in p.vertices) for i in range(p.ambient_rank)]
-    his = [max(v[i] for v in p.vertices) for i in range(p.ambient_rank)]
-    return los, his
-
-
 def lattice_points(p):
-    """All lattice points of p, by bounding-box scan and membership test."""
-    los, his = bounding_box(p)
-    out = []
-    for q in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        if p.contains(q):
-            out.append(q)
-    return sorted(out)
+    """All lattice points of p in lex order, by a scan of the bounding box
+    and a membership test."""
+    box = [range(min(x), max(x) + 1) for x in zip(*p.vertices)]
+    return [q for q in itertools.product(*box) if p.contains(q)]
 
 
 def interior_lattice_points(p):
@@ -365,37 +352,37 @@ def minkowski_sum(a, b):
 
 
 def normalized_volume(p):
-    """Lattice-normalized volume (d! times Euclidean volume), an integer."""
-    d = p.dim
-    if d == 0:
-        return 1
-    verts = list(p.vertices)
-    if not p.is_full_dimensional():
-        # Work in coordinates of the saturated direction lattice so the
-        # normalization agrees with the induced lattice on the affine hull.
-        return normalized_volume(convex_hull(saturated_coordinates(verts, verts)))
-    total = 0
-    for simplex in _triangulate(p):
-        rows = [list(vec_sub(v, simplex[0])) for v in simplex[1:]]
-        total += abs(det(rows))
-    return int(total)
+    """Lattice-normalized volume (d! times Euclidean volume), an integer,
+    in the saturated lattice of the affine hull of p.
+
+    Sum over the simplices of triangulation(p): the gcd of the d x d minors
+    of a simplex's edge vectors, which is the absolute determinant of those
+    vectors in a basis of that lattice (the maximal minors of a basis of a
+    saturated lattice are coprime).
+    """
+    cols = list(itertools.combinations(range(p.ambient_rank), p.dim))
+    # The face lattice lists p itself last: it has the most vertices.
+    return sum(gcd(*(det([[e[c] for c in cs] for e in edges]) for cs in cols))
+               for s in triangulation(p.all_faces()[-1])
+               for edges in [[vec_sub(v, s[0]) for v in s[1:]]])
 
 
-def _triangulate(p):
-    """Simplices (vertex tuples) triangulating p, by pulling the first vertex."""
-    d = p.dim
-    verts = p.vertices
-    if len(verts) == d + 1:
+def triangulation(face):
+    """Simplices (vertex tuples) of the pulling triangulation of a face.
+
+    Pull the face's first vertex, which is its lex-smallest: cone it over the
+    triangulations of the facets of the face that miss it.  The facets are
+    read off the polytope's face lattice, so no hull is built.
+    """
+    verts = face.vertices()
+    if len(verts) == face.dimension + 1:
         return [verts]
-    v0 = verts[0]
-    out = []
-    for f in faces(p, d - 1):
-        if v0 in f.vertices():
-            continue
-        sub = convex_hull(f.vertices(), lattice=p.lattice)
-        for s in _triangulate(sub):
-            out.append((v0,) + s)
-    return out
+    inside = set(face.vertex_indices)
+    return [(verts[0],) + s for g in face.polytope.all_faces()
+            if g.dimension == face.dimension - 1
+            and face.vertex_indices[0] not in g.vertex_indices
+            and inside.issuperset(g.vertex_indices)
+            for s in triangulation(g)]
 
 
 def cone_generators(rows, n, equations=()):
@@ -691,4 +678,5 @@ def polytope_from_doc(doc, path=""):
     verts = read_points(read_field(doc, "vertices", list, path=path), where, rank)
     if not verts:
         raise InputError(where, "no vertices")
-    return convex_hull(verts, name=doc.get("name", ""))
+    name = read_field(doc, "name", str, path=path) if "name" in doc else ""
+    return convex_hull(verts, name=name)

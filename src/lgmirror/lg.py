@@ -228,20 +228,11 @@ def non_nef_split_fiber(model, split, nabla_data, lam=None):
     if len(lam) != len(split):
         raise LGError("one lambda symbol per split group is required")
     rays = nabla_data.rays
-    mins = {s: _sigma_min(s, last) for s in rays}
     eqs = []
     for j, group in enumerate(split):
         head = _lambda_term(lam[j], nabla_data.pieces[model.k], rays)
-        tail = []
-        for rho in sorted(group):
-            exps = []
-            for s in rays:
-                e = dot(s, rho) - mins[s]
-                if e < 0:
-                    raise LGError(f"negative exponent for sigma={s}, rho={rho}")
-                exps.append((s, e))
-            tail.append(HomogeneousTerm(coef_label(rho), -1, tuple(exps),
-                                        tuple(rho)))
+        tail = [HomogeneousTerm(t.coef, -1, t.exps, t.rho) for t in
+                _compactified_terms(SymbolicLaurent.from_points(group), last, rays)]
         eqs.append(HomogeneousEquation((head,) + tuple(tail), rays))
     return eqs
 

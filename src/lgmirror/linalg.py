@@ -233,10 +233,3 @@ def _hermite(M):
             if r == rows:
                 break
     return M
-
-
-def parse_fraction(s):
-    """Parse 'p/q' or 'p' (or int) into a Fraction."""
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    return Fraction(str(s))

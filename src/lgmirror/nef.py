@@ -10,10 +10,12 @@ from .lattice import (
     LatticeError,
     LatticePolytope,
     convex_hull,
+    host_from_doc,
     is_reflexive,
     minkowski_sum,
-    polytope_from_doc,
     polytope_from_inequalities,
+    read_field,
+    read_list,
 )
 from .linalg import dot
 
@@ -143,11 +145,6 @@ def nabla_hull(nef):
 
 
 def nef_from_doc(doc, resolve_polytope=None):
-    poly = doc["polytope"]
-    if isinstance(poly, str):
-        if resolve_polytope is None:
-            raise NefError(f"cannot resolve polytope reference '{poly}'")
-        host = resolve_polytope(poly)
-    else:
-        host = polytope_from_doc(poly)
-    return validate_nef(host, [tuple(part) for part in doc["parts"]])
+    host = host_from_doc(doc, resolve_polytope)
+    return validate_nef(host, read_list(read_field(doc, "parts", list), "parts",
+                                        read_list))

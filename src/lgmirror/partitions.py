@@ -15,18 +15,19 @@ from .fans import (
     face_fan,
     fan_to_doc,
     refine_with_boundary_rays,
+    star,
 )
 from .lattice import (
     InputError,
     LatticePolytope,
     convex_hull,
+    host_from_doc,
     intersect,
     is_face_of,
     is_reflexive,
     is_simplicial,
     normalized_volume,
     polyhedron_generators,
-    polytope_from_doc,
     polytope_from_inequalities,
     read_field,
     read_points,
@@ -532,46 +533,30 @@ def build_fibration_fans(part, frame=None):
     if frame is None:
         frame = central_frame(part)
     sigma_delta = face_fan(host)
-    sigma_prime = refine_with_boundary_rays(sigma_delta, host)
+    refined = refine_with_boundary_rays(host)
 
+    # Star the refined fan at each new v_i; a cell that does not change
+    # keeps its Cone.
+    cones = {c.rays: c for c in refined.maximal_cones}
     added = []
     for v in frame.v_vectors:
-        if v not in sigma_prime.rays:
-            sigma_prime = _stellar_subdivide(sigma_prime, v)
+        if v not in refined.rays and v not in added:
+            cones = {cell: cones.get(cell) or Cone.from_rays(cell, host.ambient_rank)
+                     for cell in star(list(cones), v)}
             added.append(v)
+    sigma_prime = Fan.from_cones(cones.values(), host.ambient_rank)
 
     rows = [list(b) for b in frame.L_basis]
     in_L = {r for r in sigma_prime.rays
             if rows and mat_rank(rows + [list(r)]) == len(rows)}
     allowed = in_L | set(frame.v_vectors)
 
-    gamma_cones = []
-    for c in sigma_prime.maximal_cones:
-        for s in c.face_ray_sets():
-            if s and s <= allowed:
-                gamma_cones.append(Cone.from_rays(sorted(s), host.ambient_rank))
-    if gamma_cones:
-        sigma_gamma = Fan.from_cones(gamma_cones, host.ambient_rank)
-    else:
-        sigma_gamma = Fan(host.ambient_rank, ())
+    gamma = {s for c in sigma_prime.maximal_cones for s in c.face_ray_sets()
+             if s and s <= allowed}
+    sigma_gamma = Fan.from_cones([Cone.from_rays(sorted(s), host.ambient_rank)
+                                  for s in gamma], host.ambient_rank)
     return FibrationFans(sigma_delta, sigma_prime, sigma_gamma, frame.sigma_v,
                          tuple(added))
-
-
-def _stellar_subdivide(fan, v):
-    new_cones = []
-    for c in fan.maximal_cones:
-        if not c.contains(v):
-            new_cones.append(c)
-            continue
-        ineqs, _ = c.hrep()
-        for n in ineqs:
-            if dot(n, v) == 0:
-                continue
-            facet_rays = [r for r in c.rays if dot(n, r) == 0]
-            if facet_rays:
-                new_cones.append(Cone.from_rays(facet_rays + [v], c.ambient_rank))
-    return Fan.from_cones(new_cones, fan.ambient_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +564,7 @@ def _stellar_subdivide(fan, v):
 # ---------------------------------------------------------------------------
 
 def partition_from_doc(doc, resolve_polytope=None):
-    poly = read_field(doc, "polytope", str, dict)
-    if isinstance(poly, str):
-        if resolve_polytope is None:
-            raise PartitionError(f"cannot resolve polytope reference '{poly}'")
-        host = resolve_polytope(poly)
-    else:
-        host = polytope_from_doc(poly, "polytope")
+    host = host_from_doc(doc, resolve_polytope)
     pieces = []
     for i, piece in enumerate(read_field(doc, "pieces", list)):
         points = read_points(piece, f"pieces[{i}]", host.ambient_rank)

@@ -21,12 +21,13 @@ functions are single calls into it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .linalg import (integral_multiple, mat_mul, parse_fraction, rank, sign,
-                     transpose)
+from .lattice import InputError, read_field, read_int, read_list
+from .linalg import integral_multiple, mat_mul, rank, sign, transpose
 
 
 class SpectralError(ValueError):
@@ -689,35 +690,88 @@ def check_cubical_mirror(b_side, a_side):
 # Documents
 # ---------------------------------------------------------------------------
 
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _index_set(doc, key, path):
+    I = read_field(doc, key, list, path=path)
+    if not all(type(i) is int for i in I):  # the path is built only on error
+        read_list(I, f"{path}.{key}")  # raises, naming the first bad index
+    return frozenset(I)
+
+
+def _graded(d, path, read_value=read_int):
+    """{int: value} of a JSON object keyed by decimal ints."""
+    if type(d) is not dict:
+        raise InputError(path, f"expected an object keyed by ints, got {d!r}")
+    out = {}
+    for k, v in d.items():
+        if not re.fullmatch(r"-?[0-9]+", k):
+            raise InputError(f"{path}.{k}", "key is not a decimal int")
+        out[int(k)] = read_value(v, f"{path}.{k}")
+    return out
+
+
+def _matrix(doc, path):
+    """doc["matrix"] as rows of Fractions.  An entry is an int or a "p/q"
+    string; a float or a bool is an InputError, never a binary fraction."""
+    out = []
+    for i, row in enumerate(read_field(doc, "matrix", list, path=path)):
+        if type(row) is not list:
+            raise InputError(f"{path}.matrix[{i}]", f"expected a list, got {row!r}")
+        out.append([])
+        for j, x in enumerate(row):
+            m = _FRACTION.fullmatch(x) if type(x) is str else None
+            if type(x) is not int and m is None:
+                raise InputError(f"{path}.matrix[{i}][{j}]",
+                                 f"expected an int or a 'p/q' string, got {x!r}")
+            # Parsing a string as a fraction takes four times as long as int().
+            out[-1].append(Fraction(int(x)) if m and not m[1] else Fraction(x))
+    return out
+
+
 def complex_from_doc(doc):
-    strata = {}
-    hodge = {}
-    for s in doc["strata"]:
-        I = frozenset(s["I"])
-        strata[I] = {int(k): int(v) for k, v in s["dims"].items()}
+    strata, hodge = {}, {}
+    for i, s in enumerate(read_field(doc, "strata", list)):
+        where = f"strata[{i}]"
+        I = _index_set(s, "I", where)
+        if not I:
+            raise InputError(f"{where}.I", "empty index set")
+        strata[I] = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims")
         if "hodge" in s:
-            hodge[I] = {int(k): {int(a): int(v) for a, v in dist.items()}
-                        for k, dist in s["hodge"].items()}
+            hodge[I] = _graded(s["hodge"], f"{where}.hodge", _graded)
     maps = {}
-    for m in doc.get("maps", []):
-        key = (m["kind"], frozenset(m["from"]), frozenset(m["to"]),
-               int(m["degree"]))
-        maps[key] = [[parse_fraction(x) for x in row] for row in m["matrix"]]
+    for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
+        where = f"maps[{i}]"
+        key = (read_field(m, "kind", str, path=where), _index_set(m, "from", where),
+               _index_set(m, "to", where), read_field(m, "degree", int, path=where))
+        if key[0] not in DEGREE_SHIFT:
+            raise InputError(f"{where}.kind", f"unknown map kind {key[0]!r}")
+        maps[key] = _matrix(m, where)
     pairings = {}
-    for p in doc.get("pairings", []):
-        pairings[(frozenset(p["I"]), int(p["degree"]))] = \
-            [[parse_fraction(x) for x in row] for row in p["matrix"]]
-    return StrataComplexData(int(doc["n"]), doc["side"], strata, hodge, maps,
-                             pairings)
+    for i, p in enumerate(read_field(doc, "pairings", list)
+                          if "pairings" in doc else []):
+        where = f"pairings[{i}]"
+        key = (_index_set(p, "I", where), read_field(p, "degree", int, path=where))
+        pairings[key] = _matrix(p, where)
+    if not strata:
+        raise InputError("strata", "no strata")
+    return StrataComplexData(read_field(doc, "n", int), read_field(doc, "side", str),
+                             strata, hodge, maps, pairings)
 
 
 def cubical_from_doc(doc):
-    entries = {frozenset(e["I"]): int(e["dim"]) for e in doc["entries"]}
+    entries = {}
+    for i, e in enumerate(read_field(doc, "entries", list)):
+        where = f"entries[{i}]"
+        entries[_index_set(e, "I", where)] = read_field(e, "dim", int, path=where)
     maps = {}
-    for m in doc.get("maps", []):
-        maps[(frozenset(m["from"]), frozenset(m["to"]))] = \
-            [[parse_fraction(x) for x in row] for row in m["matrix"]]
-    return CubicalData(int(doc.get("label", 0)), entries, maps)
+    for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
+        where = f"maps[{i}]"
+        maps[(_index_set(m, "from", where), _index_set(m, "to", where))] = \
+            _matrix(m, where)
+    return CubicalData(read_field(doc, "label", int) if "label" in doc else 0,
+                       entries, maps)
 
 
 def page_report_doc(page, abutment=None):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lattice import interior_lattice_points, is_reflexive
+from .lattice import (interior_lattice_points, is_reflexive, read_field,
+                      read_list)
 from .linalg import mat_mul, identity, sign
 
 
@@ -212,10 +213,15 @@ def anticanonical_curve_euler(p):
 
 def strata_from_doc(doc):
     entries = {}
-    for item in doc["entries"]:
-        entries[frozenset(item["I"])] = int(item["e"])
-    zeros = frozenset(frozenset(z) for z in doc.get("zero_strata", []))
-    return StrataEuler(doc["n"], doc["components"], doc["side"], entries, zeros)
+    for i, item in enumerate(read_field(doc, "entries", list)):
+        where = f"entries[{i}]"
+        I = read_list(read_field(item, "I", list, path=where), f"{where}.I")
+        entries[frozenset(I)] = read_field(item, "e", int, path=where)
+    zeros = read_list(doc["zero_strata"], "zero_strata", read_list) \
+        if "zero_strata" in doc else ()
+    return StrataEuler(read_field(doc, "n", int), read_field(doc, "components", int),
+                       read_field(doc, "side", str), entries,
+                       frozenset(map(frozenset, zeros)))
 
 
 def strata_to_doc(d):
@@ -230,13 +236,16 @@ def strata_to_doc(d):
 
 
 def monodromy_from_doc(doc):
-    dim = doc["dim"]
+    dim = read_field(doc, "dim", int)
     pair_reps = {}
     diag_reps = {}
-    for rep in doc["reps"]:
-        mat = [[int(x) for x in row] for row in rep["matrix"]]
+    for i, rep in enumerate(read_field(doc, "reps", list)):
+        where = f"reps[{i}]"
+        rows = read_field(rep, "matrix", list, path=where)
+        mat = [list(r) for r in read_list(rows, f"{where}.matrix", read_list)]
+        j = read_field(rep, "j", int, path=where)
         if "i" in rep:
-            pair_reps[(rep["i"], rep["j"])] = mat
+            pair_reps[(read_field(rep, "i", int, path=where), j)] = mat
         else:
-            diag_reps[rep["j"]] = mat
+            diag_reps[j] = mat
     return dim, pair_reps, diag_reps

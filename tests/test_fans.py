@@ -15,9 +15,16 @@ from lgmirror.fans import (
     normal_fan,
     pl_function_checks,
     refine_with_boundary_rays,
+    star,
 )
-from lgmirror.lattice import boundary_lattice_points, convex_hull, polar_dual
-from lgmirror.linalg import dot, primitive
+from lgmirror.lattice import (
+    boundary_lattice_points,
+    convex_hull,
+    faces,
+    normalized_volume,
+    polar_dual,
+)
+from lgmirror.linalg import det, dot, primitive
 from lgmirror.partitions import (
     SemistablePartition,
     build_fibration_fans,
@@ -72,7 +79,7 @@ def test_normal_fan_equals_face_fan_of_dual_on_polygon_corpus():
 
 def test_refine_square(square):
     fan = face_fan(square)
-    ref = refine_with_boundary_rays(fan, square)
+    ref = refine_with_boundary_rays(square)
     assert len(ref.rays) == 8
     assert set(ref.rays) == set(boundary_lattice_points(square))
     assert ref.is_complete()
@@ -85,18 +92,18 @@ def test_refine_square(square):
 
 def test_refine_diamond_unchanged(diamond):
     fan = face_fan(diamond)
-    ref = refine_with_boundary_rays(fan, diamond)
+    ref = refine_with_boundary_rays(diamond)
     assert cone_sets(ref) == cone_sets(fan)
 
 
 def test_refine_rank_one_unchanged():
     seg = convex_hull([(-1,), (1,)])
     fan = face_fan(seg)
-    assert refine_with_boundary_rays(fan, seg) == fan
+    assert refine_with_boundary_rays(seg) == fan
 
 
 def test_refine_cube(cube):
-    ref = refine_with_boundary_rays(face_fan(cube), cube)
+    ref = refine_with_boundary_rays(cube)
     assert set(ref.rays) == set(boundary_lattice_points(cube))
     assert ref.is_complete()
 
@@ -105,7 +112,19 @@ def test_refine_rank_four_unsupported():
     p4 = convex_hull([tuple(s if j == i else 0 for j in range(4))
                       for i in range(4) for s in (-1, 1)])
     with pytest.raises(FanError):
-        refine_with_boundary_rays(None, p4)
+        refine_with_boundary_rays(p4)
+
+
+def test_star_replaces_the_rays_with_positive_coefficients():
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    other = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    # (1, 1, 0) = e1 + e2 lies on the common facet of both cones
+    assert star([e, other], (1, 1, 0)) == [
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+        ((1, 1, 0), (0, 1, 0), (0, 0, -1)), ((1, 0, 0), (1, 1, 0), (0, 0, -1))]
+    # (1, 1, 1) is interior to e only; a ray is a no-op
+    assert len(star([e, other], (1, 1, 1))) == 4
+    assert star([e, other], (1, 0, 0)) == [e, other]
 
 
 def test_cone_rejects_lines():
@@ -290,7 +309,7 @@ def test_constructed_fans_pass_validate(name):
     part = CONSTRUCTOR_INPUTS[name]
     host = part.host
     sigma = face_fan(host)
-    fans = [sigma, normal_fan(host), refine_with_boundary_rays(sigma, host)]
+    fans = [sigma, normal_fan(host), refine_with_boundary_rays(host)]
     if (validate_semistable(part).valid and is_central(part)
             and is_nonsingular(part)):
         fib = build_fibration_fans(part)
@@ -299,3 +318,65 @@ def test_constructed_fans_pass_validate(name):
         pytest.fail(f"{name} should reach the fibration fans")
     for fan in fans:
         fan.validate()
+
+
+# The rank-3 hosts above, and P3* (a smooth simplex): their facets are
+# lattice polygons at distance 1, so a triangulation of each facet with every
+# lattice point is unimodular and has one triangle per unit of normalized
+# area.
+RANK3_HOSTS = {name: part.host for name, part in CONSTRUCTOR_INPUTS.items()
+               if part.host.ambient_rank == 3}
+RANK3_HOSTS["p3-dual"] = polar_dual(RANK3_HOSTS["p3"])
+
+
+@pytest.mark.parametrize("name", sorted(RANK3_HOSTS))
+def test_refined_fan_is_unimodular(name):
+    host = RANK3_HOSTS[name]
+    fan = refine_with_boundary_rays(host)
+    assert all(abs(det(c.rays)) == 1 for c in fan.maximal_cones)
+    assert len(fan.maximal_cones) == sum(
+        normalized_volume(convex_hull(f.vertices())) for f in faces(host, 2))
+
+
+# The refined fan of P3 = conv((-1,-1,-1), (3,-1,-1), (-1,3,-1), (-1,-1,3)):
+# pulling each facet at its lex-first vertex and starring its other lattice
+# points in lex order.  Another order gives another (equally unimodular) fan.
+P3_REFINED = [
+    ((-1, -1, -1), (-1, -1, 0), (-1, 0, -1)), ((-1, -1, -1), (-1, -1, 0), (0, -1, -1)),
+    ((-1, -1, -1), (-1, 0, -1), (0, -1, -1)), ((-1, -1, 0), (-1, -1, 1), (-1, 0, 0)),
+    ((-1, -1, 0), (-1, -1, 1), (0, -1, 0)), ((-1, -1, 0), (-1, 0, -1), (-1, 1, -1)),
+    ((-1, -1, 0), (-1, 0, 0), (-1, 3, -1)), ((-1, -1, 0), (-1, 1, -1), (-1, 2, -1)),
+    ((-1, -1, 0), (-1, 2, -1), (-1, 3, -1)), ((-1, -1, 0), (0, -1, -1), (1, -1, -1)),
+    ((-1, -1, 0), (0, -1, 0), (3, -1, -1)), ((-1, -1, 0), (1, -1, -1), (2, -1, -1)),
+    ((-1, -1, 0), (2, -1, -1), (3, -1, -1)), ((-1, -1, 1), (-1, -1, 2), (-1, 0, 1)),
+    ((-1, -1, 1), (-1, -1, 2), (0, -1, 1)), ((-1, -1, 1), (-1, 0, 0), (-1, 1, 0)),
+    ((-1, -1, 1), (-1, 0, 1), (-1, 1, 0)), ((-1, -1, 1), (0, -1, 0), (1, -1, 0)),
+    ((-1, -1, 1), (0, -1, 1), (1, -1, 0)), ((-1, -1, 2), (-1, -1, 3), (-1, 0, 2)),
+    ((-1, -1, 2), (-1, -1, 3), (0, -1, 2)), ((-1, -1, 2), (-1, 0, 1), (-1, 3, -1)),
+    ((-1, -1, 2), (-1, 0, 2), (-1, 1, 1)), ((-1, -1, 2), (-1, 1, 1), (-1, 2, 0)),
+    ((-1, -1, 2), (-1, 2, 0), (-1, 3, -1)), ((-1, -1, 2), (0, -1, 1), (3, -1, -1)),
+    ((-1, -1, 2), (0, -1, 2), (1, -1, 1)), ((-1, -1, 2), (1, -1, 1), (2, -1, 0)),
+    ((-1, -1, 2), (2, -1, 0), (3, -1, -1)), ((-1, -1, 3), (-1, 0, 2), (0, -1, 2)),
+    ((-1, 0, -1), (-1, 1, -1), (0, 0, -1)), ((-1, 0, -1), (0, -1, -1), (1, -1, -1)),
+    ((-1, 0, -1), (0, 0, -1), (3, -1, -1)), ((-1, 0, -1), (1, -1, -1), (2, -1, -1)),
+    ((-1, 0, -1), (2, -1, -1), (3, -1, -1)), ((-1, 0, 0), (-1, 1, 0), (-1, 3, -1)),
+    ((-1, 0, 1), (-1, 1, 0), (-1, 3, -1)), ((-1, 0, 2), (-1, 1, 1), (0, 0, 1)),
+    ((-1, 0, 2), (0, -1, 2), (1, -1, 1)), ((-1, 0, 2), (0, 0, 1), (3, -1, -1)),
+    ((-1, 0, 2), (1, -1, 1), (2, -1, 0)), ((-1, 0, 2), (2, -1, 0), (3, -1, -1)),
+    ((-1, 1, -1), (-1, 2, -1), (0, 1, -1)), ((-1, 1, -1), (0, 0, -1), (1, 0, -1)),
+    ((-1, 1, -1), (0, 1, -1), (1, 0, -1)), ((-1, 1, 1), (-1, 2, 0), (0, 1, 0)),
+    ((-1, 1, 1), (0, 0, 1), (1, 0, 0)), ((-1, 1, 1), (0, 1, 0), (1, 0, 0)),
+    ((-1, 2, -1), (-1, 3, -1), (0, 2, -1)), ((-1, 2, -1), (0, 1, -1), (3, -1, -1)),
+    ((-1, 2, -1), (0, 2, -1), (1, 1, -1)), ((-1, 2, -1), (1, 1, -1), (2, 0, -1)),
+    ((-1, 2, -1), (2, 0, -1), (3, -1, -1)), ((-1, 2, 0), (-1, 3, -1), (0, 2, -1)),
+    ((-1, 2, 0), (0, 1, 0), (3, -1, -1)), ((-1, 2, 0), (0, 2, -1), (1, 1, -1)),
+    ((-1, 2, 0), (1, 1, -1), (2, 0, -1)), ((-1, 2, 0), (2, 0, -1), (3, -1, -1)),
+    ((0, -1, 0), (1, -1, 0), (3, -1, -1)), ((0, -1, 1), (1, -1, 0), (3, -1, -1)),
+    ((0, 0, -1), (1, 0, -1), (3, -1, -1)), ((0, 0, 1), (1, 0, 0), (3, -1, -1)),
+    ((0, 1, -1), (1, 0, -1), (3, -1, -1)), ((0, 1, 0), (1, 0, 0), (3, -1, -1)),
+]
+
+
+def test_p3_refinement_is_pinned():
+    fan = refine_with_boundary_rays(RANK3_HOSTS["p3"])
+    assert [c.rays for c in fan.maximal_cones] == P3_REFINED

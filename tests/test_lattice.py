@@ -1,15 +1,23 @@
+import contextlib
+import io
 import itertools
 import json
+import math
+import os
+import random
+import tempfile
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
+from conftest import corpus_doc, corpus_path
 from hypothesis import given, settings, strategies as st
 
 from lgmirror.cli import main
 from lgmirror.fans import Cone, FanError
 from lgmirror.lattice import (
+    InputError,
     LatticeError,
     apply_unimodular,
     boundary_lattice_points,
@@ -189,6 +197,38 @@ def test_volume(square, diamond, cube):
     assert normalized_volume(diamond) == 4
     assert normalized_volume(cube) == 48
     assert normalized_volume(convex_hull([(0, 0), (2, 0)])) == 2
+
+
+def _shoelace(p):
+    """Normalized area of a lattice polygon: twice its Euclidean area."""
+    cx = sum(v[0] for v in p.vertices) / len(p.vertices)
+    cy = sum(v[1] for v in p.vertices) / len(p.vertices)
+    cyc = sorted(p.vertices, key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+    return abs(sum(a[0] * b[1] - a[1] * b[0]
+                   for a, b in zip(cyc, cyc[1:] + cyc[:1])))
+
+
+def test_volume_of_products():
+    """vol(P x Q) = C(d_P + d_Q, d_P) vol(P) vol(Q) for normalized volumes."""
+    rng = random.Random(11)
+    for factors in [(1, 2)] * 6 + [(2, 1)] * 3 + [(2, 2)] * 4:
+        polys, vols = [], []
+        for d in factors:
+            if d == 1:
+                a, b = sorted(rng.sample(range(-4, 5), 2))
+                polys.append(convex_hull([(a,), (b,)]))
+                vols.append(b - a)
+            else:
+                p = convex_hull([(rng.randint(-2, 2), rng.randint(-2, 2))
+                                 for _ in range(rng.randint(3, 5))])
+                if p.dim < 2:
+                    p = convex_hull([(0, 0), (1, 0), (0, 1)])
+                polys.append(p)
+                vols.append(_shoelace(p))
+        P, Q = polys
+        prod = convex_hull([u + v for u in P.vertices for v in Q.vertices])
+        assert normalized_volume(prod) == \
+            math.comb(sum(factors), factors[0]) * vols[0] * vols[1]
 
 
 def test_intersection_is_common_face():
@@ -407,6 +447,23 @@ def test_face_lattice_is_built_once_per_polytope(monkeypatch, cube):
 
 SQUARE = {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}
 TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+P2 = {"rank": 2, "vertices": [[1, 0], [0, 1], [-1, -1]]}
+CURVE = {"n": 1, "side": "degeneration",
+         "strata": [{"I": [0], "dims": {"0": 1}}, {"I": [0, 1], "dims": {"0": 2}}]}
+
+
+def _with(doc, **fields):
+    return {**doc, **fields}
+
+
+def _restrict(matrix):
+    return {"kind": "restrict", "from": [0], "to": [0, 1], "degree": 0,
+            "matrix": matrix}
+
+
+# The command each kind of document is read by, and how many files it takes.
+ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate"],
+        "lg": ["lg", "emit"], "ss": ["ss", "weight"], "euler": ["euler", "check"]}
 
 
 @pytest.mark.parametrize("command, doc, path", [
@@ -427,13 +484,137 @@ TRIANGLE = [[0, 0], [1, 0], [0, 1]]
      "pieces[0][0][0]"),
     ("partition", {"polytope": {"rank": 2, "vertices": [[1.5, 0]]},
                    "pieces": [TRIANGLE]}, "polytope.vertices[0][0]"),
+    ("polytope", _with(SQUARE, name=7), "name"),
+    ("lg", {"polytope": P2, "parts": [[0, 1, 2.0]]}, "parts[0][2]"),
+    ("lg", {"polytope": P2, "parts": 5}, "parts"),
+    ("lg", {"polytope": P2, "parts": [[0, 1], 2]}, "parts[1]"),
+    ("lg", {"polytope": 5, "parts": [[0, 1, 2]]}, "polytope"),
+    ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"0": 1.5}}]),
+     "strata[0].dims.0"),
+    ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"x": 1}}]),
+     "strata[0].dims.x"),
+    ("ss", _with(CURVE, strata=[{"I": [0.0], "dims": {"0": 1}}]),
+     "strata[0].I[0]"),
+    ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"0": 1},
+                                 "hodge": {"0": {"0": True}}}]),
+     "strata[0].hodge.0.0"),
+    ("ss", _with(CURVE, maps=[_restrict([[1.5], ["1"]])]), "maps[0].matrix[0][0]"),
+    ("ss", _with(CURVE, maps=[_restrict([["1"], [True]])]), "maps[0].matrix[1][0]"),
+    ("ss", _with(CURVE, maps=[_restrict([["1/0"], ["1"]])]), "maps[0].matrix[0][0]"),
+    ("ss", _with(CURVE, maps=[_restrict([["0.5"], ["1"]])]), "maps[0].matrix[0][0]"),
+    ("ss", _with(CURVE, maps=[_with(_restrict([["1"], ["1"]]), degree="0")]),
+     "maps[0].degree"),
+    ("ss", _with(CURVE, n=1.0), "n"),
+    ("ss", _with(CURVE, strata=[]), "strata"),
+    ("ss", _with(CURVE, strata=[{"I": [], "dims": {"0": 1}}]), "strata[0].I"),
+    ("ss", _with(CURVE, maps=[_with(_restrict([["1"], ["1"]]), kind="bogus")]),
+     "maps[0].kind"),
+    ("euler", {"n": 1, "components": 2, "side": "degeneration",
+               "entries": [{"I": [0], "e": 2.5}]}, "entries[0].e"),
+    ("euler", {"n": True, "components": 2, "side": "degeneration",
+               "entries": []}, "n"),
+    ("euler", {"n": 1, "components": 2, "side": "degeneration",
+               "entries": [], "zero_strata": [[0, "1"]]}, "zero_strata[0][1]"),
 ])
 def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
                                                  doc, path):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
-    action = "points" if command == "polytope" else "validate"
-    assert main([command, action, str(f)]) == 3
+    files = [str(f)] * (2 if command == "euler" else 1)
+    assert main(ARGV[command] + files) == 3
     err = capsys.readouterr().err
     assert f"cannot read input: {path}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])
+def test_internal_error_is_not_reported_as_bad_input(monkeypatch, error):
+    import lgmirror.partitions as partitions
+
+    def broken(part):
+        raise error("a bug, not bad input")
+    monkeypatch.setattr(partitions, "validate_semistable", broken)
+    with pytest.raises(error):
+        main(["partition", "validate", corpus_path("square-vsplit")])
+
+
+# Fuzzed corpus documents: each kind, the corpus documents of that kind, the
+# command that reads them (None: no command does, so the loader is called),
+# and the top-level keys its loader reads (other keys are ignored).
+FUZZ_KINDS = {
+    "polytope": (("big-square", "cube", "diamond", "square", "tsigma"),
+                 ARGV["polytope"], {"rank", "vertices", "name"}),
+    "partition": (("square-diag", "square-vsplit", "tsigma-3piece"),
+                  ARGV["partition"], {"polytope", "pieces"}),
+    "nef": (("diamond-nef", "square-nef-anticanonical"), ARGV["lg"],
+            {"polytope", "parts"}),
+    "strata": (("elliptic-deg", "elliptic-hyb", "elliptic-hyb-corrupt"),
+               ARGV["euler"], {"n", "components", "side", "entries"}),
+    "spectral": (("delta-sign-instance", "elliptic-deg-complex",
+                  "elliptic-hyb-complex"), ARGV["ss"],
+                 {"n", "side", "strata", "maps", "pairings"}),
+    "cubical": (("elliptic-cubical-a", "elliptic-cubical-b"), None,
+                {"label", "entries", "maps"}),
+    "monodromy": (("monodromy-bad", "monodromy-ok"), None, {"dim", "reps"}),
+}
+# Keys whose absence is valid; keys of graded dimensions ("0", "2") are data.
+OPTIONAL = {"name", "hodge", "maps", "pairings", "zero_strata", "label", "i"}
+
+
+def _positions(doc, keys):
+    """(JSON path, container, key) of every value under the given keys."""
+    out = []
+
+    def walk(container, key, path):
+        out.append((path, container, key))
+        value = container[key]
+        items = value.items() if isinstance(value, dict) else enumerate(
+            value if isinstance(value, list) else ())
+        for k, _ in items:
+            walk(value, k, f"{path}.{k}" if isinstance(k, str) else f"{path}[{k}]")
+    for k in doc:
+        if k in keys:
+            walk(doc, k, k)
+    return out
+
+
+def _wrong_values(old):
+    """Values of another JSON type than old.  An int in place of a string
+    can be a matrix entry, and a string in place of an object a corpus
+    reference, so those two swaps are left out."""
+    return [v for v in (None, 1.5, True, "x", [], {}, 7)
+            if type(v) is not type(old)
+            and not (type(old) is str and type(v) is int)
+            and not (type(old) is dict and type(v) is str)]
+
+
+@given(st.data())
+@settings(max_examples=250)
+def test_fuzzed_documents_exit_3_with_their_path(data):
+    from lgmirror import spectral, strata
+    kind = data.draw(st.sampled_from(sorted(FUZZ_KINDS)))
+    names, argv, keys = FUZZ_KINDS[kind]
+    doc = corpus_doc(data.draw(st.sampled_from(names)))
+    path, container, key = data.draw(st.sampled_from(_positions(doc, keys)))
+    deletable = (isinstance(key, str) and key not in OPTIONAL
+                 and not key.isdigit())
+    if deletable and data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(st.sampled_from(_wrong_values(container[key])))
+    if argv is None:
+        loader = {"cubical": spectral.cubical_from_doc,
+                  "monodromy": strata.monodromy_from_doc}[kind]
+        with pytest.raises(InputError) as exc:
+            loader(doc)
+        assert exc.value.path.startswith(path)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "doc.json")
+        with open(f, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [f] * (2 if kind == "strata" else 1))
+    assert code == 3, (path, err.getvalue())
+    assert err.getvalue().startswith(f"cannot read input: {path}"), err.getvalue()

@@ -1,5 +1,7 @@
 import pytest
+from conftest import corpus_path
 
+from lgmirror.cli import main
 from lgmirror.lattice import convex_hull, lattice_points
 from lgmirror.lg import (
     LGError,
@@ -171,3 +173,11 @@ def test_pi_gamma_structural_error(tsigma_part):
     fans = build_fibration_fans(tsigma_part, fr)
     with pytest.raises(LGError):
         pi_gamma_monomials(fans.sigma_prime, fr)
+
+
+@pytest.mark.parametrize("split", ["3", "1:", "a:1", "1:1:1"])
+def test_malformed_split_is_a_usage_error(capsys, split):
+    assert main(["lg", "emit", corpus_path("diamond-nef"), "--split", split]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: --split must be K:R with integers K and R, "
+                   f"got {split!r}\n")

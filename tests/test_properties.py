@@ -20,8 +20,9 @@ from lgmirror.lattice import (
     lattice_points,
     polar_dual,
     reflexive_polygons,
+    triangulation,
 )
-from lgmirror.linalg import solve
+from lgmirror.linalg import det, solve, vec_sub
 from lgmirror.spectral import (
     build_G_flag_E1,
     build_delta_E1,
@@ -63,10 +64,9 @@ def random_point_set(rng, dim, count, box=4):
 
 def in_hull_oracle(p, x):
     """Membership via barycentric coordinates over a vertex triangulation."""
-    from lgmirror.lattice import _triangulate
     if not p.is_full_dimensional():
         return p.contains(x)
-    for simplex in _triangulate(p):
+    for simplex in triangulation(p.all_faces()[-1]):
         base = simplex[0]
         cols = [[v[i] - base[i] for v in simplex[1:]]
                 for i in range(p.ambient_rank)]
@@ -119,6 +119,27 @@ def test_vh_consistency_small_sample():
         for _ in range(5):
             x = tuple(rng.randint(-5, 5) for _ in range(dim))
             assert h.contains(x) == in_hull_oracle(h, x)
+
+
+def _simplex_dets(p):
+    return [det([vec_sub(v, s[0]) for v in s[1:]])
+            for s in triangulation(p.all_faces()[-1])]
+
+
+def test_triangulation_simplices_small_sample():
+    """Pulling simplices are full-dimensional, and their total volume is
+    invariant under a unimodular map plus a translation."""
+    rng = random.Random(505)
+    for _ in range(60):
+        dim = rng.choice([2, 3, 4])
+        h = convex_hull(random_point_set(rng, dim, rng.randint(dim + 1, 7)))
+        if not h.is_full_dimensional():
+            continue
+        dets = _simplex_dets(h)
+        assert all(dets)
+        shift = [rng.randint(-3, 3) for _ in range(dim)]
+        g = apply_unimodular(h, random_unimodular(rng, dim), shift)
+        assert sum(abs(d) for d in _simplex_dets(g)) == sum(abs(d) for d in dets)
 
 
 def test_euler_face_relation_small_sample():
