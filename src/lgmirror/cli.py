@@ -225,11 +225,13 @@ def cmd_lg(args):
             + [f"potential:  {h}" for h in d["potentials"]]))
         return
     if args.action == "compactify":
+        groups = lattice.read_list(
+            doc.get("split_last_points", []), "split_last_points",
+            lambda grp, where: lattice.read_points(grp, where,
+                                                   nef.host.ambient_rank))
         nd = lg_mod.NablaData.from_nef(nef)
-        split_points = doc.get("split_last_points")
-        if split_points and r == 1 and len(split_points) > 1:
+        if r == 1 and len(groups) > 1:
             model = lg_mod.givental_hybrid(nef, k, 1)
-            groups = [[tuple(q) for q in grp] for grp in split_points]
             eqs = lg_mod.non_nef_split_fiber(model, groups, nd, lam)
             banner = ("mirror status open: the split of the last part is not "
                       "certified nef")

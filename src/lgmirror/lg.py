@@ -15,8 +15,8 @@ from .lattice import (
     convex_hull,
     lattice_points,
 )
-from .linalg import dot, primitive, solve
-from .nef import NefPartition, nabla_hull, nabla_pieces
+from .linalg import dot, primitive, solve, vec_gcd
+from .nef import nabla_hull, nabla_pieces
 
 
 class LGError(ValueError):
@@ -115,7 +115,6 @@ class HomogeneousEquation:
 class HybridLGModel:
     """k torus constraints and r potentials built from a nef partition."""
 
-    nef: NefPartition
     k: int
     r: int
     constraints: tuple  # SymbolicLaurent per constraint part
@@ -131,7 +130,7 @@ def givental_hybrid(nef, k, r):
         raise LGError("at least one potential part is required")
     pieces = [nef.delta_piece(i) for i in range(nef.n_parts)]
     laurents = [SymbolicLaurent.from_points(lattice_points(p)) for p in pieces]
-    return HybridLGModel(nef, k, r, tuple(laurents[:k]), tuple(laurents[k:]),
+    return HybridLGModel(k, r, tuple(laurents[:k]), tuple(laurents[k:]),
                          tuple(pieces))
 
 
@@ -141,15 +140,13 @@ class NablaData:
     the refined fan over their hull (its boundary lattice points)."""
 
     pieces: tuple
-    hull: object
     rays: tuple
 
     @staticmethod
     def from_nef(nef):
         pieces = nabla_pieces(nef)
-        hull = nabla_hull(nef)
-        rays = tuple(sorted(boundary_lattice_points(hull)))
-        return NablaData(tuple(pieces), hull, rays)
+        rays = tuple(sorted(boundary_lattice_points(nabla_hull(pieces))))
+        return NablaData(tuple(pieces), rays)
 
 
 def _sigma_min(sigma, piece):
@@ -184,6 +181,15 @@ def _lambda_term(name, nabla_piece, rays):
     return HomogeneousTerm(name, 1, tuple(exps), None)
 
 
+def _potential_equation(name, nabla_piece, laurent, piece, rays):
+    """lambda times the nonzero dual-piece coordinates minus the compactified
+    nonzero terms of the potential."""
+    head = _lambda_term(name, nabla_piece, rays)
+    tail = [HomogeneousTerm(t.coef, -1, t.exps, t.rho)
+            for t in _compactified_terms(laurent, piece, rays, skip_origin=True)]
+    return HomogeneousEquation((head,) + tuple(tail), rays)
+
+
 def compactify_fiber(model, nabla_data, lam=None):
     """Homogeneous equations of a compactified fiber.
 
@@ -202,12 +208,9 @@ def compactify_fiber(model, nabla_data, lam=None):
                                     rays)
         eqs.append(HomogeneousEquation(tuple(terms), rays))
     for j in range(model.r):
-        piece = model.delta_pieces[model.k + j]
-        head = _lambda_term(lam[j], nabla_data.pieces[model.k + j], rays)
-        tail = [HomogeneousTerm(t.coef, -1, t.exps, t.rho)
-                for t in _compactified_terms(model.potentials[j], piece, rays,
-                                             skip_origin=True)]
-        eqs.append(HomogeneousEquation((head,) + tuple(tail), rays))
+        eqs.append(_potential_equation(
+            lam[j], nabla_data.pieces[model.k + j], model.potentials[j],
+            model.delta_pieces[model.k + j], rays))
     return eqs
 
 
@@ -227,14 +230,10 @@ def non_nef_split_fiber(model, split, nabla_data, lam=None):
     lam = lam or [f"lambda_{j+1}" for j in range(len(split))]
     if len(lam) != len(split):
         raise LGError("one lambda symbol per split group is required")
-    rays = nabla_data.rays
-    eqs = []
-    for j, group in enumerate(split):
-        head = _lambda_term(lam[j], nabla_data.pieces[model.k], rays)
-        tail = [HomogeneousTerm(t.coef, -1, t.exps, t.rho) for t in
-                _compactified_terms(SymbolicLaurent.from_points(group), last, rays)]
-        eqs.append(HomogeneousEquation((head,) + tuple(tail), rays))
-    return eqs
+    return [_potential_equation(lam[j], nabla_data.pieces[model.k],
+                                SymbolicLaurent.from_points(group), last,
+                                nabla_data.rays)
+            for j, group in enumerate(split)]
 
 
 def check_exponent_identity(eq, piece):
@@ -269,7 +268,6 @@ class PiGammaMap:
     """Monomial components of the fibration map, one per distinguished ray."""
 
     components: tuple  # tuple of dicts sigma -> positive exponent
-    v_vectors: tuple
 
     def monomials_text(self):
         out = []
@@ -288,36 +286,16 @@ def pi_gamma_monomials(sigma_prime, frame):
     """Exponent of z_sigma in component i is c when sigma projects to c times
     the i-th distinguished quotient ray; rays projecting to zero are absent.
     A projection inside no ray is a structural error."""
-    if frame.l == 0:
-        return PiGammaMap((), ())
     comps = [dict() for _ in frame.v_quotient]
     for s in sigma_prime.rays:
         q = frame.project(s)
         if not any(q):
             continue
-        qp = primitive(q)
-        hit = None
-        for i, vq in enumerate(frame.v_quotient):
-            if qp == vq:
-                hit = i
-                break
-        if hit is None:
+        if primitive(q) not in frame.v_quotient:
             raise LGError(f"ray {s} projects to {q}, outside every "
                           "distinguished ray")
-        c = _ray_multiple(q, frame.v_quotient[hit])
-        comps[hit][s] = c
-    return PiGammaMap(tuple(comps), frame.v_vectors)
-
-
-def _ray_multiple(q, vq):
-    for a, b in zip(q, vq):
-        if b != 0:
-            c, rem = divmod(a, b)
-            if rem != 0 or c < 1:
-                raise LGError(f"projection {q} is not a positive integer "
-                              f"multiple of {vq}")
-            return c
-    raise LGError("zero distinguished ray")
+        comps[frame.v_quotient.index(primitive(q))][s] = vec_gcd(q)
+    return PiGammaMap(tuple(comps))
 
 
 def equations_to_doc(eqs):

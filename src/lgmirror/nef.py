@@ -13,6 +13,7 @@ from .lattice import (
     host_from_doc,
     is_reflexive,
     minkowski_sum,
+    polar_dual,
     polytope_from_inequalities,
     read_field,
     read_list,
@@ -119,29 +120,22 @@ def nabla(i, nef):
         raise NefError(f"nabla piece {i} is not a lattice polytope: {exc}")
 
 
-def nabla_pieces(nef, verify=True):
+def nabla_pieces(nef):
     """All dual pieces; checks the Minkowski decomposition of the polar dual."""
-    from .lattice import polar_dual
     pieces = [nabla(i, nef) for i in range(nef.n_parts)]
-    if verify:
-        total = pieces[0]
-        for p in pieces[1:]:
-            total = minkowski_sum(total, p)
-        if total != polar_dual(nef.host):
-            raise NefError("Minkowski sum of the dual pieces is not the polar dual")
+    total = pieces[0]
+    for p in pieces[1:]:
+        total = minkowski_sum(total, p)
+    if total != polar_dual(nef.host):
+        raise NefError("Minkowski sum of the dual pieces is not the polar dual")
     return pieces
 
 
-def nabla_hull(nef):
-    """Convex hull of the union of the dual pieces; contained in the polar dual."""
-    from .lattice import polar_dual
-    pieces = nabla_pieces(nef, verify=False)
-    pts = [v for p in pieces for v in p.vertices]
-    hull = convex_hull(pts, lattice=pieces[0].lattice)
-    dual = polar_dual(nef.host)
-    if not all(dual.contains(v) for v in hull.vertices):
-        raise NefError("nabla hull escapes the polar dual")
-    return hull
+def nabla_hull(pieces):
+    """Convex hull of the union of the dual pieces.  Each piece holds 0, so
+    the hull lies in their Minkowski sum, the polar dual."""
+    return convex_hull([v for p in pieces for v in p.vertices],
+                       lattice=pieces[0].lattice)
 
 
 def nef_from_doc(doc, resolve_polytope=None):

@@ -34,14 +34,7 @@ from .lattice import (
     saturated_direction_basis,
     vertex_is_smooth,
 )
-from .linalg import (
-    dot,
-    integer_kernel,
-    integral_multiple,
-    primitive,
-    rank as mat_rank,
-    solve,
-)
+from .linalg import dot, integral_multiple, primitive, solve
 
 
 class PartitionError(ValueError):
@@ -243,7 +236,6 @@ class GammaPLFunction:
     strictly across them, so F = min over pieces is concave and linear exactly
     on the pieces."""
 
-    partition: SemistablePartition
     functionals: tuple  # integer coefficient tuple per piece, in piece order
     bound: int
 
@@ -320,7 +312,7 @@ def build_F_Gamma(part, bound=10):
     if not search(0):
         raise PartitionError(
             f"F_Gamma search exhausted the coefficient box [-{bound}, {bound}]^{n}")
-    return GammaPLFunction(part, tuple(assignment), bound)
+    return GammaPLFunction(tuple(assignment), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +392,6 @@ def lifting_projection_check(part, lifted):
 
 @dataclass
 class CentralFrame:
-    partition: SemistablePartition
     l: int
     L_basis: tuple          # rows spanning the common-face direction lattice
     quotient: tuple         # rows of the projection M -> M / (M cap L)
@@ -415,6 +406,12 @@ class CentralFrame:
 def central_frame(part):
     """Span of the common face and the primitive vectors transverse to it.
 
+    Every piece holds the origin, so every set of pieces meets and K_Gamma is
+    the whole simplex on the r + 1 pieces: l = r.  The common face L holds
+    the origin too, so its affine-hull equations are the Hermite basis of
+    the saturated lattice orthogonal to L; that basis maps M onto
+    Z^(n - dim L) with kernel M n L, so it is the quotient M / (M n L).
+
     The pieces project along the common face to a complete simplicial fan
     with l + 1 rays; the i-th distinguished vector is the unique ray absent
     from the projection of piece i, lifted primitively into the orthogonal
@@ -428,9 +425,7 @@ def central_frame(part):
     if not is_nonsingular(part):
         raise PartitionError("central_frame needs a non-singular partition")
     host = part.host
-    n = host.ambient_rank
-    kgamma = dual_complex(part)
-    l = kgamma.dimension
+    l = len(part.pieces) - 1
 
     common = common_intersection(part)
     if common is None:
@@ -448,16 +443,10 @@ def central_frame(part):
 
     if l == 0:
         sigma_v = Fan(0, ())
-        return CentralFrame(part, 0, tuple(tuple(r) for r in L_rows), (), (), (),
+        return CentralFrame(0, tuple(tuple(r) for r in L_rows), (), (), (),
                             sigma_v)
 
-    # A basis of the saturated lattice ker(L) maps M onto Z^(n - dim L) with
-    # kernel M n L, so it reads off M / (M n L); any basis will do, since
-    # two differ by a unimodular change of coordinates.
-    if L_rows:
-        q_rows = [tuple(q) for q in integer_kernel(L_rows)]
-    else:
-        q_rows = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    q_rows = [q for q, _ in common.equations]
 
     cones = []
     for piece in part.pieces:
@@ -482,12 +471,8 @@ def central_frame(part):
     if not sigma_v.is_complete():
         raise PartitionError("projected piece fan is not complete")
 
-    v_quot = []
-    for c in cones:
-        absent = [r for r in all_rays if r not in c.rays]
-        if len(absent) != 1:
-            raise PartitionError("piece projection does not omit a unique ray")
-        v_quot.append(absent[0])
+    # each cone has l of the l + 1 rays, so it omits exactly one
+    v_quot = [next(r for r in all_rays if r not in c.rays) for c in cones]
     if len(set(v_quot)) != len(v_quot):
         raise PartitionError("omitted rays are not pairwise distinct")
 
@@ -500,7 +485,7 @@ def central_frame(part):
             raise PartitionError("no orthogonal representative for a ray")
         v_amb.append(primitive(integral_multiple([x])[0]))
 
-    return CentralFrame(part, l, tuple(tuple(r) for r in L_rows),
+    return CentralFrame(l, tuple(tuple(r) for r in L_rows),
                         tuple(q_rows), tuple(v_quot), tuple(v_amb), sigma_v)
 
 
@@ -522,7 +507,7 @@ class FibrationFans:
         }
 
 
-def build_fibration_fans(part, frame=None):
+def build_fibration_fans(part, frame):
     """The face fan, its boundary refinement, the wall subfan, and the
     projected fan of a central partition of a reflexive host (rank <= 3)."""
     host = part.host
@@ -530,8 +515,6 @@ def build_fibration_fans(part, frame=None):
         raise PartitionError("fibration fans are implemented for rank <= 3 only")
     if not is_reflexive(host):
         raise PartitionError("fibration fans need a reflexive host")
-    if frame is None:
-        frame = central_frame(part)
     sigma_delta = face_fan(host)
     refined = refine_with_boundary_rays(host)
 
@@ -546,9 +529,8 @@ def build_fibration_fans(part, frame=None):
             added.append(v)
     sigma_prime = Fan.from_cones(cones.values(), host.ambient_rank)
 
-    rows = [list(b) for b in frame.L_basis]
-    in_L = {r for r in sigma_prime.rays
-            if rows and mat_rank(rows + [list(r)]) == len(rows)}
+    # the quotient rows cut out M n L, so a ray lies in L when it projects to 0
+    in_L = {r for r in sigma_prime.rays if not any(frame.project(r))}
     allowed = in_L | set(frame.v_vectors)
 
     gamma = {s for c in sigma_prime.maximal_cones for s in c.face_ray_sets()

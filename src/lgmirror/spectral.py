@@ -730,6 +730,13 @@ def _matrix(doc, path):
     return out
 
 
+def _check_shape(m, rows, cols, path):
+    """A matrix between two nonzero declared dimensions is rows x cols."""
+    if rows and cols and (len(m) != rows or any(len(row) != cols for row in m)):
+        raise InputError(f"{path}.matrix",
+                         f"expected a {rows}x{cols} matrix by the declared dims")
+
+
 def complex_from_doc(doc):
     strata, hodge = {}, {}
     for i, s in enumerate(read_field(doc, "strata", list)):
@@ -748,15 +755,26 @@ def complex_from_doc(doc):
         if key[0] not in DEGREE_SHIFT:
             raise InputError(f"{where}.kind", f"unknown map kind {key[0]!r}")
         maps[key] = _matrix(m, where)
-    pairings = {}
+        kind, frm, to, degree = key
+        _check_shape(maps[key],
+                     strata.get(to, {}).get(degree + DEGREE_SHIFT[kind], 0),
+                     strata.get(frm, {}).get(degree, 0), where)
+    pairings, unchecked = {}, []
     for i, p in enumerate(read_field(doc, "pairings", list)
                           if "pairings" in doc else []):
         where = f"pairings[{i}]"
         key = (_index_set(p, "I", where), read_field(p, "degree", int, path=where))
         pairings[key] = _matrix(p, where)
+        unchecked.append((where, key, pairings[key]))
     if not strata:
         raise InputError("strata", "no strata")
-    return StrataComplexData(read_field(doc, "n", int), read_field(doc, "side", str),
+    n = read_field(doc, "n", int)
+    for where, (I, degree), m in unchecked:
+        # pairs degree with the complementary degree of the stratum
+        dims = strata.get(I, {})
+        _check_shape(m, dims.get(degree, 0),
+                     dims.get(2 * (n - len(I) + 1) - degree, 0), where)
+    return StrataComplexData(n, read_field(doc, "side", str),
                              strata, hodge, maps, pairings)
 
 
@@ -774,9 +792,9 @@ def cubical_from_doc(doc):
                        entries, maps)
 
 
-def page_report_doc(page, abutment=None):
+def page_report_doc(page):
     e2 = page.e2()
-    doc = {
+    return {
         "name": page.name,
         "grading": page.grading_note,
         "e1": [{"p": p, "q": q, "dim": page.term_dim(p, q)}
@@ -787,8 +805,3 @@ def page_report_doc(page, abutment=None):
                       sorted(page.row_euler_consistency().items())],
         "d2_report": page.d2_vanishing_report(),
     }
-    if abutment is not None:
-        doc["abutment_mismatches"] = {
-            str(k): {"page": got, "declared": want}
-            for k, (got, want) in page.check_abutment(abutment).items()}
-    return doc

@@ -24,10 +24,13 @@ from lgmirror.lattice import (
     normalized_volume,
     polar_dual,
 )
-from lgmirror.linalg import det, dot, primitive
+from lgmirror.lg import LGError, pi_gamma_monomials
+from lgmirror.linalg import det, dot, identity, integer_kernel, primitive, rank
 from lgmirror.partitions import (
     SemistablePartition,
     build_fibration_fans,
+    central_frame,
+    dual_complex,
     is_central,
     is_nonsingular,
     partition_from_doc,
@@ -312,12 +315,74 @@ def test_constructed_fans_pass_validate(name):
     fans = [sigma, normal_fan(host), refine_with_boundary_rays(host)]
     if (validate_semistable(part).valid and is_central(part)
             and is_nonsingular(part)):
-        fib = build_fibration_fans(part)
+        fib = build_fibration_fans(part, central_frame(part))
         fans += [fib.sigma_prime, fib.sigma_gamma, fib.sigma_v]
     elif name != "square-diag":
         pytest.fail(f"{name} should reach the fibration fans")
     for fan in fans:
         fan.validate()
+
+
+def _reference_pi_gamma(sigma_prime, frame):
+    """pi_Gamma exponents by division along the first nonzero coordinate of
+    the distinguished ray; None when some ray projects outside every one."""
+    comps = [dict() for _ in frame.v_quotient]
+    for s in sigma_prime.rays:
+        q = frame.project(s)
+        if not any(q):
+            continue
+        hits = [i for i, vq in enumerate(frame.v_quotient) if primitive(q) == vq]
+        if not hits:
+            return None
+        vq = frame.v_quotient[hits[0]]
+        j = next(j for j, b in enumerate(vq) if b)
+        c, rem = divmod(q[j], vq[j])
+        assert rem == 0 and c >= 1
+        comps[hits[0]][s] = c
+    return tuple(comps)
+
+
+# square-diag is the one input above that does not reach the fibration fans.
+@pytest.mark.parametrize("name", sorted(set(CONSTRUCTOR_INPUTS) - {"square-diag"}))
+def test_fibration_data_agrees_with_reference_derivations(name):
+    """The frame reads l off the number of pieces and the quotient off the
+    common face's equations; the fans read membership in L, and pi_Gamma its
+    exponents, off the projection.  Each agrees with the derivation it
+    replaced: the dimension of K_Gamma, the integer kernel of the L basis,
+    a rank test, and division along the distinguished ray."""
+    part = CONSTRUCTOR_INPUTS[name]
+    frame = central_frame(part)
+    n = part.host.ambient_rank
+    assert frame.l == dual_complex(part).dimension
+    L = [list(b) for b in frame.L_basis]
+    assert frame.quotient == tuple(
+        tuple(q) for q in (integer_kernel(L) if L else identity(n)))
+    if frame.l:  # each projected piece omits exactly its own ray
+        cones = [set(Cone.from_rays([primitive(frame.project(v))
+                                     for v in piece.vertices
+                                     if any(frame.project(v))], frame.l).rays)
+                 for piece in part.pieces]
+        for rays, vq in zip(cones, frame.v_quotient):
+            assert set().union(*cones) - rays == {vq}
+
+    fib = build_fibration_fans(part, frame)
+    in_L = {r for r in fib.sigma_prime.rays
+            if L and rank(L + [list(r)]) == len(L)}
+    allowed = in_L | set(frame.v_vectors)
+    walls = {s for c in fib.sigma_prime.maximal_cones
+             for s in c.face_ray_sets() if s and s <= allowed}
+    assert {frozenset(c.rays) for c in fib.sigma_gamma.maximal_cones} == {
+        s for s in walls if not any(s < t for t in walls)}
+    reference = _reference_pi_gamma(fib.sigma_prime, frame)
+    if reference is None:
+        with pytest.raises(LGError):
+            pi_gamma_monomials(fib.sigma_prime, frame)
+        return
+    pg = pi_gamma_monomials(fib.sigma_prime, frame)
+    assert pg.components == reference
+    for vq, comp in zip(frame.v_quotient, pg.components):
+        for s, c in comp.items():
+            assert frame.project(s) == tuple(c * x for x in vq)
 
 
 # The rank-3 hosts above, and P3* (a smooth simplex): their facets are

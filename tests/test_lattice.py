@@ -463,7 +463,8 @@ def _restrict(matrix):
 
 # The command each kind of document is read by, and how many files it takes.
 ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate"],
-        "lg": ["lg", "emit"], "ss": ["ss", "weight"], "euler": ["euler", "check"]}
+        "lg": ["lg", "emit"], "compactify": ["lg", "compactify"],
+        "ss": ["ss", "weight"], "euler": ["euler", "check"]}
 
 
 @pytest.mark.parametrize("command, doc, path", [
@@ -515,6 +516,14 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
                "entries": []}, "n"),
     ("euler", {"n": 1, "components": 2, "side": "degeneration",
                "entries": [], "zero_strata": [[0, "1"]]}, "zero_strata[0][1]"),
+    ("compactify", {"polytope": P2, "parts": [[0, 1, 2]],
+                    "split_last_points": 5}, "split_last_points"),
+    ("compactify", {"polytope": P2, "parts": [[0, 1, 2]],
+                    "split_last_points": [[[1, 0]], [[0, 1, 0]]]},
+     "split_last_points[1][0]"),
+    ("ss", _with(CURVE, maps=[_restrict([["1", "1"]])]), "maps[0].matrix"),
+    ("ss", _with(CURVE, pairings=[{"I": [0, 1], "degree": 0, "matrix": [["1"]]}]),
+     "pairings[0].matrix"),
 ])
 def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
                                                  doc, path):

@@ -28,6 +28,17 @@ def diamond_model(diamond):
     return givental_hybrid(nef, 1, 1), NablaData.from_nef(nef)
 
 
+def test_nabla_pieces_are_built_once(monkeypatch, diamond):
+    import lgmirror.nef as nef_mod
+    nef = validate_nef(diamond, [(3, 2, 1), (0,)])
+    calls = []
+    build = nef_mod.nabla
+    monkeypatch.setattr(nef_mod, "nabla",
+                        lambda i, nef: calls.append(i) or build(i, nef))
+    NablaData.from_nef(nef)
+    assert calls == [0, 1]
+
+
 def test_givental_monomial_supports(diamond_model):
     model, _ = diamond_model
     assert [m[1] for m in model.constraints[0].monomials] == \
@@ -152,7 +163,7 @@ def test_pi_gamma_multiplicity_micro_example():
     # distinguished ray (1, 0)
     from lgmirror.partitions import CentralFrame
     from lgmirror.fans import Cone, Fan
-    frame = CentralFrame(partition=None, l=1, L_basis=((0, 1),),
+    frame = CentralFrame(l=1, L_basis=((0, 1),),
                          quotient=((1, 0),), v_quotient=((1,), (-1,)),
                          v_vectors=((1, 0), (-1, 0)),
                          sigma_v=Fan.from_cones([Cone.from_rays([(1,)]),

@@ -61,7 +61,7 @@ def test_nabla_pieces_diamond(diamond):
 
 def test_nabla_hull_diamond(diamond):
     nef = validate_nef(diamond, [(3, 2, 1), (0,)])
-    hull = nabla_hull(nef)
+    hull = nabla_hull(nabla_pieces(nef))
     assert hull == convex_hull([(-1, 1), (-1, -1), (0, 1), (0, -1), (1, 0)])
     dual = polar_dual(diamond)
     assert all(dual.contains(v) for v in hull.vertices)
@@ -77,7 +77,7 @@ def test_nef_on_polygon_corpus_single_part():
     from lgmirror.lattice import reflexive_polygons
     for p in reflexive_polygons():
         nef = validate_nef(p, [tuple(range(len(p.vertices)))])
-        hull = nabla_hull(nef)
+        hull = nabla_hull(nabla_pieces(nef))
         dual = polar_dual(p)
         assert all(dual.contains(v) for v in hull.vertices)
 

@@ -155,7 +155,7 @@ def test_lifting_projection_reflected_three_pieces(tsigma_part):
     # partition faces while the literal one need not.
     F = build_F_Gamma(tsigma_part)
     reflected = GammaPLFunction(
-        tsigma_part, tuple(tuple(-c for c in m) for m in F.functionals),
+        tuple(tuple(-c for c in m) for m in F.functionals),
         F.bound)
     lifted = lifting_polyhedron(tsigma_part, reflected)
     assert lifting_projection_check(tsigma_part, lifted)["ok"]
@@ -256,7 +256,7 @@ def test_fibration_fans_vertical_split(vsplit):
 
 def test_fibration_fans_trivial(square):
     part = SemistablePartition(square, (square,))
-    fans = build_fibration_fans(part)
+    fans = build_fibration_fans(part, central_frame(part))
     assert len(fans.sigma_prime.rays) == 8
     assert fans.sigma_v.maximal_cones == ()
 
@@ -277,7 +277,7 @@ def test_diamond_axis_split_is_not_semistable(diamond):
 
 def test_fibration_fans_trivial_diamond(diamond):
     part = SemistablePartition(diamond, (diamond,))
-    fans = build_fibration_fans(part)
+    fans = build_fibration_fans(part, central_frame(part))
     assert fans.sigma_prime.is_complete()
     assert set(fans.sigma_prime.rays) == set(fans.sigma_delta.rays)
     assert fans.sigma_v.maximal_cones == ()

@@ -194,6 +194,22 @@ def test_poincare_duality_self_dual_vector_passes():
     assert check_poincare_duality(data)["ok"]
 
 
+@pytest.mark.parametrize("action", ["pd", "delta"])
+def test_map_of_the_wrong_shape_exits_3(capsys, tmp_path, action):
+    # rho_dual [0] -> [0, 1] at degree 1 maps 2 dimensions to 2
+    import json
+    from conftest import corpus_doc
+    from lgmirror.cli import main
+    doc = corpus_doc("elliptic-hyb-complex")
+    doc["maps"][2]["matrix"] = [[1, 2, 3]]
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["ss", action, str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read input: maps[2].matrix: ")
+    assert "Traceback" not in err
+
+
 def test_mirror_pw_elliptic(elliptic_deg_complex, elliptic_hyb_complex):
     rep = check_mirror_pw(elliptic_deg_complex, elliptic_hyb_complex,
                           "smoothing")
