@@ -2,8 +2,9 @@
 
 Everything in this package runs over Z or Q; there is no floating point,
 and rank, det, solve, nullspace and integer_kernel raise TypeError on an
-entry that is neither int nor Fraction.  Matrices are plain lists of lists
-(rows) of ints or Fractions, vectors are tuples.
+entry that is neither int nor Fraction (mat_mul on such a nonzero entry).
+Matrices are plain lists of lists (rows) of ints or Fractions, vectors are
+tuples.
 
 Two eliminations remain, each with one job:
 
@@ -21,8 +22,28 @@ Neither replaces the other.  Bareiss keeps no unimodular transform, so it
 cannot say which integer vectors lie in a span.  Every intermediate entry of
 Bareiss is a minor of the input, bounded by Hadamard's inequality; the
 Hermite reduction has no such bound, and on dense random int matrices of
-size 30 to 40 it takes about five times as long.  (On the sparse
-differentials of the spectral pages, up to 128 x 128, both are fast.)
+size 30 to 40 it takes about five times as long.
+
+The differentials of the spectral pages are sparse (about 12% nonzero on the
+7-component Koszul delta page), so the hot paths work on the nonzeros.
+mat_mul and integral_multiple collect the nonzeros of each row once and read
+only those.  _bareiss scales rows lazily.  Step k of the elimination, with
+pivot p_k, replaces each row below the pivot row by
+
+    (p_k * row - row[c] * pivot row) / p_(k-1),
+
+which for a row with row[c] = 0 is just row * p_k / p_(k-1).  Such a row is
+left alone, and _bareiss records the number s of steps it has been through.
+Over the skipped steps s+1, ..., k the factors telescope to p_k / p_s, so
+when the row is next needed (it becomes the pivot row, or has a nonzero
+entry in the pivot column) one multiply-and-divide by p_k / p_s brings it up
+to date.  The division is exact: by Sylvester's identity the up-to-date
+entries are minors of the input, hence integers, and they equal the stale
+entries times p_k / p_s.  Scaling by a nonzero factor keeps zeros, so the
+pivot search may read a stale row; the entry that multiplies the pivot row
+must be read after the catch-up.  Pivots, the determinant and the pivot rows
+(all that solve reads) are those of the dense loop, and the rows below the
+rank are zero in both.
 """
 
 from __future__ import annotations
@@ -62,11 +83,27 @@ def vec_sub(u, v):
 
 
 def mat_mul(A, B):
+    """The product A B.  The nonzeros of each row B[k] are collected once,
+    and a B[k] is added only for a nonzero entry a of A, so past one scan of
+    A the work is the number of nonzero products; an entry of the product
+    that no such product reaches is the int 0.  A nonzero entry that is
+    neither int nor Fraction raises TypeError."""
     if not A or not B:
         return []
-    n = len(B)
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in B]
+    _exact([[x for _, x in nz] for nz in nonzeros], "mat_mul")
     cols = len(B[0])
-    return [[sum(row[k] * B[k][j] for k in range(n)) for j in range(cols)] for row in A]
+    out = []
+    for row in A:
+        acc = [0] * cols
+        for a, nz in zip(row, nonzeros):
+            if a:
+                if not isinstance(a, (int, Fraction)):
+                    raise TypeError(f"mat_mul: entry {a!r} is neither int nor Fraction")
+                for j, x in nz:
+                    acc[j] += a * x
+        out.append(acc)
+    return out
 
 
 def identity(n):
@@ -81,12 +118,25 @@ def transpose(A):
 
 def integral_multiple(A):
     """A times the lcm of its entries' denominators: an int matrix with the
-    same zero pattern, kernel and image, and much cheaper to multiply."""
+    same zero pattern, kernel and image, and much cheaper to multiply.  An
+    int matrix is copied; otherwise only the nonzero entries are read twice,
+    and a zero entry becomes the int 0."""
+    if all(type(x) is int for row in A for x in row):
+        return [list(row) for row in A]
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in A]
     den = 1
-    for row in A:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return [[int(x * den) for x in row] for row in A]
+    for nz in nonzeros:
+        for _, x in nz:
+            if type(x) is not int and x.denominator != 1:
+                den = den * x.denominator // gcd(den, x.denominator)
+    out = []
+    for row, nz in zip(A, nonzeros):
+        scaled = [0] * len(row)
+        for j, x in nz:
+            scaled[j] = (x * den if type(x) is int
+                         else x.numerator * (den // x.denominator))
+        out.append(scaled)
+    return out
 
 
 def _exact(A, who):
@@ -98,14 +148,33 @@ def _exact(A, who):
                 raise TypeError(f"{who}: entry {x!r} is neither int nor Fraction")
 
 
+def _int_rows(A, who):
+    """A fresh copy of A with each row scaled to ints by the lcm of its own
+    denominators (an int row is copied as it is); TypeError on an entry that
+    is neither int nor Fraction."""
+    out = []
+    for row in A:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+        else:
+            _exact([row], who)
+            out.append(integral_multiple([row])[0])
+    return out
+
+
 def _bareiss(M):
     """Fraction-free Gaussian elimination (Bareiss 1968) of an int matrix to
     row echelon form, in place.  Returns (pivot columns, d): for a square
     matrix of full rank d is its determinant, since every pivot divides the
-    next exactly."""
+    next exactly.
+
+    A row whose entry in the pivot column is 0 is left alone; stage[i] is
+    the number of steps row i has been through, and the row is brought up
+    to date when next needed (see the module docstring)."""
     rows, cols = len(M), len(M[0])
     pivots = []
-    prev = 1
+    steps = [1]          # steps[t]: the pivot of the t-th step; steps[0] = 1
+    stage = [0] * rows
     sgn = 1
     for c in range(cols):
         r = len(pivots)
@@ -114,16 +183,29 @@ def _bareiss(M):
             continue
         if piv != r:
             M[r], M[piv] = M[piv], M[r]
+            stage[r], stage[piv] = stage[piv], stage[r]
             sgn = -sgn
-        for i in range(r + 1, rows):
+        prev = steps[r]
+        for i in range(r, rows):
+            row = M[i]
+            if row[c] == 0:
+                continue
+            if stage[i] != r:    # catch up: times p_r / p_s, exactly
+                s = steps[stage[i]]
+                row[c:] = [x * prev // s for x in row[c:]]
+            stage[i] = r + 1
+            if i == r:
+                p, top = row[c], row
+                continue
+            f = row[c]          # read after the catch-up
             for j in range(c + 1, cols):
-                M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[c] = 0
+        steps.append(p)
         pivots.append(c)
         if r + 1 == rows:
             break
-    return pivots, sgn * prev
+    return pivots, sgn * steps[-1]
 
 
 def rank(A):
@@ -131,9 +213,8 @@ def rank(A):
     raises TypeError."""
     if not A or not A[0]:
         return 0
-    _exact(A, "rank")
-    # Clear denominators row by row so the elimination stays in Z.
-    return len(_bareiss([integral_multiple([row])[0] for row in A])[0])
+    # A row with denominators is scaled to ints so the elimination stays in Z.
+    return len(_bareiss(_int_rows(A, "rank"))[0])
 
 
 def det(A):
@@ -156,9 +237,7 @@ def solve(A, b):
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    _exact(A, "solve")
-    _exact([b], "solve")
-    M = [integral_multiple([list(A[i]) + [b[i]]])[0] for i in range(rows)]
+    M = _int_rows([list(A[i]) + [b[i]] for i in range(rows)], "solve")
     x = [Fraction(0)] * cols
     if not rows:
         return tuple(x)

@@ -140,9 +140,12 @@ class BigradedPage:
     """First page of a spectral sequence with differentials along rows.
 
     terms[(p, q)] is an ordered list of (block key, dim); diff[(p, q)] maps
-    E1^{p,q} -> E1^{p+1,q}.  The second page is computed as kernel modulo
-    image, on the first call to e2, and kept; degeneration there is assumed,
-    so e2 carries the final graded dimensions.
+    E1^{p,q} -> E1^{p+1,q}, a Fraction matrix.  Each differential is scaled
+    to an int matrix once, on first use (`int_diff`), and both the d1 o d1
+    check and the ranks read that image: a nonzero scalar changes neither
+    whether a composite vanishes nor a rank.  The second page is computed as
+    kernel modulo image, on the first call to e2, and kept; degeneration
+    there is assumed, so e2 carries the final graded dimensions.
     """
 
     name: str
@@ -150,6 +153,7 @@ class BigradedPage:
     diff: dict
     grading_note: str = ""
     _e2: dict = field(default=None, init=False, repr=False, compare=False)
+    _ints: dict = field(default=None, init=False, repr=False, compare=False)
 
     def term_dim(self, p, q):
         return sum(d for _, d in self.terms.get((p, q), []))
@@ -157,12 +161,15 @@ class BigradedPage:
     def positions(self):
         return sorted(self.terms)
 
-    def check_d1_squared(self):
-        """Raise with the smallest witnessing position when d1 o d1 != 0.
+    def int_diff(self):
+        """{(p, q): the differential times the lcm of its denominators}."""
+        if self._ints is None:
+            self._ints = {pq: integral_multiple(m) for pq, m in self.diff.items()}
+        return self._ints
 
-        Each differential is scaled to an int matrix first: a nonzero scalar
-        does not change whether a composite vanishes."""
-        ints = {pq: integral_multiple(m) for pq, m in self.diff.items()}
+    def check_d1_squared(self):
+        """Raise with the smallest witnessing position when d1 o d1 != 0."""
+        ints = self.int_diff()
         for (p, q) in self.positions():
             a = ints.get((p, q))
             b = ints.get((p + 1, q))
@@ -179,7 +186,7 @@ class BigradedPage:
         return dict(self._e2)
 
     def _compute_e2(self):
-        ranks = {pq: rank(m) for pq, m in self.diff.items()}
+        ranks = {pq: rank(m) for pq, m in self.int_diff().items()}
         out = {}
         for (p, q) in self.positions():
             dim = self.term_dim(p, q)
@@ -365,14 +372,17 @@ def assemble(spec, data):
                     (key, tgt, s, data.matrix(kind, I, J, deg)))
     diff = {}
     for (p, q), entries in pieces.items():
-        M = [[Fraction(0)] * sum(d for _, d in terms[(p, q)])
+        width = sum(d for _, d in terms[(p, q)])
+        M = [[Fraction(0)] * width
              for _ in range(sum(d for _, d in terms[(p + 1, q)]))]
         for src_key, tgt_key, s, mat in entries:
             so = offsets[(p, q, src_key)]
             to = offsets[(p + 1, q, tgt_key)]
             for i, row in enumerate(mat):
+                target = M[to + i]
                 for j, x in enumerate(row):
-                    M[to + i][so + j] += s * Fraction(x)
+                    if x:
+                        target[so + j] += s * Fraction(x)
         diff[(p, q)] = M
     page = BigradedPage(spec.name, terms, diff, spec.grading_note)
     page.check_d1_squared()
@@ -693,15 +703,24 @@ def check_cubical_mirror(b_side, a_side):
 _FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
+def _count(x, path):
+    """A dimension or a component index: an int >= 0."""
+    if read_int(x, path) < 0:
+        raise InputError(path, f"expected an int >= 0, got {x!r}")
+    return x
+
+
 def _index_set(doc, key, path):
     I = read_field(doc, key, list, path=path)
-    if not all(type(i) is int for i in I):  # the path is built only on error
-        read_list(I, f"{path}.{key}")  # raises, naming the first bad index
+    # the path is built only on error
+    if not all(type(i) is int and i >= 0 for i in I):
+        read_list(I, f"{path}.{key}", _count)  # raises, naming the first bad index
     return frozenset(I)
 
 
-def _graded(d, path, read_value=read_int):
-    """{int: value} of a JSON object keyed by decimal ints."""
+def _graded(d, path, read_value=_count):
+    """{int: value} of a JSON object keyed by decimal ints; by default the
+    values are dimensions."""
     if type(d) is not dict:
         raise InputError(path, f"expected an object keyed by ints, got {d!r}")
     out = {}
@@ -768,7 +787,7 @@ def complex_from_doc(doc):
         unchecked.append((where, key, pairings[key]))
     if not strata:
         raise InputError("strata", "no strata")
-    n = read_field(doc, "n", int)
+    n = _count(read_field(doc, "n", int), "n")
     for where, (I, degree), m in unchecked:
         # pairs degree with the complementary degree of the stratum
         dims = strata.get(I, {})

@@ -524,6 +524,17 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
     ("ss", _with(CURVE, maps=[_restrict([["1", "1"]])]), "maps[0].matrix"),
     ("ss", _with(CURVE, pairings=[{"I": [0, 1], "degree": 0, "matrix": [["1"]]}]),
      "pairings[0].matrix"),
+    ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"0": -1}}]), "strata[0].dims.0"),
+    ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"0": 1}},
+                                {"I": [0, 1], "dims": {"0": -1}}],
+                 maps=[_restrict([["1"]])]), "strata[1].dims.0"),
+    ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"0": 1},
+                                 "hodge": {"0": {"0": 2, "1": -1}}}]),
+     "strata[0].hodge.0.1"),
+    ("ss", _with(CURVE, strata=[{"I": [0, -2], "dims": {"0": 1}}]), "strata[0].I[1]"),
+    ("ss", _with(CURVE, maps=[_with(_restrict([["1"], ["1"]]), to=[0, -1])]),
+     "maps[0].to[1]"),
+    ("ss", _with(CURVE, n=-3), "n"),
 ])
 def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
                                                  doc, path):

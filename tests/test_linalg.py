@@ -7,8 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from lgmirror.lattice import cone_generators
-from lgmirror.linalg import (det, integer_kernel, integral_multiple, nullspace,
-                             rank, sign, solve)
+from lgmirror.linalg import (_bareiss, det, integer_kernel, integral_multiple,
+                             mat_mul, nullspace, rank, sign, solve)
 
 
 def test_sign_is_an_int_for_negative_exponents():
@@ -21,6 +21,13 @@ def test_sign_is_an_int_for_negative_exponents():
 def test_rank_rejects_a_float_entry():
     with pytest.raises(TypeError):
         rank([[F(1), F(0)], [F(0), 1.0]])
+
+
+def test_mat_mul_rejects_a_float_entry():
+    with pytest.raises(TypeError):
+        mat_mul([[1, 0.5]], [[1], [2]])
+    with pytest.raises(TypeError):
+        mat_mul([[F(1), 0]], [[2.0], [1]])
 
 
 def test_integral_multiple_scales_by_the_lcm_of_denominators():
@@ -161,3 +168,113 @@ def test_integer_kernel_is_the_saturated_kernel(A):
 def test_integer_kernel_rejects_a_float_entry():
     with pytest.raises(TypeError):
         integer_kernel([[1, 0.5]])
+
+
+# Sparse oracles: mostly-zero matrices up to 12 x 12, with empty rows and
+# columns, reach the rows that elimination leaves alone for several steps.
+
+def dense_mat_mul(A, B):
+    """The textbook product, every entry a sum over all k."""
+    if not A or not B:
+        return []
+    return [[sum(row[k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+            for row in A]
+
+
+def dense_bareiss(M):
+    """Bareiss elimination that updates every row below the pivot at every
+    step; (pivot columns, last pivot times the sign of the row swaps)."""
+    rows, cols = len(M), len(M[0])
+    pivots, prev, sgn = [], 1, 1
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sgn = -sgn
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
+            M[i][c] = 0
+        prev = M[r][c]
+        pivots.append(c)
+        if r + 1 == rows:
+            break
+    return pivots, sgn * prev
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None, entries=st.integers(-3, 3),
+                    min_rows=0):
+    """A rows x cols matrix (each 0-12 unless given) with at most a third of
+    its entries drawn nonzero; zeros keep the type of the entries."""
+    rows = draw(st.integers(min_rows, 12)) if rows is None else rows
+    cols = draw(st.integers(0, 12)) if cols is None else cols
+    zero = draw(entries) * 0
+    M = [[zero] * cols for _ in range(rows)]
+    if rows and cols:
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        for i, j in draw(st.lists(cells, max_size=rows * cols // 3 + 1)):
+            M[i][j] = draw(entries)
+    return M
+
+
+def _products(entries):
+    return st.tuples(st.integers(0, 12), st.integers(0, 12),
+                     st.integers(0, 12)).flatmap(lambda s: st.tuples(
+                         sparse_matrices(s[0], s[1], entries),
+                         sparse_matrices(s[1], s[2], entries)))
+
+
+@given(_products(st.integers(-3, 3)))
+@settings(max_examples=100)
+def test_sparse_mat_mul_agrees_with_the_dense_product(AB):
+    A, B = AB
+    assert mat_mul(A, B) == dense_mat_mul(A, B)
+
+
+@given(_products(st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)))
+@settings(max_examples=100)
+def test_sparse_mat_mul_of_fractions_agrees_with_the_dense_product(AB):
+    A, B = AB
+    assert mat_mul(A, B) == dense_mat_mul(A, B)
+
+
+@given(sparse_matrices(min_rows=1))
+@settings(max_examples=200)
+def test_lazy_bareiss_agrees_with_the_dense_elimination(A):
+    lazy, dense = [list(row) for row in A], [list(row) for row in A]
+    assert _bareiss(lazy) == dense_bareiss(dense)
+    assert lazy == dense    # the echelon form that solve reads
+
+
+@given(sparse_matrices(entries=st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)))
+@settings(max_examples=100)
+def test_sparse_rank_agrees_with_sympy(A):
+    expected = _sym(A).rank() if A and A[0] else 0
+    assert rank(A) == expected
+
+
+@given(st.integers(0, 12).flatmap(lambda n: sparse_matrices(n, n)))
+@settings(max_examples=100)
+def test_sparse_det_agrees_with_sympy(A):
+    assert det(A) == (sympy.Matrix(A).det() if A else 1)
+
+
+@given(sparse_matrices(entries=st.one_of(st.integers(-3, 3), SMALL_FRACTIONS),
+                       min_rows=1).filter(lambda A: A[0]),
+       st.data())
+@settings(max_examples=100)
+def test_sparse_solve_agrees_with_sympy(A, data):
+    b = data.draw(st.lists(st.sampled_from([0, 0, 1, -2]), min_size=len(A),
+                           max_size=len(A)))
+    x = solve(A, b)
+    solutions = sympy.linsolve((_sym(A), _sym([b]).T))
+    assert (x is None) == (solutions == sympy.EmptySet)
+    if x is not None:
+        assert [sum(a * c for a, c in zip(row, x)) for row in A] == b

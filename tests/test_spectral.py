@@ -333,6 +333,44 @@ def test_page_report_ranks_each_differential_once(monkeypatch):
     assert len(calls) <= len(page.diff)
 
 
+def test_each_differential_is_scaled_to_ints_once(monkeypatch):
+    # the d1 o d1 check and the ranks share one int image per differential
+    import lgmirror.linalg as linalg
+    import lgmirror.spectral as spectral
+    from conftest import corpus_doc
+    data = complex_from_doc(corpus_doc("delta-sign-instance"))
+    real = linalg.integral_multiple
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "integral_multiple", counted)
+    monkeypatch.setattr(spectral, "integral_multiple", counted)
+    page = build_delta_E1(data)
+    spectral.page_report_doc(page)
+    assert page.diff
+    assert len(calls) <= len(page.diff)
+
+
+# E2 of the 8-component Koszul delta pages, as the dense engine computed it.
+# With <a, b> = 0 and a != 0 the Koszul complex is exact, so the default
+# instance has an empty E2; with b = 0 only the wedge by a is left.
+KOSZUL_8_E2 = {}
+KOSZUL_8_WEDGE_E2 = {(-7, 7): 1, (-6, 7): 7, (-5, 7): 21, (-4, 7): 35,
+                     (-3, 7): 35, (-2, 7): 21, (-1, 7): 7, (0, 7): 1}
+
+
+@pytest.mark.parametrize("b, table", [(None, KOSZUL_8_E2),
+                                      ([0] * 8, KOSZUL_8_WEDGE_E2)])
+def test_eight_component_koszul_delta_page(b, table):
+    from tests_data_helpers import koszul_instance
+    assert build_delta_E1(koszul_instance(8, b=b)).e2() == table
+    doubled = build_delta_E1(koszul_instance(8, b=b, scale=2)).e2()
+    assert doubled == {pq: 2 * v for pq, v in table.items()}
+
+
 def test_delta_page_entries_stay_fractions():
     # the dual twist carries sign (-1)^l with l < 0 on the left half
     from conftest import corpus_doc
