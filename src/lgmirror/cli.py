@@ -370,64 +370,64 @@ def cmd_corpus(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser():
+_FORMAT = ("--format", dict(choices=["text", "json"], default="text"))
+
+# name: (help, handler, [(argument, add_argument keywords)]).  main builds
+# only the subcommand that argv names: argparse makes a parser and a help
+# formatter for each subcommand, and building all six took most of the
+# time of a short op.
+COMMANDS = {
+    "polytope": ("lattice polytope queries", cmd_polytope, [
+        ("action", dict(choices=["dual", "reflexive", "points", "faces", "smooth"])),
+        ("file", {}), _FORMAT]),
+    "partition": ("semi-stable partition pipeline", cmd_partition, [
+        ("action", dict(choices=["validate", "dual-complex", "lift", "frame", "fans"])),
+        ("file", {}),
+        ("--bound", dict(type=int, default=10,
+                         help="coefficient box bound for the F_Gamma search")),
+        _FORMAT]),
+    "lg": ("Givental-style LG model generators", cmd_lg, [
+        ("action", dict(choices=["emit", "compactify"])), ("file", {}),
+        ("--split", dict(default=None, metavar="K:R",
+                         help="constraint:potential split (default: all but "
+                              "one part as constraints)")),
+        ("--lambda", dict(dest="lambda_names", default=None,
+                          help="comma-separated fiber parameter names")),
+        _FORMAT]),
+    "euler": ("strata Euler characteristic checks", cmd_euler, [
+        ("action", dict(choices=["check"])), ("deg", {}), ("hyb", {}), _FORMAT]),
+    "ss": ("spectral-sequence pages and mirror checks", cmd_ss, [
+        ("action", dict(choices=["weight", "monodromy", "gflag", "delta", "pw", "pd"])),
+        ("files", dict(nargs="+")),
+        ("--mode", dict(choices=["smoothing", "central_fiber"], default="smoothing")),
+        _FORMAT]),
+    "corpus": ("bundled example documents", cmd_corpus, [("name", dict(nargs="?"))]),
+}
+
+
+def build_parser(command=None):
+    """The lgmirror parser.  Given the name of a command, it holds only that
+    subcommand; its metavar keeps the usage line of the full parser, which
+    an "unrecognized arguments" error prints."""
     ap = argparse.ArgumentParser(
         prog="lgmirror",
         description="Exact toolkit for semi-stable partitions of reflexive "
                     "polytopes, hybrid LG models and mirror checks")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("polytope", help="lattice polytope queries")
-    p.add_argument("action", choices=["dual", "reflexive", "points", "faces",
-                                      "smooth"])
-    p.add_argument("file")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_polytope)
-
-    p = sub.add_parser("partition", help="semi-stable partition pipeline")
-    p.add_argument("action", choices=["validate", "dual-complex", "lift",
-                                      "frame", "fans"])
-    p.add_argument("file")
-    p.add_argument("--bound", type=int, default=10,
-                   help="coefficient box bound for the F_Gamma search")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("lg", help="Givental-style LG model generators")
-    p.add_argument("action", choices=["emit", "compactify"])
-    p.add_argument("file")
-    p.add_argument("--split", default=None, metavar="K:R",
-                   help="constraint:potential split (default: all but one "
-                        "part as constraints)")
-    p.add_argument("--lambda", dest="lambda_names", default=None,
-                   help="comma-separated fiber parameter names")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_lg)
-
-    p = sub.add_parser("euler", help="strata Euler characteristic checks")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("deg")
-    p.add_argument("hyb")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("ss", help="spectral-sequence pages and mirror checks")
-    p.add_argument("action", choices=["weight", "monodromy", "gflag", "delta",
-                                      "pw", "pd"])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--mode", choices=["smoothing", "central_fiber"],
-                   default="smoothing")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_ss)
-
-    p = sub.add_parser("corpus", help="bundled example documents")
-    p.add_argument("name", nargs="?")
-    p.set_defaults(func=cmd_corpus)
+    sub = ap.add_subparsers(dest="command", required=True, **(
+        {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}))
+    for name in [command] if command else COMMANDS:
+        help_text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         args.func(args)
     except CliValidationFailure as exc:

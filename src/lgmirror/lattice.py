@@ -81,6 +81,31 @@ def read_list(items, path, read_item=read_int):
     return tuple(read_item(x, f"{path}[{i}]") for i, x in enumerate(items))
 
 
+def read_count(x, path):
+    """A dimension or a component index: an int >= 0."""
+    if read_int(x, path) < 0:
+        raise InputError(path, f"expected an int >= 0, got {x!r}")
+    return x
+
+
+def read_index_set(I, path, components=None):
+    """A JSON list of component indices, ints >= 0, as a frozenset.  Given
+    the number of components, the list must also be nonempty, without
+    repeats and below that number."""
+    if not all(type(i) is int and i >= 0 for i in I):
+        read_list(I, path, read_count)  # raises, naming the first bad index
+    if components is not None:
+        if not I:
+            raise InputError(path, "empty index set")
+        for j, i in enumerate(I):
+            if i >= components:
+                raise InputError(f"{path}[{j}]", f"expected an index below "
+                                 f"{components} components, got {i}")
+            if i in I[:j]:
+                raise InputError(f"{path}[{j}]", f"repeats index {i}")
+    return frozenset(I)
+
+
 def read_points(items, path, rank):
     """A JSON list of lattice points, each a list of `rank` ints."""
     def point(x, where):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .lattice import InputError, read_field, read_int, read_list
+from .lattice import InputError, read_count, read_field, read_index_set
 from .linalg import integral_multiple, mat_mul, rank, sign, transpose
 
 
@@ -703,22 +703,11 @@ def check_cubical_mirror(b_side, a_side):
 _FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def _count(x, path):
-    """A dimension or a component index: an int >= 0."""
-    if read_int(x, path) < 0:
-        raise InputError(path, f"expected an int >= 0, got {x!r}")
-    return x
-
-
 def _index_set(doc, key, path):
-    I = read_field(doc, key, list, path=path)
-    # the path is built only on error
-    if not all(type(i) is int and i >= 0 for i in I):
-        read_list(I, f"{path}.{key}", _count)  # raises, naming the first bad index
-    return frozenset(I)
+    return read_index_set(read_field(doc, key, list, path=path), f"{path}.{key}")
 
 
-def _graded(d, path, read_value=_count):
+def _graded(d, path, read_value=read_count):
     """{int: value} of a JSON object keyed by decimal ints; by default the
     values are dimensions."""
     if type(d) is not dict:
@@ -787,7 +776,7 @@ def complex_from_doc(doc):
         unchecked.append((where, key, pairings[key]))
     if not strata:
         raise InputError("strata", "no strata")
-    n = _count(read_field(doc, "n", int), "n")
+    n = read_count(read_field(doc, "n", int), "n")
     for where, (I, degree), m in unchecked:
         # pairs degree with the complementary degree of the stratum
         dims = strata.get(I, {})

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lattice import (interior_lattice_points, is_reflexive, read_field,
-                      read_list)
+from .lattice import (InputError, interior_lattice_points, is_reflexive,
+                      read_count, read_field, read_index_set, read_list)
 from .linalg import mat_mul, identity, sign
 
 
@@ -212,16 +212,26 @@ def anticanonical_curve_euler(p):
 # ---------------------------------------------------------------------------
 
 def strata_from_doc(doc):
-    entries = {}
+    entries = []
     for i, item in enumerate(read_field(doc, "entries", list)):
         where = f"entries[{i}]"
-        I = read_list(read_field(item, "I", list, path=where), f"{where}.I")
-        entries[frozenset(I)] = read_field(item, "e", int, path=where)
+        I = read_field(item, "I", list, path=where)
+        read_list(I, f"{where}.I")
+        entries.append((I, f"{where}.I", read_field(item, "e", int, path=where)))
     zeros = read_list(doc["zero_strata"], "zero_strata", read_list) \
         if "zero_strata" in doc else ()
-    return StrataEuler(read_field(doc, "n", int), read_field(doc, "components", int),
-                       read_field(doc, "side", str), entries,
-                       frozenset(map(frozenset, zeros)))
+    n, components = read_field(doc, "n", int), read_field(doc, "components", int)
+    side = read_field(doc, "side", str)
+    # values are checked once every field has its type, so a document of
+    # another kind keeps its first error
+    read_count(n, "n")
+    if components < 1:
+        raise InputError("components", f"expected an int >= 1, got {components}")
+    return StrataEuler(
+        n, components, side,
+        {read_index_set(I, where, components): e for I, where, e in entries},
+        frozenset(read_index_set(list(Z), f"zero_strata[{j}]", components)
+                  for j, Z in enumerate(zeros)))
 
 
 def strata_to_doc(d):

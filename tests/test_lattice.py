@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 from math import gcd
@@ -448,6 +449,7 @@ def test_face_lattice_is_built_once_per_polytope(monkeypatch, cube):
 SQUARE = {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}
 TRIANGLE = [[0, 0], [1, 0], [0, 1]]
 P2 = {"rank": 2, "vertices": [[1, 0], [0, 1], [-1, -1]]}
+ELLIPTIC = corpus_doc("elliptic-deg")
 CURVE = {"n": 1, "side": "degeneration",
          "strata": [{"I": [0], "dims": {"0": 1}}, {"I": [0, 1], "dims": {"0": 2}}]}
 
@@ -535,6 +537,18 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
     ("ss", _with(CURVE, maps=[_with(_restrict([["1"], ["1"]]), to=[0, -1])]),
      "maps[0].to[1]"),
     ("ss", _with(CURVE, n=-3), "n"),
+    ("euler", _with(ELLIPTIC, entries=[{"I": [-1], "e": 2}]), "entries[0].I[0]"),
+    ("euler", _with(ELLIPTIC, components=-2), "components"),
+    ("euler", _with(ELLIPTIC, components=0), "components"),
+    ("euler", _with(ELLIPTIC, n=-1), "n"),
+    ("euler", _with(ELLIPTIC, entries=[{"I": [], "e": 2}]), "entries[0].I"),
+    ("euler", _with(ELLIPTIC, entries=[{"I": [0, 0], "e": 2}]), "entries[0].I[1]"),
+    ("euler", _with(ELLIPTIC, entries=[{"I": [0, 2], "e": 2}]), "entries[0].I[1]"),
+    ("euler", _with(ELLIPTIC, entries=[{"I": [0.0], "e": 2}]), "entries[0].I[0]"),
+    ("euler", _with(ELLIPTIC, zero_strata=[[1, 1]]), "zero_strata[0][1]"),
+    ("euler", _with(ELLIPTIC, zero_strata=[[-1]]), "zero_strata[0][0]"),
+    ("euler", _with(ELLIPTIC, zero_strata=[[2]]), "zero_strata[0][0]"),
+    ("euler", _with(ELLIPTIC, zero_strata=[[]]), "zero_strata[0]"),
 ])
 def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
                                                  doc, path):
@@ -608,6 +622,22 @@ def _wrong_values(old):
             and not (type(old) is dict and type(v) is str)]
 
 
+def _out_of_range(doc, path, container, key):
+    """Ints of the right type but out of range at the count and index
+    positions of a strata document: a negative n, fewer than one component,
+    and an index set that is empty, negative, repeats an earlier index or
+    reaches the number of components."""
+    if path == "n":
+        return [-1]
+    if path == "components":
+        return [0, -2]
+    if re.fullmatch(r"entries\[\d+\]\.I", path):
+        return [[]]
+    if re.fullmatch(r"entries\[\d+\]\.I\[\d+\]", path):
+        return [-1, doc["components"]] + ([container[0]] if key else [])
+    return []
+
+
 @given(st.data())
 @settings(max_examples=250)
 def test_fuzzed_documents_exit_3_with_their_path(data):
@@ -621,7 +651,10 @@ def test_fuzzed_documents_exit_3_with_their_path(data):
     if deletable and data.draw(st.booleans()):
         del container[key]
     else:
-        container[key] = data.draw(st.sampled_from(_wrong_values(container[key])))
+        bad = _out_of_range(doc, path, container, key) if kind == "strata" else []
+        if not (bad and data.draw(st.booleans())):
+            bad = _wrong_values(container[key])
+        container[key] = data.draw(st.sampled_from(bad))
     if argv is None:
         loader = {"cubical": spectral.cubical_from_doc,
                   "monodromy": strata.monodromy_from_doc}[kind]
