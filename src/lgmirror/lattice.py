@@ -106,6 +106,14 @@ def read_index_set(I, path, components=None):
     return frozenset(I)
 
 
+def read_side(doc):
+    """doc["side"] of a strata or spectral document."""
+    side = read_field(doc, "side", str)
+    if side not in ("degeneration", "hybrid"):
+        raise InputError("side", f"expected 'degeneration' or 'hybrid', got {side!r}")
+    return side
+
+
 def read_points(items, path, rank):
     """A JSON list of lattice points, each a list of `rank` ints."""
     def point(x, where):

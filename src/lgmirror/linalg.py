@@ -25,9 +25,9 @@ Hermite reduction has no such bound, and on dense random int matrices of
 size 30 to 40 it takes about five times as long.
 
 The differentials of the spectral pages are sparse (about 12% nonzero on the
-7-component Koszul delta page), so the hot paths work on the nonzeros.
-mat_mul and integral_multiple collect the nonzeros of each row once and read
-only those.  _bareiss scales rows lazily.  Step k of the elimination, with
+7-component Koszul delta page) and arrive as int matrices, so the hot paths
+work on the nonzeros.  mat_mul collects the nonzeros of each row once and
+reads only those.  _bareiss scales rows lazily.  Step k of the elimination, with
 pivot p_k, replaces each row below the pivot row by
 
     (p_k * row - row[c] * pivot row) / p_(k-1),
@@ -49,12 +49,12 @@ rank are zero in both.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def sign(k):
     """(-1)^k as an int for every integer k.  The power operator gives a
-    float for negative k (-1.0 at k = -3), and a float sign turns the Fraction
+    float for negative k (-1.0 at k = -3), and a float sign turns the
     matrices it scales into floats."""
     return -1 if k % 2 else 1
 
@@ -118,25 +118,9 @@ def transpose(A):
 
 def integral_multiple(A):
     """A times the lcm of its entries' denominators: an int matrix with the
-    same zero pattern, kernel and image, and much cheaper to multiply.  An
-    int matrix is copied; otherwise only the nonzero entries are read twice,
-    and a zero entry becomes the int 0."""
-    if all(type(x) is int for row in A for x in row):
-        return [list(row) for row in A]
-    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in A]
-    den = 1
-    for nz in nonzeros:
-        for _, x in nz:
-            if type(x) is not int and x.denominator != 1:
-                den = den * x.denominator // gcd(den, x.denominator)
-    out = []
-    for row, nz in zip(A, nonzeros):
-        scaled = [0] * len(row)
-        for j, x in nz:
-            scaled[j] = (x * den if type(x) is int
-                         else x.numerator * (den // x.denominator))
-        out.append(scaled)
-    return out
+    same zero pattern, kernel and image."""
+    den = lcm(*(x.denominator for row in A for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in A]
 
 
 def _exact(A, who):

@@ -14,9 +14,9 @@ which structure maps, with which sign twist, make up d1.  Each is a `PageSpec`
 (WEIGHT, MONODROMY, GFLAG, DELTA): a placement rule (I, degree, components)
 -> (p, q, block key) and a tuple of `MapRule`s (map kind, toward larger or
 smaller index sets, target block key, twist by p).  One driver, `assemble`,
-places the blocks, adds a map exactly when its target block exists, sums the
-signed maps into Fraction matrices and checks d1 o d1 = 0; the `build_*_E1`
-functions are single calls into it.
+places the blocks, adds a map exactly when its target block exists, writes
+the signed maps into one int matrix per differential and checks d1 o d1 = 0;
+the `build_*_E1` functions are single calls into it.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple
 
-from .lattice import InputError, read_count, read_field, read_index_set
-from .linalg import integral_multiple, mat_mul, rank, sign, transpose
+from .lattice import InputError, read_count, read_field, read_index_set, read_side
+from .linalg import identity, mat_mul, rank, sign, transpose
 
 
 class SpectralError(ValueError):
@@ -140,12 +141,11 @@ class BigradedPage:
     """First page of a spectral sequence with differentials along rows.
 
     terms[(p, q)] is an ordered list of (block key, dim); diff[(p, q)] maps
-    E1^{p,q} -> E1^{p+1,q}, a Fraction matrix.  Each differential is scaled
-    to an int matrix once, on first use (`int_diff`), and both the d1 o d1
-    check and the ranks read that image: a nonzero scalar changes neither
-    whether a composite vanishes nor a rank.  The second page is computed as
-    kernel modulo image, on the first call to e2, and kept; degeneration
-    there is assumed, so e2 carries the final graded dimensions.
+    E1^{p,q} -> E1^{p+1,q}, an int matrix: the differential times one
+    nonzero scalar, which changes neither whether a composite vanishes nor a
+    rank.  The second page is computed as kernel modulo image, on the first
+    call to e2, and kept; degeneration there is assumed, so e2 carries the
+    final graded dimensions.
     """
 
     name: str
@@ -153,7 +153,6 @@ class BigradedPage:
     diff: dict
     grading_note: str = ""
     _e2: dict = field(default=None, init=False, repr=False, compare=False)
-    _ints: dict = field(default=None, init=False, repr=False, compare=False)
 
     def term_dim(self, p, q):
         return sum(d for _, d in self.terms.get((p, q), []))
@@ -161,19 +160,12 @@ class BigradedPage:
     def positions(self):
         return sorted(self.terms)
 
-    def int_diff(self):
-        """{(p, q): the differential times the lcm of its denominators}."""
-        if self._ints is None:
-            self._ints = {pq: integral_multiple(m) for pq, m in self.diff.items()}
-        return self._ints
-
     def check_d1_squared(self):
         """Raise with the smallest witnessing position when d1 o d1 != 0."""
-        ints = self.int_diff()
         for (p, q) in self.positions():
-            a = ints.get((p, q))
-            b = ints.get((p + 1, q))
-            if a is None or b is None or not a or not b or not a[0]:
+            a = self.diff.get((p, q))
+            b = self.diff.get((p + 1, q))
+            if not a or not b or not a[0]:
                 continue
             comp = mat_mul(b, a)
             if any(x != 0 for row in comp for x in row):
@@ -186,7 +178,7 @@ class BigradedPage:
         return dict(self._e2)
 
     def _compute_e2(self):
-        ranks = {pq: rank(m) for pq, m in self.int_diff().items()}
+        ranks = {pq: rank(m) for pq, m in self.diff.items()}
         out = {}
         for (p, q) in self.positions():
             dim = self.term_dim(p, q)
@@ -339,7 +331,9 @@ def assemble(spec, data):
     """Build the first page described by `spec` and check d1 o d1 = 0.
 
     Every nonzero graded piece of every stratum is placed by the spec's rule;
-    a map joins d1 exactly when its target block exists on the page."""
+    a map joins d1 exactly when its target block exists on the page.  Each
+    differential is written as one int matrix, its blocks scaled by the lcm
+    of their denominators (an int entry has denominator 1)."""
     if data.side != spec.side:
         raise SpectralError(f"{spec.name} page expects {spec.side}-side data")
     comps = data.components
@@ -372,17 +366,18 @@ def assemble(spec, data):
                     (key, tgt, s, data.matrix(kind, I, J, deg)))
     diff = {}
     for (p, q), entries in pieces.items():
-        width = sum(d for _, d in terms[(p, q)])
-        M = [[Fraction(0)] * width
+        den = lcm(*{x.denominator for *_, mat in entries for row in mat for x in row})
+        M = [[0] * sum(d for _, d in terms[(p, q)])
              for _ in range(sum(d for _, d in terms[(p + 1, q)]))]
         for src_key, tgt_key, s, mat in entries:
             so = offsets[(p, q, src_key)]
             to = offsets[(p + 1, q, tgt_key)]
+            f = s * den
             for i, row in enumerate(mat):
                 target = M[to + i]
                 for j, x in enumerate(row):
                     if x:
-                        target[so + j] += s * Fraction(x)
+                        target[so + j] += f // x.denominator * x.numerator
         diff[(p, q)] = M
     page = BigradedPage(spec.name, terms, diff, spec.grading_note)
     page.check_d1_squared()
@@ -553,8 +548,7 @@ def _pairing(data, I, degree):
     if d1 != d2:
         raise SpectralError(f"no pairing and asymmetric dimensions on "
                             f"{sorted(I)} at degree {degree}")
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(d1)]
-            for i in range(d1)]
+    return identity(d1)
 
 
 def _match_up_to_sign(lhs, rhs):
@@ -721,8 +715,9 @@ def _graded(d, path, read_value=read_count):
 
 
 def _matrix(doc, path):
-    """doc["matrix"] as rows of Fractions.  An entry is an int or a "p/q"
-    string; a float or a bool is an InputError, never a binary fraction."""
+    """doc["matrix"] as rows of ints, with a Fraction only for a "p/q"
+    string.  An entry is an int, a "p" or a "p/q" string; a float or a bool
+    is an InputError, never a binary fraction."""
     out = []
     for i, row in enumerate(read_field(doc, "matrix", list, path=path)):
         if type(row) is not list:
@@ -733,8 +728,7 @@ def _matrix(doc, path):
             if type(x) is not int and m is None:
                 raise InputError(f"{path}.matrix[{i}][{j}]",
                                  f"expected an int or a 'p/q' string, got {x!r}")
-            # Parsing a string as a fraction takes four times as long as int().
-            out[-1].append(Fraction(int(x)) if m and not m[1] else Fraction(x))
+            out[-1].append(Fraction(x) if m and m[1] else int(x))
     return out
 
 
@@ -752,6 +746,8 @@ def complex_from_doc(doc):
         I = _index_set(s, "I", where)
         if not I:
             raise InputError(f"{where}.I", "empty index set")
+        if I in strata:
+            raise InputError(f"{where}.I", f"repeats stratum {sorted(I)}")
         strata[I] = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims")
         if "hodge" in s:
             hodge[I] = _graded(s["hodge"], f"{where}.hodge", _graded)
@@ -760,10 +756,12 @@ def complex_from_doc(doc):
         where = f"maps[{i}]"
         key = (read_field(m, "kind", str, path=where), _index_set(m, "from", where),
                _index_set(m, "to", where), read_field(m, "degree", int, path=where))
-        if key[0] not in DEGREE_SHIFT:
-            raise InputError(f"{where}.kind", f"unknown map kind {key[0]!r}")
-        maps[key] = _matrix(m, where)
         kind, frm, to, degree = key
+        if kind not in DEGREE_SHIFT:
+            raise InputError(f"{where}.kind", f"unknown map kind {kind!r}")
+        if key in maps:
+            raise InputError(where, "repeats the kind, from, to and degree of an earlier map")
+        maps[key] = _matrix(m, where)
         _check_shape(maps[key],
                      strata.get(to, {}).get(degree + DEGREE_SHIFT[kind], 0),
                      strata.get(frm, {}).get(degree, 0), where)
@@ -772,6 +770,8 @@ def complex_from_doc(doc):
                           if "pairings" in doc else []):
         where = f"pairings[{i}]"
         key = (_index_set(p, "I", where), read_field(p, "degree", int, path=where))
+        if key in pairings:
+            raise InputError(where, "repeats the I and degree of an earlier pairing")
         pairings[key] = _matrix(p, where)
         unchecked.append((where, key, pairings[key]))
     if not strata:
@@ -782,8 +782,7 @@ def complex_from_doc(doc):
         dims = strata.get(I, {})
         _check_shape(m, dims.get(degree, 0),
                      dims.get(2 * (n - len(I) + 1) - degree, 0), where)
-    return StrataComplexData(n, read_field(doc, "side", str),
-                             strata, hodge, maps, pairings)
+    return StrataComplexData(n, read_side(doc), strata, hodge, maps, pairings)
 
 
 def cubical_from_doc(doc):

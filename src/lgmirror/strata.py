@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lattice import (InputError, interior_lattice_points, is_reflexive,
-                      read_count, read_field, read_index_set, read_list)
+                      read_count, read_field, read_index_set, read_list, read_side)
 from .linalg import mat_mul, identity, sign
 
 
@@ -221,15 +221,20 @@ def strata_from_doc(doc):
     zeros = read_list(doc["zero_strata"], "zero_strata", read_list) \
         if "zero_strata" in doc else ()
     n, components = read_field(doc, "n", int), read_field(doc, "components", int)
-    side = read_field(doc, "side", str)
+    side = read_side(doc)
     # values are checked once every field has its type, so a document of
     # another kind keeps its first error
     read_count(n, "n")
     if components < 1:
         raise InputError("components", f"expected an int >= 1, got {components}")
+    by_set = {}
+    for I, where, e in entries:
+        I = read_index_set(I, where, components)
+        if I in by_set:
+            raise InputError(where, f"repeats stratum {sorted(I)}")
+        by_set[I] = e
     return StrataEuler(
-        n, components, side,
-        {read_index_set(I, where, components): e for I, where, e in entries},
+        n, components, side, by_set,
         frozenset(read_index_set(list(Z), f"zero_strata[{j}]", components)
                   for j, Z in enumerate(zeros)))
 

@@ -549,6 +549,16 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
     ("euler", _with(ELLIPTIC, zero_strata=[[-1]]), "zero_strata[0][0]"),
     ("euler", _with(ELLIPTIC, zero_strata=[[2]]), "zero_strata[0][0]"),
     ("euler", _with(ELLIPTIC, zero_strata=[[]]), "zero_strata[0]"),
+    ("ss", _with(CURVE, strata=CURVE["strata"] + [{"I": [0], "dims": {"0": 1}}]),
+     "strata[2].I"),
+    ("ss", _with(CURVE, maps=[_restrict([["1"], ["1"]]), _restrict([["1"], ["2"]])]),
+     "maps[1]"),
+    ("ss", _with(CURVE, pairings=[{"I": [0], "degree": 0, "matrix": [["1"]]}] * 2),
+     "pairings[1]"),
+    ("ss", _with(CURVE, side="degenration"), "side"),
+    ("euler", _with(ELLIPTIC, entries=ELLIPTIC["entries"] + [{"I": [1, 0], "e": 5}]),
+     f"entries[{len(ELLIPTIC['entries'])}].I"),
+    ("euler", _with(ELLIPTIC, side="hybird"), "side"),
 ])
 def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
                                                  doc, path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from lgmirror.spectral import (
     DELTA,
@@ -19,6 +20,7 @@ from lgmirror.spectral import (
     check_mirror_pw,
     check_poincare_duality,
     complex_from_doc,
+    page_report_doc,
     slice_by_label,
 )
 
@@ -333,25 +335,41 @@ def test_page_report_ranks_each_differential_once(monkeypatch):
     assert len(calls) <= len(page.diff)
 
 
-def test_each_differential_is_scaled_to_ints_once(monkeypatch):
-    # the d1 o d1 check and the ranks share one int image per differential
-    import lgmirror.linalg as linalg
-    import lgmirror.spectral as spectral
+@pytest.mark.parametrize("name, run", [
+    ("delta-sign-instance", lambda data: page_report_doc(build_delta_E1(data))),
+    ("delta-sign-instance", lambda data: page_report_doc(build_G_flag_E1(data))),
+    ("elliptic-hyb-complex", check_poincare_duality),
+], ids=["delta", "gflag", "pd"])
+def test_all_int_document_builds_no_fraction(monkeypatch, name, run):
+    # ints from the loader to the rank: the matrices of these documents are
+    # all "p" strings, so no Fraction is needed anywhere
     from conftest import corpus_doc
-    data = complex_from_doc(corpus_doc("delta-sign-instance"))
-    real = linalg.integral_multiple
-    calls = []
+    doc = corpus_doc(name)
+    made = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__",
+                        lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    run(complex_from_doc(doc))
+    assert made == []
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
 
-    monkeypatch.setattr(linalg, "integral_multiple", counted)
-    monkeypatch.setattr(spectral, "integral_multiple", counted)
-    page = build_delta_E1(data)
-    spectral.page_report_doc(page)
-    assert page.diff
-    assert len(calls) <= len(page.diff)
+def test_differential_joining_denominators_2_and_3_matches_sympy():
+    # d = [A | -B] from H^0(X_0) + H^0(X_1) to H^0(X_01): one int matrix,
+    # scaled by 6.  The third row of each block is the sum of the first two;
+    # the numerators alone would give rank 3.
+    A = [["1/2", "1"], ["1", "1/2"], ["3/2", "3/2"]]
+    B = [["1/3", "0"], ["0", "2/3"], ["1/3", "2/3"]]
+    restrict = [{"kind": "restrict", "from": [i], "to": [0, 1], "degree": 0,
+                 "matrix": m} for i, m in enumerate((A, B))]
+    doc = {"n": 1, "side": "degeneration", "maps": restrict,
+           "strata": [{"I": [0], "dims": {"0": 2}}, {"I": [1], "dims": {"0": 2}},
+                      {"I": [0, 1], "dims": {"0": 3}}]}
+    page = build_weight_E1(complex_from_doc(doc))
+    r = sympy.Matrix([[sympy.Rational(x) for x in a + b]
+                      for a, b in zip(A, B)]).rank()
+    assert r == 2
+    assert page.e2() == {(0, 0): 4 - r, (1, 0): 3 - r}
+    assert all(type(x) is int for m in page.diff.values() for row in m for x in row)
 
 
 # E2 of the 8-component Koszul delta pages, as the dense engine computed it.
@@ -371,13 +389,14 @@ def test_eight_component_koszul_delta_page(b, table):
     assert doubled == {pq: 2 * v for pq, v in table.items()}
 
 
-def test_delta_page_entries_stay_fractions():
-    # the dual twist carries sign (-1)^l with l < 0 on the left half
+def test_delta_page_entries_are_ints():
+    # the dual twist carries sign (-1)^l with l < 0 on the left half; a float
+    # sign would leave a float entry, which is not an int
     from conftest import corpus_doc
     page = build_delta_E1(complex_from_doc(corpus_doc("delta-sign-instance")))
     assert any(p < 0 for (p, q) in page.diff)
     for mat in page.diff.values():
-        assert all(isinstance(x, F) for row in mat for x in row)
+        assert all(type(x) is int for row in mat for x in row)
 
 
 @pytest.mark.parametrize("action, name", [
