@@ -1,13 +1,13 @@
-"""Cones and fans: face fans, normal fans, boundary-ray refinement (rank <= 3),
-stellar subdivision (star), and piecewise-linear support functions with
-convexity predicates.
+"""Cones and fans: face fans, boundary-ray refinement (rank <= 3), stellar
+subdivision (star), and piecewise-linear functions on a fan with their
+linear pieces and integrality.
 
 Cones are strongly convex and stored by their primitive extreme rays; each
 reads its faces off the face lattice of conv(0, rays).  Fan.validate checks
 that pairwise cone intersections are common faces.  It runs where cones come
-from outside: fan_from_doc, and the projected fan in
-partitions.central_frame.  The fans built here are fans by construction and
-are checked by the property tests, not on every build.
+from outside: the projected fan in partitions.central_frame.  The fans built
+here are fans by construction and are checked by the property tests, not on
+every build.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .lattice import (
     convex_hull,
     faces,
     is_reflexive,
-    read_field,
-    read_points,
     recession_rays,
     reflexivity_diagnostic,
     saturated_direction_basis,
@@ -81,10 +79,6 @@ class Cone:
         return (tuple(n for n, o in self.hull.facets if o == 0),
                 tuple(n for n, _ in self.hull.equations))
 
-    def contains(self, x):
-        ineqs, eqs = self.hrep()
-        return all(dot(n, x) >= 0 for n in ineqs) and all(dot(n, x) == 0 for n in eqs)
-
     def _faces_through_origin(self):
         origin = (0,) * self.ambient_rank
         return [(frozenset(v for v in f.vertices() if v != origin), f.dimension)
@@ -110,9 +104,9 @@ class Cone:
 class Fan:
     """Fan given by its maximal cones.
 
-    from_cones does not check the face condition: face, normal, refined and
-    stellar fans are fans by construction.  Call validate() on cones that
-    come from outside; fan_from_doc and central_frame do.
+    from_cones does not check the face condition: face, refined and stellar
+    fans are fans by construction.  Call validate() on cones that come from
+    outside; central_frame does.
     """
 
     ambient_rank: int
@@ -165,17 +159,6 @@ def face_fan(p):
     cones = []
     for f in faces(p, p.dim - 1):
         cones.append(Cone.from_rays(f.vertices(), p.ambient_rank))
-    return Fan.from_cones(cones, p.ambient_rank)
-
-
-def normal_fan(p):
-    """Complete fan with one maximal cone (of facet normals) per vertex."""
-    if not p.is_full_dimensional():
-        raise FanError("normal fan needs a full-dimensional polytope")
-    cones = []
-    for v in p.vertices:
-        normals = [n for n, o in p.facets if dot(n, v) == -o]
-        cones.append(Cone.from_rays(normals, p.ambient_rank))
     return Fan.from_cones(cones, p.ambient_rank)
 
 
@@ -255,55 +238,7 @@ class PLFunction:
                     return [list(r) for r in c.rays]
         return None
 
-    def is_integral(self):
-        """Each piece takes integer values on the lattice points of its cone."""
-        return self.non_integral_cone() is None
-
-
-def pl_function_checks(phi):
-    """Convexity report of a PL function on a complete fan.
-
-    A support function of a nef divisor satisfies the <=-on-foreign-rays test
-    here called convex; concave is the mirrored test; strict convexity asks
-    for strict inequality off the cone.
-    """
-    if not phi.fan.is_complete():
-        raise FanError("convexity checks need a complete fan")
-    ext = phi.linear_extensions()
-    is_convex = True
-    is_concave = True
-    is_strict = True
-    for c, m in ext.items():
-        for r in phi.fan.rays:
-            if r in c.rays:
-                continue
-            val = dot(r, m)
-            target = phi.values[r]
-            if c.contains(r):
-                # foreign ray inside the cone: linearity decides
-                if val != target:
-                    is_convex = is_concave = is_strict = False
-                continue
-            if val > target:
-                is_convex = False
-            if val < target:
-                is_concave = False
-            if val >= target:
-                is_strict = False
-    return {"is_convex": is_convex, "is_concave": is_concave,
-            "is_strictly_convex": is_strict}
-
 
 def fan_to_doc(fan):
     return {"rank": fan.ambient_rank,
             "maximal_cones": [[list(r) for r in c.rays] for c in fan.maximal_cones]}
-
-
-def fan_from_doc(doc):
-    """Fan of a document; its cones come from outside, so it is validated."""
-    rank = read_field(doc, "rank", int)
-    cones = [Cone.from_rays(read_points(rays, f"maximal_cones[{i}]", rank), rank)
-             for i, rays in enumerate(read_field(doc, "maximal_cones", list))]
-    fan = Fan.from_cones(cones, rank)
-    fan.validate()
-    return fan

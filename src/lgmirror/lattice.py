@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 from .linalg import (
@@ -537,159 +536,6 @@ def is_face_of(f, p):
     """Is polytope f a face of polytope p (vertex sets compared exactly)?"""
     fv = set(f.vertices)
     return any(set(face.vertices()) == fv for face in p.all_faces())
-
-
-# ---------------------------------------------------------------------------
-# Rank-2 specifics: boundary cycles, unimodular normal form, classification.
-# ---------------------------------------------------------------------------
-
-def _angular_cmp(a, b):
-    def quadrant(p):
-        x, y = p
-        if x > 0 and y >= 0:
-            return 0
-        if x <= 0 and y > 0:
-            return 1
-        if x < 0 and y <= 0:
-            return 2
-        return 3
-    qa, qb = quadrant(a), quadrant(b)
-    if qa != qb:
-        return qa - qb
-    cross = a[0] * b[1] - a[1] * b[0]
-    return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-
-def boundary_cycle(p):
-    """Boundary lattice points of a reflexive polygon in counterclockwise order."""
-    if p.ambient_rank != 2 or not is_reflexive(p):
-        raise LatticeError("boundary cycle requires a reflexive polygon")
-    pts = boundary_lattice_points(p)
-    return sorted(pts, key=cmp_to_key(_angular_cmp))
-
-
-def polygon_normal_form(p):
-    """Canonical GL(2,Z)-invariant of a reflexive polygon.
-
-    Consecutive boundary lattice points span a unimodular basis; mapping each
-    such pair to the standard basis and minimizing over start points and
-    orientation gives a complete equivalence invariant.
-    """
-    cyc = boundary_cycle(p)
-    mirrored = [( -q[0], q[1]) for q in reversed(cyc)]
-    best = None
-    for seq in (cyc, mirrored):
-        B = len(seq)
-        for i in range(B):
-            a, b = seq[i], seq[(i + 1) % B]
-            det = a[0] * b[1] - a[1] * b[0]
-            if det != 1:
-                raise LatticeError("boundary cycle is not unimodular")
-            U = ((b[1], -b[0]), (-a[1], a[0]))
-            img = tuple(
-                (U[0][0] * q[0] + U[0][1] * q[1], U[1][0] * q[0] + U[1][1] * q[1])
-                for q in (seq[(i + k) % B] for k in range(B)))
-            if best is None or img < best:
-                best = img
-    return best
-
-
-_polygon_cache = {}
-
-
-def reflexive_polygons(box=3):
-    """All reflexive polygons up to unimodular equivalence (there are 16).
-
-    Enumerates counterclockwise cycles of primitive lattice vectors with
-    consecutive determinants 1 and convex turning, which are exactly the
-    boundary lattice point cycles of reflexive polygons (a polygon with a
-    single interior lattice point is reflexive in rank 2, every boundary
-    point is primitive, and consecutive boundary points span unimodularly).
-    Cycles visit directions in strictly increasing counterclockwise order,
-    which the search enforces; results are deduplicated by normal form.
-    """
-    if box in _polygon_cache:
-        return list(_polygon_cache[box])
-    prims = [(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
-             if (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1]
-    prims.sort()
-    succ = {a: [b for b in prims if a[0] * b[1] - a[1] * b[0] == 1] for a in prims}
-
-    def ccw_rank_from(base):
-        def key(u):
-            cr = base[0] * u[1] - base[1] * u[0]
-            if cr > 0:
-                half = 0
-            elif cr == 0:
-                half = 1  # opposite ray; same direction cannot occur
-            else:
-                half = 2
-            return half
-
-        def cmp(u, v):
-            hu, hv = key(u), key(v)
-            if hu != hv:
-                return hu - hv
-            cr = u[0] * v[1] - u[1] * v[0]
-            return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-        order = sorted((u for u in prims if u != base), key=cmp_to_key(cmp))
-        return {u: i for i, u in enumerate(order)}
-
-    found = {}
-
-    def close_ok(chain):
-        p0 = chain[0]
-        last, prev = chain[-1], chain[-2]
-        if last[0] * p0[1] - last[1] * p0[0] != 1:
-            return False
-        e_prev = vec_sub(last, prev)
-        e_close = vec_sub(p0, last)
-        e_first = vec_sub(chain[1], p0)
-        cr1 = e_prev[0] * e_close[1] - e_prev[1] * e_close[0]
-        cr2 = e_close[0] * e_first[1] - e_close[1] * e_first[0]
-        return cr1 >= 0 and cr2 >= 0
-
-    # One boundary point of every reflexive polygon is its lex-smallest
-    # boundary point; fixing it as the start makes each cycle unique.
-    for p0 in prims:
-        rank_from = ccw_rank_from(p0)
-        stack = [[p0]]
-        while stack:
-            chain = stack.pop()
-            if len(chain) >= 3 and close_ok(chain):
-                poly = convex_hull(chain)
-                if is_reflexive(poly) and \
-                        set(boundary_lattice_points(poly)) == set(chain):
-                    found.setdefault(polygon_normal_form(poly), poly)
-            if len(chain) >= 9:  # a reflexive polygon has at most 9 boundary points
-                continue
-            last = chain[-1]
-            for q in succ[last]:
-                if q <= p0:
-                    continue
-                if len(chain) >= 2:
-                    if rank_from[q] <= rank_from[last]:
-                        continue
-                    e_prev = vec_sub(last, chain[-2])
-                    e_new = vec_sub(q, last)
-                    if e_prev[0] * e_new[1] - e_prev[1] * e_new[0] < 0:
-                        continue
-                stack.append(chain + [q])
-    result = [found[k] for k in sorted(found)]
-    _polygon_cache[box] = result
-    return list(result)
-
-
-def apply_unimodular(p, U, shift=None):
-    """Image of p under an integer matrix U (rows), optionally translated."""
-    imgs = []
-    for v in p.vertices:
-        w = tuple(dot(row, v) for row in U)
-        if shift:
-            w = tuple(a + b for a, b in zip(w, shift))
-        imgs.append(w)
-    return convex_hull(imgs, lattice=p.lattice)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .lattice import (
     boundary_lattice_points,
-    convex_hull,
     lattice_points,
 )
 from .linalg import dot, primitive, solve, vec_gcd
@@ -41,9 +40,6 @@ class SymbolicLaurent:
     def from_points(points):
         return SymbolicLaurent(tuple((coef_label(rho), tuple(rho))
                                      for rho in sorted(points)))
-
-    def newton_polytope(self):
-        return convex_hull([exps for _, exps in self.monomials])
 
     def to_text(self, variables=None):
         names = variables or [f"x{i+1}" for i in
@@ -234,19 +230,6 @@ def non_nef_split_fiber(model, split, nabla_data, lam=None):
                                 SymbolicLaurent.from_points(group), last,
                                 nabla_data.rays)
             for j, group in enumerate(split)]
-
-
-def check_exponent_identity(eq, piece):
-    """Recompute every stored exponent of z_sigma from its (sigma, rho) tags
-    against the sigma-minimum of the generating polytope piece."""
-    mins = {s: _sigma_min(s, piece) for s in eq.rays}
-    for t in eq.terms:
-        if t.rho is None:
-            continue
-        for s, e in t.exps:
-            if e != dot(s, t.rho) - mins[s]:
-                return False
-    return True
 
 
 def check_degree_consistency(eq):

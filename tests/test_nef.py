@@ -1,4 +1,5 @@
 import pytest
+from tests_data_helpers import reflexive_polygons
 
 from lgmirror.lattice import convex_hull, lattice_points, minkowski_sum, polar_dual
 from lgmirror.nef import (
@@ -74,7 +75,6 @@ def test_nabla_contains_origin_for_all_pieces(diamond):
 
 
 def test_nef_on_polygon_corpus_single_part():
-    from lgmirror.lattice import reflexive_polygons
     for p in reflexive_polygons():
         nef = validate_nef(p, [tuple(range(len(p.vertices)))])
         hull = nabla_hull(nabla_pieces(nef))

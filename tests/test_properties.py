@@ -12,14 +12,12 @@ import random
 from fractions import Fraction as F
 
 from lgmirror.lattice import (
-    apply_unimodular,
     convex_hull,
     faces,
     interior_lattice_points,
     is_reflexive,
     lattice_points,
     polar_dual,
-    reflexive_polygons,
     triangulation,
 )
 from lgmirror.linalg import det, solve, vec_sub
@@ -38,8 +36,12 @@ from lgmirror.strata import (
 )
 
 from tests_data_helpers import (
+    abutment_mismatches,
+    apply_unimodular,
     random_degeneration_instance,
     random_hybrid_instance,
+    reflexive_polygons,
+    relabeled,
 )
 
 fs = frozenset
@@ -184,9 +186,9 @@ def test_weight_abutment_on_cycles():
         data = cycle_snc_instance(r)
         page = build_weight_E1(data)
         # a cycle of rational curves has betti numbers 1, 1, r
-        assert page.check_abutment({0: 1, 1: 1, 2: r}) == {}
+        assert abutment_mismatches(page, {0: 1, 1: 1, 2: r}) == {}
         mono = build_monodromy_E1(data)
-        assert mono.check_abutment({0: 1, 1: 2, 2: 1}) == {}
+        assert abutment_mismatches(mono, {0: 1, 1: 2, 2: 1}) == {}
 
 
 def test_label_permutation_invariance_small_sample():
@@ -201,11 +203,11 @@ def test_label_permutation_invariance_small_sample():
         rng.shuffle(perm)
         relab = dict(enumerate(perm))
         deg = StrataEuler(rng.randint(1, 3), comps, "degeneration", entries)
-        assert euler_snc(deg.relabeled(relab)) == euler_snc(deg)
-        assert euler_smoothing(deg.relabeled(relab)) == euler_smoothing(deg)
+        assert euler_snc(relabeled(deg, relab)) == euler_snc(deg)
+        assert euler_smoothing(relabeled(deg, relab)) == euler_smoothing(deg)
         hyb = StrataEuler(deg.n, comps, "hybrid", dict(entries))
-        assert euler_tilde_total(hyb.relabeled(relab)) == euler_tilde_total(hyb)
-        assert euler_glued_total(hyb.relabeled(relab)) == euler_glued_total(hyb)
+        assert euler_tilde_total(relabeled(hyb, relab)) == euler_tilde_total(hyb)
+        assert euler_glued_total(relabeled(hyb, relab)) == euler_glued_total(hyb)
 
 
 def test_pd_symmetry_on_bundled_hybrid_data():

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from tests_data_helpers import abutment_mismatches
 
+from lgmirror.lattice import InputError
 from lgmirror.spectral import (
     DELTA,
     WEIGHT,
@@ -58,7 +60,7 @@ def test_annulus_oracle(elliptic_hyb_complex):
 def test_weight_page_elliptic(elliptic_deg_complex):
     page = build_weight_E1(elliptic_deg_complex)
     assert page.e2() == {(0, 0): 1, (1, 0): 1, (0, 2): 2}
-    assert page.check_abutment({0: 1, 1: 1, 2: 2}) == {}
+    assert abutment_mismatches(page, {0: 1, 1: 1, 2: 2}) == {}
 
 
 def test_weight_page_smooth_component_is_pure():
@@ -82,7 +84,7 @@ def test_weight_euler_cross_check(elliptic_deg_complex):
 def test_monodromy_page_elliptic(elliptic_deg_complex):
     page = build_monodromy_E1(elliptic_deg_complex)
     assert page.e2() == {(0, 0): 1, (1, 0): 1, (-1, 2): 1, (0, 2): 1}
-    assert page.check_abutment({0: 1, 1: 2, 2: 1}) == {}
+    assert abutment_mismatches(page, {0: 1, 1: 2, 2: 1}) == {}
     assert elliptic_deg_complex.defaulted_gysin  # transpose default was used
 
 
@@ -124,7 +126,7 @@ def test_gflag_single_stratum():
 def test_delta_page_elliptic(elliptic_hyb_complex):
     page = build_delta_E1(elliptic_hyb_complex)
     assert page.e2() == {(-1, 1): 1, (0, 1): 2, (1, 1): 1}
-    assert page.check_abutment({0: 1, 1: 2, 2: 1}) == {}
+    assert abutment_mismatches(page, {0: 1, 1: 2, 2: 1}) == {}
 
 
 def test_delta_all_zero_maps():
@@ -245,6 +247,18 @@ def test_mirror_pw_mismatch_is_named(elliptic_deg_complex):
     assert any(not c["ok"] for c in rep["cells"])
 
 
+def test_mirror_pw_refuses_documents_of_different_shape(capsys):
+    # n 1 against 2 and 2 components against 3: the comparison is not
+    # defined, so it is an error, not a FAIL verdict
+    from conftest import corpus_path
+    from lgmirror.cli import main
+    deg, hyb = corpus_path("elliptic-deg-complex"), corpus_path("delta-sign-instance")
+    assert main(["ss", "pw", deg, hyb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shape mismatch between the two sides" in captured.err
+
+
 def test_mirror_pw_degrades_without_labels(elliptic_hyb_complex):
     unlabelled = StrataComplexData(
         1, "degeneration",
@@ -288,6 +302,22 @@ def test_cubical_mirror_elliptic():
     rep = check_cubical_mirror(b, a)
     assert rep["ok"]
     assert sorted(d["b"] for d in rep["dimensions"]) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("change, path", [
+    # a second dim for I = [] would win over the first and turn the check
+    # against elliptic-cubical-b from ok into not ok
+    (lambda doc: doc["entries"].append({"I": [], "dim": 3}), "entries[3].I"),
+    (lambda doc: doc["maps"].append(dict(doc["maps"][1])), "maps[2]"),
+], ids=["entry", "map"])
+def test_cubical_loader_rejects_repeats(change, path):
+    from conftest import corpus_doc
+    from lgmirror.spectral import cubical_from_doc
+    doc = corpus_doc("elliptic-cubical-a")
+    change(doc)
+    with pytest.raises(InputError) as err:
+        cubical_from_doc(doc)
+    assert err.value.path == path
 
 
 def test_cubical_empty_family_vacuous():

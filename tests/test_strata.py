@@ -2,28 +2,40 @@ import itertools
 import random
 
 import pytest
+from tests_data_helpers import relabeled
 
-from lgmirror.lattice import convex_hull
+from lgmirror.lattice import InputError, convex_hull
 from lgmirror.strata import (
     StrataError,
     StrataEuler,
     anticanonical_curve_euler,
-    chart_intersections,
     check_topological_mirror,
     euler_generic_fiber,
     euler_glued_total,
     euler_relative,
     euler_smoothing,
     euler_snc,
-    euler_tilde_resummed,
     euler_tilde_total,
     monodromy_from_doc,
     monodromy_relation_check,
     strata_from_doc,
-    strata_to_doc,
 )
 
 fs = frozenset
+
+
+def strata_doc(d):
+    """The document of Euler data d."""
+    return {"n": d.n, "components": d.components, "side": d.side,
+            "entries": [{"I": sorted(I), "e": e} for I, e in d.entries.items()]}
+
+
+def euler_tilde_resummed(d):
+    """Oracle: inclusion-exclusion over the chart cover, the second route to
+    the Euler number of the glued fibration over affine space."""
+    return sum((-1) ** (len(I) - 1) * d.e(I)
+               for r in range(1, d.components + 1)
+               for I in itertools.combinations(range(d.components), r))
 
 
 def elliptic_pair():
@@ -59,7 +71,7 @@ def test_euler_smoothing_symmetric_under_labels():
         fs([0]): 3, fs([1]): 5, fs([2]): 7,
         fs([0, 1]): 2, fs([0, 2]): 4, fs([1, 2]): 6, fs([0, 1, 2]): 1})
     for perm in itertools.permutations(range(3)):
-        assert euler_smoothing(deg.relabeled(dict(enumerate(perm)))) == \
+        assert euler_smoothing(relabeled(deg, dict(enumerate(perm)))) == \
             euler_smoothing(deg)
 
 
@@ -133,18 +145,6 @@ def test_topological_mirror_corrupted_names_stratum():
     assert [s["I"] for s in rep["per_stratum"] if not s["ok"]] == [[1]]
 
 
-def test_chart_intersections():
-    charts = chart_intersections(2)
-    by_shape = {}
-    for c in charts:
-        by_shape.setdefault((c.torus_rank, c.disk_rank), []).append(c)
-    assert len(by_shape[(0, 2)]) == 3
-    assert len(by_shape[(1, 1)]) == 3
-    assert len(by_shape[(2, 0)]) == 1
-    for c in charts:
-        assert c.torus_rank + c.disk_rank + 1 == 3
-
-
 def test_monodromy_relation():
     ident = [[1, 0], [0, 1]]
     assert monodromy_relation_check(2, {(0, 1): ident}, {1: ident})["ok"]
@@ -164,6 +164,28 @@ def test_monodromy_corpus_documents():
     assert not bad["ok"]
 
 
+def _monodromy_variant(change):
+    from conftest import corpus_doc
+    doc = corpus_doc("monodromy-ok")
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("change, path", [
+    # a second rep of a pair or a second diagonal rep would win silently
+    # over the first and turn the ok document into not ok
+    (lambda doc: doc["reps"].append(
+        {"i": 0, "j": 1, "matrix": [[1, 0], [0, 1]]}), "reps[4]"),
+    (lambda doc: doc["reps"].append({"j": 1, "matrix": [[2, 0], [0, 2]]}),
+     "reps[4]"),
+    (lambda doc: doc.update(dim=-1), "dim"),
+], ids=["pair", "diagonal", "dim"])
+def test_monodromy_loader_rejects_repeats_and_negative_dim(change, path):
+    with pytest.raises(InputError) as err:
+        monodromy_from_doc(_monodromy_variant(change))
+    assert err.value.path == path
+
+
 def test_curve_helper(square, diamond):
     assert anticanonical_curve_euler(square) == 0
     assert anticanonical_curve_euler(diamond) == 0
@@ -175,10 +197,9 @@ def test_curve_helper(square, diamond):
 
 def test_document_round_trip():
     deg, _ = elliptic_pair()
-    doc = strata_to_doc(deg)
-    again = strata_from_doc(doc)
-    assert again.entries == deg.entries
-    assert strata_to_doc(again) == doc
+    again = strata_from_doc(strata_doc(deg))
+    assert (again.n, again.components, again.side, again.entries) == \
+        (deg.n, deg.components, deg.side, deg.entries)
 
 
 def test_euler_json_has_no_floats(tmp_path, capsys):
@@ -198,7 +219,7 @@ def test_euler_json_has_no_floats(tmp_path, capsys):
     paths = []
     for name, d in (("deg", deg), ("hyb", hyb)):
         paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps(strata_to_doc(d)))
+        paths[-1].write_text(json.dumps(strata_doc(d)))
     assert main(["euler", "check", *map(str, paths), "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["e_X"], rep["e_Xc"], rep["e_Y"], rep["e_Y_tilde"]) == \

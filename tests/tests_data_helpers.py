@@ -1,4 +1,6 @@
-"""Builders for consistency-constructed spectral-sequence inputs.
+"""Builders for consistency-constructed spectral-sequence inputs, and the
+shared test oracles: the reflexive polygons, unimodular images, relabelled
+Euler data and abutment checks.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -13,9 +15,47 @@ import itertools
 import random
 from fractions import Fraction as F
 
+from geometry import POLYGONS
+
+from lgmirror.lattice import convex_hull
+from lgmirror.linalg import dot
 from lgmirror.spectral import StrataComplexData
+from lgmirror.strata import StrataEuler
 
 fs = frozenset
+
+
+def reflexive_polygons():
+    """The 16 reflexive polygons up to GL(2, Z), from the benchmark's
+    hard-coded list."""
+    return [convex_hull(verts) for verts in POLYGONS.values()]
+
+
+def apply_unimodular(p, U, shift=None):
+    """Image of p under the integer matrix U (rows), optionally translated."""
+    shift = shift or (0,) * p.ambient_rank
+    return convex_hull([tuple(dot(row, v) + s for row, s in zip(U, shift))
+                        for v in p.vertices], lattice=p.lattice)
+
+
+def relabeled(d, perm):
+    """Euler data d with component i renamed perm[i]."""
+    def image(I):
+        return fs(perm[i] for i in I)
+    return StrataEuler(d.n, d.components, d.side,
+                       {image(I): e for I, e in d.entries.items()},
+                       fs(image(I) for I in d.zero_strata))
+
+
+def abutment_mismatches(page, dims_by_total_degree):
+    """{k: (E2 total, declared)} where the E2 dimensions on the diagonal
+    p + q = k miss the declared abutment."""
+    totals = {}
+    for (p, q), v in page.e2().items():
+        totals[p + q] = totals.get(p + q, 0) + v
+    return {k: (totals.get(k, 0), dims_by_total_degree.get(k, 0))
+            for k in set(totals) | set(dims_by_total_degree)
+            if totals.get(k, 0) != dims_by_total_degree.get(k, 0)}
 
 
 def koszul_instance(components=3, a=None, b=None, n=2, scale=1):
