@@ -176,8 +176,7 @@ def refine_with_boundary_rays(p):
     cones = []
     for f in faces(p, p.dim - 1):
         verts = f.vertices()
-        n, o = next((n, o) for n, o in p.facets
-                    if all(dot(n, v) == -o for v in verts))
+        n, o = p.facets[p.incidence.index(frozenset(f.vertex_indices))]
         cells = triangulation(f)
         for q in boundary:
             if dot(n, q) == -o and q not in verts:

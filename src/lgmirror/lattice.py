@@ -9,9 +9,13 @@ integer or rational; coordinates are desk-scale (|x| <= ~10, rank <= 4).
 Every V/H conversion goes through one integer double-description routine,
 cone_generators: convex_hull asks it for the cone of valid inequalities of
 the points, polytope_from_inequalities and recession_rays for the
-homogenised inequality system (polyhedron_generators).  Every face query
-reads one face lattice per polytope, built by face_lattice on first use and
-kept on the polytope (LatticePolytope.all_faces).
+homogenised inequality system (polyhedron_generators).  It returns each
+ray with the bitmask of the constraints tight on it: for convex_hull, a
+facet with the points on it.  convex_hull reads the vertices off those
+masks and keeps the facet-vertex incidence on the polytope: which vertex
+lies on which facet is read there, never evaluated again.  Every face
+query reads one face lattice per polytope, built by face_lattice on first
+use and kept on the polytope (LatticePolytope.all_faces).
 
 Each polytope carries an ambient-lattice tag ("M" or "N").  Polar duality
 flips the tag; nothing else consumes it, but keeping it explicit avoids the
@@ -23,7 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import and_
 
 from .linalg import (
     det,
@@ -31,7 +37,6 @@ from .linalg import (
     identity,
     integer_kernel,
     primitive,
-    rank as mat_rank,
     vec_sub,
 )
 
@@ -158,6 +163,8 @@ class LatticePolytope:
     equations: tuple = ()    # tuple of (normal tuple, value int): <n,x> == value
     lattice: str = "M"
     name: str = ""
+    # incidence[i]: the indices of the vertices on facets[i]
+    incidence: tuple = field(default=(), repr=False, compare=False)
     _faces: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def all_faces(self):
@@ -237,18 +244,21 @@ def convex_hull(points, lattice="M", name=""):
     # of valid inequalities {(m, a) : <a, p> - m >= 0 for every point p}; the
     # one other ray, (-1, 0), is the trivial inequality 0 >= -1.  Asking a to
     # be orthogonal to the equations picks the normal in the direction space.
-    rays, _ = cone_generators([(-1,) + p for p in sorted(pts)], n + 1,
+    # Each ray's mask has bit j set when the facet holds pts[j].
+    pts.sort()
+    rays, _ = cone_generators([(-1,) + p for p in pts], n + 1,
                               [(0,) + tuple(r) for r in ann])
-    facets = sorted((r[1:], -r[0]) for r in rays if any(r[1:]))
+    facets = sorted((r[1:], -r[0], z) for r, z in rays if any(r[1:]))
 
-    # Vertices: points whose tight facet normals span the direction space.
-    verts = []
-    for p in pts:
-        tight = [list(a) for a, o in facets if dot(a, p) == -o]
-        if tight and mat_rank(tight) == d:
-            verts.append(tuple(p))
-    verts.sort()
-    return LatticePolytope(n, tuple(verts), tuple(facets), equations, lattice, name)
+    # A point is a vertex when the facets through it meet in it alone.
+    full = (1 << len(pts)) - 1
+    verts = [j for j in range(len(pts))
+             if reduce(and_, (z for *_, z in facets if z >> j & 1), full) == 1 << j]
+    incidence = tuple(frozenset(k for k, j in enumerate(verts) if z >> j & 1)
+                      for *_, z in facets)
+    return LatticePolytope(n, tuple(pts[j] for j in verts),
+                           tuple((a, o) for a, o, _ in facets), equations,
+                           lattice, name, incidence)
 
 
 def faces(p, l):
@@ -264,19 +274,12 @@ def face_lattice(p):
     This builds the lattice; everything else reads it through p.all_faces(),
     which calls this once per polytope.
     """
-    nverts = len(p.vertices)
-    full = frozenset(range(nverts))
-    facet_sets = []
-    for nrm, o in p.facets:
-        facet_sets.append(frozenset(i for i, v in enumerate(p.vertices)
-                                    if dot(nrm, v) == -o))
-    all_sets = {full}
-    frontier = set(facet_sets)
-    all_sets |= frontier
+    frontier = set(p.incidence)
+    all_sets = frontier | {frozenset(range(len(p.vertices)))}
     while frontier:
         new = set()
         for s in frontier:
-            for f in facet_sets:
+            for f in p.incidence:
                 t = s & f
                 if t and t not in all_sets:
                     new.add(t)
@@ -287,7 +290,7 @@ def face_lattice(p):
     out = []
     dims = {}
     for s in sorted(all_sets, key=lambda s: (len(s), sorted(s))):
-        dims[s] = 1 + max((dims[s & f] for f in facet_sets
+        dims[s] = 1 + max((dims[s & f] for f in p.incidence
                            if s & f and s & f != s), default=-1)
         out.append(Face(p, tuple(sorted(s)), dims[s]))
     return out
@@ -346,21 +349,14 @@ def polar_dual(p):
                        name=f"{p.name}*" if p.name else "")
 
 
-def _vertex_edge_dirs(p, v):
-    dirs = []
-    for f in faces(p, 1):
-        vs = f.vertices()
-        if v in vs:
-            w = vs[0] if vs[1] == v else vs[1]
-            dirs.append(primitive(vec_sub(w, v)))
-    return dirs
-
-
 def is_simplicial(p):
-    """Exactly dim-many edges at every vertex (the simple/orbifold condition)."""
+    """Exactly dim-many edges at every vertex (the simple/orbifold condition),
+    counted as facets: the vertex figure, with a vertex per edge and a facet
+    per facet at the vertex, is a simplex exactly when either count is dim."""
     if not p.is_full_dimensional():
         raise LatticeError("simpliciality check needs a full-dimensional polytope")
-    return all(len(_vertex_edge_dirs(p, v)) == p.dim for v in p.vertices)
+    return all(sum(j in s for s in p.incidence) == p.dim
+               for j in range(len(p.vertices)))
 
 
 def is_smooth(p):
@@ -371,7 +367,9 @@ def is_smooth(p):
 
 
 def vertex_is_smooth(p, v):
-    dirs = _vertex_edge_dirs(p, v)
+    """The primitive directions of the edges at v are a lattice basis."""
+    dirs = [primitive(vec_sub(w, v)) for f in faces(p, 1) if v in f.vertices()
+            for w in f.vertices() if w != v]
     return len(dirs) == p.dim and abs(det(dirs)) == 1
 
 
@@ -429,8 +427,9 @@ def cone_generators(rows, n, equations=()):
     dropped, and a pair of rays on opposite sides is combined exactly when
     no third ray is tight on every constraint the two share (the
     combinatorial adjacency test).  Rays stay primitive integer vectors and
-    no division happens.  Returns (rays, lineality), both lists of int
-    tuples; an empty cone gives ([], []).
+    no division happens.  Returns (rays, lineality): (int tuple, mask)
+    pairs, bit i of the mask set exactly when the ray is tight on rows[i],
+    and int tuples; an empty cone gives ([], []).
     """
     cons = ([(tuple(e), False) for e in equations]
             + [(tuple(a), True) for a in rows])
@@ -474,7 +473,7 @@ def cone_generators(rows, n, equations=()):
                 kept.append((primitive([vp * y + vq * x for x, y in zip(p, q)]),
                              common | bit))
         rays = kept
-    return [r for r, _ in rays], lin
+    return [(r, z >> len(equations)) for r, z in rays], lin
 
 
 def polyhedron_generators(ineqs, equations=(), ambient_rank=None):
@@ -491,8 +490,8 @@ def polyhedron_generators(ineqs, equations=(), ambient_rank=None):
     rows = [tuple(a) + (o,) for a, o in ineqs] + [(0,) * ambient_rank + (1,)]
     eqs = [tuple(a) + (-c,) for a, c in equations]
     rays, lin = cone_generators(rows, ambient_rank + 1, eqs)
-    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1]]
-    rec = [r[:-1] for r in rays if not r[-1]]
+    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r, _ in rays if r[-1]]
+    rec = [r[:-1] for r, _ in rays if not r[-1]]
     return verts, rec + [tuple(s * x for x in l[:-1]) for l in lin for s in (1, -1)]
 
 
@@ -532,10 +531,32 @@ def intersect(a, b):
         raise
 
 
+def facet_masks(p, points):
+    """{q: bitmask of the facets of p through q} for points q of p; a
+    vertex reads them off p.incidence."""
+    index = {v: j for j, v in enumerate(p.vertices)}
+    return {q: sum(1 << i for i, s in enumerate(p.incidence) if index[q] in s)
+            if q in index else
+            sum(1 << i for i, (n, o) in enumerate(p.facets) if dot(n, q) == -o)
+            for q in points}
+
+
+def carrier(p, points, masks=None):
+    """The smallest face of p holding the points, which lie in p: the
+    vertices that the facets through all the points share.  masks is
+    facet_masks of the points or of more, for callers that reuse it."""
+    masks = masks or facet_masks(p, points)
+    through = reduce(and_, (masks[q] for q in points), -1)
+    key = tuple(sorted(set(range(len(p.vertices))).intersection(
+        *(s for i, s in enumerate(p.incidence) if through >> i & 1))))
+    return next(f for f in p.all_faces() if f.vertex_indices == key)
+
+
 def is_face_of(f, p):
-    """Is polytope f a face of polytope p (vertex sets compared exactly)?"""
-    fv = set(f.vertices)
-    return any(set(face.vertices()) == fv for face in p.all_faces())
+    """Is polytope f a face of polytope p?  Exactly when the vertices of f
+    are vertices of p and their carrier has no other vertex."""
+    return (set(f.vertices) <= set(p.vertices)
+            and carrier(p, f.vertices).vertices() == f.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from .fans import (
 from .lattice import (
     InputError,
     LatticePolytope,
+    carrier,
     convex_hull,
+    facet_masks,
     host_from_doc,
     intersect,
     is_face_of,
@@ -101,16 +103,6 @@ def _gamma_faces(part):
     return sorted(seen.values())
 
 
-def _carrier_face(host, points, host_faces):
-    """Minimal face of the host containing the points (which lie in the
-    host): its vertices are those tight on every host facet that is tight
-    on all the points.  host_faces maps vertex index sets to faces."""
-    tight = [(n, o) for n, o in host.facets
-             if all(dot(n, q) == -o for q in points)]
-    return host_faces[tuple(i for i, v in enumerate(host.vertices)
-                            if all(dot(n, v) == -o for n, o in tight))]
-
-
 def validate_semistable(part):
     """Clause-by-clause validation of the semi-stability conditions.
 
@@ -130,13 +122,13 @@ def validate_semistable(part):
         if len(owners) != 1:
             v_violations.append({"vertex": list(v), "pieces": owners})
 
-    host_faces = {f.vertex_indices: f for f in host.all_faces()}
+    masks = facet_masks(host, {v for p in pieces for v in p.vertices})
     piece_face_sets = [set(frozenset(f.vertices()) for f in p.all_faces())
                        for p in pieces]
 
     f_violations = []
     for points, l in _gamma_faces(part):
-        tau = _carrier_face(host, points, host_faces)
+        tau = carrier(host, points, masks)
         count = sum(1 for s in piece_face_sets if frozenset(points) in s)
         expected = tau.dimension - l + 1
         if count != expected:

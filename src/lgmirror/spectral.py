@@ -787,6 +787,7 @@ def cubical_from_doc(doc):
         if key in maps:
             raise InputError(where, "repeats the from and to of an earlier map")
         maps[key] = _matrix(m, where)
+        _check_shape(maps[key], entries.get(key[1], 0), entries.get(key[0], 0), where)
     return CubicalData(read_field(doc, "label", int) if "label" in doc else 0,
                        entries, maps)
 

@@ -218,6 +218,8 @@ def monodromy_from_doc(doc):
         where = f"reps[{i}]"
         rows = read_field(rep, "matrix", list, path=where)
         mat = [list(r) for r in read_list(rows, f"{where}.matrix", read_list)]
+        if len(mat) != dim or any(len(r) != dim for r in mat):
+            raise InputError(f"{where}.matrix", f"expected a {dim}x{dim} matrix by dim")
         j = read_field(rep, "j", int, path=where)
         if "i" in rep:
             reps, key = pair_reps, (read_field(rep, "i", int, path=where), j)
@@ -226,4 +228,7 @@ def monodromy_from_doc(doc):
         if key in reps:
             raise InputError(where, "repeats the indices of an earlier rep")
         reps[key] = mat
+    for i, rep in enumerate(doc["reps"]):
+        if "i" in rep and rep["j"] not in diag_reps:
+            raise InputError(f"reps[{i}].j", f"no diagonal rep for j = {rep['j']}")
     return dim, pair_reps, diag_reps

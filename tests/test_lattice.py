@@ -13,7 +13,8 @@ from math import gcd
 import pytest
 import sympy
 from conftest import corpus_doc, corpus_path
-from hypothesis import given, settings, strategies as st
+from geometry import POLYGONS
+from hypothesis import example, given, settings, strategies as st
 from tests_data_helpers import reflexive_polygons
 
 from lgmirror.cli import main
@@ -22,6 +23,7 @@ from lgmirror.lattice import (
     InputError,
     LatticeError,
     boundary_lattice_points,
+    carrier,
     convex_hull,
     face_lattice,
     faces,
@@ -41,6 +43,7 @@ from lgmirror.lattice import (
     recession_rays,
     relative_interior_lattice_points,
 )
+from lgmirror.linalg import dot, rank
 
 
 def brute_force_facets(points, normal_bound=2):
@@ -347,10 +350,10 @@ def _minors_gcd(rows):
 
 
 @st.composite
-def point_sets(draw):
-    """1-8 integer points in rank 2-4, on an affine lattice of a random
-    dimension 0..rank, so lower-dimensional hulls come up often."""
-    n = draw(st.integers(2, 4))
+def point_sets(draw, min_rank=2):
+    """1-8 integer points in rank min_rank-4, on an affine lattice of a
+    random dimension 0..rank, so lower-dimensional hulls come up often."""
+    n = draw(st.integers(min_rank, 4))
     coords = st.integers(-2, 2)
     k = draw(st.integers(0, n))
     dirs = draw(st.lists(st.lists(coords, min_size=n, max_size=n),
@@ -401,6 +404,91 @@ def test_recession_rays_of_a_pointed_cone_are_its_rays(points):
     assert sorted(found) == list(cone.rays)
 
 
+# ---------------------------------------------------------------------------
+# The facet-vertex incidence against the dot-and-rank code it replaced
+# ---------------------------------------------------------------------------
+
+def old_vertices(p, points):
+    """convex_hull's former vertex test: the points whose tight facet
+    normals span the direction space."""
+    if p.dim == 0:
+        return tuple(set(points))
+    return tuple(sorted(q for q in set(points)
+                        if (tight := [list(a) for a, o in p.facets if dot(a, q) == -o])
+                        and rank(tight) == p.dim))
+
+
+def old_facet_sets(p):
+    """face_lattice's former facet vertex sets, by evaluating each facet."""
+    return tuple(frozenset(i for i, v in enumerate(p.vertices) if dot(a, v) == -o)
+                 for a, o in p.facets)
+
+
+def old_carrier(p, points):
+    """The former partitions._carrier_face: the vertex indices tight on
+    every facet that is tight on all the points."""
+    tight = [(a, o) for a, o in p.facets if all(dot(a, q) == -o for q in points)]
+    return tuple(i for i, v in enumerate(p.vertices)
+                 if all(dot(a, v) == -o for a, o in tight))
+
+
+def old_is_face_of(f, p):
+    fv = set(f.vertices)
+    return any(set(face.vertices()) == fv for face in p.all_faces())
+
+
+def old_is_simplicial(p):
+    """dim edges at every vertex, counted off the 1-faces."""
+    edges = [f.vertices() for f in faces(p, 1)]
+    return all(sum(v in e for e in edges) == p.dim for v in p.vertices)
+
+
+@given(point_sets(min_rank=1))
+@example([(0, 0, 0), (1, 1, 1), (3, 3, 3), (-1, -1, -1)])     # collinear
+@example([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 3),
+          (1, 1, 2)])                                          # coplanar
+@settings(max_examples=200)
+def test_hull_vertices_and_incidence_match_the_dot_and_rank_oracle(points):
+    p = convex_hull(points)
+    assert p.vertices == old_vertices(p, points)
+    assert p.incidence == old_facet_sets(p)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_carrier_and_is_face_of_match_the_oracles(data):
+    points = sorted(set(data.draw(point_sets(min_rank=1))))
+    p = convex_hull(points)
+    for face in p.all_faces():
+        assert carrier(p, face.vertices()) == face
+        assert is_face_of(convex_hull(face.vertices()), p)
+    # Hulls of other point sets of p, most of them not faces, and one
+    # moved off p.
+    subsets = data.draw(st.lists(st.lists(st.sampled_from(points), min_size=1,
+                                          max_size=4), min_size=1, max_size=4))
+    for sub in subsets:
+        assert carrier(p, sub).vertex_indices == old_carrier(p, sub)
+        f = convex_hull(sub)
+        assert is_face_of(f, p) == old_is_face_of(f, p)
+    off = convex_hull([tuple(x + 1 for x in v) for v in subsets[0]])
+    assert is_face_of(off, p) == old_is_face_of(off, p)
+
+
+def test_is_simplicial_matches_the_edge_count():
+    polygons = [convex_hull(v) for v in POLYGONS.values()]
+    prisms = [convex_hull([v + (h,) for v in P.vertices for h in (-1, 1)])
+              for P in polygons]
+    by_count = {len(P.vertices): P for P in polygons}
+    products = [convex_hull([u + v for u in by_count[a].vertices
+                             for v in by_count[b].vertices])
+                for a, b in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (6, 6))]
+    # The duals of prisms (bipyramids) and of products are not simple.
+    cases = polygons + prisms + products + [polar_dual(p) for p in prisms + products]
+    verdicts = [is_simplicial(p) for p in cases]
+    assert verdicts == [old_is_simplicial(p) for p in cases]
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_slab_is_unbounded_not_infeasible():
     slab = [((1, 0, 0), 0), ((-1, 0, 0), 1)]
     with pytest.raises(LatticeError, match="unbounded"):
@@ -432,6 +520,36 @@ def test_face_lattice_is_built_once_per_polytope(monkeypatch, cube):
     assert is_smooth(cube)
     assert len(faces(cube, 1)) == 12
     assert builds == [cube]
+
+
+@pytest.mark.parametrize("shape", ["cube", "hexagon x hexagon"])
+def test_face_lattice_and_hull_vertices_evaluate_no_facet(monkeypatch, cube,
+                                                           shape):
+    """Both read the incidence of the double description: no dot, no rank."""
+    import lgmirror.lattice as lattice
+    import lgmirror.linalg as linalg
+    hexagon = POLYGONS["b6v6"]
+    points = (cube.vertices if shape == "cube"
+              else [u + v for u in hexagon for v in hexagon])
+    calls = []
+    for mod in (lattice, linalg):
+        for name in ("dot", "rank", "mat_rank"):
+            if hasattr(mod, name):
+                f = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, f=f, name=name:
+                                    calls.append(name) or f(*a))
+    generators = lattice.cone_generators
+
+    def cone_generators(*args):
+        out = generators(*args)
+        calls.clear()  # count from the end of the double description on
+        return out
+    monkeypatch.setattr(lattice, "cone_generators", cone_generators)
+    p = lattice.convex_hull(points)
+    assert len(p.vertices) == (8 if shape == "cube" else 36)
+    assert calls == []
+    assert len(lattice.face_lattice(p)) == (27 if shape == "cube" else 169)
+    assert calls == []
 
 
 SQUARE = {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}

@@ -309,8 +309,13 @@ def test_cubical_mirror_elliptic():
     # against elliptic-cubical-b from ok into not ok
     (lambda doc: doc["entries"].append({"I": [], "dim": 3}), "entries[3].I"),
     (lambda doc: doc["maps"].append(dict(doc["maps"][1])), "maps[2]"),
-], ids=["entry", "map"])
-def test_cubical_loader_rejects_repeats(change, path):
+    # a map from a dimension-1 to a dimension-2 entry must be 2 x 1; a
+    # 3 x 3 identity made the check report a rank of 3
+    (lambda doc: doc["maps"][0].update(matrix=[["1", "0", "0"], ["0", "1", "0"],
+                                               ["0", "0", "1"]]),
+     "maps[0].matrix"),
+], ids=["entry", "map", "shape"])
+def test_cubical_loader_rejects_repeats_and_shapes(change, path):
     from conftest import corpus_doc
     from lgmirror.spectral import cubical_from_doc
     doc = corpus_doc("elliptic-cubical-a")

@@ -186,6 +186,20 @@ def test_monodromy_loader_rejects_repeats_and_negative_dim(change, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("change, path", [
+    # each of these made monodromy_relation_check report "not ok" or raise
+    # StrataError (exit 2, no path) instead of failing in the loader
+    (lambda doc: doc["reps"][1].update(matrix=[[1, 2, 3], [0, 1, 0]]),
+     "reps[1].matrix"),
+    (lambda doc: doc.update(dim=3), "reps[0].matrix"),
+    (lambda doc: doc["reps"].pop(1), "reps[0].j"),
+], ids=["non-square", "dim", "no-diagonal"])
+def test_monodromy_loader_rejects_shapes_and_missing_diagonal(change, path):
+    with pytest.raises(InputError) as err:
+        monodromy_from_doc(_monodromy_variant(change))
+    assert err.value.path == path
+
+
 def test_curve_helper(square, diamond):
     assert anticanonical_curve_euler(square) == 0
     assert anticanonical_curve_euler(diamond) == 0
