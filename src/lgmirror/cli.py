@@ -122,9 +122,9 @@ def cmd_partition(args):
             raise CliValidationFailure("partition is not semi-stable")
         return
     if args.action == "dual-complex":
-        report = partitions.validate_semistable(part)
-        if not report.tiling_ok:
-            raise CliValidationFailure(report.tiling_message)
+        tiling_ok, message = partitions.check_tiling(part)
+        if not tiling_ok:
+            raise CliValidationFailure(message)
         K = partitions.dual_complex(part)
         emit(K.to_doc(), fmt,
              lambda d: f"dual complex on {d['vertices']} vertices, "

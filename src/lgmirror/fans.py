@@ -3,11 +3,14 @@ subdivision (star), and piecewise-linear functions on a fan with their
 linear pieces and integrality.
 
 Cones are strongly convex and stored by their primitive extreme rays; each
-reads its faces off the face lattice of conv(0, rays).  Fan.validate checks
-that pairwise cone intersections are common faces.  It runs where cones come
-from outside: the projected fan in partitions.central_frame.  The fans built
-here are fans by construction and are checked by the property tests, not on
-every build.
+reads its faces off the face lattice of conv(0, rays), a hull built only
+when something asks about its faces.  Cones from outside, the projected
+pieces in partitions.central_frame, are checked: Cone.from_rays makes their
+rays primitive and extreme, and Fan.validate checks that pairwise cone
+intersections are common faces.  The cones built here, over the facets of a
+reflexive polytope and over the simplicial cells that subdivide them, are
+made directly from their sorted rays and build no hull; the property tests
+check them against Cone.from_rays and Fan.validate, not every build.
 """
 
 from __future__ import annotations
@@ -39,18 +42,23 @@ class FanError(ValueError):
 class Cone:
     """Strongly convex rational cone with primitive, canonically ordered rays.
 
-    The cone carries its hull conv(0, rays), whose vertices are the origin
-    and the rays.  The faces of a pointed cone are exactly the faces of that
-    hull through the origin, so the hull's one face lattice gives the
-    cone's faces, facets and H-representation.
+    Cone(rays, rank) trusts that the rays are sorted, primitive and
+    extreme; from_rays makes them so.  The cone keeps its hull conv(0,
+    rays), whose vertices are the origin and the rays, built on first use
+    unless from_rays passed the one it built.  The faces of a pointed cone
+    are exactly the faces of that hull through the origin, so the hull's
+    one face lattice gives the cone's dimension, faces, facets and
+    H-representation.
     """
 
     rays: tuple
     ambient_rank: int
-    hull: LatticePolytope = field(repr=False, compare=False)
+    _hull: LatticePolytope = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_rays(rays, ambient_rank=None):
+        """The checked constructor: primitive rays, no line, and only the
+        extreme rays kept."""
         if ambient_rank is None:
             if not rays:
                 raise FanError("zero cone needs an explicit ambient rank")
@@ -66,9 +74,16 @@ class Cone:
         extreme = sorted(w for f in hull.all_faces() if f.dimension == 1
                          and origin in f.vertices()
                          for w in f.vertices() if w != origin)
-        if len(extreme) < len(prims):
-            hull = convex_hull([origin] + extreme)
-        return Cone(tuple(extreme), ambient_rank, hull)
+        # A dropped ray is a vertex of this hull but not of the cone's.
+        return Cone(tuple(extreme), ambient_rank,
+                    hull if len(extreme) == len(prims) else None)
+
+    @property
+    def hull(self):
+        if self._hull is None:
+            origin = (0,) * self.ambient_rank
+            object.__setattr__(self, "_hull", convex_hull((origin,) + self.rays))
+        return self._hull
 
     @property
     def dim(self):
@@ -104,9 +119,10 @@ class Cone:
 class Fan:
     """Fan given by its maximal cones.
 
-    from_cones does not check the face condition: face, refined and stellar
-    fans are fans by construction.  Call validate() on cones that come from
-    outside; central_frame does.
+    from_cones takes the maximal cones only; it drops repeats and sorts,
+    and builds no cone's hull.  It does not check the face condition:
+    face, refined and stellar fans are fans by construction.  Call
+    validate() on cones that come from outside; central_frame does.
     """
 
     ambient_rank: int
@@ -119,14 +135,7 @@ class Fan:
             if not cones:
                 raise FanError("empty fan needs an explicit ambient rank")
             ambient_rank = cones[0].ambient_rank
-        # Drop cones that are faces of other cones; they are implicit.
-        maximal = []
-        for c in cones:
-            if not any(set(c.rays) < set(d.rays) and
-                       frozenset(c.rays) in d.face_ray_sets() for d in cones):
-                if c not in maximal:
-                    maximal.append(c)
-        return Fan(ambient_rank, tuple(sorted(maximal, key=lambda c: c.rays)))
+        return Fan(ambient_rank, tuple(sorted(set(cones), key=lambda c: c.rays)))
 
     @property
     def rays(self):
@@ -151,15 +160,19 @@ class Fan:
         return all(v == 2 for v in ridges.values()) and bool(ridges)
 
 
-def face_fan(p):
-    """Fan over the facets of a reflexive polytope."""
+def _require_reflexive(p, what):
     if not is_reflexive(p):
-        raise FanError(f"face fan needs a reflexive polytope: "
+        raise FanError(f"{what} needs a reflexive polytope: "
                        f"{reflexivity_diagnostic(p)}")
-    cones = []
-    for f in faces(p, p.dim - 1):
-        cones.append(Cone.from_rays(f.vertices(), p.ambient_rank))
-    return Fan.from_cones(cones, p.ambient_rank)
+
+
+def face_fan(p):
+    """Fan over the facets of a reflexive polytope.  A facet's vertices lie
+    at lattice distance 1 from the origin, so they are primitive, and they
+    are the extreme rays of the cone over it."""
+    _require_reflexive(p, "face fan")
+    return Fan.from_cones([Cone(f.vertices(), p.ambient_rank)
+                           for f in faces(p, p.dim - 1)], p.ambient_rank)
 
 
 def refine_with_boundary_rays(p):
@@ -168,10 +181,12 @@ def refine_with_boundary_rays(p):
     Each facet is triangulated by pulling (lattice.triangulation), and its
     cells are starred at the facet's other lattice points in lexicographic
     order; the cones over the cells are unimodular up to rank 3.  Rank >= 4
-    is unsupported.
+    is unsupported.  p is reflexive, so its boundary points are primitive,
+    and a cell's points are the extreme rays of its cone.
     """
     if p.ambient_rank > 3:
         raise FanError("boundary-ray refinement is implemented for rank <= 3 only")
+    _require_reflexive(p, "boundary-ray refinement")
     boundary = boundary_lattice_points(p)
     cones = []
     for f in faces(p, p.dim - 1):
@@ -181,7 +196,7 @@ def refine_with_boundary_rays(p):
         for q in boundary:
             if dot(n, q) == -o and q not in verts:
                 cells = star(cells, q)
-        cones += [Cone.from_rays(cell, p.ambient_rank) for cell in cells]
+        cones += [Cone(tuple(sorted(cell)), p.ambient_rank) for cell in cells]
     return Fan.from_cones(cones, p.ambient_rank)
 
 

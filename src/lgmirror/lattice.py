@@ -8,8 +8,8 @@ integer or rational; coordinates are desk-scale (|x| <= ~10, rank <= 4).
 
 Every V/H conversion goes through one integer double-description routine,
 cone_generators: convex_hull asks it for the cone of valid inequalities of
-the points, polytope_from_inequalities and recession_rays for the
-homogenised inequality system (polyhedron_generators).  It returns each
+the points, polytope_from_inequalities, intersect and recession_rays for
+the homogenised inequality system (polyhedron_generators).  It returns each
 ray with the bitmask of the constraints tight on it: for convex_hull, a
 facet with the points on it.  convex_hull reads the vertices off those
 masks and keeps the facet-vertex incidence on the polytope: which vertex
@@ -185,12 +185,6 @@ class LatticePolytope:
             return False
         return all(dot(n, point) >= -o for n, o in self.facets)
 
-    def contains_strictly(self, point):
-        """Membership in the ambient-topology interior (full-dim only)."""
-        if not self.is_full_dimensional():
-            return False
-        return all(dot(n, point) > -o for n, o in self.facets)
-
     def contains_relatively(self, point):
         """Membership in the relative interior."""
         if any(dot(n, point) != c for n, c in self.equations):
@@ -311,7 +305,7 @@ def interior_lattice_points(p):
     """
     if not p.is_full_dimensional():
         return []
-    return [q for q in lattice_points(p) if p.contains_strictly(q)]
+    return relative_interior_lattice_points(p)
 
 
 def relative_interior_lattice_points(p):
@@ -331,7 +325,7 @@ def reflexivity_diagnostic(p):
     origin = tuple(0 for _ in range(p.ambient_rank))
     if not p.is_full_dimensional():
         return "not full-dimensional"
-    if not p.contains_strictly(origin):
+    if not p.contains_relatively(origin):
         return "origin is not an interior point"
     bad = [f for f in p.facets if f[1] != 1]
     if bad:
@@ -507,6 +501,11 @@ def polytope_from_inequalities(ineqs, equations=(), ambient_rank=None, lattice="
         raise LatticeError("inequality system is unbounded")
     if not verts:
         raise LatticeError("inequality system is infeasible")
+    return _lattice_hull(verts, lattice)
+
+
+def _lattice_hull(verts, lattice):
+    """convex_hull of Fraction vertices, which must be lattice points."""
     for x in verts:
         if any(v.denominator != 1 for v in x):
             raise LatticeError(f"non-lattice vertex {tuple(map(str, x))}")
@@ -520,15 +519,11 @@ def recession_rays(ineqs, equations=(), ambient_rank=None):
 
 
 def intersect(a, b):
-    """Intersection polytope of a and b (possibly lower-dimensional), or None."""
-    ineqs = list(a.facets) + list(b.facets)
-    eqs = list(a.equations) + list(b.equations)
-    try:
-        return polytope_from_inequalities(ineqs, eqs, a.ambient_rank, a.lattice)
-    except LatticeError as exc:
-        if "infeasible" in str(exc):
-            return None
-        raise
+    """Intersection polytope of a and b (possibly lower-dimensional), or None
+    when they do not meet.  A non-lattice vertex raises LatticeError."""
+    verts, _ = polyhedron_generators(a.facets + b.facets, a.equations + b.equations,
+                                     a.ambient_rank)
+    return _lattice_hull(verts, a.lattice) if verts else None
 
 
 def facet_masks(p, points):

@@ -19,6 +19,7 @@ from .fans import (
 )
 from .lattice import (
     InputError,
+    LatticeError,
     LatticePolytope,
     carrier,
     convex_hull,
@@ -82,11 +83,13 @@ def check_tiling(part):
         if not all(host.contains(v) for v in p.vertices):
             return False, f"piece {i} is not contained in the host"
     for i, j in itertools.combinations(range(len(pieces)), 2):
-        w = intersect(pieces[i], pieces[j])
-        if w is None:
-            continue
-        if not is_face_of(w, pieces[i]) or not is_face_of(w, pieces[j]):
-            return False, f"pieces {i} and {j} do not meet in a common face"
+        try:
+            w = intersect(pieces[i], pieces[j])
+            if w is None or (is_face_of(w, pieces[i]) and is_face_of(w, pieces[j])):
+                continue
+        except LatticeError:  # a common face would have lattice vertices
+            pass
+        return False, f"pieces {i} and {j} do not meet in a common face"
     if sum(normalized_volume(p) for p in pieces) != normalized_volume(host):
         return False, "piece volumes do not add up to the host volume"
     return True, "ok"
@@ -465,25 +468,24 @@ def build_fibration_fans(part, frame):
     sigma_delta = face_fan(host)
     refined = refine_with_boundary_rays(host)
 
-    # Star the refined fan at each new v_i; a cell that does not change
-    # keeps its Cone.
-    cones = {c.rays: c for c in refined.maximal_cones}
+    # Star the refined cells at each new v_i.  Every cell is simplicial, so
+    # Sigma_Gamma's cones, the faces of Sigma' with rays in L or among the
+    # v_i, are the inclusion-maximal sets cell & allowed.
+    cells = [c.rays for c in refined.maximal_cones]
     added = []
     for v in frame.v_vectors:
         if v not in refined.rays and v not in added:
-            cones = {cell: cones.get(cell) or Cone.from_rays(cell, host.ambient_rank)
-                     for cell in star(list(cones), v)}
+            cells = star(cells, v)
             added.append(v)
-    sigma_prime = Fan.from_cones(cones.values(), host.ambient_rank)
+    rank = host.ambient_rank
+    sigma_prime = Fan.from_cones([Cone(tuple(sorted(c)), rank) for c in cells], rank)
 
     # the quotient rows cut out M n L, so a ray lies in L when it projects to 0
     in_L = {r for r in sigma_prime.rays if not any(frame.project(r))}
     allowed = in_L | set(frame.v_vectors)
-
-    gamma = {s for c in sigma_prime.maximal_cones for s in c.face_ray_sets()
-             if s and s <= allowed}
-    sigma_gamma = Fan.from_cones([Cone.from_rays(sorted(s), host.ambient_rank)
-                                  for s in gamma], host.ambient_rank)
+    walls = {frozenset(c) & allowed for c in cells} - {frozenset()}
+    sigma_gamma = Fan.from_cones([Cone(tuple(sorted(s)), rank) for s in walls
+                                  if not any(s < t for t in walls)], rank)
     return FibrationFans(sigma_delta, sigma_prime, sigma_gamma, frame.sigma_v,
                          tuple(added))
 

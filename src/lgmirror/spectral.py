@@ -571,49 +571,20 @@ def check_mirror_pw(deg_data, hyb_data, mode):
     sliced = slice_by_label(deg_data)
     labelled = sliced is not None
     if mode == "smoothing":
-        hyb_page = build_delta_E1(hyb_data)
-        hyb_e2 = hyb_page.e2()
-
-        def rhs(a, l):
-            return hyb_e2.get((l, n + a), 0)
+        build, hyb_page = build_monodromy_E1, build_delta_E1(hyb_data)
     else:
-        hyb_page = build_G_flag_E1(hyb_data)
-        hyb_e2 = hyb_page.e2()
-
-        def rhs(a, l):
-            return hyb_e2.get((-(l + 1), n - a + 1), 0)
-
-    build = build_monodromy_E1 if mode == "smoothing" else build_weight_E1
-
-    comps = hyb_data.components
-    cells = []
-    if labelled:
-        for a, sub in sorted(sliced.items()):
-            e2 = build(sub).e2()
-            cols = {}
-            for (p, q), v in e2.items():
-                cols[p] = cols.get(p, 0) + v
-            ls = set(cols) | {l for l in range(-comps, comps + 1) if rhs(a, l)}
-            for l in sorted(ls):
-                lhs = cols.get(l, 0)
-                r = rhs(a, l)
-                cells.append({"a": a, "l": l, "degeneration": lhs,
-                              "fibration": r, "ok": lhs == r})
-    else:
-        e2 = build(deg_data).e2()
-        cols = {}
-        for (p, q), v in e2.items():
-            cols[p] = cols.get(p, 0) + v
-        rcols = {}
-        for (l, w), v in hyb_e2.items():
-            if mode == "smoothing":
-                rcols[l] = rcols.get(l, 0) + v
-            else:
-                rcols[-l - 1] = rcols.get(-l - 1, 0) + v
-        for l in sorted(set(cols) | set(rcols)):
-            cells.append({"a": None, "l": l, "degeneration": cols.get(l, 0),
-                          "fibration": rcols.get(l, 0),
-                          "ok": cols.get(l, 0) == rcols.get(l, 0)})
+        build, hyb_page = build_weight_E1, build_G_flag_E1(hyb_data)
+    # (a, l) -> [degeneration, fibration]; a is None without labels, and
+    # every entry of either side lands in some cell.
+    table = {}
+    for (p, q), v in hyb_page.e2().items():
+        a, l = (q - n, p) if mode == "smoothing" else (n - q + 1, -(p + 1))
+        table.setdefault((a if labelled else None, l), [0, 0])[1] += v
+    for a, sub in sorted(sliced.items()) if labelled else [(None, deg_data)]:
+        for (l, _), v in build(sub).e2().items():
+            table.setdefault((a, l), [0, 0])[0] += v
+    cells = [{"a": a, "l": l, "degeneration": d, "fibration": f, "ok": d == f}
+             for (a, l), (d, f) in sorted(table.items())]
     return {"mode": mode, "labelled": labelled, "cells": cells,
             "ok": all(c["ok"] for c in cells)}
 

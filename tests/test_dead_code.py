@@ -31,7 +31,6 @@ AWAITING = {
     "strata.monodromy_relation_check": "item 4: euler monodromy",
     "strata.monodromy_from_doc": "item 4: euler monodromy",
     "strata.anticanonical_curve_euler": "item 5: polytope euler",
-    "lattice.relative_interior_lattice_points": "item 5: polytope euler",
     "linalg.nullspace": "item 7: bench/tracer.SPANS wraps it",
 }
 

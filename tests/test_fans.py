@@ -71,6 +71,12 @@ def test_face_fan_rejects_non_reflexive():
         face_fan(convex_hull([(0, 0), (1, 0), (0, 1)]))
 
 
+def test_refinement_rejects_non_reflexive():
+    # its cones trust the boundary points to be primitive rays
+    with pytest.raises(FanError, match="needs a reflexive polytope"):
+        refine_with_boundary_rays(convex_hull([(0, 0), (2, 0), (0, 2)]))
+
+
 def normal_cones(p):
     """Oracle: the normal fan of p, one cone of facet normals per vertex."""
     return {tuple(sorted(n for n, o in p.facets if dot(n, v) == -o))
@@ -142,6 +148,10 @@ def test_cone_rejects_lines():
 def test_cone_drops_redundant_rays():
     c = Cone.from_rays([(1, 0), (0, 1), (1, 1)])
     assert c.rays == ((0, 1), (1, 0))
+    # (1, 1) is a vertex of the hull from_rays built, so the cone builds its
+    # own hull when asked about its faces
+    assert c._hull is None
+    assert set(c.facets()) == {frozenset({(0, 1)}), frozenset({(1, 0)})}
 
 
 def test_fan_rejects_improper_intersections():
@@ -276,14 +286,20 @@ def test_cone_agrees_with_reference(case):
     assert len(facets) == len(set(facets))
     assert set(facets) == _ref_facets(cone.rays, n)
     assert cone.dim == sympy.Matrix(prims).rank()
+    # the trusted constructor on the same rays builds the same hull
+    trusted = Cone(cone.rays, n)
+    assert trusted.hrep() == cone.hrep()
+    assert trusted.face_ray_sets() == cone.face_ray_sets()
     sums = [tuple(a + b for a, b in zip(r, s)) for r in prims for s in prims]
     for x in prims + sums + [tuple(-c for c in r) for r in prims] + probes:
         assert cone_contains(cone, x) == _ref_contains(x, prims, n)
 
 
-# Fan.from_cones trusts its caller, so this test runs Fan.validate on the
-# output of every fan constructor.  The smooth reflexive polygons are the
-# bases of the smooth prisms whose halves the fibrations benchmark cuts.
+# The fan constructors make their cones with the trusted Cone(rays, rank),
+# and Fan.from_cones trusts its caller, so this test checks every cone
+# against the checked Cone.from_rays and runs Fan.validate on every fan.  The
+# smooth reflexive polygons are the bases of the smooth prisms whose halves
+# the fibrations benchmark cuts.
 SMOOTH_POLYGONS = {
     "b6v6": ((1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)),
     "b7v5": ((1, -1), (1, 0), (0, 1), (-1, 1), (-1, -1)),
@@ -325,7 +341,25 @@ def test_constructed_fans_pass_validate(name):
     elif name != "square-diag":
         pytest.fail(f"{name} should reach the fibration fans")
     for fan in fans:
+        for c in fan.maximal_cones:
+            assert Cone.from_rays(c.rays, fan.ambient_rank) == c
         fan.validate()
+
+
+def test_fibration_fans_build_no_cone_hull(monkeypatch):
+    """Sigma' and Sigma_Gamma are read off simplicial cells, so no cone of
+    theirs builds its hull until something asks about its faces."""
+    part = CONSTRUCTOR_INPUTS["b6v6-halves"]
+    frame = central_frame(part)  # the projected pieces are checked cones
+    hulls = []
+    monkeypatch.setattr("lgmirror.fans.convex_hull",
+                        lambda points: hulls.append(points) or convex_hull(points))
+    fib = build_fibration_fans(part, frame)
+    cones = fib.sigma_prime.maximal_cones + fib.sigma_gamma.maximal_cones
+    assert fib.sigma_gamma.maximal_cones
+    assert hulls == [] and all(c._hull is None for c in cones)
+    cone = cones[0]
+    assert cone.dim == cone.dim == 3 and len(hulls) == 1  # built once, kept
 
 
 def _reference_pi_gamma(sigma_prime, frame):

@@ -241,6 +241,10 @@ def test_intersection_is_common_face():
     assert is_face_of(wall, left) and is_face_of(wall, right)
     far = convex_hull([(5, 5), (6, 5), (5, 6)])
     assert intersect(left, far) is None
+    # the two triangles meet in a triangle with the vertex (1/3, 1/3)
+    with pytest.raises(LatticeError, match="non-lattice vertex"):
+        intersect(convex_hull([(-1, -1), (1, -1), (1, 1)]),
+                  convex_hull([(-1, -1), (1, 0), (-1, 1)]))
 
 
 def test_euler_face_relation(square, diamond, cube):

@@ -1,4 +1,5 @@
 import itertools
+import json
 from math import gcd
 
 import pytest
@@ -311,3 +312,25 @@ def test_negative_lift_bound_is_a_usage_error(capsys):
     assert main(["partition", "lift", corpus_path("square-vsplit"),
                  "--bound", "0"]) == 2
     assert "[-0, 0]^2" in capsys.readouterr().err
+
+
+# Pieces 0 and 1 overlap in a triangle with the vertex (1/3, 1/3).
+OVERLAP = {"polytope": {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]},
+           "pieces": [[[-1, -1], [1, -1], [1, 1]], [[-1, -1], [1, 0], [-1, 1]],
+                      [[-1, 1], [1, 1], [0, 0]]]}
+
+
+def test_pieces_meeting_at_a_non_lattice_point_fail_the_tiling(capsys, tmp_path):
+    # A common face of two lattice polytopes has lattice vertices, so the
+    # verdict is the tiling's, not an error from the intersection.
+    f = tmp_path / "overlap.json"
+    f.write_text(json.dumps(OVERLAP))
+    assert main(["partition", "validate", str(f), "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert json.loads(out.out)["tiling"] == {
+        "ok": False, "message": "pieces 0 and 1 do not meet in a common face"}
+    assert out.err == "FAIL: partition is not semi-stable\n"
+    assert main(["partition", "dual-complex", str(f)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", "FAIL: pieces 0 and 1 do not meet in a common face\n")

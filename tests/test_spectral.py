@@ -463,3 +463,24 @@ def test_ss_one_file_action_with_two_files_exits_3(capsys):
     from lgmirror.cli import main
     assert main(["ss", "delta", "a.json", "b.json"]) == 3
     assert "ss delta needs 1 file (FILE), got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, a, l", [("smoothing", 1, 0),
+                                        ("central_fiber", -1, 0)])
+def test_mirror_pw_names_a_hybrid_row_no_label_reaches(capsys, tmp_path,
+                                                       mode, a, l):
+    # H^2 on stratum [0] puts E2[0,2] = 1 on the hybrid pages; the
+    # degeneration side has label 0 only, so no label slice holds that row
+    import json
+    from conftest import corpus_doc, corpus_path
+    from lgmirror.cli import main
+    doc = corpus_doc("elliptic-hyb-complex")
+    assert doc["strata"][0]["I"] == [0]
+    doc["strata"][0]["dims"]["2"] = 1
+    f = tmp_path / "hyb.json"
+    f.write_text(json.dumps(doc))
+    assert main(["ss", "pw", corpus_path("elliptic-deg-complex"), str(f),
+                 "--mode", mode, "--format", "json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert [c for c in rep["cells"] if not c["ok"]] == [
+        {"a": a, "l": l, "degeneration": 0, "fibration": 1, "ok": False}]
