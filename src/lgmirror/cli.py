@@ -202,10 +202,13 @@ def _parse_split(s, n_parts):
         return n_parts - 1, 1
     k, _, r = s.partition(":")
     try:
-        return int(k), int(r)
+        k, r = int(k), int(r)
     except ValueError:
         raise CliUsageError(f"--split must be K:R with integers K and R, "
                             f"got {s!r}") from None
+    if k < 0:
+        raise CliUsageError(f"--split must be K:R with K >= 0, got {s!r}")
+    return k, r
 
 
 def cmd_lg(args):

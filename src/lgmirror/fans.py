@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .lattice import (
     LatticePolytope,
@@ -28,7 +27,6 @@ from .lattice import (
     is_reflexive,
     recession_rays,
     reflexivity_diagnostic,
-    saturated_direction_basis,
     triangulation,
 )
 from .linalg import dot, primitive, solve
@@ -243,13 +241,12 @@ class PLFunction:
 
     def non_integral_cone(self):
         """Rays of the first cone whose piece takes a non-integer value on a
-        lattice point of the cone's span, or None when every piece is
-        integral."""
-        origin = (0,) * self.fan.ambient_rank
+        lattice point, or None when every piece is integral.  The fan is
+        complete, so each cone spans Z^n: a piece is integral exactly when
+        its coefficients are integers."""
         for c, m in self.linear_extensions().items():
-            for b in saturated_direction_basis((origin,) + c.rays):
-                if Fraction(dot(b, m)).denominator != 1:
-                    return [list(r) for r in c.rays]
+            if any(x.denominator != 1 for x in m):
+                return [list(r) for r in c.rays]
         return None
 
 

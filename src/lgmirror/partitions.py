@@ -1,6 +1,8 @@
 """Semi-stable partitions of a polytope and their derived data: validation,
 dual complex, concave piecewise-linear function, lifted polyhedron, central
 frame with the distinguished primitive vectors, and the fibration fans.
+Past check_tiling, which intersects every two pieces, the pieces meet face
+to face, so which pieces meet or share a face is read off vertex_owners.
 """
 
 from __future__ import annotations
@@ -106,6 +108,17 @@ def _gamma_faces(part):
     return sorted(seen.values())
 
 
+def vertex_owners(part):
+    """{u: sorted indices of the pieces holding u} for every piece vertex u;
+    u is tested once, and only against pieces it is not a vertex of.  Past
+    check_tiling, pieces meet exactly when a vertex lies in all of them, and
+    a face of one is a face of each piece that holds all its vertices."""
+    vertex_sets = [set(q.vertices) for q in part.pieces]
+    return {u: tuple(i for i, q in enumerate(part.pieces)
+                     if u in vertex_sets[i] or q.contains(u))
+            for u in dict.fromkeys(u for p in part.pieces for u in p.vertices)}
+
+
 def validate_semistable(part):
     """Clause-by-clause validation of the semi-stability conditions.
 
@@ -118,21 +131,19 @@ def validate_semistable(part):
         return ValidationReport(False, msg, False,
                                 {"vertex-uniqueness": [], "face-count": []}, False)
     host, pieces = part.host, part.pieces
+    owners = vertex_owners(part)
 
     v_violations = []
     for v in host.vertices:
-        owners = [i for i, p in enumerate(pieces) if p.contains(v)]
-        if len(owners) != 1:
-            v_violations.append({"vertex": list(v), "pieces": owners})
+        holders = owners.get(v, ())  # a piece that holds v has it as a vertex
+        if len(holders) != 1:
+            v_violations.append({"vertex": list(v), "pieces": list(holders)})
 
-    masks = facet_masks(host, {v for p in pieces for v in p.vertices})
-    piece_face_sets = [set(frozenset(f.vertices()) for f in p.all_faces())
-                       for p in pieces]
-
+    masks = facet_masks(host, owners)
     f_violations = []
     for points, l in _gamma_faces(part):
         tau = carrier(host, points, masks)
-        count = sum(1 for s in piece_face_sets if frozenset(points) in s)
+        count = len(set.intersection(*(set(owners[u]) for u in points)))
         expected = tau.dimension - l + 1
         if count != expected:
             f_violations.append({
@@ -166,28 +177,14 @@ class DualComplex:
 
 
 def dual_complex(part):
-    """Simplices are exactly the nonempty intersections of piece subsets."""
-    n = len(part.pieces)
-    simplices = []
-    for r in range(1, n + 1):
-        for s in itertools.combinations(range(n), r):
-            cur = part.pieces[s[0]]
-            for i in s[1:]:
-                cur = intersect(cur, part.pieces[i]) if cur is not None else None
-                if cur is None:
-                    break
-            if cur is not None:
-                simplices.append(s)
-    return DualComplex(n, tuple(simplices))
-
-
-def common_intersection(part):
-    cur = part.pieces[0]
-    for p in part.pieces[1:]:
-        cur = intersect(cur, p)
-        if cur is None:
-            return None
-    return cur
+    """The piece subsets that meet, by size and then as tuples.  Needs a
+    checked tiling: a subset then meets in a face of its first piece, which
+    has a vertex when nonempty, so it is a subset of a vertex's owners."""
+    simplices = {s for owners in vertex_owners(part).values()
+                 for r in range(1, len(owners) + 1)
+                 for s in itertools.combinations(owners, r)}
+    return DualComplex(len(part.pieces),
+                       tuple(sorted(simplices, key=lambda s: (len(s), s))))
 
 
 def is_central(part):
@@ -251,11 +248,7 @@ def build_F_Gamma(part, bound=10):
     candidates = list(itertools.product(_balanced_range(bound), repeat=n))
 
     verts = [p.vertices for p in pieces]
-    inside = {}
-    for j, p in enumerate(pieces):
-        for u in verts[j]:
-            inside[u] = [q.contains(u) for q in pieces]
-
+    owners = vertex_owners(part)
     assignment = [None] * len(pieces)
 
     def compatible(j, mj):
@@ -263,14 +256,14 @@ def build_F_Gamma(part, bound=10):
             mi = assignment[i]
             for u in verts[j]:
                 vi, vj = dot(mi, u), dot(mj, u)
-                if inside[u][i]:
+                if i in owners[u]:
                     if vi != vj:
                         return False
                 elif vi <= vj:
                     return False
             for u in verts[i]:
                 vi, vj = dot(mi, u), dot(mj, u)
-                if inside[u][j]:
+                if j in owners[u]:
                     if vi != vj:
                         return False
                 elif vj <= vi:
@@ -377,9 +370,9 @@ def central_frame(part):
     host = part.host
     l = len(part.pieces) - 1
 
-    common = common_intersection(part)
-    if common is None:
-        raise PartitionError("central partition has empty common intersection")
+    # the origin lies in every piece, so they meet in a face with vertices
+    common = convex_hull([u for u, owners in vertex_owners(part).items()
+                          if len(owners) == len(part.pieces)], lattice=host.lattice)
     if l + common.dim != host.dim:
         raise PartitionError(
             f"dim K_Gamma + dim(common face) = {l} + {common.dim} != {host.dim}")

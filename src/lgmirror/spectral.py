@@ -661,13 +661,16 @@ def _index_set(doc, key, path):
 
 def _graded(d, path, read_value=read_count):
     """{int: value} of a JSON object keyed by decimal ints; by default the
-    values are dimensions."""
+    values are dimensions.  "02" or "-0" would alias "2" or "0", so a key
+    must be the int's own spelling."""
     if type(d) is not dict:
         raise InputError(path, f"expected an object keyed by ints, got {d!r}")
     out = {}
     for k, v in d.items():
         if not re.fullmatch(r"-?[0-9]+", k):
             raise InputError(f"{path}.{k}", "key is not a decimal int")
+        if str(int(k)) != k:
+            raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(int(k))!r}")
         out[int(k)] = read_value(v, f"{path}.{k}")
     return out
 

@@ -568,6 +568,12 @@ def _with(doc, **fields):
     return {**doc, **fields}
 
 
+def _with_stratum0(**fields):
+    """elliptic-deg-complex with fields of its stratum [0] replaced."""
+    doc = corpus_doc("elliptic-deg-complex")
+    return _with(doc, strata=[_with(doc["strata"][0], **fields)] + doc["strata"][1:])
+
+
 def _restrict(matrix):
     return {"kind": "restrict", "from": [0], "to": [0, 1], "degree": 0,
             "matrix": matrix}
@@ -669,6 +675,11 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
     ("euler", _with(ELLIPTIC, entries=ELLIPTIC["entries"] + [{"I": [1, 0], "e": 5}]),
      f"entries[{len(ELLIPTIC['entries'])}].I"),
     ("euler", _with(ELLIPTIC, side="hybird"), "side"),
+    ("ss", _with_stratum0(dims={"0": 1, "2": 1, "02": 5}), "strata[0].dims.02"),
+    ("ss", _with_stratum0(dims={"0": 1, "2": 1, "-0": 5}), "strata[0].dims.-0"),
+    ("ss", _with_stratum0(hodge={"0": {"0": 1}, "2": {"00": 1}}),
+     "strata[0].hodge.2.00"),
+    ("ss", _with_stratum0(hodge={"0": {"0": 1}, "-0": {"0": 1}}), "strata[0].hodge.-0"),
 ])
 def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
                                                  doc, path):

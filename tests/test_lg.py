@@ -189,3 +189,15 @@ def test_malformed_split_is_a_usage_error(capsys, split):
     err = capsys.readouterr().err
     assert err == (f"error: --split must be K:R with integers K and R, "
                    f"got {split!r}\n")
+
+
+@pytest.mark.parametrize("action", ["emit", "compactify"])
+def test_negative_split_count_is_a_usage_error(capsys, action):
+    # diamond-nef has two parts, so -1:3 adds up; a negative count would
+    # slice the parts from the end
+    assert main(["lg", action, corpus_path("diamond-nef"), "--split=-1:3"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: --split must be K:R with K >= 0, got '-1:3'\n")
+    # no potential part is a model error, as before
+    assert main(["lg", action, corpus_path("diamond-nef"), "--split=3:-1"]) == 2
+    assert capsys.readouterr().err == "error: at least one potential part is required\n"

@@ -4,10 +4,12 @@ from math import gcd
 
 import pytest
 import sympy
-from conftest import corpus_path
+from conftest import corpus_doc, corpus_path
+from geometry import POLYGONS
 
-from lgmirror.cli import main
-from lgmirror.lattice import (convex_hull, normalized_volume,
+from lgmirror import partitions
+from lgmirror.cli import main, resolve_polytope
+from lgmirror.lattice import (carrier, convex_hull, intersect, normalized_volume,
                               polytope_from_inequalities)
 from lgmirror.linalg import dot
 from lgmirror.partitions import (
@@ -17,12 +19,15 @@ from lgmirror.partitions import (
     build_F_Gamma,
     build_fibration_fans,
     central_frame,
+    check_tiling,
     dual_complex,
     gamma_vertices,
     is_central,
     is_nonsingular,
     lifting_polyhedron,
+    partition_from_doc,
     validate_semistable,
+    vertex_owners,
 )
 
 
@@ -334,3 +339,154 @@ def test_pieces_meeting_at_a_non_lattice_point_fail_the_tiling(capsys, tmp_path)
     out = capsys.readouterr()
     assert (out.out, out.err) == (
         "", "FAIL: pieces 0 and 1 do not meet in a common face\n")
+
+
+# ---------------------------------------------------------------------------
+# The vertex-owner table against intersections
+# ---------------------------------------------------------------------------
+
+def subset_fold_dual_complex(part):
+    """Oracle: the piece subsets whose intersection, folded over the subset
+    with lattice.intersect, is nonempty, by size and then as tuples."""
+    n = len(part.pieces)
+    simplices = []
+    for r in range(1, n + 1):
+        for s in itertools.combinations(range(n), r):
+            cur = part.pieces[s[0]]
+            for i in s[1:]:
+                cur = intersect(cur, part.pieces[i])
+                if cur is None:
+                    break
+            if cur is not None:
+                simplices.append(s)
+    return tuple(simplices)
+
+
+def common_intersection(part):
+    """Oracle: the intersection of all pieces, or None when it is empty."""
+    cur = part.pieces[0]
+    for p in part.pieces[1:]:
+        cur = intersect(cur, p)
+        if cur is None:
+            return None
+    return cur
+
+
+def semistable_clauses(part):
+    """Oracle for the two clauses of validate_semistable: host vertices by
+    the pieces that contain them, and each partition face counted among the
+    face sets of the pieces."""
+    host, pieces = part.host, part.pieces
+    v_violations = []
+    for v in host.vertices:
+        owners = [i for i, p in enumerate(pieces) if p.contains(v)]
+        if len(owners) != 1:
+            v_violations.append({"vertex": list(v), "pieces": owners})
+    piece_face_sets = [{frozenset(f.vertices()) for f in p.all_faces()}
+                       for p in pieces]
+    f_violations = []
+    faces = {frozenset(f.vertices()): f for p in pieces for f in p.all_faces()}
+    for points in sorted(tuple(sorted(k)) for k in faces):
+        f = faces[frozenset(points)]
+        tau = carrier(host, points)
+        count = sum(1 for s in piece_face_sets if frozenset(points) in s)
+        expected = tau.dimension - f.dimension + 1
+        if count != expected:
+            f_violations.append({"sigma": [list(q) for q in points],
+                                 "tau": [list(q) for q in tau.vertices()],
+                                 "count": count, "expected": expected})
+    return {"vertex-uniqueness": v_violations, "face-count": f_violations}
+
+
+def _box(lo, hi):
+    return convex_hull(list(itertools.product(*zip(lo, hi))))
+
+
+def _owner_table_inputs():
+    """Tilings: the corpus partitions, the halves of the prisms over the 16
+    reflexive polygons, the cube quarters and octants, and a hexagon cut."""
+    cases = {name: partition_from_doc(corpus_doc(name), resolve_polytope)
+             for name in ("square-vsplit", "square-diag", "tsigma-3piece")}
+    for name, verts in POLYGONS.items():
+        host = convex_hull([v + (z,) for v in verts for z in (-1, 1)])
+        cases[f"{name}-halves"] = SemistablePartition(host, tuple(
+            convex_hull([v + (z,) for v in verts for z in zs])
+            for zs in ((-1, 0), (0, 1))))
+    cube = _box((-1, -1, -1), (1, 1, 1))
+    cases["cube-quarters"] = SemistablePartition(cube, tuple(
+        _box((x, y, -1), (x + 1, y + 1, 1))
+        for x, y in itertools.product((-1, 0), repeat=2)))
+    cases["cube-octants"] = SemistablePartition(cube, tuple(
+        _box(lo, [x + 1 for x in lo]) for lo in itertools.product((-1, 0), repeat=3)))
+    # The cut of test_hexagon_three_piece_cut_is_not_semistable fails the
+    # tiling (its first two pieces meet in half an edge of the second), so
+    # this one cuts along the rays to every other vertex.
+    cases["hexagon-cut"] = SemistablePartition(
+        convex_hull([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]),
+        (convex_hull([(0, 0), (1, 1), (0, 1), (-1, 0)]),
+         convex_hull([(0, 0), (-1, 0), (-1, -1), (0, -1)]),
+         convex_hull([(0, 0), (0, -1), (1, 0), (1, 1)])))
+    return cases
+
+
+OWNER_TABLE_INPUTS = _owner_table_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(OWNER_TABLE_INPUTS))
+def test_vertex_owners_agree_with_intersections(name):
+    part = OWNER_TABLE_INPUTS[name]
+    assert check_tiling(part) == (True, "ok")
+    owners = vertex_owners(part)
+    assert set(owners) == {v for p in part.pieces for v in p.vertices}
+    for u, held in owners.items():
+        assert held == tuple(i for i, p in enumerate(part.pieces) if p.contains(u))
+
+    assert dual_complex(part).simplices == subset_fold_dual_complex(part)
+    report = validate_semistable(part).to_doc()
+    assert {c["id"]: c["violations"] for c in report["clauses"]} == \
+        semistable_clauses(part)
+
+    common = common_intersection(part)
+    held_by_all = [u for u, held in owners.items() if len(held) == len(part.pieces)]
+    assert (common is None) == (not held_by_all)
+    if common is None:
+        return
+    hull = convex_hull(held_by_all)
+    assert (hull.vertices, hull.equations) == (common.vertices, common.equations)
+    if report["valid"] and is_central(part) and is_nonsingular(part):
+        frame = central_frame(part)
+        assert frame.quotient == tuple(q for q, _ in common.equations)
+
+
+def test_cube_octants_dual_complex_is_every_subset():
+    K = dual_complex(OWNER_TABLE_INPUTS["cube-octants"])
+    assert len(K.simplices) == 2 ** 8 - 1 == 255
+    assert K.dimension == 7
+
+
+def test_dual_complex_and_frame_intersect_only_in_check_tiling(monkeypatch):
+    calls = {"tiling": 0, "inside": 0, "outside": 0}
+    depth = []
+
+    def counted_tiling(part):
+        depth.append(1)
+        calls["tiling"] += 1
+        try:
+            return check_tiling(part)
+        finally:
+            depth.pop()
+
+    def counted_intersect(a, b):
+        calls["inside" if depth else "outside"] += 1
+        return intersect(a, b)
+
+    monkeypatch.setattr(partitions, "check_tiling", counted_tiling)
+    monkeypatch.setattr(partitions, "intersect", counted_intersect)
+    for name in ("square-vsplit", "tsigma-3piece", "b8v4b-halves", "cube-octants"):
+        part = OWNER_TABLE_INPUTS[name]
+        partitions.dual_complex(part)
+        if name != "cube-octants":
+            partitions.central_frame(part)
+    assert calls["outside"] == 0
+    # the frame validates the partition, and so checks the tiling, once
+    assert calls["tiling"] == 3 and calls["inside"] == 1 + 3 + 1
