@@ -132,10 +132,9 @@ def cmd_partition(args):
                        + " ".join(str(tuple(s)) for s in d["simplices"]))
         return
     if args.action == "lift":
-        F = partitions.build_F_Gamma(part, bound=args.bound)
-        lifted = partitions.lifting_polyhedron(part, F)
-        doc = lifted.to_doc()
-        doc["functionals"] = [list(m) for m in F.functionals]
+        functionals = partitions.build_F_Gamma(part, bound=args.bound)
+        doc = partitions.lifting_polyhedron(part, functionals).to_doc()
+        doc["functionals"] = [list(m) for m in functionals]
         emit(doc, fmt, _render_lift)
         return
     if args.action == "frame":

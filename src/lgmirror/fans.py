@@ -1,6 +1,5 @@
-"""Cones and fans: face fans, boundary-ray refinement (rank <= 3), stellar
-subdivision (star), and piecewise-linear functions on a fan with their
-linear pieces and integrality.
+"""Cones and fans: face fans, boundary-ray refinement (rank <= 3) and
+stellar subdivision (star).
 
 Cones are strongly convex and stored by their primitive extreme rays; each
 reads its faces off the face lattice of conv(0, rays), a hull built only
@@ -213,41 +212,6 @@ def star(cells, v):
         else:
             out += [cell[:i] + (v,) + cell[i + 1:] for i, m in enumerate(mu) if m > 0]
     return out
-
-
-@dataclass
-class PLFunction:
-    """Integer values on the rays of a complete fan, one linear piece per cone."""
-
-    fan: Fan
-    values: dict  # ray tuple -> int
-
-    def __post_init__(self):
-        missing = [r for r in self.fan.rays if r not in self.values]
-        if missing:
-            raise FanError(f"missing values on rays {missing}")
-
-    def linear_extensions(self):
-        """Rational functional per maximal cone; FanError when none exists."""
-        out = {}
-        for c in self.fan.maximal_cones:
-            A = [list(r) for r in c.rays]
-            b = [self.values[r] for r in c.rays]
-            m = solve(A, b)
-            if m is None or any(dot(r, m) != self.values[r] for r in c.rays):
-                raise FanError(f"values admit no linear extension on cone {c.rays}")
-            out[c] = m
-        return out
-
-    def non_integral_cone(self):
-        """Rays of the first cone whose piece takes a non-integer value on a
-        lattice point, or None when every piece is integral.  The fan is
-        complete, so each cone spans Z^n: a piece is integral exactly when
-        its coefficients are integers."""
-        for c, m in self.linear_extensions().items():
-            if any(x.denominator != 1 for x in m):
-                return [list(r) for r in c.rays]
-        return None
 
 
 def fan_to_doc(fan):

@@ -16,10 +16,6 @@ masks and keeps the facet-vertex incidence on the polytope: which vertex
 lies on which facet is read there, never evaluated again.  Every face
 query reads one face lattice per polytope, built by face_lattice on first
 use and kept on the polytope (LatticePolytope.all_faces).
-
-Each polytope carries an ambient-lattice tag ("M" or "N").  Polar duality
-flips the tag; nothing else consumes it, but keeping it explicit avoids the
-silent M/N identifications the source constructions are prone to.
 """
 
 from __future__ import annotations
@@ -139,20 +135,6 @@ def host_from_doc(doc, resolve_polytope=None):
     return resolve_polytope(poly)
 
 
-def saturated_direction_basis(points):
-    """Basis of the saturated lattice of directions spanned by the points.
-
-    Every lattice point of the affine hull has integer coordinates in this
-    basis, unlike the lattice generated by vertex differences alone.
-    """
-    n = len(points[0])
-    diffs = [list(vec_sub(p, points[0])) for p in points[1:]]
-    ann = integer_kernel(diffs)
-    if not ann:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return integer_kernel(ann)
-
-
 @dataclass(frozen=True)
 class LatticePolytope:
     """Convex lattice polytope with consistent V- and H-representations."""
@@ -161,7 +143,6 @@ class LatticePolytope:
     vertices: tuple          # tuple of integer coordinate tuples, lex sorted
     facets: tuple            # tuple of (normal tuple, offset int)
     equations: tuple = ()    # tuple of (normal tuple, value int): <n,x> == value
-    lattice: str = "M"
     name: str = ""
     # incidence[i]: the indices of the vertices on facets[i]
     incidence: tuple = field(default=(), repr=False, compare=False)
@@ -212,7 +193,7 @@ class Face:
         return tuple(self.polytope.vertices[i] for i in self.vertex_indices)
 
 
-def convex_hull(points, lattice="M", name=""):
+def convex_hull(points, name=""):
     """Convex hull of integer points; minimal V-rep plus H-rep.
 
     Non-full-dimensional hulls are first-class: the affine hull is emitted
@@ -232,7 +213,7 @@ def convex_hull(points, lattice="M", name=""):
     equations = tuple((tuple(r), dot(r, p0)) for r in ann)
     d = n - len(ann)
     if d == 0:
-        return LatticePolytope(n, (tuple(p0),), (), equations, lattice, name)
+        return LatticePolytope(n, (tuple(p0),), (), equations, name)
 
     # The facets <a, x> >= m are the extreme rays (m, a), a != 0, of the cone
     # of valid inequalities {(m, a) : <a, p> - m >= 0 for every point p}; the
@@ -252,7 +233,7 @@ def convex_hull(points, lattice="M", name=""):
                       for *_, z in facets)
     return LatticePolytope(n, tuple(pts[j] for j in verts),
                            tuple((a, o) for a, o, _ in facets), equations,
-                           lattice, name, incidence)
+                           name, incidence)
 
 
 def faces(p, l):
@@ -338,8 +319,7 @@ def polar_dual(p):
     if not is_reflexive(p):
         raise LatticeError(f"polar dual requires a reflexive polytope: "
                            f"{reflexivity_diagnostic(p)}")
-    other = "N" if p.lattice == "M" else "M"
-    return convex_hull([n for n, _ in p.facets], lattice=other,
+    return convex_hull([n for n, _ in p.facets],
                        name=f"{p.name}*" if p.name else "")
 
 
@@ -372,7 +352,7 @@ def minkowski_sum(a, b):
         raise LatticeError("Minkowski sum of polytopes of different ambient rank")
     sums = [tuple(x + y for x, y in zip(u, v))
             for u in a.vertices for v in b.vertices]
-    return convex_hull(sums, lattice=a.lattice)
+    return convex_hull(sums)
 
 
 def normalized_volume(p):
@@ -489,7 +469,7 @@ def polyhedron_generators(ineqs, equations=(), ambient_rank=None):
     return verts, rec + [tuple(s * x for x in l[:-1]) for l in lin for s in (1, -1)]
 
 
-def polytope_from_inequalities(ineqs, equations=(), ambient_rank=None, lattice="M"):
+def polytope_from_inequalities(ineqs, equations=(), ambient_rank=None):
     """Bounded polytope from inequalities (normal, offset) and equations.
 
     Raises LatticeError when the region is unbounded or empty.  Vertices are
@@ -501,15 +481,15 @@ def polytope_from_inequalities(ineqs, equations=(), ambient_rank=None, lattice="
         raise LatticeError("inequality system is unbounded")
     if not verts:
         raise LatticeError("inequality system is infeasible")
-    return _lattice_hull(verts, lattice)
+    return _lattice_hull(verts)
 
 
-def _lattice_hull(verts, lattice):
+def _lattice_hull(verts):
     """convex_hull of Fraction vertices, which must be lattice points."""
     for x in verts:
         if any(v.denominator != 1 for v in x):
             raise LatticeError(f"non-lattice vertex {tuple(map(str, x))}")
-    return convex_hull([tuple(int(v) for v in x) for x in verts], lattice=lattice)
+    return convex_hull([tuple(int(v) for v in x) for x in verts])
 
 
 def recession_rays(ineqs, equations=(), ambient_rank=None):
@@ -523,7 +503,7 @@ def intersect(a, b):
     when they do not meet.  A non-lattice vertex raises LatticeError."""
     verts, _ = polyhedron_generators(a.facets + b.facets, a.equations + b.equations,
                                      a.ambient_rank)
-    return _lattice_hull(verts, a.lattice) if verts else None
+    return _lattice_hull(verts) if verts else None
 
 
 def facet_masks(p, points):

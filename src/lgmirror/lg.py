@@ -41,9 +41,8 @@ class SymbolicLaurent:
         return SymbolicLaurent(tuple((coef_label(rho), tuple(rho))
                                      for rho in sorted(points)))
 
-    def to_text(self, variables=None):
-        names = variables or [f"x{i+1}" for i in
-                              range(len(self.monomials[0][1]))]
+    def to_text(self):
+        names = [f"x{i+1}" for i in range(len(self.monomials[0][1]))]
         parts = []
         for coef, exps in self.monomials:
             factors = [coef]
@@ -61,7 +60,6 @@ class HomogeneousTerm:
     coef: str
     sign: int
     exps: tuple  # tuple of (sigma, exponent >= 0), sigma a lattice point
-    rho: tuple | None  # provenance lattice point, None for the lambda term
 
     def exponent_of(self, sigma):
         for s, e in self.exps:
@@ -162,7 +160,7 @@ def _compactified_terms(laurent, piece, rays, skip_origin=False):
                 raise LGError(f"negative exponent for sigma={s}, rho={rho}; "
                               "inconsistent dual-side data")
             exps.append((s, e))
-        terms.append(HomogeneousTerm(coef, 1, tuple(exps), tuple(rho)))
+        terms.append(HomogeneousTerm(coef, 1, tuple(exps)))
     return terms
 
 
@@ -174,14 +172,14 @@ def _lambda_term(name, nabla_piece, rays):
     for q in support:
         if q not in rays:
             raise LGError(f"lambda monomial point {q} is not a fan ray")
-    return HomogeneousTerm(name, 1, tuple(exps), None)
+    return HomogeneousTerm(name, 1, tuple(exps))
 
 
 def _potential_equation(name, nabla_piece, laurent, piece, rays):
     """lambda times the nonzero dual-piece coordinates minus the compactified
     nonzero terms of the potential."""
     head = _lambda_term(name, nabla_piece, rays)
-    tail = [HomogeneousTerm(t.coef, -1, t.exps, t.rho)
+    tail = [HomogeneousTerm(t.coef, -1, t.exps)
             for t in _compactified_terms(laurent, piece, rays, skip_origin=True)]
     return HomogeneousEquation((head,) + tuple(tail), rays)
 

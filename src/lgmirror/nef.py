@@ -1,11 +1,11 @@
-"""Nef partitions of a reflexive polytope's vertex set, the certifying convex
-piecewise-linear functions, and the dual Minkowski pieces."""
+"""Nef partitions of a reflexive polytope's vertex set, their check by the
+certifying convex piecewise-linear functions, and the dual Minkowski pieces."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fans import FanError, PLFunction, face_fan
+from .fans import face_fan
 from .lattice import (
     LatticeError,
     LatticePolytope,
@@ -18,7 +18,7 @@ from .lattice import (
     read_field,
     read_list,
 )
-from .linalg import dot
+from .linalg import dot, solve
 
 
 class NefError(ValueError):
@@ -29,12 +29,12 @@ class NefError(ValueError):
 
 @dataclass
 class NefPartition:
-    """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope, together
-    with the integral convex certificates (1 on own part, 0 elsewhere)."""
+    """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope that
+    validate_nef has certified: the function that is 1 on the vertices of
+    each part and 0 on the others is integral and convex on the face fan."""
 
     host: LatticePolytope
     parts: tuple            # tuple of tuples of vertex indices
-    certificates: tuple     # PLFunction per part on the face fan
 
     @property
     def n_parts(self):
@@ -46,17 +46,19 @@ class NefPartition:
     def delta_piece(self, i):
         """Conv(0 and the part's vertices), the i-th Minkowski summand."""
         origin = tuple(0 for _ in range(self.host.ambient_rank))
-        return convex_hull((origin,) + self.part_vertices(i),
-                           lattice=self.host.lattice)
+        return convex_hull((origin,) + self.part_vertices(i))
 
 
 def validate_nef(host, parts):
-    """Certificate construction and convexity check for a vertex partition.
+    """Check that each part's certificate is integral and convex.
 
-    Builds each candidate function cone by cone (the prescribed vertex values
-    determine the functional on a simplicial cone) and verifies integrality
-    and global convexity; the first failing cone or cone/ray pair is raised
-    as the witness.
+    The certificate of a part is 1 on its vertices and 0 on the other rays
+    of the face fan, whose rays are the host's vertices.  On a simplicial
+    cone these values fix one functional, solved once per cone and part.
+    The fan is complete, so each cone spans Z^n and a functional is
+    integral exactly when its coefficients are integers.  For each part,
+    integrality is checked on every cone before convexity; the first
+    failing cone, or cone and ray, is raised as the witness.
     """
     if not is_reflexive(host):
         raise NefError("nef partitions need a reflexive host polytope")
@@ -69,53 +71,34 @@ def validate_nef(host, parts):
         if len(c.rays) != host.dim:
             raise NefError(f"face fan cone {c.rays} is not simplicial",
                            witness={"cone": [list(r) for r in c.rays]})
-    certs = []
     for idx, part in enumerate(parts):
-        marked = set(host.vertices[j] for j in part)
-        values = {r: (1 if r in marked else 0) for r in fan.rays}
-        phi = PLFunction(fan, values)
-        try:
-            ext = phi.linear_extensions()
-        except FanError as exc:
-            raise NefError(f"part {idx}: {exc}")
-        bad = phi.non_integral_cone()
-        if bad is not None:
-            raise NefError(
-                f"part {idx}: certificate is not integral on cone {bad}",
-                witness={"part": idx, "cone": bad})
-        witness = _convexity_witness(phi, ext)
-        if witness is not None:
-            raise NefError(
-                f"part {idx}: certificate not convex at cone {witness[0]} "
-                f"against ray {witness[1]}",
-                witness={"part": idx, "cone": witness[0], "ray": witness[1]})
-        certs.append(phi)
-    # The certificates sum to the support function of the anticanonical class;
-    # a failure here is a bug in this module, not bad input.
-    for r in fan.rays:
-        if sum(phi.values[r] for phi in certs) != 1:
-            raise RuntimeError(f"certificates do not sum to 1 on ray {r}")
-    return NefPartition(host, tuple(tuple(p) for p in parts), tuple(certs))
-
-
-def _convexity_witness(phi, ext):
-    for c, m in ext.items():
-        for r in phi.fan.rays:
-            if r in c.rays:
-                continue
-            if dot(r, m) > phi.values[r]:
-                return ([list(x) for x in c.rays], list(r))
-    return None
+        marked = {host.vertices[j] for j in part}
+        pieces = [(c, solve([list(r) for r in c.rays],
+                            [int(r in marked) for r in c.rays]))
+                  for c in fan.maximal_cones]
+        for c, m in pieces:
+            if any(x.denominator != 1 for x in m):
+                bad = [list(r) for r in c.rays]
+                raise NefError(
+                    f"part {idx}: certificate is not integral on cone {bad}",
+                    witness={"part": idx, "cone": bad})
+        for c, m in pieces:
+            for r in fan.rays:
+                if r not in c.rays and dot(r, m) > int(r in marked):
+                    cone, ray = [list(x) for x in c.rays], list(r)
+                    raise NefError(
+                        f"part {idx}: certificate not convex at cone {cone} "
+                        f"against ray {ray}",
+                        witness={"part": idx, "cone": cone, "ray": ray})
+    return NefPartition(host, tuple(tuple(p) for p in parts))
 
 
 def nabla(i, nef):
-    """The i-th dual piece {u : <u, v> >= -phi_i(v)} in the dual lattice."""
-    phi = nef.certificates[i]
-    ineqs = [(v, phi.values[v]) for v in nef.host.vertices]
-    other = "N" if nef.host.lattice == "M" else "M"
+    """The i-th dual piece {u : <u, v> >= -phi_i(v)} in the dual lattice,
+    where phi_i is 1 on the vertices of part i and 0 on the others."""
+    ineqs = [(v, int(j in nef.parts[i])) for j, v in enumerate(nef.host.vertices)]
     try:
-        return polytope_from_inequalities(ineqs, ambient_rank=nef.host.ambient_rank,
-                                          lattice=other)
+        return polytope_from_inequalities(ineqs, ambient_rank=nef.host.ambient_rank)
     except LatticeError as exc:
         raise NefError(f"nabla piece {i} is not a lattice polytope: {exc}")
 
@@ -134,8 +117,7 @@ def nabla_pieces(nef):
 def nabla_hull(pieces):
     """Convex hull of the union of the dual pieces.  Each piece holds 0, so
     the hull lies in their Minkowski sum, the polar dual."""
-    return convex_hull([v for p in pieces for v in p.vertices],
-                       lattice=pieces[0].lattice)
+    return convex_hull([v for p in pieces for v in p.vertices])
 
 
 def nef_from_doc(doc, resolve_polytope=None):

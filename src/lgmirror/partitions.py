@@ -35,10 +35,9 @@ from .lattice import (
     polyhedron_generators,
     read_field,
     read_points,
-    saturated_direction_basis,
     vertex_is_smooth,
 )
-from .linalg import dot, integral_multiple, primitive, solve
+from .linalg import dot, identity, integer_kernel, integral_multiple, primitive, solve
 
 
 class PartitionError(ValueError):
@@ -72,8 +71,8 @@ class ValidationReport:
 
 
 def check_tiling(part):
-    """Pieces are full-dimensional, sit inside the host, meet in common faces,
-    and their normalized volumes add up to the host volume."""
+    """Pieces are full-dimensional, sit inside the host, meet in proper
+    common faces, and their normalized volumes add up to the host volume."""
     host, pieces = part.host, part.pieces
     if not pieces:
         return False, "no pieces"
@@ -87,7 +86,8 @@ def check_tiling(part):
     for i, j in itertools.combinations(range(len(pieces)), 2):
         try:
             w = intersect(pieces[i], pieces[j])
-            if w is None or (is_face_of(w, pieces[i]) and is_face_of(w, pieces[j])):
+            if w is None or (w.dim < host.dim and is_face_of(w, pieces[i])
+                             and is_face_of(w, pieces[j])):
                 continue
         except LatticeError:  # a common face would have lattice vertices
             pass
@@ -212,16 +212,6 @@ def is_nonsingular(part):
 # The concave piecewise-linear function certifying the lifting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GammaPLFunction:
-    """One integral linear functional per piece, agreeing on walls and bending
-    strictly across them, so F = min over pieces is concave and linear exactly
-    on the pieces."""
-
-    functionals: tuple  # integer coefficient tuple per piece, in piece order
-    bound: int
-
-
 def _balanced_range(bound):
     out = [0]
     for k in range(1, bound + 1):
@@ -230,11 +220,14 @@ def _balanced_range(bound):
 
 
 def build_F_Gamma(part, bound=10):
-    """Search the coefficient box [-bound, bound]^n for the minimal certificate.
+    """The certificate of the lifting: a tuple of integral functionals, one
+    per piece in piece order, that agree on walls and bend strictly across
+    them, so F = min over pieces is concave and linear exactly on the pieces.
 
-    Validity of an assignment (m_0, ..., m_r): for every ordered pair (i, j)
-    and every vertex u of piece j, m_i(u) == m_j(u) when u lies in piece i
-    and m_i(u) > m_j(u) otherwise.  Candidates are scanned in the balanced
+    The search scans the coefficient box [-bound, bound]^n.  Validity of an
+    assignment (m_0, ..., m_r): for every ordered pair (i, j) and every
+    vertex u of piece j, m_i(u) == m_j(u) when u lies in piece i and
+    m_i(u) > m_j(u) otherwise.  Candidates are scanned in the balanced
     lexicographic order 0, -1, 1, -2, 2, ... so the first solution found is
     the canonical one.  Exhausting the box raises (which is not a disproof).
     """
@@ -284,7 +277,7 @@ def build_F_Gamma(part, bound=10):
     if not search(0):
         raise PartitionError(
             f"F_Gamma search exhausted the coefficient box [-{bound}, {bound}]^{n}")
-    return GammaPLFunction(tuple(assignment), bound)
+    return tuple(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +303,12 @@ class LiftedPolyhedron:
         }
 
 
-def lifting_polyhedron(part, F):
-    """H-representation y >= m_i(x) for every piece plus the host facets."""
+def lifting_polyhedron(part, functionals):
+    """H-representation y >= m_i(x) for every piece functional (build_F_Gamma)
+    plus the host facets."""
     n = part.host.ambient_rank
     ineqs = []
-    for m in F.functionals:
+    for m in functionals:
         ineqs.append(((1,) + tuple(-c for c in m), 0))
     for nrm, off in part.host.facets:
         ineqs.append(((0,) + tuple(nrm), off))
@@ -372,24 +366,20 @@ def central_frame(part):
 
     # the origin lies in every piece, so they meet in a face with vertices
     common = convex_hull([u for u, owners in vertex_owners(part).items()
-                          if len(owners) == len(part.pieces)], lattice=host.lattice)
+                          if len(owners) == len(part.pieces)])
     if l + common.dim != host.dim:
         raise PartitionError(
             f"dim K_Gamma + dim(common face) = {l} + {common.dim} != {host.dim}")
 
-    if common.dim == 0:
-        L_rows = []
-    else:
-        # the common face of a central partition contains the origin, so its
-        # direction span is its linear span
-        L_rows = saturated_direction_basis(common.vertices)
+    # the common face holds the origin, so the lattice points of its span
+    # are the kernel of its equations
+    q_rows = [q for q, _ in common.equations]
+    L_rows = integer_kernel(q_rows) if q_rows else identity(host.ambient_rank)
 
     if l == 0:
         sigma_v = Fan(0, ())
         return CentralFrame(0, tuple(tuple(r) for r in L_rows), (), (), (),
                             sigma_v)
-
-    q_rows = [q for q, _ in common.equations]
 
     cones = []
     for piece in part.pieces:
@@ -494,5 +484,5 @@ def partition_from_doc(doc, resolve_polytope=None):
         points = read_points(piece, f"pieces[{i}]", host.ambient_rank)
         if not points:
             raise InputError(f"pieces[{i}]", "no points")
-        pieces.append(convex_hull(points, lattice=host.lattice))
+        pieces.append(convex_hull(points))
     return SemistablePartition(host, tuple(pieces))

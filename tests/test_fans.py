@@ -9,7 +9,6 @@ from lgmirror.fans import (
     Cone,
     Fan,
     FanError,
-    PLFunction,
     face_fan,
     fan_to_doc,
     refine_with_boundary_rays,
@@ -24,7 +23,7 @@ from lgmirror.lattice import (
 )
 from lgmirror.lg import LGError, pi_gamma_monomials
 from lgmirror.linalg import det, dot, identity, integer_kernel, primitive, rank
-from lgmirror.nef import _convexity_witness
+from lgmirror.nef import NefError, validate_nef
 from lgmirror.partitions import (
     SemistablePartition,
     build_fibration_fans,
@@ -164,50 +163,31 @@ def test_fan_rejects_improper_intersections():
         fan.validate()
 
 
-def is_convex(phi):
-    return _convexity_witness(phi, phi.linear_extensions()) is None
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
-def test_pl_nef_certificate(diamond):
-    # oracle: the four linear pieces, compared by hand on all rays
-    fan = face_fan(diamond)
-    phi = PLFunction(fan, {(-1, 0): 1, (1, 0): 0, (0, 1): 0, (0, -1): 0})
-    assert is_convex(phi)
-    assert phi.non_integral_cone() is None
-
-
-def test_pl_linear_and_zero_are_convex(diamond):
-    fan = face_fan(diamond)
-    for values in ({(-1, 0): 1, (1, 0): -1, (0, 1): 0, (0, -1): 0},
-                   {r: 0 for r in fan.rays}):
-        assert is_convex(PLFunction(fan, values))
-
-
-def test_pl_bent_the_wrong_way_has_a_convexity_witness(diamond):
-    fan = face_fan(diamond)
-    phi = PLFunction(fan, {(-1, 0): -1, (1, 0): 0, (0, 1): 0, (0, -1): 0})
-    # the piece (1, 0) on the cone over (-1, 0), (0, -1) exceeds 0 at (1, 0)
-    assert _convexity_witness(phi, phi.linear_extensions()) == \
-        ([[-1, 0], [0, -1]], [1, 0])
-
-
-def test_pl_non_integral_cone(square):
-    fan = face_fan(square)
-    phi = PLFunction(fan, {r: int(r == (1, 1)) for r in fan.rays})
-    # the piece on the first cone through (1, 1), over (-1, 1), (1, 1), is
-    # (1/2, 1/2)
-    assert phi.non_integral_cone() == [[-1, 1], [1, 1]]
-
-
-def test_pl_inconsistent_values(square):
-    # the square's facet cones are simplicial, but a value clash on a
-    # non-simplicial cone must raise: build one on a made-up fan
-    fan = Fan.from_cones([Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1),
-                                          (0, 1, 1)])], 3)
-    phi = PLFunction(fan, {(1, 0, 0): 0, (0, 1, 0): 0, (1, 0, 1): 0,
-                           (0, 1, 1): 1})
-    with pytest.raises(FanError):
-        phi.linear_extensions()
+@pytest.mark.parametrize("verts, part, message, witness", [
+    # the piece through (1, 1) on the cone over (-1, 1), (1, 1) is (1/2, 1/2)
+    ([(1, 1), (1, -1), (-1, 1), (-1, -1)], [(1, 1)],
+     "is not integral on cone [[-1, 1], [1, 1]]",
+     {"part": 0, "cone": [[-1, 1], [1, 1]]}),
+    # the piece (-1, 1) on the cone over (-1, -1), (-1, 0) exceeds 0 at (0, 1)
+    (HEXAGON, [(1, 0), (-1, 0)],
+     "not convex at cone [[-1, -1], [-1, 0]] against ray [0, 1]",
+     {"part": 0, "cone": [[-1, -1], [-1, 0]], "ray": [0, 1]}),
+    # the piece (1, -1) on the cone over (0, -1), (1, 0) exceeds 0 at (1, 1)
+    (HEXAGON, [(1, 0)],
+     "not convex at cone [[0, -1], [1, 0]] against ray [1, 1]",
+     {"part": 0, "cone": [[0, -1], [1, 0]], "ray": [1, 1]}),
+], ids=["square-corner", "hexagon-opposite-pair", "hexagon-one-vertex"])
+def test_nef_certificate_witness(verts, part, message, witness):
+    host = convex_hull(verts)
+    parts = [tuple(j for j, v in enumerate(host.vertices) if v in part),
+             tuple(j for j, v in enumerate(host.vertices) if v not in part)]
+    with pytest.raises(NefError) as err:
+        validate_nef(host, parts)
+    assert str(err.value) == f"part 0: certificate {message}"
+    assert err.value.witness == witness
 
 
 def test_fan_documents(diamond):

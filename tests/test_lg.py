@@ -87,10 +87,10 @@ def test_single_exponent_example(diamond_model):
     # <(-1,1), (0,1)> - min over Delta_1 = 1 - (-1) = 2
     model, nd = diamond_model
     eqs = compactify_fiber(model, nd)
-    term = next(t for t in eqs[0].terms if t.rho == (0, 1))
+    term = next(t for t in eqs[0].terms if t.coef == "a_(0,1)")
     assert term.exponent_of((-1, 1)) == 2
     # rho = 0 gives exponent -sigma_min >= 0 everywhere
-    origin_term = next(t for t in eqs[0].terms if t.rho == (0, 0))
+    origin_term = next(t for t in eqs[0].terms if t.coef == "a_(0,0)")
     assert all(e >= 0 for _, e in origin_term.exps)
 
 
@@ -129,8 +129,8 @@ def test_non_nef_split_square_anticanonical(square):
         for t in eq.terms:
             assert all(e >= 0 for _, e in t.exps)
     # the lambda-free parts partition the potential's nonzero terms
-    rhos = [t.rho for eq in eqs for t in eq.terms if t.rho is not None]
-    assert sorted(rhos) == sorted(pts)
+    labels = [t.coef for eq in eqs for t in eq.terms if t.coef.startswith("a_")]
+    assert sorted(labels) == sorted(f"a_({q[0]},{q[1]})" for q in pts)
     with pytest.raises(LGError):
         non_nef_split_fiber(model, [group1], nd)
 

@@ -1,4 +1,8 @@
+import itertools
+from collections import Counter
+
 import pytest
+import sympy
 from tests_data_helpers import reflexive_polygons
 
 from lgmirror.lattice import convex_hull, lattice_points, minkowski_sum, polar_dual
@@ -52,7 +56,6 @@ def test_nabla_pieces_diamond(diamond):
     n1, n2 = nabla_pieces(nef)
     assert n1 == convex_hull([(-1, -1), (-1, 1), (0, -1), (0, 1)])
     assert n2 == convex_hull([(0, 0), (1, 0)])
-    assert n1.lattice == "N"
     # oracle cross-check by box scan
     phi1 = {(1, 0): 1, (0, 1): 1, (0, -1): 1, (-1, 0): 0}
     assert brute_force_dual_piece(diamond, phi1) == lattice_points(n1)
@@ -88,3 +91,43 @@ def test_nef_document(diamond):
            "parts": [[3, 2, 1], [0]]}
     nef = nef_from_doc(doc)
     assert nef.n_parts == 2
+
+
+def sympy_nef_verdict(host, part):
+    """Oracle: None when the function that is 1 on `part` and 0 on the other
+    vertices is integral and convex on the face fan, else the first of
+    "integral" and "convex" that fails; each facet cone's piece is solved
+    by sympy."""
+    values = {v: int(v in part) for v in host.vertices}
+    pieces = []
+    for facet in host.incidence:
+        rays = [host.vertices[j] for j in sorted(facet)]
+        m = sympy.Matrix(rays).solve(sympy.Matrix([values[r] for r in rays]))
+        pieces.append(list(m))
+    if any(not x.is_integer for m in pieces for x in m):
+        return "integral"
+    if any(sum(a * b for a, b in zip(m, v)) > values[v]
+           for m in pieces for v in host.vertices):
+        return "convex"
+    return None
+
+
+def test_validate_nef_agrees_with_sympy_on_two_part_polygon_splits():
+    verdicts = Counter()
+    for host in reflexive_polygons():
+        verts = host.vertices
+        for r in range(1, len(verts)):
+            for first in itertools.combinations(range(len(verts)), r):
+                parts = [first, tuple(j for j in range(len(verts)) if j not in first)]
+                expect = next(filter(None, (
+                    sympy_nef_verdict(host, {verts[j] for j in p}) for p in parts)),
+                    None)
+                try:
+                    validate_nef(host, parts)
+                    verdict = None
+                except NefError as exc:
+                    verdict = "integral" if "integral" in str(exc) else "convex"
+                assert verdict == expect, (verts, parts)
+                verdicts[verdict] += 1
+    # 280 splits: all three verdicts occur
+    assert verdicts == {None: 80, "integral": 122, "convex": 78}

@@ -13,7 +13,6 @@ from lgmirror.lattice import (carrier, convex_hull, intersect, normalized_volume
                               polytope_from_inequalities)
 from lgmirror.linalg import dot
 from lgmirror.partitions import (
-    GammaPLFunction,
     PartitionError,
     SemistablePartition,
     build_F_Gamma,
@@ -131,12 +130,12 @@ def test_centrality_and_nonsingularity(vsplit, square):
 
 def test_F_gamma_vertical_split(vsplit):
     F = build_F_Gamma(vsplit)
-    assert F.functionals == ((0, 0), (-1, 0))
+    assert F == ((0, 0), (-1, 0))
     # concavity: m_i(x) >= F(x) on all host lattice points, equality on own
     from lgmirror.lattice import lattice_points
     for x in lattice_points(vsplit.host):
-        val = min(dot(m, x) for m in F.functionals)
-        for m, piece in zip(F.functionals, vsplit.pieces):
+        val = min(dot(m, x) for m in F)
+        for m, piece in zip(F, vsplit.pieces):
             assert dot(m, x) >= val
             if piece.contains(x):
                 assert dot(m, x) == val
@@ -144,7 +143,7 @@ def test_F_gamma_vertical_split(vsplit):
 
 def test_F_gamma_trivial(square):
     part = SemistablePartition(square, (square,))
-    assert build_F_Gamma(part).functionals == ((0, 0),)
+    assert build_F_Gamma(part) == ((0, 0),)
 
 
 def test_F_gamma_requires_validity(square):
@@ -153,8 +152,7 @@ def test_F_gamma_requires_validity(square):
 
 
 def test_F_gamma_tsigma(tsigma_part):
-    F = build_F_Gamma(tsigma_part)
-    assert F.functionals == ((0, 0), (0, -1), (1, 0))
+    assert build_F_Gamma(tsigma_part) == ((0, 0), (0, -1), (1, 0))
 
 
 def test_lifting_vertical_split(vsplit):
@@ -179,10 +177,7 @@ def test_lifting_projection_reflected_three_pieces(tsigma_part):
     # With three or more pieces the faces of the epigraph bend along the
     # reflected certificate; the reflected lifting projects onto the
     # partition faces while the literal one need not.
-    F = build_F_Gamma(tsigma_part)
-    reflected = GammaPLFunction(
-        tuple(tuple(-c for c in m) for m in F.functionals),
-        F.bound)
+    reflected = tuple(tuple(-c for c in m) for m in build_F_Gamma(tsigma_part))
     lifted = lifting_polyhedron(tsigma_part, reflected)
     assert lifting_projection_check(tsigma_part, lifted)["ok"]
 
@@ -254,16 +249,15 @@ def test_central_frame_quotient_is_exact(vsplit, tsigma_part):
 
 
 def test_hexagon_three_piece_cut_is_not_semistable():
-    # all hexagon edges are primitive, so any three-piece central cut puts a
-    # host vertex on a cut ray; the validator must reject it and the frame
-    # must refuse to build
-    hexagon = convex_hull([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
-    p0 = convex_hull([(0, 0), (1, 0), (1, 1)])
-    p1 = convex_hull([(0, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)])
-    p2 = convex_hull([(0, 0), (-1, -1), (0, -1), (1, 0)])
-    part = SemistablePartition(hexagon, (p0, p1, p2))
+    # The hexagon's edges are primitive, so its only boundary lattice points
+    # are its vertices, and each ray of a central cut into lattice pieces
+    # ends at a host vertex that two pieces share.  The cut tiles, but the
+    # vertex-uniqueness clause fails and the frame refuses to build.
+    part = OWNER_TABLE_INPUTS["hexagon-cut"]
+    assert check_tiling(part) == (True, "ok")
     report = validate_semistable(part)
     assert not report.valid
+    assert report.clause_violations["vertex-uniqueness"]
     with pytest.raises(PartitionError):
         central_frame(part)
 
@@ -335,6 +329,27 @@ def test_pieces_meeting_at_a_non_lattice_point_fail_the_tiling(capsys, tmp_path)
     assert json.loads(out.out)["tiling"] == {
         "ok": False, "message": "pieces 0 and 1 do not meet in a common face"}
     assert out.err == "FAIL: partition is not semi-stable\n"
+    assert main(["partition", "dual-complex", str(f)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", "FAIL: pieces 0 and 1 do not meet in a common face\n")
+
+
+# One half of the square listed twice: the copies meet in the whole half, an
+# improper face, and their volumes add up to the square's.
+REPEATED = {"polytope": {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]},
+            "pieces": [[[-1, -1], [0, -1], [-1, 1], [0, 1]]] * 2}
+
+
+def test_a_piece_listed_twice_fails_the_tiling(capsys, tmp_path):
+    part = partition_from_doc(REPEATED)
+    assert check_tiling(part) == (
+        False, "pieces 0 and 1 do not meet in a common face")
+    f = tmp_path / "repeated.json"
+    f.write_text(json.dumps(REPEATED))
+    assert main(["partition", "validate", str(f)]) == 2
+    out = capsys.readouterr()
+    assert "tiling: False (pieces 0 and 1 do not meet in a common face)" in out.out
     assert main(["partition", "dual-complex", str(f)]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == (
@@ -418,9 +433,8 @@ def _owner_table_inputs():
         for x, y in itertools.product((-1, 0), repeat=2)))
     cases["cube-octants"] = SemistablePartition(cube, tuple(
         _box(lo, [x + 1 for x in lo]) for lo in itertools.product((-1, 0), repeat=3)))
-    # The cut of test_hexagon_three_piece_cut_is_not_semistable fails the
-    # tiling (its first two pieces meet in half an edge of the second), so
-    # this one cuts along the rays to every other vertex.
+    # A central cut along the rays to every other vertex: it tiles, but it is
+    # not semi-stable (test_hexagon_three_piece_cut_is_not_semistable).
     cases["hexagon-cut"] = SemistablePartition(
         convex_hull([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]),
         (convex_hull([(0, 0), (1, 1), (0, 1), (-1, 0)]),

@@ -35,7 +35,7 @@ def apply_unimodular(p, U, shift=None):
     """Image of p under the integer matrix U (rows), optionally translated."""
     shift = shift or (0,) * p.ambient_rank
     return convex_hull([tuple(dot(row, v) + s for row, s in zip(U, shift))
-                        for v in p.vertices], lattice=p.lattice)
+                        for v in p.vertices])
 
 
 def relabeled(d, perm):
