@@ -117,25 +117,22 @@ def cmd_partition(args):
     fmt = args.format
     if args.action == "validate":
         report = partitions.validate_semistable(part)
-        emit(report.to_doc(), fmt, _render_validation)
-        if not report.valid:
+        emit(report, fmt, _render_validation)
+        if not report["valid"]:
             raise CliValidationFailure("partition is not semi-stable")
         return
     if args.action == "dual-complex":
         tiling_ok, message = partitions.check_tiling(part)
         if not tiling_ok:
             raise CliValidationFailure(message)
-        K = partitions.dual_complex(part)
-        emit(K.to_doc(), fmt,
+        emit(partitions.dual_complex(part), fmt,
              lambda d: f"dual complex on {d['vertices']} vertices, "
                        f"dimension {d['dimension']}; simplices: "
                        + " ".join(str(tuple(s)) for s in d["simplices"]))
         return
     if args.action == "lift":
-        functionals = partitions.build_F_Gamma(part, bound=args.bound)
-        doc = partitions.lifting_polyhedron(part, functionals).to_doc()
-        doc["functionals"] = [list(m) for m in functionals]
-        emit(doc, fmt, _render_lift)
+        functionals = partitions.build_F_Gamma(part, args.bound)
+        emit(partitions.lifting_polyhedron(part, functionals), fmt, _render_lift)
         return
     if args.action == "frame":
         frame = partitions.central_frame(part)
@@ -150,9 +147,13 @@ def cmd_partition(args):
         frame = partitions.central_frame(part)
         fans = partitions.build_fibration_fans(part, frame)
         doc = fans.to_doc()
-        pg = lg_mod.pi_gamma_monomials(fans.sigma_prime, frame)
-        doc["pi_gamma"] = pg.to_doc()
-        doc["pi_gamma_text"] = "[" + " : ".join(pg.monomials_text()) + "]"
+        comps = [sorted(c.items())
+                 for c in lg_mod.pi_gamma_monomials(fans.sigma_prime, frame)]
+        doc["pi_gamma"] = {"components": [
+            {lg_mod.var_label(s): e for s, e in c} for c in comps]}
+        doc["pi_gamma_text"] = "[" + " : ".join(
+            "".join(lg_mod.var_label(s) + (f"^{e}" if e > 1 else "") for s, e in c)
+            for c in comps) + "]"
         emit(doc, fmt, _render_fans)
         return
 
@@ -231,15 +232,15 @@ def cmd_lg(args):
             doc.get("split_last_points", []), "split_last_points",
             lambda grp, where: lattice.read_points(grp, where,
                                                    nef.host.ambient_rank))
-        nd = lg_mod.NablaData.from_nef(nef)
+        nabla = nef_mod.nabla_pieces(nef)
         if r == 1 and len(groups) > 1:
             model = lg_mod.givental_hybrid(nef, k, 1)
-            eqs = lg_mod.non_nef_split_fiber(model, groups, nd, lam)
+            eqs = lg_mod.non_nef_split_fiber(model, groups, nabla, lam)
             banner = ("mirror status open: the split of the last part is not "
                       "certified nef")
         else:
             model = lg_mod.givental_hybrid(nef, k, r)
-            eqs = lg_mod.compactify_fiber(model, nd, lam)
+            eqs = lg_mod.compactify_fiber(model, nabla, lam)
             banner = None
         payload = lg_mod.equations_to_doc(eqs)
         payload["text"] = [eq.to_text() for eq in eqs]

@@ -53,13 +53,9 @@ class Cone:
     _hull: LatticePolytope = field(default=None, repr=False, compare=False)
 
     @staticmethod
-    def from_rays(rays, ambient_rank=None):
+    def from_rays(rays, ambient_rank):
         """The checked constructor: primitive rays, no line, and only the
         extreme rays kept."""
-        if ambient_rank is None:
-            if not rays:
-                raise FanError("zero cone needs an explicit ambient rank")
-            ambient_rank = len(rays[0])
         prims = list(dict.fromkeys(primitive(r) for r in rays))
         if any(not any(p) for p in prims):
             raise FanError("zero vector is not a ray")
@@ -109,7 +105,8 @@ class Cone:
         ineqs2, eqs2 = other.hrep()
         ineqs = [(n, 0) for n in ineqs1 + ineqs2]
         eqs = [(n, 0) for n in eqs1 + eqs2]
-        return tuple(sorted(recession_rays(ineqs, eqs, self.ambient_rank)))
+        return tuple(sorted(recession_rays(ineqs, eqs,
+                                           ambient_rank=self.ambient_rank)))
 
 
 @dataclass(frozen=True)
@@ -126,12 +123,7 @@ class Fan:
     maximal_cones: tuple
 
     @staticmethod
-    def from_cones(cones, ambient_rank=None):
-        cones = list(cones)
-        if ambient_rank is None:
-            if not cones:
-                raise FanError("empty fan needs an explicit ambient rank")
-            ambient_rank = cones[0].ambient_rank
+    def from_cones(cones, ambient_rank):
         return Fan(ambient_rank, tuple(sorted(set(cones), key=lambda c: c.rays)))
 
     @property

@@ -124,14 +124,12 @@ def read_points(items, path, rank):
     return read_list(items, path, point)
 
 
-def host_from_doc(doc, resolve_polytope=None):
+def host_from_doc(doc, resolve_polytope):
     """doc["polytope"]: a polytope document, or the name of one that
     resolve_polytope loads."""
     poly = read_field(doc, "polytope", str, dict)
     if type(poly) is dict:
         return polytope_from_doc(poly, "polytope")
-    if resolve_polytope is None:
-        raise InputError("polytope", f"no resolver for the reference {poly!r}")
     return resolve_polytope(poly)
 
 
@@ -450,7 +448,7 @@ def cone_generators(rows, n, equations=()):
     return [(r, z >> len(equations)) for r, z in rays], lin
 
 
-def polyhedron_generators(ineqs, equations=(), ambient_rank=None):
+def polyhedron_generators(ineqs, equations=(), *, ambient_rank):
     """(vertices, recession generators) of a system of (normal, offset)
     inequalities <normal, x> >= -offset and (normal, value) equations.
 
@@ -459,8 +457,6 @@ def polyhedron_generators(ineqs, equations=(), ambient_rank=None):
     extreme recession rays, and the lineality comes back as +/- pairs.  No
     vertex means the system is infeasible.
     """
-    if ambient_rank is None:
-        ambient_rank = len(ineqs[0][0]) if ineqs else len(equations[0][0])
     rows = [tuple(a) + (o,) for a, o in ineqs] + [(0,) * ambient_rank + (1,)]
     eqs = [tuple(a) + (-c,) for a, c in equations]
     rays, lin = cone_generators(rows, ambient_rank + 1, eqs)
@@ -469,14 +465,14 @@ def polyhedron_generators(ineqs, equations=(), ambient_rank=None):
     return verts, rec + [tuple(s * x for x in l[:-1]) for l in lin for s in (1, -1)]
 
 
-def polytope_from_inequalities(ineqs, equations=(), ambient_rank=None):
+def polytope_from_inequalities(ineqs, equations=(), *, ambient_rank):
     """Bounded polytope from inequalities (normal, offset) and equations.
 
     Raises LatticeError when the region is unbounded or empty.  Vertices are
     required to be lattice points; a rational vertex is reported, since every
     consumer in this package expects lattice output.
     """
-    verts, rec = polyhedron_generators(ineqs, equations, ambient_rank)
+    verts, rec = polyhedron_generators(ineqs, equations, ambient_rank=ambient_rank)
     if rec:
         raise LatticeError("inequality system is unbounded")
     if not verts:
@@ -492,17 +488,17 @@ def _lattice_hull(verts):
     return convex_hull([tuple(int(v) for v in x) for x in verts])
 
 
-def recession_rays(ineqs, equations=(), ambient_rank=None):
+def recession_rays(ineqs, equations=(), *, ambient_rank):
     """Primitive extreme rays of the recession cone of an inequality system,
     with its lineality as +/- pairs."""
-    return polyhedron_generators(ineqs, equations, ambient_rank)[1]
+    return polyhedron_generators(ineqs, equations, ambient_rank=ambient_rank)[1]
 
 
 def intersect(a, b):
     """Intersection polytope of a and b (possibly lower-dimensional), or None
     when they do not meet.  A non-lattice vertex raises LatticeError."""
     verts, _ = polyhedron_generators(a.facets + b.facets, a.equations + b.equations,
-                                     a.ambient_rank)
+                                     ambient_rank=a.ambient_rank)
     return _lattice_hull(verts) if verts else None
 
 

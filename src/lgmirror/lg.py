@@ -15,7 +15,7 @@ from .lattice import (
     lattice_points,
 )
 from .linalg import dot, primitive, solve, vec_gcd
-from .nef import nabla_hull, nabla_pieces
+from .nef import nabla_hull
 
 
 class LGError(ValueError):
@@ -107,10 +107,8 @@ class HomogeneousEquation:
 
 @dataclass
 class HybridLGModel:
-    """k torus constraints and r potentials built from a nef partition."""
+    """Torus constraints and potentials built from a nef partition."""
 
-    k: int
-    r: int
     constraints: tuple  # SymbolicLaurent per constraint part
     potentials: tuple   # SymbolicLaurent per potential part
     delta_pieces: tuple  # Conv(0 u E_i) per part, constraint parts first
@@ -124,23 +122,13 @@ def givental_hybrid(nef, k, r):
         raise LGError("at least one potential part is required")
     pieces = [nef.delta_piece(i) for i in range(nef.n_parts)]
     laurents = [SymbolicLaurent.from_points(lattice_points(p)) for p in pieces]
-    return HybridLGModel(k, r, tuple(laurents[:k]), tuple(laurents[k:]),
-                         tuple(pieces))
+    return HybridLGModel(tuple(laurents[:k]), tuple(laurents[k:]), tuple(pieces))
 
 
-@dataclass
-class NablaData:
-    """Dual-side data for compactification: the dual pieces and the rays of
-    the refined fan over their hull (its boundary lattice points)."""
-
-    pieces: tuple
-    rays: tuple
-
-    @staticmethod
-    def from_nef(nef):
-        pieces = nabla_pieces(nef)
-        rays = tuple(sorted(boundary_lattice_points(nabla_hull(pieces))))
-        return NablaData(tuple(pieces), rays)
+def _fan_rays(nabla_pieces):
+    """The rays of the refined fan over the hull of the dual pieces: its
+    boundary lattice points."""
+    return tuple(sorted(boundary_lattice_points(nabla_hull(nabla_pieces))))
 
 
 def _sigma_min(sigma, piece):
@@ -184,37 +172,41 @@ def _potential_equation(name, nabla_piece, laurent, piece, rays):
     return HomogeneousEquation((head,) + tuple(tail), rays)
 
 
-def compactify_fiber(model, nabla_data, lam=None):
-    """Homogeneous equations of a compactified fiber.
+def compactify_fiber(model, nabla_pieces, lam=None):
+    """Homogeneous equations of a compactified fiber, given the dual pieces
+    of the nef partition in part order (nef.nabla_pieces).  The coordinates
+    z_sigma run over the boundary lattice points sigma of their hull.
 
     Constraint i: sum over Delta_i of a_rho z^(<sigma,rho> - sigma_min_i).
     Potential j: lambda_j times the product of the nonzero dual-piece
     coordinates minus the analogous sum over the nonzero points of the
     potential polytope.
     """
-    lam = lam or [f"lambda_{j+1}" for j in range(model.r)]
-    if len(lam) != model.r:
+    k, r = len(model.constraints), len(model.potentials)
+    lam = lam or [f"lambda_{j+1}" for j in range(r)]
+    if len(lam) != r:
         raise LGError("one lambda symbol per potential is required")
-    rays = nabla_data.rays
+    rays = _fan_rays(nabla_pieces)
     eqs = []
-    for i in range(model.k):
+    for i in range(k):
         terms = _compactified_terms(model.constraints[i], model.delta_pieces[i],
                                     rays)
         eqs.append(HomogeneousEquation(tuple(terms), rays))
-    for j in range(model.r):
+    for j in range(r):
         eqs.append(_potential_equation(
-            lam[j], nabla_data.pieces[model.k + j], model.potentials[j],
-            model.delta_pieces[model.k + j], rays))
+            lam[j], nabla_pieces[k + j], model.potentials[j],
+            model.delta_pieces[k + j], rays))
     return eqs
 
 
-def non_nef_split_fiber(model, split, nabla_data, lam=None):
-    """Equations for a (possibly non-nef) split F_1, ..., F_r of the last part.
+def non_nef_split_fiber(model, split, nabla_pieces, lam=None):
+    """Equations for a (possibly non-nef) split F_1, ..., F_r of the last part,
+    in the coordinates of compactify_fiber.
 
     All r equations share the sigma-minimum of the undivided last part; the
     toolkit emits them without asserting any mirror status.
     """
-    if model.r != 1:
+    if len(model.potentials) != 1:
         raise LGError("splitting applies to a model with a single potential")
     last = model.delta_pieces[-1]
     part_points = [pt for _, pt in model.potentials[0].monomials if any(pt)]
@@ -224,9 +216,9 @@ def non_nef_split_fiber(model, split, nabla_data, lam=None):
     lam = lam or [f"lambda_{j+1}" for j in range(len(split))]
     if len(lam) != len(split):
         raise LGError("one lambda symbol per split group is required")
-    return [_potential_equation(lam[j], nabla_data.pieces[model.k],
-                                SymbolicLaurent.from_points(group), last,
-                                nabla_data.rays)
+    rays = _fan_rays(nabla_pieces)
+    return [_potential_equation(lam[j], nabla_pieces[-1],
+                                SymbolicLaurent.from_points(group), last, rays)
             for j, group in enumerate(split)]
 
 
@@ -244,29 +236,12 @@ def check_degree_consistency(eq):
     return True
 
 
-@dataclass
-class PiGammaMap:
-    """Monomial components of the fibration map, one per distinguished ray."""
-
-    components: tuple  # tuple of dicts sigma -> positive exponent
-
-    def monomials_text(self):
-        out = []
-        for comp in self.components:
-            out.append("".join(var_label(s) + (f"^{e}" if e > 1 else "")
-                               for s, e in sorted(comp.items())))
-        return out
-
-    def to_doc(self):
-        return {"components": [
-            {var_label(s): e for s, e in sorted(comp.items())}
-            for comp in self.components]}
-
-
 def pi_gamma_monomials(sigma_prime, frame):
-    """Exponent of z_sigma in component i is c when sigma projects to c times
-    the i-th distinguished quotient ray; rays projecting to zero are absent.
-    A projection inside no ray is a structural error."""
+    """The monomial components of the fibration map, one {sigma: exponent}
+    dict per distinguished ray, in ray order.  Exponent of z_sigma in
+    component i is c when sigma projects to c times the i-th distinguished
+    quotient ray; rays projecting to zero are absent.  A projection inside
+    no ray is a structural error."""
     comps = [dict() for _ in frame.v_quotient]
     for s in sigma_prime.rays:
         q = frame.project(s)
@@ -276,7 +251,7 @@ def pi_gamma_monomials(sigma_prime, frame):
             raise LGError(f"ray {s} projects to {q}, outside every "
                           "distinguished ray")
         comps[frame.v_quotient.index(primitive(q))][s] = vec_gcd(q)
-    return PiGammaMap(tuple(comps))
+    return tuple(comps)
 
 
 def equations_to_doc(eqs):

@@ -31,7 +31,8 @@ class NefError(ValueError):
 class NefPartition:
     """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope that
     validate_nef has certified: the function that is 1 on the vertices of
-    each part and 0 on the others is integral and convex on the face fan."""
+    each part and 0 on the others is linear on each cone of the face fan,
+    integral and convex."""
 
     host: LatticePolytope
     parts: tuple            # tuple of tuples of vertex indices
@@ -50,15 +51,17 @@ class NefPartition:
 
 
 def validate_nef(host, parts):
-    """Check that each part's certificate is integral and convex.
+    """Check that each part's certificate is linear, integral and convex on
+    every cone of the face fan.
 
     The certificate of a part is 1 on its vertices and 0 on the other rays
-    of the face fan, whose rays are the host's vertices.  On a simplicial
-    cone these values fix one functional, solved once per cone and part.
+    of the face fan, whose rays are the host's vertices.  On each cone the
+    functional is solved from the values at all of the cone's rays; when
+    they fit no functional, the certificate is not linear on that cone.
     The fan is complete, so each cone spans Z^n and a functional is
     integral exactly when its coefficients are integers.  For each part,
-    integrality is checked on every cone before convexity; the first
-    failing cone, or cone and ray, is raised as the witness.
+    linearity and integrality are checked on every cone before convexity;
+    the first failing cone, or cone and ray, is raised as the witness.
     """
     if not is_reflexive(host):
         raise NefError("nef partitions need a reflexive host polytope")
@@ -67,20 +70,17 @@ def validate_nef(host, parts):
     if sorted(seen) != list(range(nverts)):
         raise NefError("parts do not partition the vertex set")
     fan = face_fan(host)
-    for c in fan.maximal_cones:
-        if len(c.rays) != host.dim:
-            raise NefError(f"face fan cone {c.rays} is not simplicial",
-                           witness={"cone": [list(r) for r in c.rays]})
     for idx, part in enumerate(parts):
         marked = {host.vertices[j] for j in part}
         pieces = [(c, solve([list(r) for r in c.rays],
                             [int(r in marked) for r in c.rays]))
                   for c in fan.maximal_cones]
         for c, m in pieces:
-            if any(x.denominator != 1 for x in m):
+            if m is None or any(x.denominator != 1 for x in m):
                 bad = [list(r) for r in c.rays]
+                what = "linear" if m is None else "integral"
                 raise NefError(
-                    f"part {idx}: certificate is not integral on cone {bad}",
+                    f"part {idx}: certificate is not {what} on cone {bad}",
                     witness={"part": idx, "cone": bad})
         for c, m in pieces:
             for r in fan.rays:
@@ -120,7 +120,7 @@ def nabla_hull(pieces):
     return convex_hull([v for p in pieces for v in p.vertices])
 
 
-def nef_from_doc(doc, resolve_polytope=None):
+def nef_from_doc(doc, resolve_polytope):
     host = host_from_doc(doc, resolve_polytope)
     return validate_nef(host, read_list(read_field(doc, "parts", list), "parts",
                                         read_list))

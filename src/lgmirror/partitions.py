@@ -50,26 +50,6 @@ class SemistablePartition:
     pieces: tuple
 
 
-@dataclass
-class ValidationReport:
-    tiling_ok: bool
-    tiling_message: str
-    simplicial_ok: bool
-    clause_violations: dict  # clause id -> list of violation dicts
-    valid: bool
-
-    def to_doc(self):
-        return {
-            "valid": self.valid,
-            "tiling": {"ok": self.tiling_ok, "message": self.tiling_message},
-            "simplicial": self.simplicial_ok,
-            "clauses": [
-                {"id": cid, "violations": viols}
-                for cid, viols in self.clause_violations.items()
-            ],
-        }
-
-
 def check_tiling(part):
     """Pieces are full-dimensional, sit inside the host, meet in proper
     common faces, and their normalized volumes add up to the host volume."""
@@ -119,17 +99,29 @@ def vertex_owners(part):
             for u in dict.fromkeys(u for p in part.pieces for u in p.vertices)}
 
 
+def _validation_doc(tiling_ok, message, simplicial, v_violations, f_violations):
+    return {
+        "valid": tiling_ok and simplicial and not (v_violations or f_violations),
+        "tiling": {"ok": tiling_ok, "message": message},
+        "simplicial": simplicial,
+        "clauses": [{"id": "vertex-uniqueness", "violations": v_violations},
+                    {"id": "face-count", "violations": f_violations}],
+    }
+
+
 def validate_semistable(part):
-    """Clause-by-clause validation of the semi-stability conditions.
+    """Clause-by-clause validation of the semi-stability conditions, as the
+    `partition validate` document: {"valid", "tiling": {"ok", "message"},
+    "simplicial", "clauses": [{"id", "violations"}]}.
 
     Clause "vertex-uniqueness": every host vertex lies in exactly one piece.
     Clause "face-count": a partition face whose carrier host face has
     dimension k must be a face of exactly k - l + 1 pieces (l its dimension).
+    A failed tiling skips both clauses and reports no simplicial pieces.
     """
     tiling_ok, msg = check_tiling(part)
     if not tiling_ok:
-        return ValidationReport(False, msg, False,
-                                {"vertex-uniqueness": [], "face-count": []}, False)
+        return _validation_doc(False, msg, False, [], [])
     host, pieces = part.host, part.pieces
     owners = vertex_owners(part)
 
@@ -153,38 +145,23 @@ def validate_semistable(part):
                 "expected": expected,
             })
 
-    simplicial_ok = all(is_simplicial(p) for p in pieces)
-    valid = tiling_ok and simplicial_ok and not v_violations and not f_violations
-    return ValidationReport(tiling_ok, msg, simplicial_ok,
-                            {"vertex-uniqueness": v_violations,
-                             "face-count": f_violations},
-                            valid)
-
-
-@dataclass
-class DualComplex:
-    n_vertices: int
-    simplices: tuple  # sorted tuples of piece indices, every nonempty intersection
-
-    @property
-    def dimension(self):
-        return max(len(s) for s in self.simplices) - 1
-
-    def to_doc(self):
-        return {"vertices": self.n_vertices,
-                "simplices": [list(s) for s in self.simplices],
-                "dimension": self.dimension}
+    return _validation_doc(True, msg, all(is_simplicial(p) for p in pieces),
+                           v_violations, f_violations)
 
 
 def dual_complex(part):
-    """The piece subsets that meet, by size and then as tuples.  Needs a
-    checked tiling: a subset then meets in a face of its first piece, which
-    has a vertex when nonempty, so it is a subset of a vertex's owners."""
-    simplices = {s for owners in vertex_owners(part).values()
-                 for r in range(1, len(owners) + 1)
-                 for s in itertools.combinations(owners, r)}
-    return DualComplex(len(part.pieces),
-                       tuple(sorted(simplices, key=lambda s: (len(s), s))))
+    """The `partition dual-complex` document {"vertices", "simplices",
+    "dimension"}: one vertex per piece, and as simplices the piece subsets
+    that meet, by size and then as index lists.  Needs a checked tiling: a
+    subset then meets in a face of its first piece, which has a vertex when
+    nonempty, so it is a subset of a vertex's owners."""
+    simplices = sorted({s for owners in vertex_owners(part).values()
+                        for r in range(1, len(owners) + 1)
+                        for s in itertools.combinations(owners, r)},
+                       key=lambda s: (len(s), s))
+    return {"vertices": len(part.pieces),
+            "simplices": [list(s) for s in simplices],
+            "dimension": len(simplices[-1]) - 1}
 
 
 def is_central(part):
@@ -219,7 +196,7 @@ def _balanced_range(bound):
     return out
 
 
-def build_F_Gamma(part, bound=10):
+def build_F_Gamma(part, bound):
     """The certificate of the lifting: a tuple of integral functionals, one
     per piece in piece order, that agree on walls and bend strictly across
     them, so F = min over pieces is concave and linear exactly on the pieces.
@@ -231,8 +208,7 @@ def build_F_Gamma(part, bound=10):
     lexicographic order 0, -1, 1, -2, 2, ... so the first solution found is
     the canonical one.  Exhausting the box raises (which is not a disproof).
     """
-    report = validate_semistable(part)
-    if not report.valid:
+    if not validate_semistable(part)["valid"]:
         raise PartitionError("build_F_Gamma needs a valid semi-stable partition")
     if not is_nonsingular(part):
         raise PartitionError("build_F_Gamma needs a non-singular partition")
@@ -284,28 +260,13 @@ def build_F_Gamma(part, bound=10):
 # Lifted polyhedron
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LiftedPolyhedron:
-    """The epigraph {(y, x) : x in host, y >= F(x)} in rank n + 1."""
-
-    ambient_rank: int
-    inequalities: tuple   # (normal, offset) with <normal, (y,x)> >= -offset
-    recession: tuple      # primitive recession rays
-    vertices: tuple
-
-    def to_doc(self):
-        return {
-            "rank": self.ambient_rank,
-            "inequalities": [{"normal": list(n), "offset": o}
-                             for n, o in self.inequalities],
-            "recession_rays": [list(r) for r in self.recession],
-            "vertices": [list(v) for v in self.vertices],
-        }
-
-
 def lifting_polyhedron(part, functionals):
-    """H-representation y >= m_i(x) for every piece functional (build_F_Gamma)
-    plus the host facets."""
+    """The epigraph {(y, x) : x in host, y >= F(x)} of F = min of the piece
+    functionals (build_F_Gamma), in rank n + 1, as the `partition lift`
+    document {"rank", "inequalities", "recession_rays", "vertices",
+    "functionals"}.  Its inequalities, {"normal", "offset"} with
+    <normal, (y, x)> >= -offset, are y >= m_i(x) for every functional and
+    then the host facets."""
     n = part.host.ambient_rank
     ineqs = []
     for m in functionals:
@@ -319,8 +280,13 @@ def lifting_polyhedron(part, functionals):
     for x in verts:
         if any(v.denominator != 1 for v in x):
             raise PartitionError(f"non-lattice vertex {tuple(map(str, x))}")
-    verts = [tuple(int(v) for v in x) for x in verts]
-    return LiftedPolyhedron(n + 1, tuple(ineqs), (expected_ray,), tuple(sorted(verts)))
+    return {
+        "rank": n + 1,
+        "inequalities": [{"normal": list(nrm), "offset": o} for nrm, o in ineqs],
+        "recession_rays": [list(expected_ray)],
+        "vertices": sorted([int(v) for v in x] for x in verts),
+        "functionals": [list(m) for m in functionals],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +320,7 @@ def central_frame(part):
     from the projection of piece i, lifted primitively into the orthogonal
     complement of the common face.
     """
-    report = validate_semistable(part)
-    if not report.valid:
+    if not validate_semistable(part)["valid"]:
         raise PartitionError("central_frame needs a valid semi-stable partition")
     if not is_central(part):
         raise PartitionError("central_frame needs a central partition")
@@ -477,7 +442,7 @@ def build_fibration_fans(part, frame):
 # Documents
 # ---------------------------------------------------------------------------
 
-def partition_from_doc(doc, resolve_polytope=None):
+def partition_from_doc(doc, resolve_polytope):
     host = host_from_doc(doc, resolve_polytope)
     pieces = []
     for i, piece in enumerate(read_field(doc, "pieces", list)):

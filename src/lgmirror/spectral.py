@@ -264,31 +264,16 @@ def _weight_place(I, deg, components):
 
 def _monodromy_place(I, deg, components):
     m = len(I)
-    for p in range(-m - 1, m + 2):
-        two_k = m + p - 1   # m = 2k - p + 1
-        if two_k % 2 or two_k < 0 or two_k // 2 < max(0, p):
-            continue
-        k = two_k // 2
-        yield p, deg - 2 * p + 2 * k, (k, I)
+    return [(2 * k - m + 1, deg + 2 * (m - 1 - k), (k, I)) for k in range(m)]
 
 
 def _gflag_place(I, deg, components):
     return [(-len(I), deg + len(I), ("G", I))]
 
 
-def _delta_block_valid(l, m, components):
-    N = components - 1
-    if m < 1 or m > components or (m - l - 1) % 2:
-        return False
-    j2 = l + m - 1   # = 2j
-    i2 = l - m + 1   # = 2i
-    return 0 <= j2 <= 2 * N and -2 * N <= i2 <= 0
-
-
 def _delta_place(I, deg, components):
     m = len(I)
-    return [(l, deg + m - 1, (m, I)) for l in range(-components, components + 1)
-            if _delta_block_valid(l, m, components)]
+    return [(2 * k - m + 1, deg + m - 1, (m, I)) for k in range(m)]
 
 
 WEIGHT = PageSpec(

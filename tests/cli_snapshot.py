@@ -1,0 +1,109 @@
+"""Snapshot of the command-line output of an lgmirror source tree.
+
+    python3 tests/cli_snapshot.py SRC OUT.json [--against BASE.json]
+
+imports lgmirror from SRC (the directory that holds the lgmirror package)
+and calls lgmirror.cli.main in-process on:
+
+- every op of the three benchmark workloads (bench/workloads.py) at seeds
+  1, 3 and 9001, generated into a temporary directory;
+- every bundled corpus document through every action that reads one file,
+  in both output formats.
+
+It writes {call: [exit code, stdout, stderr]} to OUT.json.  With --against
+it lists the calls whose record differs from BASE.json, or that only one of
+the two has, and exits 1 if there are any.  Two trees print the same bytes
+on these inputs exactly when their snapshots agree.  bench/ is read, never
+written.  Not a pytest module: tier-1 runs the seed-3 ops already.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEEDS = (1, 3, 9001)
+# The actions that read one input file, by command.
+ONE_FILE_ACTIONS = {
+    "polytope": ("dual", "reflexive", "points", "faces", "smooth"),
+    "partition": ("validate", "dual-complex", "lift", "frame", "fans"),
+    "lg": ("emit", "compactify"),
+    "ss": ("weight", "monodromy", "gflag", "delta", "pd"),
+}
+
+
+def run(main, argv):
+    """[exit code, stdout, stderr] of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # a crash is recorded, not raised
+            code = f"raised {type(exc).__name__}: {exc}"
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def snapshot(src):
+    sys.path[:0] = [str(Path(src).resolve()), str(BENCH)]
+    from lgmirror import cli
+    import workloads
+
+    calls = {}
+    cwd = os.getcwd()
+    try:
+        for workload in workloads.WORKLOADS:
+            for seed in SEEDS:
+                with tempfile.TemporaryDirectory() as tmp:
+                    ops = workloads.generate(workload, seed, tmp)
+                    os.chdir(tmp)  # op argv names inputs relative to it
+                    for op in ops:
+                        calls[f"{workload}/{seed} {op['id']}"] = run(
+                            cli.main, op["argv"])
+                    os.chdir(cwd)
+        # relative paths, so no message names the tree
+        os.chdir(cli.data_dir())
+        for name in cli.corpus_names():
+            for command, actions in ONE_FILE_ACTIONS.items():
+                for action in actions:
+                    for fmt in ("text", "json"):
+                        argv = [command, action, f"{name}.json", "--format", fmt]
+                        calls["corpus " + " ".join(argv)] = run(cli.main, argv)
+    finally:
+        os.chdir(cwd)
+    return calls
+
+
+def differences(calls, base):
+    return sorted(k for k in calls.keys() | base.keys()
+                  if calls.get(k) != base.get(k))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src", help="directory that holds the lgmirror package")
+    ap.add_argument("out", help="where to write the snapshot (JSON)")
+    ap.add_argument("--against", help="snapshot to compare with")
+    args = ap.parse_args(argv)
+    calls = snapshot(args.src)
+    with open(args.out, "w") as fh:
+        json.dump(calls, fh, indent=1, sort_keys=True)
+    print(f"{len(calls)} calls written to {args.out}")
+    if args.against:
+        with open(args.against) as fh:
+            diff = differences(calls, json.load(fh))
+        for key in diff:
+            print(f"differs: {key}")
+        print(f"{len(diff)} of the calls differ from {args.against}")
+        return 1 if diff else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

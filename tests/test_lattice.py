@@ -389,7 +389,7 @@ def test_convex_hull_matches_subset_enumeration(points):
 @settings(max_examples=100)
 def test_v_to_h_to_v_round_trip(points):
     p = convex_hull(points)
-    q = polytope_from_inequalities(p.facets, p.equations, p.ambient_rank)
+    q = polytope_from_inequalities(p.facets, p.equations, ambient_rank=p.ambient_rank)
     assert (q.vertices, q.facets, q.equations) == (p.vertices, p.facets, p.equations)
 
 
@@ -398,12 +398,12 @@ def test_v_to_h_to_v_round_trip(points):
 def test_recession_rays_of_a_pointed_cone_are_its_rays(points):
     rays = [r for r in points if any(r)]
     try:
-        cone = Cone.from_rays(rays)
+        cone = Cone.from_rays(rays, len(points[0]))
     except FanError:
-        return  # no nonzero ray, or the rays span a line
+        return  # the rays span a line
     ineqs, eqs = cone.hrep()
     found = recession_rays([(a, 0) for a in ineqs], [(e, 0) for e in eqs],
-                           cone.ambient_rank)
+                           ambient_rank=cone.ambient_rank)
     assert sorted(found) == list(cone.rays)
 
 
@@ -504,7 +504,7 @@ def test_slab_is_unbounded_not_infeasible():
 def test_empty_system_is_infeasible():
     with pytest.raises(LatticeError, match="infeasible"):
         polytope_from_inequalities([((1, 0), 0), ((-1, 0), -1),
-                                    ((0, 1), 0), ((0, -1), 1)])
+                                    ((0, 1), 0), ((0, -1), 1)], ambient_rank=2)
 
 
 @pytest.mark.parametrize("argv", [["polytope", "points"], ["ss", "delta"]])

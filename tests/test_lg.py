@@ -2,17 +2,17 @@ import pytest
 from conftest import corpus_path
 
 from lgmirror.cli import main
-from lgmirror.lattice import convex_hull, lattice_points
+from lgmirror.lattice import convex_hull, lattice_points, polar_dual
+from lgmirror.linalg import dot
 from lgmirror.lg import (
     LGError,
-    NablaData,
     check_degree_consistency,
     compactify_fiber,
     givental_hybrid,
     non_nef_split_fiber,
     pi_gamma_monomials,
 )
-from lgmirror.nef import validate_nef
+from lgmirror.nef import nabla_pieces, validate_nef
 from lgmirror.partitions import central_frame, build_fibration_fans
 
 
@@ -24,17 +24,16 @@ def term_set(eq):
 @pytest.fixture
 def diamond_model(diamond):
     nef = validate_nef(diamond, [(3, 2, 1), (0,)])
-    return givental_hybrid(nef, 1, 1), NablaData.from_nef(nef)
+    return givental_hybrid(nef, 1, 1), nabla_pieces(nef)
 
 
-def test_nabla_pieces_are_built_once(monkeypatch, diamond):
+def test_nabla_pieces_are_built_once(monkeypatch):
     import lgmirror.nef as nef_mod
-    nef = validate_nef(diamond, [(3, 2, 1), (0,)])
     calls = []
     build = nef_mod.nabla
     monkeypatch.setattr(nef_mod, "nabla",
                         lambda i, nef: calls.append(i) or build(i, nef))
-    NablaData.from_nef(nef)
+    assert main(["lg", "compactify", corpus_path("diamond-nef")]) == 0
     assert calls == [0, 1]
 
 
@@ -119,7 +118,7 @@ def test_non_nef_split_degenerate_equals_compactification(diamond_model):
 def test_non_nef_split_square_anticanonical(square):
     nef = validate_nef(square, [(0, 1, 2, 3)])
     model = givental_hybrid(nef, 0, 1)
-    nd = NablaData.from_nef(nef)
+    nd = nabla_pieces(nef)
     pts = [pt for _, pt in model.potentials[0].monomials if any(pt)]
     group1 = [q for q in pts if q[0] != 0]
     group2 = [q for q in pts if q[0] == 0]
@@ -135,11 +134,30 @@ def test_non_nef_split_square_anticanonical(square):
         non_nef_split_fiber(model, [group1], nd)
 
 
+def test_one_part_cube_compactifies(cube, tmp_path):
+    # the face fan cones of the cube are not simplicial; its one-part
+    # partition is nef, and the fiber coordinates are the 6 nonzero points
+    # of the octahedron, at each of which the cube's minimum is -1
+    nef = validate_nef(cube, [tuple(range(8))])
+    model = givental_hybrid(nef, 0, 1)
+    assert len(model.potentials[0].monomials) == 27
+    (eq,) = compactify_fiber(model, nabla_pieces(nef))
+    assert eq.rays == tuple(q for q in lattice_points(polar_dual(cube)) if any(q))
+    assert len(eq.rays) == 6
+    rhos = [rho for _, rho in model.potentials[0].monomials if any(rho)]
+    assert [dict(t.exps) for t in eq.terms[1:]] == [
+        {s: dot(s, rho) + 1 for s in eq.rays} for rho in rhos]
+    f = tmp_path / "cube-nef.json"
+    f.write_text('{"polytope": "cube", "parts": [[0, 1, 2, 3, 4, 5, 6, 7]]}')
+    assert main(["lg", "emit", str(f)]) == 0
+    assert main(["lg", "compactify", str(f)]) == 0
+
+
 def test_pi_gamma_square(vsplit):
     fr = central_frame(vsplit)
     fans = build_fibration_fans(vsplit, fr)
     pg = pi_gamma_monomials(fans.sigma_prime, fr)
-    monos = {frozenset(comp.items()) for comp in pg.components}
+    monos = {frozenset(comp.items()) for comp in pg}
     assert monos == {
         frozenset({((1, 1), 1), ((1, 0), 1), ((1, -1), 1)}),
         frozenset({((-1, 1), 1), ((-1, 0), 1), ((-1, -1), 1)}),
@@ -151,7 +169,7 @@ def test_pi_gamma_trivial(square):
     part = SemistablePartition(square, (square,))
     fr = central_frame(part)
     fans = build_fibration_fans(part, fr)
-    assert pi_gamma_monomials(fans.sigma_prime, fr).components == ()
+    assert pi_gamma_monomials(fans.sigma_prime, fr) == ()
 
 
 def test_pi_gamma_multiplicity_micro_example():
@@ -163,15 +181,13 @@ def test_pi_gamma_multiplicity_micro_example():
     frame = CentralFrame(l=1, L_basis=((0, 1),),
                          quotient=((1, 0),), v_quotient=((1,), (-1,)),
                          v_vectors=((1, 0), (-1, 0)),
-                         sigma_v=Fan.from_cones([Cone.from_rays([(1,)]),
-                                                 Cone.from_rays([(-1,)])], 1))
-    fan = Fan.from_cones([Cone.from_rays([(2, 1), (0, 1)]),
-                          Cone.from_rays([(0, 1), (-1, 0)]),
-                          Cone.from_rays([(-1, 0), (0, -1)]),
-                          Cone.from_rays([(0, -1), (2, 1)])], 2)
-    pg = pi_gamma_monomials(fan, frame)
-    assert pg.components[0] == {(2, 1): 2}
-    assert pg.components[1] == {(-1, 0): 1}
+                         sigma_v=Fan.from_cones([Cone.from_rays([(1,)], 1),
+                                                 Cone.from_rays([(-1,)], 1)], 1))
+    fan = Fan.from_cones([Cone.from_rays([(2, 1), (0, 1)], 2),
+                          Cone.from_rays([(0, 1), (-1, 0)], 2),
+                          Cone.from_rays([(-1, 0), (0, -1)], 2),
+                          Cone.from_rays([(0, -1), (2, 1)], 2)], 2)
+    assert pi_gamma_monomials(fan, frame) == ({(2, 1): 2}, {(-1, 0): 1})
 
 
 def test_pi_gamma_structural_error(tsigma_part):

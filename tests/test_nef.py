@@ -1,10 +1,12 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
 import sympy
 from tests_data_helpers import reflexive_polygons
 
+from lgmirror.cli import resolve_polytope
 from lgmirror.lattice import convex_hull, lattice_points, minkowski_sum, polar_dual
 from lgmirror.nef import (
     NefError,
@@ -44,6 +46,22 @@ def test_square_diagonal_parts_fail_with_witness(square):
     with pytest.raises(NefError) as err:
         validate_nef(square, [(0, 3), (1, 2)])
     assert err.value.witness is not None
+
+
+def test_cube_is_checked_on_its_non_simplicial_cones(cube):
+    # vertices sorted: (-1,-1,-1), (-1,-1,1), ..., (1,1,1); every face fan
+    # cone has four rays, so the values at a cone's rays may fit no functional
+    nef = validate_nef(cube, [tuple(range(8))])
+    assert nabla(0, nef) == polar_dual(cube)
+    for parts, what, cone in (
+            ([(0,), tuple(range(1, 8))], "linear",
+             [[-1, -1, -1], [-1, -1, 1], [-1, 1, -1], [-1, 1, 1]]),
+            ([(0, 1, 2, 3), (4, 5, 6, 7)], "integral",
+             [[-1, -1, -1], [-1, -1, 1], [1, -1, -1], [1, -1, 1]])):
+        with pytest.raises(NefError) as err:
+            validate_nef(cube, parts)
+        assert str(err.value) == f"part 0: certificate is not {what} on cone {cone}"
+        assert err.value.witness == {"part": 0, "cone": cone}
 
 
 def test_parts_must_partition(diamond):
@@ -89,32 +107,39 @@ def test_nef_document(diamond):
     doc = {"polytope": {"name": "diamond", "rank": 2,
                         "vertices": [[-1, 0], [0, -1], [0, 1], [1, 0]]},
            "parts": [[3, 2, 1], [0]]}
-    nef = nef_from_doc(doc)
+    nef = nef_from_doc(doc, resolve_polytope)
     assert nef.n_parts == 2
 
 
 def sympy_nef_verdict(host, part):
     """Oracle: None when the function that is 1 on `part` and 0 on the other
-    vertices is integral and convex on the face fan, else the first of
-    "integral" and "convex" that fails; each facet cone's piece is solved
-    by sympy."""
+    vertices is linear, integral and convex on the face fan, else the first
+    failure: "linear" or "integral" on the first facet cone, in ray order,
+    where one fails, then "convex".  Each facet cone's piece is solved by
+    sympy from all of its rays; sympy's error on an inconsistent system
+    reads as "linear"."""
     values = {v: int(v in part) for v in host.vertices}
     pieces = []
-    for facet in host.incidence:
-        rays = [host.vertices[j] for j in sorted(facet)]
-        m = sympy.Matrix(rays).solve(sympy.Matrix([values[r] for r in rays]))
+    for rays in sorted(sorted(host.vertices[j] for j in facet)
+                       for facet in host.incidence):
+        try:
+            m = sympy.Matrix(rays).solve(sympy.Matrix([values[r] for r in rays]))
+        except ValueError:
+            return "linear"
+        if not all(x.is_integer for x in m):
+            return "integral"
         pieces.append(list(m))
-    if any(not x.is_integer for m in pieces for x in m):
-        return "integral"
     if any(sum(a * b for a, b in zip(m, v)) > values[v]
            for m in pieces for v in host.vertices):
         return "convex"
     return None
 
 
-def test_validate_nef_agrees_with_sympy_on_two_part_polygon_splits():
+def two_part_verdicts(hosts):
+    """validate_nef's verdict on every two-part split of each host, checked
+    against the sympy oracle, counted by verdict."""
     verdicts = Counter()
-    for host in reflexive_polygons():
+    for host in hosts:
         verts = host.vertices
         for r in range(1, len(verts)):
             for first in itertools.combinations(range(len(verts)), r):
@@ -126,8 +151,20 @@ def test_validate_nef_agrees_with_sympy_on_two_part_polygon_splits():
                     validate_nef(host, parts)
                     verdict = None
                 except NefError as exc:
-                    verdict = "integral" if "integral" in str(exc) else "convex"
+                    verdict = re.search("not (linear|integral|convex)",
+                                        str(exc)).group(1)
                 assert verdict == expect, (verts, parts)
                 verdicts[verdict] += 1
+    return verdicts
+
+
+def test_validate_nef_agrees_with_sympy_on_two_part_polygon_splits():
     # 280 splits: all three verdicts occur
-    assert verdicts == {None: 80, "integral": 122, "convex": 78}
+    assert two_part_verdicts(reflexive_polygons()) == {
+        None: 80, "integral": 122, "convex": 78}
+
+
+def test_validate_nef_agrees_with_sympy_on_two_part_cube_splits(cube):
+    # 254 splits of a host whose face fan cones are not simplicial: none is
+    # nef, and most fail already on linearity
+    assert two_part_verdicts([cube]) == {"linear": 182, "integral": 72}

@@ -34,10 +34,10 @@ def lifting_projection_check(part, lifted):
     """Oracle: every bounded face of the lifted polyhedron projects onto a
     face of the host or of a piece.  The polyhedron is cut off one above its
     highest vertex, and the faces that touch the cap are skipped."""
-    y_max = max(v[0] for v in lifted.vertices) + 1
-    cap = ((-1,) + (0,) * (lifted.ambient_rank - 1), y_max)
-    trunc = polytope_from_inequalities(list(lifted.inequalities) + [cap],
-                                       ambient_rank=lifted.ambient_rank)
+    y_max = max(v[0] for v in lifted["vertices"]) + 1
+    cap = ((-1,) + (0,) * (lifted["rank"] - 1), y_max)
+    trunc = polytope_from_inequalities(inequalities(lifted) + [cap],
+                                       ambient_rank=lifted["rank"])
     targets = {frozenset(f.vertices()) for poly in (part.host,) + part.pieces
                for f in poly.all_faces()}
     bounded = [f.vertices() for f in trunc.all_faces()
@@ -45,6 +45,14 @@ def lifting_projection_check(part, lifted):
     failures = [vs for vs in bounded
                 if frozenset(v[1:] for v in vs) not in targets]
     return {"checked": len(bounded), "failures": failures, "ok": not failures}
+
+
+def inequalities(lifted):
+    return [(tuple(i["normal"]), i["offset"]) for i in lifted["inequalities"]]
+
+
+def violations(report, clause):
+    return next(c["violations"] for c in report["clauses"] if c["id"] == clause)
 
 
 def diag_partition(square):
@@ -55,33 +63,33 @@ def diag_partition(square):
 
 def test_vertical_split_is_semistable(vsplit):
     report = validate_semistable(vsplit)
-    assert report.valid
-    assert report.to_doc()["clauses"][0]["violations"] == []
+    assert report["valid"]
+    assert report["clauses"][0]["violations"] == []
 
 
 def test_diagonal_split_fails_vertex_uniqueness(square):
     report = validate_semistable(diag_partition(square))
-    assert not report.valid
-    bad = report.clause_violations["vertex-uniqueness"]
+    assert not report["valid"]
+    bad = violations(report, "vertex-uniqueness")
     assert sorted(v["vertex"] for v in bad) == [[-1, -1], [1, 1]]
 
 
 def test_trivial_partition_valid(square):
-    assert validate_semistable(SemistablePartition(square, (square,))).valid
+    assert validate_semistable(SemistablePartition(square, (square,)))["valid"]
 
 
 def test_non_tiling_rejected(square):
     left = convex_hull([(-1, -1), (-1, 1), (0, -1), (0, 1)])
     report = validate_semistable(SemistablePartition(square, (left,)))
-    assert not report.valid and not report.tiling_ok
+    assert not report["valid"] and not report["tiling"]["ok"]
 
 
 def test_quadrant_partition_fails_face_count(square):
     quads = [convex_hull([(0, 0), (sx, 0), (0, sy), (sx, sy)])
              for sx in (1, -1) for sy in (1, -1)]
     report = validate_semistable(SemistablePartition(square, tuple(quads)))
-    assert report.tiling_ok and not report.valid
-    assert report.clause_violations["face-count"]
+    assert report["tiling"]["ok"] and not report["valid"]
+    assert violations(report, "face-count")
 
 
 def test_tiling_volume_invariant(vsplit, tsigma_part):
@@ -92,17 +100,15 @@ def test_tiling_volume_invariant(vsplit, tsigma_part):
 
 def test_dual_complex_vertical_split(vsplit):
     K = dual_complex(vsplit)
-    assert K.simplices == ((0,), (1,), (0, 1))
-    assert K.dimension == 1
+    assert K == {"vertices": 2, "simplices": [[0], [1], [0, 1]], "dimension": 1}
     # closed under taking faces
-    assert all(sub in K.simplices for s in K.simplices
+    assert all(list(sub) in K["simplices"] for s in K["simplices"]
                for r in range(1, len(s)) for sub in itertools.combinations(s, r))
 
 
 def test_dual_complex_trivial(square):
     K = dual_complex(SemistablePartition(square, (square,)))
-    assert K.simplices == ((0,),)
-    assert K.dimension == 0
+    assert K == {"vertices": 1, "simplices": [[0]], "dimension": 0}
 
 
 def test_dual_complex_quadrants_records_intersections(square):
@@ -110,8 +116,8 @@ def test_dual_complex_quadrants_records_intersections(square):
     quads = [convex_hull([(0, 0), (sx, 0), (0, sy), (sx, sy)])
              for sx in (1, -1) for sy in (1, -1)]
     K = dual_complex(SemistablePartition(square, tuple(quads)))
-    assert len(K.simplices) == 15
-    assert K.dimension == 3
+    assert len(K["simplices"]) == 15
+    assert K["dimension"] == 3
 
 
 def test_centrality_and_nonsingularity(vsplit, square):
@@ -129,7 +135,7 @@ def test_centrality_and_nonsingularity(vsplit, square):
 
 
 def test_F_gamma_vertical_split(vsplit):
-    F = build_F_Gamma(vsplit)
+    F = build_F_Gamma(vsplit, 10)
     assert F == ((0, 0), (-1, 0))
     # concavity: m_i(x) >= F(x) on all host lattice points, equality on own
     from lgmirror.lattice import lattice_points
@@ -143,33 +149,34 @@ def test_F_gamma_vertical_split(vsplit):
 
 def test_F_gamma_trivial(square):
     part = SemistablePartition(square, (square,))
-    assert build_F_Gamma(part) == ((0, 0),)
+    assert build_F_Gamma(part, 10) == ((0, 0),)
 
 
 def test_F_gamma_requires_validity(square):
     with pytest.raises(PartitionError):
-        build_F_Gamma(diag_partition(square))
+        build_F_Gamma(diag_partition(square), 10)
 
 
 def test_F_gamma_tsigma(tsigma_part):
-    assert build_F_Gamma(tsigma_part) == ((0, 0), (0, -1), (1, 0))
+    assert build_F_Gamma(tsigma_part, 10) == ((0, 0), (0, -1), (1, 0))
 
 
 def test_lifting_vertical_split(vsplit):
-    F = build_F_Gamma(vsplit)
+    F = build_F_Gamma(vsplit, 10)
     lifted = lifting_polyhedron(vsplit, F)
-    assert set(lifted.inequalities) == {
+    assert set(inequalities(lifted)) == {
         ((1, 0, 0), 0), ((1, 1, 0), 0),
         ((0, 1, 0), 1), ((0, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)}
-    assert lifted.recession == ((1, 0, 0),)
+    assert lifted["recession_rays"] == [[1, 0, 0]]
+    assert lifted["functionals"] == [[0, 0], [-1, 0]]
     check = lifting_projection_check(vsplit, lifted)
     assert check["ok"] and check["checked"] > 0
 
 
 def test_lifting_trivial(square):
     part = SemistablePartition(square, (square,))
-    lifted = lifting_polyhedron(part, build_F_Gamma(part))
-    assert ((1, 0, 0), 0) in lifted.inequalities
+    lifted = lifting_polyhedron(part, build_F_Gamma(part, 10))
+    assert ((1, 0, 0), 0) in inequalities(lifted)
     assert lifting_projection_check(part, lifted)["ok"]
 
 
@@ -177,7 +184,7 @@ def test_lifting_projection_reflected_three_pieces(tsigma_part):
     # With three or more pieces the faces of the epigraph bend along the
     # reflected certificate; the reflected lifting projects onto the
     # partition faces while the literal one need not.
-    reflected = tuple(tuple(-c for c in m) for m in build_F_Gamma(tsigma_part))
+    reflected = tuple(tuple(-c for c in m) for m in build_F_Gamma(tsigma_part, 10))
     lifted = lifting_polyhedron(tsigma_part, reflected)
     assert lifting_projection_check(tsigma_part, lifted)["ok"]
 
@@ -256,8 +263,8 @@ def test_hexagon_three_piece_cut_is_not_semistable():
     part = OWNER_TABLE_INPUTS["hexagon-cut"]
     assert check_tiling(part) == (True, "ok")
     report = validate_semistable(part)
-    assert not report.valid
-    assert report.clause_violations["vertex-uniqueness"]
+    assert not report["valid"]
+    assert violations(report, "vertex-uniqueness")
     with pytest.raises(PartitionError):
         central_frame(part)
 
@@ -289,8 +296,8 @@ def test_diamond_axis_split_is_not_semistable(diamond):
     lower = convex_hull([(-1, 0), (1, 0), (0, -1)])
     part = SemistablePartition(diamond, (upper, lower))
     report = validate_semistable(part)
-    assert not report.valid
-    assert report.clause_violations["vertex-uniqueness"]
+    assert not report["valid"]
+    assert violations(report, "vertex-uniqueness")
     with pytest.raises(PartitionError):
         central_frame(part)
 
@@ -342,7 +349,7 @@ REPEATED = {"polytope": {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, 
 
 
 def test_a_piece_listed_twice_fails_the_tiling(capsys, tmp_path):
-    part = partition_from_doc(REPEATED)
+    part = partition_from_doc(REPEATED, resolve_polytope)
     assert check_tiling(part) == (
         False, "pieces 0 and 1 do not meet in a common face")
     f = tmp_path / "repeated.json"
@@ -356,13 +363,43 @@ def test_a_piece_listed_twice_fails_the_tiling(capsys, tmp_path):
         "", "FAIL: pieces 0 and 1 do not meet in a common face\n")
 
 
+# The documents the partition commands print are the values the library
+# returns; the cube halves meet in the square x = 0.
+REPORT_DOCS = {name: corpus_doc(name)
+               for name in ("square-vsplit", "square-diag", "tsigma-3piece")}
+REPORT_DOCS["cube-halves"] = {"polytope": "cube", "pieces": [
+    [[u, y, z] for u in (x, 0) for y in (-1, 1) for z in (-1, 1)] for x in (-1, 1)]}
+REPORTS = {
+    "validate": validate_semistable,
+    "dual-complex": dual_complex,
+    "lift": lambda part: lifting_polyhedron(part, build_F_Gamma(part, 10)),
+}
+
+
+@pytest.mark.parametrize("action", sorted(REPORTS))
+@pytest.mark.parametrize("name", sorted(REPORT_DOCS))
+def test_partition_json_is_the_library_value(capsys, tmp_path, name, action):
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(REPORT_DOCS[name]))
+    try:
+        value = REPORTS[action](partition_from_doc(REPORT_DOCS[name],
+                                                   resolve_polytope))
+    except PartitionError:  # square-diag has no lifting
+        assert (name, action) == ("square-diag", "lift")
+        assert main(["partition", action, str(f), "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+        return
+    main(["partition", action, str(f), "--format", "json"])
+    assert json.loads(capsys.readouterr().out) == value
+
+
 # ---------------------------------------------------------------------------
 # The vertex-owner table against intersections
 # ---------------------------------------------------------------------------
 
 def subset_fold_dual_complex(part):
     """Oracle: the piece subsets whose intersection, folded over the subset
-    with lattice.intersect, is nonempty, by size and then as tuples."""
+    with lattice.intersect, is nonempty, by size and then as index lists."""
     n = len(part.pieces)
     simplices = []
     for r in range(1, n + 1):
@@ -374,7 +411,7 @@ def subset_fold_dual_complex(part):
                     break
             if cur is not None:
                 simplices.append(s)
-    return tuple(simplices)
+    return [list(s) for s in simplices]
 
 
 def common_intersection(part):
@@ -455,8 +492,8 @@ def test_vertex_owners_agree_with_intersections(name):
     for u, held in owners.items():
         assert held == tuple(i for i, p in enumerate(part.pieces) if p.contains(u))
 
-    assert dual_complex(part).simplices == subset_fold_dual_complex(part)
-    report = validate_semistable(part).to_doc()
+    assert dual_complex(part)["simplices"] == subset_fold_dual_complex(part)
+    report = validate_semistable(part)
     assert {c["id"]: c["violations"] for c in report["clauses"]} == \
         semistable_clauses(part)
 
@@ -474,8 +511,8 @@ def test_vertex_owners_agree_with_intersections(name):
 
 def test_cube_octants_dual_complex_is_every_subset():
     K = dual_complex(OWNER_TABLE_INPUTS["cube-octants"])
-    assert len(K.simplices) == 2 ** 8 - 1 == 255
-    assert K.dimension == 7
+    assert len(K["simplices"]) == 2 ** 8 - 1 == 255
+    assert K["dimension"] == 7
 
 
 def test_dual_complex_and_frame_intersect_only_in_check_tiling(monkeypatch):

@@ -9,6 +9,7 @@ from tests_data_helpers import abutment_mismatches
 from lgmirror.lattice import InputError
 from lgmirror.spectral import (
     DELTA,
+    MONODROMY,
     WEIGHT,
     CubicalData,
     SpectralError,
@@ -484,3 +485,44 @@ def test_mirror_pw_names_a_hybrid_row_no_label_reaches(capsys, tmp_path,
     rep = json.loads(capsys.readouterr().out)
     assert [c for c in rep["cells"] if not c["ok"]] == [
         {"a": a, "l": l, "degeneration": 0, "fibration": 1, "ok": False}]
+
+
+def scan_monodromy_place(I, deg, components):
+    """Oracle: the monodromy blocks found by scanning p over [-m-1, m+1]
+    for m = 2k - p + 1 with k >= max(0, p)."""
+    m = len(I)
+    for p in range(-m - 1, m + 2):
+        two_k = m + p - 1
+        if two_k % 2 or two_k < 0 or two_k // 2 < max(0, p):
+            continue
+        k = two_k // 2
+        yield p, deg - 2 * p + 2 * k, (k, I)
+
+
+def delta_block_valid(l, m, components):
+    """Oracle: block (m, I) sits at column l when (i, j) = ((l - m + 1) / 2,
+    (l + m - 1) / 2) are integers in -N <= i <= 0 <= j <= N, N = c - 1."""
+    N = components - 1
+    if m < 1 or m > components or (m - l - 1) % 2:
+        return False
+    j2 = l + m - 1   # = 2j
+    i2 = l - m + 1   # = 2i
+    return 0 <= j2 <= 2 * N and -2 * N <= i2 <= 0
+
+
+def scan_delta_place(I, deg, components):
+    """Oracle: the delta blocks found by scanning l over [-c, c]."""
+    m = len(I)
+    return [(l, deg + m - 1, (m, I)) for l in range(-components, components + 1)
+            if delta_block_valid(l, m, components)]
+
+
+def test_closed_form_placements_match_the_scans():
+    for components in range(1, 13):
+        for m in range(1, components + 1):
+            I = fs(range(m))
+            for deg in (0, 1, 2, 5):
+                assert MONODROMY.place(I, deg, components) == \
+                    list(scan_monodromy_place(I, deg, components))
+                assert DELTA.place(I, deg, components) == \
+                    scan_delta_place(I, deg, components)
