@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 from operator import and_
 
 from .linalg import (
@@ -353,22 +352,6 @@ def minkowski_sum(a, b):
     return convex_hull(sums)
 
 
-def normalized_volume(p):
-    """Lattice-normalized volume (d! times Euclidean volume), an integer,
-    in the saturated lattice of the affine hull of p.
-
-    Sum over the simplices of triangulation(p): the gcd of the d x d minors
-    of a simplex's edge vectors, which is the absolute determinant of those
-    vectors in a basis of that lattice (the maximal minors of a basis of a
-    saturated lattice are coprime).
-    """
-    cols = list(itertools.combinations(range(p.ambient_rank), p.dim))
-    # The face lattice lists p itself last: it has the most vertices.
-    return sum(gcd(*(det([[e[c] for c in cs] for e in edges]) for cs in cols))
-               for s in triangulation(p.all_faces()[-1])
-               for edges in [[vec_sub(v, s[0]) for v in s[1:]]])
-
-
 def triangulation(face):
     """Simplices (vertex tuples) of the pulling triangulation of a face.
 
@@ -545,6 +528,9 @@ def polytope_to_doc(p):
 
 def polytope_from_doc(doc, path=""):
     rank = read_field(doc, "rank", int, path=path)
+    if rank < 1:
+        raise InputError(f"{path}.rank" if path else "rank",
+                         f"expected an int >= 1, got {rank}")
     where = f"{path}.vertices" if path else "vertices"
     verts = read_points(read_field(doc, "vertices", list, path=path), where, rank)
     if not verts:

@@ -1,8 +1,10 @@
 """Semi-stable partitions of a polytope and their derived data: validation,
 dual complex, concave piecewise-linear function, lifted polyhedron, central
 frame with the distinguished primitive vectors, and the fibration fans.
-Past check_tiling, which intersects every two pieces, the pieces meet face
-to face, so which pieces meet or share a face is read off vertex_owners.
+
+check_tiling matches piece facets (walls) and intersects only the pairs
+that share none.  Past it the pieces meet face to face, so which pieces
+meet or share a face is read off vertex_owners.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .lattice import (
     is_face_of,
     is_reflexive,
     is_simplicial,
-    normalized_volume,
     polyhedron_generators,
     read_field,
     read_points,
@@ -52,7 +53,27 @@ class SemistablePartition:
 
 def check_tiling(part):
     """Pieces are full-dimensional, sit inside the host, meet in proper
-    common faces, and their normalized volumes add up to the host volume."""
+    common faces and cover the host: (verdict, message).
+
+    A wall is a piece facet (a, o) that is not a host facet, keyed by its
+    vertex set, read off p.incidence.  Two pieces that hold the same wall
+    with opposite (a, o) lie on the two sides of its hyperplane, so they
+    meet in exactly that facet, a proper face of both, and are not
+    intersected.  Every other pair is intersected, in lex order, and the
+    first that does not meet in a proper common face is named.  It is not
+    established here that matched walls also make every lower-dimensional
+    contact a common face, so this fallback stays until a cited proof lets
+    it go.
+
+    Past the pairs the interiors are disjoint, so the piece volumes add up
+    to the host volume exactly when the pieces cover it.  In a face-to-face
+    covering every interior wall is a facet of exactly two cells, one on
+    each side; and when every wall is held from both sides, the covering
+    degree is constant (De Loera, Rambau & Santos, Triangulations, 2010,
+    4.5), and it is 1 on the interior of any piece.  So the volume message
+    is returned exactly when a wall is held by one piece only, and no
+    volume is computed.
+    """
     host, pieces = part.host, part.pieces
     if not pieces:
         return False, "no pieces"
@@ -63,7 +84,20 @@ def check_tiling(part):
             return False, f"piece {i} is not full-dimensional"
         if not all(host.contains(v) for v in p.vertices):
             return False, f"piece {i} is not contained in the host"
+    boundary = set(host.facets)
+    walls = {}  # wall vertex set -> [(piece, inward normal)]
+    for i, p in enumerate(pieces):
+        for facet, s in zip(p.facets, p.incidence):
+            if facet not in boundary:
+                walls.setdefault(frozenset(p.vertices[k] for k in s), []).append(
+                    (i, facet[0]))
+    # a wall's vertex set fixes its hyperplane, so two holders of it have
+    # equal or opposite normals; opposite ones hold it from its two sides
+    matched = {(i, j) for held in walls.values()
+               for (i, a), (j, b) in itertools.combinations(held, 2) if a != b}
     for i, j in itertools.combinations(range(len(pieces)), 2):
+        if (i, j) in matched:
+            continue
         try:
             w = intersect(pieces[i], pieces[j])
             if w is None or (w.dim < host.dim and is_face_of(w, pieces[i])
@@ -72,7 +106,7 @@ def check_tiling(part):
         except LatticeError:  # a common face would have lattice vertices
             pass
         return False, f"pieces {i} and {j} do not meet in a common face"
-    if sum(normalized_volume(p) for p in pieces) != normalized_volume(host):
+    if any(len(held) != 2 for held in walls.values()):
         return False, "piece volumes do not add up to the host volume"
     return True, "ok"
 
@@ -201,7 +235,8 @@ def build_F_Gamma(part, bound):
     per piece in piece order, that agree on walls and bend strictly across
     them, so F = min over pieces is concave and linear exactly on the pieces.
 
-    The search scans the coefficient box [-bound, bound]^n.  Validity of an
+    The search scans the coefficient box [-bound, bound]^n, lazily at each
+    level, so memory does not grow with the box.  Validity of an
     assignment (m_0, ..., m_r): for every ordered pair (i, j) and every
     vertex u of piece j, m_i(u) == m_j(u) when u lies in piece i and
     m_i(u) > m_j(u) otherwise.  Candidates are scanned in the balanced
@@ -214,7 +249,7 @@ def build_F_Gamma(part, bound):
         raise PartitionError("build_F_Gamma needs a non-singular partition")
     pieces = part.pieces
     n = part.host.ambient_rank
-    candidates = list(itertools.product(_balanced_range(bound), repeat=n))
+    coefficients = _balanced_range(bound)
 
     verts = [p.vertices for p in pieces]
     owners = vertex_owners(part)
@@ -242,7 +277,7 @@ def build_F_Gamma(part, bound):
     def search(j):
         if j == len(pieces):
             return True
-        for mj in candidates:
+        for mj in itertools.product(coefficients, repeat=n):
             if compatible(j, mj):
                 assignment[j] = mj
                 if search(j + 1):

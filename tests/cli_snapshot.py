@@ -8,7 +8,10 @@ and calls lgmirror.cli.main in-process on:
 - every op of the three benchmark workloads (bench/workloads.py) at seeds
   1, 3 and 9001, generated into a temporary directory;
 - every bundled corpus document through every action that reads one file,
-  in both output formats.
+  in both output formats;
+- the partition documents whose pieces do not tile their host
+  (tests_data_helpers.NON_TILING) through `partition validate` and
+  `partition dual-complex`, in both output formats.
 
 It writes {call: [exit code, stdout, stderr]} to OUT.json.  With --against
 it lists the calls whose record differs from BASE.json, or that only one of
@@ -54,6 +57,7 @@ def snapshot(src):
     sys.path[:0] = [str(Path(src).resolve()), str(BENCH)]
     from lgmirror import cli
     import workloads
+    from tests_data_helpers import NON_TILING
 
     calls = {}
     cwd = os.getcwd()
@@ -75,6 +79,16 @@ def snapshot(src):
                     for fmt in ("text", "json"):
                         argv = [command, action, f"{name}.json", "--format", fmt]
                         calls["corpus " + " ".join(argv)] = run(cli.main, argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            for name, doc in NON_TILING.items():
+                with open(f"{name}.json", "w") as fh:
+                    json.dump(doc, fh)
+                for action in ("validate", "dual-complex"):
+                    for fmt in ("text", "json"):
+                        argv = ["partition", action, f"{name}.json", "--format", fmt]
+                        calls["non-tiling " + " ".join(argv)] = run(cli.main, argv)
+            os.chdir(cwd)
     finally:
         os.chdir(cwd)
     return calls

@@ -2,7 +2,7 @@ import pytest
 import sympy
 from conftest import corpus_doc
 from hypothesis import given, settings, strategies as st
-from tests_data_helpers import reflexive_polygons
+from tests_data_helpers import normalized_volume, reflexive_polygons
 
 from lgmirror.cli import resolve_polytope
 from lgmirror.fans import (
@@ -18,7 +18,6 @@ from lgmirror.lattice import (
     boundary_lattice_points,
     convex_hull,
     faces,
-    normalized_volume,
     polar_dual,
 )
 from lgmirror.lg import LGError, pi_gamma_monomials

@@ -15,7 +15,7 @@ import sympy
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS
 from hypothesis import example, given, settings, strategies as st
-from tests_data_helpers import reflexive_polygons
+from tests_data_helpers import normalized_volume, reflexive_polygons
 
 from lgmirror.cli import main
 from lgmirror.fans import Cone, FanError
@@ -35,7 +35,6 @@ from lgmirror.lattice import (
     is_smooth,
     lattice_points,
     minkowski_sum,
-    normalized_volume,
     polar_dual,
     polytope_from_doc,
     polytope_from_inequalities,
@@ -689,6 +688,24 @@ def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
     err = capsys.readouterr().err
     assert f"cannot read input: {path}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+@pytest.mark.parametrize("argv, host", [
+    (["polytope", "smooth"], False), (["polytope", "dual"], False),
+    (["partition", "validate"], True)])
+def test_a_rank_below_1_exits_3_at_the_rank(capsys, tmp_path, rank, argv, host):
+    # rank 0 used to reach the kernels: `smooth` failed on a face dimension
+    # and `dual` on an empty hull, both with exit 2
+    doc = {"rank": rank, "vertices": [[]]}
+    if host:
+        doc = {"polytope": doc, "pieces": [[[]]]}
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(argv + [str(f)]) == 3
+    path = "polytope.rank" if host else "rank"
+    assert capsys.readouterr() == (
+        "", f"cannot read input: {path}: expected an int >= 1, got {rank}\n")
 
 
 @pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])

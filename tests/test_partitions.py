@@ -1,15 +1,21 @@
 import itertools
 import json
+import random
+import tracemalloc
 from math import gcd
 
 import pytest
 import sympy
+import workloads
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS
+from hypothesis import given, strategies as st
+from tests_data_helpers import NON_TILING, normalized_volume
 
 from lgmirror import partitions
 from lgmirror.cli import main, resolve_polytope
-from lgmirror.lattice import (carrier, convex_hull, intersect, normalized_volume,
+from lgmirror.lattice import (LatticeError, carrier, convex_hull, intersect,
+                              is_face_of, lattice_points,
                               polytope_from_inequalities)
 from lgmirror.linalg import dot
 from lgmirror.partitions import (
@@ -138,7 +144,6 @@ def test_F_gamma_vertical_split(vsplit):
     F = build_F_Gamma(vsplit, 10)
     assert F == ((0, 0), (-1, 0))
     # concavity: m_i(x) >= F(x) on all host lattice points, equality on own
-    from lgmirror.lattice import lattice_points
     for x in lattice_points(vsplit.host):
         val = min(dot(m, x) for m in F)
         for m, piece in zip(F, vsplit.pieces):
@@ -320,17 +325,11 @@ def test_negative_lift_bound_is_a_usage_error(capsys):
     assert "[-0, 0]^2" in capsys.readouterr().err
 
 
-# Pieces 0 and 1 overlap in a triangle with the vertex (1/3, 1/3).
-OVERLAP = {"polytope": {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]},
-           "pieces": [[[-1, -1], [1, -1], [1, 1]], [[-1, -1], [1, 0], [-1, 1]],
-                      [[-1, 1], [1, 1], [0, 0]]]}
-
-
 def test_pieces_meeting_at_a_non_lattice_point_fail_the_tiling(capsys, tmp_path):
     # A common face of two lattice polytopes has lattice vertices, so the
     # verdict is the tiling's, not an error from the intersection.
     f = tmp_path / "overlap.json"
-    f.write_text(json.dumps(OVERLAP))
+    f.write_text(json.dumps(NON_TILING["overlap"]))
     assert main(["partition", "validate", str(f), "--format", "json"]) == 2
     out = capsys.readouterr()
     assert json.loads(out.out)["tiling"] == {
@@ -342,18 +341,12 @@ def test_pieces_meeting_at_a_non_lattice_point_fail_the_tiling(capsys, tmp_path)
         "", "FAIL: pieces 0 and 1 do not meet in a common face\n")
 
 
-# One half of the square listed twice: the copies meet in the whole half, an
-# improper face, and their volumes add up to the square's.
-REPEATED = {"polytope": {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]},
-            "pieces": [[[-1, -1], [0, -1], [-1, 1], [0, 1]]] * 2}
-
-
 def test_a_piece_listed_twice_fails_the_tiling(capsys, tmp_path):
-    part = partition_from_doc(REPEATED, resolve_polytope)
+    part = partition_from_doc(NON_TILING["repeated"], resolve_polytope)
     assert check_tiling(part) == (
         False, "pieces 0 and 1 do not meet in a common face")
     f = tmp_path / "repeated.json"
-    f.write_text(json.dumps(REPEATED))
+    f.write_text(json.dumps(NON_TILING["repeated"]))
     assert main(["partition", "validate", str(f)]) == 2
     out = capsys.readouterr()
     assert "tiling: False (pieces 0 and 1 do not meet in a common face)" in out.out
@@ -539,5 +532,187 @@ def test_dual_complex_and_frame_intersect_only_in_check_tiling(monkeypatch):
         if name != "cube-octants":
             partitions.central_frame(part)
     assert calls["outside"] == 0
-    # the frame validates the partition, and so checks the tiling, once
-    assert calls["tiling"] == 3 and calls["inside"] == 1 + 3 + 1
+    # the frame validates the partition, and so checks the tiling, once; every
+    # pair of pieces there shares a wall, so the tiling intersects none
+    assert calls["tiling"] == 3 and calls["inside"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The wall check against the pairwise tiling check
+# ---------------------------------------------------------------------------
+
+def pairwise_tiling(part):
+    """Oracle: the tiling check that intersects every two pieces and then
+    compares the sum of the piece volumes with the host volume."""
+    host, pieces = part.host, part.pieces
+    if not pieces:
+        return False, "no pieces"
+    for i, p in enumerate(pieces):
+        if p.ambient_rank != host.ambient_rank:
+            return False, f"piece {i} has wrong ambient rank"
+        if not p.is_full_dimensional():
+            return False, f"piece {i} is not full-dimensional"
+        if not all(host.contains(v) for v in p.vertices):
+            return False, f"piece {i} is not contained in the host"
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        try:
+            w = intersect(pieces[i], pieces[j])
+            if w is None or (w.dim < host.dim and is_face_of(w, pieces[i])
+                             and is_face_of(w, pieces[j])):
+                continue
+        except LatticeError:
+            pass
+        return False, f"pieces {i} and {j} do not meet in a common face"
+    if sum(normalized_volume(p) for p in pieces) != normalized_volume(host):
+        return False, "piece volumes do not add up to the host volume"
+    return True, "ok"
+
+
+def _split(piece, rng):
+    """The two halves of piece cut by a random lattice hyperplane <c, x> = t
+    through its interior, or None when a half has a non-lattice vertex."""
+    c = tuple(rng.choice((-1, 0, 1)) for _ in range(piece.ambient_rank))
+    values = sorted({dot(c, v) for v in piece.vertices})
+    if len(values) < 2 or values[-1] - values[0] < 2:
+        return None
+    t = rng.randint(values[0] + 1, values[-1] - 1)
+    try:
+        return [polytope_from_inequalities(piece.facets + (cut,),
+                                           ambient_rank=piece.ambient_rank)
+                for cut in ((c, -t), (tuple(-x for x in c), t))]
+    except LatticeError:
+        return None
+
+
+def _random_hulls(host, rng):
+    points = lattice_points(host)
+    return [convex_hull(rng.sample(points, rng.randint(1, min(6, len(points)))))
+            for _ in range(rng.randint(1, 4))]
+
+
+def _perturbed(part, rng):
+    """part with a piece dropped, duplicated, split or moved by a lattice
+    vector; random hulls of host lattice points; or part itself."""
+    pieces = list(part.pieces)
+    k = rng.randrange(len(pieces))
+    kind = rng.choice(("drop", "duplicate", "split", "move", "hulls", "none"))
+    if kind == "drop" and len(pieces) > 1:
+        del pieces[k]
+    elif kind == "duplicate":
+        pieces.insert(rng.randrange(len(pieces) + 1), pieces[k])
+    elif kind == "split":
+        pieces[k:k + 1] = _split(pieces[k], rng) or [pieces[k]]
+    elif kind == "move":
+        shift = [rng.choice((-1, 0, 1)) for _ in range(part.host.ambient_rank)]
+        pieces[k] = convex_hull([tuple(x + s for x, s in zip(v, shift))
+                                 for v in pieces[k].vertices])
+    elif kind == "hulls":
+        pieces = _random_hulls(part.host, rng)
+    rng.shuffle(pieces)
+    return SemistablePartition(part.host, tuple(pieces))
+
+
+NON_TILING_PARTS = {name: partition_from_doc(doc, resolve_polytope)
+                    for name, doc in NON_TILING.items()}
+
+
+@pytest.mark.parametrize("name", sorted(OWNER_TABLE_INPUTS) + sorted(NON_TILING))
+def test_wall_check_agrees_with_the_pairwise_check(name):
+    part = OWNER_TABLE_INPUTS.get(name) or NON_TILING_PARTS[name]
+    assert check_tiling(part) == pairwise_tiling(part)
+
+
+def test_non_tiling_documents_fail_where_they_are_named():
+    verdicts = {name: check_tiling(part) for name, part in NON_TILING_PARTS.items()}
+    pair = "pieces {} and {} do not meet in a common face".format
+    volume = "piece volumes do not add up to the host volume"
+    assert verdicts == {"overlap": (False, pair(0, 1)),
+                        "repeated": (False, pair(0, 1)),
+                        "gap": (False, volume),
+                        "double-cover": (False, pair(0, 2)),
+                        "t-junction": (False, pair(0, 1)),
+                        "cube-gap": (False, volume)}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_wall_check_agrees_on_seeded_perturbations(rank):
+    bases = [p for p in OWNER_TABLE_INPUTS.values() if p.host.ambient_rank == rank]
+    bases += [SemistablePartition(p.host, (p.host,)) for p in bases]
+    rng = random.Random(rank)
+    messages = set()
+    for _ in range(300):
+        part = _perturbed(rng.choice(bases), rng)
+        verdict = check_tiling(part)
+        assert verdict == pairwise_tiling(part), [p.vertices for p in part.pieces]
+        messages.add(verdict[1].split()[0])
+    # tilings, covering failures and pair failures all occur
+    assert {"ok", "piece", "pieces"} <= messages
+
+
+HOSTS = sorted({p.host for p in OWNER_TABLE_INPUTS.values()},
+               key=lambda h: (h.ambient_rank, h.vertices))
+
+
+@given(st.sampled_from(HOSTS), st.randoms(use_true_random=False))
+def test_wall_check_agrees_on_random_hulls(host, rng):
+    part = SemistablePartition(host, tuple(_random_hulls(host, rng)))
+    assert check_tiling(part) == pairwise_tiling(part)
+
+
+def _intersect_calls(monkeypatch, run):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return intersect(a, b)
+    monkeypatch.setattr(partitions, "intersect", counted)
+    run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("name, count", [
+    *((f"{name}-halves", 0) for name in sorted(POLYGONS)),
+    ("cube-quarters", 2), ("cube-octants", 16)])
+def test_check_tiling_intersects_only_pairs_without_a_common_wall(
+        monkeypatch, name, count):
+    # the quarters meet two by two in an edge of the z axis, and of the 28
+    # octant pairs only the 12 that share a square share a wall
+    part = OWNER_TABLE_INPUTS[name]
+    assert _intersect_calls(monkeypatch, lambda: check_tiling(part)) == count
+
+
+def test_seed_3_fibrations_pass_makes_26_intersect_calls(monkeypatch, tmp_path):
+    ops = workloads.generate("fibrations", 3, str(tmp_path))
+    monkeypatch.chdir(tmp_path)  # op argv names inputs relative to it
+
+    def run():
+        for op in ops:
+            main(op["argv"])
+    assert _intersect_calls(monkeypatch, run) == 26
+
+
+# ---------------------------------------------------------------------------
+# The F_Gamma search box
+# ---------------------------------------------------------------------------
+
+def test_F_gamma_scans_a_large_box_in_small_memory():
+    part = OWNER_TABLE_INPUTS["b8v4b-halves"]
+    tracemalloc.start()
+    try:
+        functionals = build_F_Gamma(part, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the listed box of 101^3 candidates peaked near 89 MB
+    assert peak < 2 ** 20
+    assert functionals == build_F_Gamma(part, 10)
+
+
+def test_F_gamma_at_bound_50_is_the_bound_10_certificate():
+    smooth = [part for name, part in sorted(OWNER_TABLE_INPUTS.items())
+              if name.endswith("-halves") and validate_semistable(part)["valid"]
+              and is_nonsingular(part)]
+    # the prisms over the five smooth reflexive polygons
+    assert len(smooth) == 5
+    for part in smooth:
+        assert build_F_Gamma(part, 50) == build_F_Gamma(part, 10)

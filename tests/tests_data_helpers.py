@@ -1,6 +1,7 @@
 """Builders for consistency-constructed spectral-sequence inputs, and the
-shared test oracles: the reflexive polygons, unimodular images, relabelled
-Euler data and abutment checks.
+shared test oracles: the reflexive polygons, unimodular images, normalized
+volumes, relabelled Euler data and abutment checks; and the partition
+documents whose pieces do not tile their host.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -14,11 +15,12 @@ which preserves consistency and roughens the matrices.
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 from geometry import POLYGONS
 
-from lgmirror.lattice import convex_hull
-from lgmirror.linalg import dot
+from lgmirror.lattice import convex_hull, triangulation
+from lgmirror.linalg import det, dot, vec_sub
 from lgmirror.spectral import StrataComplexData
 from lgmirror.strata import StrataEuler
 
@@ -36,6 +38,53 @@ def apply_unimodular(p, U, shift=None):
     shift = shift or (0,) * p.ambient_rank
     return convex_hull([tuple(dot(row, v) + s for row, s in zip(U, shift))
                         for v in p.vertices])
+
+
+def normalized_volume(p):
+    """Lattice-normalized volume (d! times Euclidean volume), an integer,
+    in the saturated lattice of the affine hull of p.
+
+    Sum over the simplices of lattice.triangulation(p): the gcd of the
+    d x d minors of a simplex's edge vectors, which is the absolute
+    determinant of those vectors in a basis of that lattice (the maximal
+    minors of a basis of a saturated lattice are coprime).
+    """
+    cols = list(itertools.combinations(range(p.ambient_rank), p.dim))
+    # The face lattice lists p itself last: it has the most vertices.
+    return sum(gcd(*(det([[e[c] for c in cs] for e in edges]) for cs in cols))
+               for s in triangulation(p.all_faces()[-1])
+               for edges in [[vec_sub(v, s[0]) for v in s[1:]]])
+
+
+SQUARE = {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}
+LEFT_HALF = [[-1, -1], [0, -1], [-1, 1], [0, 1]]
+
+# Partition documents whose pieces do not tile the host, by the first test
+# of the tiling check that fails.
+NON_TILING = {
+    # pieces 0 and 1 overlap in a triangle with the vertex (1/3, 1/3)
+    "overlap": {"polytope": SQUARE, "pieces": [
+        [[-1, -1], [1, -1], [1, 1]], [[-1, -1], [1, 0], [-1, 1]],
+        [[-1, 1], [1, 1], [0, 0]]]},
+    # one half listed twice: the copies meet in the whole half, an improper
+    # face, and their volumes add up to the square's
+    "repeated": {"polytope": SQUARE, "pieces": [LEFT_HALF] * 2},
+    # the left half and a triangle on its wall leave two corners uncovered
+    "gap": {"polytope": SQUARE, "pieces": [
+        LEFT_HALF, [[0, -1], [0, 1], [1, 0]]]},
+    # the vertical and the horizontal halves cover the square twice
+    "double-cover": {"polytope": SQUARE, "pieces": [
+        LEFT_HALF, [[0, -1], [1, -1], [0, 1], [1, 1]],
+        [[-1, -1], [1, -1], [-1, 0], [1, 0]], [[-1, 0], [1, 0], [-1, 1], [1, 1]]]},
+    # the right quarters each hold half of the left half's wall
+    "t-junction": {"polytope": SQUARE, "pieces": [
+        LEFT_HALF, [[0, -1], [1, -1], [0, 0], [1, 0]],
+        [[0, 0], [1, 0], [0, 1], [1, 1]]]},
+    # the cube's quarters around the z axis with one quarter left out
+    "cube-gap": {"polytope": "cube", "pieces": [
+        [[x, y, z] for x in (a, a + 1) for y in (b, b + 1) for z in (-1, 1)]
+        for a, b in ((-1, -1), (-1, 0), (0, -1))]},
+}
 
 
 def relabeled(d, perm):
