@@ -1,34 +1,31 @@
 """Cones and fans: face fans, boundary-ray refinement (rank <= 3) and
 stellar subdivision (star).
 
-Cones are strongly convex and stored by their primitive extreme rays; each
-reads its faces off the face lattice of conv(0, rays), a hull built only
-when something asks about its faces.  Cones from outside, the projected
-pieces in partitions.central_frame, are checked: Cone.from_rays makes their
-rays primitive and extreme, and Fan.validate checks that pairwise cone
-intersections are common faces.  The cones built here, over the facets of a
-reflexive polytope and over the simplicial cells that subdivide them, are
-made directly from their sorted rays and build no hull; the property tests
-check them against Cone.from_rays and Fan.validate, not every build.
+Cones are strongly convex and stored by their primitive extreme rays.  The
+cones built here, over the facets of a reflexive polytope and over the
+simplicial cells that subdivide them, are fans by construction and are made
+directly from their sorted rays.  Cones from outside, the projected pieces
+in partitions.central_frame, are checked twice: Cone.from_rays makes their
+rays primitive and extreme, and Fan.validate checks that they form a
+complete simplicial fan.  That check is local: full-dimensional simplicial
+cones form a complete fan exactly when every ridge lies in exactly two
+cones, on opposite sides of it, and one generic point is covered once (De
+Loera, Rambau & Santos, Triangulations, 2010, 4.5).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import (
-    LatticePolytope,
     boundary_lattice_points,
     convex_hull,
     faces,
     is_reflexive,
-    recession_rays,
     reflexivity_diagnostic,
     triangulation,
 )
-from .linalg import dot, primitive, solve
+from .linalg import det, dot, primitive, solve
 
 
 class FanError(ValueError):
@@ -40,22 +37,16 @@ class Cone:
     """Strongly convex rational cone with primitive, canonically ordered rays.
 
     Cone(rays, rank) trusts that the rays are sorted, primitive and
-    extreme; from_rays makes them so.  The cone keeps its hull conv(0,
-    rays), whose vertices are the origin and the rays, built on first use
-    unless from_rays passed the one it built.  The faces of a pointed cone
-    are exactly the faces of that hull through the origin, so the hull's
-    one face lattice gives the cone's dimension, faces, facets and
-    H-representation.
+    extreme; from_rays makes them so.
     """
 
     rays: tuple
     ambient_rank: int
-    _hull: LatticePolytope = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_rays(rays, ambient_rank):
         """The checked constructor: primitive rays, no line, and only the
-        extreme rays kept."""
+        extreme rays kept, read off the hull conv(0, rays)."""
         prims = list(dict.fromkeys(primitive(r) for r in rays))
         if any(not any(p) for p in prims):
             raise FanError("zero vector is not a ray")
@@ -64,59 +55,20 @@ class Cone:
         if origin not in hull.vertices:
             raise FanError(f"cone on rays {prims} contains a line")
         # The extreme rays are the far ends of the hull's edges at the origin.
-        extreme = sorted(w for f in hull.all_faces() if f.dimension == 1
-                         and origin in f.vertices()
-                         for w in f.vertices() if w != origin)
-        # A dropped ray is a vertex of this hull but not of the cone's.
-        return Cone(tuple(extreme), ambient_rank,
-                    hull if len(extreme) == len(prims) else None)
-
-    @property
-    def hull(self):
-        if self._hull is None:
-            origin = (0,) * self.ambient_rank
-            object.__setattr__(self, "_hull", convex_hull((origin,) + self.rays))
-        return self._hull
-
-    @property
-    def dim(self):
-        return self.hull.dim
-
-    def hrep(self):
-        """(inequalities, equations): normals n with <n,x> >= 0 and span equations."""
-        return (tuple(n for n, o in self.hull.facets if o == 0),
-                tuple(n for n, _ in self.hull.equations))
-
-    def _faces_through_origin(self):
-        origin = (0,) * self.ambient_rank
-        return [(frozenset(v for v in f.vertices() if v != origin), f.dimension)
-                for f in self.hull.all_faces() if origin in f.vertices()]
-
-    def face_ray_sets(self):
-        """Ray subsets spanning each face of the cone (including {} and all)."""
-        return {s for s, _ in self._faces_through_origin()}
-
-    def facets(self):
-        """Ray sets of the facets of the cone."""
-        return [s for s, d in self._faces_through_origin() if d == self.dim - 1]
-
-    def intersection_rays(self, other):
-        ineqs1, eqs1 = self.hrep()
-        ineqs2, eqs2 = other.hrep()
-        ineqs = [(n, 0) for n in ineqs1 + ineqs2]
-        eqs = [(n, 0) for n in eqs1 + eqs2]
-        return tuple(sorted(recession_rays(ineqs, eqs,
-                                           ambient_rank=self.ambient_rank)))
+        return Cone(tuple(sorted(w for f in hull.all_faces() if f.dimension == 1
+                                 and origin in f.vertices()
+                                 for w in f.vertices() if w != origin)),
+                    ambient_rank)
 
 
 @dataclass(frozen=True)
 class Fan:
     """Fan given by its maximal cones.
 
-    from_cones takes the maximal cones only; it drops repeats and sorts,
-    and builds no cone's hull.  It does not check the face condition:
-    face, refined and stellar fans are fans by construction.  Call
-    validate() on cones that come from outside; central_frame does.
+    from_cones takes the maximal cones only; it drops repeats and sorts.  It
+    does not check the face condition: face, refined and stellar fans are
+    fans by construction.  Call validate() on cones that come from outside;
+    central_frame does.
     """
 
     ambient_rank: int
@@ -131,22 +83,38 @@ class Fan:
         return tuple(sorted({r for c in self.maximal_cones for r in c.rays}))
 
     def validate(self):
-        """Raise FanError unless every two maximal cones meet in a common face."""
-        for c1, c2 in itertools.combinations(self.maximal_cones, 2):
-            common = c1.intersection_rays(c2)
-            key = frozenset(common)
-            if key not in c1.face_ray_sets() or key not in c2.face_ray_sets():
-                raise FanError(
-                    f"cones {c1.rays} and {c2.rays} do not meet in a common face")
+        """Raise FanError unless the maximal cones form a complete simplicial
+        fan (DLRS, Triangulations, 4.5).
 
-    def is_complete(self):
-        """Every ridge of every full-dimensional cone lies in exactly two cones."""
-        if not self.maximal_cones:
-            return self.ambient_rank == 0
-        if any(c.dim != self.ambient_rank for c in self.maximal_cones):
-            return False
-        ridges = Counter(s for c in self.maximal_cones for s in c.facets())
-        return all(v == 2 for v in ridges.values()) and bool(ridges)
+        Each cone has ambient_rank rays and det != 0.  Each ridge, a cone's
+        sorted rays but the i-th, lies in exactly two cones, and on opposite
+        sides of it: det(ridge, r_i) = (-1)^(n-1-i) det(rays) is a linear
+        form in r_i that vanishes on the ridge.  So every generic point is
+        covered equally often, and once because the sum of the first cone's
+        rays, interior to it, lies in no other cone.
+        """
+        n, cones = self.ambient_rank, self.maximal_cones
+        if not cones:
+            if n:
+                raise FanError("a fan without cones is not complete")
+            return
+        sides = {}
+        for c in cones:
+            d = det(c.rays) if len(c.rays) == n else 0
+            if d == 0:
+                raise FanError(f"cone {c.rays} is not full-dimensional and simplicial")
+            for i in range(n):
+                sides.setdefault(c.rays[:i] + c.rays[i + 1:], []).append(
+                    ((-1) ** i * d > 0, c.rays))
+        for ridge, held in sides.items():
+            if len(held) != 2 or held[0][0] == held[1][0]:
+                raise FanError(f"ridge {ridge} does not lie in exactly two cones "
+                               f"on opposite sides: {[c for _, c in held]}")
+        x = tuple(map(sum, zip(*cones[0].rays)))
+        for c in cones[1:]:
+            mu = solve([list(col) for col in zip(*c.rays)], x)
+            if mu is not None and all(m >= 0 for m in mu):
+                raise FanError(f"cones {cones[0].rays} and {c.rays} overlap")
 
 
 def _require_reflexive(p, what):

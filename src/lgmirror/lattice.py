@@ -88,20 +88,19 @@ def read_count(x, path):
 
 
 def read_index_set(I, path, components=None):
-    """A JSON list of component indices, ints >= 0, as a frozenset.  Given
-    the number of components, the list must also be nonempty, without
-    repeats and below that number."""
+    """A JSON list of component indices, ints >= 0 without repeats, as a
+    frozenset.  Given the number of components, the list must also be
+    nonempty and below that number."""
     if not all(type(i) is int and i >= 0 for i in I):
         read_list(I, path, read_count)  # raises, naming the first bad index
-    if components is not None:
-        if not I:
-            raise InputError(path, "empty index set")
-        for j, i in enumerate(I):
-            if i >= components:
-                raise InputError(f"{path}[{j}]", f"expected an index below "
-                                 f"{components} components, got {i}")
-            if i in I[:j]:
-                raise InputError(f"{path}[{j}]", f"repeats index {i}")
+    if components is not None and not I:
+        raise InputError(path, "empty index set")
+    for j, i in enumerate(I):
+        if components is not None and i >= components:
+            raise InputError(f"{path}[{j}]", f"expected an index below "
+                             f"{components} components, got {i}")
+        if i in I[:j]:
+            raise InputError(f"{path}[{j}]", f"repeats index {i}")
     return frozenset(I)
 
 

@@ -394,20 +394,18 @@ def central_frame(part):
         raise PartitionError(
             f"projected pieces do not form a complete fan with {l + 1} rays "
             f"(got rays {all_rays})")
-    # The projected cones come from the input pieces, not from a
-    # construction that makes them a fan, so the face condition is checked.
+    # The projected cones come from the input pieces, so the ridge test
+    # checks that they form a complete simplicial fan.  Two pieces that
+    # project to one cone leave a ridge held once, so it fails then too.
     sigma_v = Fan.from_cones(cones, l)
     try:
         sigma_v.validate()
     except FanError as exc:
         raise PartitionError(f"projected pieces do not form a fan: {exc}")
-    if not sigma_v.is_complete():
-        raise PartitionError("projected piece fan is not complete")
 
-    # each cone has l of the l + 1 rays, so it omits exactly one
+    # each cone has l of the l + 1 rays, so it omits exactly one, and the
+    # l + 1 cones of a complete fan on l + 1 rays omit each ray once
     v_quot = [next(r for r in all_rays if r not in c.rays) for c in cones]
-    if len(set(v_quot)) != len(v_quot):
-        raise PartitionError("omitted rays are not pairwise distinct")
 
     v_amb = []
     for r in v_quot:

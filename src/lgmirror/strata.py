@@ -204,10 +204,14 @@ def strata_from_doc(doc):
         if I in by_set:
             raise InputError(where, f"repeats stratum {sorted(I)}")
         by_set[I] = e
-    return StrataEuler(
-        n, components, side, by_set,
-        frozenset(read_index_set(list(Z), f"zero_strata[{j}]", components)
-                  for j, Z in enumerate(zeros)))
+    empty = set()
+    for j, Z in enumerate(zeros):
+        Z = read_index_set(list(Z), f"zero_strata[{j}]", components)
+        if Z in by_set or Z in empty:
+            raise InputError(f"zero_strata[{j}]", f"repeats stratum {sorted(Z)} of "
+                             + ("entries" if Z in by_set else "zero_strata"))
+        empty.add(Z)
+    return StrataEuler(n, components, side, by_set, frozenset(empty))
 
 
 def monodromy_from_doc(doc):

@@ -11,7 +11,10 @@ and calls lgmirror.cli.main in-process on:
   in both output formats;
 - the partition documents whose pieces do not tile their host
   (tests_data_helpers.NON_TILING) through `partition validate` and
-  `partition dual-complex`, in both output formats.
+  `partition dual-complex`, in both output formats;
+- the central partitions with a projected fan beyond rank 1 or a rank-4
+  host (tests_data_helpers.FRAME_PATH) through `partition validate`,
+  `frame` and `fans`, in both output formats.
 
 It writes {call: [exit code, stdout, stderr]} to OUT.json.  With --against
 it lists the calls whose record differs from BASE.json, or that only one of
@@ -57,7 +60,7 @@ def snapshot(src):
     sys.path[:0] = [str(Path(src).resolve()), str(BENCH)]
     from lgmirror import cli
     import workloads
-    from tests_data_helpers import NON_TILING
+    from tests_data_helpers import FRAME_PATH, NON_TILING
 
     calls = {}
     cwd = os.getcwd()
@@ -81,13 +84,16 @@ def snapshot(src):
                         calls["corpus " + " ".join(argv)] = run(cli.main, argv)
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
-            for name, doc in NON_TILING.items():
-                with open(f"{name}.json", "w") as fh:
-                    json.dump(doc, fh)
-                for action in ("validate", "dual-complex"):
-                    for fmt in ("text", "json"):
-                        argv = ["partition", action, f"{name}.json", "--format", fmt]
-                        calls["non-tiling " + " ".join(argv)] = run(cli.main, argv)
+            for label, docs, actions in (
+                    ("non-tiling", NON_TILING, ("validate", "dual-complex")),
+                    ("frame-path", FRAME_PATH, ("validate", "frame", "fans"))):
+                for name, doc in docs.items():
+                    with open(f"{name}.json", "w") as fh:
+                        json.dump(doc, fh)
+                    for action in actions:
+                        for fmt in ("text", "json"):
+                            argv = ["partition", action, f"{name}.json", "--format", fmt]
+                            calls[f"{label} " + " ".join(argv)] = run(cli.main, argv)
             os.chdir(cwd)
     finally:
         os.chdir(cwd)

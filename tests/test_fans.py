@@ -1,8 +1,18 @@
+import itertools
+import random
+import time
+
 import pytest
-import sympy
 from conftest import corpus_doc
 from hypothesis import given, settings, strategies as st
-from tests_data_helpers import normalized_volume, reflexive_polygons
+from tests_data_helpers import (
+    cone_faces,
+    cone_hrep,
+    normalized_volume,
+    pairwise_fan,
+    reflexive_polygons,
+    ridge_count_complete,
+)
 
 from lgmirror.cli import resolve_polytope
 from lgmirror.fans import (
@@ -19,6 +29,7 @@ from lgmirror.lattice import (
     convex_hull,
     faces,
     polar_dual,
+    triangulation,
 )
 from lgmirror.lg import LGError, pi_gamma_monomials
 from lgmirror.linalg import det, dot, identity, integer_kernel, primitive, rank
@@ -40,7 +51,7 @@ def cone_sets(fan):
 
 
 def cone_contains(cone, x):
-    ineqs, eqs = cone.hrep()
+    ineqs, eqs = cone_hrep(cone.rays, cone.ambient_rank)
     return all(dot(n, x) >= 0 for n in ineqs) and all(dot(n, x) == 0 for n in eqs)
 
 
@@ -48,7 +59,7 @@ def test_face_fan_square(square):
     fan = face_fan(square)
     assert len(fan.maximal_cones) == 4
     assert set(fan.rays) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert fan.is_complete()
+    fan.validate()
 
 
 def test_face_fan_diamond(diamond):
@@ -61,7 +72,7 @@ def test_face_fan_rank_one():
     seg = convex_hull([(-1,), (1,)])
     fan = face_fan(seg)
     assert cone_sets(fan) == {((-1,),), ((1,),)}
-    assert fan.is_complete()
+    fan.validate()
 
 
 def test_face_fan_rejects_non_reflexive():
@@ -93,7 +104,7 @@ def test_refine_square(square):
     ref = refine_with_boundary_rays(square)
     assert len(ref.rays) == 8
     assert set(ref.rays) == set(boundary_lattice_points(square))
-    assert ref.is_complete()
+    ref.validate()
     # refinement: every refined cone lies in an original cone
     for c in ref.maximal_cones:
         assert any(all(cone_contains(orig, r) for r in c.rays)
@@ -116,7 +127,7 @@ def test_refine_rank_one_unchanged():
 def test_refine_cube(cube):
     ref = refine_with_boundary_rays(cube)
     assert set(ref.rays) == set(boundary_lattice_points(cube))
-    assert ref.is_complete()
+    ref.validate()
 
 
 def test_refine_rank_four_unsupported():
@@ -146,10 +157,6 @@ def test_cone_rejects_lines():
 def test_cone_drops_redundant_rays():
     c = Cone.from_rays([(1, 0), (0, 1), (1, 1)], 2)
     assert c.rays == ((0, 1), (1, 0))
-    # (1, 1) is a vertex of the hull from_rays built, so the cone builds its
-    # own hull when asked about its faces
-    assert c._hull is None
-    assert set(c.facets()) == {frozenset({(0, 1)}), frozenset({(1, 0)})}
 
 
 def test_fan_rejects_improper_intersections():
@@ -195,46 +202,18 @@ def test_fan_documents(diamond):
                                      [[0, -1], [1, 0]], [[0, 1], [1, 0]]]}
 
 
-# References for the cone oracle, computed without any face lattice: the
-# H-representation of conv(0, rays), a facet-closure loop over it, and
+# The reference for the extreme rays, computed without any face lattice:
 # per-ray pruning (a ray is extreme when the cone of the others misses it).
-
-def _ref_hrep(rays, n):
-    hull = convex_hull([(0,) * n] + list(rays))
-    return ([a for a, o in hull.facets if o == 0],
-            [e for e, _ in hull.equations])
-
-
-def _ref_contains(x, rays, n):
-    ineqs, eqs = _ref_hrep(rays, n)
-    return (all(dot(a, x) >= 0 for a in ineqs)
-            and all(dot(e, x) == 0 for e in eqs))
-
 
 def _ref_extreme_rays(prims, n):
     return sorted(r for r in prims
-                  if not _ref_contains(r, [s for s in prims if s != r], n))
-
-
-def _ref_facets(rays, n):
-    return {frozenset(r for r in rays if dot(a, r) == 0)
-            for a in _ref_hrep(rays, n)[0]}
-
-
-def _ref_face_ray_sets(rays, n):
-    facet_sets = _ref_facets(rays, n)
-    out = {frozenset(rays)} | facet_sets
-    frontier = set(facet_sets)
-    while frontier:
-        frontier = {s & f for s in frontier for f in facet_sets} - out
-        out |= frontier
-    return out | {frozenset()}
+                  if not cone_contains(Cone([s for s in prims if s != r], n), r))
 
 
 @st.composite
 def ray_sets(draw):
     """Nonzero rays in rank 2-4, sometimes with a sum of two of them (a
-    redundant ray) or the negative of one (a line), plus probe points."""
+    redundant ray) or the negative of one (a line)."""
     n = draw(st.integers(2, 4))
     coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
     rays = draw(st.lists(coords.filter(any), min_size=1, max_size=5))
@@ -245,40 +224,28 @@ def ray_sets(draw):
             rays.append(s)
     elif extra == "line":
         rays.append(tuple(-x for x in rays[-1]))
-    return n, rays, draw(st.lists(coords, max_size=4))
+    return n, rays
 
 
 @given(ray_sets())
 @settings(max_examples=120)
 def test_cone_agrees_with_reference(case):
-    n, rays, probes = case
+    n, rays = case
     prims = list(dict.fromkeys(primitive(r) for r in rays))
     if convex_hull(prims).contains((0,) * n):
         # 0 is a convex combination of the rays: the cone holds a line
         with pytest.raises(FanError, match="line"):
             Cone.from_rays(rays, n)
         return
-    cone = Cone.from_rays(rays, n)
-    assert list(cone.rays) == _ref_extreme_rays(prims, n)
-    assert cone.face_ray_sets() == _ref_face_ray_sets(cone.rays, n)
-    facets = cone.facets()
-    assert len(facets) == len(set(facets))
-    assert set(facets) == _ref_facets(cone.rays, n)
-    assert cone.dim == sympy.Matrix(prims).rank()
-    # the trusted constructor on the same rays builds the same hull
-    trusted = Cone(cone.rays, n)
-    assert trusted.hrep() == cone.hrep()
-    assert trusted.face_ray_sets() == cone.face_ray_sets()
-    sums = [tuple(a + b for a, b in zip(r, s)) for r in prims for s in prims]
-    for x in prims + sums + [tuple(-c for c in r) for r in prims] + probes:
-        assert cone_contains(cone, x) == _ref_contains(x, prims, n)
+    assert list(Cone.from_rays(rays, n).rays) == _ref_extreme_rays(prims, n)
 
 
 # The fan constructors make their cones with the trusted Cone(rays, rank),
 # and Fan.from_cones trusts its caller, so this test checks every cone
-# against the checked Cone.from_rays and runs Fan.validate on every fan.  The
-# smooth reflexive polygons are the bases of the smooth prisms whose halves
-# the fibrations benchmark cuts.
+# against the checked Cone.from_rays, runs Fan.validate on every simplicial
+# fan and the pairwise oracle on the others.  The smooth reflexive polygons
+# are the bases of the smooth prisms whose halves the fibrations benchmark
+# cuts.
 SMOOTH_POLYGONS = {
     "b6v6": ((1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)),
     "b7v5": ((1, -1), (1, 0), (0, 1), (-1, 1), (-1, -1)),
@@ -322,23 +289,23 @@ def test_constructed_fans_pass_validate(name):
     for fan in fans:
         for c in fan.maximal_cones:
             assert Cone.from_rays(c.rays, fan.ambient_rank) == c
-        fan.validate()
+        if all(len(c.rays) == fan.ambient_rank for c in fan.maximal_cones):
+            fan.validate()
+        else:  # the face fan of a prism or of the cube, or Sigma_Gamma
+            assert pairwise_fan(fan)
 
 
 def test_fibration_fans_build_no_cone_hull(monkeypatch):
     """Sigma' and Sigma_Gamma are read off simplicial cells, so no cone of
-    theirs builds its hull until something asks about its faces."""
+    theirs builds a hull."""
     part = CONSTRUCTOR_INPUTS["b6v6-halves"]
     frame = central_frame(part)  # the projected pieces are checked cones
     hulls = []
     monkeypatch.setattr("lgmirror.fans.convex_hull",
                         lambda points: hulls.append(points) or convex_hull(points))
     fib = build_fibration_fans(part, frame)
-    cones = fib.sigma_prime.maximal_cones + fib.sigma_gamma.maximal_cones
     assert fib.sigma_gamma.maximal_cones
-    assert hulls == [] and all(c._hull is None for c in cones)
-    cone = cones[0]
-    assert cone.dim == cone.dim == 3 and len(hulls) == 1  # built once, kept
+    assert hulls == []
 
 
 def _reference_pi_gamma(sigma_prime, frame):
@@ -388,7 +355,7 @@ def test_fibration_data_agrees_with_reference_derivations(name):
             if L and rank(L + [list(r)]) == len(L)}
     allowed = in_L | set(frame.v_vectors)
     walls = {s for c in fib.sigma_prime.maximal_cones
-             for s in c.face_ray_sets() if s and s <= allowed}
+             for s in cone_faces(c.rays, n) if s and s <= allowed}
     assert {frozenset(c.rays) for c in fib.sigma_gamma.maximal_cones} == {
         s for s in walls if not any(s < t for t in walls)}
     reference = _reference_pi_gamma(fib.sigma_prime, frame)
@@ -463,3 +430,84 @@ P3_REFINED = [
 def test_p3_refinement_is_pinned():
     fan = refine_with_boundary_rays(RANK3_HOSTS["p3"])
     assert [c.rays for c in fan.maximal_cones] == P3_REFINED
+
+
+def _simplicial_fans():
+    """Every distinct simplicial fan that the constructors build from
+    CONSTRUCTOR_INPUTS and the 16 reflexive polygons, with at least one cone."""
+    fans = []
+    for part in CONSTRUCTOR_INPUTS.values():
+        host = part.host
+        fans += [face_fan(host), face_fan(polar_dual(host)),
+                 refine_with_boundary_rays(host)]
+        if (validate_semistable(part)["valid"] and is_central(part)
+                and is_nonsingular(part)):
+            fib = build_fibration_fans(part, central_frame(part))
+            fans += [fib.sigma_prime, fib.sigma_gamma, fib.sigma_v]
+    for p in reflexive_polygons():
+        fans += [face_fan(p), face_fan(polar_dual(p)), refine_with_boundary_rays(p)]
+    return [f for f in dict.fromkeys(fans) if f.maximal_cones and all(
+        len(c.rays) == f.ambient_rank for c in f.maximal_cones)]
+
+
+def _perturbed(fan, rng):
+    """The fan with a cone dropped, with a cone listed twice (Fan, not
+    from_cones, which drops repeats), and with one ray bent by a random step
+    in every cone that holds it."""
+    n, cones = fan.ambient_rank, list(fan.maximal_cones)
+    k = rng.randrange(len(cones))
+    out = [Fan(n, tuple(cones[:k] + cones[k + 1:])), Fan(n, tuple(cones + [cones[k]]))]
+    r = rng.choice(fan.rays)
+    bends = sorted({primitive(tuple(2 * x + rng.randint(-1, 1) for x in r))
+                    for _ in range(8)} - set(fan.rays))
+    if bends:  # in rank 1 every bend is r again
+        bent = rng.choice(bends)
+        out.append(Fan(n, tuple(Cone(tuple(sorted(bent if s == r else s for s in c.rays)), n)
+                                for c in cones)))
+    return out
+
+
+def _passes(fan):
+    try:
+        fan.validate()
+    except FanError:
+        return False
+    return True
+
+
+def test_validate_agrees_with_the_pairwise_check():
+    """The ridge test against the former pairwise test and ridge count, on
+    every simplicial constructed fan and three seeded perturbations of it."""
+    rng = random.Random(19)
+    verdicts = []
+    for fan in _simplicial_fans():
+        for f in [fan] + _perturbed(fan, rng):
+            oracle = ridge_count_complete(f) and pairwise_fan(f)
+            assert _passes(f) == oracle, f
+            verdicts.append(oracle)
+    assert True in verdicts and False in verdicts
+
+
+def test_validate_passes_the_rank_4_cube_refinement_fast():
+    """refine_with_boundary_rays refuses rank 4, so the test builds its fan:
+    each facet of [-1, 1]^4 triangulated and starred at its other lattice
+    points, 8 x 48 cones.  The pairwise check took 27 s on it."""
+    host = convex_hull(list(itertools.product((-1, 1), repeat=4)))
+    cones = []
+    for f in faces(host, 3):
+        n, o = host.facets[host.incidence.index(frozenset(f.vertex_indices))]
+        cells = triangulation(f)
+        for q in boundary_lattice_points(host):
+            if dot(n, q) == -o and q not in f.vertices():
+                cells = star(cells, q)
+        cones += [Cone(tuple(sorted(cell)), 4) for cell in cells]
+    fan = Fan.from_cones(cones, 4)
+    assert len(fan.maximal_cones) == 384
+    start = time.perf_counter()
+    fan.validate()
+    assert time.perf_counter() - start < 0.5
+    perturbed = _perturbed(fan, random.Random(4))
+    assert len(perturbed) == 3
+    for bad in perturbed:
+        with pytest.raises(FanError):
+            bad.validate()

@@ -15,7 +15,7 @@ import sympy
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS
 from hypothesis import example, given, settings, strategies as st
-from tests_data_helpers import normalized_volume, reflexive_polygons
+from tests_data_helpers import cone_hrep, normalized_volume, reflexive_polygons
 
 from lgmirror.cli import main
 from lgmirror.fans import Cone, FanError
@@ -400,7 +400,7 @@ def test_recession_rays_of_a_pointed_cone_are_its_rays(points):
         cone = Cone.from_rays(rays, len(points[0]))
     except FanError:
         return  # the rays span a line
-    ineqs, eqs = cone.hrep()
+    ineqs, eqs = cone_hrep(cone.rays, cone.ambient_rank)
     found = recession_rays([(a, 0) for a in ineqs], [(e, 0) for e in eqs],
                            ambient_rank=cone.ambient_rank)
     assert sorted(found) == list(cone.rays)
@@ -566,10 +566,12 @@ def _with(doc, **fields):
     return {**doc, **fields}
 
 
-def _with_stratum0(**fields):
-    """elliptic-deg-complex with fields of its stratum [0] replaced."""
+def _with_item(key, i, **fields):
+    """elliptic-deg-complex with fields of the i-th item of doc[key] replaced."""
     doc = corpus_doc("elliptic-deg-complex")
-    return _with(doc, strata=[_with(doc["strata"][0], **fields)] + doc["strata"][1:])
+    items = list(doc[key])
+    items[i] = _with(items[i], **fields)
+    return _with(doc, **{key: items})
 
 
 def _restrict(matrix):
@@ -673,11 +675,19 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
     ("euler", _with(ELLIPTIC, entries=ELLIPTIC["entries"] + [{"I": [1, 0], "e": 5}]),
      f"entries[{len(ELLIPTIC['entries'])}].I"),
     ("euler", _with(ELLIPTIC, side="hybird"), "side"),
-    ("ss", _with_stratum0(dims={"0": 1, "2": 1, "02": 5}), "strata[0].dims.02"),
-    ("ss", _with_stratum0(dims={"0": 1, "2": 1, "-0": 5}), "strata[0].dims.-0"),
-    ("ss", _with_stratum0(hodge={"0": {"0": 1}, "2": {"00": 1}}),
+    ("ss", _with_item("strata", 0, dims={"0": 1, "2": 1, "02": 5}),
+     "strata[0].dims.02"),
+    ("ss", _with_item("strata", 0, dims={"0": 1, "2": 1, "-0": 5}),
+     "strata[0].dims.-0"),
+    ("ss", _with_item("strata", 0, hodge={"0": {"0": 1}, "2": {"00": 1}}),
      "strata[0].hodge.2.00"),
-    ("ss", _with_stratum0(hodge={"0": {"0": 1}, "-0": {"0": 1}}), "strata[0].hodge.-0"),
+    ("ss", _with_item("strata", 0, hodge={"0": {"0": 1}, "-0": {"0": 1}}),
+     "strata[0].hodge.-0"),
+    ("ss", _with_item("strata", 2, I=[1, 0, 1]), "strata[2].I[2]"),
+    ("ss", _with_item("maps", 0, **{"from": [0, 0]}), "maps[0].from[1]"),
+    ("euler", _with(ELLIPTIC, zero_strata=[[0, 1]]), "zero_strata[0]"),
+    ("euler", _with(ELLIPTIC, entries=ELLIPTIC["entries"][:2],
+                    zero_strata=[[0, 1], [1, 0]]), "zero_strata[1]"),
 ])
 def test_malformed_document_exits_3_with_its_path(capsys, tmp_path, command,
                                                  doc, path):

@@ -10,7 +10,7 @@ import workloads
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS
 from hypothesis import given, strategies as st
-from tests_data_helpers import NON_TILING, normalized_volume
+from tests_data_helpers import FRAME_PATH, NON_TILING, normalized_volume
 
 from lgmirror import partitions
 from lgmirror.cli import main, resolve_polytope
@@ -207,7 +207,7 @@ def test_central_frame_vertical_split(vsplit):
 def test_central_frame_trivial(square):
     fr = central_frame(SemistablePartition(square, (square,)))
     assert fr.l == 0 and fr.v_vectors == ()
-    assert fr.sigma_v.is_complete()
+    fr.sigma_v.validate()
 
 
 def test_central_frame_tsigma(tsigma_part):
@@ -283,7 +283,7 @@ def test_fibration_fans_vertical_split(vsplit):
     assert fans.sigma_v.rays == ((-1,), (1,))
     assert set(fans.sigma_gamma.rays) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
     assert fans.added_rays == ()
-    assert fans.sigma_prime.is_complete()
+    fans.sigma_prime.validate()
 
 
 def test_fibration_fans_trivial(square):
@@ -310,7 +310,7 @@ def test_diamond_axis_split_is_not_semistable(diamond):
 def test_fibration_fans_trivial_diamond(diamond):
     part = SemistablePartition(diamond, (diamond,))
     fans = build_fibration_fans(part, central_frame(part))
-    assert fans.sigma_prime.is_complete()
+    fans.sigma_prime.validate()
     assert set(fans.sigma_prime.rays) == set(fans.sigma_delta.rays)
     assert fans.sigma_v.maximal_cones == ()
 
@@ -716,3 +716,24 @@ def test_F_gamma_at_bound_50_is_the_bound_10_certificate():
     assert len(smooth) == 5
     for part in smooth:
         assert build_F_Gamma(part, 50) == build_F_Gamma(part, 10)
+
+
+@pytest.mark.parametrize("name, frame, fans_error", [
+    ("tsigma-3piece-prism",
+     "l = 2; L basis [[0, 0, 1]]; v vectors [[-1, 1, 0], [0, -1, 0], [1, 0, 0]]",
+     "ray (-1, -1, -1) projects to (-1, -1), outside every distinguished ray"),
+    ("cube4-halves",
+     "l = 1; L basis [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]; "
+     "v vectors [[0, 0, 0, 1], [0, 0, 0, -1]]",
+     "fibration fans are implemented for rank <= 3 only"),
+])
+def test_frame_path_documents_frame_and_stop_at_the_fans(capsys, tmp_path, name,
+                                                         frame, fans_error):
+    """Sigma_v with three rays in rank 2, and a rank-4 host: Fan.validate
+    accepts both projected fans, and `fans` stops where it is named."""
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(FRAME_PATH[name]))
+    assert main(["partition", "frame", str(f)]) == 0
+    assert capsys.readouterr() == (frame + "\n", "")
+    assert main(["partition", "fans", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: {fans_error}\n")

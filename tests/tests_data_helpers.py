@@ -1,7 +1,8 @@
 """Builders for consistency-constructed spectral-sequence inputs, and the
 shared test oracles: the reflexive polygons, unimodular images, normalized
-volumes, relabelled Euler data and abutment checks; and the partition
-documents whose pieces do not tile their host.
+volumes, cone faces and the pairwise fan check, relabelled Euler data and
+abutment checks; the partition documents whose pieces do not tile their
+host, and the ones that take the central-frame path beyond rank 1.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -12,14 +13,16 @@ be thickened by a block scale and conjugated by random invertible matrices,
 which preserves consistency and roughens the matrices.
 """
 
+import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
 from geometry import POLYGONS
 
-from lgmirror.lattice import convex_hull, triangulation
+from lgmirror.lattice import convex_hull, recession_rays, triangulation
 from lgmirror.linalg import det, dot, vec_sub
 from lgmirror.spectral import StrataComplexData
 from lgmirror.strata import StrataEuler
@@ -56,6 +59,61 @@ def normalized_volume(p):
                for edges in [[vec_sub(v, s[0]) for v in s[1:]]])
 
 
+def cone_hrep(rays, n):
+    """(inequalities, equations) of the cone over rays: the normals n with
+    <n, x> >= 0 and the span equations, read off conv(0, rays)."""
+    hull = convex_hull([(0,) * n] + list(rays))
+    return (tuple(a for a, o in hull.facets if o == 0),
+            tuple(e for e, _ in hull.equations))
+
+
+@functools.lru_cache(maxsize=None)
+def cone_faces(rays, n):
+    """{ray set: dimension} of the faces of the pointed cone over the tuple
+    rays: the faces of conv(0, rays) through the origin, the apex {}
+    included.  Cached, since the perturbed fans of the tests share cones."""
+    origin = (0,) * n
+    return {fs(v for v in f.vertices() if v != origin): f.dimension
+            for f in convex_hull((origin,) + rays).all_faces()
+            if origin in f.vertices()}
+
+
+@functools.lru_cache(maxsize=None)
+def _meet(rays1, rays2, n):
+    """The extreme rays of the intersection of two cones, by one double
+    description of their joint H-representation."""
+    (i1, e1), (i2, e2) = cone_hrep(rays1, n), cone_hrep(rays2, n)
+    return fs(recession_rays([(a, 0) for a in i1 + i2],
+                             [(e, 0) for e in e1 + e2], ambient_rank=n))
+
+
+def pairwise_fan(fan):
+    """The former Fan.validate, as an oracle: every two maximal cones meet
+    in a common face.  One double description per pair of cones and a face
+    lattice per cone; it also takes non-simplicial and lower-dimensional
+    cones."""
+    n = fan.ambient_rank
+    for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
+        common = _meet(c1.rays, c2.rays, n)
+        if common not in cone_faces(c1.rays, n) or common not in cone_faces(c2.rays, n):
+            return False
+    return True
+
+
+def ridge_count_complete(fan):
+    """The former Fan.is_complete, as an oracle: every cone is
+    full-dimensional and every ridge lies in exactly two cones."""
+    n = fan.ambient_rank
+    if not fan.maximal_cones:
+        return n == 0
+    faces = [cone_faces(c.rays, n) for c in fan.maximal_cones]
+    # a cone that holds a line has no face of all its rays through 0
+    if any(f.get(fs(c.rays)) != n for c, f in zip(fan.maximal_cones, faces)):
+        return False
+    ridges = Counter(s for f in faces for s, d in f.items() if d == n - 1)
+    return bool(ridges) and all(v == 2 for v in ridges.values())
+
+
 SQUARE = {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}
 LEFT_HALF = [[-1, -1], [0, -1], [-1, 1], [0, 1]]
 
@@ -84,6 +142,31 @@ NON_TILING = {
     "cube-gap": {"polytope": "cube", "pieces": [
         [[x, y, z] for x in (a, a + 1) for y in (b, b + 1) for z in (-1, 1)]
         for a, b in ((-1, -1), (-1, 0), (0, -1))]},
+}
+
+
+def _prism(verts):
+    return [v + [z] for v in verts for z in (-1, 1)]
+
+
+# the pieces of the corpus document tsigma-3piece
+TSIGMA_3PIECE = [[[0, 0], [0, -1], [2, -1], [1, 0]],
+                 [[0, 0], [1, 0], [0, 1], [-1, 2], [-1, 1]],
+                 [[0, 0], [-1, 1], [-1, 0], [-1, -1], [0, -1]]]
+CUBE4 = [list(v) for v in itertools.product((-1, 1), repeat=4)]
+
+# Central partitions whose projected fan Sigma_v is more than the two rays
+# of rank 1, or whose host has rank 4.  `partition frame` accepts both;
+# `partition fans` fails on the prism (pi_Gamma) and at the rank guard.
+FRAME_PATH = {
+    # the prism over tsigma-3piece: rank 3, l = 2
+    "tsigma-3piece-prism": {
+        "polytope": {"rank": 3, "vertices": _prism([[-1, -1], [-1, 2], [2, -1]])},
+        "pieces": [_prism(p) for p in TSIGMA_3PIECE]},
+    # the halves x_4 <= 0 and x_4 >= 0 of [-1, 1]^4: rank 4, l = 1
+    "cube4-halves": {
+        "polytope": {"rank": 4, "vertices": CUBE4},
+        "pieces": [[v[:3] + [z] for v in CUBE4 for z in zs] for zs in ((-1, 0), (0, 1))]},
 }
 
 
