@@ -220,8 +220,8 @@ def cmd_lg(args):
     if args.action == "emit":
         model = lg_mod.givental_hybrid(nef, k, r)
         payload = {
-            "constraints": [c.to_text() for c in model.constraints],
-            "potentials": [h.to_text() for h in model.potentials],
+            "constraints": [lg_mod.laurent_text(c) for c in model.constraints],
+            "potentials": [lg_mod.laurent_text(h) for h in model.potentials],
         }
         emit(payload, fmt, lambda d: "\n".join(
             [f"constraint: {c} = 0" for c in d["constraints"]]
@@ -242,8 +242,8 @@ def cmd_lg(args):
             model = lg_mod.givental_hybrid(nef, k, r)
             eqs = lg_mod.compactify_fiber(model, nabla, lam)
             banner = None
-        payload = lg_mod.equations_to_doc(eqs)
-        payload["text"] = [eq.to_text() for eq in eqs]
+        payload = {"equations": eqs,
+                   "text": [lg_mod.equation_text(eq) for eq in eqs]}
         if banner:
             payload["banner"] = banner
         emit(payload, fmt, lambda d: "\n".join(
@@ -306,7 +306,7 @@ def cmd_ss(args):
     if args.action in _BUILDERS:
         data = spectral.complex_from_doc(_load_json(args.files[0]))
         page = _BUILDERS[args.action](data)
-        emit(spectral.page_report_doc(page), fmt, lambda d: page.table())
+        emit(spectral.page_report_doc(page), fmt, _render_page)
         return
     if args.action == "pw":
         deg = spectral.complex_from_doc(_load_json(args.files[0]))
@@ -323,6 +323,13 @@ def cmd_ss(args):
         if not report["ok"]:
             raise CliValidationFailure("Poincare duality check failed")
         return
+
+
+def _render_page(doc):
+    return "\n".join(
+        [f"{doc['name']} E2 graded dimensions"
+         + (f" ({doc['grading']})" if doc["grading"] else "")]
+        + [f"  E2[{c['p']},{c['q']}] = {c['dim']}" for c in doc["e2"]])
 
 
 def _render_pw(r):

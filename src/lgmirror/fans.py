@@ -25,7 +25,7 @@ from .lattice import (
     reflexivity_diagnostic,
     triangulation,
 )
-from .linalg import det, dot, primitive, solve
+from .linalg import det, dot, primitive, sign, solve
 
 
 class FanError(ValueError):
@@ -105,7 +105,7 @@ class Fan:
                 raise FanError(f"cone {c.rays} is not full-dimensional and simplicial")
             for i in range(n):
                 sides.setdefault(c.rays[:i] + c.rays[i + 1:], []).append(
-                    ((-1) ** i * d > 0, c.rays))
+                    (sign(i) * d > 0, c.rays))
         for ridge, held in sides.items():
             if len(held) != 2 or held[0][0] == held[1][0]:
                 raise FanError(f"ridge {ridge} does not lie in exactly two cones "

@@ -30,87 +30,41 @@ def var_label(sigma):
     return "z_(" + ",".join(str(c) for c in sigma) + ")"
 
 
-@dataclass(frozen=True)
-class SymbolicLaurent:
-    """Sum of symbolically-weighted torus monomials, one per lattice point."""
-
-    monomials: tuple  # tuple of (coef label, exponent tuple = lattice point)
-
-    @staticmethod
-    def from_points(points):
-        return SymbolicLaurent(tuple((coef_label(rho), tuple(rho))
-                                     for rho in sorted(points)))
-
-    def to_text(self):
-        names = [f"x{i+1}" for i in range(len(self.monomials[0][1]))]
-        parts = []
-        for coef, exps in self.monomials:
-            factors = [coef]
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class HomogeneousTerm:
-    coef: str
-    sign: int
-    exps: tuple  # tuple of (sigma, exponent >= 0), sigma a lattice point
-
-    def exponent_of(self, sigma):
-        for s, e in self.exps:
-            if s == sigma:
-                return e
-        return 0
-
-    def monomial_text(self):
-        factors = []
-        for s, e in self.exps:
+def laurent_text(points):
+    """The Laurent polynomial in x1, ..., xn with support `points`, one
+    symbolic coefficient coef_label(rho) per point, in the given order."""
+    names = [f"x{i+1}" for i in range(len(points[0]))]
+    parts = []
+    for rho in points:
+        factors = [coef_label(rho)]
+        for name, e in zip(names, rho):
             if e == 1:
-                factors.append(var_label(s))
+                factors.append(name)
             elif e != 0:
-                factors.append(var_label(s) + f"^{e}")
-        return "*".join(factors) if factors else "1"
-
-    def to_text(self):
-        mono = self.monomial_text()
-        return f"{self.coef}*{mono}" if mono != "1" else self.coef
+                factors.append(f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class HomogeneousEquation:
-    """Equation Sum(sign * coef * monomial) = 0 in the homogeneous coordinates
-    indexed by the rays sigma."""
-
-    terms: tuple
-    rays: tuple
-
-    def to_text(self):
-        out = []
-        for t in self.terms:
-            piece = t.to_text()
-            out.append(piece if not out and t.sign > 0
-                       else (" + " if t.sign > 0 else " - ") + piece)
-        return "".join(out) + " = 0"
-
-    def to_doc(self):
-        return {"terms": [{
-            "coef": t.coef,
-            "sign": t.sign,
-            "exps": {var_label(s): e for s, e in t.exps if e != 0},
-        } for t in self.terms]}
+def equation_text(eq):
+    """The line Sum(sign * coef * monomial) = 0 of an equation document
+    {"terms": [{"coef", "sign", "exps": {variable: exponent}}]}."""
+    out = []
+    for t in eq["terms"]:
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in t["exps"].items())
+        piece = f"{t['coef']}*{mono}" if mono else t["coef"]
+        out.append(piece if not out and t["sign"] > 0
+                   else (" + " if t["sign"] > 0 else " - ") + piece)
+    return "".join(out) + " = 0"
 
 
 @dataclass
 class HybridLGModel:
-    """Torus constraints and potentials built from a nef partition."""
+    """Torus constraints and potentials built from a nef partition, each
+    Laurent polynomial given by its lex-sorted support."""
 
-    constraints: tuple  # SymbolicLaurent per constraint part
-    potentials: tuple   # SymbolicLaurent per potential part
+    constraints: tuple  # support per constraint part
+    potentials: tuple   # support per potential part
     delta_pieces: tuple  # Conv(0 u E_i) per part, constraint parts first
 
 
@@ -121,8 +75,8 @@ def givental_hybrid(nef, k, r):
     if r < 1:
         raise LGError("at least one potential part is required")
     pieces = [nef.delta_piece(i) for i in range(nef.n_parts)]
-    laurents = [SymbolicLaurent.from_points(lattice_points(p)) for p in pieces]
-    return HybridLGModel(tuple(laurents[:k]), tuple(laurents[k:]), tuple(pieces))
+    supports = [tuple(sorted(lattice_points(p))) for p in pieces]
+    return HybridLGModel(tuple(supports[:k]), tuple(supports[k:]), tuple(pieces))
 
 
 def _fan_rays(nabla_pieces):
@@ -135,41 +89,39 @@ def _sigma_min(sigma, piece):
     return min(dot(sigma, v) for v in piece.vertices)
 
 
-def _compactified_terms(laurent, piece, rays, skip_origin=False):
+def _compactified_terms(points, piece, rays, sign):
+    """One term per point rho, with exponent <sigma, rho> - sigma_min of
+    z_sigma; the zero exponents are left out."""
     terms = []
     mins = {s: _sigma_min(s, piece) for s in rays}
-    for coef, rho in laurent.monomials:
-        if skip_origin and not any(rho):
-            continue
-        exps = []
+    for rho in points:
+        exps = {}
         for s in rays:
             e = dot(s, rho) - mins[s]
             if e < 0:
                 raise LGError(f"negative exponent for sigma={s}, rho={rho}; "
                               "inconsistent dual-side data")
-            exps.append((s, e))
-        terms.append(HomogeneousTerm(coef, 1, tuple(exps)))
+            if e:
+                exps[var_label(s)] = e
+        terms.append({"coef": coef_label(rho), "sign": sign, "exps": exps})
     return terms
 
 
 def _lambda_term(name, nabla_piece, rays):
     support = [q for q in lattice_points(nabla_piece) if any(q)]
-    exps = []
-    for s in rays:
-        exps.append((s, 1 if s in support else 0))
     for q in support:
         if q not in rays:
             raise LGError(f"lambda monomial point {q} is not a fan ray")
-    return HomogeneousTerm(name, 1, tuple(exps))
+    return {"coef": name, "sign": 1,
+            "exps": {var_label(s): 1 for s in rays if s in support}}
 
 
-def _potential_equation(name, nabla_piece, laurent, piece, rays):
+def _potential_equation(name, nabla_piece, points, piece, rays):
     """lambda times the nonzero dual-piece coordinates minus the compactified
     nonzero terms of the potential."""
-    head = _lambda_term(name, nabla_piece, rays)
-    tail = [HomogeneousTerm(t.coef, -1, t.exps)
-            for t in _compactified_terms(laurent, piece, rays, skip_origin=True)]
-    return HomogeneousEquation((head,) + tuple(tail), rays)
+    tail = _compactified_terms([rho for rho in points if any(rho)], piece,
+                               rays, -1)
+    return {"terms": [_lambda_term(name, nabla_piece, rays)] + tail}
 
 
 def compactify_fiber(model, nabla_pieces, lam=None):
@@ -180,18 +132,17 @@ def compactify_fiber(model, nabla_pieces, lam=None):
     Constraint i: sum over Delta_i of a_rho z^(<sigma,rho> - sigma_min_i).
     Potential j: lambda_j times the product of the nonzero dual-piece
     coordinates minus the analogous sum over the nonzero points of the
-    potential polytope.
+    potential polytope.  Each equation is the document that equation_text
+    prints.
     """
     k, r = len(model.constraints), len(model.potentials)
     lam = lam or [f"lambda_{j+1}" for j in range(r)]
     if len(lam) != r:
         raise LGError("one lambda symbol per potential is required")
     rays = _fan_rays(nabla_pieces)
-    eqs = []
-    for i in range(k):
-        terms = _compactified_terms(model.constraints[i], model.delta_pieces[i],
-                                    rays)
-        eqs.append(HomogeneousEquation(tuple(terms), rays))
+    eqs = [{"terms": _compactified_terms(model.constraints[i],
+                                         model.delta_pieces[i], rays, 1)}
+           for i in range(k)]
     for j in range(r):
         eqs.append(_potential_equation(
             lam[j], nabla_pieces[k + j], model.potentials[j],
@@ -209,7 +160,7 @@ def non_nef_split_fiber(model, split, nabla_pieces, lam=None):
     if len(model.potentials) != 1:
         raise LGError("splitting applies to a model with a single potential")
     last = model.delta_pieces[-1]
-    part_points = [pt for _, pt in model.potentials[0].monomials if any(pt)]
+    part_points = [pt for pt in model.potentials[0] if any(pt)]
     flat = [q for group in split for q in group]
     if sorted(flat) != sorted(part_points):
         raise LGError("split does not partition the nonzero potential points")
@@ -217,19 +168,19 @@ def non_nef_split_fiber(model, split, nabla_pieces, lam=None):
     if len(lam) != len(split):
         raise LGError("one lambda symbol per split group is required")
     rays = _fan_rays(nabla_pieces)
-    return [_potential_equation(lam[j], nabla_pieces[-1],
-                                SymbolicLaurent.from_points(group), last, rays)
+    return [_potential_equation(lam[j], nabla_pieces[-1], sorted(group), last, rays)
             for j, group in enumerate(split)]
 
 
-def check_degree_consistency(eq):
-    """All terms of one equation lie in a single divisor class: pairwise
-    exponent differences are lattice-pairing vectors <sigma, x>."""
-    rays = eq.rays
-    base = eq.terms[0]
+def check_degree_consistency(eq, rays):
+    """All terms of one equation in the coordinates z_sigma, sigma in rays,
+    lie in a single divisor class: pairwise exponent differences are
+    lattice-pairing vectors <sigma, x>."""
     A = [list(s) for s in rays]
-    for t in eq.terms[1:]:
-        diff = [t.exponent_of(s) - base.exponent_of(s) for s in rays]
+    labels = [var_label(s) for s in rays]
+    base = eq["terms"][0]["exps"]
+    for t in eq["terms"][1:]:
+        diff = [t["exps"].get(v, 0) - base.get(v, 0) for v in labels]
         x = solve(A, diff)
         if x is None or any(c.denominator != 1 for c in x):
             return False
@@ -252,7 +203,3 @@ def pi_gamma_monomials(sigma_prime, frame):
                           "distinguished ray")
         comps[frame.v_quotient.index(primitive(q))][s] = vec_gcd(q)
     return tuple(comps)
-
-
-def equations_to_doc(eqs):
-    return {"equations": [eq.to_doc() for eq in eqs]}

@@ -258,19 +258,15 @@ def build_F_Gamma(part, bound):
     def compatible(j, mj):
         for i in range(j):
             mi = assignment[i]
-            for u in verts[j]:
+            for u in verts[j] + verts[i]:
                 vi, vj = dot(mi, u), dot(mj, u)
-                if i in owners[u]:
-                    if vi != vj:
-                        return False
-                elif vi <= vj:
-                    return False
-            for u in verts[i]:
-                vi, vj = dot(mi, u), dot(mj, u)
-                if j in owners[u]:
-                    if vi != vj:
-                        return False
-                elif vj <= vi:
+                if i in owners[u] and j in owners[u]:
+                    ok = vi == vj
+                elif j in owners[u]:
+                    ok = vi > vj
+                else:
+                    ok = vj > vi
+                if not ok:
                     return False
         return True
 

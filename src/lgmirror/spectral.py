@@ -192,38 +192,6 @@ class BigradedPage:
                 out[(p, q)] = val
         return out
 
-    def row_euler_consistency(self):
-        """Per row, the alternating sums of E1 and E2 dimensions agree."""
-        e2 = self.e2()
-        rows = {}
-        for (p, q) in self.positions():
-            rows.setdefault(q, []).append(p)
-        report = {}
-        for q, ps in rows.items():
-            s1 = sum(sign(p) * self.term_dim(p, q) for p in ps)
-            s2 = sum(sign(p) * v for (p, qq), v in e2.items() if qq == q)
-            report[q] = (s1, s2, s1 == s2)
-        return report
-
-    def d2_vanishing_report(self):
-        """Positions where a second differential could live: it is confirmed
-        zero for degree reasons whenever source or target vanishes."""
-        e2 = self.e2()
-        report = []
-        for (p, q), v in sorted(e2.items()):
-            tgt = e2.get((p + 2, q - 1), 0)
-            report.append({"from": [p, q], "to": [p + 2, q - 1],
-                           "confirmed_zero": tgt == 0 or v == 0})
-        return report
-
-    def table(self):
-        e2 = self.e2()
-        lines = [f"{self.name} E2 graded dimensions"
-                 + (f" ({self.grading_note})" if self.grading_note else "")]
-        for (p, q) in sorted(e2):
-            lines.append(f"  E2[{p},{q}] = {e2[(p, q)]}")
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Page specs and the driver
@@ -413,10 +381,23 @@ def slice_by_label(data):
             off += d
         return out
 
+    blocks = {(kind, frm, to, degree): (ranges(to, degree + DEGREE_SHIFT[kind]),
+                                        ranges(frm, degree))
+              for kind, frm, to, degree in data.maps}
+    # off-diagonal blocks must vanish for the slicing to make sense
+    for key, (rtgt, rsrc) in blocks.items():
+        mat = data.maps[key]
+        for aa in labels:
+            for bb in labels:
+                if aa == bb:
+                    continue
+                for i in range(*rtgt[aa]):
+                    for j in range(*rsrc[bb]):
+                        if mat[i][j] != 0:
+                            return None
     sliced = {}
     for a in labels:
         strata = {}
-        hodge = {}
         for I, dims in data.strata.items():
             sub = {}
             for k, d in dims.items():
@@ -426,22 +407,10 @@ def slice_by_label(data):
             if sub:
                 strata[I] = sub
         maps = {}
-        for (kind, frm, to, degree), mat in data.maps.items():
-            rsrc = ranges(frm, degree)
-            rtgt = ranges(to, degree + DEGREE_SHIFT[kind])
-            # off-diagonal blocks must vanish for the slicing to make sense
-            for aa in labels:
-                for bb in labels:
-                    if aa == bb:
-                        continue
-                    for i in range(*rtgt[aa]):
-                        for j in range(*rsrc[bb]):
-                            if mat[i][j] != 0:
-                                return None
+        for key, (rtgt, rsrc) in blocks.items():
             lo_t, hi_t = rtgt[a]
             lo_s, hi_s = rsrc[a]
-            maps[(kind, frm, to, degree)] = [row[lo_s:hi_s]
-                                             for row in mat[lo_t:hi_t]]
+            maps[key] = [row[lo_s:hi_s] for row in data.maps[key][lo_t:hi_t]]
         sliced[a] = StrataComplexData(data.n, data.side, strata, {}, maps,
                                       dict(data.pairings))
     return sliced
@@ -752,15 +721,31 @@ def cubical_from_doc(doc):
 
 
 def page_report_doc(page):
+    """The report that `ss <page>` prints, as a document:
+
+    name, grading: the page's name and grading note;
+    e1, e2: the nonzero terms of the first and second page, as {p, q, dim}
+      in (p, q) order;
+    row_euler: per row q of E1, the alternating sums over p of the E1 and
+      the E2 dimensions (e1_sum, e2_sum), and whether they agree (ok);
+    d2_report: per nonzero E2 term, where d2 would take it (from, to), and
+      whether it vanishes for degree reasons (confirmed_zero: the target is
+      zero).
+    """
     e2 = page.e2()
+    e1 = {(p, q): page.term_dim(p, q) for (p, q) in page.positions()}
+    row_euler = []
+    for q in sorted({q for _, q in e1}):
+        s1 = sum(sign(p) * d for (p, qq), d in e1.items() if qq == q)
+        s2 = sum(sign(p) * v for (p, qq), v in e2.items() if qq == q)
+        row_euler.append({"q": q, "e1_sum": s1, "e2_sum": s2, "ok": s1 == s2})
     return {
         "name": page.name,
         "grading": page.grading_note,
-        "e1": [{"p": p, "q": q, "dim": page.term_dim(p, q)}
-               for (p, q) in page.positions() if page.term_dim(p, q)],
+        "e1": [{"p": p, "q": q, "dim": d} for (p, q), d in e1.items() if d],
         "e2": [{"p": p, "q": q, "dim": v} for (p, q), v in sorted(e2.items())],
-        "row_euler": [{"q": q, "e1_sum": s1, "e2_sum": s2, "ok": okq}
-                      for q, (s1, s2, okq) in
-                      sorted(page.row_euler_consistency().items())],
-        "d2_report": page.d2_vanishing_report(),
+        "row_euler": row_euler,
+        "d2_report": [{"from": [p, q], "to": [p + 2, q - 1],
+                       "confirmed_zero": (p + 2, q - 1) not in e2}
+                      for (p, q) in sorted(e2)],
     }

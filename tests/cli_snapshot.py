@@ -9,6 +9,8 @@ and calls lgmirror.cli.main in-process on:
   1, 3 and 9001, generated into a temporary directory;
 - every bundled corpus document through every action that reads one file,
   in both output formats;
+- the corpus pairs of TWO_FILE_CALLS through `ss pw` in both modes and
+  `euler check`, in both output formats;
 - the partition documents whose pieces do not tile their host
   (tests_data_helpers.NON_TILING) through `partition validate` and
   `partition dual-complex`, in both output formats;
@@ -41,6 +43,14 @@ ONE_FILE_ACTIONS = {
     "lg": ("emit", "compactify"),
     "ss": ("weight", "monodromy", "gflag", "delta", "pd"),
 }
+# The calls that read two corpus documents, without --format.
+TWO_FILE_CALLS = (
+    ("ss", "pw", "elliptic-deg-complex.json", "elliptic-hyb-complex.json"),
+    ("ss", "pw", "elliptic-deg-complex.json", "elliptic-hyb-complex.json",
+     "--mode", "central_fiber"),
+    ("euler", "check", "elliptic-deg.json", "elliptic-hyb.json"),
+    ("euler", "check", "elliptic-deg.json", "elliptic-hyb-corrupt.json"),
+)
 
 
 def run(main, argv):
@@ -82,6 +92,10 @@ def snapshot(src):
                     for fmt in ("text", "json"):
                         argv = [command, action, f"{name}.json", "--format", fmt]
                         calls["corpus " + " ".join(argv)] = run(cli.main, argv)
+        for call in TWO_FILE_CALLS:
+            for fmt in ("text", "json"):
+                argv = [*call, "--format", fmt]
+                calls["corpus " + " ".join(argv)] = run(cli.main, argv)
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             for label, docs, actions in (

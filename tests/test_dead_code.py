@@ -24,7 +24,6 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 AWAITING = {
     "lg.check_degree_consistency": "item 8: lg compactify",
-    "lg.HomogeneousTerm.exponent_of": "item 8: lg compactify",
     "spectral.check_cubical_mirror": "item 8: ss cubical",
     "spectral.CubicalData.validate_composition": "item 8: ss cubical",
     "spectral.cubical_from_doc": "item 8: ss cubical",

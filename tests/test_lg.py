@@ -6,19 +6,26 @@ from lgmirror.lattice import convex_hull, lattice_points, polar_dual
 from lgmirror.linalg import dot
 from lgmirror.lg import (
     LGError,
+    _fan_rays,
     check_degree_consistency,
     compactify_fiber,
     givental_hybrid,
     non_nef_split_fiber,
     pi_gamma_monomials,
+    var_label,
 )
 from lgmirror.nef import nabla_pieces, validate_nef
 from lgmirror.partitions import central_frame, build_fibration_fans
 
 
 def term_set(eq):
-    return {(t.coef, t.sign, tuple((s, e) for s, e in t.exps if e))
-            for t in eq.terms}
+    return {(t["coef"], t["sign"], tuple(t["exps"].items())) for t in eq["terms"]}
+
+
+def labelled(terms):
+    """term_set of terms whose exponents are keyed by the ray sigma."""
+    return {(coef, sign, tuple((var_label(s), e) for s, e in exps))
+            for coef, sign, exps in terms}
 
 
 @pytest.fixture
@@ -39,17 +46,15 @@ def test_nabla_pieces_are_built_once(monkeypatch):
 
 def test_givental_monomial_supports(diamond_model):
     model, _ = diamond_model
-    assert [m[1] for m in model.constraints[0].monomials] == \
-        [(0, -1), (0, 0), (0, 1), (1, 0)]
-    assert [m[1] for m in model.potentials[0].monomials] == [(-1, 0), (0, 0)]
+    assert model.constraints[0] == ((0, -1), (0, 0), (0, 1), (1, 0))
+    assert model.potentials[0] == ((-1, 0), (0, 0))
 
 
 def test_pure_potential_split(diamond):
     nef = validate_nef(diamond, [(0, 1, 2, 3)])
     model = givental_hybrid(nef, 0, 1)
     assert model.constraints == ()
-    assert [m[1] for m in model.potentials[0].monomials] == \
-        lattice_points(diamond)
+    assert list(model.potentials[0]) == lattice_points(diamond)
 
 
 def test_rank_bookkeeping(square):
@@ -73,43 +78,43 @@ def test_compactified_equations_match_worked_example(diamond_model):
         ("a_(0,1)", 1, (((-1, 0), 1), ((-1, 1), 2), ((0, 1), 2))),
         ("a_(0,-1)", 1, (((-1, -1), 2), ((-1, 0), 1), ((0, -1), 2))),
     }
-    assert term_set(eqs[0]) == expect0
+    assert term_set(eqs[0]) == labelled(expect0)
 
     expect1 = {
         ("lambda", 1, (((1, 0), 1),)),
         ("a_(-1,0)", -1, (((-1, -1), 1), ((-1, 0), 1), ((-1, 1), 1))),
     }
-    assert term_set(eqs[1]) == expect1
+    assert term_set(eqs[1]) == labelled(expect1)
 
 
 def test_single_exponent_example(diamond_model):
     # <(-1,1), (0,1)> - min over Delta_1 = 1 - (-1) = 2
     model, nd = diamond_model
     eqs = compactify_fiber(model, nd)
-    term = next(t for t in eqs[0].terms if t.coef == "a_(0,1)")
-    assert term.exponent_of((-1, 1)) == 2
+    term = next(t for t in eqs[0]["terms"] if t["coef"] == "a_(0,1)")
+    assert term["exps"][var_label((-1, 1))] == 2
     # rho = 0 gives exponent -sigma_min >= 0 everywhere
-    origin_term = next(t for t in eqs[0].terms if t.coef == "a_(0,0)")
-    assert all(e >= 0 for _, e in origin_term.exps)
+    origin_term = next(t for t in eqs[0]["terms"] if t["coef"] == "a_(0,0)")
+    assert all(e >= 0 for e in origin_term["exps"].values())
 
 
 def test_degree_consistency(diamond_model):
     model, nd = diamond_model
     eqs = compactify_fiber(model, nd)
-    assert check_degree_consistency(eqs[0])
-    assert check_degree_consistency(eqs[1])
+    assert check_degree_consistency(eqs[0], _fan_rays(nd))
+    assert check_degree_consistency(eqs[1], _fan_rays(nd))
 
 
 def test_newton_polytope_round_trip(diamond_model):
     model, _ = diamond_model
-    for laurent, piece in zip(model.constraints + model.potentials,
+    for support, piece in zip(model.constraints + model.potentials,
                               model.delta_pieces):
-        assert convex_hull([exps for _, exps in laurent.monomials]) == piece
+        assert convex_hull(list(support)) == piece
 
 
 def test_non_nef_split_degenerate_equals_compactification(diamond_model):
     model, nd = diamond_model
-    pts = [pt for _, pt in model.potentials[0].monomials if any(pt)]
+    pts = [pt for pt in model.potentials[0] if any(pt)]
     split_eq = non_nef_split_fiber(model, [pts], nd, ["lambda"])
     direct = compactify_fiber(model, nd, ["lambda"])
     assert term_set(split_eq[0]) == term_set(direct[1])
@@ -119,16 +124,17 @@ def test_non_nef_split_square_anticanonical(square):
     nef = validate_nef(square, [(0, 1, 2, 3)])
     model = givental_hybrid(nef, 0, 1)
     nd = nabla_pieces(nef)
-    pts = [pt for _, pt in model.potentials[0].monomials if any(pt)]
+    pts = [pt for pt in model.potentials[0] if any(pt)]
     group1 = [q for q in pts if q[0] != 0]
     group2 = [q for q in pts if q[0] == 0]
     eqs = non_nef_split_fiber(model, [group1, group2], nd)
     assert len(eqs) == 2
     for eq in eqs:
-        for t in eq.terms:
-            assert all(e >= 0 for _, e in t.exps)
+        for t in eq["terms"]:
+            assert all(e > 0 for e in t["exps"].values())
     # the lambda-free parts partition the potential's nonzero terms
-    labels = [t.coef for eq in eqs for t in eq.terms if t.coef.startswith("a_")]
+    labels = [t["coef"] for eq in eqs for t in eq["terms"]
+              if t["coef"].startswith("a_")]
     assert sorted(labels) == sorted(f"a_({q[0]},{q[1]})" for q in pts)
     with pytest.raises(LGError):
         non_nef_split_fiber(model, [group1], nd)
@@ -140,13 +146,15 @@ def test_one_part_cube_compactifies(cube, tmp_path):
     # of the octahedron, at each of which the cube's minimum is -1
     nef = validate_nef(cube, [tuple(range(8))])
     model = givental_hybrid(nef, 0, 1)
-    assert len(model.potentials[0].monomials) == 27
+    assert len(model.potentials[0]) == 27
     (eq,) = compactify_fiber(model, nabla_pieces(nef))
-    assert eq.rays == tuple(q for q in lattice_points(polar_dual(cube)) if any(q))
-    assert len(eq.rays) == 6
-    rhos = [rho for _, rho in model.potentials[0].monomials if any(rho)]
-    assert [dict(t.exps) for t in eq.terms[1:]] == [
-        {s: dot(s, rho) + 1 for s in eq.rays} for rho in rhos]
+    rays = _fan_rays(nabla_pieces(nef))
+    assert rays == tuple(q for q in lattice_points(polar_dual(cube)) if any(q))
+    assert len(rays) == 6
+    rhos = [rho for rho in model.potentials[0] if any(rho)]
+    assert [t["exps"] for t in eq["terms"][1:]] == [
+        {var_label(s): dot(s, rho) + 1 for s in rays if dot(s, rho) + 1}
+        for rho in rhos]
     f = tmp_path / "cube-nef.json"
     f.write_text('{"polytope": "cube", "parts": [[0, 1, 2, 3, 4, 5, 6, 7]]}')
     assert main(["lg", "emit", str(f)]) == 0

@@ -26,6 +26,7 @@ from lgmirror.spectral import (
     build_delta_E1,
     build_monodromy_E1,
     build_weight_E1,
+    page_report_doc,
 )
 from lgmirror.strata import (
     StrataEuler,
@@ -169,15 +170,15 @@ def test_pages_square_to_zero_small_sample():
     for _ in range(60):
         deg = random_degeneration_instance(rng)
         for page in (build_weight_E1(deg), build_monodromy_E1(deg)):
-            for q, (s1, s2, ok) in page.row_euler_consistency().items():
-                assert ok
-                assert isinstance(s1, int) and isinstance(s2, int)
+            for row in page_report_doc(page)["row_euler"]:
+                assert row["ok"]
+                assert isinstance(row["e1_sum"], int) and isinstance(row["e2_sum"], int)
     for _ in range(60):
         hyb = random_hybrid_instance(rng)
         for page in (build_G_flag_E1(hyb), build_delta_E1(hyb)):
-            for q, (s1, s2, ok) in page.row_euler_consistency().items():
-                assert ok
-                assert isinstance(s1, int) and isinstance(s2, int)
+            for row in page_report_doc(page)["row_euler"]:
+                assert row["ok"]
+                assert isinstance(row["e1_sum"], int) and isinstance(row["e2_sum"], int)
 
 
 def test_weight_abutment_on_cycles():

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -280,6 +281,32 @@ def test_label_slicing(elliptic_deg_complex):
     assert page.e2() == {(0, 0): 1, (1, 0): 1, (0, 2): 2}
 
 
+def _two_label_data(restrict_0):
+    """Elliptic-style degeneration strata carrying Hodge labels 0 and 1, the
+    label-0 basis vectors first in each graded piece; the restriction from
+    [1] is block diagonal, the one from [0] is restrict_0."""
+    return StrataComplexData(
+        1, "degeneration",
+        {fs([0]): {0: 2, 2: 1}, fs([1]): {0: 2, 2: 1}, fs([0, 1]): {0: 3}},
+        {fs([0]): {0: {0: 1, 1: 1}, 2: {0: 1}},
+         fs([1]): {0: {0: 1, 1: 1}, 2: {1: 1}},
+         fs([0, 1]): {0: {0: 2, 1: 1}}},
+        {("restrict", fs([0]), fs([0, 1]), 0): restrict_0,
+         ("restrict", fs([1]), fs([0, 1]), 0): [[1, 0], [1, 0], [0, 1]]})
+
+
+def test_two_label_slicing_adds_up_to_the_unsliced_page():
+    data = _two_label_data([[1, 0], [1, 0], [0, 1]])
+    sliced = slice_by_label(data)
+    assert list(sliced) == [0, 1]
+    pages = [build_weight_E1(sliced[a]).e2() for a in (0, 1)]
+    assert pages == [{(0, 0): 1, (1, 0): 1, (0, 2): 1}, {(0, 0): 1, (0, 2): 1}]
+    assert Counter(pages[0]) + Counter(pages[1]) == \
+        Counter(build_weight_E1(data).e2())
+    # one entry from a label-0 source vector to a label-1 target vector
+    assert slice_by_label(_two_label_data([[1, 0], [1, 0], [1, 1]])) is None
+
+
 def test_gflag_delta_agree_on_deepest_column_with_zero_duals():
     # with vanishing dual maps the deepest block of both pages carries the
     # same kernel
@@ -344,7 +371,7 @@ def test_cubical_rank_mismatch_named():
 
 def test_d2_vanishing_report(elliptic_deg_complex):
     page = build_weight_E1(elliptic_deg_complex)
-    rep = page.d2_vanishing_report()
+    rep = page_report_doc(page)["d2_report"]
     assert all(entry["confirmed_zero"] for entry in rep)
 
 
