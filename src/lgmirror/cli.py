@@ -1,8 +1,8 @@
 """Batch command-line surface for the toolkit.
 
 Exit codes: 0 on success (including negative query answers), 2 on validation
-or check failure, 3 on unreadable or malformed input or a wrong number of
-input files.
+or check failure, 3 on unreadable or malformed input (an unknown key, a file
+of the wrong side for its slot) or on a command line that cannot run.
 """
 
 from __future__ import annotations
@@ -54,6 +54,15 @@ def _load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos)
+
+
+def _load_side(loader, path, side, slot):
+    """loader's reading of the file at path, whose side must be the one the
+    slot reads; it is checked once the whole document is read."""
+    data = loader(_load_json(path))
+    if data.side != side:
+        raise InputError("side", f"{slot} expects '{side}', got {data.side!r}")
+    return data
 
 
 def emit(payload, fmt, text_renderer=None):
@@ -208,17 +217,36 @@ def _parse_split(s, n_parts):
                             f"got {s!r}") from None
     if k < 0:
         raise CliUsageError(f"--split must be K:R with K >= 0, got {s!r}")
+    if k + r != n_parts:
+        raise CliUsageError(f"split {k}:{r} does not match {n_parts} parts")
+    if r < 1:
+        raise CliUsageError("at least one potential part is required")
     return k, r
+
+
+def _read_split(doc, nef, model, r):
+    """The groups of doc["split_last_points"]: nonempty, and a partition of
+    the nonzero points of the last part, which must be the one potential."""
+    groups = lattice.read_list(
+        doc["split_last_points"], "split_last_points",
+        lambda grp, where: lattice.read_points(grp, where, nef.host.ambient_rank))
+    if r != 1:
+        raise InputError("split_last_points", f"splits the last part, but "
+                         f"--split leaves {r} potential parts")
+    points = [rho for rho in model.potentials[0] if any(rho)]
+    if not all(groups) or sorted(q for g in groups for q in g) != points:
+        raise InputError("split_last_points", "the groups must be nonempty and "
+                         "partition the nonzero points of the last part")
+    return groups
 
 
 def cmd_lg(args):
     doc = _load_json(args.file)
     nef = nef_mod.nef_from_doc(doc, resolve_polytope)
     k, r = _parse_split(args.split, nef.n_parts)
-    lam = args.lambda_names.split(",") if args.lambda_names else None
+    model = lg_mod.givental_hybrid(nef, k, r)
     fmt = args.format
     if args.action == "emit":
-        model = lg_mod.givental_hybrid(nef, k, r)
         payload = {
             "constraints": [lg_mod.laurent_text(c) for c in model.constraints],
             "potentials": [lg_mod.laurent_text(h) for h in model.potentials],
@@ -228,24 +256,18 @@ def cmd_lg(args):
             + [f"potential:  {h}" for h in d["potentials"]]))
         return
     if args.action == "compactify":
-        groups = lattice.read_list(
-            doc.get("split_last_points", []), "split_last_points",
-            lambda grp, where: lattice.read_points(grp, where,
-                                                   nef.host.ambient_rank))
-        nabla = nef_mod.nabla_pieces(nef)
-        if r == 1 and len(groups) > 1:
-            model = lg_mod.givental_hybrid(nef, k, 1)
-            eqs = lg_mod.non_nef_split_fiber(model, groups, nabla, lam)
-            banner = ("mirror status open: the split of the last part is not "
-                      "certified nef")
-        else:
-            model = lg_mod.givental_hybrid(nef, k, r)
-            eqs = lg_mod.compactify_fiber(model, nabla, lam)
-            banner = None
+        split = _read_split(doc, nef, model, r) if "split_last_points" in doc else None
+        lam = args.lambda_names.split(",") if args.lambda_names else None
+        want = len(split) if split else r
+        if lam and len(lam) != want:
+            raise CliUsageError(f"--lambda names {len(lam)} symbols for "
+                                f"{want} potentials")
+        eqs = lg_mod.compactify_fiber(model, nef_mod.nabla_pieces(nef), lam, split)
         payload = {"equations": eqs,
                    "text": [lg_mod.equation_text(eq) for eq in eqs]}
-        if banner:
-            payload["banner"] = banner
+        if split and len(split) > 1:
+            payload["banner"] = ("mirror status open: the split of the last "
+                                 "part is not certified nef")
         emit(payload, fmt, lambda d: "\n".join(
             ([d["banner"]] if "banner" in d else []) + d["text"]))
         return
@@ -256,8 +278,8 @@ def cmd_lg(args):
 # ---------------------------------------------------------------------------
 
 def cmd_euler(args):
-    deg = strata_mod.strata_from_doc(_load_json(args.deg))
-    hyb = strata_mod.strata_from_doc(_load_json(args.hyb))
+    deg = _load_side(strata_mod.strata_from_doc, args.deg, "degeneration", "euler check DEG")
+    hyb = _load_side(strata_mod.strata_from_doc, args.hyb, "hybrid", "euler check HYB")
     report = strata_mod.check_topological_mirror(deg, hyb)
     emit(report, args.format, _render_euler)
     if not report["ok"]:
@@ -295,30 +317,34 @@ _BUILDERS = {
 }
 
 
+# (name, side) of each file an ss action reads; a page reads its spec's side
+_SLOTS = {spec.name: (("FILE", spec.side),) for spec in (
+    spectral.WEIGHT, spectral.MONODROMY, spectral.GFLAG, spectral.DELTA)}
+_SLOTS.update(pw=(("DEG", "degeneration"), ("HYB", "hybrid")),
+              pd=(("FILE", "hybrid"),))
+
+
 def cmd_ss(args):
     fmt = args.format
-    names = "DEG HYB" if args.action == "pw" else "FILE"
-    want = len(names.split())
-    if len(args.files) != want:
+    slots = _SLOTS[args.action]
+    if len(args.files) != len(slots):
         raise CliUsageError(
-            f"ss {args.action} needs {want} file{'s' if want > 1 else ''} "
-            f"({names}), got {len(args.files)}")
+            f"ss {args.action} needs {len(slots)} file{'s' if len(slots) > 1 else ''} "
+            f"({' '.join(name for name, _ in slots)}), got {len(args.files)}")
+    data = [_load_side(spectral.complex_from_doc, path, side, f"ss {args.action} {name}")
+            for path, (name, side) in zip(args.files, slots)]
     if args.action in _BUILDERS:
-        data = spectral.complex_from_doc(_load_json(args.files[0]))
-        page = _BUILDERS[args.action](data)
+        page = _BUILDERS[args.action](data[0])
         emit(spectral.page_report_doc(page), fmt, _render_page)
         return
     if args.action == "pw":
-        deg = spectral.complex_from_doc(_load_json(args.files[0]))
-        hyb = spectral.complex_from_doc(_load_json(args.files[1]))
-        report = spectral.check_mirror_pw(deg, hyb, args.mode)
+        report = spectral.check_mirror_pw(*data, args.mode)
         emit(report, fmt, _render_pw)
         if not report["ok"]:
             raise CliValidationFailure("mirror P=W check failed")
         return
     if args.action == "pd":
-        hyb = spectral.complex_from_doc(_load_json(args.files[0]))
-        report = spectral.check_poincare_duality(hyb)
+        report = spectral.check_poincare_duality(data[0])
         emit(report, fmt, _render_pd)
         if not report["ok"]:
             raise CliValidationFailure("Poincare duality check failed")

@@ -21,6 +21,7 @@ use and kept on the polytope (LatticePolytope.all_faces).
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -60,6 +61,15 @@ def read_field(doc, key, *kinds, path=""):
         raise InputError(where, "missing")
     names = " or ".join(k.__name__ for k in kinds)
     raise InputError(where, f"expected {names}, got {doc[key]!r}")
+
+
+def read_keys(doc, path, keys):
+    """Reject the first key of the JSON object doc at path that is not in
+    keys, the set its reader knows.  Readers call it once the known keys
+    are read, so a document of another kind keeps its first error."""
+    if not keys.issuperset(doc):
+        key = next(k for k in doc if k not in keys)
+        raise InputError(path, f"unknown key {key!r}")
 
 
 def read_int(x, path):
@@ -102,14 +112,6 @@ def read_index_set(I, path, components=None):
         if i in I[:j]:
             raise InputError(f"{path}[{j}]", f"repeats index {i}")
     return frozenset(I)
-
-
-def read_side(doc):
-    """doc["side"] of a strata or spectral document."""
-    side = read_field(doc, "side", str)
-    if side not in ("degeneration", "hybrid"):
-        raise InputError("side", f"expected 'degeneration' or 'hybrid', got {side!r}")
-    return side
 
 
 def read_points(items, path, rank):
@@ -526,6 +528,8 @@ def polytope_to_doc(p):
 
 
 def polytope_from_doc(doc, path=""):
+    """A polytope document: rank and vertices, and optionally a name and
+    the facets that polytope_to_doc writes, which must be the hull's."""
     rank = read_field(doc, "rank", int, path=path)
     if rank < 1:
         raise InputError(f"{path}.rank" if path else "rank",
@@ -535,4 +539,11 @@ def polytope_from_doc(doc, path=""):
     if not verts:
         raise InputError(where, "no vertices")
     name = read_field(doc, "name", str, path=path) if "name" in doc else ""
-    return convex_hull(verts, name=name)
+    read_keys(doc, path, {"name", "rank", "vertices", "facets"})
+    p = convex_hull(verts, name=name)
+    # compared as JSON text, so a bool or a float is not an int
+    if "facets" in doc and (json.dumps(doc["facets"], sort_keys=True)
+                            != json.dumps(polytope_to_doc(p)["facets"], sort_keys=True)):
+        raise InputError(f"{path}.facets" if path else "facets",
+                         "differ from the facets of the hull of the vertices")
+    return p

@@ -69,11 +69,8 @@ class HybridLGModel:
 
 
 def givental_hybrid(nef, k, r):
-    """Constraints from the first k parts, potentials from the last r."""
-    if k + r != nef.n_parts:
-        raise LGError(f"split {k}:{r} does not match {nef.n_parts} parts")
-    if r < 1:
-        raise LGError("at least one potential part is required")
+    """Constraints from the first k parts, potentials from the last r >= 1,
+    where k + r is the number of parts."""
     pieces = [nef.delta_piece(i) for i in range(nef.n_parts)]
     supports = [tuple(sorted(lattice_points(p))) for p in pieces]
     return HybridLGModel(tuple(supports[:k]), tuple(supports[k:]), tuple(pieces))
@@ -90,17 +87,14 @@ def _sigma_min(sigma, piece):
 
 
 def _compactified_terms(points, piece, rays, sign):
-    """One term per point rho, with exponent <sigma, rho> - sigma_min of
-    z_sigma; the zero exponents are left out."""
+    """One term per point rho of piece, with exponent <sigma, rho> -
+    sigma_min >= 0 of z_sigma; the zero exponents are left out."""
     terms = []
     mins = {s: _sigma_min(s, piece) for s in rays}
     for rho in points:
         exps = {}
         for s in rays:
             e = dot(s, rho) - mins[s]
-            if e < 0:
-                raise LGError(f"negative exponent for sigma={s}, rho={rho}; "
-                              "inconsistent dual-side data")
             if e:
                 exps[var_label(s)] = e
         terms.append({"coef": coef_label(rho), "sign": sign, "exps": exps})
@@ -116,15 +110,7 @@ def _lambda_term(name, nabla_piece, rays):
             "exps": {var_label(s): 1 for s in rays if s in support}}
 
 
-def _potential_equation(name, nabla_piece, points, piece, rays):
-    """lambda times the nonzero dual-piece coordinates minus the compactified
-    nonzero terms of the potential."""
-    tail = _compactified_terms([rho for rho in points if any(rho)], piece,
-                               rays, -1)
-    return {"terms": [_lambda_term(name, nabla_piece, rays)] + tail}
-
-
-def compactify_fiber(model, nabla_pieces, lam=None):
+def compactify_fiber(model, nabla_pieces, lam=None, split=None):
     """Homogeneous equations of a compactified fiber, given the dual pieces
     of the nef partition in part order (nef.nabla_pieces).  The coordinates
     z_sigma run over the boundary lattice points sigma of their hull.
@@ -132,44 +118,25 @@ def compactify_fiber(model, nabla_pieces, lam=None):
     Constraint i: sum over Delta_i of a_rho z^(<sigma,rho> - sigma_min_i).
     Potential j: lambda_j times the product of the nonzero dual-piece
     coordinates minus the analogous sum over the nonzero points of the
-    potential polytope.  Each equation is the document that equation_text
-    prints.
+    potential polytope.  With a split (groups that partition the nonzero
+    points of a model's one potential part, possibly not nef), each group
+    is a potential of its own against the sigma-minimum of the whole part;
+    no mirror status is asserted.  lam holds one symbol per potential.
+    Each equation is the document that equation_text prints.
     """
-    k, r = len(model.constraints), len(model.potentials)
-    lam = lam or [f"lambda_{j+1}" for j in range(r)]
-    if len(lam) != r:
-        raise LGError("one lambda symbol per potential is required")
+    k = len(model.constraints)
+    parts = [k] * len(split) if split else range(k, len(model.delta_pieces))
+    split = split or [[rho for rho in pts if any(rho)] for pts in model.potentials]
+    lam = lam or [f"lambda_{j+1}" for j in range(len(split))]
     rays = _fan_rays(nabla_pieces)
     eqs = [{"terms": _compactified_terms(model.constraints[i],
                                          model.delta_pieces[i], rays, 1)}
            for i in range(k)]
-    for j in range(r):
-        eqs.append(_potential_equation(
-            lam[j], nabla_pieces[k + j], model.potentials[j],
-            model.delta_pieces[k + j], rays))
+    for name, i, group in zip(lam, parts, split):
+        eqs.append({"terms": [_lambda_term(name, nabla_pieces[i], rays)]
+                    + _compactified_terms(sorted(group), model.delta_pieces[i],
+                                          rays, -1)})
     return eqs
-
-
-def non_nef_split_fiber(model, split, nabla_pieces, lam=None):
-    """Equations for a (possibly non-nef) split F_1, ..., F_r of the last part,
-    in the coordinates of compactify_fiber.
-
-    All r equations share the sigma-minimum of the undivided last part; the
-    toolkit emits them without asserting any mirror status.
-    """
-    if len(model.potentials) != 1:
-        raise LGError("splitting applies to a model with a single potential")
-    last = model.delta_pieces[-1]
-    part_points = [pt for pt in model.potentials[0] if any(pt)]
-    flat = [q for group in split for q in group]
-    if sorted(flat) != sorted(part_points):
-        raise LGError("split does not partition the nonzero potential points")
-    lam = lam or [f"lambda_{j+1}" for j in range(len(split))]
-    if len(lam) != len(split):
-        raise LGError("one lambda symbol per split group is required")
-    rays = _fan_rays(nabla_pieces)
-    return [_potential_equation(lam[j], nabla_pieces[-1], sorted(group), last, rays)
-            for j, group in enumerate(split)]
 
 
 def check_degree_consistency(eq, rays):

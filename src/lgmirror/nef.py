@@ -16,6 +16,7 @@ from .lattice import (
     polar_dual,
     polytope_from_inequalities,
     read_field,
+    read_keys,
     read_list,
 )
 from .linalg import dot, solve
@@ -51,7 +52,8 @@ class NefPartition:
 
 
 def validate_nef(host, parts):
-    """Check that each part's certificate is linear, integral and convex on
+    """Check that the parts are nonempty and partition the host's vertices,
+    and that each part's certificate is linear, integral and convex on
     every cone of the face fan.
 
     The certificate of a part is 1 on its vertices and 0 on the other rays
@@ -65,6 +67,9 @@ def validate_nef(host, parts):
     """
     if not is_reflexive(host):
         raise NefError("nef partitions need a reflexive host polytope")
+    for idx, part in enumerate(parts):
+        if not part:
+            raise NefError(f"part {idx} is empty")
     nverts = len(host.vertices)
     seen = [j for part in parts for j in part]
     if sorted(seen) != list(range(nverts)):
@@ -122,5 +127,6 @@ def nabla_hull(pieces):
 
 def nef_from_doc(doc, resolve_polytope):
     host = host_from_doc(doc, resolve_polytope)
-    return validate_nef(host, read_list(read_field(doc, "parts", list), "parts",
-                                        read_list))
+    parts = read_list(read_field(doc, "parts", list), "parts", read_list)
+    read_keys(doc, "", {"polytope", "parts", "split_last_points"})
+    return validate_nef(host, parts)

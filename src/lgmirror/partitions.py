@@ -35,6 +35,7 @@ from .lattice import (
     is_simplicial,
     polyhedron_generators,
     read_field,
+    read_keys,
     read_points,
     vertex_is_smooth,
 )
@@ -479,4 +480,5 @@ def partition_from_doc(doc, resolve_polytope):
         if not points:
             raise InputError(f"pieces[{i}]", "no points")
         pieces.append(convex_hull(points))
+    read_keys(doc, "", {"polytope", "pieces"})
     return SemistablePartition(host, tuple(pieces))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .lattice import InputError, read_count, read_field, read_index_set, read_side
+from .lattice import InputError, read_count, read_field, read_index_set, read_keys
 from .linalg import identity, mat_mul, rank, sign, transpose
 
 
@@ -272,8 +272,6 @@ def assemble(spec, data):
     a map joins d1 exactly when its target block exists on the page.  Each
     differential is written as one int matrix, its blocks scaled by the lcm
     of their denominators (an int entry has denominator 1)."""
-    if data.side != spec.side:
-        raise SpectralError(f"{spec.name} page expects {spec.side}-side data")
     comps = data.components
     terms, offsets, placed = {}, {}, []
     for I in data.index_sets():
@@ -424,8 +422,6 @@ def check_poincare_duality(data):
     """Dimension symmetry about the stratum middle degree, and compatibility
     of the dual connecting maps with the pairings (transposes conjugated by
     the pairing matrices, up to one global sign per depth)."""
-    if data.side != "hybrid":
-        raise SpectralError("duality check expects hybrid-side data")
     report = {"dimension_symmetry": [], "dual_maps": [], "ok": True}
     for I in data.index_sets():
         n_I = data.stratum_dim_complex(I)
@@ -517,8 +513,6 @@ def check_mirror_pw(deg_data, hyb_data, mode):
     Without a full Hodge labelling the comparison runs per column only and
     says so.
     """
-    if mode not in ("smoothing", "central_fiber"):
-        raise SpectralError(f"unknown mode {mode!r}")
     if deg_data.components != hyb_data.components or deg_data.n != hyb_data.n:
         raise SpectralError("shape mismatch between the two sides")
     n = hyb_data.n
@@ -666,6 +660,7 @@ def complex_from_doc(doc):
         strata[I] = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims")
         if "hodge" in s:
             hodge[I] = _graded(s["hodge"], f"{where}.hodge", _graded)
+        read_keys(s, where, {"I", "dims", "hodge"})
     maps = {}
     for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
         where = f"maps[{i}]"
@@ -677,6 +672,7 @@ def complex_from_doc(doc):
         if key in maps:
             raise InputError(where, "repeats the kind, from, to and degree of an earlier map")
         maps[key] = _matrix(m, where)
+        read_keys(m, where, {"kind", "from", "to", "degree", "matrix"})
         _check_shape(maps[key],
                      strata.get(to, {}).get(degree + DEGREE_SHIFT[kind], 0),
                      strata.get(frm, {}).get(degree, 0), where)
@@ -688,6 +684,7 @@ def complex_from_doc(doc):
         if key in pairings:
             raise InputError(where, "repeats the I and degree of an earlier pairing")
         pairings[key] = _matrix(p, where)
+        read_keys(p, where, {"I", "degree", "matrix"})
         unchecked.append((where, key, pairings[key]))
     if not strata:
         raise InputError("strata", "no strata")
@@ -697,7 +694,9 @@ def complex_from_doc(doc):
         dims = strata.get(I, {})
         _check_shape(m, dims.get(degree, 0),
                      dims.get(2 * (n - len(I) + 1) - degree, 0), where)
-    return StrataComplexData(n, read_side(doc), strata, hodge, maps, pairings)
+    side = read_field(doc, "side", str)
+    read_keys(doc, "", {"n", "side", "strata", "maps", "pairings"})
+    return StrataComplexData(n, side, strata, hodge, maps, pairings)
 
 
 def cubical_from_doc(doc):
@@ -707,7 +706,8 @@ def cubical_from_doc(doc):
         I = _index_set(e, "I", where)
         if I in entries:
             raise InputError(f"{where}.I", f"repeats index set {sorted(I)}")
-        entries[I] = read_field(e, "dim", int, path=where)
+        entries[I] = read_count(read_field(e, "dim", int, path=where), f"{where}.dim")
+        read_keys(e, where, {"I", "dim"})
     maps = {}
     for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
         where = f"maps[{i}]"
@@ -715,9 +715,11 @@ def cubical_from_doc(doc):
         if key in maps:
             raise InputError(where, "repeats the from and to of an earlier map")
         maps[key] = _matrix(m, where)
+        read_keys(m, where, {"from", "to", "matrix"})
         _check_shape(maps[key], entries.get(key[1], 0), entries.get(key[0], 0), where)
-    return CubicalData(read_field(doc, "label", int) if "label" in doc else 0,
-                       entries, maps)
+    label = read_field(doc, "label", int) if "label" in doc else 0
+    read_keys(doc, "", {"label", "entries", "maps"})
+    return CubicalData(label, entries, maps)
 
 
 def page_report_doc(page):

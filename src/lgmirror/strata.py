@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lattice import (InputError, interior_lattice_points, is_reflexive,
-                      read_count, read_field, read_index_set, read_list, read_side)
+                      read_count, read_field, read_index_set, read_keys, read_list)
 from .linalg import mat_mul, identity, sign
 
 
@@ -29,19 +29,8 @@ class StrataEuler:
     entries: dict          # frozenset(I) -> int
     zero_strata: frozenset = frozenset()  # index sets declared empty
 
-    def __post_init__(self):
-        if self.side not in ("degeneration", "hybrid"):
-            raise StrataError(f"unknown side {self.side!r}")
-        for I in self.entries:
-            self._check_index(I)
-
-    def _check_index(self, I):
-        if not I or not all(0 <= i < self.components for i in I):
-            raise StrataError(f"malformed index set {sorted(I)}")
-
     def e(self, I):
         I = frozenset(I)
-        self._check_index(I)
         if I in self.entries:
             return self.entries[I]
         if I in self.zero_strata:
@@ -54,15 +43,11 @@ class StrataEuler:
 
 def euler_snc(d):
     """Inclusion-exclusion Euler number of the normal crossing union."""
-    if d.side != "degeneration":
-        raise StrataError("euler_snc expects degeneration-side data")
     return sum(sign(len(I) - 1) * e for I, e in d.entries.items())
 
 
 def euler_smoothing(d):
     """Euler number of the smoothing, the |I|-weighted alternating sum."""
-    if d.side != "degeneration":
-        raise StrataError("euler_smoothing expects degeneration-side data")
     if d.components < 2:
         raise StrataError("smoothing formula needs a genuine degeneration "
                           "(at least two components)")
@@ -81,8 +66,6 @@ def euler_generic_fiber(d, I):
 
     The deepest stratum has no potential left: the value is 0 by convention.
     """
-    if d.side != "hybrid":
-        raise StrataError("euler_generic_fiber expects hybrid-side data")
     I = frozenset(I)
     if len(I) == d.components:
         return 0  # rank-0 convention
@@ -157,14 +140,12 @@ def check_topological_mirror(deg, hyb):
 
 def monodromy_relation_check(dim, pair_reps, diag_reps):
     """Check the gluing relation: the coordinate-loop monodromy composed with
-    the diagonal-loop monodromy is the identity, for every ordered pair."""
+    the diagonal-loop monodromy is the identity, for every ordered pair.
+    The reps are as monodromy_from_doc reads them: dim x dim, with a
+    diagonal rep for the j of every pair."""
     ident = identity(dim)
     results = []
     for (i, j), mat in sorted(pair_reps.items()):
-        if j not in diag_reps:
-            raise StrataError(f"no diagonal representation for index {j}")
-        if len(mat) != dim or any(len(row) != dim for row in mat):
-            raise StrataError(f"representation ({i},{j}) has wrong dimension")
         comp = mat_mul(mat, diag_reps[j])
         results.append({"i": i, "j": j, "ok": comp == ident})
     return {"relations": results, "ok": all(r["ok"] for r in results)}
@@ -189,10 +170,12 @@ def strata_from_doc(doc):
         I = read_field(item, "I", list, path=where)
         read_list(I, f"{where}.I")
         entries.append((I, f"{where}.I", read_field(item, "e", int, path=where)))
+        read_keys(item, where, {"I", "e"})
     zeros = read_list(doc["zero_strata"], "zero_strata", read_list) \
         if "zero_strata" in doc else ()
     n, components = read_field(doc, "n", int), read_field(doc, "components", int)
-    side = read_side(doc)
+    side = read_field(doc, "side", str)
+    read_keys(doc, "", {"n", "components", "side", "entries", "zero_strata"})
     # values are checked once every field has its type, so a document of
     # another kind keeps its first error
     read_count(n, "n")
@@ -229,9 +212,11 @@ def monodromy_from_doc(doc):
             reps, key = pair_reps, (read_field(rep, "i", int, path=where), j)
         else:
             reps, key = diag_reps, j
+        read_keys(rep, where, {"i", "j", "matrix"})
         if key in reps:
             raise InputError(where, "repeats the indices of an earlier rep")
         reps[key] = mat
+    read_keys(doc, "", {"dim", "reps"})
     for i, rep in enumerate(doc["reps"]):
         if "i" in rep and rep["j"] not in diag_reps:
             raise InputError(f"reps[{i}].j", f"no diagonal rep for j = {rep['j']}")

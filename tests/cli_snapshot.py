@@ -10,7 +10,7 @@ and calls lgmirror.cli.main in-process on:
 - every bundled corpus document through every action that reads one file,
   in both output formats;
 - the corpus pairs of TWO_FILE_CALLS through `ss pw` in both modes and
-  `euler check`, in both output formats;
+  `euler check`, swapped pairs included, in both output formats;
 - the partition documents whose pieces do not tile their host
   (tests_data_helpers.NON_TILING) through `partition validate` and
   `partition dual-complex`, in both output formats;
@@ -50,6 +50,9 @@ TWO_FILE_CALLS = (
      "--mode", "central_fiber"),
     ("euler", "check", "elliptic-deg.json", "elliptic-hyb.json"),
     ("euler", "check", "elliptic-deg.json", "elliptic-hyb-corrupt.json"),
+    # swapped: each file in the slot of the other side
+    ("euler", "check", "elliptic-hyb.json", "elliptic-deg.json"),
+    ("ss", "pw", "elliptic-hyb-complex.json", "elliptic-deg-complex.json"),
 )
 
 

@@ -731,7 +731,9 @@ def test_internal_error_is_not_reported_as_bad_input(monkeypatch, error):
 
 # Fuzzed corpus documents: each kind, the corpus documents of that kind, the
 # command that reads them (None: no command does, so the loader is called),
-# and the top-level keys its loader reads (other keys are ignored).
+# and the top-level keys under which the command reads every value.  lg emit
+# does not read the points of split_last_points, so they are not fuzzed; a
+# key that the loader does not know exits 3 at its object.
 FUZZ_KINDS = {
     "polytope": (("big-square", "cube", "diamond", "square", "tsigma"),
                  ARGV["polytope"], {"rank", "vertices", "name"}),
@@ -749,7 +751,21 @@ FUZZ_KINDS = {
     "monodromy": (("monodromy-bad", "monodromy-ok"), None, {"dim", "reps"}),
 }
 # Keys whose absence is valid; keys of graded dimensions ("0", "2") are data.
-OPTIONAL = {"name", "hodge", "maps", "pairings", "zero_strata", "label", "i"}
+OPTIONAL = {"name", "hodge", "maps", "pairings", "zero_strata", "label", "i",
+            "facets", "split_last_points"}
+
+
+def _schema_key(key):
+    """A key that a loader names, not a list index or a graded-dimension
+    key, which is data."""
+    return isinstance(key, str) and not re.fullmatch(r"-?[0-9]+", key)
+
+
+def _rename(container, key, path):
+    """Rename container[key] to key + "_", and return the path of the
+    object that held it."""
+    container[key + "_"] = container.pop(key)
+    return path[:-len(key)].rstrip(".")
 
 
 def _positions(doc, keys):
@@ -803,9 +819,11 @@ def test_fuzzed_documents_exit_3_with_their_path(data):
     names, argv, keys = FUZZ_KINDS[kind]
     doc = corpus_doc(data.draw(st.sampled_from(names)))
     path, container, key = data.draw(st.sampled_from(_positions(doc, keys)))
-    deletable = (isinstance(key, str) and key not in OPTIONAL
-                 and not key.isdigit())
-    if deletable and data.draw(st.booleans()):
+    edits = ["replace"] + ["rename", "delete"] * _schema_key(key)
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "rename":
+        path = _rename(container, key, path)  # the error names its object
+    elif edit == "delete" and key not in OPTIONAL:
         del container[key]
     else:
         bad = _out_of_range(doc, path, container, key) if kind == "strata" else []
@@ -828,3 +846,145 @@ def test_fuzzed_documents_exit_3_with_their_path(data):
             code = main(argv + [f] * (2 if kind == "strata" else 1))
     assert code == 3, (path, err.getvalue())
     assert err.getvalue().startswith(f"cannot read input: {path}"), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# One gate per document: the loader's keys and the command's sides
+# ---------------------------------------------------------------------------
+
+def _read(directory, kind, original, doc):
+    """(exit code, stderr) of the command that reads the corpus document
+    original of the given kind, run on doc in its place: a strata or spectral
+    document in the slot of its side, a nef document through lg compactify,
+    which reads split_last_points.  No command reads the cubical and
+    monodromy kinds, so their loader runs, and an InputError is exit 3."""
+    from lgmirror import spectral, strata
+    if kind in ("cubical", "monodromy"):
+        loader = {"cubical": spectral.cubical_from_doc,
+                  "monodromy": strata.monodromy_from_doc}[kind]
+        try:
+            loader(doc)
+        except InputError as exc:
+            return 3, f"cannot read input: {exc}\n"
+        return 0, ""
+    f = os.path.join(directory, "doc.json")
+    with open(f, "w") as fh:
+        json.dump(doc, fh)
+    deg = original.get("side") == "degeneration"
+    argv = {"strata": ["euler", "check"] + ([f, corpus_path("elliptic-hyb")] if deg
+                                           else [corpus_path("elliptic-deg"), f]),
+            "spectral": ["ss", "weight" if deg else "delta", f],
+            "nef": ["lg", "compactify", f]}.get(kind, FUZZ_KINDS[kind][1] + [f])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+CORPUS_KINDS = {name: kind for kind, (names, _, _) in FUZZ_KINDS.items()
+                for name in names}
+
+
+def test_every_corpus_document_has_a_kind():
+    from lgmirror.cli import corpus_names
+    assert sorted(CORPUS_KINDS) == corpus_names()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_KINDS))
+def test_renamed_keys_exit_3_under_their_object(tmp_path, name):
+    # every key a loader names, at every depth: a required key is then
+    # missing, an optional one unknown, both in the object that held it
+    kind = CORPUS_KINDS[name]
+    original = corpus_doc(name)
+    count = len(_positions(original, original.keys()))
+    renamed = 0
+    for i in range(count):
+        doc = corpus_doc(name)
+        path, container, key = _positions(doc, doc.keys())[i]
+        if not _schema_key(key):
+            continue
+        obj = _rename(container, key, path)
+        code, err = _read(tmp_path, kind, original, doc)
+        assert code == 3, (path, err)
+        missing = f"cannot read input: {path}: missing\n"
+        unknown = f"cannot read input: {obj or 'document'}: unknown key '{key}_'\n"
+        assert err == (unknown if key in OPTIONAL else missing), path
+        renamed += 1
+    assert renamed
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_KINDS))
+def test_dropped_optional_keys_never_exit_3(tmp_path, name):
+    # dropping i would make a pair rep a diagonal rep, which may repeat one
+    kind = CORPUS_KINDS[name]
+    original = corpus_doc(name)
+    for i in range(len(_positions(original, original.keys()))):
+        doc = corpus_doc(name)
+        path, container, key = _positions(doc, doc.keys())[i]
+        if key in OPTIONAL - {"i"}:
+            del container[key]
+            code, err = _read(tmp_path, kind, original, doc)
+            assert code in (0, 2), (path, err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2, 2)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_random_edits_exit_0_2_or_3(data):
+    # up to three edits anywhere in a corpus document: delete, rename or
+    # replace by any JSON value; no edit may reach a traceback
+    name = data.draw(st.sampled_from(sorted(CORPUS_KINDS)))
+    doc = corpus_doc(name)
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions = _positions(doc, doc.keys())
+        if not positions:
+            break
+        path, container, key = data.draw(st.sampled_from(positions))
+        edit = data.draw(st.sampled_from(["delete", "rename", "replace"]))
+        if edit == "replace":
+            container[key] = data.draw(JSON_VALUES)
+        elif edit == "rename" and isinstance(key, str):
+            _rename(container, key, path)
+        else:
+            del container[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _read(tmp, CORPUS_KINDS[name], corpus_doc(name), doc)
+    assert code in (0, 2, 3), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler", "check", "elliptic-hyb", "elliptic-deg"],
+    ["ss", "pw", "elliptic-hyb-complex", "elliptic-deg-complex"],
+    ["ss", "pw", "elliptic-hyb-complex", "elliptic-deg-complex",
+     "--mode", "central_fiber"]])
+def test_swapped_files_exit_3_at_side(capsys, argv):
+    files = [corpus_path(a) if a.startswith("elliptic") else a for a in argv[2:]]
+    assert main(argv[:2] + files) == 3
+    assert capsys.readouterr() == ("", (
+        f"cannot read input: side: {argv[0]} {argv[1]} DEG expects "
+        "'degeneration', got 'hybrid'\n"))
+
+
+@pytest.mark.parametrize("name", ["cube", "diamond", "square", "tsigma"])
+def test_polytope_dual_output_reads_back(capsys, tmp_path, name):
+    assert main(["polytope", "dual", corpus_path(name)]) == 0
+    dual = json.loads(capsys.readouterr().out)
+    f = tmp_path / "dual.json"
+    f.write_text(json.dumps(dual))
+    assert main(["polytope", "points", str(f)]) == 0
+    assert polytope_from_doc(dual) == polar_dual(polytope_from_doc(corpus_doc(name)))
+    # facets that are not the hull's, or not ints, are rejected at facets
+    for bad in ([], dual["facets"][1:], [dict(dual["facets"][0], offset=True)]
+                + dual["facets"][1:]):
+        f.write_text(json.dumps(dict(dual, facets=bad)))
+        capsys.readouterr()
+        assert main(["polytope", "points", str(f)]) == 3
+        assert capsys.readouterr().err == (
+            "cannot read input: facets: differ from the facets of the hull of "
+            "the vertices\n")

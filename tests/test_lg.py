@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from conftest import corpus_path
 
@@ -10,7 +12,6 @@ from lgmirror.lg import (
     check_degree_consistency,
     compactify_fiber,
     givental_hybrid,
-    non_nef_split_fiber,
     pi_gamma_monomials,
     var_label,
 )
@@ -57,12 +58,27 @@ def test_pure_potential_split(diamond):
     assert list(model.potentials[0]) == lattice_points(diamond)
 
 
-def test_rank_bookkeeping(square):
-    # a three-part nef partition of the square: opposite-corner parts are not
-    # nef, so use one part per pair of adjacent vertices plus the rest
-    nef = validate_nef(square, [(0, 1, 2, 3)])
-    with pytest.raises(LGError):
-        givental_hybrid(nef, 1, 1)  # 2 != 1 part
+def test_rank_bookkeeping(capsys):
+    # diamond-nef has two parts; a split that does not add up to them, or
+    # leaves no potential, is a command line that cannot run
+    for action in ("emit", "compactify"):
+        for split, message in (("5:1", "split 5:1 does not match 2 parts"),
+                               ("2:0", "at least one potential part is required")):
+            assert main(["lg", action, corpus_path("diamond-nef"),
+                         "--split", split]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_one_lambda_per_potential_is_a_usage_error(capsys):
+    assert main(["lg", "compactify", corpus_path("diamond-nef"),
+                 "--lambda", "a,b"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: --lambda names 2 symbols for 1 potentials\n")
+    # a split of the last part into two groups takes two symbols
+    assert main(["lg", "compactify", corpus_path("square-nef-anticanonical"),
+                 "--lambda", "a"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: --lambda names 1 symbols for 2 potentials\n")
 
 
 def test_compactified_equations_match_worked_example(diamond_model):
@@ -115,9 +131,9 @@ def test_newton_polytope_round_trip(diamond_model):
 def test_non_nef_split_degenerate_equals_compactification(diamond_model):
     model, nd = diamond_model
     pts = [pt for pt in model.potentials[0] if any(pt)]
-    split_eq = non_nef_split_fiber(model, [pts], nd, ["lambda"])
+    split_eq = compactify_fiber(model, nd, ["lambda"], split=[pts])
     direct = compactify_fiber(model, nd, ["lambda"])
-    assert term_set(split_eq[0]) == term_set(direct[1])
+    assert split_eq == direct
 
 
 def test_non_nef_split_square_anticanonical(square):
@@ -127,7 +143,7 @@ def test_non_nef_split_square_anticanonical(square):
     pts = [pt for pt in model.potentials[0] if any(pt)]
     group1 = [q for q in pts if q[0] != 0]
     group2 = [q for q in pts if q[0] == 0]
-    eqs = non_nef_split_fiber(model, [group1, group2], nd)
+    eqs = compactify_fiber(model, nd, split=[group1, group2])
     assert len(eqs) == 2
     for eq in eqs:
         for t in eq["terms"]:
@@ -136,8 +152,58 @@ def test_non_nef_split_square_anticanonical(square):
     labels = [t["coef"] for eq in eqs for t in eq["terms"]
               if t["coef"].startswith("a_")]
     assert sorted(labels) == sorted(f"a_({q[0]},{q[1]})" for q in pts)
-    with pytest.raises(LGError):
-        non_nef_split_fiber(model, [group1], nd)
+
+
+DIAMOND_SPLIT = {"polytope": "diamond", "parts": [[0], [1, 2, 3]],
+                 "split_last_points": [[[0, -1], [0, 1]], [[1, 0]]]}
+
+
+def _compactify(tmp_path, capsys, doc, *options):
+    f = tmp_path / "nef.json"
+    f.write_text(json.dumps(doc))
+    code = main(["lg", "compactify", str(f), *options])
+    return (code,) + tuple(capsys.readouterr())
+
+
+def test_a_split_with_constraints_prints_them(tmp_path, capsys):
+    # K = 1: the constraint equation comes first, as in the unsplit output
+    code, out, err = _compactify(tmp_path, capsys, DIAMOND_SPLIT)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "mirror status open: the split of the last part is not certified nef",
+        "a_(-1,0)*z_(-1,-1)*z_(-1,0)*z_(-1,1) + a_(0,0)*z_(1,0) = 0"]
+    assert len(lines) == 4
+    plain = _compactify(tmp_path, capsys, {k: v for k, v in DIAMOND_SPLIT.items()
+                                           if k != "split_last_points"})
+    assert plain[1].splitlines()[0] == lines[1]
+
+
+NOT_A_PARTITION = ("the groups must be nonempty and partition the nonzero "
+                   "points of the last part")
+
+
+@pytest.mark.parametrize("doc, options, message", [
+    # --split leaves two potentials, so there is no one last part to split
+    (dict(DIAMOND_SPLIT, parts=[[3, 2, 1], [0]],
+          split_last_points=[[[-1, 0]], [[7, 7]]]), ["--split", "0:2"],
+     "splits the last part, but --split leaves 2 potential parts"),
+    # (7, 7) is not a point of the last part
+    (dict(DIAMOND_SPLIT, split_last_points=[[[0, -1], [0, 1]], [[7, 7]]]), [],
+     NOT_A_PARTITION),
+    # (1, 0) is in no group
+    (dict(DIAMOND_SPLIT, split_last_points=[[[0, -1], [0, 1]]]), [], NOT_A_PARTITION),
+    # (0, 1) is in two groups
+    (dict(DIAMOND_SPLIT, split_last_points=[[[0, -1], [0, 1]], [[0, 1], [1, 0]]]),
+     [], NOT_A_PARTITION),
+    (dict(DIAMOND_SPLIT, split_last_points=[[], [[0, -1], [0, 1], [1, 0]]]), [],
+     NOT_A_PARTITION),
+    (dict(DIAMOND_SPLIT, split_last_points=[]), [], NOT_A_PARTITION),
+], ids=["two-potentials", "outside", "uncovered", "twice", "empty-group", "no-group"])
+def test_a_bad_split_exits_3_at_split_last_points(tmp_path, capsys, doc, options,
+                                                   message):
+    assert _compactify(tmp_path, capsys, doc, *options) == (
+        3, "", f"cannot read input: split_last_points: {message}\n")
 
 
 def test_one_part_cube_compactifies(cube, tmp_path):
@@ -222,6 +288,6 @@ def test_negative_split_count_is_a_usage_error(capsys, action):
     assert main(["lg", action, corpus_path("diamond-nef"), "--split=-1:3"]) == 3
     assert capsys.readouterr() == (
         "", "error: --split must be K:R with K >= 0, got '-1:3'\n")
-    # no potential part is a model error, as before
-    assert main(["lg", action, corpus_path("diamond-nef"), "--split=3:-1"]) == 2
+    # no potential part is a usage error too
+    assert main(["lg", action, corpus_path("diamond-nef"), "--split=3:-1"]) == 3
     assert capsys.readouterr().err == "error: at least one potential part is required\n"

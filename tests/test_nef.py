@@ -6,7 +6,7 @@ import pytest
 import sympy
 from tests_data_helpers import reflexive_polygons
 
-from lgmirror.cli import resolve_polytope
+from lgmirror.cli import main, resolve_polytope
 from lgmirror.lattice import convex_hull, lattice_points, minkowski_sum, polar_dual
 from lgmirror.nef import (
     NefError,
@@ -67,6 +67,17 @@ def test_cube_is_checked_on_its_non_simplicial_cones(cube):
 def test_parts_must_partition(diamond):
     with pytest.raises(NefError):
         validate_nef(diamond, [(0, 1), (1, 2, 3)])
+
+
+def test_an_empty_part_is_not_nef(diamond, tmp_path, capsys):
+    # the parts of a nef partition are nonempty (Batyrev-Borisov); an empty
+    # one made lg emit print the constant potential a_(0,0)
+    with pytest.raises(NefError, match="^part 1 is empty$"):
+        validate_nef(diamond, [(0, 1, 2, 3), ()])
+    f = tmp_path / "nef.json"
+    f.write_text('{"polytope": "diamond", "parts": [[0, 1, 2, 3], []]}')
+    assert main(["lg", "emit", str(f)]) == 2
+    assert capsys.readouterr() == ("", "error: part 1 is empty\n")
 
 
 def test_nabla_pieces_diamond(diamond):

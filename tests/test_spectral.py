@@ -342,7 +342,8 @@ def test_cubical_mirror_elliptic():
     (lambda doc: doc["maps"][0].update(matrix=[["1", "0", "0"], ["0", "1", "0"],
                                                ["0", "0", "1"]]),
      "maps[0].matrix"),
-], ids=["entry", "map", "shape"])
+    (lambda doc: doc["entries"][0].update(dim=-1), "entries[0].dim"),
+], ids=["entry", "map", "shape", "dim"])
 def test_cubical_loader_rejects_repeats_and_shapes(change, path):
     from conftest import corpus_doc
     from lgmirror.spectral import cubical_from_doc
