@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including negative query answers), 2 on validation
 or check failure, 3 on unreadable or malformed input (an unknown key, a file
-of the wrong side for its slot) or on a command line that cannot run.
+of the wrong side for its slot, two sides of different shape) or on a command
+line that cannot run.
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ def _load_side(loader, path, side, slot):
     if data.side != side:
         raise InputError("side", f"{slot} expects '{side}', got {data.side!r}")
     return data
+
+
+def _same_shape(deg, hyb, count, slots):
+    """The two sides of a mirror check must have the same n and the same
+    number of components, which each document fixes at the key count."""
+    for where, a, b in (("n", f"n = {deg.n}", f"n = {hyb.n}"),
+                        (count, f"{deg.components} components",
+                         f"{hyb.components} components")):
+        if a != b:
+            raise InputError(where, f"{slots[0]} has {a}, {slots[1]} has {b}")
 
 
 def emit(payload, fmt, text_renderer=None):
@@ -241,10 +252,14 @@ def _read_split(doc, nef, model, r):
 
 
 def cmd_lg(args):
+    if args.action == "emit" and args.lambda_names is not None:
+        raise CliUsageError("--lambda names the fiber parameters of "
+                            "lg compactify; lg emit takes none")
     doc = _load_json(args.file)
     nef = nef_mod.nef_from_doc(doc, resolve_polytope)
     k, r = _parse_split(args.split, nef.n_parts)
     model = lg_mod.givental_hybrid(nef, k, r)
+    split = _read_split(doc, nef, model, r) if "split_last_points" in doc else None
     fmt = args.format
     if args.action == "emit":
         payload = {
@@ -256,7 +271,6 @@ def cmd_lg(args):
             + [f"potential:  {h}" for h in d["potentials"]]))
         return
     if args.action == "compactify":
-        split = _read_split(doc, nef, model, r) if "split_last_points" in doc else None
         lam = args.lambda_names.split(",") if args.lambda_names else None
         want = len(split) if split else r
         if lam and len(lam) != want:
@@ -278,8 +292,10 @@ def cmd_lg(args):
 # ---------------------------------------------------------------------------
 
 def cmd_euler(args):
-    deg = _load_side(strata_mod.strata_from_doc, args.deg, "degeneration", "euler check DEG")
-    hyb = _load_side(strata_mod.strata_from_doc, args.hyb, "hybrid", "euler check HYB")
+    slots = "euler check DEG", "euler check HYB"
+    deg = _load_side(strata_mod.strata_from_doc, args.deg, "degeneration", slots[0])
+    hyb = _load_side(strata_mod.strata_from_doc, args.hyb, "hybrid", slots[1])
+    _same_shape(deg, hyb, "components", slots)
     report = strata_mod.check_topological_mirror(deg, hyb)
     emit(report, args.format, _render_euler)
     if not report["ok"]:
@@ -331,8 +347,11 @@ def cmd_ss(args):
         raise CliUsageError(
             f"ss {args.action} needs {len(slots)} file{'s' if len(slots) > 1 else ''} "
             f"({' '.join(name for name, _ in slots)}), got {len(args.files)}")
-    data = [_load_side(spectral.complex_from_doc, path, side, f"ss {args.action} {name}")
-            for path, (name, side) in zip(args.files, slots)]
+    names = [f"ss {args.action} {name}" for name, _ in slots]
+    data = [_load_side(spectral.complex_from_doc, path, side, name)
+            for path, name, (_, side) in zip(args.files, names, slots)]
+    if args.action == "pw":
+        _same_shape(*data, "strata", names)
     if args.action in _BUILDERS:
         page = _BUILDERS[args.action](data[0])
         emit(spectral.page_report_doc(page), fmt, _render_page)
@@ -408,10 +427,11 @@ def cmd_corpus(args):
 
 _FORMAT = ("--format", dict(choices=["text", "json"], default="text"))
 
-# name: (help, handler, [(argument, add_argument keywords)]).  main builds
-# only the subcommand that argv names: argparse makes a parser and a help
-# formatter for each subcommand, and building all six took most of the
-# time of a short op.
+# name: (help, handler, [(argument, add_argument keywords)]).  main reads a
+# plain argv (see _read_argv) from this table without argparse, whose
+# parsers and help formatters took most of the time of a short op.  Any
+# other argv goes to argparse, built with only the subcommand that argv
+# names, or with all six when it names none.
 COMMANDS = {
     "polytope": ("lattice polytope queries", cmd_polytope, [
         ("action", dict(choices=["dual", "reflexive", "points", "faces", "smooth"])),
@@ -460,10 +480,71 @@ def build_parser(command=None):
     return ap
 
 
+def _plain(word, keywords):
+    """word read as an argument with these add_argument keywords, as argparse
+    reads it; ValueError when argparse would not read it as a plain value."""
+    if not word or word.startswith("-"):
+        raise ValueError(word)
+    value = keywords.get("type", str)(word)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(word)
+    return value
+
+
+def _read_argv(argv):
+    """The namespace build_parser().parse_args(argv) returns, read from
+    COMMANDS when argv is plain: a command, its positional words, then long
+    options written in full, as --opt VALUE or --opt=VALUE, where no word or
+    value is empty or starts with '-' and each value is one argparse
+    accepts.  None for every other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    words = list(argv[1:])
+    first_option = next((i for i, w in enumerate(words) if w.startswith("-")),
+                        len(words))
+    positionals, rest = words[:first_option], words[first_option:]
+    values, options = {"command": argv[0], "func": func}, {}
+    try:
+        for argument, keywords in arguments:
+            nargs = keywords.get("nargs")
+            if argument.startswith("--"):
+                dest = keywords.get("dest", argument[2:].replace("-", "_"))
+                options[argument] = dest, keywords
+                values[dest] = keywords.get("default")
+            elif nargs == "+":
+                if not positionals:
+                    return None
+                values[argument] = [_plain(w, keywords) for w in positionals]
+                positionals = []
+            elif nargs == "?" and not positionals:
+                values[argument] = keywords.get("default")
+            elif positionals:
+                values[argument] = _plain(positionals.pop(0), keywords)
+            else:
+                return None
+        if positionals:
+            return None
+        while rest:
+            option, eq, value = rest.pop(0).partition("=")
+            if option not in options or not (eq or rest):
+                return None
+            dest, keywords = options[option]
+            values[dest] = _plain(value if eq else rest.pop(0), keywords)
+    except ValueError:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None):
+    """Run one command; return its exit code.  A plain argv (_read_argv) is
+    read from COMMANDS; argparse reads any other, and alone writes help,
+    usage and error text, exiting on them as it does."""
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         args.func(args)
     except CliValidationFailure as exc:

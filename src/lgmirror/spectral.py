@@ -513,8 +513,6 @@ def check_mirror_pw(deg_data, hyb_data, mode):
     Without a full Hodge labelling the comparison runs per column only and
     says so.
     """
-    if deg_data.components != hyb_data.components or deg_data.n != hyb_data.n:
-        raise SpectralError("shape mismatch between the two sides")
     n = hyb_data.n
     sliced = slice_by_label(deg_data)
     labelled = sliced is not None

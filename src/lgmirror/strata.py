@@ -105,8 +105,6 @@ def check_topological_mirror(deg, hyb):
     while its proof establishes it against e(central fiber); the report
     carries both readings.
     """
-    if deg.components != hyb.components or deg.n != hyb.n:
-        raise StrataError("shape mismatch between the two sides")
     n = deg.n
     e_X = euler_smoothing(deg)
     e_Xc = euler_snc(deg)

@@ -10,13 +10,18 @@ and calls lgmirror.cli.main in-process on:
 - every bundled corpus document through every action that reads one file,
   in both output formats;
 - the corpus pairs of TWO_FILE_CALLS through `ss pw` in both modes and
-  `euler check`, swapped pairs included, in both output formats;
+  `euler check`, swapped pairs and a pair of two shapes included, in both
+  output formats;
 - the partition documents whose pieces do not tile their host
   (tests_data_helpers.NON_TILING) through `partition validate` and
   `partition dual-complex`, in both output formats;
 - the central partitions with a projected fan beyond rank 1 or a rank-4
   host (tests_data_helpers.FRAME_PATH) through `partition validate`,
-  `frame` and `fans`, in both output formats.
+  `frame` and `fans`, in both output formats;
+- the help, usage and error shapes and the other spellings of
+  test_cli.ARGV_SHAPES, with COLUMNS=80, so that argparse wraps the same
+  way on every terminal.  They name corpus files by absolute path, which
+  the record writes as <data>.
 
 It writes {call: [exit code, stdout, stderr]} to OUT.json.  With --against
 it lists the calls whose record differs from BASE.json, or that only one of
@@ -33,6 +38,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (1, 3, 9001)
@@ -53,6 +59,8 @@ TWO_FILE_CALLS = (
     # swapped: each file in the slot of the other side
     ("euler", "check", "elliptic-hyb.json", "elliptic-deg.json"),
     ("ss", "pw", "elliptic-hyb-complex.json", "elliptic-deg-complex.json"),
+    # two shapes: n = 1 against n = 2
+    ("ss", "pw", "elliptic-deg-complex.json", "delta-sign-instance.json"),
 )
 
 
@@ -112,6 +120,13 @@ def snapshot(src):
                             argv = ["partition", action, f"{name}.json", "--format", fmt]
                             calls[f"{label} " + " ".join(argv)] = run(cli.main, argv)
             os.chdir(cwd)
+        from test_cli import ARGV_SHAPES
+        data = str(cli.data_dir())
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            for argv in ARGV_SHAPES:
+                record = [part.replace(data, "<data>") if isinstance(part, str)
+                          else part for part in run(cli.main, argv)]
+                calls["shape " + " ".join(argv).replace(data, "<data>")] = record
     finally:
         os.chdir(cwd)
     return calls

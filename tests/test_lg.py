@@ -158,24 +158,24 @@ DIAMOND_SPLIT = {"polytope": "diamond", "parts": [[0], [1, 2, 3]],
                  "split_last_points": [[[0, -1], [0, 1]], [[1, 0]]]}
 
 
-def _compactify(tmp_path, capsys, doc, *options):
+def _lg(tmp_path, capsys, action, doc, *options):
     f = tmp_path / "nef.json"
     f.write_text(json.dumps(doc))
-    code = main(["lg", "compactify", str(f), *options])
+    code = main(["lg", action, str(f), *options])
     return (code,) + tuple(capsys.readouterr())
 
 
 def test_a_split_with_constraints_prints_them(tmp_path, capsys):
     # K = 1: the constraint equation comes first, as in the unsplit output
-    code, out, err = _compactify(tmp_path, capsys, DIAMOND_SPLIT)
+    code, out, err = _lg(tmp_path, capsys, "compactify", DIAMOND_SPLIT)
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[:2] == [
         "mirror status open: the split of the last part is not certified nef",
         "a_(-1,0)*z_(-1,-1)*z_(-1,0)*z_(-1,1) + a_(0,0)*z_(1,0) = 0"]
     assert len(lines) == 4
-    plain = _compactify(tmp_path, capsys, {k: v for k, v in DIAMOND_SPLIT.items()
-                                           if k != "split_last_points"})
+    plain = _lg(tmp_path, capsys, "compactify",
+                {k: v for k, v in DIAMOND_SPLIT.items() if k != "split_last_points"})
     assert plain[1].splitlines()[0] == lines[1]
 
 
@@ -199,10 +199,15 @@ NOT_A_PARTITION = ("the groups must be nonempty and partition the nonzero "
     (dict(DIAMOND_SPLIT, split_last_points=[[], [[0, -1], [0, 1], [1, 0]]]), [],
      NOT_A_PARTITION),
     (dict(DIAMOND_SPLIT, split_last_points=[]), [], NOT_A_PARTITION),
-], ids=["two-potentials", "outside", "uncovered", "twice", "empty-group", "no-group"])
-def test_a_bad_split_exits_3_at_split_last_points(tmp_path, capsys, doc, options,
-                                                   message):
-    assert _compactify(tmp_path, capsys, doc, *options) == (
+    (dict(DIAMOND_SPLIT, parts=[[3, 2, 1], [0]], split_last_points=5), [],
+     "expected a list, got 5"),
+], ids=["two-potentials", "outside", "uncovered", "twice", "empty-group", "no-group",
+        "not-a-list"])
+@pytest.mark.parametrize("action", ["emit", "compactify"])
+def test_a_bad_split_exits_3_at_split_last_points(tmp_path, capsys, action, doc,
+                                                   options, message):
+    # emit reads the groups too, so both actions accept the same documents
+    assert _lg(tmp_path, capsys, action, doc, *options) == (
         3, "", f"cannot read input: split_last_points: {message}\n")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -249,16 +250,21 @@ def test_mirror_pw_mismatch_is_named(elliptic_deg_complex):
     assert any(not c["ok"] for c in rep["cells"])
 
 
-def test_mirror_pw_refuses_documents_of_different_shape(capsys):
-    # n 1 against 2 and 2 components against 3: the comparison is not
-    # defined, so it is an error, not a FAIL verdict
-    from conftest import corpus_path
+def test_mirror_pw_refuses_documents_of_different_shape(capsys, tmp_path):
+    # n 1 against 2, then 2 components against 3: the comparison is not
+    # defined, so it is bad input at the key that differs, not a FAIL verdict
+    from conftest import corpus_doc, corpus_path
     from lgmirror.cli import main
     deg, hyb = corpus_path("elliptic-deg-complex"), corpus_path("delta-sign-instance")
-    assert main(["ss", "pw", deg, hyb]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "shape mismatch between the two sides" in captured.err
+    assert main(["ss", "pw", deg, hyb]) == 3
+    assert capsys.readouterr() == ("", "cannot read input: n: ss pw DEG has n = 1, "
+                                       "ss pw HYB has n = 2\n")
+    f = tmp_path / "deg.json"
+    f.write_text(json.dumps(dict(corpus_doc("delta-sign-instance"), n=1,
+                                 side="degeneration")))
+    assert main(["ss", "pw", str(f), corpus_path("elliptic-hyb-complex")]) == 3
+    assert capsys.readouterr() == ("", "cannot read input: strata: ss pw DEG has "
+                                       "3 components, ss pw HYB has 2 components\n")
 
 
 def test_mirror_pw_degrades_without_labels(elliptic_hyb_complex):

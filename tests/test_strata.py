@@ -241,3 +241,20 @@ def test_euler_json_has_no_floats(tmp_path, capsys):
     assert rep["per_stratum"][-1] == {"I": [0, 1, 2], "lhs": 0, "rhs": 0,
                                       "ok": True}
     assert float_leaves(rep) == []
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(n=2), "n: euler check DEG has n = 2, euler check HYB has n = 1"),
+    (dict(components=3), "components: euler check DEG has 3 components, "
+                         "euler check HYB has 2 components")])
+def test_euler_check_refuses_documents_of_different_shape(tmp_path, capsys, change,
+                                                          message):
+    # the identities compare the sides stratum by stratum, so two shapes
+    # are bad input at the key that differs, not a FAIL verdict
+    import json
+    from conftest import corpus_doc, corpus_path
+    from lgmirror.cli import main
+    f = tmp_path / "deg.json"
+    f.write_text(json.dumps(dict(corpus_doc("elliptic-deg"), **change)))
+    assert main(["euler", "check", str(f), corpus_path("elliptic-hyb")]) == 3
+    assert capsys.readouterr() == ("", f"cannot read input: {message}\n")
