@@ -273,15 +273,15 @@ def assemble(spec, data):
     differential is written as one int matrix, its blocks scaled by the lcm
     of their denominators (an int entry has denominator 1)."""
     comps = data.components
-    terms, offsets, placed = {}, {}, []
+    terms, width, offsets, placed = {}, {}, {}, []
     for I in data.index_sets():
         for deg, d in data.strata[I].items():
             if d <= 0:
                 continue
             for p, q, key in spec.place(I, deg, comps):
-                blocks = terms.setdefault((p, q), [])
-                offsets[(p, q, key)] = sum(dim for _, dim in blocks)
-                blocks.append((key, d))
+                offsets[(p, q, key)] = width.get((p, q), 0)
+                width[(p, q)] = offsets[(p, q, key)] + d
+                terms.setdefault((p, q), []).append((key, d))
                 placed.append((p, q, key, I, deg))
     pieces = {}
     for p, q, key, I, deg in placed:
@@ -303,8 +303,7 @@ def assemble(spec, data):
     diff = {}
     for (p, q), entries in pieces.items():
         den = lcm(*{x.denominator for *_, mat in entries for row in mat for x in row})
-        M = [[0] * sum(d for _, d in terms[(p, q)])
-             for _ in range(sum(d for _, d in terms[(p + 1, q)]))]
+        M = [[0] * width[(p, q)] for _ in range(width[(p + 1, q)])]
         for src_key, tgt_key, s, mat in entries:
             so = offsets[(p, q, src_key)]
             to = offsets[(p + 1, q, tgt_key)]
@@ -436,16 +435,18 @@ def check_poincare_duality(data):
                     {"I": sorted(I), "degree": k, "dim": a,
                      "dual_degree": 2 * n_I - k, "dual_dim": bdim, "ok": False})
     signs = {}
-    for (kind, J, I, deg), m_rho in sorted(
-            data.maps.items(), key=lambda kv: (sorted(kv[0][1]), kv[0][3])):
-        if kind != "rho":
+    # each rho J -> I at deg with its dual I -> J at c, found from either
+    # one and both read through data.matrix, so a missing partner is an
+    # error; a pair with a zero group compares nothing
+    pairs = dict.fromkeys((J, I, deg) for kind, J, I, deg in data.maps if kind == "rho")
+    pairs.update(dict.fromkeys((J, I, 2 * data.stratum_dim_complex(I) - c - 1)
+                               for kind, I, J, c in data.maps if kind == "rho_dual"))
+    for J, I, deg in sorted(pairs, key=lambda k: (sorted(k[0]), k[2])):
+        c = 2 * data.stratum_dim_complex(I) - deg - 1
+        m_rho = data.matrix("rho", J, I, deg)
+        m_dual = data.matrix("rho_dual", I, J, c)
+        if m_rho is None or m_dual is None:
             continue
-        n_I = data.stratum_dim_complex(I)
-        c = 2 * n_I - deg - 1
-        dual_key = ("rho_dual", I, J, c)
-        if dual_key not in data.maps:
-            continue
-        m_dual = data.maps[dual_key]
         P_I = _pairing(data, I, c)
         P_J = _pairing(data, J, c - 1)
         lhs = mat_mul(P_I, m_rho)
@@ -599,6 +600,12 @@ def check_cubical_mirror(b_side, a_side):
 # ---------------------------------------------------------------------------
 
 _FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+_DECIMAL = re.compile(r"-?[0-9]+")
+_INDEX_TYPES = frozenset((int,))
+_ENTRY_TYPES = frozenset((int, str))
+_STRATUM_KEYS = {"I", "dims", "hodge"}
+_MAP_KEYS = {"kind", "from", "to", "degree", "matrix"}
+_PAIRING_KEYS = {"I", "degree", "matrix"}
 
 
 def _index_set(doc, key, path):
@@ -613,7 +620,7 @@ def _graded(d, path, read_value=read_count):
         raise InputError(path, f"expected an object keyed by ints, got {d!r}")
     out = {}
     for k, v in d.items():
-        if not re.fullmatch(r"-?[0-9]+", k):
+        if not _DECIMAL.fullmatch(k):
             raise InputError(f"{path}.{k}", "key is not a decimal int")
         if str(int(k)) != k:
             raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(int(k))!r}")
@@ -640,58 +647,198 @@ def _matrix(doc, path):
 
 
 def _check_shape(m, rows, cols, path):
-    """A matrix between two nonzero declared dimensions is rows x cols."""
-    if rows and cols and (len(m) != rows or any(len(row) != cols for row in m)):
+    """A matrix between two nonzero declared dimensions is rows x cols; one
+    whose source or target dimension is 0 has no entries."""
+    if rows and cols:
+        wrong = len(m) != rows or any(len(row) != cols for row in m)
+    else:
+        wrong = any(m)
+    if wrong:
         raise InputError(f"{path}.matrix",
                          f"expected a {rows}x{cols} matrix by the declared dims")
 
 
+def _read_stratum(s, where, strata):
+    I = _index_set(s, "I", where)
+    if not I:
+        raise InputError(f"{where}.I", "empty index set")
+    if I in strata:
+        raise InputError(f"{where}.I", f"repeats stratum {sorted(I)}")
+    dims = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims")
+    hodge = _graded(s["hodge"], f"{where}.hodge", _graded) if "hodge" in s else None
+    read_keys(s, where, _STRATUM_KEYS)
+    return I, dims, hodge
+
+
+def _read_map(m, where, maps):
+    key = (read_field(m, "kind", str, path=where), _index_set(m, "from", where),
+           _index_set(m, "to", where), read_field(m, "degree", int, path=where))
+    if key[0] not in DEGREE_SHIFT:
+        raise InputError(f"{where}.kind", f"unknown map kind {key[0]!r}")
+    if key in maps:
+        raise InputError(where, "repeats the kind, from, to and degree of an earlier map")
+    matrix = _matrix(m, where)
+    read_keys(m, where, _MAP_KEYS)
+    return key, matrix
+
+
+def _read_pairing(p, where, pairings):
+    key = (_index_set(p, "I", where), read_field(p, "degree", int, path=where))
+    if key in pairings:
+        raise InputError(where, "repeats the I and degree of an earlier pairing")
+    matrix = _matrix(p, where)
+    read_keys(p, where, _PAIRING_KEYS)
+    return key, matrix
+
+
+# The accept test: each reads a whole object at once and returns what its
+# path-naming reader above returns, or None when anything is off, and then
+# that reader runs and names the fault.  `keys` and `vals` cache the int of
+# each dims key and the value of each matrix entry already read.
+
+def _bulk_index_set(I):
+    if type(I) is list and _INDEX_TYPES.issuperset(map(type, I)):
+        s = frozenset(I)
+        if len(s) == len(I) and (not I or min(I) >= 0):
+            return s
+    return None
+
+
+def _bulk_graded(d, keys, read_value=None):
+    if type(d) is not dict:
+        return None
+    out = {}
+    for k, v in d.items():
+        i = keys.get(k)
+        if i is None:
+            if not _DECIMAL.fullmatch(k) or str(int(k)) != k:
+                return None
+            i = keys[k] = int(k)
+        if read_value is not None:
+            v = read_value(v, keys)
+        elif type(v) is not int or v < 0:
+            return None
+        if v is None:
+            return None
+        out[i] = v
+    return out
+
+
+def _bulk_matrix(mat, vals):
+    if type(mat) is not list:
+        return None
+    out = []
+    for row in mat:
+        if type(row) is not list or not _ENTRY_TYPES.issuperset(map(type, row)):
+            return None
+        try:
+            out.append([vals[x] for x in row])
+        except KeyError:
+            for x in row:
+                if x in vals:
+                    continue
+                if type(x) is str:
+                    m = _FRACTION.fullmatch(x)
+                    if m is None:
+                        return None
+                    vals[x] = Fraction(x) if m[1] else int(x)
+                else:
+                    vals[x] = x
+            out.append([vals[x] for x in row])
+    return out
+
+
+def _accept_stratum(s, keys, strata):
+    if type(s) is not dict or not {"I", "dims"} <= s.keys() <= _STRATUM_KEYS:
+        return None
+    I = _bulk_index_set(s["I"])
+    if not I or I in strata:
+        return None
+    dims = _bulk_graded(s["dims"], keys)
+    if dims is None:
+        return None
+    if "hodge" not in s:
+        return I, dims, None
+    hodge = _bulk_graded(s["hodge"], keys, _bulk_graded)
+    return None if hodge is None else (I, dims, hodge)
+
+
+def _accept_map(m, vals, maps):
+    if type(m) is not dict or m.keys() != _MAP_KEYS:
+        return None
+    kind, degree = m["kind"], m["degree"]
+    if type(kind) is not str or kind not in DEGREE_SHIFT or type(degree) is not int:
+        return None
+    key = (kind, _bulk_index_set(m["from"]), _bulk_index_set(m["to"]), degree)
+    if key[1] is None or key[2] is None or key in maps:
+        return None
+    matrix = _bulk_matrix(m["matrix"], vals)
+    return None if matrix is None else (key, matrix)
+
+
+def _accept_pairing(p, vals, pairings):
+    if type(p) is not dict or p.keys() != _PAIRING_KEYS or type(p["degree"]) is not int:
+        return None
+    key = (_bulk_index_set(p["I"]), p["degree"])
+    if key[0] is None or key in pairings:
+        return None
+    matrix = _bulk_matrix(p["matrix"], vals)
+    return None if matrix is None else (key, matrix)
+
+
 def complex_from_doc(doc):
+    """The StrataComplexData of a complex document.
+
+    Schema: n (an int >= 0), side (a string), strata (a nonempty list of
+    {"I", "dims", optional "hodge"}), and optional maps (a list of {"kind",
+    "from", "to", "degree", "matrix"}) and pairings (a list of {"I",
+    "degree", "matrix"}).  An index set is a list of distinct ints >= 0, and
+    a stratum's is nonempty and unique; dims is {degree: dim} and hodge
+    {degree: {label: dim}}, keyed by ints written as `str(int(k))` writes
+    them; a kind is a key of DEGREE_SHIFT, and no two maps share kind, from,
+    to and degree, nor two pairings I and degree.  A matrix entry is an int,
+    a "p" or a "p/q" string; a float or a bool is rejected.
+
+    Shape: a map's matrix is dim(to, degree + shift) x dim(from, degree), a
+    pairing's dim(I, degree) x dim(I, 2(n - |I| + 1) - degree); when either
+    dimension is 0 the matrix has no entries.
+
+    Each stratum, map and pairing first passes one accept test on the whole
+    object (the `_accept_*` functions), with each distinct dims key and
+    entry string parsed once per document; an object that fails it is read
+    again by the path-naming readers (`_read_stratum`, `_read_map`,
+    `_read_pairing`), which raise the InputError of its first fault, at its
+    path.
+    """
+    keys, vals = {}, {}
     strata, hodge = {}, {}
     for i, s in enumerate(read_field(doc, "strata", list)):
-        where = f"strata[{i}]"
-        I = _index_set(s, "I", where)
-        if not I:
-            raise InputError(f"{where}.I", "empty index set")
-        if I in strata:
-            raise InputError(f"{where}.I", f"repeats stratum {sorted(I)}")
-        strata[I] = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims")
-        if "hodge" in s:
-            hodge[I] = _graded(s["hodge"], f"{where}.hodge", _graded)
-        read_keys(s, where, {"I", "dims", "hodge"})
+        I, dims, h = (_accept_stratum(s, keys, strata)
+                      or _read_stratum(s, f"strata[{i}]", strata))
+        strata[I] = dims
+        if h is not None:
+            hodge[I] = h
     maps = {}
     for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
-        where = f"maps[{i}]"
-        key = (read_field(m, "kind", str, path=where), _index_set(m, "from", where),
-               _index_set(m, "to", where), read_field(m, "degree", int, path=where))
+        key, matrix = _accept_map(m, vals, maps) or _read_map(m, f"maps[{i}]", maps)
         kind, frm, to, degree = key
-        if kind not in DEGREE_SHIFT:
-            raise InputError(f"{where}.kind", f"unknown map kind {kind!r}")
-        if key in maps:
-            raise InputError(where, "repeats the kind, from, to and degree of an earlier map")
-        maps[key] = _matrix(m, where)
-        read_keys(m, where, {"kind", "from", "to", "degree", "matrix"})
-        _check_shape(maps[key],
-                     strata.get(to, {}).get(degree + DEGREE_SHIFT[kind], 0),
-                     strata.get(frm, {}).get(degree, 0), where)
-    pairings, unchecked = {}, []
+        maps[key] = matrix
+        _check_shape(matrix, strata.get(to, {}).get(degree + DEGREE_SHIFT[kind], 0),
+                     strata.get(frm, {}).get(degree, 0), f"maps[{i}]")
+    pairings = {}
     for i, p in enumerate(read_field(doc, "pairings", list)
                           if "pairings" in doc else []):
-        where = f"pairings[{i}]"
-        key = (_index_set(p, "I", where), read_field(p, "degree", int, path=where))
-        if key in pairings:
-            raise InputError(where, "repeats the I and degree of an earlier pairing")
-        pairings[key] = _matrix(p, where)
-        read_keys(p, where, {"I", "degree", "matrix"})
-        unchecked.append((where, key, pairings[key]))
+        key, matrix = (_accept_pairing(p, vals, pairings)
+                       or _read_pairing(p, f"pairings[{i}]", pairings))
+        pairings[key] = matrix
     if not strata:
         raise InputError("strata", "no strata")
     n = read_count(read_field(doc, "n", int), "n")
-    for where, (I, degree), m in unchecked:
+    for i, ((I, degree), m) in enumerate(pairings.items()):
         # pairs degree with the complementary degree of the stratum
         dims = strata.get(I, {})
         _check_shape(m, dims.get(degree, 0),
-                     dims.get(2 * (n - len(I) + 1) - degree, 0), where)
+                     dims.get(2 * (n - len(I) + 1) - degree, 0), f"pairings[{i}]")
     side = read_field(doc, "side", str)
     read_keys(doc, "", {"n", "side", "strata", "maps", "pairings"})
     return StrataComplexData(n, side, strata, hodge, maps, pairings)

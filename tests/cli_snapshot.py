@@ -18,6 +18,9 @@ and calls lgmirror.cli.main in-process on:
 - the central partitions with a projected fan beyond rank 1 or a rank-4
   host (tests_data_helpers.FRAME_PATH) through `partition validate`,
   `frame` and `fans`, in both output formats;
+- the single edits of the hybrid complex documents
+  (tests_data_helpers.COMPLEX_EDITS) through `ss pd` and `ss delta`, in
+  both output formats;
 - the help, usage and error shapes and the other spellings of
   test_cli.ARGV_SHAPES, with COLUMNS=80, so that argparse wraps the same
   way on every terminal.  They name corpus files by absolute path, which
@@ -81,7 +84,7 @@ def snapshot(src):
     sys.path[:0] = [str(Path(src).resolve()), str(BENCH)]
     from lgmirror import cli
     import workloads
-    from tests_data_helpers import FRAME_PATH, NON_TILING
+    from tests_data_helpers import COMPLEX_EDITS, FRAME_PATH, NON_TILING, edit_document
 
     calls = {}
     cwd = os.getcwd()
@@ -119,6 +122,15 @@ def snapshot(src):
                         for fmt in ("text", "json"):
                             argv = ["partition", action, f"{name}.json", "--format", fmt]
                             calls[f"{label} " + " ".join(argv)] = run(cli.main, argv)
+            for name, (base, path, action, value) in COMPLEX_EDITS.items():
+                with open(cli.data_dir() / f"{base}.json") as fh:
+                    doc = edit_document(json.load(fh), path, action, value)
+                with open("complex.json", "w") as fh:
+                    json.dump(doc, fh)
+                for action in ("pd", "delta"):
+                    for fmt in ("text", "json"):
+                        argv = ["ss", action, "complex.json", "--format", fmt]
+                        calls[f"complex-edit {name}: " + " ".join(argv)] = run(cli.main, argv)
             os.chdir(cwd)
         from test_cli import ARGV_SHAPES
         data = str(cli.data_dir())

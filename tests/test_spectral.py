@@ -1,13 +1,19 @@
+import functools
 import itertools
 import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
-from tests_data_helpers import abutment_mismatches
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tests_data_helpers import COMPLEX_EDITS, abutment_mismatches, edit_document
 
+from lgmirror import spectral
+from lgmirror.cli import corpus_names
 from lgmirror.lattice import InputError
 from lgmirror.spectral import (
     DELTA,
@@ -560,3 +566,174 @@ def test_closed_form_placements_match_the_scans():
                     list(scan_monodromy_place(I, deg, components))
                 assert DELTA.place(I, deg, components) == \
                     scan_delta_place(I, deg, components)
+
+
+# ---------------------------------------------------------------------------
+# Complex documents read in bulk
+# ---------------------------------------------------------------------------
+
+COMPLEX_DOCS = ("delta-sign-instance", "elliptic-deg-complex", "elliptic-hyb-complex")
+
+
+def _reject(*args):
+    return None
+
+
+def _loaded(doc):
+    """repr of complex_from_doc(doc), which shows the type of every value
+    and the order of every dict, or the message of its InputError."""
+    try:
+        return repr(complex_from_doc(doc))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _loaded_by_the_readers(doc):
+    """_loaded(doc) with an accept test that rejects every object, so the
+    path-naming readers read the whole document."""
+    with mock.patch.multiple(spectral, _accept_stratum=_reject,
+                             _accept_map=_reject, _accept_pairing=_reject):
+        return _loaded(doc)
+
+
+def _loaded_in_bulk(doc):
+    """_loaded(doc) with path-naming readers that fail when called."""
+    def unreachable(*args):
+        raise AssertionError(f"the accept test rejected {args[1]}")
+    with mock.patch.multiple(spectral, _read_stratum=unreachable, _read_map=unreachable,
+                             _read_pairing=unreachable):
+        return _loaded(doc)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_document_reads_the_same_without_the_accept_test(name):
+    from conftest import corpus_doc
+    expected = _loaded_by_the_readers(corpus_doc(name))
+    assert _loaded(corpus_doc(name)) == expected
+    if name in COMPLEX_DOCS:
+        assert _loaded_in_bulk(corpus_doc(name)) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 3, 9001])
+def test_pages_inputs_read_in_bulk_as_the_readers_read_them(tmp_path, seed):
+    import workloads
+    workloads.generate("pages", seed, str(tmp_path))
+    complexes = 0
+    for f in sorted(tmp_path.glob("inputs/*.json")):
+        doc = json.loads(f.read_text())
+        if "strata" in doc:
+            complexes += 1
+            assert _loaded_in_bulk(doc) == _loaded_by_the_readers(doc), f.name
+    assert complexes
+
+
+# single-edit values: wrong types, number spellings the entry rule rejects
+# and accepts, and containers where a scalar belongs
+EDIT_VALUES = (1.5, True, False, None, -1, 0, 7, "+1", " 1", "١", "1/0",
+               "1/-2", "01", "-0", "2/4", "x", [], {}, ["0"])
+
+
+def _positions(obj, path):
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for k, v in list(items):
+        yield path + (k,)
+        yield from _positions(v, path + (k,))
+
+
+@st.composite
+def single_edits(draw):
+    """A hybrid or degeneration corpus complex with one edit in one of its
+    strata, maps or pairings: one key or list item replaced, renamed,
+    deleted or repeated (an extra index, row or object), or an extra key."""
+    from conftest import corpus_doc
+    doc = corpus_doc(draw(st.sampled_from(COMPLEX_DOCS)))
+    part = draw(st.sampled_from([p for p in ("strata", "maps", "pairings") if p in doc]))
+    top = (part, draw(st.integers(0, len(doc[part]) - 1)))
+    path = draw(st.sampled_from([top, *_positions(doc[part][top[1]], top)]))
+    *head, last = path
+    container = functools.reduce(lambda o, k: o[k], head, doc)
+    actions = ["set", "delete", "rename" if type(container) is dict else "repeat"]
+    action = draw(st.sampled_from(actions + ["extra"] * (type(container[last]) is dict)))
+    value = None
+    if action == "set":
+        siblings = tuple(container) if type(container) is list else ()
+        value = draw(st.sampled_from(EDIT_VALUES + siblings))
+    elif action == "rename":
+        value = draw(st.sampled_from((last + "_", "0" + last, "-0", "02")))
+    elif action == "extra":
+        action, path, value = "set", path + ("extra",), 0
+    return edit_document(doc, path, action, value)
+
+
+@given(single_edits())
+@settings(max_examples=400)
+def test_a_single_edit_reads_the_same_without_the_accept_test(doc):
+    assert _loaded(doc) == _loaded_by_the_readers(doc)
+
+
+# The first message of each edit that the loader rejects, as the
+# path-naming readers alone give it.
+PINNED_EDIT_ERRORS = {
+    "float entry": "maps[0].matrix[0][1]: expected an int or a 'p/q' string, got 1.5",
+    "bool entry": "maps[1].matrix[1][0]: expected an int or a 'p/q' string, got False",
+    "plus entry": "maps[0].matrix[0][0]: expected an int or a 'p/q' string, got '+1'",
+    "space entry": "maps[2].matrix[0][0]: expected an int or a 'p/q' string, got ' 1'",
+    "arabic-indic entry":
+        "maps[0].matrix[0][0]: expected an int or a 'p/q' string, got '١'",
+    "zero denominator":
+        "pairings[0].matrix[0][1]: expected an int or a 'p/q' string, got '1/0'",
+    "negative denominator":
+        "maps[2].matrix[1][1]: expected an int or a 'p/q' string, got '1/-2'",
+    "repeated index": "strata[2].I[1]: repeats index 0",
+    "negative index": "maps[1].from[0]: expected an int >= 0, got -1",
+    "bool index": "strata[1].I[0]: expected an int, got True",
+    "dims key 01": "strata[0].dims.01: key '01' must be written '1'",
+    "dims key -0": "strata[2].dims.-0: key '-0' must be written '0'",
+    "negative dim": "strata[5].dims.1: expected an int >= 0, got -1",
+    "renamed key": "maps[3].degree: missing",
+    "dropped key": "pairings[1].matrix: missing",
+    "extra key": "strata[4]: unknown key 'hodge_'",
+    "repeated map": "maps[18]: repeats the kind, from, to and degree of an earlier map",
+    "non-list row": "maps[0].matrix[1]: expected a list, got '0'",
+    "ragged row": "maps[2].matrix: expected a 2x2 matrix by the declared dims",
+    # a matrix with a zero side carries no entries (both read as valid once)
+    "zero-side map": "maps[4].matrix: expected a 2x0 matrix by the declared dims",
+    "zero-side pairing": "pairings[2].matrix: expected a 0x0 matrix by the declared dims",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_EDITS))
+def test_complex_edits_keep_their_first_message(name):
+    from conftest import corpus_doc
+    base, path, action, value = COMPLEX_EDITS[name]
+    doc = edit_document(corpus_doc(base), path, action, value)
+    expected = _loaded_by_the_readers(doc)
+    assert _loaded(doc) == expected
+    if name in PINNED_EDIT_ERRORS:
+        assert expected == f"InputError: {PINNED_EDIT_ERRORS[name]}"
+    else:
+        assert not expected.startswith("InputError")
+
+
+@pytest.mark.parametrize("edit", ["missing dual map", "zero-side map"])
+@pytest.mark.parametrize("action", ["pd", "delta"])
+def test_pd_and_delta_refuse_a_missing_dual_and_a_zero_side_map(
+        capsys, tmp_path, edit, action):
+    from conftest import corpus_doc
+    from lgmirror.cli import main
+    base, path, how, value = COMPLEX_EDITS[edit]
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(edit_document(corpus_doc(base), path, how, value)))
+    code = main(["ss", action, str(f)])
+    err = capsys.readouterr().err
+    if edit == "missing dual map":
+        assert (code, err) == (2, "error: missing rho_dual map [0] -> [0, 1] at degree 1\n")
+    else:
+        assert (code, err) == (3, "cannot read input: maps[4].matrix: expected a 2x0 "
+                                  "matrix by the declared dims\n")
+
+
+def test_pd_refuses_a_dual_map_without_its_rho(elliptic_hyb_complex):
+    del elliptic_hyb_complex.maps[("rho", fs([0, 1]), fs([1]), 0)]
+    with pytest.raises(SpectralError, match=r"missing rho map \[0, 1\] -> \[1\] at degree 0"):
+        check_poincare_duality(elliptic_hyb_complex)

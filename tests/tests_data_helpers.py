@@ -15,6 +15,7 @@ which preserves consistency and roughens the matrices.
 
 import functools
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -143,6 +144,59 @@ NON_TILING = {
         [[x, y, z] for x in (a, a + 1) for y in (b, b + 1) for z in (-1, 1)]
         for a, b in ((-1, -1), (-1, 0), (0, -1))]},
 }
+
+
+# Single edits of the hybrid complex documents: name -> (corpus document,
+# path, action, value).  The action sets, renames or deletes the key or
+# index at the end of the path, repeats the object there, or appends value
+# to the list there.  The last three are faults that the loader or the
+# duality check once read past: a rho without its dual, and a map and a
+# pairing with a zero side that carry entries.
+COMPLEX_EDITS = {
+    "float entry": ("elliptic-hyb-complex", ("maps", 0, "matrix", 0, 1), "set", 1.5),
+    "bool entry": ("elliptic-hyb-complex", ("maps", 1, "matrix", 1, 0), "set", False),
+    "plus entry": ("elliptic-hyb-complex", ("maps", 0, "matrix", 0, 0), "set", "+1"),
+    "space entry": ("delta-sign-instance", ("maps", 2, "matrix", 0, 0), "set", " 1"),
+    "arabic-indic entry": ("delta-sign-instance", ("maps", 0, "matrix", 0, 0), "set", "\u0661"),
+    "zero denominator": ("elliptic-hyb-complex", ("pairings", 0, "matrix", 0, 1), "set", "1/0"),
+    "negative denominator": ("elliptic-hyb-complex", ("maps", 2, "matrix", 1, 1), "set", "1/-2"),
+    "leading zero entry": ("elliptic-hyb-complex", ("maps", 3, "matrix", 1, 1), "set", "01"),
+    "repeated index": ("elliptic-hyb-complex", ("strata", 2, "I", 1), "set", 0),
+    "negative index": ("elliptic-hyb-complex", ("maps", 1, "from", 0), "set", -1),
+    "bool index": ("delta-sign-instance", ("strata", 1, "I", 0), "set", True),
+    "dims key 01": ("elliptic-hyb-complex", ("strata", 0, "dims", "1"), "rename", "01"),
+    "dims key -0": ("elliptic-hyb-complex", ("strata", 2, "dims", "0"), "rename", "-0"),
+    "negative dim": ("delta-sign-instance", ("strata", 5, "dims", "1"), "set", -1),
+    "renamed key": ("elliptic-hyb-complex", ("maps", 3, "degree"), "rename", "degrees"),
+    "dropped key": ("elliptic-hyb-complex", ("pairings", 1, "matrix"), "delete", None),
+    "extra key": ("delta-sign-instance", ("strata", 4, "hodge_"), "set", {}),
+    "repeated map": ("delta-sign-instance", ("maps", 3), "repeat", None),
+    "non-list row": ("elliptic-hyb-complex", ("maps", 0, "matrix", 1), "set", "0"),
+    "ragged row": ("elliptic-hyb-complex", ("maps", 2, "matrix", 0), "set", ["0"]),
+    "missing dual map": ("elliptic-hyb-complex", ("maps", 2), "delete", None),
+    "zero-side map": ("elliptic-hyb-complex", ("maps",), "append",
+                      {"kind": "rho", "from": [0, 7], "to": [0], "degree": 0,
+                       "matrix": [["1"]]}),
+    "zero-side pairing": ("elliptic-hyb-complex", ("pairings",), "append",
+                          {"I": [0, 1], "degree": 2, "matrix": [["1", "0"]]}),
+}
+
+
+def edit_document(doc, path, action, value):
+    """Apply one COMPLEX_EDITS action to doc, in place, and return it."""
+    *head, last = path
+    obj = functools.reduce(lambda o, k: o[k], head, doc)
+    if action == "set":
+        obj[last] = value
+    elif action == "rename":
+        obj[value] = obj.pop(last)
+    elif action == "delete":
+        del obj[last]
+    elif action == "repeat":
+        obj.append(json.loads(json.dumps(obj[last])))
+    else:
+        obj[last].append(value)
+    return doc
 
 
 def _prism(verts):
