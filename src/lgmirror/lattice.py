@@ -54,8 +54,8 @@ def read_field(doc, key, *kinds, path=""):
     True is not an int), or InputError naming the path."""
     if type(doc) is not dict:
         raise InputError(path, f"expected an object, got {type(doc).__name__}")
-    if type(doc.get(key)) in kinds:
-        return doc[key]
+    if type(v := doc.get(key)) in kinds:
+        return v
     where = f"{path}.{key}" if path else key
     if key not in doc:
         raise InputError(where, "missing")

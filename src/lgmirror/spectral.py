@@ -408,8 +408,9 @@ def slice_by_label(data):
             lo_t, hi_t = rtgt[a]
             lo_s, hi_s = rsrc[a]
             maps[key] = [row[lo_s:hi_s] for row in data.maps[key][lo_t:hi_t]]
-        sliced[a] = StrataComplexData(data.n, data.side, strata, {}, maps,
-                                      dict(data.pairings))
+        if strata:
+            sliced[a] = StrataComplexData(data.n, data.side, strata, {}, maps,
+                                          dict(data.pairings))
     return sliced
 
 
@@ -609,40 +610,61 @@ _PAIRING_KEYS = {"I", "degree", "matrix"}
 
 
 def _index_set(doc, key, path):
+    """doc[key], a list of distinct ints >= 0, as a frozenset."""
+    I = doc.get(key) if type(doc) is dict else None
+    if type(I) is list and _INDEX_TYPES.issuperset(map(type, I)):
+        s = frozenset(I)
+        if len(s) == len(I) and (not I or min(I) >= 0):
+            return s
     return read_index_set(read_field(doc, key, list, path=path), f"{path}.{key}")
 
 
-def _graded(d, path, read_value=read_count):
-    """{int: value} of a JSON object keyed by decimal ints; by default the
-    values are dimensions.  "02" or "-0" would alias "2" or "0", so a key
-    must be the int's own spelling."""
+def _graded(d, path, keys, read_value=None):
+    """{int: value} of a JSON object keyed by decimal ints, each key parsed
+    once per document (`keys`); the values are dimensions, or read by
+    read_value.  "02" or "-0" would alias "2" or "0", so a key must be the
+    int's own spelling."""
     if type(d) is not dict:
         raise InputError(path, f"expected an object keyed by ints, got {d!r}")
     out = {}
     for k, v in d.items():
-        if not _DECIMAL.fullmatch(k):
-            raise InputError(f"{path}.{k}", "key is not a decimal int")
-        if str(int(k)) != k:
-            raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(int(k))!r}")
-        out[int(k)] = read_value(v, f"{path}.{k}")
+        i = keys.get(k)
+        if i is None:
+            if not _DECIMAL.fullmatch(k):
+                raise InputError(f"{path}.{k}", "key is not a decimal int")
+            if str(int(k)) != k:
+                raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(int(k))!r}")
+            i = keys[k] = int(k)
+        if read_value is not None:
+            v = read_value(v, f"{path}.{k}", keys)
+        elif type(v) is not int or v < 0:
+            read_count(v, f"{path}.{k}")
+        out[i] = v
     return out
 
 
-def _matrix(doc, path):
+def _matrix(doc, path, vals):
     """doc["matrix"] as rows of ints, with a Fraction only for a "p/q"
     string.  An entry is an int, a "p" or a "p/q" string; a float or a bool
-    is an InputError, never a binary fraction."""
+    is an InputError, never a binary fraction.  Each entry is parsed once per
+    document (`vals`), after its type is checked, so True is never a cached 1."""
     out = []
     for i, row in enumerate(read_field(doc, "matrix", list, path=path)):
         if type(row) is not list:
             raise InputError(f"{path}.matrix[{i}]", f"expected a list, got {row!r}")
-        out.append([])
+        if _ENTRY_TYPES.issuperset(map(type, row)):
+            try:
+                out.append([vals[x] for x in row])
+                continue
+            except KeyError:
+                pass
         for j, x in enumerate(row):
             m = _FRACTION.fullmatch(x) if type(x) is str else None
             if type(x) is not int and m is None:
                 raise InputError(f"{path}.matrix[{i}][{j}]",
                                  f"expected an int or a 'p/q' string, got {x!r}")
-            out[-1].append(Fraction(x) if m and m[1] else int(x))
+            vals[x] = Fraction(x) if m and m[1] else int(x)
+        out.append([vals[x] for x in row])
     return out
 
 
@@ -658,132 +680,40 @@ def _check_shape(m, rows, cols, path):
                          f"expected a {rows}x{cols} matrix by the declared dims")
 
 
-def _read_stratum(s, where, strata):
+def _read_stratum(s, where, strata, keys):
     I = _index_set(s, "I", where)
     if not I:
         raise InputError(f"{where}.I", "empty index set")
     if I in strata:
         raise InputError(f"{where}.I", f"repeats stratum {sorted(I)}")
-    dims = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims")
-    hodge = _graded(s["hodge"], f"{where}.hodge", _graded) if "hodge" in s else None
+    dims = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims", keys)
+    hodge = _graded(s["hodge"], f"{where}.hodge", keys, _graded) if "hodge" in s else None
     read_keys(s, where, _STRATUM_KEYS)
     return I, dims, hodge
 
 
-def _read_map(m, where, maps):
-    key = (read_field(m, "kind", str, path=where), _index_set(m, "from", where),
-           _index_set(m, "to", where), read_field(m, "degree", int, path=where))
-    if key[0] not in DEGREE_SHIFT:
-        raise InputError(f"{where}.kind", f"unknown map kind {key[0]!r}")
+def _read_map(m, where, maps, vals, strata):
+    key = kind, frm, to, degree = (
+        read_field(m, "kind", str, path=where), _index_set(m, "from", where),
+        _index_set(m, "to", where), read_field(m, "degree", int, path=where))
+    if kind not in DEGREE_SHIFT:
+        raise InputError(f"{where}.kind", f"unknown map kind {kind!r}")
     if key in maps:
         raise InputError(where, "repeats the kind, from, to and degree of an earlier map")
-    matrix = _matrix(m, where)
+    matrix = _matrix(m, where, vals)
     read_keys(m, where, _MAP_KEYS)
+    _check_shape(matrix, strata.get(to, {}).get(degree + DEGREE_SHIFT[kind], 0),
+                 strata.get(frm, {}).get(degree, 0), where)
     return key, matrix
 
 
-def _read_pairing(p, where, pairings):
+def _read_pairing(p, where, pairings, vals):
     key = (_index_set(p, "I", where), read_field(p, "degree", int, path=where))
     if key in pairings:
         raise InputError(where, "repeats the I and degree of an earlier pairing")
-    matrix = _matrix(p, where)
+    matrix = _matrix(p, where, vals)
     read_keys(p, where, _PAIRING_KEYS)
     return key, matrix
-
-
-# The accept test: each reads a whole object at once and returns what its
-# path-naming reader above returns, or None when anything is off, and then
-# that reader runs and names the fault.  `keys` and `vals` cache the int of
-# each dims key and the value of each matrix entry already read.
-
-def _bulk_index_set(I):
-    if type(I) is list and _INDEX_TYPES.issuperset(map(type, I)):
-        s = frozenset(I)
-        if len(s) == len(I) and (not I or min(I) >= 0):
-            return s
-    return None
-
-
-def _bulk_graded(d, keys, read_value=None):
-    if type(d) is not dict:
-        return None
-    out = {}
-    for k, v in d.items():
-        i = keys.get(k)
-        if i is None:
-            if not _DECIMAL.fullmatch(k) or str(int(k)) != k:
-                return None
-            i = keys[k] = int(k)
-        if read_value is not None:
-            v = read_value(v, keys)
-        elif type(v) is not int or v < 0:
-            return None
-        if v is None:
-            return None
-        out[i] = v
-    return out
-
-
-def _bulk_matrix(mat, vals):
-    if type(mat) is not list:
-        return None
-    out = []
-    for row in mat:
-        if type(row) is not list or not _ENTRY_TYPES.issuperset(map(type, row)):
-            return None
-        try:
-            out.append([vals[x] for x in row])
-        except KeyError:
-            for x in row:
-                if x in vals:
-                    continue
-                if type(x) is str:
-                    m = _FRACTION.fullmatch(x)
-                    if m is None:
-                        return None
-                    vals[x] = Fraction(x) if m[1] else int(x)
-                else:
-                    vals[x] = x
-            out.append([vals[x] for x in row])
-    return out
-
-
-def _accept_stratum(s, keys, strata):
-    if type(s) is not dict or not {"I", "dims"} <= s.keys() <= _STRATUM_KEYS:
-        return None
-    I = _bulk_index_set(s["I"])
-    if not I or I in strata:
-        return None
-    dims = _bulk_graded(s["dims"], keys)
-    if dims is None:
-        return None
-    if "hodge" not in s:
-        return I, dims, None
-    hodge = _bulk_graded(s["hodge"], keys, _bulk_graded)
-    return None if hodge is None else (I, dims, hodge)
-
-
-def _accept_map(m, vals, maps):
-    if type(m) is not dict or m.keys() != _MAP_KEYS:
-        return None
-    kind, degree = m["kind"], m["degree"]
-    if type(kind) is not str or kind not in DEGREE_SHIFT or type(degree) is not int:
-        return None
-    key = (kind, _bulk_index_set(m["from"]), _bulk_index_set(m["to"]), degree)
-    if key[1] is None or key[2] is None or key in maps:
-        return None
-    matrix = _bulk_matrix(m["matrix"], vals)
-    return None if matrix is None else (key, matrix)
-
-
-def _accept_pairing(p, vals, pairings):
-    if type(p) is not dict or p.keys() != _PAIRING_KEYS or type(p["degree"]) is not int:
-        return None
-    key = (_bulk_index_set(p["I"]), p["degree"])
-    if key[0] is None or key in pairings:
-        return None
-    matrix = _bulk_matrix(p["matrix"], vals)
-    return None if matrix is None else (key, matrix)
 
 
 def complex_from_doc(doc):
@@ -801,35 +731,22 @@ def complex_from_doc(doc):
 
     Shape: a map's matrix is dim(to, degree + shift) x dim(from, degree), a
     pairing's dim(I, degree) x dim(I, 2(n - |I| + 1) - degree); when either
-    dimension is 0 the matrix has no entries.
-
-    Each stratum, map and pairing first passes one accept test on the whole
-    object (the `_accept_*` functions), with each distinct dims key and
-    entry string parsed once per document; an object that fails it is read
-    again by the path-naming readers (`_read_stratum`, `_read_map`,
-    `_read_pairing`), which raise the InputError of its first fault, at its
-    path.
+    dimension is 0 the matrix has no entries.  The first fault raises an
+    InputError at its path.
     """
-    keys, vals = {}, {}
-    strata, hodge = {}, {}
+    keys, vals, strata, hodge = {}, {}, {}, {}
     for i, s in enumerate(read_field(doc, "strata", list)):
-        I, dims, h = (_accept_stratum(s, keys, strata)
-                      or _read_stratum(s, f"strata[{i}]", strata))
+        I, dims, h = _read_stratum(s, f"strata[{i}]", strata, keys)
         strata[I] = dims
         if h is not None:
             hodge[I] = h
     maps = {}
     for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
-        key, matrix = _accept_map(m, vals, maps) or _read_map(m, f"maps[{i}]", maps)
-        kind, frm, to, degree = key
+        key, matrix = _read_map(m, f"maps[{i}]", maps, vals, strata)
         maps[key] = matrix
-        _check_shape(matrix, strata.get(to, {}).get(degree + DEGREE_SHIFT[kind], 0),
-                     strata.get(frm, {}).get(degree, 0), f"maps[{i}]")
     pairings = {}
-    for i, p in enumerate(read_field(doc, "pairings", list)
-                          if "pairings" in doc else []):
-        key, matrix = (_accept_pairing(p, vals, pairings)
-                       or _read_pairing(p, f"pairings[{i}]", pairings))
+    for i, p in enumerate(read_field(doc, "pairings", list) if "pairings" in doc else []):
+        key, matrix = _read_pairing(p, f"pairings[{i}]", pairings, vals)
         pairings[key] = matrix
     if not strata:
         raise InputError("strata", "no strata")
@@ -845,7 +762,7 @@ def complex_from_doc(doc):
 
 
 def cubical_from_doc(doc):
-    entries = {}
+    entries, vals = {}, {}
     for i, e in enumerate(read_field(doc, "entries", list)):
         where = f"entries[{i}]"
         I = _index_set(e, "I", where)
@@ -859,7 +776,7 @@ def cubical_from_doc(doc):
         key = (_index_set(m, "from", where), _index_set(m, "to", where))
         if key in maps:
             raise InputError(where, "repeats the from and to of an earlier map")
-        maps[key] = _matrix(m, where)
+        maps[key] = _matrix(m, where, vals)
         read_keys(m, where, {"from", "to", "matrix"})
         _check_shape(maps[key], entries.get(key[1], 0), entries.get(key[0], 0), where)
     label = read_field(doc, "label", int) if "label" in doc else 0

@@ -18,9 +18,12 @@ and calls lgmirror.cli.main in-process on:
 - the central partitions with a projected fan beyond rank 1 or a rank-4
   host (tests_data_helpers.FRAME_PATH) through `partition validate`,
   `frame` and `fans`, in both output formats;
-- the single edits of the hybrid complex documents
-  (tests_data_helpers.COMPLEX_EDITS) through `ss pd` and `ss delta`, in
-  both output formats;
+- the single edits of the complex documents
+  (tests_data_helpers.COMPLEX_EDITS) through `ss pd` and `ss delta`, and
+  those of HODGE_EDITS also through `ss pw` against elliptic-hyb-complex in
+  both modes, in both output formats;
+- tests_data_helpers.ASYMMETRIC_GYSIN through `ss monodromy`, in both
+  output formats;
 - the help, usage and error shapes and the other spellings of
   test_cli.ARGV_SHAPES, with COLUMNS=80, so that argparse wraps the same
   way on every terminal.  They name corpus files by absolute path, which
@@ -38,6 +41,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -84,7 +88,8 @@ def snapshot(src):
     sys.path[:0] = [str(Path(src).resolve()), str(BENCH)]
     from lgmirror import cli
     import workloads
-    from tests_data_helpers import COMPLEX_EDITS, FRAME_PATH, NON_TILING, edit_document
+    from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH, HODGE_EDITS,
+                                    NON_TILING, edit_document)
 
     calls = {}
     cwd = os.getcwd()
@@ -122,6 +127,7 @@ def snapshot(src):
                         for fmt in ("text", "json"):
                             argv = ["partition", action, f"{name}.json", "--format", fmt]
                             calls[f"{label} " + " ".join(argv)] = run(cli.main, argv)
+            shutil.copy(cli.data_dir() / "elliptic-hyb-complex.json", ".")
             for name, (base, path, action, value) in COMPLEX_EDITS.items():
                 with open(cli.data_dir() / f"{base}.json") as fh:
                     doc = edit_document(json.load(fh), path, action, value)
@@ -131,6 +137,17 @@ def snapshot(src):
                     for fmt in ("text", "json"):
                         argv = ["ss", action, "complex.json", "--format", fmt]
                         calls[f"complex-edit {name}: " + " ".join(argv)] = run(cli.main, argv)
+                if name in HODGE_EDITS:
+                    for mode in ("smoothing", "central_fiber"):
+                        for fmt in ("text", "json"):
+                            argv = ["ss", "pw", "complex.json", "elliptic-hyb-complex.json",
+                                    "--mode", mode, "--format", fmt]
+                            calls[f"complex-edit {name}: " + " ".join(argv)] = run(cli.main, argv)
+            with open("gysin.json", "w") as fh:
+                json.dump(ASYMMETRIC_GYSIN, fh)
+            for fmt in ("text", "json"):
+                argv = ["ss", "monodromy", "gysin.json", "--format", fmt]
+                calls["asymmetric-gysin " + " ".join(argv)] = run(cli.main, argv)
             os.chdir(cwd)
         from test_cli import ARGV_SHAPES
         data = str(cli.data_dir())

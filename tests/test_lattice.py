@@ -927,6 +927,47 @@ def test_dropped_optional_keys_never_exit_3(tmp_path, name):
             assert code in (0, 2), (path, err)
 
 
+def _hull_facets(doc):
+    return polytope_to_doc(polytope_from_doc(doc))["facets"]
+
+
+@pytest.mark.parametrize("name, key, default", [
+    ("delta-sign-instance", "maps", []),
+    ("elliptic-hyb-complex", "maps", []),
+    ("elliptic-hyb-complex", "pairings", []),
+    ("elliptic-deg", "zero_strata", []),
+    ("elliptic-hyb", "zero_strata", []),
+    ("elliptic-cubical-a", "label", 0),
+    ("elliptic-cubical-b", "maps", []),
+    ("square", "name", ""),
+    ("tsigma", "facets", _hull_facets),
+])
+def test_a_dropped_optional_key_reads_as_its_default(name, key, default):
+    from lgmirror import spectral, strata
+    load = {"spectral": spectral.complex_from_doc, "strata": strata.strata_from_doc,
+            "cubical": spectral.cubical_from_doc,
+            "polytope": polytope_from_doc}[CORPUS_KINDS[name]]
+    dropped = corpus_doc(name)
+    dropped.pop(key, None)
+    written = dict(dropped, **{key: default(dropped) if callable(default) else default})
+    assert repr(load(dropped)) == repr(load(written))
+
+
+@pytest.mark.parametrize("mode", ["smoothing", "central_fiber"])
+@pytest.mark.parametrize("drop", [[0], [1], [2], [0, 1, 2]])
+def test_a_dropped_hodge_compares_total_dimensions(capsys, tmp_path, drop, mode):
+    doc = corpus_doc("elliptic-deg-complex")
+    for i in drop:
+        del doc["strata"][i]["hodge"]
+    f = tmp_path / "deg.json"
+    f.write_text(json.dumps(doc))
+    assert main(["ss", "pw", str(f), corpus_path("elliptic-hyb-complex"),
+                 "--mode", mode, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["labelled"] is False
+    assert {c["a"] for c in report["cells"]} == {None}
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2, 2)
     | st.text(max_size=3),

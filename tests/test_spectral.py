@@ -4,15 +4,20 @@ import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from unittest import mock
 
+import complex_reference
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_data_helpers import COMPLEX_EDITS, abutment_mismatches, edit_document
+from tests_data_helpers import (
+    ASYMMETRIC_GYSIN,
+    COMPLEX_EDITS,
+    HODGE_EDITS,
+    abutment_mismatches,
+    edit_document,
+)
 
-from lgmirror import spectral
 from lgmirror.cli import corpus_names
 from lgmirror.lattice import InputError
 from lgmirror.spectral import (
@@ -31,6 +36,7 @@ from lgmirror.spectral import (
     check_mirror_pw,
     check_poincare_duality,
     complex_from_doc,
+    cubical_from_doc,
     page_report_doc,
     slice_by_label,
 )
@@ -336,7 +342,6 @@ def test_gflag_delta_agree_on_deepest_column_with_zero_duals():
 
 def test_cubical_mirror_elliptic():
     from conftest import corpus_doc
-    from lgmirror.spectral import cubical_from_doc
     b = cubical_from_doc(corpus_doc("elliptic-cubical-b"))
     a = cubical_from_doc(corpus_doc("elliptic-cubical-a"))
     rep = check_cubical_mirror(b, a)
@@ -358,7 +363,6 @@ def test_cubical_mirror_elliptic():
 ], ids=["entry", "map", "shape", "dim"])
 def test_cubical_loader_rejects_repeats_and_shapes(change, path):
     from conftest import corpus_doc
-    from lgmirror.spectral import cubical_from_doc
     doc = corpus_doc("elliptic-cubical-a")
     change(doc)
     with pytest.raises(InputError) as err:
@@ -569,53 +573,33 @@ def test_closed_form_placements_match_the_scans():
 
 
 # ---------------------------------------------------------------------------
-# Complex documents read in bulk
+# Complex documents against the reference readers
 # ---------------------------------------------------------------------------
 
 COMPLEX_DOCS = ("delta-sign-instance", "elliptic-deg-complex", "elliptic-hyb-complex")
 
 
-def _reject(*args):
-    return None
-
-
-def _loaded(doc):
-    """repr of complex_from_doc(doc), which shows the type of every value
-    and the order of every dict, or the message of its InputError."""
+def _loaded(doc, load=complex_from_doc):
+    """repr of load(doc), which shows the type of every value and the order
+    of every dict, or the message of its InputError."""
     try:
-        return repr(complex_from_doc(doc))
+        return repr(load(doc))
     except InputError as exc:
         return f"InputError: {exc}"
 
 
-def _loaded_by_the_readers(doc):
-    """_loaded(doc) with an accept test that rejects every object, so the
-    path-naming readers read the whole document."""
-    with mock.patch.multiple(spectral, _accept_stratum=_reject,
-                             _accept_map=_reject, _accept_pairing=_reject):
-        return _loaded(doc)
-
-
-def _loaded_in_bulk(doc):
-    """_loaded(doc) with path-naming readers that fail when called."""
-    def unreachable(*args):
-        raise AssertionError(f"the accept test rejected {args[1]}")
-    with mock.patch.multiple(spectral, _read_stratum=unreachable, _read_map=unreachable,
-                             _read_pairing=unreachable):
-        return _loaded(doc)
+def _loaded_by_the_reference(doc):
+    return _loaded(doc, complex_reference.complex_from_doc)
 
 
 @pytest.mark.parametrize("name", corpus_names())
-def test_corpus_document_reads_the_same_without_the_accept_test(name):
+def test_corpus_document_reads_as_the_reference_reads_it(name):
     from conftest import corpus_doc
-    expected = _loaded_by_the_readers(corpus_doc(name))
-    assert _loaded(corpus_doc(name)) == expected
-    if name in COMPLEX_DOCS:
-        assert _loaded_in_bulk(corpus_doc(name)) == expected
+    assert _loaded(corpus_doc(name)) == _loaded_by_the_reference(corpus_doc(name))
 
 
 @pytest.mark.parametrize("seed", [1, 3, 9001])
-def test_pages_inputs_read_in_bulk_as_the_readers_read_them(tmp_path, seed):
+def test_pages_inputs_read_as_the_reference_reads_them(tmp_path, seed):
     import workloads
     workloads.generate("pages", seed, str(tmp_path))
     complexes = 0
@@ -623,14 +607,16 @@ def test_pages_inputs_read_in_bulk_as_the_readers_read_them(tmp_path, seed):
         doc = json.loads(f.read_text())
         if "strata" in doc:
             complexes += 1
-            assert _loaded_in_bulk(doc) == _loaded_by_the_readers(doc), f.name
+            assert _loaded(doc) == _loaded_by_the_reference(doc), f.name
     assert complexes
 
 
 # single-edit values: wrong types, number spellings the entry rule rejects
-# and accepts, and containers where a scalar belongs
+# and accepts, containers where a scalar belongs, a Hodge distribution with
+# a zero count, and matrices whose True or 1.0 follows a 1 read before it
 EDIT_VALUES = (1.5, True, False, None, -1, 0, 7, "+1", " 1", "١", "1/0",
-               "1/-2", "01", "-0", "2/4", "x", [], {}, ["0"])
+               "1/-2", "01", "-0", "2/4", "x", [], {}, ["0"], {"0": 1, "1": 0},
+               [[1], [True]], [[1], [1.0]])
 
 
 def _positions(obj, path):
@@ -667,15 +653,16 @@ def single_edits(draw):
 
 @given(single_edits())
 @settings(max_examples=400)
-def test_a_single_edit_reads_the_same_without_the_accept_test(doc):
-    assert _loaded(doc) == _loaded_by_the_readers(doc)
+def test_a_single_edit_reads_as_the_reference_reads_it(doc):
+    assert _loaded(doc) == _loaded_by_the_reference(doc)
 
 
-# The first message of each edit that the loader rejects, as the
-# path-naming readers alone give it.
+# The first message of each edit that the loader rejects, as the reference
+# readers give it.
 PINNED_EDIT_ERRORS = {
     "float entry": "maps[0].matrix[0][1]: expected an int or a 'p/q' string, got 1.5",
     "bool entry": "maps[1].matrix[1][0]: expected an int or a 'p/q' string, got False",
+    "bool entry after a 1": "maps[0].matrix[1][0]: expected an int or a 'p/q' string, got True",
     "plus entry": "maps[0].matrix[0][0]: expected an int or a 'p/q' string, got '+1'",
     "space entry": "maps[2].matrix[0][0]: expected an int or a 'p/q' string, got ' 1'",
     "arabic-indic entry":
@@ -707,12 +694,25 @@ def test_complex_edits_keep_their_first_message(name):
     from conftest import corpus_doc
     base, path, action, value = COMPLEX_EDITS[name]
     doc = edit_document(corpus_doc(base), path, action, value)
-    expected = _loaded_by_the_readers(doc)
+    expected = _loaded_by_the_reference(doc)
     assert _loaded(doc) == expected
     if name in PINNED_EDIT_ERRORS:
         assert expected == f"InputError: {PINNED_EDIT_ERRORS[name]}"
     else:
         assert not expected.startswith("InputError")
+
+
+@pytest.mark.parametrize("name", ["elliptic-cubical-a", "elliptic-cubical-b"])
+@pytest.mark.parametrize("matrix", [None, [[1], [True]], [[1], [1.0]], [["1"], [1]],
+                                    [["2/4"], ["1/2"]], [["0"], ["01"]]])
+def test_cubical_documents_read_as_the_reference_reads_them(name, matrix):
+    # the first map's entries are read before the second map's matrix
+    from conftest import corpus_doc
+    doc = corpus_doc(name)
+    if matrix is not None:
+        doc["maps"][1]["matrix"] = matrix
+    assert _loaded(doc, cubical_from_doc) == \
+        _loaded(doc, complex_reference.cubical_from_doc)
 
 
 @pytest.mark.parametrize("edit", ["missing dual map", "zero-side map"])
@@ -737,3 +737,31 @@ def test_pd_refuses_a_dual_map_without_its_rho(elliptic_hyb_complex):
     del elliptic_hyb_complex.maps[("rho", fs([0, 1]), fs([1]), 0)]
     with pytest.raises(SpectralError, match=r"missing rho map \[0, 1\] -> \[1\] at degree 0"):
         check_poincare_duality(elliptic_hyb_complex)
+
+
+@pytest.mark.parametrize("mode", ["smoothing", "central_fiber"])
+@pytest.mark.parametrize("edit", HODGE_EDITS)
+def test_pw_skips_a_hodge_label_with_no_stratum(capsys, tmp_path, edit, mode):
+    # the label has no slice, so the table is the one of the unedited file
+    from conftest import corpus_doc, corpus_path
+    from lgmirror.cli import main
+    base, path, how, value = COMPLEX_EDITS[edit]
+    doc = edit_document(corpus_doc(base), path, how, value)
+    data = complex_from_doc(doc)
+    assert data.labels() == [0, 1] and sorted(slice_by_label(data)) == [0]
+    f = tmp_path / "deg.json"
+    f.write_text(json.dumps(doc))
+    hyb = corpus_path("elliptic-hyb-complex")
+    assert main(["ss", "pw", corpus_path(base), hyb, "--mode", mode]) == 0
+    expected = capsys.readouterr()
+    assert main(["ss", "pw", str(f), hyb, "--mode", mode]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_monodromy_refuses_a_defaulted_gysin_of_the_wrong_shape(capsys, tmp_path):
+    from lgmirror.cli import main
+    f = tmp_path / "gysin.json"
+    f.write_text(json.dumps(ASYMMETRIC_GYSIN))
+    assert main(["ss", "monodromy", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: gysin [0, 1]->[0] at degree 0: matrix is 2x1, expected 1x1\n")

@@ -146,15 +146,17 @@ NON_TILING = {
 }
 
 
-# Single edits of the hybrid complex documents: name -> (corpus document,
-# path, action, value).  The action sets, renames or deletes the key or
-# index at the end of the path, repeats the object there, or appends value
-# to the list there.  The last three are faults that the loader or the
-# duality check once read past: a rho without its dual, and a map and a
-# pairing with a zero side that carry entries.
+# Single edits of the complex documents: name -> (corpus document, path,
+# action, value).  The action sets, renames or deletes the key or index at
+# the end of the path, repeats the object there, or appends value to the
+# list there.  The last three are faults that the loader or the duality
+# check once read past: a rho without its dual, and a map and a pairing with
+# a zero side that carry entries.
 COMPLEX_EDITS = {
     "float entry": ("elliptic-hyb-complex", ("maps", 0, "matrix", 0, 1), "set", 1.5),
     "bool entry": ("elliptic-hyb-complex", ("maps", 1, "matrix", 1, 0), "set", False),
+    "bool entry after a 1": ("elliptic-hyb-complex", ("maps", 0, "matrix"), "set",
+                             [[1, -1], [True, 0]]),
     "plus entry": ("elliptic-hyb-complex", ("maps", 0, "matrix", 0, 0), "set", "+1"),
     "space entry": ("delta-sign-instance", ("maps", 2, "matrix", 0, 0), "set", " 1"),
     "arabic-indic entry": ("delta-sign-instance", ("maps", 0, "matrix", 0, 0), "set", "\u0661"),
@@ -166,6 +168,10 @@ COMPLEX_EDITS = {
     "bool index": ("delta-sign-instance", ("strata", 1, "I", 0), "set", True),
     "dims key 01": ("elliptic-hyb-complex", ("strata", 0, "dims", "1"), "rename", "01"),
     "dims key -0": ("elliptic-hyb-complex", ("strata", 2, "dims", "0"), "rename", "-0"),
+    "hodge count 0": ("elliptic-deg-complex", ("strata", 0, "hodge", "0"), "set",
+                      {"0": 1, "1": 0}),
+    "hodge label off the dims": ("elliptic-deg-complex", ("strata", 0, "hodge", "1"),
+                                 "set", {"1": 1}),
     "negative dim": ("delta-sign-instance", ("strata", 5, "dims", "1"), "set", -1),
     "renamed key": ("elliptic-hyb-complex", ("maps", 3, "degree"), "rename", "degrees"),
     "dropped key": ("elliptic-hyb-complex", ("pairings", 1, "matrix"), "delete", None),
@@ -179,6 +185,22 @@ COMPLEX_EDITS = {
                        "matrix": [["1"]]}),
     "zero-side pairing": ("elliptic-hyb-complex", ("pairings",), "append",
                           {"I": [0, 1], "degree": 2, "matrix": [["1", "0"]]}),
+}
+
+# The edits of COMPLEX_EDITS that leave a Hodge label with no stratum: its
+# count is 0 wherever it appears, or it appears only at a degree that dims
+# lacks.  `ss pw` once crashed on both.
+HODGE_EDITS = ("hodge count 0", "hodge label off the dims")
+
+# A degeneration complex with no Gysin map, whose Gysin [0, 1] -> [0] at
+# degree 0 defaults to the transpose of a restriction of the wrong shape:
+# 2x1, where dim [0] at degree 2 and dim [0, 1] at degree 0 ask for 1x1.
+ASYMMETRIC_GYSIN = {
+    "n": 1, "side": "degeneration",
+    "strata": [{"I": [0], "dims": {"0": 2, "2": 1}}, {"I": [1], "dims": {"0": 1, "2": 1}},
+               {"I": [0, 1], "dims": {"0": 1}}],
+    "maps": [{"kind": "restrict", "from": [0], "to": [0, 1], "degree": 0, "matrix": [[1, 0]]},
+             {"kind": "restrict", "from": [1], "to": [0, 1], "degree": 0, "matrix": [[1]]}],
 }
 
 
