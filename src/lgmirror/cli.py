@@ -430,8 +430,7 @@ _FORMAT = ("--format", dict(choices=["text", "json"], default="text"))
 # name: (help, handler, [(argument, add_argument keywords)]).  main reads a
 # plain argv (see _read_argv) from this table without argparse, whose
 # parsers and help formatters took most of the time of a short op.  Any
-# other argv goes to argparse, built with only the subcommand that argv
-# names, or with all six when it names none.
+# other argv goes to argparse.
 COMMANDS = {
     "polytope": ("lattice polytope queries", cmd_polytope, [
         ("action", dict(choices=["dual", "reflexive", "points", "faces", "smooth"])),
@@ -461,18 +460,14 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The lgmirror parser.  Given the name of a command, it holds only that
-    subcommand; its metavar keeps the usage line of the full parser, which
-    an "unrecognized arguments" error prints."""
+def build_parser():
+    """The lgmirror parser, with every subcommand of COMMANDS."""
     ap = argparse.ArgumentParser(
         prog="lgmirror",
         description="Exact toolkit for semi-stable partitions of reflexive "
                     "polytopes, hybrid LG models and mirror checks")
-    sub = ap.add_subparsers(dest="command", required=True, **(
-        {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}))
-    for name in [command] if command else COMMANDS:
-        help_text, func, arguments = COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for argument, keywords in arguments:
             p.add_argument(argument, **keywords)
@@ -543,8 +538,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except CliValidationFailure as exc:

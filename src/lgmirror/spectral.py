@@ -80,8 +80,9 @@ class StrataComplexData:
         return self.n - (len(I) - 1)
 
     def matrix(self, kind, frm, to, degree):
-        """Matrix of the requested map, with shape checks; None when both
-        sides vanish, an error when a needed map is missing."""
+        """Matrix of the requested map; None when either side vanishes, an
+        error when a needed map is missing.  A supplied map has the shape
+        the loader checked; a defaulted gysin's shape is checked here."""
         frm, to = frozenset(frm), frozenset(to)
         src = self.dim(frm, degree)
         tgt = self.dim(to, degree + DEGREE_SHIFT[kind])
@@ -89,27 +90,24 @@ class StrataComplexData:
             return None
         key = (kind, frm, to, degree)
         if key in self.maps:
-            m = self.maps[key]
-        elif kind == "gysin":
-            # transpose of the complementary-degree restriction
-            d_to = self.stratum_dim_complex(to)
-            rdeg = 2 * d_to - degree - 2
-            rkey = ("restrict", to, frm, rdeg)
-            if rkey not in self.maps:
-                raise SpectralError(
-                    f"missing gysin {sorted(frm)}->{sorted(to)} at degree "
-                    f"{degree} and no restriction to default from")
-            m = transpose(self.maps[rkey])
-            self.defaulted_gysin.append((sorted(frm), sorted(to), degree))
-            self.maps[key] = m
-        else:
+            return self.maps[key]
+        if kind != "gysin":
             raise SpectralError(f"missing {kind} map {sorted(frm)} -> "
                                 f"{sorted(to)} at degree {degree}")
+        # transpose of the complementary-degree restriction
+        rkey = ("restrict", to, frm, 2 * self.stratum_dim_complex(to) - degree - 2)
+        if rkey not in self.maps:
+            raise SpectralError(
+                f"missing gysin {sorted(frm)}->{sorted(to)} at degree "
+                f"{degree} and no restriction to default from")
+        m = transpose(self.maps[rkey])
         if len(m) != tgt or (m and len(m[0]) != src):
             raise SpectralError(
                 f"{kind} {sorted(frm)}->{sorted(to)} at degree {degree}: "
                 f"matrix is {len(m)}x{len(m[0]) if m else 0}, expected "
                 f"{tgt}x{src}")
+        self.defaulted_gysin.append((sorted(frm), sorted(to), degree))
+        self.maps[key] = m
         return m
 
     def labels(self):
@@ -120,16 +118,12 @@ class StrataComplexData:
         return sorted(out)
 
     def fully_labelled(self):
-        if not self.hodge:
-            return False
-        for I, dims in self.strata.items():
-            for k, d in dims.items():
-                if d == 0:
-                    continue
-                dist = self.hodge.get(I, {}).get(k)
-                if dist is None or sum(dist.values()) != d:
-                    return False
-        return True
+        """Every nonzero graded piece has a Hodge distribution.  The loader
+        has checked that each distribution counts the dimension of its
+        degree, 0 where dims lacks it."""
+        return bool(self.hodge) and all(
+            k in self.hodge.get(I, {})
+            for I, dims in self.strata.items() for k, d in dims.items() if d)
 
 
 # ---------------------------------------------------------------------------
@@ -362,52 +356,36 @@ def slice_by_label(data):
     labelling is available or some matrix mixes labels.
 
     Basis convention: inside each graded piece the basis is ordered by
-    ascending label, with sizes from the label distribution.
+    ascending label, with sizes from the label distribution, which the
+    loader has checked against dims.  A label keeps a slice only where it
+    has a stratum.
     """
     if not data.fully_labelled():
         return None
-    labels = data.labels()
 
-    def ranges(I, k):
-        dist = data.hodge.get(frozenset(I), {}).get(k, {})
-        out = {}
-        off = 0
-        for a in labels:
-            d = dist.get(a, 0)
-            out[a] = (off, off + d)
-            off += d
-        return out
+    def basis(I, k):
+        """The label of each basis vector of the degree-k piece of I."""
+        return [a for a, d in sorted(data.hodge.get(I, {}).get(k, {}).items())
+                for _ in range(d)]
 
-    blocks = {(kind, frm, to, degree): (ranges(to, degree + DEGREE_SHIFT[kind]),
-                                        ranges(frm, degree))
-              for kind, frm, to, degree in data.maps}
-    # off-diagonal blocks must vanish for the slicing to make sense
-    for key, (rtgt, rsrc) in blocks.items():
-        mat = data.maps[key]
-        for aa in labels:
-            for bb in labels:
-                if aa == bb:
-                    continue
-                for i in range(*rtgt[aa]):
-                    for j in range(*rsrc[bb]):
-                        if mat[i][j] != 0:
-                            return None
+    bases = {(kind, frm, to, degree): (basis(to, degree + DEGREE_SHIFT[kind]),
+                                       basis(frm, degree))
+             for kind, frm, to, degree in data.maps}
+    for key, (rows, cols) in bases.items():
+        if any(x and a != b for row, a in zip(data.maps[key], rows)
+               for x, b in zip(row, cols)):
+            return None
     sliced = {}
-    for a in labels:
+    for a in data.labels():
         strata = {}
         for I, dims in data.strata.items():
-            sub = {}
-            for k, d in dims.items():
-                da = data.hodge.get(I, {}).get(k, {}).get(a, 0)
-                if da:
-                    sub[k] = da
+            dists = data.hodge.get(I, {})
+            sub = {k: dists[k][a] for k in dims if dists.get(k, {}).get(a)}
             if sub:
                 strata[I] = sub
-        maps = {}
-        for key, (rtgt, rsrc) in blocks.items():
-            lo_t, hi_t = rtgt[a]
-            lo_s, hi_s = rsrc[a]
-            maps[key] = [row[lo_s:hi_s] for row in data.maps[key][lo_t:hi_t]]
+        maps = {key: [[x for x, b in zip(row, cols) if b == a]
+                      for row, r in zip(data.maps[key], rows) if r == a]
+                for key, (rows, cols) in bases.items()}
         if strata:
             sliced[a] = StrataComplexData(data.n, data.side, strata, {}, maps,
                                           dict(data.pairings))
@@ -689,6 +667,10 @@ def _read_stratum(s, where, strata, keys):
     dims = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims", keys)
     hodge = _graded(s["hodge"], f"{where}.hodge", keys, _graded) if "hodge" in s else None
     read_keys(s, where, _STRATUM_KEYS)
+    for k, dist in (hodge or {}).items():
+        count, dim = sum(dist.values()), dims.get(k, 0)
+        if count != dim:
+            raise InputError(f"{where}.hodge.{k}", f"the labels count {count}, but dims gives {dim}")
     return I, dims, hodge
 
 
@@ -725,9 +707,11 @@ def complex_from_doc(doc):
     "degree", "matrix"}).  An index set is a list of distinct ints >= 0, and
     a stratum's is nonempty and unique; dims is {degree: dim} and hodge
     {degree: {label: dim}}, keyed by ints written as `str(int(k))` writes
-    them; a kind is a key of DEGREE_SHIFT, and no two maps share kind, from,
-    to and degree, nor two pairings I and degree.  A matrix entry is an int,
-    a "p" or a "p/q" string; a float or a bool is rejected.
+    them, and the label counts of a hodge degree sum to its dim, 0 where
+    dims lacks the degree; a kind is a key of DEGREE_SHIFT, and no two maps
+    share kind, from, to and degree, nor two pairings I and degree.  A
+    matrix entry is an int, a "p" or a "p/q" string; a float or a bool is
+    rejected.
 
     Shape: a map's matrix is dim(to, degree + shift) x dim(from, degree), a
     pairing's dim(I, degree) x dim(I, 2(n - |I| + 1) - degree); when either

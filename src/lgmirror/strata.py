@@ -54,30 +54,14 @@ def euler_smoothing(d):
     return sum(sign(len(I)) * len(I) * e for I, e in d.entries.items())
 
 
-def _complement_subsets(d, I):
-    rest = [i for i in range(d.components) if i not in I]
-    for r in range(1, len(rest) + 1):
-        for J in itertools.combinations(rest, r):
-            yield frozenset(J)
-
-
-def euler_generic_fiber(d, I):
-    """e of the generic fiber of the induced rank-(N+1-|I|) potential.
-
-    The deepest stratum has no potential left: the value is 0 by convention.
-    """
-    I = frozenset(I)
-    if len(I) == d.components:
-        return 0  # rank-0 convention
-    total = 0
-    for J in _complement_subsets(d, I):
-        total += sign(len(J) - 1) * d.e(I | J)
-    return total
-
-
 def euler_relative(d, I):
-    """e(Y_I) - e(Y_I,sm); equals e(Y_I) for the deepest stratum."""
-    return d.e(I) - euler_generic_fiber(d, I)
+    """e(Y_I) - e(Y_I,sm), by Moebius inversion over the index sets J that
+    miss I: the sum of (-1)^|J| e(Y_{I+J}), J = {} first.  For the deepest
+    stratum only J = {} is left: e(Y_I,sm) = 0 by the rank-0 convention."""
+    I = frozenset(I)
+    rest = [i for i in range(d.components) if i not in I]
+    return sum(sign(r) * d.e(I.union(J))
+               for r in range(len(rest) + 1) for J in itertools.combinations(rest, r))
 
 
 def euler_tilde_total(d):

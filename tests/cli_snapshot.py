@@ -20,10 +20,12 @@ and calls lgmirror.cli.main in-process on:
   `frame` and `fans`, in both output formats;
 - the single edits of the complex documents
   (tests_data_helpers.COMPLEX_EDITS) through `ss pd` and `ss delta`, and
-  those of HODGE_EDITS also through `ss pw` against elliptic-hyb-complex in
-  both modes, in both output formats;
-- tests_data_helpers.ASYMMETRIC_GYSIN through `ss monodromy`, in both
-  output formats;
+  those of elliptic-deg-complex, the degeneration side, also through
+  `ss pw` against elliptic-hyb-complex in both modes, in both output
+  formats;
+- tests_data_helpers.ASYMMETRIC_GYSIN through `ss monodromy`, and
+  tests_data_helpers.HODGE_AT_A_ZERO_DEGREE through `ss pw` against
+  elliptic-hyb-complex in both modes, in both output formats;
 - the help, usage and error shapes and the other spellings of
   test_cli.ARGV_SHAPES, with COLUMNS=80, so that argparse wraps the same
   way on every terminal.  They name corpus files by absolute path, which
@@ -88,8 +90,8 @@ def snapshot(src):
     sys.path[:0] = [str(Path(src).resolve()), str(BENCH)]
     from lgmirror import cli
     import workloads
-    from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH, HODGE_EDITS,
-                                    NON_TILING, edit_document)
+    from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH,
+                                    HODGE_AT_A_ZERO_DEGREE, NON_TILING, edit_document)
 
     calls = {}
     cwd = os.getcwd()
@@ -137,7 +139,7 @@ def snapshot(src):
                     for fmt in ("text", "json"):
                         argv = ["ss", action, "complex.json", "--format", fmt]
                         calls[f"complex-edit {name}: " + " ".join(argv)] = run(cli.main, argv)
-                if name in HODGE_EDITS:
+                if base == "elliptic-deg-complex":
                     for mode in ("smoothing", "central_fiber"):
                         for fmt in ("text", "json"):
                             argv = ["ss", "pw", "complex.json", "elliptic-hyb-complex.json",
@@ -148,6 +150,13 @@ def snapshot(src):
             for fmt in ("text", "json"):
                 argv = ["ss", "monodromy", "gysin.json", "--format", fmt]
                 calls["asymmetric-gysin " + " ".join(argv)] = run(cli.main, argv)
+            with open("zero-degree.json", "w") as fh:
+                json.dump(HODGE_AT_A_ZERO_DEGREE, fh)
+            for mode in ("smoothing", "central_fiber"):
+                for fmt in ("text", "json"):
+                    argv = ["ss", "pw", "zero-degree.json", "elliptic-hyb-complex.json",
+                            "--mode", mode, "--format", fmt]
+                    calls["hodge-at-a-zero-degree " + " ".join(argv)] = run(cli.main, argv)
             os.chdir(cwd)
         from test_cli import ARGV_SHAPES
         data = str(cli.data_dir())

@@ -69,6 +69,10 @@ def _read_stratum(s, where, strata):
     dims = _graded(read_field(s, "dims", dict, path=where), f"{where}.dims")
     hodge = _graded(s["hodge"], f"{where}.hodge", _graded) if "hodge" in s else None
     read_keys(s, where, _STRATUM_KEYS)
+    for k, dist in (hodge or {}).items():
+        count, dim = sum(dist.values()), dims.get(k, 0)
+        if count != dim:
+            raise InputError(f"{where}.hodge.{k}", f"the labels count {count}, but dims gives {dim}")
     return I, dims, hodge
 
 

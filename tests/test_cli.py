@@ -1,5 +1,4 @@
 import argparse
-import sys
 
 import pytest
 from conftest import corpus_path
@@ -53,11 +52,9 @@ def _run(argv, capsys):
 def test_cli_text_matches_the_full_parser(monkeypatch, capsys, argv, columns):
     # a narrow terminal wraps the usage line, which must wrap the same way
     monkeypatch.setenv("COLUMNS", columns)
-    narrowed = _run(argv, capsys)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    plain = _run(argv, capsys)
     monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
-    assert narrowed == _run(argv, capsys)
+    assert plain == _run(argv, capsys)
 
 
 def test_usage_line_wraps_on_a_narrow_terminal(monkeypatch, capsys):
@@ -78,23 +75,6 @@ def _count_parsers(monkeypatch):
         init(self, *args, **kwargs)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     return built
-
-
-@pytest.mark.parametrize("name", COMMANDS)
-def test_a_known_command_builds_only_its_subparser(monkeypatch, capsys, name):
-    built = _count_parsers(monkeypatch)
-    with pytest.raises(SystemExit):
-        main([name, "-h"])
-    assert len(built) == 2
-    built.clear()
-    monkeypatch.setattr(sys, "argv", ["lgmirror", name, "-h"])
-    with pytest.raises(SystemExit):
-        main()
-    assert len(built) == 2
-    built.clear()
-    with pytest.raises(SystemExit):
-        main(["-h"])
-    assert len(built) == 1 + len(COMMANDS)
 
 
 def test_a_plain_command_line_builds_no_parser(monkeypatch, capsys):

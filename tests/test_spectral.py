@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tests_data_helpers import (
     ASYMMETRIC_GYSIN,
     COMPLEX_EDITS,
-    HODGE_EDITS,
+    HODGE_AT_A_ZERO_DEGREE,
     abutment_mismatches,
     edit_document,
 )
@@ -677,6 +677,10 @@ PINNED_EDIT_ERRORS = {
     "dims key 01": "strata[0].dims.01: key '01' must be written '1'",
     "dims key -0": "strata[2].dims.-0: key '-0' must be written '0'",
     "negative dim": "strata[5].dims.1: expected an int >= 0, got -1",
+    # the label counts of a degree sum to its dim, 0 where dims lacks it
+    "hodge label off the dims": "strata[0].hodge.1: the labels count 1, but dims gives 0",
+    "hodge undercount": "strata[2].hodge.0: the labels count 1, but dims gives 2",
+    "hodge overcount": "strata[2].hodge.0: the labels count 3, but dims gives 2",
     "renamed key": "maps[3].degree: missing",
     "dropped key": "pairings[1].matrix: missing",
     "extra key": "strata[4]: unknown key 'hodge_'",
@@ -740,7 +744,7 @@ def test_pd_refuses_a_dual_map_without_its_rho(elliptic_hyb_complex):
 
 
 @pytest.mark.parametrize("mode", ["smoothing", "central_fiber"])
-@pytest.mark.parametrize("edit", HODGE_EDITS)
+@pytest.mark.parametrize("edit", ["hodge count 0"])
 def test_pw_skips_a_hodge_label_with_no_stratum(capsys, tmp_path, edit, mode):
     # the label has no slice, so the table is the one of the unedited file
     from conftest import corpus_doc, corpus_path
@@ -756,6 +760,26 @@ def test_pw_skips_a_hodge_label_with_no_stratum(capsys, tmp_path, edit, mode):
     expected = capsys.readouterr()
     assert main(["ss", "pw", str(f), hyb, "--mode", mode]) == 0
     assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("mode", ["smoothing", "central_fiber"])
+@pytest.mark.parametrize("doc, message", [
+    ("zero degree", "strata[2].hodge.2: the labels count 1, but dims gives 0"),
+    ("hodge undercount", "strata[2].hodge.0: the labels count 1, but dims gives 2"),
+    ("hodge overcount", "strata[2].hodge.0: the labels count 3, but dims gives 2")])
+def test_pw_refuses_hodge_counts_off_the_dims(capsys, tmp_path, doc, message, mode):
+    from conftest import corpus_doc, corpus_path
+    from lgmirror.cli import main
+    if doc == "zero degree":
+        doc = HODGE_AT_A_ZERO_DEGREE
+    else:
+        base, path, how, value = COMPLEX_EDITS[doc]
+        doc = edit_document(corpus_doc(base), path, how, value)
+    f = tmp_path / "deg.json"
+    f.write_text(json.dumps(doc))
+    assert main(["ss", "pw", str(f), corpus_path("elliptic-hyb-complex"),
+                 "--mode", mode]) == 3
+    assert capsys.readouterr() == ("", f"cannot read input: {message}\n")
 
 
 def test_monodromy_refuses_a_defaulted_gysin_of_the_wrong_shape(capsys, tmp_path):

@@ -10,7 +10,6 @@ from lgmirror.strata import (
     StrataEuler,
     anticanonical_curve_euler,
     check_topological_mirror,
-    euler_generic_fiber,
     euler_glued_total,
     euler_relative,
     euler_smoothing,
@@ -76,11 +75,13 @@ def test_euler_smoothing_symmetric_under_labels():
 
 
 def test_generic_fiber():
+    # e(Y_I,sm) = e(Y_I) - euler_relative: 2 over [0], 0 over the deepest
+    # stratum by the rank-0 convention
     _, hyb = elliptic_pair()
-    assert euler_generic_fiber(hyb, [0]) == 2
-    assert euler_generic_fiber(hyb, [0, 1]) == 0  # rank-0 convention
+    assert hyb.e([0]) - euler_relative(hyb, [0]) == 2
+    assert hyb.e([0, 1]) - euler_relative(hyb, [0, 1]) == 0
     with pytest.raises(StrataError):
-        euler_generic_fiber(StrataEuler(1, 2, "hybrid", {fs([0]): 1}), [0])
+        euler_relative(StrataEuler(1, 2, "hybrid", {fs([0]): 1}), [0])
 
 
 def test_generic_fiber_matches_cover_oracle():
@@ -99,7 +100,7 @@ def test_generic_fiber_matches_cover_oracle():
             for r in range(1, len(rest) + 1):
                 for J in itertools.combinations(rest, r):
                     oracle += (-1) ** (r - 1) * entries[fs(base) | fs(J)]
-            assert euler_generic_fiber(hyb, base) == oracle
+            assert euler_relative(hyb, base) == entries[fs(base)] - oracle
 
 
 def test_relative_and_totals():

@@ -172,6 +172,10 @@ COMPLEX_EDITS = {
                       {"0": 1, "1": 0}),
     "hodge label off the dims": ("elliptic-deg-complex", ("strata", 0, "hodge", "1"),
                                  "set", {"1": 1}),
+    "hodge undercount": ("elliptic-deg-complex", ("strata", 2, "hodge", "0"), "set",
+                         {"0": 1}),
+    "hodge overcount": ("elliptic-deg-complex", ("strata", 2, "hodge", "0"), "set",
+                        {"0": 3}),
     "negative dim": ("delta-sign-instance", ("strata", 5, "dims", "1"), "set", -1),
     "renamed key": ("elliptic-hyb-complex", ("maps", 3, "degree"), "rename", "degrees"),
     "dropped key": ("elliptic-hyb-complex", ("pairings", 1, "matrix"), "delete", None),
@@ -187,10 +191,20 @@ COMPLEX_EDITS = {
                           {"I": [0, 1], "degree": 2, "matrix": [["1", "0"]]}),
 }
 
-# The edits of COMPLEX_EDITS that leave a Hodge label with no stratum: its
-# count is 0 wherever it appears, or it appears only at a degree that dims
-# lacks.  `ss pw` once crashed on both.
-HODGE_EDITS = ("hodge count 0", "hodge label off the dims")
+# A Hodge count at a degree that dims lacks, under which a map with no
+# entries runs: elliptic-deg-complex with a label-1 class of [0, 1] in
+# degree 2.  `ss pw` once read past the map's rows and crashed.
+HODGE_AT_A_ZERO_DEGREE = {
+    "n": 1, "side": "degeneration",
+    "strata": [
+        {"I": [0], "dims": {"0": 1, "2": 1}, "hodge": {"0": {"0": 1}, "2": {"0": 1}}},
+        {"I": [1], "dims": {"0": 1, "2": 1}, "hodge": {"0": {"0": 1}, "2": {"0": 1}}},
+        {"I": [0, 1], "dims": {"0": 2}, "hodge": {"0": {"0": 2}, "2": {"1": 1}}}],
+    "maps": [
+        {"kind": "restrict", "from": [0], "to": [0, 1], "degree": 0, "matrix": [["1"], ["1"]]},
+        {"kind": "restrict", "from": [1], "to": [0, 1], "degree": 0, "matrix": [["1"], ["1"]]},
+        {"kind": "restrict", "from": [0], "to": [0, 1], "degree": 2, "matrix": []}],
+}
 
 # A degeneration complex with no Gysin map, whose Gysin [0, 1] -> [0] at
 # degree 0 defaults to the transpose of a restriction of the wrong shape:
