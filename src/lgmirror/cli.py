@@ -191,7 +191,7 @@ def _render_validation(doc):
 
 
 def _render_lift(doc):
-    lines = ["lifted polyhedron (y >= m_i(x), host facets):"]
+    lines = ["lifted polyhedron (y >= -m_i(x), host facets):"]
     for i in doc["inequalities"]:
         lines.append(f"  normal {i['normal']} offset {i['offset']}")
     lines.append(f"recession rays: {doc['recession_rays']}")

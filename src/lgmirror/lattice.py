@@ -345,14 +345,6 @@ def vertex_is_smooth(p, v):
     return len(dirs) == p.dim and abs(det(dirs)) == 1
 
 
-def minkowski_sum(a, b):
-    if a.ambient_rank != b.ambient_rank:
-        raise LatticeError("Minkowski sum of polytopes of different ambient rank")
-    sums = [tuple(x + y for x, y in zip(u, v))
-            for u in a.vertices for v in b.vertices]
-    return convex_hull(sums)
-
-
 def triangulation(face):
     """Simplices (vertex tuples) of the pulling triangulation of a face.
 

@@ -1,24 +1,14 @@
 """Nef partitions of a reflexive polytope's vertex set, their check by the
-certifying convex piecewise-linear functions, and the dual Minkowski pieces."""
+certifying convex piecewise-linear functions, and the dual Minkowski pieces,
+read off the functionals of that certificate."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .fans import face_fan
-from .lattice import (
-    LatticeError,
-    LatticePolytope,
-    convex_hull,
-    host_from_doc,
-    is_reflexive,
-    minkowski_sum,
-    polar_dual,
-    polytope_from_inequalities,
-    read_field,
-    read_keys,
-    read_list,
-)
+from .lattice import (InputError, LatticePolytope, convex_hull, host_from_doc,
+                      is_reflexive, read_field, read_int, read_keys, read_list)
 from .linalg import dot, solve
 
 
@@ -33,10 +23,12 @@ class NefPartition:
     """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope that
     validate_nef has certified: the function that is 1 on the vertices of
     each part and 0 on the others is linear on each cone of the face fan,
-    integral and convex."""
+    integral and convex.  functionals[i] is that function for part i: its
+    functional on each maximal cone of face_fan(host), in the fan's order."""
 
     host: LatticePolytope
     parts: tuple            # tuple of tuples of vertex indices
+    functionals: tuple      # per part, a tuple of int tuples
 
     @property
     def n_parts(self):
@@ -75,6 +67,7 @@ def validate_nef(host, parts):
     if sorted(seen) != list(range(nverts)):
         raise NefError("parts do not partition the vertex set")
     fan = face_fan(host)
+    functionals = []
     for idx, part in enumerate(parts):
         marked = {host.vertices[j] for j in part}
         pieces = [(c, solve([list(r) for r in c.rays],
@@ -95,28 +88,16 @@ def validate_nef(host, parts):
                         f"part {idx}: certificate not convex at cone {cone} "
                         f"against ray {ray}",
                         witness={"part": idx, "cone": cone, "ray": ray})
-    return NefPartition(host, tuple(tuple(p) for p in parts))
-
-
-def nabla(i, nef):
-    """The i-th dual piece {u : <u, v> >= -phi_i(v)} in the dual lattice,
-    where phi_i is 1 on the vertices of part i and 0 on the others."""
-    ineqs = [(v, int(j in nef.parts[i])) for j, v in enumerate(nef.host.vertices)]
-    try:
-        return polytope_from_inequalities(ineqs, ambient_rank=nef.host.ambient_rank)
-    except LatticeError as exc:
-        raise NefError(f"nabla piece {i} is not a lattice polytope: {exc}")
+        functionals.append(tuple(tuple(int(x) for x in m) for _, m in pieces))
+    return NefPartition(host, tuple(tuple(p) for p in parts), tuple(functionals))
 
 
 def nabla_pieces(nef):
-    """All dual pieces; checks the Minkowski decomposition of the polar dual."""
-    pieces = [nabla(i, nef) for i in range(nef.n_parts)]
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = minkowski_sum(total, p)
-    if total != polar_dual(nef.host):
-        raise NefError("Minkowski sum of the dual pieces is not the polar dual")
-    return pieces
+    """The dual pieces {u : <u, v> >= -phi_i(v)}, in part order.  phi_i is
+    the convex max of its functionals m_c, so the i-th piece is the hull of
+    the -m_c; the pieces sum to the host's polar dual (Batyrev-Borisov)."""
+    return [convex_hull([tuple(-x for x in m) for m in fs])
+            for fs in nef.functionals]
 
 
 def nabla_hull(pieces):
@@ -126,7 +107,20 @@ def nabla_hull(pieces):
 
 
 def nef_from_doc(doc, resolve_polytope):
+    """A nef partition document: {"polytope": a polytope document or the
+    name of one, "parts": [[vertex index, ...], ...]}, plus the optional
+    "split_last_points" that `lg` reads.  The indices point into
+    host.vertices, the hull's vertices in lex order, not the order in
+    which a polytope document lists them."""
     host = host_from_doc(doc, resolve_polytope)
-    parts = read_list(read_field(doc, "parts", list), "parts", read_list)
+    nverts = len(host.vertices)
+
+    def read_vertex(j, path):
+        if not 0 <= read_int(j, path) < nverts:
+            raise InputError(path, f"expected a vertex index below {nverts}, got {j!r}")
+        return j
+
+    parts = read_list(read_field(doc, "parts", list), "parts",
+                      lambda part, path: read_list(part, path, read_vertex))
     read_keys(doc, "", {"polytope", "parts", "split_last_points"})
     return validate_nef(host, parts)

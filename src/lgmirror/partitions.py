@@ -293,16 +293,16 @@ def build_F_Gamma(part, bound):
 # ---------------------------------------------------------------------------
 
 def lifting_polyhedron(part, functionals):
-    """The epigraph {(y, x) : x in host, y >= F(x)} of F = min of the piece
-    functionals (build_F_Gamma), in rank n + 1, as the `partition lift`
-    document {"rank", "inequalities", "recession_rays", "vertices",
-    "functionals"}.  Its inequalities, {"normal", "offset"} with
-    <normal, (y, x)> >= -offset, are y >= m_i(x) for every functional and
-    then the host facets."""
+    """The epigraph {(y, x) : x in host, y >= -F(x)} of the convex -F, for
+    the concave F = min of the piece functionals (build_F_Gamma), in rank
+    n + 1, as the `partition lift` document {"rank", "inequalities",
+    "recession_rays", "vertices", "functionals"}.  Its inequalities,
+    {"normal", "offset"} with <normal, (y, x)> >= -offset, are
+    y >= -m_i(x) for every functional and then the host facets."""
     n = part.host.ambient_rank
     ineqs = []
     for m in functionals:
-        ineqs.append(((1,) + tuple(-c for c in m), 0))
+        ineqs.append(((1,) + tuple(m), 0))
     for nrm, off in part.host.facets:
         ineqs.append(((0,) + tuple(nrm), off))
     verts, rays = polyhedron_generators(ineqs, ambient_rank=n + 1)

@@ -32,6 +32,7 @@ AWAITING = {
     "strata.anticanonical_curve_euler": "item 5: polytope euler",
     "linalg.nullspace": "item 10: bench/tracer.SPANS wraps it",
     "lattice.recession_rays": "item 10: bench/tracer.SPANS wraps it",
+    "lattice.polytope_from_inequalities": "item 10: bench/tracer.SPANS wraps it",
 }
 
 

@@ -34,7 +34,6 @@ from lgmirror.lattice import (
     is_simplicial,
     is_smooth,
     lattice_points,
-    minkowski_sum,
     polar_dual,
     polytope_from_doc,
     polytope_from_inequalities,
@@ -176,20 +175,6 @@ def test_simplicial_smooth(square, diamond, cube):
     # oracle for the diamond: edge primitives at (1,0) are (-1,1), (-1,-1)
     det = (-1) * (-1) - 1 * (-1)
     assert abs(det) == 2
-
-
-def test_minkowski_sum(square):
-    n1 = convex_hull([(-1, -1), (-1, 1), (0, -1), (0, 1)])
-    n2 = convex_hull([(0, 0), (1, 0)])
-    assert minkowski_sum(n1, n2) == square
-    origin = convex_hull([(0, 0)])
-    assert minkowski_sum(square, origin) == square
-    sx = convex_hull([(0, 0), (1, 0)])
-    sy = convex_hull([(0, 0), (0, 1)])
-    unit = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert minkowski_sum(sx, sy) == unit
-    with pytest.raises(LatticeError):
-        minkowski_sum(square, convex_hull([(0,), (1,)]))
 
 
 def test_volume(square, diamond, cube):

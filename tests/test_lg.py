@@ -38,11 +38,11 @@ def diamond_model(diamond):
 def test_nabla_pieces_are_built_once(monkeypatch):
     import lgmirror.nef as nef_mod
     calls = []
-    build = nef_mod.nabla
-    monkeypatch.setattr(nef_mod, "nabla",
-                        lambda i, nef: calls.append(i) or build(i, nef))
+    build = nef_mod.nabla_pieces
+    monkeypatch.setattr(nef_mod, "nabla_pieces",
+                        lambda nef: calls.append(nef.parts) or build(nef))
     assert main(["lg", "compactify", corpus_path("diamond-nef")]) == 0
-    assert calls == [0, 1]
+    assert calls == [((3, 2, 1), (0,))]
 
 
 def test_givental_monomial_supports(diamond_model):

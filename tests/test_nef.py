@@ -1,21 +1,32 @@
 import itertools
+import json
 import re
 from collections import Counter
 
 import pytest
 import sympy
-from tests_data_helpers import reflexive_polygons
+from tests_data_helpers import reflexive_polygons, vertex_splits
 
 from lgmirror.cli import main, resolve_polytope
-from lgmirror.lattice import convex_hull, lattice_points, minkowski_sum, polar_dual
-from lgmirror.nef import (
-    NefError,
-    nabla,
-    nabla_hull,
-    nabla_pieces,
-    nef_from_doc,
-    validate_nef,
-)
+from lgmirror.fans import face_fan
+from lgmirror.lattice import (InputError, convex_hull, lattice_points, polar_dual,
+                              polytope_from_inequalities)
+from lgmirror.linalg import dot
+from lgmirror.nef import NefError, nabla_hull, nabla_pieces, nef_from_doc, validate_nef
+
+
+def minkowski_sum(*pieces):
+    """Oracle: the hull of every sum of one vertex from each piece."""
+    return convex_hull([tuple(map(sum, zip(*vs)))
+                        for vs in itertools.product(*(p.vertices for p in pieces))])
+
+
+def inequality_piece(nef, i):
+    """Oracle: the i-th dual piece from its inequalities
+    {u : <u, v> >= -phi_i(v)} at the host's vertices, phi_i being 1 on the
+    vertices of part i and 0 on the others."""
+    ineqs = [(v, int(j in nef.parts[i])) for j, v in enumerate(nef.host.vertices)]
+    return polytope_from_inequalities(ineqs, ambient_rank=nef.host.ambient_rank)
 
 
 def brute_force_dual_piece(host, values, box=3):
@@ -38,7 +49,7 @@ def test_diamond_nef_partition(diamond):
 def test_single_part_always_nef(diamond, square):
     for p in (diamond, square):
         nef = validate_nef(p, [tuple(range(len(p.vertices)))])
-        assert nabla(0, nef) == polar_dual(p)
+        assert nabla_pieces(nef) == [polar_dual(p)]
 
 
 def test_square_diagonal_parts_fail_with_witness(square):
@@ -52,7 +63,7 @@ def test_cube_is_checked_on_its_non_simplicial_cones(cube):
     # vertices sorted: (-1,-1,-1), (-1,-1,1), ..., (1,1,1); every face fan
     # cone has four rays, so the values at a cone's rays may fit no functional
     nef = validate_nef(cube, [tuple(range(8))])
-    assert nabla(0, nef) == polar_dual(cube)
+    assert nabla_pieces(nef) == [polar_dual(cube)]
     for parts, what, cone in (
             ([(0,), tuple(range(1, 8))], "linear",
              [[-1, -1, -1], [-1, -1, 1], [-1, 1, -1], [-1, 1, 1]]),
@@ -112,6 +123,68 @@ def test_nef_on_polygon_corpus_single_part():
         hull = nabla_hull(nabla_pieces(nef))
         dual = polar_dual(p)
         assert all(dual.contains(v) for v in hull.vertices)
+
+
+def unit_simplex(rank):
+    """The simplex of P^rank: the unit vectors and minus their sum."""
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return convex_hull(units + [tuple([-1] * rank)])
+
+
+def test_dual_pieces_match_their_inequalities_on_every_split(cube):
+    # every split into 1, 2 or 3 parts of the polygons and of five hosts of
+    # rank 3 and 4; the cube's face fan is not simplicial
+    octahedron = convex_hull([tuple(s * int(i == j) for j in range(3))
+                              for i in range(3) for s in (1, -1)])
+    hosts = reflexive_polygons() + [cube, octahedron, unit_simplex(3),
+                                    polar_dual(unit_simplex(3)), unit_simplex(4)]
+    verdicts = Counter()
+    for host in hosts:
+        for parts in vertex_splits(len(host.vertices)):
+            try:
+                nef = validate_nef(host, parts)
+            except NefError:
+                verdicts["not nef"] += 1
+                continue
+            verdicts["nef"] += 1
+            pieces = nabla_pieces(nef)
+            assert pieces == [inequality_piece(nef, i) for i in range(len(parts))]
+            assert minkowski_sum(*pieces) == polar_dual(host), (host.vertices, parts)
+    assert verdicts == {"nef": 249, "not nef": 1404}
+
+
+def test_the_functionals_are_one_per_face_fan_cone(diamond):
+    nef = validate_nef(diamond, [(3, 2, 1), (0,)])
+    cones = face_fan(diamond).maximal_cones
+    assert len(nef.functionals) == 2
+    for i, fs in enumerate(nef.functionals):
+        assert len(fs) == len(cones)
+        marked = set(nef.part_vertices(i))
+        for m, c in zip(fs, cones):
+            assert all(type(x) is int for x in m)
+            assert [dot(m, r) for r in c.rays] == [int(r in marked) for r in c.rays]
+
+
+@pytest.mark.parametrize("index", [-1, 4, 7])
+def test_a_part_index_that_names_no_vertex_is_bad_input(tmp_path, capsys, index):
+    doc = {"polytope": "diamond", "parts": [[3, 2, 1], [0, index]]}
+    with pytest.raises(InputError) as err:
+        nef_from_doc(doc, resolve_polytope)
+    assert err.value.path == "parts[1][1]"
+    message = f"parts[1][1]: expected a vertex index below 4, got {index}"
+    assert str(err.value) == message
+    f = tmp_path / "nef.json"
+    f.write_text(json.dumps(doc))
+    assert main(["lg", "emit", str(f)]) == 3
+    assert capsys.readouterr() == ("", f"cannot read input: {message}\n")
+
+
+@pytest.mark.parametrize("parts", [[[3, 2, 1], [0, 1]], [[3, 2], [0]]])
+def test_a_repeated_or_missing_vertex_is_not_a_partition(tmp_path, capsys, parts):
+    f = tmp_path / "nef.json"
+    f.write_text(json.dumps({"polytope": "diamond", "parts": parts}))
+    assert main(["lg", "emit", str(f)]) == 2
+    assert capsys.readouterr() == ("", "error: parts do not partition the vertex set\n")
 
 
 def test_nef_document(diamond):

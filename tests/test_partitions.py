@@ -170,7 +170,7 @@ def test_lifting_vertical_split(vsplit):
     F = build_F_Gamma(vsplit, 10)
     lifted = lifting_polyhedron(vsplit, F)
     assert set(inequalities(lifted)) == {
-        ((1, 0, 0), 0), ((1, 1, 0), 0),
+        ((1, 0, 0), 0), ((1, -1, 0), 0),
         ((0, 1, 0), 1), ((0, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)}
     assert lifted["recession_rays"] == [[1, 0, 0]]
     assert lifted["functionals"] == [[0, 0], [-1, 0]]
@@ -185,13 +185,14 @@ def test_lifting_trivial(square):
     assert lifting_projection_check(part, lifted)["ok"]
 
 
-def test_lifting_projection_reflected_three_pieces(tsigma_part):
-    # With three or more pieces the faces of the epigraph bend along the
-    # reflected certificate; the reflected lifting projects onto the
-    # partition faces while the literal one need not.
-    reflected = tuple(tuple(-c for c in m) for m in build_F_Gamma(tsigma_part, 10))
-    lifted = lifting_polyhedron(tsigma_part, reflected)
-    assert lifting_projection_check(tsigma_part, lifted)["ok"]
+def test_lifting_projection_three_pieces(tsigma_part, capsys):
+    # The lift is the epigraph of the convex -F: with three pieces, the
+    # epigraph of max m_i would bend along faces of no piece.
+    assert main(["partition", "lift", corpus_path("tsigma-3piece"),
+                 "--format", "json"]) == 0
+    lifted = json.loads(capsys.readouterr().out)
+    check = lifting_projection_check(tsigma_part, lifted)
+    assert check["ok"] and check["checked"] > 0
 
 
 def test_central_frame_vertical_split(vsplit):

@@ -1,8 +1,9 @@
 """Builders for consistency-constructed spectral-sequence inputs, and the
 shared test oracles: the reflexive polygons, unimodular images, normalized
 volumes, cone faces and the pairwise fan check, relabelled Euler data and
-abutment checks; the partition documents whose pieces do not tile their
-host, and the ones that take the central-frame path beyond rank 1.
+abutment checks; the splits of a vertex set and the nef documents of the
+polygons; the partition documents whose pieces do not tile their host, and
+the ones that take the central-frame path beyond rank 1.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -35,6 +36,29 @@ def reflexive_polygons():
     """The 16 reflexive polygons up to GL(2, Z), from the benchmark's
     hard-coded list."""
     return [convex_hull(verts) for verts in POLYGONS.values()]
+
+
+def vertex_splits(n, most=3):
+    """Every split of range(n) into 1 to `most` nonempty parts, once each:
+    the parts in the order of their least index, each in ascending order."""
+    def grow(labels):
+        if len(labels) == n:
+            return [[tuple(j for j in range(n) if labels[j] == k)
+                     for k in range(max(labels) + 1)]]
+        return [split for k in range(min(max(labels) + 2, most))
+                for split in grow(labels + [k])]
+    return grow([0])
+
+
+def polygon_nef_documents():
+    """{name: document} of a nef document, inline polygon and parts, for
+    every split of each reflexive polygon's vertices into 1, 2 or 3 parts,
+    nef or not."""
+    return {f"{name}-{'-'.join(''.join(map(str, p)) for p in parts)}":
+            {"polytope": {"rank": 2, "vertices": [list(v) for v in poly.vertices]},
+             "parts": [list(p) for p in parts]}
+            for name, poly in zip(POLYGONS, reflexive_polygons())
+            for parts in vertex_splits(len(poly.vertices))}
 
 
 def apply_unimodular(p, U, shift=None):
