@@ -4,6 +4,10 @@ Exit codes: 0 on success (including negative query answers), 2 on validation
 or check failure, 3 on unreadable or malformed input (an unknown key, a file
 of the wrong side for its slot, two sides of different shape) or on a command
 line that cannot run.
+
+A command imports only argparse, json, fractions (with the standard modules
+they import themselves) and the package; a heavier module, such as
+importlib.resources for the bundled data, is imported where it is used.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 
 from . import lattice, partitions, nef as nef_mod, lg as lg_mod
 from . import strata as strata_mod, spectral
@@ -34,6 +37,7 @@ class CliUsageError(Exception):
 
 
 def data_dir():
+    from importlib import resources
     return resources.files("lgmirror") / "data"
 
 

@@ -15,7 +15,7 @@ Loera, Rambau & Santos, Triangulations, 2010, 4.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lattice import (
     boundary_lattice_points,
@@ -32,16 +32,14 @@ class FanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(namedtuple("Cone", "rays ambient_rank")):
     """Strongly convex rational cone with primitive, canonically ordered rays.
 
     Cone(rays, rank) trusts that the rays are sorted, primitive and
     extreme; from_rays makes them so.
     """
 
-    rays: tuple
-    ambient_rank: int
+    __slots__ = ()
 
     @staticmethod
     def from_rays(rays, ambient_rank):
@@ -61,8 +59,7 @@ class Cone:
                     ambient_rank)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "ambient_rank maximal_cones")):
     """Fan given by its maximal cones.
 
     from_cones takes the maximal cones only; it drops repeats and sorts.  It
@@ -71,8 +68,7 @@ class Fan:
     central_frame does.
     """
 
-    ambient_rank: int
-    maximal_cones: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_cones(cones, ambient_rank):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -133,18 +133,38 @@ def host_from_doc(doc, resolve_polytope):
     return resolve_polytope(poly)
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
-    """Convex lattice polytope with consistent V- and H-representations."""
+    """Convex lattice polytope with consistent V- and H-representations.
 
-    ambient_rank: int
-    vertices: tuple          # tuple of integer coordinate tuples, lex sorted
-    facets: tuple            # tuple of (normal tuple, offset int)
-    equations: tuple = ()    # tuple of (normal tuple, value int): <n,x> == value
-    name: str = ""
-    # incidence[i]: the indices of the vertices on facets[i]
-    incidence: tuple = field(default=(), repr=False, compare=False)
-    _faces: tuple = field(default=None, init=False, repr=False, compare=False)
+    Equal, and hashed alike, when ambient_rank and vertices agree.  A field
+    cannot be assigned; the face lattice is kept in _faces on first use.
+    """
+
+    __slots__ = ("ambient_rank", "vertices", "facets", "equations", "name",
+                 "incidence", "_faces")
+
+    def __init__(self, ambient_rank, vertices, facets, equations=(), name="",
+                 incidence=()):
+        put = object.__setattr__
+        put(self, "ambient_rank", ambient_rank)
+        put(self, "vertices", vertices)    # integer coordinate tuples, lex sorted
+        put(self, "facets", facets)        # (normal tuple, offset int) pairs
+        put(self, "equations", equations)  # (normal tuple, value int): <n,x> == value
+        put(self, "name", name)
+        # incidence[i]: the indices of the vertices on facets[i]
+        put(self, "incidence", incidence)
+        put(self, "_faces", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return (f"LatticePolytope(ambient_rank={self.ambient_rank!r}, "
+                f"vertices={self.vertices!r}, facets={self.facets!r}, "
+                f"equations={self.equations!r}, name={self.name!r})")
 
     def all_faces(self):
         """Every nonempty face, built by face_lattice on first use and kept."""
@@ -179,13 +199,10 @@ class LatticePolytope:
         return hash((self.ambient_rank, self.vertices))
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "polytope vertex_indices dimension")):
     """A face of a polytope, recorded by vertex indices."""
 
-    polytope: LatticePolytope
-    vertex_indices: tuple
-    dimension: int
+    __slots__ = ()
 
     def vertices(self):
         return tuple(self.polytope.vertices[i] for i in self.vertex_indices)

@@ -8,7 +8,7 @@ Coefficients stay symbolic throughout ("a_(p,q)" tagged by the lattice point,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lattice import (
     boundary_lattice_points,
@@ -58,14 +58,13 @@ def equation_text(eq):
     return "".join(out) + " = 0"
 
 
-@dataclass
-class HybridLGModel:
+class HybridLGModel(namedtuple("HybridLGModel", "constraints potentials delta_pieces")):
     """Torus constraints and potentials built from a nef partition, each
-    Laurent polynomial given by its lex-sorted support."""
+    Laurent polynomial given by its lex-sorted support: the support per
+    constraint part, the support per potential part, and Conv(0 u E_i) per
+    part, constraint parts first."""
 
-    constraints: tuple  # support per constraint part
-    potentials: tuple   # support per potential part
-    delta_pieces: tuple  # Conv(0 u E_i) per part, constraint parts first
+    __slots__ = ()
 
 
 def givental_hybrid(nef, k, r):

@@ -4,11 +4,11 @@ read off the functionals of that certificate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fans import face_fan
-from .lattice import (InputError, LatticePolytope, convex_hull, host_from_doc,
-                      is_reflexive, read_field, read_int, read_keys, read_list)
+from .lattice import (InputError, convex_hull, host_from_doc, is_reflexive,
+                      read_field, read_int, read_keys, read_list)
 from .linalg import dot, solve
 
 
@@ -18,17 +18,16 @@ class NefError(ValueError):
         self.witness = witness
 
 
-@dataclass
-class NefPartition:
+class NefPartition(namedtuple("NefPartition", "host parts functionals")):
     """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope that
     validate_nef has certified: the function that is 1 on the vertices of
     each part and 0 on the others is linear on each cone of the face fan,
     integral and convex.  functionals[i] is that function for part i: its
-    functional on each maximal cone of face_fan(host), in the fan's order."""
+    functional on each maximal cone of face_fan(host), in the fan's order.
+    parts: a tuple of tuples of vertex indices; functionals: per part, a
+    tuple of int tuples."""
 
-    host: LatticePolytope
-    parts: tuple            # tuple of tuples of vertex indices
-    functionals: tuple      # per part, a tuple of int tuples
+    __slots__ = ()
 
     @property
     def n_parts(self):

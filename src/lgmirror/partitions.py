@@ -10,7 +10,7 @@ meet or share a face is read off vertex_owners.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fans import (
     Cone,
@@ -24,7 +24,6 @@ from .fans import (
 from .lattice import (
     InputError,
     LatticeError,
-    LatticePolytope,
     carrier,
     convex_hull,
     facet_masks,
@@ -46,10 +45,8 @@ class PartitionError(ValueError):
     pass
 
 
-@dataclass
-class SemistablePartition:
-    host: LatticePolytope
-    pieces: tuple
+class SemistablePartition(namedtuple("SemistablePartition", "host pieces")):
+    __slots__ = ()
 
 
 def check_tiling(part):
@@ -325,14 +322,15 @@ def lifting_polyhedron(part, functionals):
 # Central frame and fibration fans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CentralFrame:
-    l: int
-    L_basis: tuple          # rows spanning the common-face direction lattice
-    quotient: tuple         # rows of the projection M -> M / (M cap L)
-    v_quotient: tuple       # primitive quotient rays, one per piece (absent ray)
-    v_vectors: tuple        # primitive ambient representatives in L-perp
-    sigma_v: Fan            # complete simplicial fan of the projected pieces
+class CentralFrame(namedtuple("CentralFrame", "l L_basis quotient v_quotient "
+                                               "v_vectors sigma_v")):
+    """L_basis: rows spanning the common-face direction lattice; quotient:
+    rows of the projection M -> M / (M cap L); v_quotient: primitive
+    quotient rays, one per piece (absent ray); v_vectors: primitive ambient
+    representatives in L-perp; sigma_v: the complete simplicial fan of the
+    projected pieces."""
+
+    __slots__ = ()
 
     def project(self, x):
         return tuple(dot(q, x) for q in self.quotient)
@@ -417,13 +415,9 @@ def central_frame(part):
                         tuple(q_rows), tuple(v_quot), tuple(v_amb), sigma_v)
 
 
-@dataclass
-class FibrationFans:
-    sigma_delta: Fan
-    sigma_prime: Fan
-    sigma_gamma: Fan
-    sigma_v: Fan
-    added_rays: tuple
+class FibrationFans(namedtuple("FibrationFans", "sigma_delta sigma_prime "
+                                                 "sigma_gamma sigma_v added_rays")):
+    __slots__ = ()
 
     def to_doc(self):
         return {

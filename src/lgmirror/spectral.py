@@ -22,10 +22,9 @@ the `build_*_E1` functions are single calls into it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple
 
 from .lattice import InputError, read_count, read_field, read_index_set, read_keys
 from .linalg import identity, mat_mul, rank, sign, transpose
@@ -45,7 +44,6 @@ def _sign_in(larger, x):
     return sign(sorted(larger).index(x))
 
 
-@dataclass
 class StrataComplexData:
     """Graded dimensions per index set plus the structure-map matrices.
 
@@ -57,13 +55,25 @@ class StrataComplexData:
     target basis vector.
     """
 
-    n: int
-    side: str
-    strata: dict          # frozenset -> {degree: dim}
-    hodge: dict           # frozenset -> {degree: {label: dim}} (may be empty)
-    maps: dict            # (kind, frozenset, frozenset, degree) -> matrix
-    pairings: dict = field(default_factory=dict)  # (frozenset, degree) -> matrix
-    defaulted_gysin: list = field(default_factory=list)
+    __slots__ = ("n", "side", "strata", "hodge", "maps", "pairings",
+                 "defaulted_gysin")
+
+    def __init__(self, n, side, strata, hodge, maps, pairings=None,
+                 defaulted_gysin=None):
+        self.n = n
+        self.side = side
+        self.strata = strata    # frozenset -> {degree: dim}
+        self.hodge = hodge      # frozenset -> {degree: {label: dim}} (may be empty)
+        self.maps = maps        # (kind, frozenset, frozenset, degree) -> matrix
+        # (frozenset, degree) -> matrix
+        self.pairings = {} if pairings is None else pairings
+        self.defaulted_gysin = [] if defaulted_gysin is None else defaulted_gysin
+
+    def __repr__(self):
+        return (f"StrataComplexData(n={self.n!r}, side={self.side!r}, "
+                f"strata={self.strata!r}, hodge={self.hodge!r}, "
+                f"maps={self.maps!r}, pairings={self.pairings!r}, "
+                f"defaulted_gysin={self.defaulted_gysin!r})")
 
     @property
     def components(self):
@@ -130,7 +140,6 @@ class StrataComplexData:
 # Bigraded pages
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BigradedPage:
     """First page of a spectral sequence with differentials along rows.
 
@@ -142,11 +151,18 @@ class BigradedPage:
     final graded dimensions.
     """
 
-    name: str
-    terms: dict
-    diff: dict
-    grading_note: str = ""
-    _e2: dict = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "terms", "diff", "grading_note", "_e2")
+
+    def __init__(self, name, terms, diff, grading_note=""):
+        self.name = name
+        self.terms = terms
+        self.diff = diff
+        self.grading_note = grading_note
+        self._e2 = None
+
+    def __repr__(self):
+        return (f"BigradedPage(name={self.name!r}, terms={self.terms!r}, "
+                f"diff={self.diff!r}, grading_note={self.grading_note!r})")
 
     def term_dim(self, p, q):
         return sum(d for _, d in self.terms.get((p, q), []))
@@ -191,29 +207,21 @@ class BigradedPage:
 # Page specs and the driver
 # ---------------------------------------------------------------------------
 
-class MapRule(NamedTuple):
+class MapRule(namedtuple("MapRule", "kind larger target twist")):
     """One structure-map kind in d1.  `larger`: the map inserts an index x
     (I -> I + {x}), else it omits one (I -> I - {x}).  `target(key, J)` is the
     target block key, which also fixes the target degree; `twist(p)` is the
     int sign multiplying the Mayer-Vietoris sign of x."""
 
-    kind: str
-    larger: bool
-    target: Callable
-    twist: Callable
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PageSpec:
+class PageSpec(namedtuple("PageSpec", "name side grading_note place maps")):
     """A first page: which side's data it reads, where the degree-deg group
     of stratum I sits (`place(I, deg, components)` yields (p, q, block key)),
     and the map rules whose signed sum is d1."""
 
-    name: str
-    side: str
-    grading_note: str
-    place: Callable
-    maps: tuple
+    __slots__ = ()
 
 
 def _untwisted(p):
@@ -519,13 +527,12 @@ def check_mirror_pw(deg_data, hyb_data, mode):
 # Cubical comparison
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CubicalData:
-    """Dimensions and structure maps of a cubical diagram at a fixed label."""
+class CubicalData(namedtuple("CubicalData", "label entries maps")):
+    """Dimensions and structure maps of a cubical diagram at a fixed label:
+    entries maps frozenset -> dim, maps (frozenset from, frozenset to) ->
+    matrix."""
 
-    label: int
-    entries: dict   # frozenset -> dim
-    maps: dict      # (frozenset from, frozenset to) -> matrix
+    __slots__ = ()
 
     def index_sets(self):
         return sorted(self.entries, key=lambda s: (len(s), sorted(s)))

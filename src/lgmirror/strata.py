@@ -8,7 +8,7 @@ genus-by-interior-points helper for anticanonical curves in surfaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lattice import (InputError, interior_lattice_points, is_reflexive,
                       read_count, read_field, read_index_set, read_keys, read_list)
@@ -19,15 +19,16 @@ class StrataError(ValueError):
     pass
 
 
-@dataclass
-class StrataEuler:
-    """Integer Euler numbers e(X_I) (or e(Y_I)) per nonempty index set."""
+class StrataEuler(namedtuple("StrataEuler", "n components side entries zero_strata",
+                             defaults=(frozenset(),))):
+    """Integer Euler numbers e(X_I) (or e(Y_I)) per nonempty index set.
 
-    n: int                 # complex dimension of the smooth side
-    components: int        # number of components, N + 1
-    side: str              # "degeneration" | "hybrid"
-    entries: dict          # frozenset(I) -> int
-    zero_strata: frozenset = frozenset()  # index sets declared empty
+    n: complex dimension of the smooth side; components: their number,
+    N + 1; side: "degeneration" or "hybrid"; entries: frozenset(I) -> int;
+    zero_strata: the index sets declared empty.
+    """
+
+    __slots__ = ()
 
     def e(self, I):
         I = frozenset(I)

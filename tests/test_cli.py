@@ -1,4 +1,7 @@
 import argparse
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import corpus_path
@@ -36,6 +39,25 @@ ARGV_SHAPES = (
         corpus_path("elliptic-hyb-complex")],
        ["corpus"], ["corpus", "square"], ["corpus", "square", "cube"]]
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Each of these costs milliseconds of every command line, and reading one
+# needs none of them.
+HEAVY_MODULES = ("dataclasses", "inspect", "typing", "importlib.resources")
+
+
+def test_a_command_line_starts_without_heavy_modules():
+    """`python -S` skips the site .pth files, which may import these first
+    and so hide an import that lgmirror makes."""
+    code = ("import sys, lgmirror.cli\n"
+            "lgmirror.cli.build_parser()\n"
+            f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def _run(argv, capsys):

@@ -18,10 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 from tests_data_helpers import cone_hrep, normalized_volume, reflexive_polygons
 
 from lgmirror.cli import main
-from lgmirror.fans import Cone, FanError
+from lgmirror.fans import Cone, FanError, face_fan
 from lgmirror.lattice import (
     InputError,
     LatticeError,
+    LatticePolytope,
     boundary_lattice_points,
     carrier,
     convex_hull,
@@ -101,6 +102,29 @@ def test_faces_counts(square, cube):
     assert len(faces(cube, 0)) == 8
     with pytest.raises(LatticeError):
         faces(square, 3)
+
+
+def test_polytope_equality_and_hash_ignore_name_and_incidence(square):
+    bare = LatticePolytope(square.ambient_rank, square.vertices, square.facets,
+                           square.equations)
+    assert (bare.name, bare.incidence) != (square.name, square.incidence)
+    assert bare == square and hash(bare) == hash(square)
+
+
+def test_the_face_lattice_is_kept_after_its_first_use(square):
+    assert square.all_faces() is square.all_faces()
+
+
+@pytest.mark.parametrize("record,field", [
+    ("polytope", "vertices"), ("face", "vertex_indices"),
+    ("cone", "rays"), ("fan", "maximal_cones")])
+def test_geometric_records_refuse_assignment(square, record, field):
+    fan = face_fan(square)
+    obj = {"polytope": square, "face": square.all_faces()[0],
+           "cone": fan.maximal_cones[0], "fan": fan}[record]
+    with pytest.raises(AttributeError):
+        setattr(obj, field, ())
+    assert getattr(obj, field) != ()
 
 
 def test_face_vertex_sets(square):

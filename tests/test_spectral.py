@@ -2,7 +2,6 @@ import functools
 import itertools
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 import complex_reference
@@ -46,7 +45,7 @@ fs = frozenset
 
 def with_twist(spec, kind, twist):
     """The spec with the twist of every `kind` map replaced."""
-    return replace(spec, maps=tuple(
+    return spec._replace(maps=tuple(
         rule._replace(twist=twist) if rule.kind == kind else rule
         for rule in spec.maps))
 
