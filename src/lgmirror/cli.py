@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import lattice, partitions, nef as nef_mod, lg as lg_mod
 from . import strata as strata_mod, spectral
@@ -50,15 +51,20 @@ def resolve_polytope(name):
     path = data_dir() / f"{name}.json"
     if not path.is_file():
         raise FileNotFoundError(f"no bundled polytope named '{name}'")
-    return lattice.polytope_from_doc(json.loads(path.read_text()))
+    return lattice.polytope_from_doc(json.loads(path.read_text(encoding="utf-8")))
 
 
 def _load_json(path):
+    """The JSON document in the file at path.  Bytes that are not UTF-8, a
+    nesting deeper than the parser's recursion limit and an int literal
+    longer than int() accepts are InputErrors naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(path, str(exc)) from None
 
 
 def _load_side(loader, path, side, slot):
@@ -80,12 +86,47 @@ def _same_shape(deg, hyb, count, slots):
             raise InputError(where, f"{slots[0]} has {a}, {slots[1]} has {b}")
 
 
+def _json_text(value, indent="\n"):
+    """value as json.dumps writes it with sort_keys and an indent of 2, for
+    the exact types dict with str keys, list, tuple, str, int, bool and
+    None; any other type, a float among them, is a TypeError, so no report
+    writes one.  indent is a newline and the indent of value's line."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        for x in value:
+            if type(x) is not int:
+                items = [_json_text(x, inner) for x in value]
+                break
+        else:  # a list of ints, the common case
+            items = map(int.__repr__, value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        for k in value:
+            if type(k) is not str:
+                raise TypeError(f"cannot write a key of type {type(k).__name__} as JSON")
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(value[k], inner)
+             for k in sorted(value)]) + indent + "}"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot write a value of type {kind.__name__} as JSON")
+
+
 def emit(payload, fmt, text_renderer=None):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text_renderer(payload) if text_renderer else
-              json.dumps(payload, indent=2, sort_keys=True))
+    print(text_renderer(payload) if fmt != "json" and text_renderer
+          else _json_text(payload))
 
 
 # ---------------------------------------------------------------------------

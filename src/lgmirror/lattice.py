@@ -13,7 +13,9 @@ the homogenised inequality system (polyhedron_generators).  It returns each
 ray with the bitmask of the constraints tight on it: for convex_hull, a
 facet with the points on it.  convex_hull reads the vertices off those
 masks and keeps the facet-vertex incidence on the polytope: which vertex
-lies on which facet is read there, never evaluated again.  Every face
+lies on which facet is read there, never evaluated again.  polar_dual
+builds no second hull: it reads the polar off the facets, the vertices and
+the transposed incidence of its reflexive polytope.  Every face
 query reads one face lattice per polytope, built by face_lattice on first
 use and kept on the polytope (LatticePolytope.all_faces).
 """
@@ -330,12 +332,22 @@ def reflexivity_diagnostic(p):
 
 
 def polar_dual(p):
-    """Polar dual of a reflexive polytope; vertices are the facet normals."""
+    """Polar dual of a reflexive polytope, read off p without a hull.
+
+    Its vertices are the facet normals of p, in p.facets order, which is
+    lex order.  Its facets are <v, y> >= -1 for the vertices v of p, in
+    their lex order; v is primitive, as p is reflexive.  Its vertex j lies
+    on its facet i exactly when vertex i of p lies on facet j of p, so its
+    incidence is that of p transposed.
+    """
     if not is_reflexive(p):
         raise LatticeError(f"polar dual requires a reflexive polytope: "
                            f"{reflexivity_diagnostic(p)}")
-    return convex_hull([n for n, _ in p.facets],
-                       name=f"{p.name}*" if p.name else "")
+    incidence = tuple(frozenset(j for j, s in enumerate(p.incidence) if i in s)
+                      for i in range(len(p.vertices)))
+    return LatticePolytope(p.ambient_rank, tuple(n for n, _ in p.facets),
+                           tuple((v, 1) for v in p.vertices), (),
+                           f"{p.name}*" if p.name else "", incidence)
 
 
 def is_simplicial(p):

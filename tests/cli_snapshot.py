@@ -30,6 +30,9 @@ and calls lgmirror.cli.main in-process on:
 - tests_data_helpers.ASYMMETRIC_GYSIN through `ss monodromy`, and
   tests_data_helpers.HODGE_AT_A_ZERO_DEGREE through `ss pw` against
   elliptic-hyb-complex in both modes, in both output formats;
+- the files of tests_data_helpers.UNREADABLE_FILES, which json.load cannot
+  read, through `polytope points`, `partition validate`, `lg emit` and
+  `ss weight`;
 - the help, usage and error shapes and the other spellings of
   test_cli.ARGV_SHAPES, with COLUMNS=80, so that argparse wraps the same
   way on every terminal.  They name corpus files by absolute path, which
@@ -95,8 +98,8 @@ def snapshot(src):
     from lgmirror import cli
     import workloads
     from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH,
-                                    HODGE_AT_A_ZERO_DEGREE, NON_TILING, edit_document,
-                                    polygon_nef_documents)
+                                    HODGE_AT_A_ZERO_DEGREE, NON_TILING, UNREADABLE_FILES,
+                                    edit_document, polygon_nef_documents)
 
     calls = {}
     cwd = os.getcwd()
@@ -169,6 +172,12 @@ def snapshot(src):
                     argv = ["ss", "pw", "zero-degree.json", "elliptic-hyb-complex.json",
                             "--mode", mode, "--format", fmt]
                     calls["hodge-at-a-zero-degree " + " ".join(argv)] = run(cli.main, argv)
+            for name, content in UNREADABLE_FILES.items():
+                with open(name, "wb") as fh:
+                    fh.write(content)
+                for argv in (["polytope", "points", name], ["partition", "validate", name],
+                             ["lg", "emit", name], ["ss", "weight", name]):
+                    calls["unreadable " + " ".join(argv)] = run(cli.main, argv)
             os.chdir(cwd)
         from test_cli import ARGV_SHAPES
         data = str(cli.data_dir())

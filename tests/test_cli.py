@@ -1,11 +1,15 @@
 import argparse
+import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 from conftest import corpus_path
 from hypothesis import given, settings, strategies as st
+from tests_data_helpers import UNREADABLE_FILES
 
 from lgmirror import cli
 from lgmirror.cli import COMMANDS, main
@@ -160,3 +164,74 @@ def test_lg_emit_rejects_lambda(capsys):
     assert capsys.readouterr() == ("", (
         "error: --lambda names the fiber parameters of lg compactify; "
         "lg emit takes none\n"))
+
+
+def _unreadable_message(name, path):
+    if name == "syntax-error.json":  # json's own message, as before
+        return (f"JSONDecodeError('{path}: Expecting property name enclosed in "
+                f"double quotes: line 1 column 12 (char 11)')")
+    return f"{path}: " + {
+        "latin-1.json": "'utf-8' codec can't decode byte 0xe9 in position 21: "
+                        "invalid continuation byte",
+        "deep.json": "maximum recursion depth exceeded while decoding a JSON "
+                     "array from a unicode string",
+        "long-int.json": "Exceeds the limit (4300 digits) for integer string "
+                         "conversion: value has 5000 digits; use "
+                         "sys.set_int_max_str_digits() to increase the limit",
+    }[name]
+
+
+@pytest.mark.parametrize("name", UNREADABLE_FILES)
+def test_a_file_json_cannot_read_exits_3_naming_it(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(UNREADABLE_FILES[name])
+    message = _unreadable_message(name, path)
+    for argv in (["polytope", "points", str(path)], ["ss", "weight", str(path)]):
+        assert _run(argv, capsys) == (3, "", f"cannot read input: {message}\n")
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# every str json.dumps escapes: non-ASCII, control characters, lone surrogates
+_TEXT = st.text(st.characters(blacklist_categories=()))
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(-10 ** 60, 10 ** 60) | _TEXT)
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                            | st.dictionaries(_TEXT, inner)
+                            | st.lists(st.integers(-10 ** 30, 10 ** 30))),
+    max_leaves=40)
+
+
+@settings(max_examples=400)
+@given(_VALUES)
+def test_the_writer_writes_what_json_dumps_writes(value):
+    assert cli._json_text(value) == _dumps(value)
+
+
+def test_the_writer_matches_json_dumps_on_every_corpus_payload(monkeypatch):
+    from cli_snapshot import ONE_FILE_ACTIONS, TWO_FILE_CALLS
+    payloads = []
+    monkeypatch.setattr(cli, "emit", lambda payload, fmt, text_renderer=None:
+                        payloads.append(payload))
+    monkeypatch.chdir(cli.data_dir())
+    for name in cli.corpus_names():
+        for command, actions in ONE_FILE_ACTIONS.items():
+            for action in actions:
+                main([command, action, f"{name}.json", "--format", "json"])
+    for call in TWO_FILE_CALLS:
+        main([*call, "--format", "json"])
+    assert len(payloads) == 51  # the corpus commands that print a report
+    for payload in payloads:
+        assert cli._json_text(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (0.5, "float"), (Fraction(1, 2), "Fraction"), ({1: 2}, "int"),
+    ({1, 2}, "set"), (namedtuple("Pair", "a b")(1, 2), "Pair"),
+    ({"points": [[0, 0], [1, 0.0]]}, "float")])
+def test_the_writer_refuses_what_no_report_holds(value, kind):
+    with pytest.raises(TypeError, match=f"of type {kind} as JSON"):
+        cli._json_text(value)

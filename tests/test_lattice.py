@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 import sympy
 from conftest import corpus_doc, corpus_path
-from geometry import POLYGONS
+from geometry import POLYGONS, polygon_factor, product
 from hypothesis import example, given, settings, strategies as st
 from tests_data_helpers import cone_hrep, normalized_volume, reflexive_polygons
 
@@ -184,6 +184,46 @@ def test_polar_dual_square_diamond(square, diamond):
     assert polar_dual(diamond) == square
     with pytest.raises(LatticeError):
         polar_dual(convex_hull([(2, 2), (2, -2), (-2, 2), (-2, -2)]))
+
+
+def hull_route_polar(p):
+    """Oracle: the polar as the hull of the facet normals of p."""
+    return convex_hull([n for n, _ in p.facets], name=f"{p.name}*" if p.name else "")
+
+
+POLYTOPE_FIELDS = ("ambient_rank", "vertices", "facets", "equations", "name",
+                   "incidence")
+
+
+def fields(p, names=POLYTOPE_FIELDS):
+    return {name: getattr(p, name) for name in names}
+
+
+def polar_hosts():
+    """The 16 polygons (named), their prisms, the 136 unordered products of
+    two of them, the cube and the 4-cross-polytope."""
+    polygons = [convex_hull(v, name=name) for name, v in POLYGONS.items()]
+    prisms = [convex_hull([v + (h,) for v in p.vertices for h in (-1, 1)])
+              for p in polygons]
+    products = [convex_hull(product([polygon_factor(a), polygon_factor(b)]).vertices)
+                for a, b in itertools.combinations_with_replacement(POLYGONS.values(), 2)]
+    cube = convex_hull(list(itertools.product((-1, 1), repeat=3)), name="cube")
+    cross = convex_hull([tuple(s * (i == j) for j in range(4))
+                         for i in range(4) for s in (-1, 1)])
+    return polygons + prisms + products + [cube, cross]
+
+
+def test_polar_dual_is_the_hull_of_the_facet_normals():
+    hosts = polar_hosts()
+    assert len(hosts) == 16 + 16 + 136 + 2
+    for p in hosts:
+        dual = polar_dual(p)
+        assert fields(dual) == fields(hull_route_polar(p)), p.vertices
+        # the polar of the polar is p, but for the name's two stars
+        back = polar_dual(dual)
+        unnamed = [name for name in POLYTOPE_FIELDS if name != "name"]
+        assert fields(back, unnamed) == fields(p, unnamed)
+        assert back.name == (f"{p.name}**" if p.name else "")
 
 
 def test_polar_dual_simplex_involution():

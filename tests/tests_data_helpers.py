@@ -242,6 +242,17 @@ ASYMMETRIC_GYSIN = {
 }
 
 
+# Input files that json.load cannot read, by file name: bytes that are not
+# UTF-8, a nesting deeper than the parser's recursion limit, an int literal
+# longer than int() accepts, and a syntax error.
+UNREADABLE_FILES = {
+    "latin-1.json": b'{"rank": 2, "name": "\xe9"}',
+    "deep.json": b"[" * 100_000,
+    "long-int.json": b'{"rank": ' + b"1" * 5000 + b"}",
+    "syntax-error.json": b'{"rank": 2,',
+}
+
+
 def edit_document(doc, path, action, value):
     """Apply one COMPLEX_EDITS action to doc, in place, and return it."""
     *head, last = path
