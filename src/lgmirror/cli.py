@@ -137,15 +137,15 @@ def cmd_polytope(args):
     p = lattice.polytope_from_doc(_load_json(args.file))
     fmt = args.format
     if args.action == "dual":
-        if not lattice.is_reflexive(p):
-            raise CliValidationFailure(
-                f"not reflexive: {lattice.reflexivity_diagnostic(p)}")
-        emit(lattice.polytope_to_doc(lattice.polar_dual(p)), "json")
+        try:
+            dual = lattice.polar_dual(p)
+        except LatticeError as exc:
+            raise CliValidationFailure(exc) from None
+        emit(lattice.polytope_to_doc(dual), "json")
     elif args.action == "reflexive":
-        verdict = lattice.is_reflexive(p)
-        emit({"reflexive": verdict,
-              "diagnostic": lattice.reflexivity_diagnostic(p)}, fmt,
-             lambda d: str(d["reflexive"]).lower())
+        diagnostic = lattice.reflexivity_diagnostic(p)
+        emit({"reflexive": diagnostic == "reflexive", "diagnostic": diagnostic},
+             fmt, lambda d: str(d["reflexive"]).lower())
     elif args.action == "points":
         pts = lattice.lattice_points(p)
         interior = lattice.interior_lattice_points(p)

@@ -340,9 +340,9 @@ def polar_dual(p):
     on its facet i exactly when vertex i of p lies on facet j of p, so its
     incidence is that of p transposed.
     """
-    if not is_reflexive(p):
-        raise LatticeError(f"polar dual requires a reflexive polytope: "
-                           f"{reflexivity_diagnostic(p)}")
+    diagnostic = reflexivity_diagnostic(p)
+    if diagnostic != "reflexive":
+        raise LatticeError(f"not reflexive: {diagnostic}")
     incidence = tuple(frozenset(j for j, s in enumerate(p.incidence) if i in s)
                       for i in range(len(p.vertices)))
     return LatticePolytope(p.ambient_rank, tuple(n for n, _ in p.facets),

@@ -111,9 +111,9 @@ def _lambda_term(name, nabla_piece, rays):
 
 def compactify_fiber(model, nabla_pieces, lam=None, split=None):
     """Homogeneous equations of a compactified fiber, given the dual pieces
-    of the nef partition in part order, which nef.nabla_pieces reads off
-    the functionals validate_nef solved.  The coordinates z_sigma run over
-    the boundary lattice points sigma of their hull.
+    of the nef partition in part order (nef.nabla_pieces, read off the
+    rays of validate_nef's dual Cayley cone).  The coordinates z_sigma
+    run over the boundary lattice points sigma of their hull.
 
     Constraint i: sum over Delta_i of a_rho z^(<sigma,rho> - sigma_min_i).
     Potential j: lambda_j times the product of the nonzero dual-piece

@@ -1,15 +1,13 @@
-"""Nef partitions of a reflexive polytope's vertex set, their check by the
-certifying convex piecewise-linear functions, and the dual Minkowski pieces,
-read off the functionals of that certificate."""
+"""Nef partitions of a reflexive polytope's vertex set, decided by one dual
+Cayley cone, whose rays at height one are the vertices of the dual
+Minkowski pieces (Batyrev-Borisov)."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .fans import face_fan
-from .lattice import (InputError, convex_hull, host_from_doc, is_reflexive,
-                      read_field, read_int, read_keys, read_list)
-from .linalg import dot, solve
+from .lattice import (InputError, cone_generators, convex_hull, host_from_doc,
+                      is_reflexive, read_field, read_int, read_keys, read_list)
 
 
 class NefError(ValueError):
@@ -18,14 +16,13 @@ class NefError(ValueError):
         self.witness = witness
 
 
-class NefPartition(namedtuple("NefPartition", "host parts functionals")):
+class NefPartition(namedtuple("NefPartition", "host parts nabla")):
     """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope that
-    validate_nef has certified: the function that is 1 on the vertices of
-    each part and 0 on the others is linear on each cone of the face fan,
-    integral and convex.  functionals[i] is that function for part i: its
-    functional on each maximal cone of face_fan(host), in the fan's order.
-    parts: a tuple of tuples of vertex indices; functionals: per part, a
-    tuple of int tuples."""
+    validate_nef has certified nef.  nabla[i] is the sorted vertex tuple of
+    the dual piece nabla_i = {u : <u, v> >= -1 on E_i, >= 0 on the other
+    vertices}, a lattice polytope that holds 0; the pieces sum to the
+    host's polar dual.  parts: a tuple of tuples of vertex indices; nabla:
+    per part, a tuple of int tuples."""
 
     __slots__ = ()
 
@@ -43,18 +40,25 @@ class NefPartition(namedtuple("NefPartition", "host parts functionals")):
 
 
 def validate_nef(host, parts):
-    """Check that the parts are nonempty and partition the host's vertices,
-    and that each part's certificate is linear, integral and convex on
-    every cone of the face fan.
+    """Check that the host is reflexive and the parts are nonempty and
+    partition its vertices, then decide nef-ness by one dual cone
+    (Batyrev & Borisov, "Dual cones and mirror symmetry for generalized
+    Calabi-Yau manifolds", 1997).
 
-    The certificate of a part is 1 on its vertices and 0 on the other rays
-    of the face fan, whose rays are the host's vertices.  On each cone the
-    functional is solved from the values at all of the cone's rays; when
-    they fit no functional, the certificate is not linear on that cone.
-    The fan is complete, so each cone spans Z^n and a functional is
-    integral exactly when its coefficients are integers.  For each part,
-    linearity and integrality are checked on every cone before convexity;
-    the first failing cone, or cone and ray, is raised as the witness.
+    C, the cone over the Cayley polytope of the Delta_i = conv(0, E_i), is
+    spanned by (v, e_i), v in E_i, and (0, e_i) in Z^n x Z^r.  Its dual
+    C^v = {(u, t) : <v, u> + t_i >= 0 on E_i, t >= 0} is pointed.  The
+    parts are nef (phi_i, 1 on E_i and 0 on the other vertices, is linear
+    on each face-fan cone, integral and convex) exactly when every extreme
+    ray (u, t) of C^v has a unit vector e_i as its height t; the u at
+    height e_i are then the vertices of nabla_i.  If nef: for (u, t) in
+    C^v, <x, u> + sum t_i phi_i(x) is linear on each face-fan cone and
+    >= 0 on its rays, so u lies in sum t_i nabla_i.  If unit heights: the
+    nabla_i are lattice polytopes summing to the polar dual, whose support
+    function is linear on each face-fan cone, so each summand's, -phi_i,
+    is too.  Otherwise the witness is the lexicographically smallest ray
+    of another height; the rays do not depend on the index order inside
+    a part.
     """
     if not is_reflexive(host):
         raise NefError("nef partitions need a reflexive host polytope")
@@ -65,38 +69,26 @@ def validate_nef(host, parts):
     seen = [j for part in parts for j in part]
     if sorted(seen) != list(range(nverts)):
         raise NefError("parts do not partition the vertex set")
-    fan = face_fan(host)
-    functionals = []
-    for idx, part in enumerate(parts):
-        marked = {host.vertices[j] for j in part}
-        pieces = [(c, solve([list(r) for r in c.rays],
-                            [int(r in marked) for r in c.rays]))
-                  for c in fan.maximal_cones]
-        for c, m in pieces:
-            if m is None or any(x.denominator != 1 for x in m):
-                bad = [list(r) for r in c.rays]
-                what = "linear" if m is None else "integral"
-                raise NefError(
-                    f"part {idx}: certificate is not {what} on cone {bad}",
-                    witness={"part": idx, "cone": bad})
-        for c, m in pieces:
-            for r in fan.rays:
-                if r not in c.rays and dot(r, m) > int(r in marked):
-                    cone, ray = [list(x) for x in c.rays], list(r)
-                    raise NefError(
-                        f"part {idx}: certificate not convex at cone {cone} "
-                        f"against ray {ray}",
-                        witness={"part": idx, "cone": cone, "ray": ray})
-        functionals.append(tuple(tuple(int(x) for x in m) for _, m in pieces))
-    return NefPartition(host, tuple(tuple(p) for p in parts), tuple(functionals))
+    n, r = host.ambient_rank, len(parts)
+    units = [tuple(int(i == k) for k in range(r)) for i in range(r)]
+    rows = [host.vertices[j] + units[i] for i, part in enumerate(parts) for j in part]
+    rows += [(0,) * n + e for e in units]
+    nabla = [[] for _ in parts]
+    for ray in sorted(ray for ray, _ in cone_generators(rows, n + r)[0]):
+        u, t = ray[:n], ray[n:]
+        if t not in units:
+            raise NefError(f"not nef: ray {list(u)} of the dual Cayley cone has "
+                           f"height {list(t)}, not a unit vector",
+                           witness={"ray": list(u), "height": list(t)})
+        nabla[t.index(1)].append(u)
+    return NefPartition(host, tuple(tuple(p) for p in parts),
+                        tuple(tuple(vs) for vs in nabla))
 
 
 def nabla_pieces(nef):
-    """The dual pieces {u : <u, v> >= -phi_i(v)}, in part order.  phi_i is
-    the convex max of its functionals m_c, so the i-th piece is the hull of
-    the -m_c; the pieces sum to the host's polar dual (Batyrev-Borisov)."""
-    return [convex_hull([tuple(-x for x in m) for m in fs])
-            for fs in nef.functionals]
+    """The dual pieces nabla_i, in part order, as polytopes: the hull of
+    the vertices validate_nef read off the dual Cayley cone."""
+    return [convex_hull(vs) for vs in nef.nabla]
 
 
 def nabla_hull(pieces):

@@ -11,8 +11,8 @@ differential is forced for degree reasons.
 
 The four first pages differ only in where each stratum group sits and in
 which structure maps, with which sign twist, make up d1.  Each is a `PageSpec`
-(WEIGHT, MONODROMY, GFLAG, DELTA): a placement rule (I, degree, components)
--> (p, q, block key) and a tuple of `MapRule`s (map kind, toward larger or
+(WEIGHT, MONODROMY, GFLAG, DELTA): a placement rule (I, degree) -> (p, q,
+block key) and a tuple of `MapRule`s (map kind, toward larger or
 smaller index sets, target block key, twist by p).  One driver, `assemble`,
 places the blocks, adds a map exactly when its target block exists, writes
 the signed maps into one int matrix per differential and checks d1 o d1 = 0;
@@ -140,29 +140,18 @@ class StrataComplexData:
 # Bigraded pages
 # ---------------------------------------------------------------------------
 
-class BigradedPage:
+class BigradedPage(namedtuple("BigradedPage", "name terms diff grading_note")):
     """First page of a spectral sequence with differentials along rows.
 
     terms[(p, q)] is an ordered list of (block key, dim); diff[(p, q)] maps
     E1^{p,q} -> E1^{p+1,q}, an int matrix: the differential times one
     nonzero scalar, which changes neither whether a composite vanishes nor a
-    rank.  The second page is computed as kernel modulo image, on the first
-    call to e2, and kept; degeneration there is assumed, so e2 carries the
-    final graded dimensions.
+    rank.  e2 computes the second page as kernel modulo image on each call;
+    degeneration there is assumed, so it carries the final graded
+    dimensions.
     """
 
-    __slots__ = ("name", "terms", "diff", "grading_note", "_e2")
-
-    def __init__(self, name, terms, diff, grading_note=""):
-        self.name = name
-        self.terms = terms
-        self.diff = diff
-        self.grading_note = grading_note
-        self._e2 = None
-
-    def __repr__(self):
-        return (f"BigradedPage(name={self.name!r}, terms={self.terms!r}, "
-                f"diff={self.diff!r}, grading_note={self.grading_note!r})")
+    __slots__ = ()
 
     def term_dim(self, p, q):
         return sum(d for _, d in self.terms.get((p, q), []))
@@ -183,11 +172,6 @@ class BigradedPage:
                     f"{self.name}: d1 o d1 != 0 at (p, q) = ({p}, {q})")
 
     def e2(self):
-        if self._e2 is None:
-            self._e2 = self._compute_e2()
-        return dict(self._e2)
-
-    def _compute_e2(self):
         ranks = {pq: rank(m) for pq, m in self.diff.items()}
         out = {}
         for (p, q) in self.positions():
@@ -218,7 +202,7 @@ class MapRule(namedtuple("MapRule", "kind larger target twist")):
 
 class PageSpec(namedtuple("PageSpec", "name side grading_note place maps")):
     """A first page: which side's data it reads, where the degree-deg group
-    of stratum I sits (`place(I, deg, components)` yields (p, q, block key)),
+    of stratum I sits (`place(I, deg)` yields (p, q, block key)),
     and the map rules whose signed sum is d1."""
 
     __slots__ = ()
@@ -228,20 +212,20 @@ def _untwisted(p):
     return 1
 
 
-def _weight_place(I, deg, components):
+def _weight_place(I, deg):
     return [(len(I) - 1, deg, I)]
 
 
-def _monodromy_place(I, deg, components):
+def _monodromy_place(I, deg):
     m = len(I)
     return [(2 * k - m + 1, deg + 2 * (m - 1 - k), (k, I)) for k in range(m)]
 
 
-def _gflag_place(I, deg, components):
+def _gflag_place(I, deg):
     return [(-len(I), deg + len(I), ("G", I))]
 
 
-def _delta_place(I, deg, components):
+def _delta_place(I, deg):
     m = len(I)
     return [(2 * k - m + 1, deg + m - 1, (m, I)) for k in range(m)]
 
@@ -280,7 +264,7 @@ def assemble(spec, data):
         for deg, d in data.strata[I].items():
             if d <= 0:
                 continue
-            for p, q, key in spec.place(I, deg, comps):
+            for p, q, key in spec.place(I, deg):
                 offsets[(p, q, key)] = width.get((p, q), 0)
                 width[(p, q)] = offsets[(p, q, key)] + d
                 terms.setdefault((p, q), []).append((key, d))

@@ -172,28 +172,25 @@ def test_fan_rejects_improper_intersections():
 HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
-@pytest.mark.parametrize("verts, part, message, witness", [
-    # the piece through (1, 1) on the cone over (-1, 1), (1, 1) is (1/2, 1/2)
-    ([(1, 1), (1, -1), (-1, 1), (-1, -1)], [(1, 1)],
-     "is not integral on cone [[-1, 1], [1, 1]]",
-     {"part": 0, "cone": [[-1, 1], [1, 1]]}),
-    # the piece (-1, 1) on the cone over (-1, -1), (-1, 0) exceeds 0 at (0, 1)
-    (HEXAGON, [(1, 0), (-1, 0)],
-     "not convex at cone [[-1, -1], [-1, 0]] against ray [0, 1]",
-     {"part": 0, "cone": [[-1, -1], [-1, 0]], "ray": [0, 1]}),
-    # the piece (1, -1) on the cone over (0, -1), (1, 0) exceeds 0 at (1, 1)
-    (HEXAGON, [(1, 0)],
-     "not convex at cone [[0, -1], [1, 0]] against ray [1, 1]",
-     {"part": 0, "cone": [[0, -1], [1, 0]], "ray": [1, 1]}),
+@pytest.mark.parametrize("verts, part, ray, height", [
+    # the certificate of (1, 1) is (x + y) / 2 on the cone over (-1, 1),
+    # (1, 1): not integral, so the first dual piece has the vertex
+    # (-1/2, -1/2), read off a ray at height [2, 0]
+    ([(1, 1), (1, -1), (-1, 1), (-1, -1)], [(1, 1)], [-1, -1], [2, 0]),
+    # the certificates are linear and integral but not convex: a ray of
+    # mixed height
+    (HEXAGON, [(1, 0), (-1, 0)], [-2, 1], [2, 1]),
+    (HEXAGON, [(1, 0)], [-2, 1], [2, 1]),
 ], ids=["square-corner", "hexagon-opposite-pair", "hexagon-one-vertex"])
-def test_nef_certificate_witness(verts, part, message, witness):
+def test_nef_certificate_witness(verts, part, ray, height):
     host = convex_hull(verts)
     parts = [tuple(j for j, v in enumerate(host.vertices) if v in part),
              tuple(j for j, v in enumerate(host.vertices) if v not in part)]
     with pytest.raises(NefError) as err:
         validate_nef(host, parts)
-    assert str(err.value) == f"part 0: certificate {message}"
-    assert err.value.witness == witness
+    assert str(err.value) == (f"not nef: ray {ray} of the dual Cayley cone "
+                              f"has height {height}, not a unit vector")
+    assert err.value.witness == {"ray": ray, "height": height}
 
 
 def test_fan_documents(diamond):

@@ -1,18 +1,71 @@
 import itertools
 import json
+import random
 import re
 from collections import Counter
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
+from geometry import POLYGONS
 from tests_data_helpers import reflexive_polygons, vertex_splits
 
 from lgmirror.cli import main, resolve_polytope
 from lgmirror.fans import face_fan
 from lgmirror.lattice import (InputError, convex_hull, lattice_points, polar_dual,
                               polytope_from_inequalities)
-from lgmirror.linalg import dot
+from lgmirror.linalg import dot, solve
 from lgmirror.nef import NefError, nabla_hull, nabla_pieces, nef_from_doc, validate_nef
+
+
+def face_fan_nef(host, parts):
+    """Oracle: the face-fan decision.  Per part, the functional of its
+    certificate (1 on the part's vertices, 0 on the other rays) on each
+    maximal cone of face_fan(host), solved from all of the cone's rays.
+    Raises NefError at the first part, and on it the first cone, where the
+    certificate is not linear or not integral, then at the first cone and
+    ray where it is not convex."""
+    fan = face_fan(host)
+    functionals = []
+    for idx, part in enumerate(parts):
+        marked = {host.vertices[j] for j in part}
+        pieces = [(c, solve([list(r) for r in c.rays],
+                            [int(r in marked) for r in c.rays]))
+                  for c in fan.maximal_cones]
+        for c, m in pieces:
+            if m is None or any(x.denominator != 1 for x in m):
+                what = "linear" if m is None else "integral"
+                raise NefError(f"part {idx}: certificate is not {what} on cone "
+                               f"{[list(r) for r in c.rays]}")
+        for c, m in pieces:
+            for r in fan.rays:
+                if r not in c.rays and dot(r, m) > int(r in marked):
+                    raise NefError(f"part {idx}: certificate not convex at cone "
+                                   f"{[list(x) for x in c.rays]} against ray {list(r)}")
+        functionals.append([tuple(int(x) for x in m) for _, m in pieces])
+    return functionals
+
+
+def oracle_nabla(host, parts):
+    """Oracle: the vertices of each dual piece, the hull of the negated
+    face-fan functionals (phi_i is their convex max), or None when the
+    face-fan decision finds the parts not nef."""
+    try:
+        functionals = face_fan_nef(host, parts)
+    except NefError:
+        return None
+    return tuple(convex_hull([tuple(-x for x in m) for m in fs]).vertices
+                 for fs in functionals)
+
+
+def package_nabla(host, parts):
+    """validate_nef's dual piece vertices, or None when it finds the parts
+    not nef."""
+    try:
+        return validate_nef(host, parts).nabla
+    except NefError:
+        return None
 
 
 def minkowski_sum(*pieces):
@@ -56,23 +109,25 @@ def test_square_diagonal_parts_fail_with_witness(square):
     # vertices sorted: (-1,-1), (-1,1), (1,-1), (1,1)
     with pytest.raises(NefError) as err:
         validate_nef(square, [(0, 3), (1, 2)])
-    assert err.value.witness is not None
+    assert err.value.witness == {"ray": [-1, -1], "height": [2, 0]}
 
 
 def test_cube_is_checked_on_its_non_simplicial_cones(cube):
     # vertices sorted: (-1,-1,-1), (-1,-1,1), ..., (1,1,1); every face fan
-    # cone has four rays, so the values at a cone's rays may fit no functional
+    # cone has four rays.  A corner's certificate is not linear on the cone
+    # over x = -1, and that of the face x = -1 not integral on the cone over
+    # y = -1; either way the second piece would need the non-lattice vertex
+    # ray / 2, read off a ray at height [0, 2].
     nef = validate_nef(cube, [tuple(range(8))])
     assert nabla_pieces(nef) == [polar_dual(cube)]
-    for parts, what, cone in (
-            ([(0,), tuple(range(1, 8))], "linear",
-             [[-1, -1, -1], [-1, -1, 1], [-1, 1, -1], [-1, 1, 1]]),
-            ([(0, 1, 2, 3), (4, 5, 6, 7)], "integral",
-             [[-1, -1, -1], [-1, -1, 1], [1, -1, -1], [1, -1, 1]])):
+    for parts, ray, height in (
+            ([(0,), tuple(range(1, 8))], [-1, 0, 1], [0, 2]),
+            ([(0, 1, 2, 3), (4, 5, 6, 7)], [-1, -1, 0], [0, 2])):
         with pytest.raises(NefError) as err:
             validate_nef(cube, parts)
-        assert str(err.value) == f"part 0: certificate is not {what} on cone {cone}"
-        assert err.value.witness == {"part": 0, "cone": cone}
+        assert str(err.value) == (f"not nef: ray {ray} of the dual Cayley cone "
+                                  f"has height {height}, not a unit vector")
+        assert err.value.witness == {"ray": ray, "height": height}
 
 
 def test_parts_must_partition(diamond):
@@ -131,38 +186,107 @@ def unit_simplex(rank):
     return convex_hull(units + [tuple([-1] * rank)])
 
 
-def test_dual_pieces_match_their_inequalities_on_every_split(cube):
+def cross_polytope(rank):
+    return convex_hull([tuple(s * int(i == j) for j in range(rank))
+                        for i in range(rank) for s in (1, -1)])
+
+
+def sympy_checks_witness(host, parts, witness):
+    """Oracle, by sympy alone: the witness (u, t) is a primitive integer
+    vector of the dual Cayley cone, on which every row (v, e_i), v in part
+    i, and (0, e_i) is >= 0; its tight rows have rank n + r - 1, so it spans
+    an extreme ray; and t is not a unit vector."""
+    n, r = host.ambient_rank, len(parts)
+    units = [[int(i == k) for k in range(r)] for i in range(r)]
+    rows = [list(host.vertices[j]) + units[i] for i, part in enumerate(parts)
+            for j in part] + [[0] * n + e for e in units]
+    x = witness["ray"] + witness["height"]
+    values = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    tight = [[ZZ(a) for a in row] for row, value in zip(rows, values) if value == 0]
+    return (all(type(c) is int for c in x) and sympy.igcd(*x) == 1
+            and min(values) >= 0
+            and DomainMatrix(tight, (len(tight), n + r), ZZ).rank() == n + r - 1
+            and witness["height"] not in units)
+
+
+def test_the_dual_cone_decides_every_split_as_the_face_fan_does(cube):
     # every split into 1, 2 or 3 parts of the polygons and of five hosts of
-    # rank 3 and 4; the cube's face fan is not simplicial
-    octahedron = convex_hull([tuple(s * int(i == j) for j in range(3))
-                              for i in range(3) for s in (1, -1)])
-    hosts = reflexive_polygons() + [cube, octahedron, unit_simplex(3),
+    # rank 3 and 4; the cube's face fan is not simplicial.  A nef split has
+    # the face fan's dual pieces, which match their inequalities and add up
+    # to the polar dual; sympy re-checks the witness of every other split,
+    # and shuffling the indices inside the parts leaves that witness as it is.
+    hosts = reflexive_polygons() + [cube, cross_polytope(3), unit_simplex(3),
                                     polar_dual(unit_simplex(3)), unit_simplex(4)]
+    rng = random.Random(0)
     verdicts = Counter()
     for host in hosts:
         for parts in vertex_splits(len(host.vertices)):
+            expect = oracle_nabla(host, parts)
             try:
                 nef = validate_nef(host, parts)
-            except NefError:
+            except NefError as exc:
+                assert expect is None, (host.vertices, parts)
+                assert sympy_checks_witness(host, parts, exc.witness)
+                shuffled = [rng.sample(part, len(part)) for part in parts]
+                with pytest.raises(NefError) as err:
+                    validate_nef(host, shuffled)
+                assert err.value.witness == exc.witness
                 verdicts["not nef"] += 1
                 continue
             verdicts["nef"] += 1
+            assert nef.nabla == expect, (host.vertices, parts)
             pieces = nabla_pieces(nef)
+            assert [p.vertices for p in pieces] == list(nef.nabla)
             assert pieces == [inequality_piece(nef, i) for i in range(len(parts))]
             assert minkowski_sum(*pieces) == polar_dual(host), (host.vertices, parts)
     assert verdicts == {"nef": 249, "not nef": 1404}
 
 
-def test_the_functionals_are_one_per_face_fan_cone(diamond):
-    nef = validate_nef(diamond, [(3, 2, 1), (0,)])
-    cones = face_fan(diamond).maximal_cones
-    assert len(nef.functionals) == 2
-    for i, fs in enumerate(nef.functionals):
-        assert len(fs) == len(cones)
-        marked = set(nef.part_vertices(i))
-        for m, c in zip(fs, cones):
-            assert all(type(x) is int for x in m)
-            assert [dot(m, r) for r in c.rays] == [int(r in marked) for r in c.rays]
+def free_sum(p, q):
+    """conv(P x 0 and 0 x Q)."""
+    zp, zq = (0,) * p.ambient_rank, (0,) * q.ambient_rank
+    return convex_hull([v + zq for v in p.vertices] + [zp + w for w in q.vertices])
+
+
+def product(p, q):
+    return convex_hull([v + w for v in p.vertices for w in q.vertices])
+
+
+def two_part_splits(nverts):
+    """Every split of range(nverts) into two parts, vertex 0 in the first."""
+    for first in itertools.product((0, 1), repeat=nverts - 1):
+        second = tuple(j for j, b in enumerate(first, 1) if b)
+        if second:
+            yield [tuple(j for j in range(nverts) if j not in second), second]
+
+
+def polygon(name):
+    return convex_hull(POLYGONS[name])
+
+
+@pytest.mark.parametrize("host, sample, nef", [
+    (product(polygon("b6v6"), convex_hull([(-1,), (1,)])), None, 0),
+    (free_sum(polygon("b3v3"), polygon("b3v3")), None, 31),
+    (free_sum(polygon("b3v3"), polygon("b4v4b")), None, 63),
+    (free_sum(polygon("b4v4b"), polygon("b4v4b")), None, 127),
+    (free_sum(polygon("b6v6"), polygon("b3v3")), None, 79),
+    (product(polygon("b3v3"), polygon("b3v3")), None, 0),
+    (product(polygon("b4v4b"), polygon("b4v4b")), 400, 0),
+    (cross_polytope(4), None, 127),
+], ids=["hexagon-prism", "b3v3+b3v3", "b3v3+b4v4b", "b4v4b+b4v4b",
+        "b6v6+b3v3", "b3v3xb3v3", "b4v4bxb4v4b", "cross-polytope-4"])
+def test_two_part_splits_agree_with_the_face_fan(host, sample, nef):
+    # the two-part splits of the hosts that enumerating nef partitions
+    # meets in ranks 3 and 4; the largest product is sampled
+    splits = list(two_part_splits(len(host.vertices)))
+    if sample:
+        splits = random.Random(0).sample(splits, sample)
+    found = 0
+    for parts in splits:
+        nabla = package_nabla(host, parts)
+        assert nabla == oracle_nabla(host, parts), parts
+        found += nabla is not None
+    assert found == nef
 
 
 @pytest.mark.parametrize("index", [-1, 4, 7])
@@ -220,8 +344,8 @@ def sympy_nef_verdict(host, part):
 
 
 def two_part_verdicts(hosts):
-    """validate_nef's verdict on every two-part split of each host, checked
-    against the sympy oracle, counted by verdict."""
+    """The face-fan oracle's verdict on every two-part split of each host,
+    checked against the sympy oracle, counted by verdict."""
     verdicts = Counter()
     for host in hosts:
         verts = host.vertices
@@ -232,7 +356,7 @@ def two_part_verdicts(hosts):
                     sympy_nef_verdict(host, {verts[j] for j in p}) for p in parts)),
                     None)
                 try:
-                    validate_nef(host, parts)
+                    face_fan_nef(host, parts)
                     verdict = None
                 except NefError as exc:
                     verdict = re.search("not (linear|integral|convex)",
@@ -242,13 +366,13 @@ def two_part_verdicts(hosts):
     return verdicts
 
 
-def test_validate_nef_agrees_with_sympy_on_two_part_polygon_splits():
+def test_face_fan_oracle_agrees_with_sympy_on_two_part_polygon_splits():
     # 280 splits: all three verdicts occur
     assert two_part_verdicts(reflexive_polygons()) == {
         None: 80, "integral": 122, "convex": 78}
 
 
-def test_validate_nef_agrees_with_sympy_on_two_part_cube_splits(cube):
+def test_face_fan_oracle_agrees_with_sympy_on_two_part_cube_splits(cube):
     # 254 splits of a host whose face fan cones are not simplicial: none is
     # nef, and most fail already on linearity
     assert two_part_verdicts([cube]) == {"linear": 182, "integral": 72}

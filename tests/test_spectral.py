@@ -565,10 +565,9 @@ def test_closed_form_placements_match_the_scans():
         for m in range(1, components + 1):
             I = fs(range(m))
             for deg in (0, 1, 2, 5):
-                assert MONODROMY.place(I, deg, components) == \
+                assert MONODROMY.place(I, deg) == \
                     list(scan_monodromy_place(I, deg, components))
-                assert DELTA.place(I, deg, components) == \
-                    scan_delta_place(I, deg, components)
+                assert DELTA.place(I, deg) == scan_delta_place(I, deg, components)
 
 
 # ---------------------------------------------------------------------------
