@@ -47,11 +47,17 @@ def corpus_names():
                   if p.name.endswith(".json"))
 
 
-def resolve_polytope(name):
+def bundled(name, kind):
+    """The bundled file name.json; a name with a path separator names none."""
     path = data_dir() / f"{name}.json"
-    if not path.is_file():
-        raise FileNotFoundError(f"no bundled polytope named '{name}'")
-    return lattice.polytope_from_doc(json.loads(path.read_text(encoding="utf-8")))
+    if path.name != f"{name}.json" or not path.is_file():
+        raise FileNotFoundError(f"no bundled {kind} named '{name}'")
+    return path
+
+
+def resolve_polytope(name):
+    text = bundled(name, "polytope").read_text(encoding="utf-8")
+    return lattice.polytope_from_doc(json.loads(text))
 
 
 def _load_json(path):
@@ -315,21 +321,19 @@ def cmd_lg(args):
             [f"constraint: {c} = 0" for c in d["constraints"]]
             + [f"potential:  {h}" for h in d["potentials"]]))
         return
-    if args.action == "compactify":
-        lam = args.lambda_names.split(",") if args.lambda_names else None
-        want = len(split) if split else r
-        if lam and len(lam) != want:
-            raise CliUsageError(f"--lambda names {len(lam)} symbols for "
-                                f"{want} potentials")
-        eqs = lg_mod.compactify_fiber(model, nef_mod.nabla_pieces(nef), lam, split)
-        payload = {"equations": eqs,
-                   "text": [lg_mod.equation_text(eq) for eq in eqs]}
-        if split and len(split) > 1:
-            payload["banner"] = ("mirror status open: the split of the last "
-                                 "part is not certified nef")
-        emit(payload, fmt, lambda d: "\n".join(
-            ([d["banner"]] if "banner" in d else []) + d["text"]))
-        return
+    lam = args.lambda_names.split(",") if args.lambda_names else None
+    want = len(split) if split else r
+    if lam and len(lam) != want:
+        raise CliUsageError(f"--lambda names {len(lam)} symbols for "
+                            f"{want} potentials")
+    eqs = lg_mod.compactify_fiber(model, nef, lam, split)
+    payload = {"equations": eqs,
+               "text": [lg_mod.equation_text(eq) for eq in eqs]}
+    if split and len(split) > 1:
+        payload["banner"] = ("mirror status open: the split of the last "
+                             "part is not certified nef")
+    emit(payload, fmt, lambda d: "\n".join(
+        ([d["banner"]] if "banner" in d else []) + d["text"]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +461,7 @@ def _render_pd(r):
 
 def cmd_corpus(args):
     if args.name:
-        path = data_dir() / f"{args.name}.json"
-        if not path.is_file():
-            raise FileNotFoundError(f"no bundled document named '{args.name}'")
-        print(path)
+        print(bundled(args.name, "document"))
     else:
         for name in corpus_names():
             print(name)

@@ -1,6 +1,8 @@
 """Symbolic Givental-style hybrid Landau-Ginzburg models: Laurent constraint
 and potential polynomials, their compactifications in homogeneous coordinates,
-and the monomial map of the induced toric fibration.
+and the monomial map of the induced toric fibration.  No polytope is built
+past the host: the points of Delta_i = conv(0, E_i), nabla_i and nabla are
+those of the host or its polar dual that meet Batyrev-Borisov inequalities.
 
 Coefficients stay symbolic throughout ("a_(p,q)" tagged by the lattice point,
 "lambda_j" for the fiber parameters); every check is structural.
@@ -10,12 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import (
-    boundary_lattice_points,
-    lattice_points,
-)
+from .lattice import lattice_points, polar_dual
 from .linalg import dot, primitive, solve, vec_gcd
-from .nef import nabla_hull
 
 
 class LGError(ValueError):
@@ -58,84 +56,93 @@ def equation_text(eq):
     return "".join(out) + " = 0"
 
 
-class HybridLGModel(namedtuple("HybridLGModel", "constraints potentials delta_pieces")):
+class HybridLGModel(namedtuple("HybridLGModel", "constraints potentials")):
     """Torus constraints and potentials built from a nef partition, each
-    Laurent polynomial given by its lex-sorted support: the support per
-    constraint part, the support per potential part, and Conv(0 u E_i) per
-    part, constraint parts first."""
+    Laurent polynomial given by its support, the lex-sorted lattice points
+    of Delta_i = conv(0, E_i), per constraint part and per potential part."""
 
     __slots__ = ()
 
 
 def givental_hybrid(nef, k, r):
     """Constraints from the first k parts, potentials from the last r >= 1,
-    where k + r is the number of parts."""
-    pieces = [nef.delta_piece(i) for i in range(nef.n_parts)]
-    supports = [tuple(sorted(lattice_points(p))) for p in pieces]
-    return HybridLGModel(tuple(supports[:k]), tuple(supports[k:]), tuple(pieces))
+    where k + r is the number of parts.
+
+    The support of part i: the host's lattice points x, in lex order, with
+    <u, x> >= 0 at every vertex u of every other nabla_j.  Proof: phi_j =
+    max over u in nabla_j of -<u, .> (validate_nef) is sublinear, >= 0 as
+    0 lies in nabla_j, and 0 on E_i and 0, so 0 on Delta_i.  Conversely,
+    x in the host is sum mu_v v over the rays of its face-fan cone, with
+    mu >= 0 and sum mu_v <= 1; phi_j is linear there and 1 on E_j, so
+    phi_j(x) = 0 for all j != i forces mu_v = 0 off E_i: x is in Delta_i.
+    """
+    points = lattice_points(nef.host)
+    supports = [tuple(x for x in points if all(
+        dot(u, x) >= 0 for j, vs in enumerate(nef.nabla) if j != i for u in vs))
+        for i in range(nef.n_parts)]
+    return HybridLGModel(tuple(supports[:k]), tuple(supports[k:]))
 
 
-def _fan_rays(nabla_pieces):
-    """The rays of the refined fan over the hull of the dual pieces: its
-    boundary lattice points."""
-    return tuple(sorted(boundary_lattice_points(nabla_hull(nabla_pieces))))
+def _fan_rays(nef, points=None):
+    """The rays of the fan over nabla = conv(nabla_1 u ... u nabla_r), its
+    boundary lattice points: the nonzero lattice points u of the polar dual
+    (points, unless given) with sum over i of min(0, min over v in E_i of
+    <v, u>) >= -1.  Proof: nabla is reflexive with polar Delta_1 + ... +
+    Delta_r (Borisov 1993; Batyrev-Borisov 1996), so its boundary points
+    are its nonzero points, and u is in nabla when the minimum of <., u>
+    over that sum, the sum of its minima over the Delta_i, is >= -1."""
+    parts = [nef.part_vertices(i) for i in range(nef.n_parts)]
+    return tuple(u for u in points or lattice_points(polar_dual(nef.host))
+                 if any(u) and sum(min(0, *(dot(v, u) for v in vs)) for vs in parts) >= -1)
 
 
-def _sigma_min(sigma, piece):
-    return min(dot(sigma, v) for v in piece.vertices)
+def _compactified_terms(points, part, rays, sign):
+    """One term per point rho of Delta_i = conv(0, part), with exponent
+    <sigma, rho> - sigma_min >= 0 of z_sigma; the zero exponents are left
+    out.  sigma_min = min(0, min over v in part of <sigma, v>): a linear
+    form takes its minimum over a hull at a point it is the hull of."""
+    mins = {s: min(0, *(dot(s, v) for v in part)) for s in rays}
+    return [{"coef": coef_label(rho), "sign": sign,
+             "exps": {var_label(s): e for s in rays if (e := dot(s, rho) - mins[s])}}
+            for rho in points]
 
 
-def _compactified_terms(points, piece, rays, sign):
-    """One term per point rho of piece, with exponent <sigma, rho> -
-    sigma_min >= 0 of z_sigma; the zero exponents are left out."""
-    terms = []
-    mins = {s: _sigma_min(s, piece) for s in rays}
-    for rho in points:
-        exps = {}
-        for s in rays:
-            e = dot(s, rho) - mins[s]
-            if e:
-                exps[var_label(s)] = e
-        terms.append({"coef": coef_label(rho), "sign": sign, "exps": exps})
-    return terms
-
-
-def _lambda_term(name, nabla_piece, rays):
-    support = [q for q in lattice_points(nabla_piece) if any(q)]
-    for q in support:
-        if q not in rays:
-            raise LGError(f"lambda monomial point {q} is not a fan ray")
-    return {"coef": name, "sign": 1,
-            "exps": {var_label(s): 1 for s in rays if s in support}}
-
-
-def compactify_fiber(model, nabla_pieces, lam=None, split=None):
-    """Homogeneous equations of a compactified fiber, given the dual pieces
-    of the nef partition in part order (nef.nabla_pieces, read off the
-    rays of validate_nef's dual Cayley cone).  The coordinates z_sigma
-    run over the boundary lattice points sigma of their hull.
+def compactify_fiber(model, nef, lam=None, split=None):
+    """Homogeneous equations of a compactified fiber of the model that
+    givental_hybrid built from nef, in the coordinates z_sigma, sigma in
+    _fan_rays(nef).
 
     Constraint i: sum over Delta_i of a_rho z^(<sigma,rho> - sigma_min_i).
-    Potential j: lambda_j times the product of the nonzero dual-piece
-    coordinates minus the analogous sum over the nonzero points of the
-    potential polytope.  With a split (groups that partition the nonzero
-    points of a model's one potential part, possibly not nef), each group
-    is a potential of its own against the sigma-minimum of the whole part;
-    no mirror status is asserted.  lam holds one symbol per potential.
-    Each equation is the document that equation_text prints.
+    Potential j: lambda_j times the z_sigma at the nonzero points of
+    nabla_j, minus the analogous sum over the nonzero points of Delta_j.
+    Those of nabla_j are the polar dual's points u with <v, u> >= 0 at the
+    host vertices v off E_j, its definition (NefPartition) cut from the
+    polar dual that holds it; one that is not a fan ray, as when nabla is
+    not reflexive, is an LGError.  With a split (groups that partition the
+    nonzero points of a model's one potential part, possibly not nef),
+    each group is a potential of its own against the sigma-minimum of the
+    whole part; no mirror status is asserted.  lam holds one symbol per
+    potential.  Each equation is the document that equation_text prints.
     """
     k = len(model.constraints)
-    parts = [k] * len(split) if split else range(k, len(model.delta_pieces))
+    parts = [k] * len(split) if split else range(k, nef.n_parts)
     split = split or [[rho for rho in pts if any(rho)] for pts in model.potentials]
     lam = lam or [f"lambda_{j+1}" for j in range(len(split))]
-    rays = _fan_rays(nabla_pieces)
+    points = lattice_points(polar_dual(nef.host))
+    rays = _fan_rays(nef, points)
     eqs = [{"terms": _compactified_terms(model.constraints[i],
-                                         model.delta_pieces[i], rays, 1)}
+                                         nef.part_vertices(i), rays, 1)}
            for i in range(k)]
     for name, i, group in zip(lam, parts, split):
-        eqs.append({"terms": [_lambda_term(name, nabla_pieces[i], rays)]
-                    + _compactified_terms(sorted(group), model.delta_pieces[i],
-                                          rays, -1)})
+        off = [v for j, v in enumerate(nef.host.vertices) if j not in nef.parts[i]]
+        nabla_i = [u for u in points if any(u) and all(dot(v, u) >= 0 for v in off)]
+        for q in nabla_i:
+            if q not in rays:
+                raise LGError(f"lambda monomial point {q} is not a fan ray")
+        lam_term = {"coef": name, "sign": 1,
+                    "exps": {var_label(s): 1 for s in rays if s in nabla_i}}
+        eqs.append({"terms": [lam_term] + _compactified_terms(
+            sorted(group), nef.part_vertices(i), rays, -1)})
     return eqs
 
 

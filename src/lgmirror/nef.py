@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import (InputError, cone_generators, convex_hull, host_from_doc,
-                      is_reflexive, read_field, read_int, read_keys, read_list)
+from .lattice import (InputError, cone_generators, host_from_doc, is_reflexive,
+                      read_field, read_int, read_keys, read_list)
 
 
 class NefError(ValueError):
@@ -17,12 +17,12 @@ class NefError(ValueError):
 
 
 class NefPartition(namedtuple("NefPartition", "host parts nabla")):
-    """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope that
-    validate_nef has certified nef.  nabla[i] is the sorted vertex tuple of
-    the dual piece nabla_i = {u : <u, v> >= -1 on E_i, >= 0 on the other
-    vertices}, a lattice polytope that holds 0; the pieces sum to the
-    host's polar dual.  parts: a tuple of tuples of vertex indices; nabla:
-    per part, a tuple of int tuples."""
+    """Vertex partition E_1, ..., E_{k+1} of a reflexive polytope (the hull
+    of the Delta_i = conv(0, E_i)) that validate_nef has certified nef.
+    nabla[i] is the sorted vertex tuple of the dual piece nabla_i = {u :
+    <u, v> >= -1 on E_i, >= 0 on the other vertices}, a lattice polytope
+    that holds 0; the pieces sum to the host's polar dual.  parts: a tuple
+    of tuples of vertex indices; nabla: per part, a tuple of int tuples."""
 
     __slots__ = ()
 
@@ -32,11 +32,6 @@ class NefPartition(namedtuple("NefPartition", "host parts nabla")):
 
     def part_vertices(self, i):
         return tuple(self.host.vertices[j] for j in self.parts[i])
-
-    def delta_piece(self, i):
-        """Conv(0 and the part's vertices), the i-th Minkowski summand."""
-        origin = tuple(0 for _ in range(self.host.ambient_rank))
-        return convex_hull((origin,) + self.part_vertices(i))
 
 
 def validate_nef(host, parts):
@@ -83,18 +78,6 @@ def validate_nef(host, parts):
         nabla[t.index(1)].append(u)
     return NefPartition(host, tuple(tuple(p) for p in parts),
                         tuple(tuple(vs) for vs in nabla))
-
-
-def nabla_pieces(nef):
-    """The dual pieces nabla_i, in part order, as polytopes: the hull of
-    the vertices validate_nef read off the dual Cayley cone."""
-    return [convex_hull(vs) for vs in nef.nabla]
-
-
-def nabla_hull(pieces):
-    """Convex hull of the union of the dual pieces.  Each piece holds 0, so
-    the hull lies in their Minkowski sum, the polar dual."""
-    return convex_hull([v for p in pieces for v in p.vertices])
 
 
 def nef_from_doc(doc, resolve_polytope):

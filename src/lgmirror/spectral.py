@@ -601,9 +601,13 @@ def _graded(d, path, keys, read_value=None):
         if i is None:
             if not _DECIMAL.fullmatch(k):
                 raise InputError(f"{path}.{k}", "key is not a decimal int")
-            if str(int(k)) != k:
-                raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(int(k))!r}")
-            i = keys[k] = int(k)
+            try:
+                i = int(k)
+            except ValueError as exc:  # more digits than int() reads
+                raise InputError(f"{path}.{k}", str(exc)) from None
+            if str(i) != k:
+                raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(i)!r}")
+            keys[k] = i
         if read_value is not None:
             v = read_value(v, f"{path}.{k}", keys)
         elif type(v) is not int or v < 0:
@@ -632,7 +636,10 @@ def _matrix(doc, path, vals):
             if type(x) is not int and m is None:
                 raise InputError(f"{path}.matrix[{i}][{j}]",
                                  f"expected an int or a 'p/q' string, got {x!r}")
-            vals[x] = Fraction(x) if m and m[1] else int(x)
+            try:
+                vals[x] = Fraction(x) if m and m[1] else int(x)
+            except ValueError as exc:  # more digits than int() reads
+                raise InputError(f"{path}.matrix[{i}][{j}]", str(exc)) from None
         out.append([vals[x] for x in row])
     return out
 

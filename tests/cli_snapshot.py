@@ -23,10 +23,11 @@ and calls lgmirror.cli.main in-process on:
   those of elliptic-deg-complex, the degeneration side, also through
   `ss pw` against elliptic-hyb-complex in both modes, in both output
   formats;
-- every split of each reflexive polygon's vertices into 1, 2 or 3
-  nonempty parts, as an inline nef document
-  (tests_data_helpers.polygon_nef_documents), nef or not, through
-  `lg emit` and `lg compactify`, in both output formats;
+- every split of the vertices of each reflexive polygon, of the
+  octahedron and of P^3 into 1, 2 or 3 nonempty parts, as an inline nef
+  document (tests_data_helpers.polygon_nef_documents and
+  rank3_nef_documents), nef or not, through `lg emit` and
+  `lg compactify`, in both output formats;
 - tests_data_helpers.ASYMMETRIC_GYSIN through `ss monodromy`, and
   tests_data_helpers.HODGE_AT_A_ZERO_DEGREE through `ss pw` against
   elliptic-hyb-complex in both modes, in both output formats;
@@ -99,7 +100,8 @@ def snapshot(src):
     import workloads
     from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH,
                                     HODGE_AT_A_ZERO_DEGREE, NON_TILING, UNREADABLE_FILES,
-                                    edit_document, polygon_nef_documents)
+                                    edit_document, polygon_nef_documents,
+                                    rank3_nef_documents)
 
     calls = {}
     cwd = os.getcwd()
@@ -153,13 +155,15 @@ def snapshot(src):
                             argv = ["ss", "pw", "complex.json", "elliptic-hyb-complex.json",
                                     "--mode", mode, "--format", fmt]
                             calls[f"complex-edit {name}: " + " ".join(argv)] = run(cli.main, argv)
-            for name, doc in polygon_nef_documents().items():
-                with open("nef.json", "w") as fh:
-                    json.dump(doc, fh)
-                for action in ("emit", "compactify"):
-                    for fmt in ("text", "json"):
-                        argv = ["lg", action, "nef.json", "--format", fmt]
-                        calls[f"polygon-nef {name}: " + " ".join(argv)] = run(cli.main, argv)
+            for label, docs in (("polygon-nef", polygon_nef_documents()),
+                                ("rank3-nef", rank3_nef_documents())):
+                for name, doc in docs.items():
+                    with open("nef.json", "w") as fh:
+                        json.dump(doc, fh)
+                    for action in ("emit", "compactify"):
+                        for fmt in ("text", "json"):
+                            argv = ["lg", action, "nef.json", "--format", fmt]
+                            calls[f"{label} {name}: " + " ".join(argv)] = run(cli.main, argv)
             with open("gysin.json", "w") as fh:
                 json.dump(ASYMMETRIC_GYSIN, fh)
             for fmt in ("text", "json"):

@@ -29,9 +29,13 @@ def _graded(d, path, read_value=read_count):
     for k, v in d.items():
         if not _DECIMAL.fullmatch(k):
             raise InputError(f"{path}.{k}", "key is not a decimal int")
-        if str(int(k)) != k:
-            raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(int(k))!r}")
-        out[int(k)] = read_value(v, f"{path}.{k}")
+        try:
+            i = int(k)
+        except ValueError as exc:  # more digits than int() reads
+            raise InputError(f"{path}.{k}", str(exc)) from None
+        if str(i) != k:
+            raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(i)!r}")
+        out[i] = read_value(v, f"{path}.{k}")
     return out
 
 
@@ -46,7 +50,10 @@ def _matrix(doc, path):
             if type(x) is not int and m is None:
                 raise InputError(f"{path}.matrix[{i}][{j}]",
                                  f"expected an int or a 'p/q' string, got {x!r}")
-            out[-1].append(Fraction(x) if m and m[1] else int(x))
+            try:
+                out[-1].append(Fraction(x) if m and m[1] else int(x))
+            except ValueError as exc:  # more digits than int() reads
+                raise InputError(f"{path}.matrix[{i}][{j}]", str(exc)) from None
     return out
 
 

@@ -235,3 +235,19 @@ def test_the_writer_matches_json_dumps_on_every_corpus_payload(monkeypatch):
 def test_the_writer_refuses_what_no_report_holds(value, kind):
     with pytest.raises(TypeError, match=f"of type {kind} as JSON"):
         cli._json_text(value)
+
+
+@pytest.mark.parametrize("absolute", [True, False])
+def test_a_polytope_name_reaches_no_file_outside_the_corpus(tmp_path, capsys, absolute):
+    # a name joined onto the data directory loaded any readable x.json
+    (tmp_path / "x.json").write_text('{"rank": 2, "vertices": [[1, 0], [0, 1], [-1, -1]]}')
+    name = str(tmp_path / "x")
+    if not absolute:
+        name = os.path.relpath(name, cli.data_dir())
+    nef = tmp_path / "nef.json"
+    nef.write_text(json.dumps({"polytope": name, "parts": [[0, 1, 2]]}))
+    assert _run(["lg", "emit", str(nef)], capsys) == (
+        3, "", f"cannot read input: no bundled polytope named '{name}'\n")
+    assert _run(["corpus", name], capsys) == (
+        3, "", f"cannot read input: no bundled document named '{name}'\n")
+    assert _run(["corpus", "square"], capsys) == (0, f"{cli.data_dir() / 'square.json'}\n", "")

@@ -1,7 +1,12 @@
 import json
+import random
+import sys
 
 import pytest
 from conftest import corpus_path
+from tests_data_helpers import (cross_polytope, free_sum, hull_delta_piece, hull_fan_rays,
+                                hull_nabla_pieces, polygon, product, reflexive_polygons,
+                                unit_simplex, vertex_splits)
 
 from lgmirror.cli import main
 from lgmirror.lattice import convex_hull, lattice_points, polar_dual
@@ -15,7 +20,7 @@ from lgmirror.lg import (
     pi_gamma_monomials,
     var_label,
 )
-from lgmirror.nef import nabla_pieces, validate_nef
+from lgmirror.nef import NefError, validate_nef
 from lgmirror.partitions import central_frame, build_fibration_fans
 
 
@@ -32,17 +37,83 @@ def labelled(terms):
 @pytest.fixture
 def diamond_model(diamond):
     nef = validate_nef(diamond, [(3, 2, 1), (0,)])
-    return givental_hybrid(nef, 1, 1), nabla_pieces(nef)
+    return givental_hybrid(nef, 1, 1), nef
 
 
-def test_nabla_pieces_are_built_once(monkeypatch):
-    import lgmirror.nef as nef_mod
+@pytest.mark.parametrize("name, host", [("diamond-nef", "diamond"),
+                                        ("square-nef-anticanonical", "square")])
+@pytest.mark.parametrize("action", ["emit", "compactify"])
+def test_an_lg_op_builds_one_hull_for_its_host(monkeypatch, capsys, name, host, action):
+    # the Delta_i, the nabla_i and nabla are read off the nef partition;
+    # every module that holds convex_hull is watched
+    from lgmirror.cli import resolve_polytope
     calls = []
-    build = nef_mod.nabla_pieces
-    monkeypatch.setattr(nef_mod, "nabla_pieces",
-                        lambda nef: calls.append(nef.parts) or build(nef))
-    assert main(["lg", "compactify", corpus_path("diamond-nef")]) == 0
-    assert calls == [((3, 2, 1), (0,))]
+    for module in [m for n, m in sys.modules.items() if n.startswith("lgmirror")]:
+        if hasattr(module, "convex_hull"):
+            build = module.convex_hull
+            monkeypatch.setattr(module, "convex_hull", lambda points, *a, build=build, **kw:
+                                calls.append(sorted(map(tuple, points))) or build(points, *a, **kw))
+    assert main(["lg", action, corpus_path(name)]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert calls == [list(resolve_polytope(host).vertices)]
+
+
+def nef_splits(host):
+    """Every nef split of the host's vertices into 1, 2 or 3 parts, in the
+    form of vertex_splits.  Merging two parts of a nef partition leaves it
+    nef (phi_i + phi_j is convex and integral), so each 3-part nef split
+    refines a 2-part one by splitting its part without vertex 0."""
+    def nef(parts):
+        try:
+            return validate_nef(host, parts)
+        except NefError:
+            return None
+    n = len(host.vertices)
+    found = [nef([tuple(range(n))])]
+    for first, rest in (s for s in vertex_splits(n, 2) if len(s) == 2):
+        two = nef([first, rest])
+        if two:
+            found.append(two)
+            for b, c in (s for s in vertex_splits(len(rest), 2) if len(s) == 2):
+                found.append(nef(sorted([first, tuple(rest[j] for j in b),
+                                         tuple(rest[j] for j in c)])))
+    return [f for f in found if f]
+
+
+@pytest.mark.parametrize("hosts, sample, count", [
+    (reflexive_polygons(), None, 70),
+    ([cross_polytope(3)], None, 122),
+    ([unit_simplex(3)], None, 14),
+    ([unit_simplex(4)], None, 41),
+    ([product(polygon("b6v6"), convex_hull([(-1,), (1,)]))], None, 1),
+    ([free_sum(polygon("b3v3"), polygon("b3v3"))], None, 122),
+    ([cross_polytope(4)], 40, 40),
+], ids=["polygons", "octahedron", "P3", "P4", "hexagon-prism", "b3v3+b3v3",
+        "cross-polytope-4"])
+def test_the_readings_match_the_hull_route(hosts, sample, count):
+    # the supports of the Delta_i, the points of the nabla_i (the lambda
+    # term of each part taken as a potential), the fan rays and each
+    # sigma-minimum, against the hulls they are read off; the largest
+    # host is sampled
+    splits = [nef for host in hosts for nef in nef_splits(host)]
+    if sample:
+        splits = random.Random(0).sample(splits, sample)
+    for nef in splits:
+        model = givental_hybrid(nef, 0, nef.n_parts)
+        deltas = [hull_delta_piece(nef, i) for i in range(nef.n_parts)]
+        assert list(model.potentials) == [tuple(lattice_points(d)) for d in deltas]
+        rays = _fan_rays(nef)
+        assert rays == hull_fan_rays(nef)
+        eqs = compactify_fiber(model, nef)
+        for eq, piece, delta in zip(eqs, hull_nabla_pieces(nef), deltas):
+            lam, *terms = eq["terms"]
+            assert lam["exps"] == {var_label(q): 1 for q in lattice_points(piece) if any(q)}
+            mins = {s: min(dot(s, v) for v in delta.vertices) for s in rays}
+            assert [t["exps"] for t in terms] == [
+                {var_label(s): dot(s, rho) - mins[s] for s in rays if dot(s, rho) != mins[s]}
+                for rho in lattice_points(delta) if any(rho)]
+    assert len(splits) == count
 
 
 def test_givental_monomial_supports(diamond_model):
@@ -82,8 +153,8 @@ def test_one_lambda_per_potential_is_a_usage_error(capsys):
 
 
 def test_compactified_equations_match_worked_example(diamond_model):
-    model, nd = diamond_model
-    eqs = compactify_fiber(model, nd, ["lambda"])
+    model, nef = diamond_model
+    eqs = compactify_fiber(model, nef, ["lambda"])
     assert len(eqs) == 2
 
     # the displayed constraint, term for term
@@ -105,8 +176,8 @@ def test_compactified_equations_match_worked_example(diamond_model):
 
 def test_single_exponent_example(diamond_model):
     # <(-1,1), (0,1)> - min over Delta_1 = 1 - (-1) = 2
-    model, nd = diamond_model
-    eqs = compactify_fiber(model, nd)
+    model, nef = diamond_model
+    eqs = compactify_fiber(model, nef)
     term = next(t for t in eqs[0]["terms"] if t["coef"] == "a_(0,1)")
     assert term["exps"][var_label((-1, 1))] == 2
     # rho = 0 gives exponent -sigma_min >= 0 everywhere
@@ -115,35 +186,33 @@ def test_single_exponent_example(diamond_model):
 
 
 def test_degree_consistency(diamond_model):
-    model, nd = diamond_model
-    eqs = compactify_fiber(model, nd)
-    assert check_degree_consistency(eqs[0], _fan_rays(nd))
-    assert check_degree_consistency(eqs[1], _fan_rays(nd))
+    model, nef = diamond_model
+    eqs = compactify_fiber(model, nef)
+    assert check_degree_consistency(eqs[0], _fan_rays(nef))
+    assert check_degree_consistency(eqs[1], _fan_rays(nef))
 
 
 def test_newton_polytope_round_trip(diamond_model):
-    model, _ = diamond_model
-    for support, piece in zip(model.constraints + model.potentials,
-                              model.delta_pieces):
-        assert convex_hull(list(support)) == piece
+    model, nef = diamond_model
+    for i, support in enumerate(model.constraints + model.potentials):
+        assert convex_hull(list(support)) == hull_delta_piece(nef, i)
 
 
 def test_non_nef_split_degenerate_equals_compactification(diamond_model):
-    model, nd = diamond_model
+    model, nef = diamond_model
     pts = [pt for pt in model.potentials[0] if any(pt)]
-    split_eq = compactify_fiber(model, nd, ["lambda"], split=[pts])
-    direct = compactify_fiber(model, nd, ["lambda"])
+    split_eq = compactify_fiber(model, nef, ["lambda"], split=[pts])
+    direct = compactify_fiber(model, nef, ["lambda"])
     assert split_eq == direct
 
 
 def test_non_nef_split_square_anticanonical(square):
     nef = validate_nef(square, [(0, 1, 2, 3)])
     model = givental_hybrid(nef, 0, 1)
-    nd = nabla_pieces(nef)
     pts = [pt for pt in model.potentials[0] if any(pt)]
     group1 = [q for q in pts if q[0] != 0]
     group2 = [q for q in pts if q[0] == 0]
-    eqs = compactify_fiber(model, nd, split=[group1, group2])
+    eqs = compactify_fiber(model, nef, split=[group1, group2])
     assert len(eqs) == 2
     for eq in eqs:
         for t in eq["terms"]:
@@ -218,8 +287,8 @@ def test_one_part_cube_compactifies(cube, tmp_path):
     nef = validate_nef(cube, [tuple(range(8))])
     model = givental_hybrid(nef, 0, 1)
     assert len(model.potentials[0]) == 27
-    (eq,) = compactify_fiber(model, nabla_pieces(nef))
-    rays = _fan_rays(nabla_pieces(nef))
+    (eq,) = compactify_fiber(model, nef)
+    rays = _fan_rays(nef)
     assert rays == tuple(q for q in lattice_points(polar_dual(cube)) if any(q))
     assert len(rays) == 6
     rhos = [rho for rho in model.potentials[0] if any(rho)]

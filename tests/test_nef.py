@@ -8,15 +8,16 @@ import pytest
 import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
-from geometry import POLYGONS
-from tests_data_helpers import reflexive_polygons, vertex_splits
+from tests_data_helpers import (cross_polytope, free_sum, hull_nabla, hull_nabla_pieces,
+                                polygon, product, reflexive_polygons, unit_simplex,
+                                vertex_splits)
 
 from lgmirror.cli import main, resolve_polytope
 from lgmirror.fans import face_fan
 from lgmirror.lattice import (InputError, convex_hull, lattice_points, polar_dual,
                               polytope_from_inequalities)
 from lgmirror.linalg import dot, solve
-from lgmirror.nef import NefError, nabla_hull, nabla_pieces, nef_from_doc, validate_nef
+from lgmirror.nef import NefError, nef_from_doc, validate_nef
 
 
 def face_fan_nef(host, parts):
@@ -102,7 +103,7 @@ def test_diamond_nef_partition(diamond):
 def test_single_part_always_nef(diamond, square):
     for p in (diamond, square):
         nef = validate_nef(p, [tuple(range(len(p.vertices)))])
-        assert nabla_pieces(nef) == [polar_dual(p)]
+        assert hull_nabla_pieces(nef) == [polar_dual(p)]
 
 
 def test_square_diagonal_parts_fail_with_witness(square):
@@ -119,7 +120,7 @@ def test_cube_is_checked_on_its_non_simplicial_cones(cube):
     # y = -1; either way the second piece would need the non-lattice vertex
     # ray / 2, read off a ray at height [0, 2].
     nef = validate_nef(cube, [tuple(range(8))])
-    assert nabla_pieces(nef) == [polar_dual(cube)]
+    assert hull_nabla_pieces(nef) == [polar_dual(cube)]
     for parts, ray, height in (
             ([(0,), tuple(range(1, 8))], [-1, 0, 1], [0, 2]),
             ([(0, 1, 2, 3), (4, 5, 6, 7)], [-1, -1, 0], [0, 2])):
@@ -148,7 +149,7 @@ def test_an_empty_part_is_not_nef(diamond, tmp_path, capsys):
 
 def test_nabla_pieces_diamond(diamond):
     nef = validate_nef(diamond, [(3, 2, 1), (0,)])
-    n1, n2 = nabla_pieces(nef)
+    n1, n2 = hull_nabla_pieces(nef)
     assert n1 == convex_hull([(-1, -1), (-1, 1), (0, -1), (0, 1)])
     assert n2 == convex_hull([(0, 0), (1, 0)])
     # oracle cross-check by box scan
@@ -160,7 +161,7 @@ def test_nabla_pieces_diamond(diamond):
 
 def test_nabla_hull_diamond(diamond):
     nef = validate_nef(diamond, [(3, 2, 1), (0,)])
-    hull = nabla_hull(nabla_pieces(nef))
+    hull = hull_nabla(nef)
     assert hull == convex_hull([(-1, 1), (-1, -1), (0, 1), (0, -1), (1, 0)])
     dual = polar_dual(diamond)
     assert all(dual.contains(v) for v in hull.vertices)
@@ -168,27 +169,16 @@ def test_nabla_hull_diamond(diamond):
 
 def test_nabla_contains_origin_for_all_pieces(diamond):
     nef = validate_nef(diamond, [(3, 2, 1), (0,)])
-    for piece in nabla_pieces(nef):
+    for piece in hull_nabla_pieces(nef):
         assert piece.contains((0, 0))
 
 
 def test_nef_on_polygon_corpus_single_part():
     for p in reflexive_polygons():
         nef = validate_nef(p, [tuple(range(len(p.vertices)))])
-        hull = nabla_hull(nabla_pieces(nef))
+        hull = hull_nabla(nef)
         dual = polar_dual(p)
         assert all(dual.contains(v) for v in hull.vertices)
-
-
-def unit_simplex(rank):
-    """The simplex of P^rank: the unit vectors and minus their sum."""
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    return convex_hull(units + [tuple([-1] * rank)])
-
-
-def cross_polytope(rank):
-    return convex_hull([tuple(s * int(i == j) for j in range(rank))
-                        for i in range(rank) for s in (1, -1)])
 
 
 def sympy_checks_witness(host, parts, witness):
@@ -235,21 +225,11 @@ def test_the_dual_cone_decides_every_split_as_the_face_fan_does(cube):
                 continue
             verdicts["nef"] += 1
             assert nef.nabla == expect, (host.vertices, parts)
-            pieces = nabla_pieces(nef)
+            pieces = hull_nabla_pieces(nef)
             assert [p.vertices for p in pieces] == list(nef.nabla)
             assert pieces == [inequality_piece(nef, i) for i in range(len(parts))]
             assert minkowski_sum(*pieces) == polar_dual(host), (host.vertices, parts)
     assert verdicts == {"nef": 249, "not nef": 1404}
-
-
-def free_sum(p, q):
-    """conv(P x 0 and 0 x Q)."""
-    zp, zq = (0,) * p.ambient_rank, (0,) * q.ambient_rank
-    return convex_hull([v + zq for v in p.vertices] + [zp + w for w in q.vertices])
-
-
-def product(p, q):
-    return convex_hull([v + w for v in p.vertices for w in q.vertices])
 
 
 def two_part_splits(nverts):
@@ -258,10 +238,6 @@ def two_part_splits(nverts):
         second = tuple(j for j, b in enumerate(first, 1) if b)
         if second:
             yield [tuple(j for j in range(nverts) if j not in second), second]
-
-
-def polygon(name):
-    return convex_hull(POLYGONS[name])
 
 
 @pytest.mark.parametrize("host, sample, nef", [

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -702,6 +703,49 @@ def test_complex_edits_keep_their_first_message(name):
         assert expected == f"InputError: {PINNED_EDIT_ERRORS[name]}"
     else:
         assert not expected.startswith("InputError")
+
+
+# A string with more decimal digits than int() reads (4300 by default)
+LONG = "1" + "0" * 5000
+
+
+def _too_long(capsys, tmp_path, doc, load, path):
+    """load and the reference reader raise the same InputError at path, which
+    names int()'s digit limit and not the value; `ss weight` exits 3 on it."""
+    with pytest.raises(InputError) as err:
+        load(doc)
+    assert err.value.path == path
+    message = str(err.value)[len(path) + 2:]
+    assert message.startswith("Exceeds the limit (4300 digits)")
+    assert not re.search("[0-9]{100}", message)
+    assert _loaded(doc, load) == _loaded(doc, getattr(complex_reference, load.__name__))
+    if load is complex_from_doc:
+        f = tmp_path / "complex.json"
+        f.write_text(json.dumps(doc))
+        from lgmirror.cli import main
+        assert main(["ss", "weight", str(f)]) == 3
+        assert capsys.readouterr() == ("", f"cannot read input: {err.value}\n")
+
+
+@pytest.mark.parametrize("entry", [LONG, "1/" + "1" * 5000, "-" + LONG + "/3"],
+                         ids=["int", "denominator", "numerator"])
+@pytest.mark.parametrize("name, load", [("elliptic-deg-complex", complex_from_doc),
+                                        ("elliptic-cubical-a", cubical_from_doc)])
+def test_a_matrix_entry_longer_than_int_reads_is_bad_input(capsys, tmp_path, entry,
+                                                           name, load):
+    # it raised int()'s ValueError, and `ss weight` exited 1 with a traceback
+    from conftest import corpus_doc
+    doc = corpus_doc(name)
+    doc["maps"][0]["matrix"][1][0] = entry
+    _too_long(capsys, tmp_path, doc, load, "maps[0].matrix[1][0]")
+
+
+@pytest.mark.parametrize("field", ["dims", "hodge"])
+def test_a_graded_key_longer_than_int_reads_is_bad_input(capsys, tmp_path, field):
+    from conftest import corpus_doc
+    doc = corpus_doc("elliptic-deg-complex")
+    doc["strata"][0][field][LONG] = 0 if field == "dims" else {}
+    _too_long(capsys, tmp_path, doc, complex_from_doc, f"strata[0].{field}.{LONG}")
 
 
 @pytest.mark.parametrize("name", ["elliptic-cubical-a", "elliptic-cubical-b"])

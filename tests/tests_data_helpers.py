@@ -1,9 +1,10 @@
 """Builders for consistency-constructed spectral-sequence inputs, and the
 shared test oracles: the reflexive polygons, unimodular images, normalized
 volumes, cone faces and the pairwise fan check, relabelled Euler data and
-abutment checks; the splits of a vertex set and the nef documents of the
-polygons; the partition documents whose pieces do not tile their host, and
-the ones that take the central-frame path beyond rank 1.
+abutment checks; the splits of a vertex set, the nef documents of the
+polygons, the octahedron and P^3, and the hull route to the polytopes of a
+nef partition; the partition documents whose pieces do not tile their
+host, and the ones that take the central-frame path beyond rank 1.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -24,7 +25,8 @@ from math import gcd
 
 from geometry import POLYGONS
 
-from lgmirror.lattice import convex_hull, recession_rays, triangulation
+from lgmirror.lattice import (boundary_lattice_points, convex_hull, recession_rays,
+                              triangulation)
 from lgmirror.linalg import det, dot, vec_sub
 from lgmirror.spectral import StrataComplexData
 from lgmirror.strata import StrataEuler
@@ -50,15 +52,73 @@ def vertex_splits(n, most=3):
     return grow([0])
 
 
-def polygon_nef_documents():
-    """{name: document} of a nef document, inline polygon and parts, for
-    every split of each reflexive polygon's vertices into 1, 2 or 3 parts,
-    nef or not."""
+def polygon(name):
+    return convex_hull(POLYGONS[name])
+
+
+def unit_simplex(rank):
+    """The simplex of P^rank: the unit vectors and minus their sum."""
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return convex_hull(units + [tuple([-1] * rank)])
+
+
+def cross_polytope(rank):
+    return convex_hull([tuple(s * int(i == j) for j in range(rank))
+                        for i in range(rank) for s in (1, -1)])
+
+
+def free_sum(p, q):
+    """conv(P x 0 and 0 x Q)."""
+    zp, zq = (0,) * p.ambient_rank, (0,) * q.ambient_rank
+    return convex_hull([v + zq for v in p.vertices] + [zp + w for w in q.vertices])
+
+
+def product(p, q):
+    return convex_hull([v + w for v in p.vertices for w in q.vertices])
+
+
+def nef_documents(hosts):
+    """{name: document} of a nef document, inline host and parts, for every
+    split of each (name, host) pair's vertices into 1, 2 or 3 parts, nef or
+    not."""
     return {f"{name}-{'-'.join(''.join(map(str, p)) for p in parts)}":
-            {"polytope": {"rank": 2, "vertices": [list(v) for v in poly.vertices]},
+            {"polytope": {"rank": poly.ambient_rank,
+                          "vertices": [list(v) for v in poly.vertices]},
              "parts": [list(p) for p in parts]}
-            for name, poly in zip(POLYGONS, reflexive_polygons())
+            for name, poly in hosts
             for parts in vertex_splits(len(poly.vertices))}
+
+
+def polygon_nef_documents():
+    """The nef documents of the 16 reflexive polygons."""
+    return nef_documents(zip(POLYGONS, reflexive_polygons()))
+
+
+def rank3_nef_documents():
+    """The nef documents of the octahedron (122 splits) and of P^3 (14)."""
+    return nef_documents([("octahedron", cross_polytope(3)), ("P3", unit_simplex(3))])
+
+
+def hull_delta_piece(nef, i):
+    """Oracle: Delta_i = conv(0, E_i) as a hull."""
+    origin = (0,) * nef.host.ambient_rank
+    return convex_hull((origin,) + nef.part_vertices(i))
+
+
+def hull_nabla_pieces(nef):
+    """Oracle: the dual pieces nabla_i, in part order, as the hulls of the
+    vertices validate_nef read off the dual Cayley cone."""
+    return [convex_hull(vs) for vs in nef.nabla]
+
+
+def hull_nabla(nef):
+    """Oracle: nabla, the hull of the union of the dual pieces."""
+    return convex_hull([v for vs in nef.nabla for v in vs])
+
+
+def hull_fan_rays(nef):
+    """Oracle: the boundary lattice points of nabla, in lex order."""
+    return tuple(sorted(boundary_lattice_points(hull_nabla(nef))))
 
 
 def apply_unimodular(p, U, shift=None):
