@@ -182,8 +182,6 @@ def _partition_from_file(path):
 
 
 def cmd_partition(args):
-    if args.action == "lift" and args.bound < 0:
-        raise CliUsageError(f"--bound must be at least 0, got {args.bound}")
     part = _partition_from_file(args.file)
     fmt = args.format
     if args.action == "validate":
@@ -202,7 +200,7 @@ def cmd_partition(args):
                        + " ".join(str(tuple(s)) for s in d["simplices"]))
         return
     if args.action == "lift":
-        functionals = partitions.build_F_Gamma(part, args.bound)
+        functionals = partitions.build_F_Gamma(part)
         emit(partitions.lifting_polyhedron(part, functionals), fmt, _render_lift)
         return
     if args.action == "frame":
@@ -483,10 +481,7 @@ COMMANDS = {
         ("file", {}), _FORMAT]),
     "partition": ("semi-stable partition pipeline", cmd_partition, [
         ("action", dict(choices=["validate", "dual-complex", "lift", "frame", "fans"])),
-        ("file", {}),
-        ("--bound", dict(type=int, default=10,
-                         help="coefficient box bound for the F_Gamma search")),
-        _FORMAT]),
+        ("file", {}), _FORMAT]),
     "lg": ("Givental-style LG model generators", cmd_lg, [
         ("action", dict(choices=["emit", "compactify"])), ("file", {}),
         ("--split", dict(default=None, metavar="K:R",
@@ -526,10 +521,9 @@ def _plain(word, keywords):
     reads it; ValueError when argparse would not read it as a plain value."""
     if not word or word.startswith("-"):
         raise ValueError(word)
-    value = keywords.get("type", str)(word)
-    if "choices" in keywords and value not in keywords["choices"]:
+    if "choices" in keywords and word not in keywords["choices"]:
         raise ValueError(word)
-    return value
+    return word
 
 
 def _read_argv(argv):

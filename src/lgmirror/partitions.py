@@ -32,7 +32,6 @@ from .lattice import (
     is_face_of,
     is_reflexive,
     is_simplicial,
-    polyhedron_generators,
     read_field,
     read_keys,
     read_points,
@@ -221,68 +220,76 @@ def is_nonsingular(part):
 # The concave piecewise-linear function certifying the lifting
 # ---------------------------------------------------------------------------
 
-def _balanced_range(bound):
-    out = [0]
-    for k in range(1, bound + 1):
-        out.extend([-k, k])
-    return out
+def _bends(owners, functionals):
+    """The strict half of the certificate check: at every piece vertex u,
+    the functional of each piece that does not hold u exceeds that of the
+    pieces that do.  Given that the holders of u agree on it, F = min m_i is
+    then m_j on piece j and bends across every wall."""
+    for u, holders in owners.items():
+        values = [dot(m, u) for m in functionals]
+        low = values[holders[0]]
+        if any(v <= low for i, v in enumerate(values) if i not in holders):
+            return False
+    return True
 
 
-def build_F_Gamma(part, bound):
+def build_F_Gamma(part):
     """The certificate of the lifting: a tuple of integral functionals, one
     per piece in piece order, that agree on walls and bend strictly across
     them, so F = min over pieces is concave and linear exactly on the pieces.
 
-    The search scans the coefficient box [-bound, bound]^n, lazily at each
-    level, so memory does not grow with the box.  Validity of an
-    assignment (m_0, ..., m_r): for every ordered pair (i, j) and every
-    vertex u of piece j, m_i(u) == m_j(u) when u lies in piece i and
-    m_i(u) > m_j(u) otherwise.  Candidates are scanned in the balanced
-    lexicographic order 0, -1, 1, -2, 2, ... so the first solution found is
-    the canonical one.  Exhausting the box raises (which is not a disproof).
+    Only a central partition has one.  A piece that misses the origin has a
+    facet <a, x> >= -o with o < 0.  When the host holds the origin that
+    facet is a wall, held from its other side by a second piece, and its
+    hyperplane misses the origin, so it spans the space linearly: the forms
+    of the two pieces agree on it, hence are equal, and nothing bends there.
+
+    On a central, non-singular partition the pieces are L plus the cones of
+    a complete simplicial fan on M / L with l + 1 rays (central_frame).  The
+    continuous functions linear on each piece are linear forms plus the
+    pull-backs of piecewise-linear functions on that fan, which modulo
+    linear forms make a space of dimension (l + 1) - l = 1.  So with m_0 = 0
+    the tuples whose holders agree on every piece vertex are a saturated
+    lattice of rank 1, the integer kernel of those equations.  Every
+    certificate minus its m_0 lies in it, and exactly one sign of its
+    primitive generator bends (_bends): that tuple is the certificate.
     """
     if not validate_semistable(part)["valid"]:
         raise PartitionError("build_F_Gamma needs a valid semi-stable partition")
     if not is_nonsingular(part):
         raise PartitionError("build_F_Gamma needs a non-singular partition")
     pieces = part.pieces
+    for i, p in enumerate(pieces):
+        for a, o in p.facets:
+            if o < 0:
+                raise PartitionError(
+                    f"build_F_Gamma needs a central partition: piece {i} misses "
+                    f"the origin, which fails its facet <{list(a)}, x> >= {-o}")
     n = part.host.ambient_rank
-    coefficients = _balanced_range(bound)
+    if len(pieces) == 1:
+        return ((0,) * n,)
 
-    verts = [p.vertices for p in pieces]
+    # one row m_i(u) - m_j(u) = 0 per vertex u and further holder j, over
+    # the unknowns m_1, ..., m_r (m_0 = 0 drops the first n columns)
     owners = vertex_owners(part)
-    assignment = [None] * len(pieces)
-
-    def compatible(j, mj):
-        for i in range(j):
-            mi = assignment[i]
-            for u in verts[j] + verts[i]:
-                vi, vj = dot(mi, u), dot(mj, u)
-                if i in owners[u] and j in owners[u]:
-                    ok = vi == vj
-                elif j in owners[u]:
-                    ok = vi > vj
-                else:
-                    ok = vj > vi
-                if not ok:
-                    return False
-        return True
-
-    def search(j):
-        if j == len(pieces):
-            return True
-        for mj in itertools.product(coefficients, repeat=n):
-            if compatible(j, mj):
-                assignment[j] = mj
-                if search(j + 1):
-                    return True
-        assignment[j] = None
-        return False
-
-    if not search(0):
-        raise PartitionError(
-            f"F_Gamma search exhausted the coefficient box [-{bound}, {bound}]^{n}")
-    return tuple(assignment)
+    rows = []
+    for u, (i, *others) in owners.items():
+        for j in others:
+            row = [0] * (n * len(pieces))
+            row[n * i:n * i + n] = u
+            row[n * j:n * j + n] = [-x for x in u]
+            rows.append(row[n:])
+    kernel = integer_kernel(rows)
+    if len(kernel) == 1:
+        g = (0,) * n + tuple(kernel[0])
+        for s in (1, -1):
+            functionals = tuple(tuple(s * x for x in g[k:k + n])
+                                for k in range(0, len(g), n))
+            if _bends(owners, functionals):
+                return functionals
+    raise AssertionError(
+        f"the wall equations of a central non-singular partition have a "
+        f"kernel of rank {len(kernel)} and no certificate in it")
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +302,22 @@ def lifting_polyhedron(part, functionals):
     n + 1, as the `partition lift` document {"rank", "inequalities",
     "recession_rays", "vertices", "functionals"}.  Its inequalities,
     {"normal", "offset"} with <normal, (y, x)> >= -offset, are
-    y >= -m_i(x) for every functional and then the host facets."""
+    y >= -m_i(x) for every functional and then the host facets.
+
+    The functionals are build_F_Gamma's certificate, so F is linear exactly
+    on the pieces: the bounded faces of the epigraph are the lifts of the
+    faces of the pieces.  Its vertices are (-F(u), u) for every piece
+    vertex u, and its recession cone is the vertical ray."""
     n = part.host.ambient_rank
-    ineqs = []
-    for m in functionals:
-        ineqs.append(((1,) + tuple(m), 0))
-    for nrm, off in part.host.facets:
-        ineqs.append(((0,) + tuple(nrm), off))
-    verts, rays = polyhedron_generators(ineqs, ambient_rank=n + 1)
-    expected_ray = tuple([1] + [0] * n)
-    if rays != [expected_ray]:
-        raise PartitionError(f"unexpected recession cone {rays}")
-    for x in verts:
-        if any(v.denominator != 1 for v in x):
-            raise PartitionError(f"non-lattice vertex {tuple(map(str, x))}")
+    ineqs = [((1,) + tuple(m), 0) for m in functionals]
+    ineqs += [((0,) + tuple(nrm), off) for nrm, off in part.host.facets]
+    verts = {u for p in part.pieces for u in p.vertices}
     return {
         "rank": n + 1,
         "inequalities": [{"normal": list(nrm), "offset": o} for nrm, o in ineqs],
-        "recession_rays": [list(expected_ray)],
-        "vertices": sorted([int(v) for v in x] for x in verts),
+        "recession_rays": [[1] + [0] * n],
+        "vertices": sorted([-min(dot(m, u) for m in functionals), *u]
+                           for u in verts),
         "functionals": [list(m) for m in functionals],
     }
 
@@ -342,7 +346,7 @@ def central_frame(part):
     Every piece holds the origin, so every set of pieces meets and K_Gamma is
     the whole simplex on the r + 1 pieces: l = r.  The common face L holds
     the origin too, so its affine-hull equations are the Hermite basis of
-    the saturated lattice orthogonal to L; that basis maps M onto
+    the saturated lattice orthogonal to its vertices; that basis maps M onto
     Z^(n - dim L) with kernel M n L, so it is the quotient M / (M n L).
 
     The pieces project along the common face to a complete simplicial fan
@@ -359,16 +363,15 @@ def central_frame(part):
     host = part.host
     l = len(part.pieces) - 1
 
-    # the origin lies in every piece, so they meet in a face with vertices
-    common = convex_hull([u for u, owners in vertex_owners(part).items()
-                          if len(owners) == len(part.pieces)])
-    if l + common.dim != host.dim:
+    # the origin lies in every piece, so they meet in a face with vertices,
+    # and the lattice points of its span are the kernel of its equations
+    q_rows = [tuple(q) for q in integer_kernel(
+        [u for u, owners in vertex_owners(part).items()
+         if len(owners) == len(part.pieces)])]
+    common_dim = host.ambient_rank - len(q_rows)
+    if l + common_dim != host.dim:
         raise PartitionError(
-            f"dim K_Gamma + dim(common face) = {l} + {common.dim} != {host.dim}")
-
-    # the common face holds the origin, so the lattice points of its span
-    # are the kernel of its equations
-    q_rows = [q for q, _ in common.equations]
+            f"dim K_Gamma + dim(common face) = {l} + {common_dim} != {host.dim}")
     L_rows = integer_kernel(q_rows) if q_rows else identity(host.ambient_rank)
 
     if l == 0:

@@ -600,11 +600,11 @@ def _graded(d, path, keys, read_value=None):
         i = keys.get(k)
         if i is None:
             if not _DECIMAL.fullmatch(k):
-                raise InputError(f"{path}.{k}", "key is not a decimal int")
+                raise InputError(path, f"a key of length {len(k)} is not a decimal int")
             try:
                 i = int(k)
             except ValueError as exc:  # more digits than int() reads
-                raise InputError(f"{path}.{k}", str(exc)) from None
+                raise InputError(path, f"a key of length {len(k)}: {exc}") from None
             if str(i) != k:
                 raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(i)!r}")
             keys[k] = i

@@ -28,11 +28,11 @@ def _graded(d, path, read_value=read_count):
     out = {}
     for k, v in d.items():
         if not _DECIMAL.fullmatch(k):
-            raise InputError(f"{path}.{k}", "key is not a decimal int")
+            raise InputError(path, f"a key of length {len(k)} is not a decimal int")
         try:
             i = int(k)
         except ValueError as exc:  # more digits than int() reads
-            raise InputError(f"{path}.{k}", str(exc)) from None
+            raise InputError(path, f"a key of length {len(k)}: {exc}") from None
         if str(i) != k:
             raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(i)!r}")
         out[i] = read_value(v, f"{path}.{k}")

@@ -39,6 +39,8 @@ ARGV_SHAPES = (
        ["polytope", "points", "--format", "json", SQUARE],
        ["partition", "lift", VSPLIT, "--bound", "-3"],
        ["partition", "lift", "--bound", "2", VSPLIT],
+       ["partition", "lift", VSPLIT, "--format", "-3"],
+       ["partition", "lift", "--format", "json", VSPLIT],
        ["ss", "pw", "--", corpus_path("elliptic-deg-complex"),
         corpus_path("elliptic-hyb-complex")],
        ["corpus"], ["corpus", "square"], ["corpus", "square", "cube"]]
@@ -107,6 +109,12 @@ def test_a_plain_command_line_builds_no_parser(monkeypatch, capsys):
     built = _count_parsers(monkeypatch)
     assert main(["polytope", "points", SQUARE, "--format", "json"]) == 0
     assert built == []
+
+
+def test_no_argument_has_a_type():
+    # _plain returns each value as the str argparse gives without a type
+    assert [argument for _, _, arguments in COMMANDS.values()
+            for argument, keywords in arguments if "type" in keywords] == []
 
 
 # words that argparse reads otherwise than as a plain value, or not at all

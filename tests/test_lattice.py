@@ -660,7 +660,7 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
     ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"0": 1.5}}]),
      "strata[0].dims.0"),
     ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"x": 1}}]),
-     "strata[0].dims.x"),
+     "strata[0].dims"),
     ("ss", _with(CURVE, strata=[{"I": [0.0], "dims": {"0": 1}}]),
      "strata[0].I[0]"),
     ("ss", _with(CURVE, strata=[{"I": [0], "dims": {"0": 1},

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import tracemalloc
 from math import gcd
 
 import pytest
@@ -15,7 +14,7 @@ from tests_data_helpers import FRAME_PATH, NON_TILING, normalized_volume
 from lgmirror import partitions
 from lgmirror.cli import main, resolve_polytope
 from lgmirror.lattice import (LatticeError, carrier, convex_hull, intersect,
-                              is_face_of, lattice_points,
+                              is_face_of, lattice_points, polyhedron_generators,
                               polytope_from_inequalities)
 from lgmirror.linalg import dot
 from lgmirror.partitions import (
@@ -141,7 +140,7 @@ def test_centrality_and_nonsingularity(vsplit, square):
 
 
 def test_F_gamma_vertical_split(vsplit):
-    F = build_F_Gamma(vsplit, 10)
+    F = build_F_Gamma(vsplit)
     assert F == ((0, 0), (-1, 0))
     # concavity: m_i(x) >= F(x) on all host lattice points, equality on own
     for x in lattice_points(vsplit.host):
@@ -154,20 +153,20 @@ def test_F_gamma_vertical_split(vsplit):
 
 def test_F_gamma_trivial(square):
     part = SemistablePartition(square, (square,))
-    assert build_F_Gamma(part, 10) == ((0, 0),)
+    assert build_F_Gamma(part) == ((0, 0),)
 
 
 def test_F_gamma_requires_validity(square):
     with pytest.raises(PartitionError):
-        build_F_Gamma(diag_partition(square), 10)
+        build_F_Gamma(diag_partition(square))
 
 
 def test_F_gamma_tsigma(tsigma_part):
-    assert build_F_Gamma(tsigma_part, 10) == ((0, 0), (0, -1), (1, 0))
+    assert build_F_Gamma(tsigma_part) == ((0, 0), (0, -1), (1, 0))
 
 
 def test_lifting_vertical_split(vsplit):
-    F = build_F_Gamma(vsplit, 10)
+    F = build_F_Gamma(vsplit)
     lifted = lifting_polyhedron(vsplit, F)
     assert set(inequalities(lifted)) == {
         ((1, 0, 0), 0), ((1, -1, 0), 0),
@@ -180,7 +179,7 @@ def test_lifting_vertical_split(vsplit):
 
 def test_lifting_trivial(square):
     part = SemistablePartition(square, (square,))
-    lifted = lifting_polyhedron(part, build_F_Gamma(part, 10))
+    lifted = lifting_polyhedron(part, build_F_Gamma(part))
     assert ((1, 0, 0), 0) in inequalities(lifted)
     assert lifting_projection_check(part, lifted)["ok"]
 
@@ -316,16 +315,6 @@ def test_fibration_fans_trivial_diamond(diamond):
     assert fans.sigma_v.maximal_cones == ()
 
 
-def test_negative_lift_bound_is_a_usage_error(capsys):
-    assert main(["partition", "lift", corpus_path("square-vsplit"),
-                 "--bound", "-1"]) == 3
-    assert "--bound must be at least 0, got -1" in capsys.readouterr().err
-    # 0 is a bound: the one-point box holds no certificate for two pieces
-    assert main(["partition", "lift", corpus_path("square-vsplit"),
-                 "--bound", "0"]) == 2
-    assert "[-0, 0]^2" in capsys.readouterr().err
-
-
 def test_pieces_meeting_at_a_non_lattice_point_fail_the_tiling(capsys, tmp_path):
     # A common face of two lattice polytopes has lattice vertices, so the
     # verdict is the tiling's, not an error from the intersection.
@@ -366,7 +355,7 @@ REPORT_DOCS["cube-halves"] = {"polytope": "cube", "pieces": [
 REPORTS = {
     "validate": validate_semistable,
     "dual-complex": dual_complex,
-    "lift": lambda part: lifting_polyhedron(part, build_F_Gamma(part, 10)),
+    "lift": lambda part: lifting_polyhedron(part, build_F_Gamma(part)),
 }
 
 
@@ -693,30 +682,153 @@ def test_seed_3_fibrations_pass_makes_26_intersect_calls(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The F_Gamma search box
+# F_Gamma and the lift against the box search and the double description
 # ---------------------------------------------------------------------------
 
-def test_F_gamma_scans_a_large_box_in_small_memory():
-    part = OWNER_TABLE_INPUTS["b8v4b-halves"]
-    tracemalloc.start()
-    try:
-        functionals = build_F_Gamma(part, 50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the listed box of 101^3 candidates peaked near 89 MB
-    assert peak < 2 ** 20
-    assert functionals == build_F_Gamma(part, 10)
+def box_F_Gamma(part, bound):
+    """Oracle: the first certificate in the coefficient box [-bound, bound]^n,
+    scanned piece by piece in the balanced lexicographic order 0, -1, 1, -2,
+    2, ..., or None when the box holds none.  An assignment is valid when
+    for every ordered pair (i, j) and every vertex u of piece j, m_i(u) ==
+    m_j(u) when u lies in piece i and m_i(u) > m_j(u) otherwise."""
+    pieces = part.pieces
+    coefficients = [0] + [s * k for k in range(1, bound + 1) for s in (-1, 1)]
+    owners = vertex_owners(part)
+    assignment = [None] * len(pieces)
+
+    def compatible(j, mj):
+        for i in range(j):
+            mi = assignment[i]
+            for u in pieces[j].vertices + pieces[i].vertices:
+                vi, vj = dot(mi, u), dot(mj, u)
+                if i in owners[u] and j in owners[u]:
+                    ok = vi == vj
+                elif j in owners[u]:
+                    ok = vi > vj
+                else:
+                    ok = vj > vi
+                if not ok:
+                    return False
+        return True
+
+    def search(j):
+        if j == len(pieces):
+            return True
+        for mj in itertools.product(coefficients, repeat=part.host.ambient_rank):
+            if compatible(j, mj):
+                assignment[j] = mj
+                if search(j + 1):
+                    return True
+        return False
+
+    return tuple(assignment) if search(0) else None
 
 
-def test_F_gamma_at_bound_50_is_the_bound_10_certificate():
-    smooth = [part for name, part in sorted(OWNER_TABLE_INPUTS.items())
-              if name.endswith("-halves") and validate_semistable(part)["valid"]
-              and is_nonsingular(part)]
-    # the prisms over the five smooth reflexive polygons
-    assert len(smooth) == 5
-    for part in smooth:
-        assert build_F_Gamma(part, 50) == build_F_Gamma(part, 10)
+def generated_lift(part, functionals):
+    """Oracle: the vertices and recession rays of the lifted polyhedron, by
+    one double description of its inequalities."""
+    ineqs = [((1,) + tuple(m), 0) for m in functionals]
+    ineqs += [((0,) + tuple(a), o) for a, o in part.host.facets]
+    verts, rays = polyhedron_generators(ineqs, ambient_rank=part.host.ambient_rank + 1)
+    return sorted(list(v) for v in verts), [list(r) for r in rays]
+
+
+def _lifted_by_both(part):
+    F = build_F_Gamma(part)
+    assert F == box_F_Gamma(part, 10)
+    lifted = lifting_polyhedron(part, F)
+    assert (lifted["vertices"], lifted["recession_rays"]) == generated_lift(part, F)
+
+
+def cut_partitions():
+    """The cuts a.x = 0, a in [-2, 2]^n, of the 16 reflexive polygons and of
+    the prisms over six of them, whose halves are lattice polytopes and
+    which are valid and non-singular."""
+    hosts = [convex_hull(v) for v in POLYGONS.values()]
+    hosts += [convex_hull([v + (z,) for v in POLYGONS[name] for z in (-1, 1)])
+              for name in ("b6v6", "b7v5", "b8v3", "b8v4a", "b8v4b", "b9v3")]
+    for host in hosts:
+        n = host.ambient_rank
+        for a in itertools.product(range(-2, 3), repeat=n):
+            if not any(a):
+                continue
+            try:
+                halves = tuple(polytope_from_inequalities(host.facets + ((b, 0),),
+                                                          ambient_rank=n)
+                               for b in (a, tuple(-x for x in a)))
+            except LatticeError:  # a half with a non-lattice vertex
+                continue
+            part = SemistablePartition(host, halves)
+            if validate_semistable(part)["valid"] and is_nonsingular(part):
+                yield part
+
+
+def test_F_gamma_is_the_box_certificate_on_the_cuts():
+    cuts = list(cut_partitions())
+    assert len(cuts) == 92
+    for part in cuts:
+        _lifted_by_both(part)
+
+
+def test_F_gamma_is_the_box_certificate_on_every_central_partition_built_here():
+    parts = list(OWNER_TABLE_INPUTS.values())
+    parts += [partition_from_doc(doc, resolve_polytope)
+              for doc in (*FRAME_PATH.values(), REPORT_DOCS["cube-halves"])]
+    parts += [_sheared_cube_halves(U) for U in SHEARS]
+    parts += [SemistablePartition(p.host, (p.host,)) for p in parts]
+    central = [p for p in parts if validate_semistable(p)["valid"]
+               and is_central(p) and is_nonsingular(p)]
+    assert len(central) == 13 + 28  # and the one-piece partitions of the hosts
+    for part in central:
+        _lifted_by_both(part)
+
+
+def _rectangle(x0, x1, y0, y1):
+    return [[x, y] for x in (x0, x1) for y in (y0, y1)]
+
+
+def _lift_doc(tmp_path, doc, capsys):
+    f = tmp_path / "part.json"
+    f.write_text(json.dumps(doc))
+    code = main(["partition", "lift", str(f), "--format", "json"])
+    return code, capsys.readouterr()
+
+
+def test_a_steep_cut_lifts_by_its_primitive_certificate(capsys, tmp_path):
+    # the cut x = 11 y of [-12, 12] x [-1, 1]: the certificate leaves the box
+    # of bound 10, whose search printed ((0, -1), (-1, 10)), the same bend
+    # plus the common form (0, -1)
+    doc = {"polytope": {"rank": 2, "vertices": _rectangle(-12, 12, -1, 1)},
+           "pieces": [[[-12, -1], [-11, -1], [11, 1], [-12, 1]],
+                      [[-11, -1], [12, -1], [12, 1], [11, 1]]]}
+    part = partition_from_doc(doc, resolve_polytope)
+    assert box_F_Gamma(part, 10) == ((0, -1), (-1, 10))
+    assert build_F_Gamma(part) == box_F_Gamma(part, 11) == ((0, 0), (-1, 11))
+    code, out = _lift_doc(tmp_path, doc, capsys)
+    assert (code, out.err) == (0, "")
+    assert json.loads(out.out)["functionals"] == [[0, 0], [-1, 11]]
+
+
+@pytest.mark.parametrize("host, pieces, message", [
+    # the host holds the origin, and the wall x = 1 misses it: the forms on
+    # its two sides are equal, so no box holds a certificate
+    (_rectangle(-2, 2, -1, 1), [_rectangle(-2, 1, -1, 1), _rectangle(1, 2, -1, 1)],
+     "piece 1 misses the origin, which fails its facet <[1, 0], x> >= 1"),
+    # an off-origin host has certificates, and it lifted by one of them
+    (_rectangle(1, 3, -1, 1), [_rectangle(1, 3, -1, 0), _rectangle(1, 3, 0, 1)],
+     "piece 0 misses the origin, which fails its facet <[1, 0], x> >= 1"),
+], ids=["wall-off-the-origin", "off-origin-host"])
+def test_a_partition_that_is_not_central_is_not_lifted(capsys, tmp_path, host,
+                                                       pieces, message):
+    doc = {"polytope": {"rank": 2, "vertices": host}, "pieces": pieces}
+    part = partition_from_doc(doc, resolve_polytope)
+    assert validate_semistable(part)["valid"] and is_nonsingular(part)
+    assert (box_F_Gamma(part, 3) is None) == part.host.contains((0, 0))
+    with pytest.raises(PartitionError, match="central partition"):
+        build_F_Gamma(part)
+    code, out = _lift_doc(tmp_path, doc, capsys)
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: build_F_Gamma needs a central partition: {message}\n"
 
 
 @pytest.mark.parametrize("name, frame, fans_error", [

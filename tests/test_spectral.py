@@ -709,14 +709,15 @@ def test_complex_edits_keep_their_first_message(name):
 LONG = "1" + "0" * 5000
 
 
-def _too_long(capsys, tmp_path, doc, load, path):
-    """load and the reference reader raise the same InputError at path, which
-    names int()'s digit limit and not the value; `ss weight` exits 3 on it."""
+def _too_long(capsys, tmp_path, doc, load, path, lead=""):
+    """load and the reference reader raise the same InputError at path, whose
+    message is lead and then int()'s digit limit, and does not name the
+    value; `ss weight` exits 3 on it."""
     with pytest.raises(InputError) as err:
         load(doc)
     assert err.value.path == path
     message = str(err.value)[len(path) + 2:]
-    assert message.startswith("Exceeds the limit (4300 digits)")
+    assert message.startswith(lead + "Exceeds the limit (4300 digits)")
     assert not re.search("[0-9]{100}", message)
     assert _loaded(doc, load) == _loaded(doc, getattr(complex_reference, load.__name__))
     if load is complex_from_doc:
@@ -744,8 +745,10 @@ def test_a_matrix_entry_longer_than_int_reads_is_bad_input(capsys, tmp_path, ent
 def test_a_graded_key_longer_than_int_reads_is_bad_input(capsys, tmp_path, field):
     from conftest import corpus_doc
     doc = corpus_doc("elliptic-deg-complex")
+    # the path names the field and the message the key's length, not the key
     doc["strata"][0][field][LONG] = 0 if field == "dims" else {}
-    _too_long(capsys, tmp_path, doc, complex_from_doc, f"strata[0].{field}.{LONG}")
+    _too_long(capsys, tmp_path, doc, complex_from_doc, f"strata[0].{field}",
+              "a key of length 5001: ")
 
 
 @pytest.mark.parametrize("name", ["elliptic-cubical-a", "elliptic-cubical-b"])
