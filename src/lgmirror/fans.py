@@ -132,22 +132,20 @@ def refine_with_boundary_rays(p):
     """Refine face_fan(p) so its rays are all boundary lattice points of p.
 
     Each facet is triangulated by pulling (lattice.triangulation), and its
-    cells are starred at the facet's other lattice points in lexicographic
-    order; the cones over the cells are unimodular up to rank 3.  Rank >= 4
-    is unsupported.  p is reflexive, so its boundary points are primitive,
-    and a cell's points are the extreme rays of its cone.
+    cells are starred at its lattice points that are not vertices of p, in
+    lexicographic order; the cones over the cells are unimodular up to rank
+    3.  Rank >= 4 is unsupported.  p is reflexive, so its boundary points
+    are primitive, and a cell's points are the extreme rays of its cone.
     """
     if p.ambient_rank > 3:
         raise FanError("boundary-ray refinement is implemented for rank <= 3 only")
     _require_reflexive(p, "boundary-ray refinement")
-    boundary = boundary_lattice_points(p)
+    others = [q for q in boundary_lattice_points(p) if q not in p.vertices]
     cones = []
-    for f in faces(p, p.dim - 1):
-        verts = f.vertices()
-        n, o = p.facets[p.incidence.index(frozenset(f.vertex_indices))]
-        cells = triangulation(f)
-        for q in boundary:
-            if dot(n, q) == -o and q not in verts:
+    for (n, o), s in zip(p.facets, p.incidence):
+        cells = triangulation(p.face(s))
+        for q in others:
+            if dot(n, q) == -o:
                 cells = star(cells, q)
         cones += [Cone(tuple(sorted(cell)), p.ambient_rank) for cell in cells]
     return Fan.from_cones(cones, p.ambient_rank)

@@ -12,12 +12,12 @@ the points, polytope_from_inequalities, intersect and recession_rays for
 the homogenised inequality system (polyhedron_generators).  It returns each
 ray with the bitmask of the constraints tight on it: for convex_hull, a
 facet with the points on it.  convex_hull reads the vertices off those
-masks and keeps the facet-vertex incidence on the polytope: which vertex
-lies on which facet is read there, never evaluated again.  polar_dual
-builds no second hull: it reads the polar off the facets, the vertices and
-the transposed incidence of its reflexive polytope.  Every face
-query reads one face lattice per polytope, built by face_lattice on first
-use and kept on the polytope (LatticePolytope.all_faces).
+masks and keeps the facet-vertex incidence on the polytope, one vertex mask
+per facet: which vertex lies on which facet is read there, never evaluated
+again.  polar_dual builds no second hull: it reads the polar off the
+facets, vertices and transposed incidence of its reflexive polytope.  Every
+face query reads one face lattice per polytope, built on vertex masks by
+face_lattice on first use and kept, keyed by mask (LatticePolytope.face).
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ class LatticePolytope:
     """Convex lattice polytope with consistent V- and H-representations.
 
     Equal, and hashed alike, when ambient_rank and vertices agree.  A field
-    cannot be assigned; the face lattice is kept in _faces on first use.
+    cannot be assigned; the face lattice is kept in _faces and _by_mask.
     """
 
     __slots__ = ("ambient_rank", "vertices", "facets", "equations", "name",
-                 "incidence", "_faces")
+                 "incidence", "_faces", "_by_mask")
 
     def __init__(self, ambient_rank, vertices, facets, equations=(), name="",
                  incidence=()):
@@ -153,9 +153,10 @@ class LatticePolytope:
         put(self, "facets", facets)        # (normal tuple, offset int) pairs
         put(self, "equations", equations)  # (normal tuple, value int): <n,x> == value
         put(self, "name", name)
-        # incidence[i]: the indices of the vertices on facets[i]
+        # incidence[i]: the vertices on facets[i], bit k set for vertex k
         put(self, "incidence", incidence)
         put(self, "_faces", None)
+        put(self, "_by_mask", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -173,6 +174,13 @@ class LatticePolytope:
         if self._faces is None:
             object.__setattr__(self, "_faces", tuple(face_lattice(self)))
         return self._faces
+
+    def face(self, mask):
+        """The face of vertex mask `mask` (bit k for vertex k), by one lookup."""
+        if self._by_mask is None:
+            object.__setattr__(self, "_by_mask", {
+                sum(1 << k for k in f.vertex_indices): f for f in self.all_faces()})
+        return self._by_mask[mask]
 
     @property
     def dim(self):
@@ -246,15 +254,17 @@ def convex_hull(points, name=""):
     full = (1 << len(pts)) - 1
     verts = [j for j in range(len(pts))
              if reduce(and_, (z for *_, z in facets if z >> j & 1), full) == 1 << j]
-    incidence = tuple(frozenset(k for k, j in enumerate(verts) if z >> j & 1)
-                      for *_, z in facets)
+    incidence = tuple(z for *_, z in facets)
+    if len(verts) < len(pts):  # renumber the bits from points to vertices
+        incidence = tuple(sum(1 << k for k, j in enumerate(verts) if z >> j & 1)
+                          for z in incidence)
     return LatticePolytope(n, tuple(pts[j] for j in verts),
                            tuple((a, o) for a, o, _ in facets), equations,
                            name, incidence)
 
 
 def faces(p, l):
-    """All l-faces of p, via closure of facet vertex sets under intersection."""
+    """All l-faces of p, read off its face lattice."""
     if l < 0 or l > p.dim:
         raise LatticeError(f"face dimension {l} out of range for dim {p.dim}")
     return [f for f in p.all_faces() if f.dimension == l]
@@ -264,27 +274,24 @@ def face_lattice(p):
     """Every nonempty face of p (including p itself), deterministically ordered.
 
     This builds the lattice; everything else reads it through p.all_faces(),
-    which calls this once per polytope.
+    which calls this once per polytope.  The faces are p and the nonempty
+    ANDs of facet masks, by size and then by vertex indices.
     """
-    frontier = set(p.incidence)
-    all_sets = frontier | {frozenset(range(len(p.vertices)))}
+    incidence, n = p.incidence, len(p.vertices)
+    frontier = set(incidence)
+    masks = frontier | {(1 << n) - 1}
     while frontier:
-        new = set()
-        for s in frontier:
-            for f in p.incidence:
-                t = s & f
-                if t and t not in all_sets:
-                    new.add(t)
-        all_sets |= new
-        frontier = new
+        frontier = {t for s in frontier for f in incidence
+                    if (t := s & f) and t not in masks}
+        masks |= frontier
     # A face's dimension is one more than the largest dimension of its
-    # proper faces, the sets s & f, which are smaller and so come first.
-    out = []
-    dims = {}
-    for s in sorted(all_sets, key=lambda s: (len(s), sorted(s))):
-        dims[s] = 1 + max((dims[s & f] for f in p.incidence
-                           if s & f and s & f != s), default=-1)
-        out.append(Face(p, tuple(sorted(s)), dims[s]))
+    # proper faces, the masks s & f, which are smaller and so come first.
+    out, dims = [], {}
+    for _, idx, s in sorted((m.bit_count(), tuple(k for k in range(n) if m >> k & 1), m)
+                            for m in masks):
+        dims[s] = 1 + max((dims[t] for f in incidence
+                           if (t := s & f) and t != s), default=-1)
+        out.append(Face(p, idx, dims[s]))
     return out
 
 
@@ -343,11 +350,16 @@ def polar_dual(p):
     diagnostic = reflexivity_diagnostic(p)
     if diagnostic != "reflexive":
         raise LatticeError(f"not reflexive: {diagnostic}")
-    incidence = tuple(frozenset(j for j, s in enumerate(p.incidence) if i in s)
-                      for i in range(len(p.vertices)))
     return LatticePolytope(p.ambient_rank, tuple(n for n, _ in p.facets),
                            tuple((v, 1) for v in p.vertices), (),
-                           f"{p.name}*" if p.name else "", incidence)
+                           f"{p.name}*" if p.name else "", vertex_facets(p))
+
+
+def vertex_facets(p):
+    """The incidence transposed: for each vertex, the mask of the facets
+    through it, bit i for facets[i]."""
+    return tuple(sum(1 << i for i, s in enumerate(p.incidence) if s >> k & 1)
+                 for k in range(len(p.vertices)))
 
 
 def is_simplicial(p):
@@ -356,8 +368,7 @@ def is_simplicial(p):
     per facet at the vertex, is a simplex exactly when either count is dim."""
     if not p.is_full_dimensional():
         raise LatticeError("simpliciality check needs a full-dimensional polytope")
-    return all(sum(j in s for s in p.incidence) == p.dim
-               for j in range(len(p.vertices)))
+    return all(z.bit_count() == p.dim for z in vertex_facets(p))
 
 
 def is_smooth(p):
@@ -509,23 +520,22 @@ def intersect(a, b):
 
 def facet_masks(p, points):
     """{q: bitmask of the facets of p through q} for points q of p; a
-    vertex reads them off p.incidence."""
-    index = {v: j for j, v in enumerate(p.vertices)}
-    return {q: sum(1 << i for i, s in enumerate(p.incidence) if index[q] in s)
-            if q in index else
+    vertex reads them off vertex_facets."""
+    at = dict(zip(p.vertices, vertex_facets(p)))
+    return {q: at[q] if q in at else
             sum(1 << i for i, (n, o) in enumerate(p.facets) if dot(n, q) == -o)
             for q in points}
 
 
 def carrier(p, points, masks=None):
     """The smallest face of p holding the points, which lie in p: the
-    vertices that the facets through all the points share.  masks is
-    facet_masks of the points or of more, for callers that reuse it."""
+    vertices that the facets through all the points share, as a mask, and
+    the face of that mask.  masks is facet_masks of the points or of more,
+    for callers that reuse it."""
     masks = masks or facet_masks(p, points)
     through = reduce(and_, (masks[q] for q in points), -1)
-    key = tuple(sorted(set(range(len(p.vertices))).intersection(
-        *(s for i, s in enumerate(p.incidence) if through >> i & 1))))
-    return next(f for f in p.all_faces() if f.vertex_indices == key)
+    return p.face(reduce(and_, (s for i, s in enumerate(p.incidence)
+                                if through >> i & 1), (1 << len(p.vertices)) - 1))
 
 
 def is_face_of(f, p):

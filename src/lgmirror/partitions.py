@@ -53,9 +53,9 @@ def check_tiling(part):
     common faces and cover the host: (verdict, message).
 
     A wall is a piece facet (a, o) that is not a host facet, keyed by its
-    vertex set, read off p.incidence.  Two pieces that hold the same wall
-    with opposite (a, o) lie on the two sides of its hyperplane, so they
-    meet in exactly that facet, a proper face of both, and are not
+    vertices, read off its mask in p.incidence.  Two pieces that hold the
+    same wall with opposite (a, o) lie on the two sides of its hyperplane,
+    so they meet in exactly that facet, a proper face of both, and are not
     intersected.  Every other pair is intersected, in lex order, and the
     first that does not meet in a proper common face is named.  It is not
     established here that matched walls also make every lower-dimensional
@@ -82,12 +82,12 @@ def check_tiling(part):
         if not all(host.contains(v) for v in p.vertices):
             return False, f"piece {i} is not contained in the host"
     boundary = set(host.facets)
-    walls = {}  # wall vertex set -> [(piece, inward normal)]
+    walls = {}  # wall vertices, in lex order -> [(piece, inward normal)]
     for i, p in enumerate(pieces):
         for facet, s in zip(p.facets, p.incidence):
             if facet not in boundary:
-                walls.setdefault(frozenset(p.vertices[k] for k in s), []).append(
-                    (i, facet[0]))
+                walls.setdefault(tuple(v for k, v in enumerate(p.vertices) if s >> k & 1),
+                                 []).append((i, facet[0]))
     # a wall's vertex set fixes its hyperplane, so two holders of it have
     # equal or opposite normals; opposite ones hold it from its two sides
     matched = {(i, j) for held in walls.values()
@@ -106,17 +106,6 @@ def check_tiling(part):
     if any(len(held) != 2 for held in walls.values()):
         return False, "piece volumes do not add up to the host volume"
     return True, "ok"
-
-
-def _gamma_faces(part):
-    """All faces of the partition, deduplicated by vertex point set."""
-    seen = {}
-    for piece in part.pieces:
-        for f in piece.all_faces():
-            key = frozenset(f.vertices())
-            if key not in seen:
-                seen[key] = (tuple(sorted(f.vertices())), f.dimension)
-    return sorted(seen.values())
 
 
 def vertex_owners(part):
@@ -164,7 +153,9 @@ def validate_semistable(part):
 
     masks = facet_masks(host, owners)
     f_violations = []
-    for points, l in _gamma_faces(part):
+    # the partition faces once each, by their vertices (in lex order)
+    gamma = {f.vertices(): f.dimension for p in pieces for f in p.all_faces()}
+    for points, l in sorted(gamma.items()):
         tau = carrier(host, points, masks)
         count = len(set.intersection(*(set(owners[u]) for u in points)))
         expected = tau.dimension - l + 1

@@ -592,7 +592,7 @@ def _graded(d, path, keys, read_value=None):
     """{int: value} of a JSON object keyed by decimal ints, each key parsed
     once per document (`keys`); the values are dimensions, or read by
     read_value.  "02" or "-0" would alias "2" or "0", so a key must be the
-    int's own spelling."""
+    int's own spelling.  A bad key is named by its length, never quoted."""
     if type(d) is not dict:
         raise InputError(path, f"expected an object keyed by ints, got {d!r}")
     out = {}
@@ -606,7 +606,7 @@ def _graded(d, path, keys, read_value=None):
             except ValueError as exc:  # more digits than int() reads
                 raise InputError(path, f"a key of length {len(k)}: {exc}") from None
             if str(i) != k:
-                raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(i)!r}")
+                raise InputError(path, f"a key of length {len(k)} has a leading zero or is -0")
             keys[k] = i
         if read_value is not None:
             v = read_value(v, f"{path}.{k}", keys)

@@ -48,11 +48,12 @@ def euler_snc(d):
 
 
 def euler_smoothing(d):
-    """Euler number of the smoothing, the |I|-weighted alternating sum."""
+    """Euler number of the smoothing: the sum over the strata X_I of
+    (-1)^(|I| - 1) |I| e(X_I), so a component adds e, a double locus -2e."""
     if d.components < 2:
         raise StrataError("smoothing formula needs a genuine degeneration "
                           "(at least two components)")
-    return sum(sign(len(I)) * len(I) * e for I, e in d.entries.items())
+    return sum(sign(len(I) - 1) * len(I) * e for I, e in d.entries.items())
 
 
 def euler_relative(d, I):

@@ -18,6 +18,10 @@ and calls lgmirror.cli.main in-process on:
 - the central partitions with a projected fan beyond rank 1 or a rank-4
   host (tests_data_helpers.FRAME_PATH) through `partition validate`,
   `frame` and `fans`, in both output formats;
+- every cut of a reflexive polygon or of a prism over one into two
+  lattice halves (tests_data_helpers.lattice_cuts, 472), valid or not,
+  through `partition validate` and `partition dual-complex`, in both
+  output formats;
 - the single edits of the complex documents
   (tests_data_helpers.COMPLEX_EDITS) through `ss pd` and `ss delta`, and
   those of elliptic-deg-complex, the degeneration side, also through
@@ -100,8 +104,8 @@ def snapshot(src):
     import workloads
     from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH,
                                     HODGE_AT_A_ZERO_DEGREE, NON_TILING, UNREADABLE_FILES,
-                                    edit_document, polygon_nef_documents,
-                                    rank3_nef_documents)
+                                    edit_document, lattice_cuts, partition_document,
+                                    polygon_nef_documents, rank3_nef_documents)
 
     calls = {}
     cwd = os.getcwd()
@@ -139,6 +143,13 @@ def snapshot(src):
                         for fmt in ("text", "json"):
                             argv = ["partition", action, f"{name}.json", "--format", fmt]
                             calls[f"{label} " + " ".join(argv)] = run(cli.main, argv)
+            for name, part in lattice_cuts().items():
+                with open("cut.json", "w") as fh:
+                    json.dump(partition_document(part), fh)
+                for action in ("validate", "dual-complex"):
+                    for fmt in ("text", "json"):
+                        argv = ["partition", action, "cut.json", "--format", fmt]
+                        calls[f"cut {name}: " + " ".join(argv)] = run(cli.main, argv)
             shutil.copy(cli.data_dir() / "elliptic-hyb-complex.json", ".")
             for name, (base, path, action, value) in COMPLEX_EDITS.items():
                 with open(cli.data_dir() / f"{base}.json") as fh:

@@ -34,7 +34,7 @@ def _graded(d, path, read_value=read_count):
         except ValueError as exc:  # more digits than int() reads
             raise InputError(path, f"a key of length {len(k)}: {exc}") from None
         if str(i) != k:
-            raise InputError(f"{path}.{k}", f"key {k!r} must be written {str(i)!r}")
+            raise InputError(path, f"a key of length {len(k)} has a leading zero or is -0")
         out[i] = read_value(v, f"{path}.{k}")
     return out
 

@@ -491,8 +491,8 @@ def test_validate_passes_the_rank_4_cube_refinement_fast():
     points, 8 x 48 cones.  The pairwise check took 27 s on it."""
     host = convex_hull(list(itertools.product((-1, 1), repeat=4)))
     cones = []
-    for f in faces(host, 3):
-        n, o = host.facets[host.incidence.index(frozenset(f.vertex_indices))]
+    for (n, o), s in zip(host.facets, host.incidence):
+        f = host.face(s)
         cells = triangulation(f)
         for q in boundary_lattice_points(host):
             if dot(n, q) == -o and q not in f.vertices():

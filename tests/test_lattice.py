@@ -20,6 +20,7 @@ from tests_data_helpers import cone_hrep, normalized_volume, reflexive_polygons
 from lgmirror.cli import main
 from lgmirror.fans import Cone, FanError, face_fan
 from lgmirror.lattice import (
+    Face,
     InputError,
     LatticeError,
     LatticePolytope,
@@ -475,6 +476,33 @@ def old_facet_sets(p):
                  for a, o in p.facets)
 
 
+def frozenset_face_lattice(p):
+    """The former face_lattice, on frozensets: the facet vertex sets, by
+    evaluating each facet, closed under intersection and ranked by the
+    dimensions of their proper faces."""
+    facet_sets = old_facet_sets(p)
+    frontier = set(facet_sets)
+    all_sets = frontier | {frozenset(range(len(p.vertices)))}
+    while frontier:
+        frontier = {t for s in frontier for f in facet_sets
+                    if (t := s & f) and t not in all_sets}
+        all_sets |= frontier
+    out, dims = [], {}
+    for s in sorted(all_sets, key=lambda s: (len(s), sorted(s))):
+        dims[s] = 1 + max((dims[s & f] for f in facet_sets
+                           if s & f and s & f != s), default=-1)
+        out.append(Face(p, tuple(sorted(s)), dims[s]))
+    return out
+
+
+def assert_same_face_lattice(p):
+    faces = face_lattice(p)
+    oracle = frozenset_face_lattice(p)
+    assert [(f.vertex_indices, f.dimension) for f in faces] == \
+        [(f.vertex_indices, f.dimension) for f in oracle]
+    assert faces == oracle
+
+
 def old_carrier(p, points):
     """The former partitions._carrier_face: the vertex indices tight on
     every facet that is tight on all the points."""
@@ -502,7 +530,23 @@ def old_is_simplicial(p):
 def test_hull_vertices_and_incidence_match_the_dot_and_rank_oracle(points):
     p = convex_hull(points)
     assert p.vertices == old_vertices(p, points)
-    assert p.incidence == old_facet_sets(p)
+    assert p.incidence == tuple(sum(1 << k for k in s) for s in old_facet_sets(p))
+    assert_same_face_lattice(p)  # the masks close and rank as the sets did
+
+
+def test_face_lattice_matches_the_frozenset_oracle_on_the_benchmark_shapes(tmp_path):
+    """The 16 polygons, their prisms and the products of the seed-3 hulls
+    workload, as its ops read them."""
+    import workloads
+    polygons = reflexive_polygons()
+    prisms = [convex_hull([v + (h,) for v in P.vertices for h in (-1, 1)])
+              for P in polygons]
+    workloads.generate("hulls", 3, str(tmp_path))
+    products = [polytope_from_doc(json.loads(f.read_text()))
+                for f in sorted((tmp_path / "inputs").glob("product*.json"))]
+    assert len(products) == len(workloads.PRODUCT_CLASSES)
+    for p in polygons + prisms + products:
+        assert_same_face_lattice(p)
 
 
 @given(st.data())
@@ -523,6 +567,22 @@ def test_carrier_and_is_face_of_match_the_oracles(data):
         assert is_face_of(f, p) == old_is_face_of(f, p)
     off = convex_hull([tuple(x + 1 for x in v) for v in subsets[0]])
     assert is_face_of(off, p) == old_is_face_of(off, p)
+
+
+def test_carrier_builds_one_face_lattice_and_scans_no_faces(monkeypatch, cube):
+    """A carrier is one lookup by vertex mask: over many calls, the face
+    lattice is built once and the list of faces is read once, to key it."""
+    import lgmirror.lattice as lattice
+    p = convex_hull(cube.vertices)
+    builds, reads = [], []
+    build, all_faces = lattice.face_lattice, LatticePolytope.all_faces
+    monkeypatch.setattr(lattice, "face_lattice", lambda q: builds.append(q) or build(q))
+    monkeypatch.setattr(LatticePolytope, "all_faces",
+                        lambda q: reads.append(q) or all_faces(q))
+    subsets = [s for r in (1, 2, 3) for s in itertools.combinations(p.vertices, r)]
+    found = [carrier(p, s).vertex_indices for s in subsets]
+    assert found == [old_carrier(p, s) for s in subsets]
+    assert builds == [p] and reads == [p]
 
 
 def test_is_simplicial_matches_the_edge_count():
@@ -725,13 +785,13 @@ ARGV = {"polytope": ["polytope", "points"], "partition": ["partition", "validate
      f"entries[{len(ELLIPTIC['entries'])}].I"),
     ("euler", _with(ELLIPTIC, side="hybird"), "side"),
     ("ss", _with_item("strata", 0, dims={"0": 1, "2": 1, "02": 5}),
-     "strata[0].dims.02"),
+     "strata[0].dims"),
     ("ss", _with_item("strata", 0, dims={"0": 1, "2": 1, "-0": 5}),
-     "strata[0].dims.-0"),
+     "strata[0].dims"),
     ("ss", _with_item("strata", 0, hodge={"0": {"0": 1}, "2": {"00": 1}}),
-     "strata[0].hodge.2.00"),
+     "strata[0].hodge.2"),
     ("ss", _with_item("strata", 0, hodge={"0": {"0": 1}, "-0": {"0": 1}}),
-     "strata[0].hodge.-0"),
+     "strata[0].hodge"),
     ("ss", _with_item("strata", 2, I=[1, 0, 1]), "strata[2].I[2]"),
     ("ss", _with_item("maps", 0, **{"from": [0, 0]}), "maps[0].from[1]"),
     ("euler", _with(ELLIPTIC, zero_strata=[[0, 1]]), "zero_strata[0]"),

@@ -304,7 +304,7 @@ def sympy_nef_verdict(host, part):
     reads as "linear"."""
     values = {v: int(v in part) for v in host.vertices}
     pieces = []
-    for rays in sorted(sorted(host.vertices[j] for j in facet)
+    for rays in sorted([v for k, v in enumerate(host.vertices) if facet >> k & 1]
                        for facet in host.incidence):
         try:
             m = sympy.Matrix(rays).solve(sympy.Matrix([values[r] for r in rays]))

@@ -9,7 +9,7 @@ import workloads
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS
 from hypothesis import given, strategies as st
-from tests_data_helpers import FRAME_PATH, NON_TILING, normalized_volume
+from tests_data_helpers import FRAME_PATH, NON_TILING, lattice_cuts, normalized_volume
 
 from lgmirror import partitions
 from lgmirror.cli import main, resolve_polytope
@@ -741,30 +741,15 @@ def _lifted_by_both(part):
 
 
 def cut_partitions():
-    """The cuts a.x = 0, a in [-2, 2]^n, of the 16 reflexive polygons and of
-    the prisms over six of them, whose halves are lattice polytopes and
-    which are valid and non-singular."""
-    hosts = [convex_hull(v) for v in POLYGONS.values()]
-    hosts += [convex_hull([v + (z,) for v in POLYGONS[name] for z in (-1, 1)])
-              for name in ("b6v6", "b7v5", "b8v3", "b8v4a", "b8v4b", "b9v3")]
-    for host in hosts:
-        n = host.ambient_rank
-        for a in itertools.product(range(-2, 3), repeat=n):
-            if not any(a):
-                continue
-            try:
-                halves = tuple(polytope_from_inequalities(host.facets + ((b, 0),),
-                                                          ambient_rank=n)
-                               for b in (a, tuple(-x for x in a)))
-            except LatticeError:  # a half with a non-lattice vertex
-                continue
-            part = SemistablePartition(host, halves)
-            if validate_semistable(part)["valid"] and is_nonsingular(part):
-                yield part
+    """The lattice cuts of the polygons and prisms (lattice_cuts) that are
+    valid and non-singular."""
+    return [part for part in lattice_cuts().values()
+            if validate_semistable(part)["valid"] and is_nonsingular(part)]
 
 
 def test_F_gamma_is_the_box_certificate_on_the_cuts():
-    cuts = list(cut_partitions())
+    assert len(lattice_cuts()) == 472
+    cuts = cut_partitions()
     assert len(cuts) == 92
     for part in cuts:
         _lifted_by_both(part)

@@ -65,6 +65,18 @@ def test_euler_smoothing():
         euler_smoothing(single)
 
 
+def test_euler_smoothing_of_the_tyurin_k3():
+    """A Tyurin degeneration of a K3 surface: two rational elliptic
+    surfaces (e = 12 each) glued along an elliptic curve (e = 0), so
+    e_X = 12 + 12 - 2 * 0 = 24, the Euler number of a K3."""
+    tyurin = StrataEuler(2, 2, "degeneration",
+                         {fs([0]): 12, fs([1]): 12, fs([0, 1]): 0})
+    assert euler_smoothing(tyurin) == 24
+    # the double curve counts twice, against the components
+    assert euler_smoothing(tyurin._replace(entries={**tyurin.entries,
+                                                    fs([0, 1]): 1})) == 22
+
+
 def test_euler_smoothing_symmetric_under_labels():
     deg = StrataEuler(2, 3, "degeneration", {
         fs([0]): 3, fs([1]): 5, fs([2]): 7,

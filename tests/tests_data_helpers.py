@@ -4,7 +4,8 @@ volumes, cone faces and the pairwise fan check, relabelled Euler data and
 abutment checks; the splits of a vertex set, the nef documents of the
 polygons, the octahedron and P^3, and the hull route to the polytopes of a
 nef partition; the partition documents whose pieces do not tile their
-host, and the ones that take the central-frame path beyond rank 1.
+host, and the ones that take the central-frame path beyond rank 1; the
+cuts of the polygons and prisms into two lattice halves.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -25,9 +26,10 @@ from math import gcd
 
 from geometry import POLYGONS
 
-from lgmirror.lattice import (boundary_lattice_points, convex_hull, recession_rays,
-                              triangulation)
+from lgmirror.lattice import (LatticeError, boundary_lattice_points, convex_hull,
+                              polytope_from_inequalities, recession_rays, triangulation)
 from lgmirror.linalg import det, dot, vec_sub
+from lgmirror.partitions import SemistablePartition
 from lgmirror.spectral import StrataComplexData
 from lgmirror.strata import StrataEuler
 
@@ -353,6 +355,38 @@ FRAME_PATH = {
         "polytope": {"rank": 4, "vertices": CUBE4},
         "pieces": [[v[:3] + [z] for v in CUBE4 for z in zs] for zs in ((-1, 0), (0, 1))]},
 }
+
+
+def lattice_cuts():
+    """{name: partition} of the cuts a.x = 0, a in [-2, 2]^n and a != 0, of
+    the 16 reflexive polygons and of the prisms over six of them whose two
+    halves, a.x >= 0 first, are lattice polytopes: 472 partitions, valid
+    or not.  A name is the host's and then a, as in "b6v6-prism:1,0,-2"."""
+    hosts = [(name, convex_hull(v)) for name, v in POLYGONS.items()]
+    hosts += [(f"{name}-prism", convex_hull([v + (z,) for v in POLYGONS[name]
+                                              for z in (-1, 1)]))
+              for name in ("b6v6", "b7v5", "b8v3", "b8v4a", "b8v4b", "b9v3")]
+    cuts = {}
+    for name, host in hosts:
+        n = host.ambient_rank
+        for a in itertools.product(range(-2, 3), repeat=n):
+            if not any(a):
+                continue
+            try:
+                halves = tuple(polytope_from_inequalities(host.facets + ((b, 0),),
+                                                          ambient_rank=n)
+                               for b in (a, tuple(-x for x in a)))
+            except LatticeError:  # a half with a non-lattice vertex
+                continue
+            cuts[f"{name}:{','.join(map(str, a))}"] = SemistablePartition(host, halves)
+    return cuts
+
+
+def partition_document(part):
+    """The document of a partition, with an inline host."""
+    return {"polytope": {"rank": part.host.ambient_rank,
+                         "vertices": [list(v) for v in part.host.vertices]},
+            "pieces": [[list(v) for v in p.vertices] for p in part.pieces]}
 
 
 def relabeled(d, perm):
