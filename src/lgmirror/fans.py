@@ -19,6 +19,7 @@ from collections import namedtuple
 
 from .lattice import (
     boundary_lattice_points,
+    carrier,
     convex_hull,
     faces,
     is_reflexive,
@@ -53,9 +54,8 @@ class Cone(namedtuple("Cone", "rays ambient_rank")):
         if origin not in hull.vertices:
             raise FanError(f"cone on rays {prims} contains a line")
         # The extreme rays are the far ends of the hull's edges at the origin.
-        return Cone(tuple(sorted(w for f in hull.all_faces() if f.dimension == 1
-                                 and origin in f.vertices()
-                                 for w in f.vertices() if w != origin)),
+        return Cone(tuple(sorted(w for w in hull.vertices if w != origin
+                                 and carrier(hull, (origin, w)).dimension == 1)),
                     ambient_rank)
 
 

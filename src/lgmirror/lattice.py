@@ -4,20 +4,20 @@ Polytopes are stored with both a V-representation (lexicographically sorted
 integer vertices) and an H-representation (primitive inward normals with
 integer offsets, inequality ``<normal, x> >= -offset``), plus affine-hull
 equations when the polytope is not full-dimensional.  All arithmetic is
-integer or rational; coordinates are desk-scale (|x| <= ~10, rank <= 4).
+integer or rational.
 
 Every V/H conversion goes through one integer double-description routine,
 cone_generators: convex_hull asks it for the cone of valid inequalities of
 the points, polytope_from_inequalities, intersect and recession_rays for
 the homogenised inequality system (polyhedron_generators).  It returns each
 ray with the bitmask of the constraints tight on it: for convex_hull, a
-facet with the points on it.  convex_hull reads the vertices off those
-masks and keeps the facet-vertex incidence on the polytope, one vertex mask
-per facet: which vertex lies on which facet is read there, never evaluated
-again.  polar_dual builds no second hull: it reads the polar off the
-facets, vertices and transposed incidence of its reflexive polytope.  Every
-face query reads one face lattice per polytope, built on vertex masks by
-face_lattice on first use and kept, keyed by mask (LatticePolytope.face).
+facet with the points on it; and the lineality, for convex_hull the affine
+hull of the points, zero exactly when they are full-dimensional.  convex_hull
+reads the vertices off the masks and keeps the facet-vertex incidence on
+the polytope, one vertex mask per facet.  polar_dual reads the polar off
+the facets, vertices and transposed incidence of its reflexive polytope.
+Every face query reads one face lattice per polytope, built on vertex masks
+by face_lattice on first use and kept, keyed by mask (LatticePolytope.face).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from operator import and_
 from .linalg import (
     det,
     dot,
-    identity,
     integer_kernel,
     primitive,
     vec_sub,
@@ -231,23 +230,21 @@ def convex_hull(points, name=""):
     if any(len(p) != n for p in pts):
         raise LatticeError("points of mixed ambient rank")
 
-    p0 = pts[0]
-    diffs = [list(vec_sub(p, p0)) for p in pts[1:]]
-    # Affine-hull equations: integer kernel rows r with r.(x - p0) = 0.
-    ann = integer_kernel(diffs) if diffs else identity(n)
-    equations = tuple((tuple(r), dot(r, p0)) for r in ann)
-    d = n - len(ann)
-    if d == 0:
-        return LatticePolytope(n, (tuple(p0),), (), equations, name)
-
     # The facets <a, x> >= m are the extreme rays (m, a), a != 0, of the cone
     # of valid inequalities {(m, a) : <a, p> - m >= 0 for every point p}; the
-    # one other ray, (-1, 0), is the trivial inequality 0 >= -1.  Asking a to
-    # be orthogonal to the equations picks the normal in the direction space.
+    # one other ray, (-1, 0), is the trivial inequality 0 >= -1.  Its
+    # lineality, the (m, a) with <a, p> = m on every point, is zero exactly
+    # when the points are full-dimensional.  Else the equations r of the
+    # affine hull (the zero difference of pts[0] makes one point's kernel the
+    # identity) are asked of a, to pick the normal in the direction space.
     # Each ray's mask has bit j set when the facet holds pts[j].
     pts.sort()
-    rays, _ = cone_generators([(-1,) + p for p in pts], n + 1,
-                              [(0,) + tuple(r) for r in ann])
+    rows = [(-1,) + p for p in pts]
+    rays, lineality = cone_generators(rows, n + 1)
+    ann = integer_kernel([vec_sub(p, pts[0]) for p in pts]) if lineality else []
+    if ann:
+        rays, _ = cone_generators(rows, n + 1, [(0,) + tuple(r) for r in ann])
+    equations = tuple((tuple(r), dot(r, pts[0])) for r in ann)
     facets = sorted((r[1:], -r[0], z) for r, z in rays if any(r[1:]))
 
     # A point is a vertex when the facets through it meet in it alone.
@@ -379,10 +376,12 @@ def is_smooth(p):
 
 
 def vertex_is_smooth(p, v):
-    """The primitive directions of the edges at v are a lattice basis."""
-    dirs = [primitive(vec_sub(w, v)) for f in faces(p, 1) if v in f.vertices()
-            for w in f.vertices() if w != v]
-    return len(dirs) == p.dim and abs(det(dirs)) == 1
+    """Is v smooth?  Its tangent cone is simplicial exactly when dim facets
+    hold v, and then unimodular exactly when its dual, the cone on their
+    normals, is: det +/-1 (Cox, Little & Schenck, Toric Varieties, 2.4)."""
+    k = p.vertices.index(v)
+    normals = [a for (a, _), s in zip(p.facets, p.incidence) if s >> k & 1]
+    return len(normals) == p.dim and abs(det(normals)) == 1
 
 
 def triangulation(face):

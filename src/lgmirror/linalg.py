@@ -14,10 +14,10 @@ Two eliminations remain, each with one job:
   back-substitutes in Fractions).
 - _hermite, a Hermite reduction by unimodular row operations, answers every
   question over Z: integer_kernel gives the saturated kernel, and with it
-  the affine-hull equations of a hull (lattice.convex_hull), which are the
-  quotient map of partitions.central_frame, and the saturated span of the
-  common face there (the kernel of those equations).  nullspace returns
-  the integer_kernel basis.
+  the affine-hull equations of lower-dimensional hulls only
+  (lattice.convex_hull), the quotient map of partitions.central_frame and
+  the saturated span of the common face there.  nullspace returns the
+  integer_kernel basis.
 
 Neither replaces the other.  Bareiss keeps no unimodular transform, so it
 cannot say which integer vectors lie in a span.  Every intermediate entry of

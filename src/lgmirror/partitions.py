@@ -186,12 +186,6 @@ def dual_complex(part):
             "dimension": len(simplices[-1]) - 1}
 
 
-def is_central(part):
-    """The origin belongs to every piece."""
-    origin = tuple(0 for _ in range(part.host.ambient_rank))
-    return all(p.contains(origin) for p in part.pieces)
-
-
 def gamma_vertices(part):
     """Vertices of the partition: piece vertices that are not host vertices."""
     return sorted({v for p in part.pieces for v in p.vertices}
@@ -224,6 +218,17 @@ def _bends(owners, functionals):
     return True
 
 
+def _require_central(part, who):
+    """Raise unless the origin lies in every piece, naming the first facet
+    it fails; the pieces are full-dimensional, as the partition is valid."""
+    for i, p in enumerate(part.pieces):
+        for a, o in p.facets:
+            if o < 0:
+                raise PartitionError(
+                    f"{who} needs a central partition: piece {i} misses the "
+                    f"origin, which fails its facet <{list(a)}, x> >= {-o}")
+
+
 def build_F_Gamma(part):
     """The certificate of the lifting: a tuple of integral functionals, one
     per piece in piece order, that agree on walls and bend strictly across
@@ -249,13 +254,8 @@ def build_F_Gamma(part):
         raise PartitionError("build_F_Gamma needs a valid semi-stable partition")
     if not is_nonsingular(part):
         raise PartitionError("build_F_Gamma needs a non-singular partition")
+    _require_central(part, "build_F_Gamma")
     pieces = part.pieces
-    for i, p in enumerate(pieces):
-        for a, o in p.facets:
-            if o < 0:
-                raise PartitionError(
-                    f"build_F_Gamma needs a central partition: piece {i} misses "
-                    f"the origin, which fails its facet <{list(a)}, x> >= {-o}")
     n = part.host.ambient_rank
     if len(pieces) == 1:
         return ((0,) * n,)
@@ -347,8 +347,7 @@ def central_frame(part):
     """
     if not validate_semistable(part)["valid"]:
         raise PartitionError("central_frame needs a valid semi-stable partition")
-    if not is_central(part):
-        raise PartitionError("central_frame needs a central partition")
+    _require_central(part, "central_frame")
     if not is_nonsingular(part):
         raise PartitionError("central_frame needs a non-singular partition")
     host = part.host
@@ -378,11 +377,6 @@ def central_frame(part):
             cones.append(Cone.from_rays(rays, l))
         except FanError as exc:
             raise PartitionError(f"projected piece is not a pointed cone: {exc}")
-    all_rays = sorted({r for c in cones for r in c.rays})
-    if len(all_rays) != l + 1 or any(len(c.rays) != l for c in cones):
-        raise PartitionError(
-            f"projected pieces do not form a complete fan with {l + 1} rays "
-            f"(got rays {all_rays})")
     # The projected cones come from the input pieces, so the ridge test
     # checks that they form a complete simplicial fan.  Two pieces that
     # project to one cone leave a ridge held once, so it fails then too.
@@ -392,18 +386,18 @@ def central_frame(part):
     except FanError as exc:
         raise PartitionError(f"projected pieces do not form a fan: {exc}")
 
-    # each cone has l of the l + 1 rays, so it omits exactly one, and the
-    # l + 1 cones of a complete fan on l + 1 rays omit each ray once
-    v_quot = [next(r for r in all_rays if r not in c.rays) for c in cones]
+    # Past validate the fan is complete and simplicial: at most l + 1 cones,
+    # one per piece, of l rays each.  A ray's link is a complete fan in rank
+    # l - 1, of at least l cones, so each ray lies in at least l cones and
+    # there are at most as many rays as cones.  The rays positively span
+    # rank l, so there are at least l + 1: l + 1 rays and l + 1 cones, each
+    # ray in l of them, so each cone omits one ray and each ray is omitted once.
+    v_quot = [next(r for r in sigma_v.rays if r not in c.rays) for c in cones]
 
-    v_amb = []
-    for r in v_quot:
-        A = [list(row) for row in L_rows] + [list(q) for q in q_rows]
-        b = [0] * len(L_rows) + list(r)
-        x = solve(A, b)
-        if x is None:
-            raise PartitionError("no orthogonal representative for a ray")
-        v_amb.append(primitive(integral_multiple([x])[0]))
+    # bases of L and of its orthogonal complement: the stacked matrix is invertible
+    A = [list(row) for row in L_rows] + [list(q) for q in q_rows]
+    b0 = [0] * len(L_rows)
+    v_amb = [primitive(integral_multiple([solve(A, b0 + list(r))])[0]) for r in v_quot]
 
     return CentralFrame(l, tuple(tuple(r) for r in L_rows),
                         tuple(q_rows), tuple(v_quot), tuple(v_amb), sigma_v)

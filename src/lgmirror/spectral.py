@@ -58,8 +58,7 @@ class StrataComplexData:
     __slots__ = ("n", "side", "strata", "hodge", "maps", "pairings",
                  "defaulted_gysin")
 
-    def __init__(self, n, side, strata, hodge, maps, pairings=None,
-                 defaulted_gysin=None):
+    def __init__(self, n, side, strata, hodge, maps, pairings=None):
         self.n = n
         self.side = side
         self.strata = strata    # frozenset -> {degree: dim}
@@ -67,7 +66,7 @@ class StrataComplexData:
         self.maps = maps        # (kind, frozenset, frozenset, degree) -> matrix
         # (frozenset, degree) -> matrix
         self.pairings = {} if pairings is None else pairings
-        self.defaulted_gysin = [] if defaulted_gysin is None else defaulted_gysin
+        self.defaulted_gysin = []  # (from, to, degree) of each defaulted gysin
 
     def __repr__(self):
         return (f"StrataComplexData(n={self.n!r}, side={self.side!r}, "

@@ -17,7 +17,12 @@ and calls lgmirror.cli.main in-process on:
   `partition dual-complex`, in both output formats;
 - the central partitions with a projected fan beyond rank 1 or a rank-4
   host (tests_data_helpers.FRAME_PATH) through `partition validate`,
+  `frame` and `fans`, and the partitions that are not central
+  (tests_data_helpers.NON_CENTRAL) through `partition validate`, `lift`,
   `frame` and `fans`, in both output formats;
+- the polytopes that are not full-dimensional
+  (tests_data_helpers.lower_dimensional_documents) through every
+  `polytope` action, in both output formats;
 - every cut of a reflexive polygon or of a prism over one into two
   lattice halves (tests_data_helpers.lattice_cuts, 472), valid or not,
   through `partition validate` and `partition dual-complex`, in both
@@ -103,8 +108,9 @@ def snapshot(src):
     from lgmirror import cli
     import workloads
     from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH,
-                                    HODGE_AT_A_ZERO_DEGREE, NON_TILING, UNREADABLE_FILES,
-                                    edit_document, lattice_cuts, partition_document,
+                                    HODGE_AT_A_ZERO_DEGREE, NON_CENTRAL, NON_TILING,
+                                    UNREADABLE_FILES, edit_document, lattice_cuts,
+                                    lower_dimensional_documents, partition_document,
                                     polygon_nef_documents, rank3_nef_documents)
 
     calls = {}
@@ -135,7 +141,8 @@ def snapshot(src):
             os.chdir(tmp)
             for label, docs, actions in (
                     ("non-tiling", NON_TILING, ("validate", "dual-complex")),
-                    ("frame-path", FRAME_PATH, ("validate", "frame", "fans"))):
+                    ("frame-path", FRAME_PATH, ("validate", "frame", "fans")),
+                    ("non-central", NON_CENTRAL, ("validate", "lift", "frame", "fans"))):
                 for name, doc in docs.items():
                     with open(f"{name}.json", "w") as fh:
                         json.dump(doc, fh)
@@ -143,6 +150,13 @@ def snapshot(src):
                         for fmt in ("text", "json"):
                             argv = ["partition", action, f"{name}.json", "--format", fmt]
                             calls[f"{label} " + " ".join(argv)] = run(cli.main, argv)
+            for name, doc in lower_dimensional_documents().items():
+                with open("polytope.json", "w") as fh:
+                    json.dump(doc, fh)
+                for action in ONE_FILE_ACTIONS["polytope"]:
+                    for fmt in ("text", "json"):
+                        argv = ["polytope", action, "polytope.json", "--format", fmt]
+                        calls[f"lower-dim {name}: " + " ".join(argv)] = run(cli.main, argv)
             for name, part in lattice_cuts().items():
                 with open("cut.json", "w") as fh:
                     json.dump(partition_document(part), fh)

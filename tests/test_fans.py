@@ -4,10 +4,11 @@ import time
 
 import pytest
 from conftest import corpus_doc
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from tests_data_helpers import (
     cone_faces,
     cone_hrep,
+    is_central,
     normalized_volume,
     pairwise_fan,
     reflexive_polygons,
@@ -39,7 +40,6 @@ from lgmirror.partitions import (
     build_fibration_fans,
     central_frame,
     dual_complex,
-    is_central,
     is_nonsingular,
     partition_from_doc,
     validate_semistable,
@@ -209,9 +209,9 @@ def _ref_extreme_rays(prims, n):
 
 @st.composite
 def ray_sets(draw):
-    """Nonzero rays in rank 2-4, sometimes with a sum of two of them (a
+    """Nonzero rays in rank 1-4, sometimes with a sum of two of them (a
     redundant ray) or the negative of one (a line)."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
     coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
     rays = draw(st.lists(coords.filter(any), min_size=1, max_size=5))
     extra = draw(st.sampled_from(["none", "sum", "line"]))
@@ -235,6 +235,33 @@ def test_cone_agrees_with_reference(case):
             Cone.from_rays(rays, n)
         return
     assert list(Cone.from_rays(rays, n).rays) == _ref_extreme_rays(prims, n)
+
+
+def old_cone_rays(rays, n):
+    """Cone.from_rays' former reading: the far ends of the edges at the
+    origin, found among every face of conv(0, rays); None for a line."""
+    origin = (0,) * n
+    hull = convex_hull([origin] + [primitive(r) for r in rays])
+    if origin not in hull.vertices:
+        return None
+    return tuple(sorted(w for f in hull.all_faces() if f.dimension == 1
+                        and origin in f.vertices()
+                        for w in f.vertices() if w != origin))
+
+
+@given(ray_sets())
+@example((1, [(2,), (-1,)]))                                  # a line
+@example((2, [(1, 0), (0, 1), (1, 1)]))                       # an interior ray
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, -1, 0)]))
+@settings(max_examples=200)
+def test_cone_reads_its_rays_off_the_carriers_as_off_the_face_lattice(case):
+    n, rays = case
+    old = old_cone_rays(rays, n)
+    if old is None:
+        with pytest.raises(FanError, match="line"):
+            Cone.from_rays(rays, n)
+    else:
+        assert Cone.from_rays(rays, n).rays == old
 
 
 # The fan constructors make their cones with the trusted Cone(rays, rank),

@@ -9,12 +9,13 @@ import re
 import tempfile
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS, polygon_factor, product
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from tests_data_helpers import cone_hrep, normalized_volume, reflexive_polygons
 
 from lgmirror.cli import main
@@ -42,8 +43,9 @@ from lgmirror.lattice import (
     polytope_to_doc,
     recession_rays,
     relative_interior_lattice_points,
+    vertex_is_smooth,
 )
-from lgmirror.linalg import dot, rank
+from lgmirror.linalg import det, dot, identity, integer_kernel, primitive, rank, vec_sub
 
 
 def brute_force_facets(points, normal_bound=2):
@@ -417,6 +419,15 @@ def point_sets(draw, min_rank=2):
                   for i, b in enumerate(base)) for cs in combos]
 
 
+def old_equations(points):
+    """convex_hull's former affine-hull route: the integer kernel of the
+    differences from the first point, or the identity for one point."""
+    pts = list(dict.fromkeys(tuple(q) for q in points))
+    diffs = [list(vec_sub(q, pts[0])) for q in pts[1:]]
+    ann = integer_kernel(diffs) if diffs else identity(len(pts[0]))
+    return tuple((tuple(r), dot(r, pts[0])) for r in ann)
+
+
 @given(point_sets())
 @settings(max_examples=200)
 def test_convex_hull_matches_subset_enumeration(points):
@@ -432,6 +443,7 @@ def test_convex_hull_matches_subset_enumeration(points):
     assert all(sum(a * b for a, b in zip(e, q)) == c
                for e, c in p.equations for q in points)
     assert not rows or _minors_gcd(rows) == 1
+    assert p.equations == old_equations(points)
 
 
 @given(point_sets())
@@ -534,19 +546,22 @@ def test_hull_vertices_and_incidence_match_the_dot_and_rank_oracle(points):
     assert_same_face_lattice(p)  # the masks close and rank as the sets did
 
 
-def test_face_lattice_matches_the_frozenset_oracle_on_the_benchmark_shapes(tmp_path):
-    """The 16 polygons, their prisms and the products of the seed-3 hulls
-    workload, as its ops read them."""
+def benchmark_shape_vertices(tmp_path):
+    """The vertex lists of the 16 polygons, their prisms and the products of
+    the seed-3 hulls workload, as its ops read them."""
     import workloads
-    polygons = reflexive_polygons()
-    prisms = [convex_hull([v + (h,) for v in P.vertices for h in (-1, 1)])
-              for P in polygons]
+    polygons = [P.vertices for P in reflexive_polygons()]
+    prisms = [[v + (h,) for v in P for h in (-1, 1)] for P in polygons]
     workloads.generate("hulls", 3, str(tmp_path))
-    products = [polytope_from_doc(json.loads(f.read_text()))
+    products = [[tuple(v) for v in json.loads(f.read_text())["vertices"]]
                 for f in sorted((tmp_path / "inputs").glob("product*.json"))]
     assert len(products) == len(workloads.PRODUCT_CLASSES)
-    for p in polygons + prisms + products:
-        assert_same_face_lattice(p)
+    return polygons + prisms + products
+
+
+def test_face_lattice_matches_the_frozenset_oracle_on_the_benchmark_shapes(tmp_path):
+    for vertices in benchmark_shape_vertices(tmp_path):
+        assert_same_face_lattice(convex_hull(vertices))
 
 
 @given(st.data())
@@ -661,6 +676,100 @@ def test_face_lattice_and_hull_vertices_evaluate_no_facet(monkeypatch, cube,
     assert calls == []
     assert len(lattice.face_lattice(p)) == (27 if shape == "cube" else 169)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The affine hull off the lineality, smoothness off the facets at a vertex
+# ---------------------------------------------------------------------------
+
+def hull_and_kernel_calls(points):
+    """convex_hull(points) and the number of integer_kernel calls it made."""
+    import lgmirror.lattice as lattice
+    calls = []
+    kernel = lattice.integer_kernel
+    with mock.patch.object(lattice, "integer_kernel",
+                           lambda A: calls.append(A) or kernel(A)):
+        p = lattice.convex_hull(points)
+    return p, len(calls)
+
+
+@given(point_sets(min_rank=1))
+@example([(0, 0, 0), (1, 1, 1), (3, 3, 3), (-1, -1, -1)])     # collinear
+@example([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 3),
+          (1, 1, 2)])                                          # coplanar
+@example([(2, -1, 0)])                                         # one point
+@settings(max_examples=200)
+def test_only_a_lower_dimensional_hull_takes_an_integer_kernel(points):
+    """The double description's lineality says whether the points are
+    full-dimensional; the kernel is taken only for the equations."""
+    p, calls = hull_and_kernel_calls(points)
+    assert calls == (0 if p.is_full_dimensional() else 1)
+    assert p.equations == old_equations(points)
+
+
+def test_no_benchmark_shape_takes_an_integer_kernel(tmp_path):
+    shapes = benchmark_shape_vertices(tmp_path)
+    for vertices in shapes:
+        assert hull_and_kernel_calls(vertices)[1] == 0
+    # their facets and edges, as polytopes of their own, take one each
+    for vertices in shapes[16:18] + shapes[-1:]:
+        p = convex_hull(vertices)
+        for f in faces(p, p.dim - 1) + faces(p, 1):
+            q, calls = hull_and_kernel_calls(f.vertices())
+            assert (q.dim, calls) == (f.dimension, 1)
+
+
+def old_vertex_is_smooth(p, v):
+    """The former vertex_is_smooth: the primitive directions of the edges at
+    v, read off the face lattice, are a lattice basis."""
+    dirs = [primitive(vec_sub(w, v)) for f in faces(p, 1) if v in f.vertices()
+            for w in f.vertices() if w != v]
+    return len(dirs) == p.dim and abs(det(dirs)) == 1
+
+
+def assert_smooth_as_the_edges_say(p):
+    verdicts = [vertex_is_smooth(p, v) for v in p.vertices]
+    assert verdicts == [old_vertex_is_smooth(p, v) for v in p.vertices]
+    assert is_smooth(p) == all(verdicts)
+    return verdicts
+
+
+@st.composite
+def full_dimensional_point_sets(draw):
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                           min_size=n + 1, max_size=8))
+    p = convex_hull(points)
+    assume(p.is_full_dimensional())
+    return p
+
+
+@given(full_dimensional_point_sets())
+@settings(max_examples=200)
+def test_vertex_is_smooth_matches_the_edge_directions(p):
+    assert_smooth_as_the_edges_say(p)
+
+
+def test_vertex_is_smooth_matches_the_edge_directions_on_the_benchmark_shapes(tmp_path):
+    hexagon = POLYGONS["b6v6"]
+    shapes = benchmark_shape_vertices(tmp_path)
+    shapes += [[u + v for u in hexagon for v in hexagon],
+               [u + v + w for u in hexagon for v in hexagon for w in hexagon]]
+    verdicts = [v for vertices in shapes
+                for v in assert_smooth_as_the_edges_say(convex_hull(vertices))]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_is_smooth_builds_no_face_lattice(monkeypatch, tmp_path):
+    import lgmirror.lattice as lattice
+    builds = []
+    build = lattice.face_lattice
+    monkeypatch.setattr(lattice, "face_lattice",
+                        lambda p: builds.append(p) or build(p))
+    verdicts = [is_smooth(convex_hull(vertices))
+                for vertices in benchmark_shape_vertices(tmp_path)]
+    assert any(verdicts) and not all(verdicts)
+    assert builds == []
 
 
 SQUARE = {"rank": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}

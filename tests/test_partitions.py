@@ -9,7 +9,8 @@ import workloads
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS
 from hypothesis import given, strategies as st
-from tests_data_helpers import FRAME_PATH, NON_TILING, lattice_cuts, normalized_volume
+from tests_data_helpers import (FRAME_PATH, NON_CENTRAL, NON_TILING, is_central,
+                                lattice_cuts, normalized_volume)
 
 from lgmirror import partitions
 from lgmirror.cli import main, resolve_polytope
@@ -26,7 +27,6 @@ from lgmirror.partitions import (
     check_tiling,
     dual_complex,
     gamma_vertices,
-    is_central,
     is_nonsingular,
     lifting_polyhedron,
     partition_from_doc,
@@ -768,6 +768,33 @@ def test_F_gamma_is_the_box_certificate_on_every_central_partition_built_here():
         _lifted_by_both(part)
 
 
+def test_sigma_v_has_l_plus_1_rays_and_each_cone_omits_one():
+    """What central_frame reads off Fan.validate without checking it again,
+    on every central partition built here with two pieces or more."""
+    parts = cut_partitions() + [partition_from_doc(doc, resolve_polytope) for doc in
+                                (*FRAME_PATH.values(), corpus_doc("tsigma-3piece"))]
+    assert len(parts) == 92 + 3 and all(is_central(p) for p in parts)
+    for part in parts:
+        frame = central_frame(part)
+        rays, cones = frame.sigma_v.rays, frame.sigma_v.maximal_cones
+        assert len(rays) == len(cones) == frame.l + 1
+        omitted = [set(rays) - set(c.rays) for c in cones]
+        assert sorted(r for o in omitted for r in o) == list(rays)
+
+
+def test_is_nonsingular_builds_no_face_lattice(monkeypatch):
+    """Smoothness at a partition vertex is read off the facets there."""
+    from lgmirror import lattice
+    parts = list(lattice_cuts().values())  # hulls built, no face lattice yet
+    builds = []
+    build = lattice.face_lattice
+    monkeypatch.setattr(lattice, "face_lattice",
+                        lambda p: builds.append(p) or build(p))
+    verdicts = [is_nonsingular(part) for part in parts]
+    assert any(verdicts) and not all(verdicts)
+    assert builds == []
+
+
 def _rectangle(x0, x1, y0, y1):
     return [[x, y] for x in (x0, x1) for y in (y0, y1)]
 
@@ -794,18 +821,17 @@ def test_a_steep_cut_lifts_by_its_primitive_certificate(capsys, tmp_path):
     assert json.loads(out.out)["functionals"] == [[0, 0], [-1, 11]]
 
 
-@pytest.mark.parametrize("host, pieces, message", [
-    # the host holds the origin, and the wall x = 1 misses it: the forms on
-    # its two sides are equal, so no box holds a certificate
-    (_rectangle(-2, 2, -1, 1), [_rectangle(-2, 1, -1, 1), _rectangle(1, 2, -1, 1)],
+@pytest.mark.parametrize("name, message", [
+    # the forms on the two sides of the wall x = 1 are equal, so no box
+    # holds a certificate
+    ("wall-off-the-origin",
      "piece 1 misses the origin, which fails its facet <[1, 0], x> >= 1"),
     # an off-origin host has certificates, and it lifted by one of them
-    (_rectangle(1, 3, -1, 1), [_rectangle(1, 3, -1, 0), _rectangle(1, 3, 0, 1)],
+    ("off-origin-host",
      "piece 0 misses the origin, which fails its facet <[1, 0], x> >= 1"),
 ], ids=["wall-off-the-origin", "off-origin-host"])
-def test_a_partition_that_is_not_central_is_not_lifted(capsys, tmp_path, host,
-                                                       pieces, message):
-    doc = {"polytope": {"rank": 2, "vertices": host}, "pieces": pieces}
+def test_a_partition_that_is_not_central_is_not_lifted(capsys, tmp_path, name, message):
+    doc = NON_CENTRAL[name]
     part = partition_from_doc(doc, resolve_polytope)
     assert validate_semistable(part)["valid"] and is_nonsingular(part)
     assert (box_F_Gamma(part, 3) is None) == part.host.contains((0, 0))
@@ -814,6 +840,13 @@ def test_a_partition_that_is_not_central_is_not_lifted(capsys, tmp_path, host,
     code, out = _lift_doc(tmp_path, doc, capsys)
     assert (code, out.out) == (2, "")
     assert out.err == f"error: build_F_Gamma needs a central partition: {message}\n"
+    # frame and fans name the same facet
+    with pytest.raises(PartitionError, match="central partition: piece"):
+        central_frame(part)
+    for action in ("frame", "fans"):
+        assert main(["partition", action, str(tmp_path / "part.json")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: central_frame needs a central partition: {message}\n")
 
 
 @pytest.mark.parametrize("name, frame, fans_error", [

@@ -4,8 +4,10 @@ volumes, cone faces and the pairwise fan check, relabelled Euler data and
 abutment checks; the splits of a vertex set, the nef documents of the
 polygons, the octahedron and P^3, and the hull route to the polytopes of a
 nef partition; the partition documents whose pieces do not tile their
-host, and the ones that take the central-frame path beyond rank 1; the
-cuts of the polygons and prisms into two lattice halves.
+host, the ones that take the central-frame path beyond rank 1 and the
+ones that are not central; the cuts of the polygons and prisms into two
+lattice halves, and the filter for central partitions; polytopes that are
+not full-dimensional.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -24,7 +26,7 @@ from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
-from geometry import POLYGONS
+from geometry import POLYGONS, polygon_edges
 
 from lgmirror.lattice import (LatticeError, boundary_lattice_points, convex_hull,
                               polytope_from_inequalities, recession_rays, triangulation)
@@ -357,6 +359,31 @@ FRAME_PATH = {
 }
 
 
+
+def _rectangle(x0, x1, y0, y1):
+    return [[x, y] for x in (x0, x1) for y in (y0, y1)]
+
+
+# Valid non-singular partitions that are not central: `partition lift`,
+# `frame` and `fans` name the first facet of a piece that the origin fails.
+NON_CENTRAL = {
+    # the host holds the origin, and the wall x = 1 misses it
+    "wall-off-the-origin": {
+        "polytope": {"rank": 2, "vertices": _rectangle(-2, 2, -1, 1)},
+        "pieces": [_rectangle(-2, 1, -1, 1), _rectangle(1, 2, -1, 1)]},
+    # a host off the origin
+    "off-origin-host": {
+        "polytope": {"rank": 2, "vertices": _rectangle(1, 3, -1, 1)},
+        "pieces": [_rectangle(1, 3, -1, 0), _rectangle(1, 3, 0, 1)]},
+}
+
+
+def is_central(part):
+    """The origin belongs to every piece."""
+    origin = tuple(0 for _ in range(part.host.ambient_rank))
+    return all(p.contains(origin) for p in part.pieces)
+
+
 def lattice_cuts():
     """{name: partition} of the cuts a.x = 0, a in [-2, 2]^n and a != 0, of
     the 16 reflexive polygons and of the prisms over six of them whose two
@@ -380,6 +407,46 @@ def lattice_cuts():
                 continue
             cuts[f"{name}:{','.join(map(str, a))}"] = SemistablePartition(host, halves)
     return cuts
+
+
+def lower_dimensional_documents():
+    """{name: polytope document} of polytopes that are not full-dimensional:
+    single points, segments, and a triangle and a square embedded in ranks 3
+    and 4; and, each as a document of its own, the facets and edges of the
+    cube and of b6v4 x b5v5, whose image under a signed permutation is a
+    product of the seed-3 hulls workload.  The faces are read off the
+    factors, not off a hull."""
+    docs = {}
+
+    def put(name, verts):
+        docs[name] = {"rank": len(verts[0]), "vertices": [list(v) for v in verts]}
+
+    for n in (1, 2, 3, 4):
+        put(f"point-rank{n}", [tuple(range(-1, n - 1))])
+    put("segment-rank2", [(0, 0), (2, 4)])
+    put("segment-rank3", [(1, 0, -1), (-1, 2, 3)])
+    put("segment-rank4", [(0, 0, 0, 0), (1, 1, 1, 1)])
+    for name, verts in (("triangle", ((0, 0), (1, 0), (0, 1))),
+                        ("square", ((-1, -1), (1, -1), (-1, 1), (1, 1)))):
+        put(f"{name}-rank3", [(x, y, x + y) for x, y in verts])
+        put(f"{name}-rank3-index3", [(x + y, 2 * x - y, 3) for x, y in verts])
+        put(f"{name}-rank4", [(x, y, 1 - x, 2 * y) for x, y in verts])
+    cube = list(itertools.product((-1, 1), repeat=3))
+    for i, s in itertools.product(range(3), (-1, 1)):
+        put(f"cube-facet-{i}{s:+}", [v for v in cube if v[i] == s])
+    for i, (a, b) in itertools.product(range(3), itertools.product((-1, 1), repeat=2)):
+        put(f"cube-edge-{i}{a:+}{b:+}", [v for v in cube
+                                         if (v[:i] + v[i + 1:]) == (a, b)])
+    P, Q = POLYGONS["b6v4"], POLYGONS["b5v5"]
+    for k, e in enumerate(polygon_edges(P)):
+        put(f"product-facet-e{k}xQ", [u + v for u in e for v in Q])
+        for j, v in enumerate(Q):
+            put(f"product-edge-e{k}xq{j}", [u + v for u in e])
+    for k, e in enumerate(polygon_edges(Q)):
+        put(f"product-facet-Pxe{k}", [u + v for u in P for v in e])
+        for j, u in enumerate(P):
+            put(f"product-edge-p{j}xe{k}", [u + v for v in e])
+    return docs
 
 
 def partition_document(part):
