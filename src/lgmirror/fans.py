@@ -1,5 +1,6 @@
-"""Cones and fans: face fans, boundary-ray refinement (rank <= 3) and
-stellar subdivision (star).
+"""Cones and fans: the face fan and the boundary-ray refinement (rank <= 3)
+of a reflexive polytope, each raising FanError on a host it does not
+support, and stellar subdivision (star).
 
 Cones are strongly convex and stored by their primitive extreme rays.  The
 cones built here, over the facets of a reflexive polytope and over the
@@ -22,7 +23,6 @@ from .lattice import (
     carrier,
     convex_hull,
     faces,
-    is_reflexive,
     reflexivity_diagnostic,
     triangulation,
 )
@@ -114,9 +114,9 @@ class Fan(namedtuple("Fan", "ambient_rank maximal_cones")):
 
 
 def _require_reflexive(p, what):
-    if not is_reflexive(p):
-        raise FanError(f"{what} needs a reflexive polytope: "
-                       f"{reflexivity_diagnostic(p)}")
+    diagnostic = reflexivity_diagnostic(p)
+    if diagnostic != "reflexive":
+        raise FanError(f"{what} needs a reflexive polytope: {diagnostic}")
 
 
 def face_fan(p):

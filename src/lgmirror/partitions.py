@@ -30,7 +30,6 @@ from .lattice import (
     host_from_doc,
     intersect,
     is_face_of,
-    is_reflexive,
     is_simplicial,
     read_field,
     read_keys,
@@ -218,15 +217,22 @@ def _bends(owners, functionals):
     return True
 
 
-def _require_central(part, who):
-    """Raise unless the origin lies in every piece, naming the first facet
-    it fails; the pieces are full-dimensional, as the partition is valid."""
+def _lifting_owners(part, who):
+    """vertex_owners(part), once the partition is valid, central and
+    non-singular; else raise, naming the first of these that fails.  The
+    origin is checked before smoothness, as its message names a facet the
+    origin fails; the pieces are full-dimensional, as the partition is valid."""
+    if not validate_semistable(part)["valid"]:
+        raise PartitionError(f"{who} needs a valid semi-stable partition")
     for i, p in enumerate(part.pieces):
         for a, o in p.facets:
             if o < 0:
                 raise PartitionError(
                     f"{who} needs a central partition: piece {i} misses the "
                     f"origin, which fails its facet <{list(a)}, x> >= {-o}")
+    if not is_nonsingular(part):
+        raise PartitionError(f"{who} needs a non-singular partition")
+    return vertex_owners(part)
 
 
 def build_F_Gamma(part):
@@ -250,11 +256,7 @@ def build_F_Gamma(part):
     certificate minus its m_0 lies in it, and exactly one sign of its
     primitive generator bends (_bends): that tuple is the certificate.
     """
-    if not validate_semistable(part)["valid"]:
-        raise PartitionError("build_F_Gamma needs a valid semi-stable partition")
-    if not is_nonsingular(part):
-        raise PartitionError("build_F_Gamma needs a non-singular partition")
-    _require_central(part, "build_F_Gamma")
+    owners = _lifting_owners(part, "build_F_Gamma")
     pieces = part.pieces
     n = part.host.ambient_rank
     if len(pieces) == 1:
@@ -262,7 +264,6 @@ def build_F_Gamma(part):
 
     # one row m_i(u) - m_j(u) = 0 per vertex u and further holder j, over
     # the unknowns m_1, ..., m_r (m_0 = 0 drops the first n columns)
-    owners = vertex_owners(part)
     rows = []
     for u, (i, *others) in owners.items():
         for j in others:
@@ -345,19 +346,14 @@ def central_frame(part):
     from the projection of piece i, lifted primitively into the orthogonal
     complement of the common face.
     """
-    if not validate_semistable(part)["valid"]:
-        raise PartitionError("central_frame needs a valid semi-stable partition")
-    _require_central(part, "central_frame")
-    if not is_nonsingular(part):
-        raise PartitionError("central_frame needs a non-singular partition")
+    owners = _lifting_owners(part, "central_frame")
     host = part.host
     l = len(part.pieces) - 1
 
     # the origin lies in every piece, so they meet in a face with vertices,
     # and the lattice points of its span are the kernel of its equations
     q_rows = [tuple(q) for q in integer_kernel(
-        [u for u, owners in vertex_owners(part).items()
-         if len(owners) == len(part.pieces)])]
+        [u for u, holders in owners.items() if len(holders) == len(part.pieces)])]
     common_dim = host.ambient_rank - len(q_rows)
     if l + common_dim != host.dim:
         raise PartitionError(
@@ -419,22 +415,21 @@ class FibrationFans(namedtuple("FibrationFans", "sigma_delta sigma_prime "
 
 def build_fibration_fans(part, frame):
     """The face fan, its boundary refinement, the wall subfan, and the
-    projected fan of a central partition of a reflexive host (rank <= 3)."""
+    projected fan of a central partition.  The host's rank and reflexivity
+    are the fan builders' to check: face_fan and refine_with_boundary_rays
+    raise FanError on a host they do not support."""
     host = part.host
-    if host.ambient_rank > 3:
-        raise PartitionError("fibration fans are implemented for rank <= 3 only")
-    if not is_reflexive(host):
-        raise PartitionError("fibration fans need a reflexive host")
     sigma_delta = face_fan(host)
     refined = refine_with_boundary_rays(host)
 
-    # Star the refined cells at each new v_i.  Every cell is simplicial, so
-    # Sigma_Gamma's cones, the faces of Sigma' with rays in L or among the
+    # Star the refined cells at each v_i that is not a ray yet (the v_i are
+    # distinct: central_frame lifts distinct rays).  Every cell is simplicial,
+    # so Sigma_Gamma's cones, the faces of Sigma' with rays in L or among the
     # v_i, are the inclusion-maximal sets cell & allowed.
     cells = [c.rays for c in refined.maximal_cones]
     added = []
     for v in frame.v_vectors:
-        if v not in refined.rays and v not in added:
+        if v not in refined.rays:
             cells = star(cells, v)
             added.append(v)
     rank = host.ambient_rank

@@ -18,15 +18,17 @@ and calls lgmirror.cli.main in-process on:
 - the central partitions with a projected fan beyond rank 1 or a rank-4
   host (tests_data_helpers.FRAME_PATH) through `partition validate`,
   `frame` and `fans`, and the partitions that are not central
-  (tests_data_helpers.NON_CENTRAL) through `partition validate`, `lift`,
-  `frame` and `fans`, in both output formats;
+  (tests_data_helpers.NON_CENTRAL) and the ones the lifting path refuses
+  (tests_data_helpers.LIFTING_REFUSALS) through `partition validate`,
+  `lift`, `frame` and `fans`, in both output formats;
 - the polytopes that are not full-dimensional
   (tests_data_helpers.lower_dimensional_documents) through every
   `polytope` action, in both output formats;
 - every cut of a reflexive polygon or of a prism over one into two
   lattice halves (tests_data_helpers.lattice_cuts, 472), valid or not,
-  through `partition validate` and `partition dual-complex`, in both
-  output formats;
+  through `partition validate` and `partition dual-complex`, and the 92
+  valid non-singular ones (tests_data_helpers.cut_partitions) also through
+  `lift`, `frame` and `fans`, in both output formats;
 - the single edits of the complex documents
   (tests_data_helpers.COMPLEX_EDITS) through `ss pd` and `ss delta`, and
   those of elliptic-deg-complex, the degeneration side, also through
@@ -108,8 +110,9 @@ def snapshot(src):
     from lgmirror import cli
     import workloads
     from tests_data_helpers import (ASYMMETRIC_GYSIN, COMPLEX_EDITS, FRAME_PATH,
-                                    HODGE_AT_A_ZERO_DEGREE, NON_CENTRAL, NON_TILING,
-                                    UNREADABLE_FILES, edit_document, lattice_cuts,
+                                    HODGE_AT_A_ZERO_DEGREE, LIFTING_REFUSALS,
+                                    NON_CENTRAL, NON_TILING, UNREADABLE_FILES,
+                                    cut_partitions, edit_document, lattice_cuts,
                                     lower_dimensional_documents, partition_document,
                                     polygon_nef_documents, rank3_nef_documents)
 
@@ -142,7 +145,9 @@ def snapshot(src):
             for label, docs, actions in (
                     ("non-tiling", NON_TILING, ("validate", "dual-complex")),
                     ("frame-path", FRAME_PATH, ("validate", "frame", "fans")),
-                    ("non-central", NON_CENTRAL, ("validate", "lift", "frame", "fans"))):
+                    ("non-central", NON_CENTRAL, ("validate", "lift", "frame", "fans")),
+                    ("lifting-refusal", LIFTING_REFUSALS,
+                     ("validate", "lift", "frame", "fans"))):
                 for name, doc in docs.items():
                     with open(f"{name}.json", "w") as fh:
                         json.dump(doc, fh)
@@ -157,10 +162,12 @@ def snapshot(src):
                     for fmt in ("text", "json"):
                         argv = ["polytope", action, "polytope.json", "--format", fmt]
                         calls[f"lower-dim {name}: " + " ".join(argv)] = run(cli.main, argv)
+            lifted = cut_partitions()
             for name, part in lattice_cuts().items():
                 with open("cut.json", "w") as fh:
                     json.dump(partition_document(part), fh)
-                for action in ("validate", "dual-complex"):
+                for action in ("validate", "dual-complex") + (
+                        ("lift", "frame", "fans") if name in lifted else ()):
                     for fmt in ("text", "json"):
                         argv = ["partition", action, "cut.json", "--format", fmt]
                         calls[f"cut {name}: " + " ".join(argv)] = run(cli.main, argv)

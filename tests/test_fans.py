@@ -169,6 +169,25 @@ def test_fan_rejects_improper_intersections():
         fan.validate()
 
 
+def test_validate_names_two_cones_that_overlap():
+    # eight cones on consecutive rays of a cycle that winds twice around the
+    # origin: every ridge lies in two cones on opposite sides, and only the
+    # covering count tells the fan from a double cover
+    rays = [(1, 0), (-1, 2), (-2, -1), (1, -2), (1, 2), (-2, 1), (-1, -2), (2, -1)]
+    fan = Fan.from_cones([Cone.from_rays([r, s], 2)
+                          for r, s in zip(rays, rays[1:] + rays[:1])], 2)
+    with pytest.raises(FanError) as err:
+        fan.validate()
+    assert str(err.value) == "cones ((-2, -1), (-1, 2)) and ((-2, 1), (-1, -2)) overlap"
+
+
+def test_validate_refuses_an_empty_fan_in_rank_one_and_up():
+    Fan(0, ()).validate()
+    for n in (1, 2):
+        with pytest.raises(FanError, match="^a fan without cones is not complete$"):
+            Fan(n, ()).validate()
+
+
 HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 

@@ -147,6 +147,15 @@ def test_an_empty_part_is_not_nef(diamond, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: part 1 is empty\n")
 
 
+def test_a_host_that_is_not_reflexive_has_no_nef_partition(tmp_path, capsys):
+    # big-square is [-2, 2]^2: its facets lie at lattice distance 2
+    f = tmp_path / "nef.json"
+    f.write_text('{"polytope": "big-square", "parts": [[0, 1], [2, 3]]}')
+    assert main(["lg", "emit", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: nef partitions need a reflexive host polytope\n")
+
+
 def test_nabla_pieces_diamond(diamond):
     nef = validate_nef(diamond, [(3, 2, 1), (0,)])
     n1, n2 = hull_nabla_pieces(nef)

@@ -9,14 +9,16 @@ import workloads
 from conftest import corpus_doc, corpus_path
 from geometry import POLYGONS
 from hypothesis import given, strategies as st
-from tests_data_helpers import (FRAME_PATH, NON_CENTRAL, NON_TILING, is_central,
-                                lattice_cuts, normalized_volume)
+from tests_data_helpers import (FRAME_PATH, LIFTING_REFUSALS, NON_CENTRAL, NON_TILING,
+                                cut_partitions, is_central, lattice_cuts,
+                                normalized_volume)
 
 from lgmirror import partitions
 from lgmirror.cli import main, resolve_polytope
-from lgmirror.lattice import (LatticeError, carrier, convex_hull, intersect,
-                              is_face_of, lattice_points, polyhedron_generators,
-                              polytope_from_inequalities)
+from lgmirror.lattice import (LatticeError, boundary_lattice_points, carrier,
+                              convex_hull, intersect, is_face_of, lattice_points,
+                              polyhedron_generators, polytope_from_inequalities)
+from lgmirror.lg import pi_gamma_monomials
 from lgmirror.linalg import dot
 from lgmirror.partitions import (
     PartitionError,
@@ -740,18 +742,11 @@ def _lifted_by_both(part):
     assert (lifted["vertices"], lifted["recession_rays"]) == generated_lift(part, F)
 
 
-def cut_partitions():
-    """The lattice cuts of the polygons and prisms (lattice_cuts) that are
-    valid and non-singular."""
-    return [part for part in lattice_cuts().values()
-            if validate_semistable(part)["valid"] and is_nonsingular(part)]
-
-
 def test_F_gamma_is_the_box_certificate_on_the_cuts():
     assert len(lattice_cuts()) == 472
     cuts = cut_partitions()
     assert len(cuts) == 92
-    for part in cuts:
+    for part in cuts.values():
         _lifted_by_both(part)
 
 
@@ -771,8 +766,9 @@ def test_F_gamma_is_the_box_certificate_on_every_central_partition_built_here():
 def test_sigma_v_has_l_plus_1_rays_and_each_cone_omits_one():
     """What central_frame reads off Fan.validate without checking it again,
     on every central partition built here with two pieces or more."""
-    parts = cut_partitions() + [partition_from_doc(doc, resolve_polytope) for doc in
-                                (*FRAME_PATH.values(), corpus_doc("tsigma-3piece"))]
+    parts = list(cut_partitions().values())
+    parts += [partition_from_doc(doc, resolve_polytope) for doc in
+              (*FRAME_PATH.values(), corpus_doc("tsigma-3piece"))]
     assert len(parts) == 92 + 3 and all(is_central(p) for p in parts)
     for part in parts:
         frame = central_frame(part)
@@ -780,6 +776,28 @@ def test_sigma_v_has_l_plus_1_rays_and_each_cone_omits_one():
         assert len(rays) == len(cones) == frame.l + 1
         omitted = [set(rays) - set(c.rays) for c in cones]
         assert sorted(r for o in omitted for r in o) == list(rays)
+
+
+def test_fibration_fans_on_the_cuts():
+    """Sigma' on every valid non-singular cut: a complete simplicial fan
+    whose rays are the host's boundary points and the v_i starred in, every
+    v_i a ray, and one pi_Gamma component per v_i.  16 cuts star a v_i in:
+    those of b8v3, b9v3 and their prisms."""
+    cuts = cut_partitions()
+    assert len(cuts) == 92
+    added = []
+    for name, part in cuts.items():
+        frame = central_frame(part)
+        fib = build_fibration_fans(part, frame)
+        fib.sigma_prime.validate()
+        assert list(fib.sigma_prime.rays) == sorted(
+            boundary_lattice_points(part.host) + list(fib.added_rays))
+        assert set(frame.v_vectors) <= set(fib.sigma_prime.rays)
+        assert len(pi_gamma_monomials(fib.sigma_prime, frame)) == len(frame.v_vectors)
+        if fib.added_rays:
+            added.append(name.split(":")[0])
+    assert len(added) == 16
+    assert set(added) == {"b8v3", "b9v3", "b8v3-prism", "b9v3-prism"}
 
 
 def test_is_nonsingular_builds_no_face_lattice(monkeypatch):
@@ -856,8 +874,8 @@ def test_a_partition_that_is_not_central_is_not_lifted(capsys, tmp_path, name, m
     ("cube4-halves",
      "l = 1; L basis [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]; "
      "v vectors [[0, 0, 0, 1], [0, 0, 0, -1]]",
-     "fibration fans are implemented for rank <= 3 only"),
-])
+     "boundary-ray refinement is implemented for rank <= 3 only"),
+], ids=["tsigma-3piece-prism", "cube4-halves"])
 def test_frame_path_documents_frame_and_stop_at_the_fans(capsys, tmp_path, name,
                                                          frame, fans_error):
     """Sigma_v with three rays in rank 2, and a rank-4 host: Fan.validate
@@ -868,3 +886,72 @@ def test_frame_path_documents_frame_and_stop_at_the_fans(capsys, tmp_path, name,
     assert capsys.readouterr() == (frame + "\n", "")
     assert main(["partition", "fans", str(f)]) == 2
     assert capsys.readouterr() == ("", f"error: {fans_error}\n")
+
+
+def test_lift_frame_and_fans_name_the_origin_before_smoothness(capsys, tmp_path):
+    """One gate checks validity, the origin and smoothness in that order
+    for all three actions, so on a valid singular partition that misses the
+    origin each names the facet that the origin fails."""
+    doc = LIFTING_REFUSALS["singular-off-the-origin"]
+    part = partition_from_doc(doc, resolve_polytope)
+    assert validate_semistable(part)["valid"] and not is_nonsingular(part)
+    f = tmp_path / "part.json"
+    f.write_text(json.dumps(doc))
+    for action, who in (("lift", "build_F_Gamma"), ("frame", "central_frame"),
+                        ("fans", "central_frame")):
+        assert main(["partition", action, str(f)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {who} needs a central partition: piece 0 misses the "
+                "origin, which fails its facet <[-1, 1], x> >= 1\n")
+
+
+def test_fans_on_a_host_that_is_not_reflexive_stop_at_the_face_fan(capsys, tmp_path):
+    """The halves of [-2, 2]^2 are central and non-singular, so they lift and
+    have a frame; the face fan owns the reflexivity check and names it."""
+    f = tmp_path / "part.json"
+    f.write_text(json.dumps(LIFTING_REFUSALS["non-reflexive-halves"]))
+    assert main(["partition", "lift", str(f), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["functionals"] == [[0, 0], [-1, 0]]
+    assert main(["partition", "frame", str(f)]) == 0
+    assert capsys.readouterr() == (
+        "l = 1; L basis [[0, 1]]; v vectors [[1, 0], [-1, 0]]\n", "")
+    assert main(["partition", "fans", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: face fan needs a reflexive polytope: facet offsets differ "
+            "from 1: [((-1, 0), 2), ((0, -1), 2), ((0, 1), 2), ((1, 0), 2)]\n")
+
+
+def test_fans_evaluate_the_reflexivity_diagnostic_once_per_fan_builder(
+        monkeypatch, capsys):
+    """face_fan and refine_with_boundary_rays each check the host once, and
+    nothing else on the `partition fans` path checks it."""
+    from lgmirror import fans, lattice
+    calls = []
+    diagnose = lattice.reflexivity_diagnostic
+
+    def counted(p):
+        calls.append(p)
+        return diagnose(p)
+
+    monkeypatch.setattr(lattice, "reflexivity_diagnostic", counted)
+    monkeypatch.setattr(fans, "reflexivity_diagnostic", counted)
+    assert main(["partition", "fans", corpus_path("square-vsplit")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 2
+
+
+def test_a_partition_without_pieces_fails_the_tiling(capsys, tmp_path):
+    f = tmp_path / "part.json"
+    f.write_text(json.dumps({"polytope": "square", "pieces": []}))
+    assert main(["partition", "validate", str(f), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["tiling"] == {"ok": False, "message": "no pieces"}
+    assert err == "FAIL: partition is not semi-stable\n"
+
+
+def test_a_piece_without_points_is_bad_input(capsys, tmp_path):
+    f = tmp_path / "part.json"
+    f.write_text(json.dumps({"polytope": "square",
+                             "pieces": [[[-1, -1], [1, -1], [-1, 1], [1, 1]], []]}))
+    assert main(["partition", "validate", str(f)]) == 3
+    assert capsys.readouterr() == ("", "cannot read input: pieces[1]: no points\n")

@@ -1,7 +1,8 @@
-"""The page reports, the P=W report and the LG documents, pinned byte for
-byte in both output formats: the exit code and the full stdout of each
-call, with corpus documents named by their corpus name.  A json output is
-pinned as the payload its exact bytes decode to."""
+"""The page reports, the P=W and Poincare duality reports, the LG
+documents and the partition reports, pinned byte for byte in both output
+formats: the exit code, the full stdout and the stderr of each call, with
+corpus documents named by their corpus name.  A json output is pinned as
+the payload its exact bytes decode to."""
 
 import json
 
@@ -230,6 +231,127 @@ PINNED = {
                   'lambda_2*z_(-1,0)*z_(0,-1)*z_(0,1)*z_(1,0) - '
                   'a_(0,-1)*z_(-1,0)*z_(0,-1)^2*z_(1,0) - '
                   'a_(0,1)*z_(-1,0)*z_(0,1)^2*z_(1,0) = 0']}),
+    'partition validate square-diag --format text': (2,
+        ('valid: False\n'
+         'tiling: True (ok)\n'
+         'simplicial pieces: True\n'
+         'clause vertex-uniqueness: 2 violation(s)\n'
+         "  {'vertex': [-1, -1], 'pieces': [0, 1]}\n"
+         "  {'vertex': [1, 1], 'pieces': [0, 1]}\n"
+         'clause face-count: 2 violation(s)\n'
+         "  {'sigma': [[-1, -1]], 'tau': [[-1, -1]], 'count': 2, 'expected': 1}\n"
+         "  {'sigma': [[1, 1]], 'tau': [[1, 1]], 'count': 2, 'expected': 1}\n")),
+    'partition validate square-diag --format json': (2,
+        {'clauses': [{'id': 'vertex-uniqueness',
+                      'violations': [{'pieces': [0, 1], 'vertex': [-1, -1]},
+                                     {'pieces': [0, 1], 'vertex': [1, 1]}]},
+                     {'id': 'face-count',
+                      'violations': [{'count': 2, 'expected': 1,
+                                      'sigma': [[-1, -1]], 'tau': [[-1, -1]]},
+                                     {'count': 2, 'expected': 1,
+                                      'sigma': [[1, 1]], 'tau': [[1, 1]]}]}],
+         'simplicial': True,
+         'tiling': {'message': 'ok', 'ok': True},
+         'valid': False}),
+    'partition lift square-vsplit --format text': (0,
+        ('lifted polyhedron (y >= -m_i(x), host facets):\n'
+         '  normal [1, 0, 0] offset 0\n'
+         '  normal [1, -1, 0] offset 0\n'
+         '  normal [0, -1, 0] offset 1\n'
+         '  normal [0, 0, -1] offset 1\n'
+         '  normal [0, 0, 1] offset 1\n'
+         '  normal [0, 1, 0] offset 1\n'
+         'recession rays: [[1, 0, 0]]\n'
+         'vertices: [[0, -1, -1], [0, -1, 1], [0, 0, -1], [0, 0, 1], [1, 1, -1], '
+         '[1, 1, 1]]\n'
+         'piece functionals: [[0, 0], [-1, 0]]\n')),
+    'partition lift square-vsplit --format json': (0,
+        {'functionals': [[0, 0], [-1, 0]],
+         'inequalities': [{'normal': [1, 0, 0], 'offset': 0},
+                          {'normal': [1, -1, 0], 'offset': 0},
+                          {'normal': [0, -1, 0], 'offset': 1},
+                          {'normal': [0, 0, -1], 'offset': 1},
+                          {'normal': [0, 0, 1], 'offset': 1},
+                          {'normal': [0, 1, 0], 'offset': 1}],
+         'rank': 3,
+         'recession_rays': [[1, 0, 0]],
+         'vertices': [[0, -1, -1], [0, -1, 1], [0, 0, -1], [0, 0, 1], [1, 1, -1],
+                      [1, 1, 1]]}),
+    'partition frame square-vsplit --format text': (0,
+        'l = 1; L basis [[0, 1]]; v vectors [[1, 0], [-1, 0]]\n'),
+    'partition frame square-vsplit --format json': (0,
+        {'L_basis': [[0, 1]], 'l': 1, 'v_vectors': [[1, 0], [-1, 0]]}),
+    'partition fans square-vsplit --format text': (0,
+        ('Sigma_Delta: 4 rays\n'
+         "Sigma':      8 rays\n"
+         'Sigma_Gamma: 4 rays\n'
+         'Sigma_v:     2 rays\n'
+         'pi_Gamma = [z_(1,-1)z_(1,0)z_(1,1) : z_(-1,-1)z_(-1,0)z_(-1,1)]\n')),
+    'partition fans square-vsplit --format json': (0,
+        {'added_rays': [],
+         'pi_gamma': {'components': [{'z_(1,-1)': 1, 'z_(1,0)': 1, 'z_(1,1)': 1},
+                                     {'z_(-1,-1)': 1, 'z_(-1,0)': 1, 'z_(-1,1)': 1}]},
+         'pi_gamma_text': '[z_(1,-1)z_(1,0)z_(1,1) : z_(-1,-1)z_(-1,0)z_(-1,1)]',
+         'sigma_delta': {'maximal_cones': [[[-1, -1], [-1, 1]],
+                                           [[-1, -1], [1, -1]],
+                                           [[-1, 1], [1, 1]],
+                                           [[1, -1], [1, 1]]],
+                         'rank': 2},
+         'sigma_gamma': {'maximal_cones': [[[-1, 0]], [[0, -1]], [[0, 1]], [[1, 0]]],
+                         'rank': 2},
+         'sigma_prime': {'maximal_cones': [[[-1, -1], [-1, 0]],
+                                           [[-1, -1], [0, -1]],
+                                           [[-1, 0], [-1, 1]],
+                                           [[-1, 1], [0, 1]],
+                                           [[0, -1], [1, -1]],
+                                           [[0, 1], [1, 1]],
+                                           [[1, -1], [1, 0]],
+                                           [[1, 0], [1, 1]]],
+                         'rank': 2},
+         'sigma_v': {'maximal_cones': [[[-1]], [[1]]], 'rank': 1}}),
+    'partition lift tsigma-3piece --format text': (0,
+        ('lifted polyhedron (y >= -m_i(x), host facets):\n'
+         '  normal [1, 0, 0] offset 0\n'
+         '  normal [1, 0, -1] offset 0\n'
+         '  normal [1, 1, 0] offset 0\n'
+         '  normal [0, -1, -1] offset 1\n'
+         '  normal [0, 0, 1] offset 1\n'
+         '  normal [0, 1, 0] offset 1\n'
+         'recession rays: [[1, 0, 0]]\n'
+         'vertices: [[0, 0, -1], [0, 0, 0], [0, 1, 0], [0, 2, -1], [1, -1, -1], '
+         '[1, -1, 1], [2, -1, 2]]\n'
+         'piece functionals: [[0, 0], [0, -1], [1, 0]]\n')),
+    'partition lift tsigma-3piece --format json': (0,
+        {'functionals': [[0, 0], [0, -1], [1, 0]],
+         'inequalities': [{'normal': [1, 0, 0], 'offset': 0},
+                          {'normal': [1, 0, -1], 'offset': 0},
+                          {'normal': [1, 1, 0], 'offset': 0},
+                          {'normal': [0, -1, -1], 'offset': 1},
+                          {'normal': [0, 0, 1], 'offset': 1},
+                          {'normal': [0, 1, 0], 'offset': 1}],
+         'rank': 3,
+         'recession_rays': [[1, 0, 0]],
+         'vertices': [[0, 0, -1], [0, 0, 0], [0, 1, 0], [0, 2, -1], [1, -1, -1],
+                      [1, -1, 1], [2, -1, 2]]}),
+    'ss pd elliptic-hyb-complex --format text': (0,
+        ('Poincare duality: PASS\n'
+         '  dual map [[0], [0, 1], 1]: ok (sign 1)\n'
+         '  dual map [[1], [0, 1], 1]: ok (sign 1)\n'
+         "  matched signs by depth: {'1': 1}\n")),
+    'ss pd elliptic-hyb-complex --format json': (0,
+        {'dimension_symmetry': [],
+         'dual_maps': [{'ok': True, 'rho': [[0, 1], [0], 0],
+                        'rho_dual': [[0], [0, 1], 1], 'sign': 1},
+                       {'ok': True, 'rho': [[0, 1], [1], 0],
+                        'rho_dual': [[1], [0, 1], 1], 'sign': 1}],
+         'matched_signs': {'1': 1},
+         'ok': True}),
+}
+
+# The stderr of the calls that exit nonzero; every other call writes none.
+STDERR = {
+    'partition validate square-diag --format text': 'FAIL: partition is not semi-stable\n',
+    'partition validate square-diag --format json': 'FAIL: partition is not semi-stable\n',
 }
 
 
@@ -241,4 +363,4 @@ def test_the_printed_document_is_pinned(capsys, call):
     out, err = capsys.readouterr()
     if isinstance(expect, dict):
         expect = json.dumps(expect, indent=2, sort_keys=True) + "\n"
-    assert (out, err) == (expect, "")
+    assert (out, err) == (expect, STDERR.get(call, ""))

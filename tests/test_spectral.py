@@ -846,3 +846,57 @@ def test_monodromy_refuses_a_defaulted_gysin_of_the_wrong_shape(capsys, tmp_path
     assert main(["ss", "monodromy", str(f)]) == 2
     assert capsys.readouterr() == (
         "", "error: gysin [0, 1]->[0] at degree 0: matrix is 2x1, expected 1x1\n")
+
+
+def test_pd_names_a_dual_map_whose_sign_differs_within_its_depth(capsys, tmp_path):
+    # elliptic-hyb-complex with the rho_dual from [1] negated: both dual maps
+    # match up to sign, with opposite signs at depth 1
+    from conftest import corpus_doc
+    from lgmirror.cli import main
+    doc = edit_document(corpus_doc("elliptic-hyb-complex"), ("maps", 3, "matrix"),
+                        "set", [["0", "1"], ["0", "-1"]])
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["ss", "pd", str(f), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["dual_maps"][1] == {
+        "ok": False, "note": "sign differs within the depth level",
+        "rho": [[0, 1], [1], 0], "rho_dual": [[1], [0, 1], 1]}
+    assert (report["ok"], report["matched_signs"]) == (False, {"1": 1})
+    assert err == "FAIL: Poincare duality check failed\n"
+
+
+def test_pd_refuses_an_identity_pairing_on_asymmetric_dimensions(capsys, tmp_path):
+    # [0] has dims 1 and 2 in the dual degrees 1 and 3, and no pairing
+    from lgmirror.cli import main
+    doc = {"n": 2, "side": "hybrid",
+           "strata": [{"I": [0], "dims": {"1": 1, "3": 2}},
+                      {"I": [0, 1], "dims": {"0": 1, "2": 1}}],
+           "maps": [{"kind": "rho", "from": [0, 1], "to": [0], "degree": 0,
+                     "matrix": [["1"]]},
+                    {"kind": "rho_dual", "from": [0], "to": [0, 1], "degree": 3,
+                     "matrix": [["1", "0"]]}]}
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["ss", "pd", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: no pairing and asymmetric dimensions on [0] at degree 3\n")
+
+
+def test_monodromy_refuses_a_gysin_map_with_no_restriction_to_default_from(
+        capsys, tmp_path):
+    # [0] has no degree 0, so no restriction [0] -> [0, 1] exists to give
+    # the Gysin map [0, 1] -> [0] at degree 0 its transpose
+    from lgmirror.cli import main
+    doc = {"n": 1, "side": "degeneration",
+           "strata": [{"I": [0], "dims": {"2": 1}}, {"I": [1], "dims": {"0": 1, "2": 1}},
+                      {"I": [0, 1], "dims": {"0": 1}}],
+           "maps": [{"kind": "restrict", "from": [1], "to": [0, 1], "degree": 0,
+                     "matrix": [["1"]]}]}
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["ss", "monodromy", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: missing gysin [0, 1]->[0] at degree 0 and no restriction "
+            "to default from\n")

@@ -4,10 +4,11 @@ volumes, cone faces and the pairwise fan check, relabelled Euler data and
 abutment checks; the splits of a vertex set, the nef documents of the
 polygons, the octahedron and P^3, and the hull route to the polytopes of a
 nef partition; the partition documents whose pieces do not tile their
-host, the ones that take the central-frame path beyond rank 1 and the
-ones that are not central; the cuts of the polygons and prisms into two
-lattice halves, and the filter for central partitions; polytopes that are
-not full-dimensional.
+host, the ones that take the central-frame path beyond rank 1, the ones
+that are not central and the ones the lifting path refuses; the cuts of the
+polygons and prisms into two lattice halves, the valid non-singular ones
+among them, and the filter for central partitions; polytopes that are not
+full-dimensional.
 
 The hybrid family is a contraction/wedge pair on an exterior algebra: with
 removal coefficients b and insertion coefficients a satisfying <a, b> = 0 and
@@ -31,7 +32,7 @@ from geometry import POLYGONS, polygon_edges
 from lgmirror.lattice import (LatticeError, boundary_lattice_points, convex_hull,
                               polytope_from_inequalities, recession_rays, triangulation)
 from lgmirror.linalg import det, dot, vec_sub
-from lgmirror.partitions import SemistablePartition
+from lgmirror.partitions import SemistablePartition, is_nonsingular, validate_semistable
 from lgmirror.spectral import StrataComplexData
 from lgmirror.strata import StrataEuler
 
@@ -378,6 +379,22 @@ NON_CENTRAL = {
 }
 
 
+# Partitions that `partition lift`, `frame` and `fans` refuse at the check
+# that owns the refusal.
+LIFTING_REFUSALS = {
+    # b6v3 cut by y - x >= 1: valid, but piece 0 misses the origin, and
+    # (0, 1) is a singular vertex of both pieces; all three name the origin
+    "singular-off-the-origin": {
+        "polytope": {"rank": 2, "vertices": [[1, 0], [-1, 2], [-1, -1]]},
+        "pieces": [[[-1, 0], [-1, 2], [0, 1]], [[-1, -1], [-1, 0], [0, 1], [1, 0]]]},
+    # the halves x <= 0 and x >= 0 of the non-reflexive [-2, 2]^2: central
+    # and non-singular, so lift and frame pass, and fans stops at the face fan
+    "non-reflexive-halves": {
+        "polytope": {"rank": 2, "vertices": _rectangle(-2, 2, -2, 2)},
+        "pieces": [_rectangle(-2, 0, -2, 2), _rectangle(0, 2, -2, 2)]},
+}
+
+
 def is_central(part):
     """The origin belongs to every piece."""
     origin = tuple(0 for _ in range(part.host.ambient_rank))
@@ -407,6 +424,13 @@ def lattice_cuts():
                 continue
             cuts[f"{name}:{','.join(map(str, a))}"] = SemistablePartition(host, halves)
     return cuts
+
+
+def cut_partitions():
+    """{name: partition} of the lattice cuts of the polygons and prisms
+    (lattice_cuts) that are valid and non-singular: 92, all central."""
+    return {name: part for name, part in lattice_cuts().items()
+            if validate_semistable(part)["valid"] and is_nonsingular(part)}
 
 
 def lower_dimensional_documents():
