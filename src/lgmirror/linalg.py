@@ -3,15 +3,18 @@
 Everything in this package runs over Z or Q; there is no floating point,
 and rank, det, solve, nullspace and integer_kernel raise TypeError on an
 entry that is neither int nor Fraction (mat_mul on such a nonzero entry).
-Matrices are plain lists of lists (rows) of ints or Fractions, vectors are
-tuples.
+Matrices are plain lists of rows of ints or Fractions, each row a list or,
+for rank, a {column: entry} dict; vectors are tuples.
 
-Two eliminations remain, each with one job:
+Three eliminations remain, each with one job:
 
-- _bareiss, fraction-free Gaussian elimination (Bareiss 1968), answers
-  every question over Q: rank, det and solve (which scales each row to
-  integers, reads the pivot columns off the echelon form and
-  back-substitutes in Fractions).
+- rank runs fraction-free Gaussian elimination (Bareiss 1968) on sparse
+  rows, {column: nonzero int} dicts, with the pivot chosen in Markowitz
+  order (Markowitz 1957): the column with the fewest nonzeros among the
+  rows not yet used as pivots, then the shortest row in it.
+- _bareiss, the same elimination on dense rows in natural column order,
+  answers det and solve (which scales each row to integers, reads the
+  pivot columns off the echelon form and back-substitutes in Fractions).
 - _hermite, a Hermite reduction by unimodular row operations, answers every
   question over Z: integer_kernel gives the saturated kernel, and with it
   the affine-hull equations of lower-dimensional hulls only
@@ -19,32 +22,41 @@ Two eliminations remain, each with one job:
   the saturated span of the common face there.  nullspace returns the
   integer_kernel basis.
 
-Neither replaces the other.  Bareiss keeps no unimodular transform, so it
-cannot say which integer vectors lie in a span.  Every intermediate entry of
-Bareiss is a minor of the input, bounded by Hadamard's inequality; the
-Hermite reduction has no such bound, and on dense random int matrices of
-size 30 to 40 it takes about five times as long.
+rank and _bareiss differ in their inputs.  rank reads the differentials of
+the spectral pages, which are large and sparse (about 12% nonzero on the
+7-component Koszul delta page) and arrive as dict rows.  In natural order
+the elimination fills them in, so a dict row costs more than a dense one;
+in Markowitz order they stay sparse, and walking only the nonzeros pays.
+det and solve read the 3 x 3 and 4 x 4 lattice systems of the polytope and
+fan code, where a dense row takes less than half the time of a dict row,
+and solve needs its pivots in column order.
 
-The differentials of the spectral pages are sparse (about 12% nonzero on the
-7-component Koszul delta page) and arrive as int matrices, so the hot paths
-work on the nonzeros.  mat_mul collects the nonzeros of each row once and
-reads only those.  _bareiss scales rows lazily.  Step k of the elimination, with
-pivot p_k, replaces each row below the pivot row by
+Bareiss keeps no unimodular transform, so it cannot say which integer
+vectors lie in a span.  Every intermediate entry of Bareiss is a minor of
+the input, bounded by Hadamard's inequality; the Hermite reduction has no
+such bound, and on dense random int matrices of size 30 to 40 it takes
+about five times as long.
+
+mat_mul collects the nonzeros of each row once and reads only those.  Both
+Bareiss loops scale rows lazily.  Step k of the elimination, with pivot
+p_k, replaces each row not yet used as a pivot by
 
     (p_k * row - row[c] * pivot row) / p_(k-1),
 
 which for a row with row[c] = 0 is just row * p_k / p_(k-1).  Such a row is
-left alone, and _bareiss records the number s of steps it has been through.
+left alone, and the loop records the step s that last updated it.
 Over the skipped steps s+1, ..., k the factors telescope to p_k / p_s, so
 when the row is next needed (it becomes the pivot row, or has a nonzero
 entry in the pivot column) one multiply-and-divide by p_k / p_s brings it up
 to date.  The division is exact: by Sylvester's identity the up-to-date
 entries are minors of the input, hence integers, and they equal the stale
-entries times p_k / p_s.  Scaling by a nonzero factor keeps zeros, so the
+entries times p_k / p_s; this holds for any pivot order, since a run of
+the elimination is the natural-order run on the matrix with its pivot rows
+and columns moved first.  Scaling by a nonzero factor keeps zeros, so the
 pivot search may read a stale row; the entry that multiplies the pivot row
-must be read after the catch-up.  Pivots, the determinant and the pivot rows
-(all that solve reads) are those of the dense loop, and the rows below the
-rank are zero in both.
+must be read after the catch-up.  In _bareiss the pivots, the determinant
+and the pivot rows (all that solve reads) are those of the dense loop, and
+the rows below the rank are zero in both.
 """
 
 from __future__ import annotations
@@ -194,13 +206,83 @@ def _bareiss(M):
     return pivots, sgn * steps[-1]
 
 
+_INT = frozenset((int,))
+
+
+def _sparse_int_rows(A):
+    """Each row of A, a list of entries or a {column: entry} dict, as a fresh
+    {column: nonzero int} dict, scaled to ints by the lcm of its own
+    denominators; TypeError on an entry that is neither int nor Fraction."""
+    out = []
+    for row in A:
+        items, values = ((row.items(), row.values()) if isinstance(row, dict)
+                         else (enumerate(row), row))
+        if _INT.issuperset(map(type, values)):
+            out.append({j: x for j, x in items if x})
+        else:
+            _exact((values,), "rank")
+            den = lcm(*(x.denominator for x in values))
+            out.append({j: den // x.denominator * x.numerator for j, x in items if x})
+    return out
+
+
 def rank(A):
-    """Rank of a matrix with int or Fraction entries; any other entry type
-    raises TypeError."""
-    if not A or not A[0]:
-        return 0
-    # A row with denominators is scaled to ints so the elimination stays in Z.
-    return len(_bareiss(_int_rows(A, "rank"))[0])
+    """Rank of a matrix with int or Fraction entries, given as dense rows or
+    as {column: entry} dict rows; any other entry type raises TypeError.
+    Fraction-free elimination on the nonzeros in Markowitz order, ties to
+    the lowest column, then row, index (see the module docstring)."""
+    rows = _sparse_int_rows(A)
+    cols = {}           # column -> the unused rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
+    found, prev = 0, 1
+    last = [1] * len(rows)  # the pivot of the step that last updated each row
+    while cols:
+        fewest = min(map(len, cols.values()))
+        c = min([j for j, hits in cols.items() if len(hits) == fewest])
+        hits = cols.pop(c)
+        r = min(hits, key=lambda i: (len(rows[i]), i))
+        hits.remove(r)
+        top, s = rows[r], last[r]
+        rows[r] = None
+        if s != prev:       # catch up: times prev / s, exactly
+            top = {j: x * prev // s for j, x in top.items()}
+        p = top.pop(c)
+        for j in top:
+            cols[j].discard(r)
+        rest = top.items()
+        for i in hits:
+            # (p * row - f * top) / prev on the caught-up row, which an
+            # entry outside top reaches as p * x / s
+            row, s = rows[i], last[i]
+            f = row.pop(c)
+            if s != prev:
+                f = f * prev // s
+            new = {j: p * x // s for j, x in row.items() if j not in top}
+            for j, y in rest:
+                x = row.get(j)
+                if x is None:
+                    new[j] = -f * y // prev
+                    cols[j].add(i)
+                else:
+                    if s != prev:
+                        x = x * prev // s
+                    v = (p * x - f * y) // prev
+                    if v:
+                        new[j] = v
+                    else:
+                        cols[j].discard(i)
+            rows[i] = new
+            last[i] = p
+        for j in top:
+            if not cols[j]:
+                del cols[j]
+        found, prev = found + 1, p
+    return found
 
 
 def det(A):

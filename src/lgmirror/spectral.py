@@ -15,8 +15,10 @@ which structure maps, with which sign twist, make up d1.  Each is a `PageSpec`
 block key) and a tuple of `MapRule`s (map kind, toward larger or
 smaller index sets, target block key, twist by p).  One driver, `assemble`,
 places the blocks, adds a map exactly when its target block exists, writes
-the signed maps into one int matrix per differential and checks d1 o d1 = 0;
-the `build_*_E1` functions are single calls into it.
+the signed maps into sparse int rows, one {column: nonzero int} dict per
+target basis vector, and checks d1 o d1 = 0 on those rows; the
+`build_*_E1` functions are single calls into it.  The rows go unchanged to
+`linalg.rank`, which eliminates on the nonzeros.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ class SpectralError(ValueError):
 
 # degree change of each structure-map kind
 DEGREE_SHIFT = {"restrict": 0, "gysin": 2, "rho": 1, "rho_dual": -1}
-
-
-def _sign_in(larger, x):
-    """Mayer-Vietoris sign of the component omitting / inserting x: the
-    0-based position of x in the sorted larger index set."""
-    return sign(sorted(larger).index(x))
 
 
 class StrataComplexData:
@@ -143,11 +139,11 @@ class BigradedPage(namedtuple("BigradedPage", "name terms diff grading_note")):
     """First page of a spectral sequence with differentials along rows.
 
     terms[(p, q)] is an ordered list of (block key, dim); diff[(p, q)] maps
-    E1^{p,q} -> E1^{p+1,q}, an int matrix: the differential times one
-    nonzero scalar, which changes neither whether a composite vanishes nor a
-    rank.  e2 computes the second page as kernel modulo image on each call;
-    degeneration there is assumed, so it carries the final graded
-    dimensions.
+    E1^{p,q} -> E1^{p+1,q}, as one {column: nonzero int} dict per basis
+    vector of E1^{p+1,q}: the differential times one nonzero scalar, which
+    changes neither whether a composite vanishes nor a rank.  e2 computes
+    the second page as kernel modulo image on each call; degeneration there
+    is assumed, so it carries the final graded dimensions.
     """
 
     __slots__ = ()
@@ -159,16 +155,22 @@ class BigradedPage(namedtuple("BigradedPage", "name terms diff grading_note")):
         return sorted(self.terms)
 
     def check_d1_squared(self):
-        """Raise with the smallest witnessing position when d1 o d1 != 0."""
+        """Raise with the smallest witnessing position when d1 o d1 != 0.
+        Each row of the next differential is composed with this one over
+        the nonzeros of both."""
         for (p, q) in self.positions():
             a = self.diff.get((p, q))
             b = self.diff.get((p + 1, q))
-            if not a or not b or not a[0]:
+            if not a or not b:
                 continue
-            comp = mat_mul(b, a)
-            if any(x != 0 for row in comp for x in row):
-                raise SpectralError(
-                    f"{self.name}: d1 o d1 != 0 at (p, q) = ({p}, {q})")
+            for row in b:
+                acc = {}
+                for k, x in row.items():
+                    for j, y in a[k].items():
+                        acc[j] = acc.get(j, 0) + x * y
+                if any(acc.values()):
+                    raise SpectralError(
+                        f"{self.name}: d1 o d1 != 0 at (p, q) = ({p}, {q})")
 
     def e2(self):
         ranks = {pq: rank(m) for pq, m in self.diff.items()}
@@ -193,8 +195,9 @@ class BigradedPage(namedtuple("BigradedPage", "name terms diff grading_note")):
 class MapRule(namedtuple("MapRule", "kind larger target twist")):
     """One structure-map kind in d1.  `larger`: the map inserts an index x
     (I -> I + {x}), else it omits one (I -> I - {x}).  `target(key, J)` is the
-    target block key, which also fixes the target degree; `twist(p)` is the
-    int sign multiplying the Mayer-Vietoris sign of x."""
+    key of the block of J that the map lands in, which also fixes the target
+    degree; `twist(p)` is the int sign multiplying the Mayer-Vietoris sign of
+    x."""
 
     __slots__ = ()
 
@@ -255,8 +258,14 @@ def assemble(spec, data):
 
     Every nonzero graded piece of every stratum is placed by the spec's rule;
     a map joins d1 exactly when its target block exists on the page.  Each
-    differential is written as one int matrix, its blocks scaled by the lcm
-    of their denominators (an int entry has denominator 1)."""
+    differential is written as one {column: nonzero int} dict per target
+    row, its blocks scaled by the lcm of their denominators (an int entry
+    has denominator 1); entries that cancel are dropped.
+
+    A stratum's moves to the strata J = I + {x} or I - {x} and their
+    Mayer-Vietoris signs are computed once per map rule, on bitmasks of the
+    components: the position of x in sorted I is the number of members of I
+    below x.  A J that is no stratum has no block to land in."""
     comps = data.components
     terms, width, offsets, placed = {}, {}, {}, []
     for I in data.index_sets():
@@ -268,36 +277,52 @@ def assemble(spec, data):
                 width[(p, q)] = offsets[(p, q, key)] + d
                 terms.setdefault((p, q), []).append((key, d))
                 placed.append((p, q, key, I, deg))
-    pieces = {}
+    masks = {I: sum(1 << x for x in I) for I in data.strata}
+    by_mask = {mask: I for I, mask in masks.items()}
+    moves, pieces = {}, {}
     for p, q, key, I, deg in placed:
-        for kind, larger, target, twist in spec.maps:
-            if larger:
-                moves = [(x, I | {x}) for x in range(comps) if x not in I]
-            else:
-                moves = [(x, I - {x}) for x in sorted(I)]
-            for x, J in moves:
-                tgt = target(key, J)
-                if (p + 1, q, tgt) not in offsets:
+        out = []
+        for rule, (kind, larger, target, twist) in enumerate(spec.maps):
+            if (rule, I) not in moves:
+                mask = masks[I]
+                xs = ([x for x in range(comps) if not mask >> x & 1]
+                      if larger else sorted(I))
+                moves[(rule, I)] = [
+                    (by_mask[mask ^ 1 << x], sign((mask & ((1 << x) - 1)).bit_count()))
+                    for x in xs if mask ^ 1 << x in by_mask]
+            for J, mv in moves[(rule, I)]:
+                to = offsets.get((p + 1, q, target(key, J)))
+                if to is None:
                     continue
-                s = twist(p) * _sign_in(J if larger else I, x)
+                s = twist(p) * mv
                 if not isinstance(s, int):
                     raise TypeError(f"{spec.name}: sign {s!r} at ({p}, {q}) "
                                     "is not an int")
-                pieces.setdefault((p, q), []).append(
-                    (key, tgt, s, data.matrix(kind, I, J, deg)))
+                # a supplied map as it is; data.matrix defaults a Gysin map
+                # (keeping it in data.maps) or names the missing one
+                mat = data.maps.get((kind, I, J, deg))
+                if mat is None:
+                    mat = data.matrix(kind, I, J, deg)
+                out.append((to, s, mat))
+        if out:
+            pieces.setdefault((p, q), []).append((offsets[(p, q, key)], out))
     diff = {}
-    for (p, q), entries in pieces.items():
-        den = lcm(*{x.denominator for *_, mat in entries for row in mat for x in row})
-        M = [[0] * width[(p, q)] for _ in range(width[(p + 1, q)])]
-        for src_key, tgt_key, s, mat in entries:
-            so = offsets[(p, q, src_key)]
-            to = offsets[(p + 1, q, tgt_key)]
-            f = s * den
-            for i, row in enumerate(mat):
-                target = M[to + i]
-                for j, x in enumerate(row):
-                    if x:
-                        target[so + j] += f // x.denominator * x.numerator
+    for (p, q), placements in pieces.items():
+        den = lcm(*{x.denominator for _, out in placements
+                    for *_, mat in out for row in mat for x in row})
+        M = [{} for _ in range(width[(p + 1, q)])]
+        for so, out in placements:
+            for to, s, mat in out:
+                f = s * den
+                for i, row in enumerate(mat, to):
+                    target = M[i]
+                    for j, x in enumerate(row, so):
+                        if x:
+                            v = target.get(j, 0) + f // x.denominator * x.numerator
+                            if v:
+                                target[j] = v
+                            else:
+                                del target[j]
         diff[(p, q)] = M
     page = BigradedPage(spec.name, terms, diff, spec.grading_note)
     page.check_d1_squared()
@@ -390,7 +415,9 @@ def slice_by_label(data):
 def check_poincare_duality(data):
     """Dimension symmetry about the stratum middle degree, and compatibility
     of the dual connecting maps with the pairings (transposes conjugated by
-    the pairing matrices, up to one global sign per depth)."""
+    the pairing matrices, up to one global sign per depth).  A dual map
+    whose stratum has no pairing and asymmetric dimensions fails, with the
+    reason as its note."""
     report = {"dimension_symmetry": [], "dual_maps": [], "ok": True}
     for I in data.index_sets():
         n_I = data.stratum_dim_complex(I)
@@ -417,14 +444,16 @@ def check_poincare_duality(data):
         m_dual = data.matrix("rho_dual", I, J, c)
         if m_rho is None or m_dual is None:
             continue
-        P_I = _pairing(data, I, c)
-        P_J = _pairing(data, J, c - 1)
-        lhs = mat_mul(P_I, m_rho)
-        rhs = mat_mul(transpose(m_dual), P_J)
-        verdict = _match_up_to_sign(lhs, rhs)
         level = len(I)
         entry = {"rho": [sorted(J), sorted(I), deg],
                  "rho_dual": [sorted(I), sorted(J), c]}
+        try:
+            lhs = mat_mul(_pairing(data, I, c), m_rho)
+            rhs = mat_mul(transpose(m_dual), _pairing(data, J, c - 1))
+        except SpectralError as exc:    # no pairing to compare through
+            verdict, entry["note"] = None, str(exc)
+        else:
+            verdict = _match_up_to_sign(lhs, rhs)
         if verdict is None:
             entry["ok"] = False
             report["ok"] = False

@@ -85,15 +85,6 @@ def test_rank_agrees_with_sympy(A):
     assert rank(A) == sympy.Matrix(A).rank()
 
 
-@given(st.integers(1, 4).flatmap(lambda c: st.lists(
-    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=4),
-             min_size=c, max_size=c), min_size=1, max_size=4)))
-@settings(max_examples=60)
-def test_rank_of_a_fraction_matrix_agrees_with_sympy(A):
-    assert rank(A) == sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                                     for x in row] for row in A]).rank()
-
-
 def _sym(A):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                           for x in row] for row in A])
@@ -224,6 +215,52 @@ def sparse_matrices(draw, rows=None, cols=None, entries=st.integers(-3, 3),
     return M
 
 
+@st.composite
+def koszul_blocks(draw, entries):
+    """A matrix shaped like a Koszul page differential: s x s blocks from the
+    m-subsets of {0, ..., n-1} to the (m+1)-subsets, where the block of
+    I inside J is c times the identity or a dense block, every other block
+    zero."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(0, n - 1))
+    s = draw(st.integers(1, 2))
+    sources = list(itertools.combinations(range(n), m))
+    targets = list(itertools.combinations(range(n), m + 1))
+    zero = draw(entries) * 0
+    M = [[zero] * (len(sources) * s) for _ in range(len(targets) * s)]
+    for a, J in enumerate(targets):
+        for b, I in enumerate(sources):
+            if not set(I) < set(J):
+                continue
+            c = draw(entries) if draw(st.booleans()) else None
+            for u in range(s):
+                for v in range(s):
+                    if c is None:
+                        M[a * s + u][b * s + v] = draw(entries)
+                    elif u == v:
+                        M[a * s + u][b * s + v] = c
+    return M
+
+
+@st.composite
+def full_first_column(draw, entries):
+    """A sparse matrix with a nonzero in every row of its first column, so
+    the Markowitz pivot (the column with the fewest nonzeros) is not the
+    first column that the natural order would take."""
+    cols = draw(st.integers(2, 12))
+    M = draw(sparse_matrices(cols=cols, entries=entries, min_rows=2))
+    for row in M:
+        row[0] = draw(entries.filter(bool))
+    return M
+
+
+def dict_rows(A):
+    """A as {column: entry} dict rows: with its zeros dropped, as a page
+    differential holds it, and with them kept."""
+    return ([{j: x for j, x in enumerate(row) if x} for row in A],
+            [dict(enumerate(row)) for row in A])
+
+
 def _products(entries):
     return st.tuples(st.integers(0, 12), st.integers(0, 12),
                      st.integers(0, 12)).flatmap(lambda s: st.tuples(
@@ -253,11 +290,30 @@ def test_lazy_bareiss_agrees_with_the_dense_elimination(A):
     assert lazy == dense    # the echelon form that solve reads
 
 
-@given(sparse_matrices(entries=st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)))
+FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@given(st.one_of(
+    st.integers(1, 4).flatmap(lambda c: st.lists(
+        st.lists(FRACTIONS, min_size=c, max_size=c), min_size=1, max_size=4)),
+    koszul_blocks(FRACTIONS), full_first_column(FRACTIONS)))
+@settings(max_examples=60)
+def test_rank_of_a_fraction_matrix_agrees_with_sympy(A):
+    expected = _sym(A).rank() if A and A[0] else 0
+    assert rank(A) == expected
+    assert [rank(rows) for rows in dict_rows(A)] == [expected, expected]
+
+
+MIXED = st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)
+
+
+@given(st.one_of(sparse_matrices(entries=MIXED), koszul_blocks(MIXED),
+                 full_first_column(MIXED)))
 @settings(max_examples=100)
 def test_sparse_rank_agrees_with_sympy(A):
     expected = _sym(A).rank() if A and A[0] else 0
     assert rank(A) == expected
+    assert [rank(rows) for rows in dict_rows(A)] == [expected, expected]
 
 
 @given(st.integers(0, 12).flatmap(lambda n: sparse_matrices(n, n)))

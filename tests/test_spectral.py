@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import re
 from collections import Counter
 from fractions import Fraction as F
@@ -176,21 +177,24 @@ def test_delta_flipped_twist_from_bundled_doc():
         assemble(UNTWISTED_DELTA, data)
 
 
-def test_d1_squared_violation_is_reported():
-    # restriction maps that do not commute give a nonzero composite
+@pytest.mark.parametrize("first", [F(1), F(0)], ids=["nonzero", "first-row-empty"])
+def test_d1_squared_violation_is_reported(first):
+    # restriction maps that do not commute give a nonzero composite; with the
+    # maps into [0, 1] zero (`first`), the first row of d1 at p = 0 is empty,
+    # and the composite is still nonzero through [0, 2] and [1, 2]
     data = StrataComplexData(
         2, "degeneration",
         {fs([0]): {0: 1}, fs([1]): {0: 1}, fs([2]): {0: 1},
          fs([0, 1]): {0: 1}, fs([0, 2]): {0: 1}, fs([1, 2]): {0: 1},
          fs([0, 1, 2]): {0: 1}},
         {},
-        {("restrict", I, J, 0): [[F(1)]]
+        {("restrict", I, J, 0): [[first if J == fs([0, 1]) else F(1)]]
          for I in [fs([0]), fs([1]), fs([2])]
          for J in [fs([0, 1]), fs([0, 2]), fs([1, 2])] if I < J} |
         {("restrict", I, fs([0, 1, 2]), 0): [[F(1)] if I != fs([0, 1])
                                              else [F(3)]]
          for I in [fs([0, 1]), fs([0, 2]), fs([1, 2])]})
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpectralError, match=r"d1 o d1 != 0 at \(p, q\) = \(0, 0\)"):
         build_weight_E1(data)
 
 
@@ -392,6 +396,18 @@ def test_d2_vanishing_report(elliptic_deg_complex):
     assert all(entry["confirmed_zero"] for entry in rep)
 
 
+def test_entries_that_cancel_are_dropped(elliptic_deg_complex):
+    # the restriction rule twice, with opposite twists: every entry of d1
+    # cancels, so each row is empty and E2 is E1
+    spec = WEIGHT._replace(maps=WEIGHT.maps + (
+        WEIGHT.maps[0]._replace(twist=lambda p: -1),))
+    page = assemble(spec, elliptic_deg_complex)
+    assert page.diff
+    assert all(row == {} for m in page.diff.values() for row in m)
+    assert page.e2() == {pq: page.term_dim(*pq) for pq in page.positions()
+                         if page.term_dim(*pq)}
+
+
 def test_float_sign_is_rejected_by_page_builder(elliptic_deg_complex):
     spec = with_twist(WEIGHT, "restrict", lambda p: -1.0)
     with pytest.raises(TypeError, match="not an int"):
@@ -410,9 +426,14 @@ def test_page_report_ranks_each_differential_once(monkeypatch):
         return real_rank(m)
 
     monkeypatch.setattr(spectral, "rank", counted)
+    before = {pq: [dict(row) for row in m] for pq, m in page.diff.items()}
     spectral.page_report_doc(page)
     assert page.diff
-    assert len(calls) <= len(page.diff)
+    # one call per differential, on the page's own rows, which the rank
+    # leaves as they were
+    assert sorted(map(id, calls)) == sorted(map(id, page.diff.values()))
+    assert {pq: [dict(row) for row in m] for pq, m in page.diff.items()} == before
+    assert any(row for m in page.diff.values() for row in m)
 
 
 @pytest.mark.parametrize("name, run", [
@@ -434,8 +455,9 @@ def test_all_int_document_builds_no_fraction(monkeypatch, name, run):
 
 
 def test_differential_joining_denominators_2_and_3_matches_sympy():
-    # d = [A | -B] from H^0(X_0) + H^0(X_1) to H^0(X_01): one int matrix,
-    # scaled by 6.  The third row of each block is the sum of the first two;
+    # d = [-A | B] from H^0(X_0) + H^0(X_1) to H^0(X_01): the Mayer-Vietoris
+    # sign of 1 in {0, 1} is -1, that of 0 is +1; one differential, scaled
+    # by 6.  The third row of each block is the sum of the first two;
     # the numerators alone would give rank 3.
     A = [["1/2", "1"], ["1", "1/2"], ["3/2", "3/2"]]
     B = [["1/3", "0"], ["0", "2/3"], ["1/3", "2/3"]]
@@ -449,23 +471,30 @@ def test_differential_joining_denominators_2_and_3_matches_sympy():
                       for a, b in zip(A, B)]).rank()
     assert r == 2
     assert page.e2() == {(0, 0): 4 - r, (1, 0): 3 - r}
-    assert all(type(x) is int for m in page.diff.values() for row in m for x in row)
+    # the values of the sparse rows, read densely
+    (d,) = page.diff.values()
+    assert all(type(x) is int and x for row in d for x in row.values())
+    q = sympy.Rational
+    assert sympy.Matrix([[row.get(j, 0) for j in range(4)] for row in d]) == \
+        6 * sympy.Matrix([[-q(x) for x in a] + [q(x) for x in b] for a, b in zip(A, B)])
 
 
-# E2 of the 8-component Koszul delta pages, as the dense engine computed it.
-# With <a, b> = 0 and a != 0 the Koszul complex is exact, so the default
-# instance has an empty E2; with b = 0 only the wedge by a is left.
-KOSZUL_8_E2 = {}
-KOSZUL_8_WEDGE_E2 = {(-7, 7): 1, (-6, 7): 7, (-5, 7): 21, (-4, 7): 35,
-                     (-3, 7): 35, (-2, 7): 21, (-1, 7): 7, (0, 7): 1}
+# E2 of the Koszul delta pages in closed form.  With <a, b> = 0 and a != 0
+# the Koszul complex is exact, so the default instance has an empty E2; with
+# b = 0 only the wedge by a is left, which leaves binomial coefficients in
+# row c - 1.
+def koszul_wedge_e2(c):
+    return {(k - (c - 1), c - 1): math.comb(c - 1, k) for k in range(c)}
 
 
-@pytest.mark.parametrize("b, table", [(None, KOSZUL_8_E2),
-                                      ([0] * 8, KOSZUL_8_WEDGE_E2)])
-def test_eight_component_koszul_delta_page(b, table):
+@pytest.mark.parametrize("components", [8, 9, 10])
+@pytest.mark.parametrize("generic", [True, False], ids=["generic-b", "b-zero"])
+def test_koszul_delta_page_closed_forms(components, generic):
     from tests_data_helpers import koszul_instance
-    assert build_delta_E1(koszul_instance(8, b=b)).e2() == table
-    doubled = build_delta_E1(koszul_instance(8, b=b, scale=2)).e2()
+    b = None if generic else [0] * components
+    table = {} if generic else koszul_wedge_e2(components)
+    assert build_delta_E1(koszul_instance(components, b=b)).e2() == table
+    doubled = build_delta_E1(koszul_instance(components, b=b, scale=2)).e2()
     assert doubled == {pq: 2 * v for pq, v in table.items()}
 
 
@@ -475,8 +504,9 @@ def test_delta_page_entries_are_ints():
     from conftest import corpus_doc
     page = build_delta_E1(complex_from_doc(corpus_doc("delta-sign-instance")))
     assert any(p < 0 for (p, q) in page.diff)
-    for mat in page.diff.values():
-        assert all(type(x) is int for row in mat for x in row)
+    values = [x for mat in page.diff.values() for row in mat for x in row.values()]
+    assert values
+    assert all(type(x) is int and x for x in values)   # cancelled entries dropped
 
 
 @pytest.mark.parametrize("action, name", [
@@ -881,7 +911,18 @@ def test_pd_refuses_an_identity_pairing_on_asymmetric_dimensions(capsys, tmp_pat
     f.write_text(json.dumps(doc))
     assert main(["ss", "pd", str(f)]) == 2
     assert capsys.readouterr() == (
-        "", "error: no pairing and asymmetric dimensions on [0] at degree 3\n")
+        "Poincare duality: FAIL\n"
+        "  asymmetric dims on [0]: degree 1 has 1, degree 3 has 2\n"
+        "  asymmetric dims on [0]: degree 3 has 2, degree 1 has 1\n"
+        "  dual map [[0], [0, 1], 3]: FAIL\n",
+        "FAIL: Poincare duality check failed\n")
+    # the report survives, and the dual map says why it failed
+    assert main(["ss", "pd", str(f), "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["dual_maps"] == [{
+        "ok": False, "note": "no pairing and asymmetric dimensions on [0] at degree 3",
+        "rho": [[0, 1], [0], 0], "rho_dual": [[0], [0, 1], 3]}]
+    assert (report["ok"], report["matched_signs"]) == (False, {})
 
 
 def test_monodromy_refuses_a_gysin_map_with_no_restriction_to_default_from(
