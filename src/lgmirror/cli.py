@@ -447,7 +447,7 @@ def _render_pd(r):
     for m in r["dual_maps"]:
         mark = "ok" if m["ok"] else "FAIL"
         lines.append(f"  dual map {m['rho_dual']}: {mark}"
-                     + (f" (sign {m.get('sign')})" if m["ok"] else ""))
+                     + (f" (sign {m['sign']})" if m["ok"] else f" ({m['note']})"))
     if r.get("matched_signs"):
         lines.append(f"  matched signs by depth: {r['matched_signs']}")
     return "\n".join(lines)

@@ -1,62 +1,45 @@
 """Exact integer and rational linear algebra.
 
 Everything in this package runs over Z or Q; there is no floating point,
-and rank, det, solve, nullspace and integer_kernel raise TypeError on an
-entry that is neither int nor Fraction (mat_mul on such a nonzero entry).
-Matrices are plain lists of rows of ints or Fractions, each row a list or,
-for rank, a {column: entry} dict; vectors are tuples.
+and rank, det, solve, mat_mul, nullspace and integer_kernel raise
+TypeError on an entry that is neither int nor Fraction.  Matrices are plain
+lists of rows of ints or Fractions, each row a list or, for rank, a
+{column: entry} dict; vectors are tuples.
 
-Three eliminations remain, each with one job:
+Three eliminations remain, one loop per question:
 
-- rank runs fraction-free Gaussian elimination (Bareiss 1968) on sparse
-  rows, {column: nonzero int} dicts, with the pivot chosen in Markowitz
-  order (Markowitz 1957): the column with the fewest nonzeros among the
-  rows not yet used as pivots, then the shortest row in it.
-- _bareiss, the same elimination on dense rows in natural column order,
-  answers det and solve (which scales each row to integers, reads the
-  pivot columns off the echelon form and back-substitutes in Fractions).
+- rank asks only which rows are independent, of the page differentials:
+  large, sparse (about 12% nonzero on the 7-component Koszul delta page)
+  {column: nonzero int} dict rows.  It pivots in Markowitz order (Markowitz
+  1957), the column with the fewest nonzeros among the rows not yet used as
+  pivots, then the shortest row in it, which keeps the rows sparse; and it
+  replaces each row with a nonzero in the pivot column by p * row - f * top,
+  divided by the gcd of its entries.  By induction on the steps, each row
+  is a nonzero multiple of the row that Bareiss (1968) would hold after the
+  same steps, since both updates take the one combination, up to a factor,
+  of a row and the pivot row that clears the pivot column; so it is, up to
+  sign, the primitive part of the Bareiss row.  The zero patterns agree,
+  Markowitz picks the same pivots, and the rank is the same.
+  Every Bareiss entry is a minor of the input, bounded by Hadamard's
+  inequality, and a primitive row is a Bareiss row divided by its content,
+  so its entries are at most those minors and mostly far smaller.
+- _bareiss answers det and solve, on the small dense lattice systems of the
+  polytope and fan code.  It is the textbook fraction-free loop (Bareiss
+  1968) in natural column order, every row below the pivot updated at every
+  step and divided exactly by the previous pivot: det reads the last pivot,
+  and solve reads the pivot columns of the echelon form (each row scaled to
+  integers first) and back-substitutes in Fractions.
 - _hermite, a Hermite reduction by unimodular row operations, answers every
   question over Z: integer_kernel gives the saturated kernel, and with it
   the affine-hull equations of lower-dimensional hulls only
   (lattice.convex_hull), the quotient map of partitions.central_frame and
   the saturated span of the common face there.  nullspace returns the
-  integer_kernel basis.
+  integer_kernel basis.  Neither loop over Q keeps a unimodular transform,
+  so neither can say which integer vectors lie in a span; the Hermite
+  reduction has no Hadamard bound, and on dense random int matrices of size
+  30 to 40 it takes about five times as long as Bareiss.
 
-rank and _bareiss differ in their inputs.  rank reads the differentials of
-the spectral pages, which are large and sparse (about 12% nonzero on the
-7-component Koszul delta page) and arrive as dict rows.  In natural order
-the elimination fills them in, so a dict row costs more than a dense one;
-in Markowitz order they stay sparse, and walking only the nonzeros pays.
-det and solve read the 3 x 3 and 4 x 4 lattice systems of the polytope and
-fan code, where a dense row takes less than half the time of a dict row,
-and solve needs its pivots in column order.
-
-Bareiss keeps no unimodular transform, so it cannot say which integer
-vectors lie in a span.  Every intermediate entry of Bareiss is a minor of
-the input, bounded by Hadamard's inequality; the Hermite reduction has no
-such bound, and on dense random int matrices of size 30 to 40 it takes
-about five times as long.
-
-mat_mul collects the nonzeros of each row once and reads only those.  Both
-Bareiss loops scale rows lazily.  Step k of the elimination, with pivot
-p_k, replaces each row not yet used as a pivot by
-
-    (p_k * row - row[c] * pivot row) / p_(k-1),
-
-which for a row with row[c] = 0 is just row * p_k / p_(k-1).  Such a row is
-left alone, and the loop records the step s that last updated it.
-Over the skipped steps s+1, ..., k the factors telescope to p_k / p_s, so
-when the row is next needed (it becomes the pivot row, or has a nonzero
-entry in the pivot column) one multiply-and-divide by p_k / p_s brings it up
-to date.  The division is exact: by Sylvester's identity the up-to-date
-entries are minors of the input, hence integers, and they equal the stale
-entries times p_k / p_s; this holds for any pivot order, since a run of
-the elimination is the natural-order run on the matrix with its pivot rows
-and columns moved first.  Scaling by a nonzero factor keeps zeros, so the
-pivot search may read a stale row; the entry that multiplies the pivot row
-must be read after the catch-up.  In _bareiss the pivots, the determinant
-and the pivot rows (all that solve reads) are those of the dense loop, and
-the rows below the rank are zero in both.
+mat_mul is the plain row-times-column product.
 """
 
 from __future__ import annotations
@@ -97,27 +80,15 @@ def vec_sub(u, v):
 
 
 def mat_mul(A, B):
-    """The product A B.  The nonzeros of each row B[k] are collected once,
-    and a B[k] is added only for a nonzero entry a of A, so past one scan of
-    A the work is the number of nonzero products; an entry of the product
-    that no such product reaches is the int 0.  A nonzero entry that is
-    neither int nor Fraction raises TypeError."""
+    """The product A B, each entry the sum over k of A[i][k] * B[k][j];
+    TypeError on an entry of either factor that is neither int nor
+    Fraction."""
     if not A or not B:
         return []
-    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in B]
-    _exact([[x for _, x in nz] for nz in nonzeros], "mat_mul")
-    cols = len(B[0])
-    out = []
-    for row in A:
-        acc = [0] * cols
-        for a, nz in zip(row, nonzeros):
-            if a:
-                if not isinstance(a, (int, Fraction)):
-                    raise TypeError(f"mat_mul: entry {a!r} is neither int nor Fraction")
-                for j, x in nz:
-                    acc[j] += a * x
-        out.append(acc)
-    return out
+    _exact(A, "mat_mul")
+    _exact(B, "mat_mul")
+    cols = list(zip(*B))
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def identity(n):
@@ -164,46 +135,31 @@ def _bareiss(M):
     """Fraction-free Gaussian elimination (Bareiss 1968) of an int matrix to
     row echelon form, in place.  Returns (pivot columns, d): for a square
     matrix of full rank d is its determinant, since every pivot divides the
-    next exactly.
-
-    A row whose entry in the pivot column is 0 is left alone; stage[i] is
-    the number of steps row i has been through, and the row is brought up
-    to date when next needed (see the module docstring)."""
+    next exactly."""
     rows, cols = len(M), len(M[0])
-    pivots = []
-    steps = [1]          # steps[t]: the pivot of the t-th step; steps[0] = 1
-    stage = [0] * rows
-    sgn = 1
+    pivots, prev, sgn = [], 1, 1
     for c in range(cols):
         r = len(pivots)
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            stage[r], stage[piv] = stage[piv], stage[r]
-            sgn = -sgn
-        prev = steps[r]
         for i in range(r, rows):
-            row = M[i]
-            if row[c] == 0:
-                continue
-            if stage[i] != r:    # catch up: times p_r / p_s, exactly
-                s = steps[stage[i]]
-                row[c:] = [x * prev // s for x in row[c:]]
-            stage[i] = r + 1
-            if i == r:
-                p, top = row[c], row
-                continue
-            f = row[c]          # read after the catch-up
+            if M[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            M[r], M[i] = M[i], M[r]
+            sgn = -sgn
+        top = M[r]
+        p = top[c]
+        for row in M[r + 1:]:
+            f = row[c]
             for j in range(c + 1, cols):
                 row[j] = (p * row[j] - f * top[j]) // prev
             row[c] = 0
-        steps.append(p)
+        prev = p
         pivots.append(c)
         if r + 1 == rows:
             break
-    return pivots, sgn * steps[-1]
+    return pivots, sgn * prev
 
 
 _INT = frozenset((int,))
@@ -229,8 +185,9 @@ def _sparse_int_rows(A):
 def rank(A):
     """Rank of a matrix with int or Fraction entries, given as dense rows or
     as {column: entry} dict rows; any other entry type raises TypeError.
-    Fraction-free elimination on the nonzeros in Markowitz order, ties to
-    the lowest column, then row, index (see the module docstring)."""
+    Elimination on the nonzeros in Markowitz order, ties to the lowest
+    column, then row, index, each updated row divided by its content (see
+    the module docstring)."""
     rows = _sparse_int_rows(A)
     cols = {}           # column -> the unused rows with a nonzero there
     for i, row in enumerate(rows):
@@ -239,49 +196,38 @@ def rank(A):
                 cols[j].add(i)
             else:
                 cols[j] = {i}
-    found, prev = 0, 1
-    last = [1] * len(rows)  # the pivot of the step that last updated each row
+    found = 0
     while cols:
         fewest = min(map(len, cols.values()))
         c = min([j for j, hits in cols.items() if len(hits) == fewest])
         hits = cols.pop(c)
         r = min(hits, key=lambda i: (len(rows[i]), i))
         hits.remove(r)
-        top, s = rows[r], last[r]
+        top = rows[r]
         rows[r] = None
-        if s != prev:       # catch up: times prev / s, exactly
-            top = {j: x * prev // s for j, x in top.items()}
         p = top.pop(c)
         for j in top:
             cols[j].discard(r)
         rest = top.items()
         for i in hits:
-            # (p * row - f * top) / prev on the caught-up row, which an
-            # entry outside top reaches as p * x / s
-            row, s = rows[i], last[i]
+            row = rows[i]
             f = row.pop(c)
-            if s != prev:
-                f = f * prev // s
-            new = {j: p * x // s for j, x in row.items() if j not in top}
+            new = {j: p * x for j, x in row.items() if j not in top}
             for j, y in rest:
                 x = row.get(j)
                 if x is None:
-                    new[j] = -f * y // prev
+                    new[j] = -f * y
                     cols[j].add(i)
+                elif v := p * x - f * y:
+                    new[j] = v
                 else:
-                    if s != prev:
-                        x = x * prev // s
-                    v = (p * x - f * y) // prev
-                    if v:
-                        new[j] = v
-                    else:
-                        cols[j].discard(i)
-            rows[i] = new
-            last[i] = p
+                    cols[j].discard(i)
+            g = gcd(*new.values())
+            rows[i] = {j: x // g for j, x in new.items()} if g > 1 else new
         for j in top:
             if not cols[j]:
                 del cols[j]
-        found, prev = found + 1, p
+        found += 1
     return found
 
 

@@ -415,9 +415,11 @@ def slice_by_label(data):
 def check_poincare_duality(data):
     """Dimension symmetry about the stratum middle degree, and compatibility
     of the dual connecting maps with the pairings (transposes conjugated by
-    the pairing matrices, up to one global sign per depth).  A dual map
-    whose stratum has no pairing and asymmetric dimensions fails, with the
-    reason as its note."""
+    the pairing matrices, up to one global sign per depth).  Every dual map
+    that fails says why in its note: its stratum has no pairing and
+    asymmetric dimensions, P * rho differs from +/- rho_dual^T * P' (P and
+    P' the pairings of the two strata), or its sign differs from another
+    at the same depth."""
     report = {"dimension_symmetry": [], "dual_maps": [], "ok": True}
     for I in data.index_sets():
         n_I = data.stratum_dim_complex(I)
@@ -454,6 +456,8 @@ def check_poincare_duality(data):
             verdict, entry["note"] = None, str(exc)
         else:
             verdict = _match_up_to_sign(lhs, rhs)
+            if verdict is None:
+                entry["note"] = "P * rho differs from +/- rho_dual^T * P'"
         if verdict is None:
             entry["ok"] = False
             report["ok"] = False

@@ -39,6 +39,11 @@ and calls lgmirror.cli.main in-process on:
   document (tests_data_helpers.polygon_nef_documents and
   rank3_nef_documents), nef or not, through `lg emit` and
   `lg compactify`, in both output formats;
+- the 2- and 3-part polygon nef documents through `lg emit` and
+  `lg compactify` with every `--split K:R` that has R >= 1 and one whose
+  K + R is not the number of parts, and through `lg compactify` with each
+  of those valid splits and a `--lambda` of R names and of R + 1 names, in
+  both output formats;
 - tests_data_helpers.ASYMMETRIC_GYSIN through `ss monodromy`, and
   tests_data_helpers.HODGE_AT_A_ZERO_DEGREE through `ss pw` against
   elliptic-hyb-complex in both modes, in both output formats;
@@ -196,6 +201,23 @@ def snapshot(src):
                         for fmt in ("text", "json"):
                             argv = ["lg", action, "nef.json", "--format", fmt]
                             calls[f"{label} {name}: " + " ".join(argv)] = run(cli.main, argv)
+            for name, doc in polygon_nef_documents().items():
+                parts = len(doc["parts"])
+                if parts == 1:
+                    continue
+                with open("nef.json", "w") as fh:
+                    json.dump(doc, fh)
+                splits = [f"{parts - r}:{r}" for r in range(1, parts + 1)]
+                options = [(action, ["--split", split])
+                           for split in splits + [f"1:{parts}"]
+                           for action in ("emit", "compactify")]
+                options += [("compactify", ["--split", split, "--lambda", ",".join(
+                                 f"t{i}" for i in range(names))])
+                            for r, split in enumerate(splits, 1) for names in (r, r + 1)]
+                for action, opts in options:
+                    for fmt in ("text", "json"):
+                        argv = ["lg", action, "nef.json", *opts, "--format", fmt]
+                        calls[f"polygon-nef {name}: " + " ".join(argv)] = run(cli.main, argv)
             with open("gysin.json", "w") as fh:
                 json.dump(ASYMMETRIC_GYSIN, fh)
             for fmt in ("text", "json"):

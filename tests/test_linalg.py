@@ -1,14 +1,16 @@
 import itertools
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from lgmirror import linalg
 from lgmirror.lattice import cone_generators
-from lgmirror.linalg import (_bareiss, det, integer_kernel, integral_multiple,
-                             mat_mul, nullspace, rank, sign, solve)
+from lgmirror.linalg import (det, integer_kernel, integral_multiple, mat_mul,
+                             nullspace, rank, sign, solve)
 
 
 def test_sign_is_an_int_for_negative_exponents():
@@ -28,6 +30,8 @@ def test_mat_mul_rejects_a_float_entry():
         mat_mul([[1, 0.5]], [[1], [2]])
     with pytest.raises(TypeError):
         mat_mul([[F(1), 0]], [[2.0], [1]])
+    with pytest.raises(TypeError):
+        mat_mul([[1, 0.0]], [[1], [2]])     # a float zero too
 
 
 def test_integral_multiple_scales_by_the_lcm_of_denominators():
@@ -162,39 +166,7 @@ def test_integer_kernel_rejects_a_float_entry():
 
 
 # Sparse oracles: mostly-zero matrices up to 12 x 12, with empty rows and
-# columns, reach the rows that elimination leaves alone for several steps.
-
-def dense_mat_mul(A, B):
-    """The textbook product, every entry a sum over all k."""
-    if not A or not B:
-        return []
-    return [[sum(row[k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-            for row in A]
-
-
-def dense_bareiss(M):
-    """Bareiss elimination that updates every row below the pivot at every
-    step; (pivot columns, last pivot times the sign of the row swaps)."""
-    rows, cols = len(M), len(M[0])
-    pivots, prev, sgn = [], 1, 1
-    for c in range(cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            sgn = -sgn
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        pivots.append(c)
-        if r + 1 == rows:
-            break
-    return pivots, sgn * prev
-
+# columns, reach the rows that rank leaves alone for several steps.
 
 SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -264,30 +236,50 @@ def dict_rows(A):
 def _products(entries):
     return st.tuples(st.integers(0, 12), st.integers(0, 12),
                      st.integers(0, 12)).flatmap(lambda s: st.tuples(
-                         sparse_matrices(s[0], s[1], entries),
+                         st.just(s), sparse_matrices(s[0], s[1], entries),
                          sparse_matrices(s[1], s[2], entries)))
+
+
+def sympy_product(shape, A, B):
+    """A B by sympy, as lists of rows; [] when there is no inner dimension,
+    as mat_mul gives for an empty factor."""
+    r, k, n = shape
+    if not k:
+        return []
+    P = (sympy.Matrix(r, k, [x for row in A for x in row])
+         * sympy.Matrix(k, n, [x for row in B for x in row]))
+    return [[P[i, j] for j in range(n)] for i in range(r)]
 
 
 @given(_products(st.integers(-3, 3)))
 @settings(max_examples=100)
-def test_sparse_mat_mul_agrees_with_the_dense_product(AB):
-    A, B = AB
-    assert mat_mul(A, B) == dense_mat_mul(A, B)
+def test_sparse_mat_mul_agrees_with_sympy(shape_AB):
+    shape, A, B = shape_AB
+    product = mat_mul(A, B)
+    assert product == sympy_product(shape, A, B)
+    assert all(type(x) is int for row in product for x in row)
 
 
 @given(_products(st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)))
 @settings(max_examples=100)
-def test_sparse_mat_mul_of_fractions_agrees_with_the_dense_product(AB):
-    A, B = AB
-    assert mat_mul(A, B) == dense_mat_mul(A, B)
+def test_sparse_mat_mul_of_fractions_agrees_with_sympy(shape_AB):
+    shape, A, B = shape_AB
+    product = mat_mul(A, B)
+    assert product == sympy_product(shape, A, B)
+    assert all(type(x) in (int, F) for row in product for x in row)
 
 
-@given(sparse_matrices(min_rows=1))
-@settings(max_examples=200)
-def test_lazy_bareiss_agrees_with_the_dense_elimination(A):
-    lazy, dense = [list(row) for row in A], [list(row) for row in A]
-    assert _bareiss(lazy) == dense_bareiss(dense)
-    assert lazy == dense    # the echelon form that solve reads
+@st.composite
+def common_factors(draw):
+    """An int matrix whose rows share large common factors: each row of a
+    sparse, Koszul-shaped or full-first-column matrix times a random int in
+    [2, 10^6]."""
+    entries = st.integers(-3, 3)
+    A = draw(st.one_of(sparse_matrices(entries=entries), koszul_blocks(entries),
+                       full_first_column(entries)))
+    return [[k * x for x in row]
+            for row, k in zip(A, draw(st.lists(st.integers(2, 10 ** 6),
+                                               min_size=len(A), max_size=len(A))))]
 
 
 FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -308,12 +300,46 @@ MIXED = st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)
 
 
 @given(st.one_of(sparse_matrices(entries=MIXED), koszul_blocks(MIXED),
-                 full_first_column(MIXED)))
+                 full_first_column(MIXED), common_factors()))
 @settings(max_examples=100)
 def test_sparse_rank_agrees_with_sympy(A):
     expected = _sym(A).rank() if A and A[0] else 0
     assert rank(A) == expected
     assert [rank(rows) for rows in dict_rows(A)] == [expected, expected]
+
+
+def rank_and_contents(A):
+    """rank(A), and the content of each row that rank updated, in order."""
+    contents = []
+
+    def recording_gcd(*xs):
+        contents.append(gcd(*xs))
+        return contents[-1]
+
+    with mock.patch.object(linalg, "gcd", recording_gcd):
+        return rank(A), contents
+
+
+def test_rank_divides_each_updated_row_by_its_content():
+    # Pivot on row 0 at column 0: rows 1 and 2 become 999983 * 10^6 (5, 1)
+    # and 7 * 10^6 (1, 7), stored as (5, 1) and (1, 7); pivoting on row 1
+    # then leaves 5 * 7 - 1 * 1 = 34, not 34 * 999983 * 7 * 10^12.
+    A = [[2 * 10 ** 6, 10 ** 6, 10 ** 6],
+         [999983, 3 * 999983, 999983],
+         [7, 7, 28]]
+    assert rank_and_contents(A) == (3, [999983 * 10 ** 6, 7 * 10 ** 6, 34])
+
+
+@given(common_factors())
+@settings(max_examples=100)
+def test_rank_divides_out_the_common_factors(A):
+    found, contents = rank_and_contents(A)
+    assert found == (sympy.Matrix(A).rank() if A and A[0] else 0)
+    # The first row update combines two rows that still carry their factors
+    # k and k', so its content is a multiple of k * k' > 1 unless the row
+    # is cleared (content 0).
+    nonzero = [g for g in contents if g]
+    assert not nonzero or nonzero[0] > 1
 
 
 @given(st.integers(0, 12).flatmap(lambda n: sparse_matrices(n, n)))

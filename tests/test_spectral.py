@@ -482,20 +482,27 @@ def test_differential_joining_denominators_2_and_3_matches_sympy():
 # E2 of the Koszul delta pages in closed form.  With <a, b> = 0 and a != 0
 # the Koszul complex is exact, so the default instance has an empty E2; with
 # b = 0 only the wedge by a is left, which leaves binomial coefficients in
-# row c - 1.
+# row c - 1, times the block scale.  A change of basis keeps the table and
+# makes the entries of the differentials, and of their elimination, grow.
 def koszul_wedge_e2(c):
     return {(k - (c - 1), c - 1): math.comb(c - 1, k) for k in range(c)}
 
 
-@pytest.mark.parametrize("components", [8, 9, 10])
+@pytest.mark.parametrize("components, scales, conjugate", [
+    (8, (1, 2), False), (9, (1, 2), False), (10, (1, 2), False),
+    (7, (3,), True), (8, (2,), True)],
+    ids=["8", "9", "10", "7-scale-3-conjugated", "8-scale-2-conjugated"])
 @pytest.mark.parametrize("generic", [True, False], ids=["generic-b", "b-zero"])
-def test_koszul_delta_page_closed_forms(components, generic):
-    from tests_data_helpers import koszul_instance
+def test_koszul_delta_page_closed_forms(components, scales, conjugate, generic):
+    import random
+    from tests_data_helpers import conjugated, koszul_instance
     b = None if generic else [0] * components
     table = {} if generic else koszul_wedge_e2(components)
-    assert build_delta_E1(koszul_instance(components, b=b)).e2() == table
-    doubled = build_delta_E1(koszul_instance(components, b=b, scale=2)).e2()
-    assert doubled == {pq: 2 * v for pq, v in table.items()}
+    for scale in scales:
+        data = koszul_instance(components, b=b, scale=scale)
+        if conjugate:
+            data = conjugated(data, random.Random(3))
+        assert build_delta_E1(data).e2() == {pq: scale * v for pq, v in table.items()}
 
 
 def test_delta_page_entries_are_ints():
@@ -914,7 +921,8 @@ def test_pd_refuses_an_identity_pairing_on_asymmetric_dimensions(capsys, tmp_pat
         "Poincare duality: FAIL\n"
         "  asymmetric dims on [0]: degree 1 has 1, degree 3 has 2\n"
         "  asymmetric dims on [0]: degree 3 has 2, degree 1 has 1\n"
-        "  dual map [[0], [0, 1], 3]: FAIL\n",
+        "  dual map [[0], [0, 1], 3]: FAIL (no pairing and asymmetric dimensions"
+        " on [0] at degree 3)\n",
         "FAIL: Poincare duality check failed\n")
     # the report survives, and the dual map says why it failed
     assert main(["ss", "pd", str(f), "--format", "json"]) == 2
