@@ -154,7 +154,7 @@ def cmd_polytope(args):
              fmt, lambda d: str(d["reflexive"]).lower())
     elif args.action == "points":
         pts = lattice.lattice_points(p)
-        interior = lattice.interior_lattice_points(p)
+        interior = lattice.interior_lattice_points(p, pts)
         emit({"count": len(pts), "points": [list(q) for q in pts],
               "interior": [list(q) for q in interior]}, fmt,
              lambda d: f"{d['count']} lattice points, "

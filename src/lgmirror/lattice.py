@@ -299,19 +299,22 @@ def lattice_points(p):
     return [q for q in itertools.product(*box) if p.contains(q)]
 
 
-def interior_lattice_points(p):
-    """Lattice points interior to p in the ambient topology.
+def interior_lattice_points(p, points=None):
+    """Lattice points interior to p in the ambient topology, picked from
+    `points`, the list lattice_points(p) gives, when the caller holds it.
 
     Empty for non-full-dimensional polytopes; use
     relative_interior_lattice_points for the relative interior.
     """
     if not p.is_full_dimensional():
         return []
-    return relative_interior_lattice_points(p)
+    return relative_interior_lattice_points(p, points)
 
 
-def relative_interior_lattice_points(p):
-    return [q for q in lattice_points(p) if p.contains_relatively(q)]
+def relative_interior_lattice_points(p, points=None):
+    if points is None:
+        points = lattice_points(p)
+    return [q for q in points if p.contains_relatively(q)]
 
 
 def boundary_lattice_points(p):

@@ -610,12 +610,19 @@ _MAP_KEYS = {"kind", "from", "to", "degree", "matrix"}
 _PAIRING_KEYS = {"I", "degree", "matrix"}
 
 
-def _index_set(doc, key, path):
-    """doc[key], a list of distinct ints >= 0, as a frozenset."""
+def _index_set(doc, key, path, sets):
+    """doc[key], a list of distinct ints >= 0, as a frozenset.  Each distinct
+    list is read once per document (`sets`), after its type is checked, so
+    [True] is never a cached [1], and equal lists share one frozenset."""
     I = doc.get(key) if type(doc) is dict else None
     if type(I) is list and _INDEX_TYPES.issuperset(map(type, I)):
+        t = tuple(I)
+        s = sets.get(t)
+        if s is not None:
+            return s
         s = frozenset(I)
         if len(s) == len(I) and (not I or min(I) >= 0):
+            sets[t] = s
             return s
     return read_index_set(read_field(doc, key, list, path=path), f"{path}.{key}")
 
@@ -688,8 +695,8 @@ def _check_shape(m, rows, cols, path):
                          f"expected a {rows}x{cols} matrix by the declared dims")
 
 
-def _read_stratum(s, where, strata, keys):
-    I = _index_set(s, "I", where)
+def _read_stratum(s, where, strata, sets, keys):
+    I = _index_set(s, "I", where, sets)
     if not I:
         raise InputError(f"{where}.I", "empty index set")
     if I in strata:
@@ -704,10 +711,10 @@ def _read_stratum(s, where, strata, keys):
     return I, dims, hodge
 
 
-def _read_map(m, where, maps, vals, strata):
+def _read_map(m, where, maps, sets, vals, strata):
     key = kind, frm, to, degree = (
-        read_field(m, "kind", str, path=where), _index_set(m, "from", where),
-        _index_set(m, "to", where), read_field(m, "degree", int, path=where))
+        read_field(m, "kind", str, path=where), _index_set(m, "from", where, sets),
+        _index_set(m, "to", where, sets), read_field(m, "degree", int, path=where))
     if kind not in DEGREE_SHIFT:
         raise InputError(f"{where}.kind", f"unknown map kind {kind!r}")
     if key in maps:
@@ -719,8 +726,8 @@ def _read_map(m, where, maps, vals, strata):
     return key, matrix
 
 
-def _read_pairing(p, where, pairings, vals):
-    key = (_index_set(p, "I", where), read_field(p, "degree", int, path=where))
+def _read_pairing(p, where, pairings, sets, vals):
+    key = (_index_set(p, "I", where, sets), read_field(p, "degree", int, path=where))
     if key in pairings:
         raise InputError(where, "repeats the I and degree of an earlier pairing")
     matrix = _matrix(p, where, vals)
@@ -747,20 +754,24 @@ def complex_from_doc(doc):
     pairing's dim(I, degree) x dim(I, 2(n - |I| + 1) - degree); when either
     dimension is 0 the matrix has no entries.  The first fault raises an
     InputError at its path.
+
+    Each distinct index list, dims key and matrix entry is read once per
+    document (`sets`, `keys`, `vals`), its type checked first.  So the
+    strata, maps and pairings share one frozenset per index list.
     """
-    keys, vals, strata, hodge = {}, {}, {}, {}
+    sets, keys, vals, strata, hodge = {}, {}, {}, {}, {}
     for i, s in enumerate(read_field(doc, "strata", list)):
-        I, dims, h = _read_stratum(s, f"strata[{i}]", strata, keys)
+        I, dims, h = _read_stratum(s, f"strata[{i}]", strata, sets, keys)
         strata[I] = dims
         if h is not None:
             hodge[I] = h
     maps = {}
     for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
-        key, matrix = _read_map(m, f"maps[{i}]", maps, vals, strata)
+        key, matrix = _read_map(m, f"maps[{i}]", maps, sets, vals, strata)
         maps[key] = matrix
     pairings = {}
     for i, p in enumerate(read_field(doc, "pairings", list) if "pairings" in doc else []):
-        key, matrix = _read_pairing(p, f"pairings[{i}]", pairings, vals)
+        key, matrix = _read_pairing(p, f"pairings[{i}]", pairings, sets, vals)
         pairings[key] = matrix
     if not strata:
         raise InputError("strata", "no strata")
@@ -776,10 +787,10 @@ def complex_from_doc(doc):
 
 
 def cubical_from_doc(doc):
-    entries, vals = {}, {}
+    entries, sets, vals = {}, {}, {}
     for i, e in enumerate(read_field(doc, "entries", list)):
         where = f"entries[{i}]"
-        I = _index_set(e, "I", where)
+        I = _index_set(e, "I", where, sets)
         if I in entries:
             raise InputError(f"{where}.I", f"repeats index set {sorted(I)}")
         entries[I] = read_count(read_field(e, "dim", int, path=where), f"{where}.dim")
@@ -787,7 +798,7 @@ def cubical_from_doc(doc):
     maps = {}
     for i, m in enumerate(read_field(doc, "maps", list) if "maps" in doc else []):
         where = f"maps[{i}]"
-        key = (_index_set(m, "from", where), _index_set(m, "to", where))
+        key = (_index_set(m, "from", where, sets), _index_set(m, "to", where, sets))
         if key in maps:
             raise InputError(where, "repeats the from and to of an earlier map")
         maps[key] = _matrix(m, where, vals)

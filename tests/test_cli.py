@@ -111,6 +111,17 @@ def test_a_plain_command_line_builds_no_parser(monkeypatch, capsys):
     assert built == []
 
 
+def test_points_reads_both_lists_off_one_scan(monkeypatch, capsys):
+    # the interior list was a second scan of the bounding box
+    from lgmirror import lattice
+    scans = []
+    scan = lattice.lattice_points
+    monkeypatch.setattr(lattice, "lattice_points", lambda p: scans.append(p) or scan(p))
+    assert main(["polytope", "points", SQUARE, "--format", "json"]) == 0
+    assert len(scans) == 1
+    assert json.loads(capsys.readouterr().out)["interior"] == [[0, 0]]
+
+
 def test_no_argument_has_a_type():
     # _plain returns each value as the str argparse gives without a type
     assert [argument for _, _, arguments in COMMANDS.values()

@@ -170,6 +170,11 @@ def test_segment_in_rank_two():
     three = convex_hull([(0, 0), (3, 0)])
     assert relative_interior_lattice_points(three) == [(1, 0), (2, 0)]
     assert interior_lattice_points(three) == []
+    # read off a list of the lattice points that the caller holds
+    for p in (seg, three, convex_hull([(2, 2), (2, -2), (-2, 2), (-2, -2)])):
+        pts = lattice_points(p)
+        assert interior_lattice_points(p, pts) == interior_lattice_points(p)
+        assert relative_interior_lattice_points(p, pts) == relative_interior_lattice_points(p)
 
 
 def test_reflexivity(square, diamond):

@@ -647,6 +647,33 @@ def test_pages_inputs_read_as_the_reference_reads_them(tmp_path, seed):
     assert complexes
 
 
+def _koszul_doc(c):
+    """The Koszul document of c components that the `pages` workload
+    writes, at scale 1."""
+    import complexes
+    return complexes.to_doc(complexes.koszul(c, [1] * c, [1] * (c - 1) + [1 - c], n=c - 1))
+
+
+@pytest.mark.parametrize("source", ["elliptic-hyb-complex", 7, 10])
+def test_maps_and_pairings_share_the_index_sets_of_the_strata(source):
+    # the loader built one frozenset per occurrence of an index list
+    from conftest import corpus_doc
+    data = complex_from_doc(corpus_doc(source) if type(source) is str else _koszul_doc(source))
+    stratum = {I: I for I in data.strata}
+    sets = [I for _, frm, to, _ in data.maps for I in (frm, to)]
+    sets += [I for I, _ in data.pairings]
+    assert data.maps and data.pairings
+    assert all(I is stratum[I] for I in sets)
+
+
+@pytest.mark.parametrize("name", ["elliptic-cubical-a", "elliptic-cubical-b"])
+def test_cubical_maps_share_the_index_sets_of_the_entries(name):
+    from conftest import corpus_doc
+    data = cubical_from_doc(corpus_doc(name))
+    entry = {I: I for I in data.entries}
+    assert data.maps and all(I is entry[I] for key in data.maps for I in key)
+
+
 # single-edit values: wrong types, number spellings the entry rule rejects
 # and accepts, containers where a scalar belongs, a Hodge distribution with
 # a zero count, and matrices whose True or 1.0 follows a 1 read before it
@@ -710,6 +737,8 @@ PINNED_EDIT_ERRORS = {
     "repeated index": "strata[2].I[1]: repeats index 0",
     "negative index": "maps[1].from[0]: expected an int >= 0, got -1",
     "bool index": "strata[1].I[0]: expected an int, got True",
+    # strata[1].I is [1], read before it
+    "bool index after a 1": "maps[1].to[0]: expected an int, got True",
     "dims key 01": "strata[0].dims: a key of length 2 has a leading zero or is -0",
     "dims key -0": "strata[2].dims: a key of length 2 has a leading zero or is -0",
     "negative dim": "strata[5].dims.1: expected an int >= 0, got -1",

@@ -255,6 +255,7 @@ COMPLEX_EDITS = {
     "repeated index": ("elliptic-hyb-complex", ("strata", 2, "I", 1), "set", 0),
     "negative index": ("elliptic-hyb-complex", ("maps", 1, "from", 0), "set", -1),
     "bool index": ("delta-sign-instance", ("strata", 1, "I", 0), "set", True),
+    "bool index after a 1": ("elliptic-hyb-complex", ("maps", 1, "to"), "set", [True]),
     "dims key 01": ("elliptic-hyb-complex", ("strata", 0, "dims", "1"), "rename", "01"),
     "dims key -0": ("elliptic-hyb-complex", ("strata", 2, "dims", "0"), "rename", "-0"),
     "hodge count 0": ("elliptic-deg-complex", ("strata", 0, "hodge", "0"), "set",
