@@ -11,7 +11,9 @@ rays primitive and extreme, and Fan.validate checks that they form a
 complete simplicial fan.  That check is local: full-dimensional simplicial
 cones form a complete fan exactly when every ridge lies in exactly two
 cones, on opposite sides of it, and one generic point is covered once (De
-Loera, Rambau & Santos, Triangulations, 2010, 4.5).
+Loera, Rambau & Santos, Triangulations, 2010, 4.5).  star and Fan.validate
+test whether such a cone holds v by Cramer's rule: v's coordinate on a ray
+r_i has the sign of det(rays, v in place of r_i) * det(rays), an integer.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .lattice import (
     reflexivity_diagnostic,
     triangulation,
 )
-from .linalg import det, dot, primitive, sign, solve
+from .linalg import det, dot, primitive, sign
 
 
 class FanError(ValueError):
@@ -60,13 +62,9 @@ class Cone(namedtuple("Cone", "rays ambient_rank")):
 
 
 class Fan(namedtuple("Fan", "ambient_rank maximal_cones")):
-    """Fan given by its maximal cones.
-
-    from_cones takes the maximal cones only; it drops repeats and sorts.  It
-    does not check the face condition: face, refined and stellar fans are
-    fans by construction.  Call validate() on cones that come from outside;
-    central_frame does.
-    """
+    """Fan given by its maximal cones.  from_cones drops repeats and sorts
+    but checks nothing: fans built here are fans by construction, and
+    central_frame calls validate() on the cones it projects."""
 
     __slots__ = ()
 
@@ -86,8 +84,8 @@ class Fan(namedtuple("Fan", "ambient_rank maximal_cones")):
         sorted rays but the i-th, lies in exactly two cones, and on opposite
         sides of it: det(ridge, r_i) = (-1)^(n-1-i) det(rays) is a linear
         form in r_i that vanishes on the ridge.  So every generic point is
-        covered equally often, and once because the sum of the first cone's
-        rays, interior to it, lies in no other cone.
+        covered equally often, and once when the sum x of the first cone's
+        rays, interior to it, has a negative Cramer sign in every other cone.
         """
         n, cones = self.ambient_rank, self.maximal_cones
         if not cones:
@@ -108,8 +106,8 @@ class Fan(namedtuple("Fan", "ambient_rank maximal_cones")):
                                f"on opposite sides: {[c for _, c in held]}")
         x = tuple(map(sum, zip(*cones[0].rays)))
         for c in cones[1:]:
-            mu = solve([list(col) for col in zip(*c.rays)], x)
-            if mu is not None and all(m >= 0 for m in mu):
+            d = det(c.rays)
+            if all(det(c.rays[:i] + (x,) + c.rays[i + 1:]) * d >= 0 for i in range(n)):
                 raise FanError(f"cones {cones[0].rays} and {c.rays} overlap")
 
 
@@ -152,19 +150,19 @@ def refine_with_boundary_rays(p):
 
 
 def star(cells, v):
-    """Stellar subdivision at v of simplicial cones given as ray tuples.
-
-    A cone that holds v = sum mu_i r_i with every mu_i >= 0 becomes the
-    cones with v in place of each r_i where mu_i > 0; the other cones are
-    returned as they are.
+    """Stellar subdivision at v of ray tuples with det != 0.  Every caller's
+    cells are full-dimensional and simplicial: a facet simplex of a
+    reflexive polytope lies on a hyperplane that misses the origin, and
+    starring keeps det != 0.  A cell where no Cramer sign of v is negative
+    becomes the swapped cells, v in place of r_i, of positive sign; the
+    other cells are returned as they are.
     """
     out = []
     for cell in cells:
-        mu = solve([list(col) for col in zip(*cell)], v)
-        if mu is None or any(m < 0 for m in mu):
-            out.append(cell)
-        else:
-            out += [cell[:i] + (v,) + cell[i + 1:] for i, m in enumerate(mu) if m > 0]
+        d = det(cell)
+        swaps = [cell[:i] + (v,) + cell[i + 1:] for i in range(len(cell))]
+        signs = [det(s) * d for s in swaps]
+        out += [cell] if min(signs) < 0 else [s for s, m in zip(swaps, signs) if m > 0]
     return out
 
 

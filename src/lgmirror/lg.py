@@ -83,16 +83,16 @@ def givental_hybrid(nef, k, r):
     return HybridLGModel(tuple(supports[:k]), tuple(supports[k:]))
 
 
-def _fan_rays(nef, points=None):
+def _fan_rays(nef, points):
     """The rays of the fan over nabla = conv(nabla_1 u ... u nabla_r), its
     boundary lattice points: the nonzero lattice points u of the polar dual
-    (points, unless given) with sum over i of min(0, min over v in E_i of
-    <v, u>) >= -1.  Proof: nabla is reflexive with polar Delta_1 + ... +
-    Delta_r (Borisov 1993; Batyrev-Borisov 1996), so its boundary points
-    are its nonzero points, and u is in nabla when the minimum of <., u>
-    over that sum, the sum of its minima over the Delta_i, is >= -1."""
+    (points) with sum over i of min(0, min over v in E_i of <v, u>) >= -1.
+    Proof: nabla is reflexive with polar Delta_1 + ... + Delta_r (Borisov
+    1993; Batyrev-Borisov 1996), so its boundary points are its nonzero
+    points, and u is in nabla when the minimum of <., u> over that sum, the
+    sum of its minima over the Delta_i, is >= -1."""
     parts = [nef.part_vertices(i) for i in range(nef.n_parts)]
-    return tuple(u for u in points or lattice_points(polar_dual(nef.host))
+    return tuple(u for u in points
                  if any(u) and sum(min(0, *(dot(v, u) for v in vs)) for vs in parts) >= -1)
 
 
@@ -110,7 +110,7 @@ def _compactified_terms(points, part, rays, sign):
 def compactify_fiber(model, nef, lam=None, split=None):
     """Homogeneous equations of a compactified fiber of the model that
     givental_hybrid built from nef, in the coordinates z_sigma, sigma in
-    _fan_rays(nef).
+    _fan_rays(nef, points), points the polar dual's lattice points.
 
     Constraint i: sum over Delta_i of a_rho z^(<sigma,rho> - sigma_min_i).
     Potential j: lambda_j times the z_sigma at the nonzero points of

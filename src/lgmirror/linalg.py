@@ -23,12 +23,13 @@ Three eliminations remain, one loop per question:
   Every Bareiss entry is a minor of the input, bounded by Hadamard's
   inequality, and a primitive row is a Bareiss row divided by its content,
   so its entries are at most those minors and mostly far smaller.
-- _bareiss answers det and solve, on the small dense lattice systems of the
-  polytope and fan code.  It is the textbook fraction-free loop (Bareiss
-  1968) in natural column order, every row below the pivot updated at every
-  step and divided exactly by the previous pivot: det reads the last pivot,
-  and solve reads the pivot columns of the echelon form (each row scaled to
-  integers first) and back-substitutes in Fractions.
+- _bareiss answers det, on the small dense lattice matrices of the polytope
+  and fan code, and solve, whose one caller on a command path is the lift
+  in partitions.central_frame.  It is the textbook fraction-free loop
+  (Bareiss 1968) in natural column order, every row below the pivot updated
+  at every step and divided exactly by the previous pivot: det reads the
+  last pivot, and solve reads the pivot columns of the echelon form (each
+  row scaled to integers first) and back-substitutes in Fractions.
 - _hermite, a Hermite reduction by unimodular row operations, answers every
   question over Z: integer_kernel gives the saturated kernel, and with it
   the affine-hull equations of lower-dimensional hulls only

@@ -33,7 +33,7 @@ from lgmirror.lattice import (
     triangulation,
 )
 from lgmirror.lg import LGError, pi_gamma_monomials
-from lgmirror.linalg import det, dot, identity, integer_kernel, primitive, rank
+from lgmirror.linalg import det, dot, identity, integer_kernel, primitive, rank, solve
 from lgmirror.nef import NefError, validate_nef
 from lgmirror.partitions import (
     SemistablePartition,
@@ -149,6 +149,85 @@ def test_star_replaces_the_rays_with_positive_coefficients():
     assert star([e, other], (1, 0, 0)) == [e, other]
 
 
+def solve_star(cells, v):
+    """The former star, the oracle: v's coordinates mu on each cell's rays
+    by solving the transposed system over Q."""
+    out = []
+    for cell in cells:
+        mu = solve([list(col) for col in zip(*cell)], v)
+        if mu is None or any(m < 0 for m in mu):
+            out.append(cell)
+        else:
+            out += [cell[:i] + (v,) + cell[i + 1:] for i, m in enumerate(mu) if m > 0]
+    return out
+
+
+def _seeded_cells(rng, n, count):
+    """count random n x n cells with entries in [-3, 3] and det != 0."""
+    cells = []
+    while len(cells) < count:
+        cell = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        if det(cell):
+            cells.append(cell)
+    return cells
+
+
+def _probes(cell, rng):
+    """Points against the cone on cell: interior (every mu_i = 1), on a
+    facet (one mu_i = 0), a ray, outside (one mu_i = -1), and a nonzero
+    random lattice point, whose mu_i are fractions when |det| >= 2."""
+    n = len(cell)
+    i = rng.randrange(n)
+
+    def combo(mu):
+        return tuple(sum(m * r[j] for m, r in zip(mu, cell)) for j in range(n))
+
+    box = tuple(rng.randint(-4, 4) for _ in range(n))
+    return [combo([1] * n), combo([0 if j == i else rng.randint(1, 3) for j in range(n)]),
+            cell[i], combo([-1 if j == i else 1 for j in range(n)])] + ([box] if any(box) else [])
+
+
+def test_star_agrees_with_the_solve_oracle_on_seeded_cells():
+    rng = random.Random(39)
+    dets, fractional_inside = set(), 0
+    for n in (2, 3, 4):
+        cells = _seeded_cells(rng, n, 40)
+        for cell in cells:
+            dets.add(abs(det(cell)))
+            for v in _probes(cell, rng):
+                assert star([cell], v) == solve_star([cell], v), (cell, v)
+                assert star(cells, v) == solve_star(cells, v), v
+                mu = solve([list(col) for col in zip(*cell)], v)
+                fractional_inside += (all(m >= 0 for m in mu)
+                                      and any(m.denominator > 1 for m in mu))
+    assert 1 in dets and max(dets) >= 2
+    assert fractional_inside
+
+
+def test_star_agrees_with_the_solve_oracle_on_every_refinement():
+    """Every facet cell list that refine_with_boundary_rays stars, on the
+    16 reflexive polygons and the prisms over them; the cells starred here
+    are those of the refined fan."""
+    polygons = reflexive_polygons()
+    hosts = polygons + [convex_hull([v + (z,) for v in p.vertices for z in (-1, 1)])
+                        for p in polygons]
+    starred = 0
+    for p in hosts:
+        others = [q for q in boundary_lattice_points(p) if q not in p.vertices]
+        cones = set()
+        for (n, o), s in zip(p.facets, p.incidence):
+            cells = triangulation(p.face(s))
+            for q in others:
+                if dot(n, q) == -o:
+                    expected = solve_star(cells, q)
+                    cells = star(cells, q)
+                    assert cells == expected, (p.vertices, q)
+                    starred += 1
+            cones |= {tuple(sorted(cell)) for cell in cells}
+        assert cones == cone_sets(refine_with_boundary_rays(p))
+    assert starred == 352
+
+
 def test_cone_rejects_lines():
     with pytest.raises(FanError):
         Cone.from_rays([(1, 0), (-1, 0)], 2)
@@ -179,6 +258,18 @@ def test_validate_names_two_cones_that_overlap():
     with pytest.raises(FanError) as err:
         fan.validate()
     assert str(err.value) == "cones ((-2, -1), (-1, 2)) and ((-2, 1), (-1, -2)) overlap"
+
+
+def test_validate_counts_a_point_on_a_ray_of_another_cone_as_an_overlap():
+    # a double cover whose second sheet has a ray through x = (-2, 0), the
+    # sum of the first cone's rays: x has a zero Cramer sign there, and no
+    # negative one
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)]
+    fan = Fan.from_cones([Cone.from_rays([r, s], 2)
+                          for r, s in zip(rays, rays[1:] + rays[:1])], 2)
+    with pytest.raises(FanError) as err:
+        fan.validate()
+    assert str(err.value) == "cones ((-1, -1), (-1, 1)) and ((-1, 0), (0, -1)) overlap"
 
 
 def test_validate_refuses_an_empty_fan_in_rank_one_and_up():

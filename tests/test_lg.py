@@ -103,7 +103,7 @@ def test_the_readings_match_the_hull_route(hosts, sample, count):
         model = givental_hybrid(nef, 0, nef.n_parts)
         deltas = [hull_delta_piece(nef, i) for i in range(nef.n_parts)]
         assert list(model.potentials) == [tuple(lattice_points(d)) for d in deltas]
-        rays = _fan_rays(nef)
+        rays = _fan_rays(nef, lattice_points(polar_dual(nef.host)))
         assert rays == hull_fan_rays(nef)
         eqs = compactify_fiber(model, nef)
         for eq, piece, delta in zip(eqs, hull_nabla_pieces(nef), deltas):
@@ -188,8 +188,9 @@ def test_single_exponent_example(diamond_model):
 def test_degree_consistency(diamond_model):
     model, nef = diamond_model
     eqs = compactify_fiber(model, nef)
-    assert check_degree_consistency(eqs[0], _fan_rays(nef))
-    assert check_degree_consistency(eqs[1], _fan_rays(nef))
+    rays = _fan_rays(nef, lattice_points(polar_dual(nef.host)))
+    assert check_degree_consistency(eqs[0], rays)
+    assert check_degree_consistency(eqs[1], rays)
 
 
 def test_newton_polytope_round_trip(diamond_model):
@@ -288,7 +289,7 @@ def test_one_part_cube_compactifies(cube, tmp_path):
     model = givental_hybrid(nef, 0, 1)
     assert len(model.potentials[0]) == 27
     (eq,) = compactify_fiber(model, nef)
-    rays = _fan_rays(nef)
+    rays = _fan_rays(nef, lattice_points(polar_dual(cube)))
     assert rays == tuple(q for q in lattice_points(polar_dual(cube)) if any(q))
     assert len(rays) == 6
     rhos = [rho for rho in model.potentials[0] if any(rho)]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -13,8 +14,8 @@ from tests_data_helpers import (FRAME_PATH, LIFTING_REFUSALS, NON_CENTRAL, NON_T
                                 cut_partitions, is_central, lattice_cuts,
                                 normalized_volume)
 
-from lgmirror import partitions
-from lgmirror.cli import main, resolve_polytope
+from lgmirror import linalg, partitions
+from lgmirror.cli import corpus_names, main, resolve_polytope
 from lgmirror.lattice import (LatticeError, boundary_lattice_points, carrier,
                               convex_hull, intersect, is_face_of, lattice_points,
                               polyhedron_generators, polytope_from_inequalities)
@@ -938,6 +939,34 @@ def test_fans_evaluate_the_reflexivity_diagnostic_once_per_fan_builder(
     assert main(["partition", "fans", corpus_path("square-vsplit")]) == 0
     assert capsys.readouterr().err == ""
     assert len(calls) == 2
+
+
+FANS_DOCUMENTS = {**{name: doc for name in corpus_names()
+                     if "pieces" in (doc := corpus_doc(name))}, **FRAME_PATH}
+
+
+@pytest.mark.parametrize("name", sorted(FANS_DOCUMENTS))
+def test_fans_solves_only_to_lift_the_distinguished_vectors(name, monkeypatch, capsys,
+                                                            tmp_path):
+    """star and Fan.validate read cone membership off integer determinants,
+    so the one linalg.solve of `partition fans` is central_frame's lift of
+    each v_i (none where central_frame refuses the partition)."""
+    doc = FANS_DOCUMENTS[name]
+    try:
+        expected = len(central_frame(partition_from_doc(doc, resolve_polytope)).v_vectors)
+    except PartitionError:
+        expected = 0
+    calls = []
+    solve = linalg.solve
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("lgmirror")
+                and getattr(mod, "solve", None) is solve):
+            monkeypatch.setattr(mod, "solve", lambda A, b: calls.append(b) or solve(A, b))
+    f = tmp_path / "part.json"
+    f.write_text(json.dumps(doc))
+    main(["partition", "fans", str(f)])
+    capsys.readouterr()
+    assert len(calls) == expected
 
 
 def test_a_partition_without_pieces_fails_the_tiling(capsys, tmp_path):
